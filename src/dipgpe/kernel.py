@@ -17,7 +17,9 @@ the grid and trap frequencies.
 
 Applying a symbol to a density is pointwise multiplication between an
 FFT/inverse-FFT pair; no normalization factors appear because they
-cancel between the two directions.
+cancel between the two directions.  The dipolar energy needs only the
+pairing rho . (K * rho), which Parseval turns into a weighted sum over
+one real transform of the density.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import hashlib
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Union
@@ -35,9 +37,7 @@ import numpy as np
 from scipy import fft as _fft
 from scipy import integrate, special
 
-from .grid import GridError, SpectralGrid
-
-_WORKERS = -1
+from .grid import GridError, SpectralGrid, fft_workers
 
 SYMBOL_MAX = 8.0 * math.pi / 3.0
 SYMBOL_MIN = -4.0 * math.pi / 3.0
@@ -230,17 +230,25 @@ class KernelSymbol:
     """Real, even Fourier multiplier tabulated on a grid's frequency lattice.
 
     values are stored in FFT order.  half_values is the slice matching
-    the real-input transform layout; the propagator uses it to halve the
-    cost of the nonlocal term.
+    the real-input transform layout; the propagator and the dipolar
+    energy use it to halve the cost of the nonlocal term.  Both read only
+    the even part of the symbol, so the first use of half_values checks
+    evenness unless validate() has already passed.
     """
 
     dim: int
     values: np.ndarray
     provenance: Provenance
     grid: SpectralGrid
+    _even: bool = field(default=False, init=False, repr=False)
 
     @cached_property
     def half_values(self) -> np.ndarray:
+        if not (self._even or self._is_even()):
+            raise KernelRealityError(
+                "symbol is not even on the frequency lattice; its real-transform "
+                "application would drop the odd part"
+            )
         n_last = self.grid.shape[-1]
         return np.ascontiguousarray(self.values[..., : n_last // 2 + 1])
 
@@ -263,7 +271,12 @@ class KernelSymbol:
             bound = self._effective_bound() * (1.0 + 1e-8) + 1e-10
             if np.abs(self.values).max() > bound:
                 raise ValueError("effective symbol values exceed the analytic envelope")
-        # Even symmetry on non-Nyquist modes: index k maps to -k under flip+roll.
+        if not self._is_even():
+            raise ValueError("symbol is not even on the frequency lattice")
+        self._even = True
+
+    def _is_even(self) -> bool:
+        """Even symmetry on non-Nyquist modes: index k maps to -k under flip+roll."""
         mirrored = self.values
         for axis in range(self.dim):
             mirrored = np.roll(np.flip(mirrored, axis=axis), 1, axis=axis)
@@ -272,8 +285,7 @@ class KernelSymbol:
             sel = np.ones(n, dtype=bool)
             sel[n // 2] = False
             interior &= sel.reshape([-1 if a == axis else 1 for a in range(self.dim)])
-        if not np.allclose(self.values[interior], mirrored[interior], rtol=0.0, atol=1e-12):
-            raise ValueError("symbol is not even on the frequency lattice")
+        return np.allclose(self.values[interior], mirrored[interior], rtol=0.0, atol=1e-12)
 
     def _effective_bound(self) -> float:
         if isinstance(self.provenance, Effective1D):
@@ -435,9 +447,9 @@ def apply_kernel(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
     grid._check_shape(density)
     if np.iscomplexobj(density):
         raise TypeError("density must be a real array")
-    spectrum = _fft.fftn(density, workers=_WORKERS)
+    spectrum = _fft.fftn(density, workers=fft_workers())
     spectrum *= symbol.values
-    phi = _fft.ifftn(spectrum, workers=_WORKERS)
+    phi = _fft.ifftn(spectrum, workers=fft_workers())
     scale = float(np.linalg.norm(density.ravel()))
     residue = float(np.linalg.norm(phi.imag.ravel()))
     if residue > 1e-8 * scale:
@@ -450,9 +462,28 @@ def apply_kernel(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
 def _apply_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
     """Real-transform fast path for the inner propagator loop.
 
-    Skips the reality check performed by apply_kernel; safe because the
-    symbol's even symmetry was validated at build time.
+    Skips the reality check performed by apply_kernel; half_values
+    checks the symbol's even symmetry once instead.
     """
-    spectrum = _fft.rfftn(density, workers=_WORKERS)
+    spectrum = _fft.rfftn(density, workers=fft_workers())
     spectrum *= symbol.half_values
-    return _fft.irfftn(spectrum, s=symbol.grid.shape, workers=_WORKERS)
+    return _fft.irfftn(spectrum, s=symbol.grid.shape, workers=fft_workers())
+
+
+def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:
+    """Lattice sum of density * (K * density) from one real transform.
+
+    By Parseval this is (1/N) sum_k symbol_k |rho_hat_k|^2 over the full
+    lattice.  The real-transform layout holds each interior mode of the
+    last axis for itself and its mirror image, so those count twice; the
+    zero and Nyquist planes of the last axis count once.
+    """
+    spectrum = _fft.rfftn(density, workers=fft_workers())
+    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+    power *= symbol.half_values
+    total = (
+        2.0 * float(np.sum(power))
+        - float(np.sum(power[..., 0]))
+        - float(np.sum(power[..., -1]))
+    )
+    return total / symbol.grid.size

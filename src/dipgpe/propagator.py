@@ -9,8 +9,19 @@ Both substeps preserve the pointwise modulus or the spectral modulus,
 so mass is conserved to roundoff and the step is time-symmetric.
 
 Across consecutive steps the two adjacent kinetic half-steps fuse into
-one full step, so the integrator carries the pre-B state and only
-materializes the physical field at sampling times.
+one full step, so the integrator carries the pre-B state y and only
+materializes the physical field at sampling times.  strang_step and
+evolve share one step routine (_Splitting): B(dt) builds
+-dt (V + lambda1 rho + lambda2 K*rho) in a work buffer, with dt folded
+into the trap once, writes its cos/sin into one complex buffer and
+multiplies y in place; the forward transform of the result and the
+kinetic multiply reuse the same array.  A step costs two complex and two
+real transforms.
+
+At a sample, the spectrum the loop already holds gives psi_hat, which
+the observables reuse (see the state module): a 3D sample adds one
+inverse transform for psi, three for its gradient and one real
+transform for the dipolar energy.
 
 Blow-up cannot be followed on a fixed lattice.  The monitor reports
 under-resolution consistent with collapse when the gradient norm or the
@@ -29,9 +40,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import GridError, SpectralGrid, make_grid
+from .grid import GridError, SpectralGrid, fft_workers, make_grid
 from .kernel import KernelSymbol, _apply_symbol_real
 from .state import (
+    FieldSpectrum,
     ObservableSeries,
     PhysicalParams,
     WaveField,
@@ -41,8 +53,6 @@ from .state import (
     spectral_tail_fraction,
     check_resolution,
 )
-
-_WORKERS = -1
 
 
 class NonFiniteStateError(ArithmeticError):
@@ -119,16 +129,76 @@ def _nonlinear_phase(
     dt: float,
     params: PhysicalParams,
     symbol: "KernelSymbol | None",
-    potential_mesh: np.ndarray,
-) -> np.ndarray:
-    """Apply the exact potential-plus-nonlinear substep to values."""
-    rho = values.real * values.real + values.imag * values.imag
-    phase = potential_mesh + params.lambda1 * rho
+    trap_dt: np.ndarray,
+    rho: np.ndarray,
+    phase: np.ndarray,
+    rotor: np.ndarray,
+) -> None:
+    """Apply the exact potential-plus-nonlinear substep to values in place.
+
+    trap_dt is -dt * V; rho and phase are real and rotor complex work
+    buffers of the lattice shape.
+    """
+    np.multiply(values.real, values.real, out=rho)
+    np.multiply(values.imag, values.imag, out=phase)
+    rho += phase
+    np.multiply(rho, -dt * params.lambda1, out=phase)
+    phase += trap_dt
     if params.lambda2 != 0.0:
-        if symbol is None:
+        phi = _apply_symbol_real(symbol, rho)
+        phi *= -dt * params.lambda2
+        phase += phi
+    np.cos(phase, out=rotor.real)
+    np.sin(phase, out=rotor.imag)
+    values *= rotor
+
+
+class _Splitting:
+    """The splitting step at one dt, with the buffers it reuses.
+
+    The step is carried on the pre-B state y = A(dt/2) psi: ``advance``
+    applies B(dt) to y in place and returns the spectrum of the result,
+    from which ``kinetic`` with khalf gives psi and with kfull the next y.
+    """
+
+    def __init__(
+        self,
+        grid: SpectralGrid,
+        dt: float,
+        params: PhysicalParams,
+        symbol: "KernelSymbol | None",
+        potential_mesh: np.ndarray,
+    ) -> None:
+        if params.lambda2 != 0.0 and symbol is None:
             raise ValueError("a kernel symbol is required when lambda2 != 0")
-        phase = phase + params.lambda2 * _apply_symbol_real(symbol, rho)
-    return values * np.exp(-1j * dt * phase)
+        self.grid = grid
+        self.params = params
+        self.symbol = symbol
+        self.potential_mesh = potential_mesh
+        self.rho = np.empty(grid.shape)
+        self.phase = np.empty(grid.shape)
+        self.rotor = np.empty(grid.shape, dtype=complex)
+        self.set_dt(dt)
+
+    def set_dt(self, dt: float) -> None:
+        self.dt = dt
+        self.khalf = np.exp(-0.25j * dt * self.grid.ksq)
+        self.kfull = self.khalf * self.khalf
+        self.trap_dt = -dt * self.potential_mesh
+
+    def advance(self, y: np.ndarray) -> np.ndarray:
+        """B(dt) on y in place, then its forward transform (reusing y)."""
+        _nonlinear_phase(
+            y, self.dt, self.params, self.symbol, self.trap_dt,
+            self.rho, self.phase, self.rotor,
+        )
+        return _fft.fftn(y, workers=fft_workers(), overwrite_x=True)
+
+    @staticmethod
+    def kinetic(spec: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+        """Inverse transform of spec * multiplier, reusing spec."""
+        spec *= multiplier
+        return _fft.ifftn(spec, workers=fft_workers(), overwrite_x=True)
 
 
 def strang_step(
@@ -144,14 +214,9 @@ def strang_step(
     grid = field.grid
     if potential_mesh is None:
         potential_mesh = params.potential(grid)
-    khalf = np.exp(-0.25j * dt * grid.ksq)
-    spec = _fft.fftn(field.values, workers=_WORKERS)
-    spec *= khalf
-    mid = _fft.ifftn(spec, workers=_WORKERS)
-    mid = _nonlinear_phase(mid, dt, params, symbol, potential_mesh)
-    spec = _fft.fftn(mid, workers=_WORKERS)
-    spec *= khalf
-    out = _fft.ifftn(spec, workers=_WORKERS)
+    split = _Splitting(grid, dt, params, symbol, potential_mesh)
+    y = split.kinetic(_fft.fftn(field.values, workers=fft_workers()), split.khalf)
+    out = split.kinetic(split.advance(y), split.khalf)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteStateError(
             f"non-finite field after step at t = {field.t:.6g}", field.t, -1
@@ -214,8 +279,8 @@ def evolve(
     sample_steps.add(n_steps)
     sample_steps |= callback_steps
 
-    rho0 = density(field0)
-    grad0 = gradient_norm_sq(field0)
+    spectrum0 = FieldSpectrum(_fft.fftn(field0.values, workers=fft_workers()))
+    grad0 = gradient_norm_sq(field0, spectrum0)
     grad_threshold = (
         monitor.grad_threshold
         if monitor.grad_threshold is not None
@@ -223,7 +288,8 @@ def evolve(
     )
 
     if warn_resolution:
-        check_resolution(field0)
+        check_resolution(field0, spectrum=spectrum0)
+        rho0 = density(field0)
         phase_scale = float(np.max(np.abs(potential_mesh + params.lambda1 * rho0)))
         if params.lambda2 != 0.0 and symbol is not None:
             phi0 = _apply_symbol_real(symbol, rho0)
@@ -239,42 +305,46 @@ def evolve(
             )
 
     series = ObservableSeries()
-    series.append(record_observables(field0, params, symbol, potential_mesh=potential_mesh))
+    series.append(
+        record_observables(
+            field0, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum0
+        )
+    )
     if callback is not None and sample_times is None:
         callback(field0)
 
-    ksq = grid.ksq
-    khalf = np.exp(-0.25j * dt * ksq)
-    kfull = khalf * khalf
+    split = _Splitting(grid, dt, params, symbol, potential_mesh)
     t0 = field0.t
 
     # pre-B state: initial half kinetic step
-    spec = _fft.fftn(field0.values, workers=_WORKERS)
-    y = _fft.ifftn(khalf * spec, workers=_WORKERS)
+    y = split.kinetic(spectrum0.values, split.khalf)
+    del spectrum0
 
     for step in range(1, n_steps + 1):
         step_dt = dt if step < n_steps else last_dt
         if step == n_steps and abs(last_dt - dt) > 1e-15 * max(dt, 1.0):
-            khalf = np.exp(-0.25j * step_dt * ksq)
-            kfull = khalf * khalf
             # re-split the carried half step: the stored y already includes
             # a dt/2 kinetic phase, so advance by the difference first
-            delta = np.exp(-0.25j * (step_dt - dt) * ksq)
-            y = _fft.ifftn(delta * _fft.fftn(y, workers=_WORKERS), workers=_WORKERS)
-        w = _nonlinear_phase(y, step_dt, params, symbol, potential_mesh)
+            delta = np.exp(-0.25j * (step_dt - dt) * grid.ksq)
+            y = split.kinetic(_fft.fftn(y, workers=fft_workers(), overwrite_x=True), delta)
+            split.set_dt(step_dt)
+        w_spec = split.advance(y)
         t_now = t0 + (step - 1) * dt + step_dt if step == n_steps else t0 + step * dt
 
         if step in sample_steps:
-            w_spec = _fft.fftn(w, workers=_WORKERS)
-            psi_values = _fft.ifftn(khalf * w_spec, workers=_WORKERS)
+            spectrum = FieldSpectrum(split.khalf * w_spec)
+            psi_values = _fft.ifftn(spectrum.values, workers=fft_workers())
             if not np.all(np.isfinite(psi_values.view(float))):
                 raise NonFiniteStateError(
                     f"non-finite field at t = {t_now:.6g}", t_now, step
                 )
             psi = WaveField(values=psi_values, grid=grid, t=t_now)
-            record = record_observables(psi, params, symbol, potential_mesh=potential_mesh)
+            record = record_observables(
+                psi, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum
+            )
             series.append(record)
-            tail = spectral_tail_fraction(psi)
+            tail = spectral_tail_fraction(psi, spectrum)
+            del spectrum
             if callback is not None and (
                 step in callback_steps if sample_times is not None else True
             ):
@@ -296,9 +366,7 @@ def evolve(
                 return series, report
             if step == n_steps:
                 return series, psi
-            y = _fft.ifftn(kfull * w_spec, workers=_WORKERS)
-        else:
-            y = _fft.ifftn(kfull * _fft.fftn(w, workers=_WORKERS), workers=_WORKERS)
+        y = split.kinetic(w_spec, split.kfull)
 
     raise AssertionError("unreachable: loop must return at the final step")
 

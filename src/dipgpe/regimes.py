@@ -36,7 +36,7 @@ from .state import (
     WaveField,
     energy,
     mass,
-    variance_and_rate,
+    variance,
 )
 
 VERDICT_GLOBAL = "GlobalStable"
@@ -124,7 +124,7 @@ def classify(
     E = e.total
     M = mass(phi)
     grad_sq = 2.0 * e.kinetic
-    xphi_sq, _ = variance_and_rate(phi)
+    xphi_sq = variance(phi)
     gap = params.lambda1 - (4.0 * math.pi / 3.0) * params.lambda2
     evidence: dict = {
         "E": E,

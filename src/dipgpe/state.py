@@ -5,6 +5,15 @@ density and its growth rate, plus spectral diagnostics.  All derivatives
 are spectral so that what the propagator conserves exactly is what these
 functions measure.
 
+The spectral observables share one FieldSpectrum, the raw transform
+psi_hat = fftn(psi) and its power |psi_hat|^2: the power gives the
+gradient norm and the top-octave tail, and d_j psi = ifftn(i xi_j psi_hat)
+gives the variance rate.  The dipolar energy pairs the density with its
+convolution by Parseval, from one real transform of the density.  A
+sample therefore costs one forward complex transform when no spectrum is
+passed (none when the caller holds one, as evolve does), one inverse
+complex transform per axis and one real transform.
+
 An evolution is summarized by an ObservableSeries, one record per
 sampling time, which serializes to CSV with the fixed header
 
@@ -24,10 +33,9 @@ from pathlib import Path
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import GridError, SpectralGrid
-from .kernel import KernelSymbol, apply_kernel
-
-_WORKERS = -1
+from .grid import GridError, SpectralGrid, fft_workers
+from .kernel import KernelSymbol, _pair_symbol_real
+from .kernel import apply_kernel  # noqa: F401  bench/tracer.py spans state.apply_kernel
 
 CSV_HEADER = "t,mass,E,Ekin,Epot,Ecubic,Edip,y,ydot,maxpsi,gradsq"
 
@@ -117,6 +125,27 @@ class EnergyBreakdown:
         return self.kinetic + self.potential + self.cubic + self.dipolar
 
 
+@dataclass(eq=False)
+class FieldSpectrum:
+    """Raw transform fftn(psi) of a field (FFT order, unnormalized).
+
+    The power |psi_hat|^2 is computed once, on first use, and shared by
+    every observable that reads it.
+    """
+
+    values: np.ndarray
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        v = self.values
+        return v.real * v.real + v.imag * v.imag
+
+
+def field_spectrum(field: "WaveField") -> FieldSpectrum:
+    """The FieldSpectrum of a field: one forward complex transform."""
+    return FieldSpectrum(_fft.fftn(field.values, workers=fft_workers()))
+
+
 def density(field: WaveField) -> np.ndarray:
     values = field.values
     return (values.real * values.real + values.imag * values.imag)
@@ -130,11 +159,12 @@ def max_abs(field: WaveField) -> float:
     return float(np.sqrt(density(field).max()))
 
 
-def gradient_norm_sq(field: WaveField) -> float:
+def gradient_norm_sq(field: WaveField, spectrum: "FieldSpectrum | None" = None) -> float:
     """Squared L2 norm of the spectral gradient."""
     grid = field.grid
-    spec_sq = np.abs(_fft.fftn(field.values, workers=_WORKERS)) ** 2
-    return float(np.sum(grid.ksq * spec_sq)) * grid.cell_volume / grid.size
+    if spectrum is None:
+        spectrum = field_spectrum(field)
+    return float(np.sum(grid.ksq * spectrum.power)) * grid.cell_volume / grid.size
 
 
 def quartic_norm(field: WaveField) -> float:
@@ -150,7 +180,7 @@ def quartic_norm_spectral(field: WaveField) -> float:
     independent route for cross-checks.
     """
     grid = field.grid
-    rho_spec = _fft.fftn(density(field), workers=_WORKERS)
+    rho_spec = _fft.fftn(density(field), workers=fft_workers())
     return float(np.sum(np.abs(rho_spec) ** 2)) * grid.cell_volume / grid.size
 
 
@@ -159,20 +189,23 @@ def energy(
     params: PhysicalParams,
     symbol: "KernelSymbol | None" = None,
     potential_mesh: "np.ndarray | None" = None,
+    spectrum: "FieldSpectrum | None" = None,
 ) -> EnergyBreakdown:
     """Four-part energy of a field.
 
     The kinetic part is spectral, the trap and contact parts are lattice
     sums, and the dipolar part pairs the density against the convolved
-    potential.  A symbol is required whenever lambda2 is nonzero.
-    potential_mesh may pass a precomputed trap to avoid rebuilding it in
-    sampling loops.
+    potential (by Parseval, see the module docstring).  A symbol is
+    required whenever lambda2 is nonzero.  potential_mesh and spectrum
+    may pass a precomputed trap and FieldSpectrum to sampling loops.
     """
+    return _energy(field, density(field), params, symbol, potential_mesh, spectrum)
+
+
+def _energy(field, rho, params, symbol, potential_mesh, spectrum) -> EnergyBreakdown:
     grid = field.grid
     dv = grid.cell_volume
-    rho = density(field)
-
-    kinetic = 0.5 * gradient_norm_sq(field)
+    kinetic = 0.5 * gradient_norm_sq(field, spectrum)
     if potential_mesh is None:
         potential_mesh = params.potential(grid)
     potential = float(np.sum(potential_mesh * rho)) * dv
@@ -183,43 +216,62 @@ def energy(
         if symbol is None:
             raise ValueError("a kernel symbol is required when lambda2 != 0")
         grid._check_shape(symbol.values)
-        phi = apply_kernel(symbol, rho)
-        dipolar = 0.5 * params.lambda2 * float(np.sum(phi * rho)) * dv
+        dipolar = 0.5 * params.lambda2 * _pair_symbol_real(symbol, rho) * dv
     return EnergyBreakdown(
         kinetic=kinetic, potential=potential, cubic=cubic, dipolar=dipolar
     )
 
 
-def variance_and_rate(field: WaveField) -> tuple[float, float]:
+def variance(field: WaveField) -> float:
+    """Position variance y = int |x|^2 |psi|^2."""
+    return _variance(field, density(field))
+
+
+def _variance(field: WaveField, rho: np.ndarray) -> float:
+    return float(np.sum(field.grid.radius_sq * rho)) * field.grid.cell_volume
+
+
+def variance_and_rate(
+    field: WaveField, spectrum: "FieldSpectrum | None" = None
+) -> tuple[float, float]:
     """Position variance y = int |x|^2 |psi|^2 and its time derivative.
 
     The rate uses the standard identity dy/dt = 2 Im int conj(psi)
     (x . grad psi); the gradient is spectral.
     """
-    grid = field.grid
-    dv = grid.cell_volume
-    rho = density(field)
-    y = float(np.sum(grid.radius_sq * rho)) * dv
+    return _variance(field, density(field)), _variance_rate(field, spectrum)
 
-    spec = _fft.fftn(field.values, workers=_WORKERS)
+
+def _variance_rate(field: WaveField, spectrum: "FieldSpectrum | None") -> float:
+    grid = field.grid
+    if spectrum is None:
+        spectrum = field_spectrum(field)
+    psi = field.values
     acc = 0.0
-    for axis in range(grid.dim):
-        freq = grid.freq_mesh[axis]
-        coord = grid.coord_mesh[axis]
-        dpsi = _fft.ifftn(1j * freq * spec, workers=_WORKERS)
-        acc += float(np.sum((np.conj(field.values) * coord * dpsi).imag))
-    ydot = 2.0 * acc * dv
-    return y, ydot
+    for freq, coord in zip(grid.freq_mesh, grid.coord_mesh):
+        # g = ifftn(xi_j psi_hat) = -i d_j psi, so the integrand
+        # Im(conj(psi) x_j d_j psi) is Re(conj(psi) x_j g).  It is summed
+        # without BLAS: a BLAS dot leaves its threads spinning, which
+        # starves the other members of a sweep.
+        g = _fft.ifftn(freq * spectrum.values, workers=fft_workers(), overwrite_x=True)
+        g *= coord
+        re = psi.real * g.real
+        re += psi.imag * g.imag
+        acc += float(np.sum(re))
+    return 2.0 * acc * grid.cell_volume
 
 
-def spectral_tail_fraction(field: WaveField) -> float:
+def spectral_tail_fraction(
+    field: WaveField, spectrum: "FieldSpectrum | None" = None
+) -> float:
     """Fraction of spectral mass in the top frequency octave."""
-    grid = field.grid
-    spec_sq = np.abs(_fft.fftn(field.values, workers=_WORKERS)) ** 2
-    total = float(np.sum(spec_sq))
+    if spectrum is None:
+        spectrum = field_spectrum(field)
+    power = spectrum.power
+    total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    return float(np.sum(spec_sq[grid.top_octave_mask])) / total
+    return float(np.sum(power[field.grid.top_octave_mask])) / total
 
 
 def field_std(field: WaveField) -> tuple[float, ...]:
@@ -238,7 +290,11 @@ def field_std(field: WaveField) -> tuple[float, ...]:
     return tuple(out)
 
 
-def check_resolution(field: WaveField, tail_warn: float = 1e-6) -> None:
+def check_resolution(
+    field: WaveField,
+    tail_warn: float = 1e-6,
+    spectrum: "FieldSpectrum | None" = None,
+) -> None:
     """Warn when the box or the lattice look too small for the state.
 
     The box should span at least 8 standard deviations per axis so the
@@ -255,7 +311,7 @@ def check_resolution(field: WaveField, tail_warn: float = 1e-6) -> None:
                 RuntimeWarning,
                 stacklevel=2,
             )
-    tail = spectral_tail_fraction(field)
+    tail = spectral_tail_fraction(field, spectrum)
     if tail > tail_warn:
         warnings.warn(
             f"spectral tail fraction {tail:.3e} exceeds {tail_warn:g}; "
@@ -293,20 +349,24 @@ def record_observables(
     params: PhysicalParams,
     symbol: "KernelSymbol | None" = None,
     potential_mesh: "np.ndarray | None" = None,
+    spectrum: "FieldSpectrum | None" = None,
 ) -> ObservableRecord:
-    e = energy(field, params, symbol, potential_mesh=potential_mesh)
-    y, ydot = variance_and_rate(field)
+    """Every series column at one instant, from one density and one spectrum."""
+    if spectrum is None:
+        spectrum = field_spectrum(field)
+    rho = density(field)
+    e = _energy(field, rho, params, symbol, potential_mesh, spectrum)
     return ObservableRecord(
         t=field.t,
-        mass=mass(field),
+        mass=float(np.sum(rho)) * field.grid.cell_volume,
         E=e.total,
         Ekin=e.kinetic,
         Epot=e.potential,
         Ecubic=e.cubic,
         Edip=e.dipolar,
-        y=y,
-        ydot=ydot,
-        maxpsi=max_abs(field),
+        y=_variance(field, rho),
+        ydot=_variance_rate(field, spectrum),
+        maxpsi=float(np.sqrt(rho.max())),
         gradsq=2.0 * e.kinetic,
     )
 

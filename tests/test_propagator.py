@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from dipgpe import (
     Analytic3D,
@@ -12,12 +13,22 @@ from dipgpe import (
     PhysicalParams,
     WaveField,
     build_symbol,
+    energy,
     evolve,
+    gradient_norm_sq,
+    grid as grid_module,
+    kernel as kernel_module,
     linear_eigenstate,
     make_grid,
     mass,
+    max_abs,
+    propagator as propagator_module,
     read_snapshot,
+    record_observables,
+    spectral_tail_fraction,
+    state as state_module,
     strang_step,
+    variance_and_rate,
     write_snapshot,
 )
 
@@ -284,3 +295,145 @@ def test_snapshot_rejects_foreign_file(tmp_path):
     path.write_bytes(b"HELLO v9 nonsense\n\x00\x01")
     with pytest.raises(ValueError):
         read_snapshot(path)
+
+
+def chirped_dipolar_gaussian(grid):
+    """Off-centre anisotropic Gaussian with a quadratic phase, unit mass.
+
+    Its dipolar energy, variance rate and top-octave tail (about 3.5e-6 at
+    32^3) are all well away from zero, so relative comparisons mean
+    something.
+    """
+    widths, center, beta = (0.7, 0.8, 1.2), (0.4, -0.3, 0.5), 0.4
+    arg = sum(
+        -((x - c) ** 2) / (2.0 * w * w) + 0.5j * beta * (x - c) ** 2
+        for x, c, w in zip(grid.coord_mesh, center, widths)
+    )
+    values = np.exp(arg)
+    values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.cell_volume)
+    return WaveField(values, grid)
+
+
+def dipolar_problem():
+    g = make_grid(3, [10.0, 10.0, 12.0], [32, 32, 32])
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    return g, p, build_symbol(g, Analytic3D()), chirped_dipolar_gaussian(g)
+
+
+def assert_close(got, want, rel=1e-12):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+def test_evolve_samples_match_standalone_observables():
+    g, p, sym, f0 = dipolar_problem()
+    fields = []
+    series, _ = evolve(
+        f0, p, sym, dt=1e-3, T=0.02, monitor=MonitorSpec(stride=5),
+        callback=lambda f: fields.append(f.copy()), warn_resolution=False,
+    )
+    assert len(fields) == len(series) == 5
+    for record, field in zip(series, fields):
+        e = energy(field, p, sym)
+        y, ydot = variance_and_rate(field)
+        assert record.t == field.t
+        assert_close(record.mass, mass(field))
+        assert_close(record.maxpsi, max_abs(field))
+        assert_close(record.Ekin, e.kinetic)
+        assert_close(record.Epot, e.potential)
+        assert_close(record.Ecubic, e.cubic)
+        assert_close(record.Edip, e.dipolar)
+        assert_close(record.E, e.total)
+        assert_close(record.gradsq, gradient_norm_sq(field))
+        assert_close(record.y, y)
+        assert_close(record.ydot, ydot)
+
+    # The tail the monitor reads is the standalone one too.
+    _, report = evolve(
+        f0, p, sym, dt=1e-3, T=0.02,
+        monitor=MonitorSpec(stride=5, spectral_tail=0.0), warn_resolution=False,
+    )
+    assert isinstance(report, CollapseReport)
+    assert report.reason == "spectral-tail"
+    assert report.tail_fraction > 1e-7
+    assert_close(report.tail_fraction, spectral_tail_fraction(report.field))
+
+
+def test_strang_steps_match_evolve_and_keep_their_input():
+    g, p, sym, f0 = dipolar_problem()
+    n, dt = 12, 1e-3
+    field = f0
+    for _ in range(n):
+        before = field.values.copy()
+        out = strang_step(field, dt, p, sym)
+        assert np.array_equal(field.values, before)
+        field = out
+    _, final = evolve(
+        f0, p, sym, dt=dt, T=n * dt, monitor=MonitorSpec(stride=100),
+        warn_resolution=False,
+    )
+    assert final.t == pytest.approx(field.t, abs=1e-15)
+    scale = float(np.max(np.abs(final.values)))
+    assert np.max(np.abs(field.values - final.values)) <= 1e-12 * scale
+
+
+class CountingFFT:
+    """Stands in for scipy.fft and counts complex and real nD transforms."""
+
+    KINDS = {"fftn": "c2c", "ifftn": "c2c", "rfftn": "r2c", "irfftn": "r2c"}
+
+    def __init__(self):
+        self.counts = {"c2c": 0, "r2c": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(scipy_fft, name)
+        kind = self.KINDS.get(name)
+        if kind is None:
+            return fn
+
+        def counted(*args, **kwargs):
+            self.counts[kind] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def take(self):
+        out = (self.counts["c2c"], self.counts["r2c"])
+        self.counts = {"c2c": 0, "r2c": 0}
+        return out
+
+
+@pytest.fixture
+def counting_fft(monkeypatch):
+    proxy = CountingFFT()
+    for module in (grid_module, kernel_module, state_module, propagator_module):
+        monkeypatch.setattr(module, "_fft", proxy)
+    return proxy
+
+
+def test_transform_budget_per_step_and_sample(counting_fft):
+    g, p, sym, f0 = dipolar_problem()
+
+    def run(n_steps, stride):
+        evolve(
+            f0, p, sym, dt=1e-3, T=n_steps * 1e-3,
+            monitor=MonitorSpec(stride=stride), warn_resolution=False,
+        )
+        return counting_fft.take()
+
+    # Both runs sample only at t = 0 and at the end.
+    short, long_ = run(3, 100), run(6, 100)
+    assert (long_[0] - short[0], long_[1] - short[1]) == (3 * 2, 3 * 2)
+    # Five more samples over the same six steps.
+    dense = run(6, 1)
+    extra_c2c, extra_r2c = dense[0] - long_[0], dense[1] - long_[1]
+    assert extra_c2c <= 5 * 4
+    assert extra_r2c <= 5 * 1
+
+    # A field given without a spectrum takes one forward transform, shared.
+    energy(f0, p, sym)
+    assert counting_fft.take() == (1, 1)
+    record_observables(f0, p, sym)
+    assert counting_fft.take() == (1 + 3, 1)
+
+    strang_step(f0, 1e-3, p, sym)
+    assert counting_fft.take() == (4, 2)

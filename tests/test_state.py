@@ -5,16 +5,21 @@ import pytest
 
 from dipgpe import (
     Analytic3D,
+    Effective1D,
     EnergyBreakdown,
     GridError,
+    KernelRealityError,
+    KernelSymbol,
     ObservableRecord,
     ObservableSeries,
     PhysicalParams,
     WaveField,
+    apply_kernel,
     build_symbol,
     check_resolution,
     density,
     energy,
+    evolve,
     field_std,
     gradient_norm_sq,
     linear_eigenstate,
@@ -125,6 +130,40 @@ def test_dipolar_energy_vanishes_for_radial_data():
     f = gaussian_field(g, 1.1)
     e = energy(f, p, sym)
     assert abs(e.dipolar) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape", [(8, 10, 12), (12, 8, 8)], ids=["3d-anisotropic", "3d-short-last-axis"]
+)
+def test_dipolar_energy_parseval_matches_convolution(shape):
+    # The one-real-transform pairing equals rho . (K * rho) from the full
+    # complex transform pair, Nyquist planes included.
+    g = make_grid(3, [9.0, 10.0, 11.0], shape)
+    p = PhysicalParams(3, (1, 1, 1), 0.0, 0.7)
+    sym = build_symbol(g, Analytic3D())
+    rng = np.random.default_rng(5)
+    f = WaveField(rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape), g)
+    rho = density(f)
+    direct = 0.5 * p.lambda2 * float(np.sum(rho * apply_kernel(sym, rho))) * g.cell_volume
+    assert energy(f, p, sym).dipolar == pytest.approx(direct, rel=1e-12)
+
+
+def test_odd_symbol_raises_from_energy_and_evolve():
+    g = make_grid(1, [12.0], [32])
+    odd = KernelSymbol(1, 0.1 * g.freqs[0], Effective1D(1.0, 1.0), g)
+    p = PhysicalParams(1, (1.0,), 0.0, 0.5)
+    f = gaussian_field(g, 1.0)
+    with pytest.raises(KernelRealityError):
+        energy(f, p, odd)
+    with pytest.raises(KernelRealityError):
+        evolve(f, p, odd, dt=1e-3, T=1e-2)
+    with pytest.raises(KernelRealityError):
+        evolve(f, p, odd, dt=1e-3, T=1e-2, warn_resolution=False)
+    # An even symbol built by hand passes the same check without validate().
+    even = KernelSymbol(1, -0.1 * g.freqs[0] ** 2, Effective1D(1.0, 1.0), g)
+    rho = density(f)
+    direct = 0.5 * p.lambda2 * float(np.sum(rho * apply_kernel(even, rho))) * g.cell_volume
+    assert energy(f, p, even).dipolar == pytest.approx(direct, rel=1e-12)
 
 
 def test_interaction_positive_in_stable_cone():
