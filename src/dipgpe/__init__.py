@@ -24,7 +24,6 @@ from .kernel import (
 )
 from .state import (
     EnergyBreakdown,
-    FieldSpectrum,
     ObservableRecord,
     ObservableSeries,
     PhysicalParams,
@@ -32,7 +31,6 @@ from .state import (
     check_resolution,
     density,
     energy,
-    field_spectrum,
     field_std,
     gradient_norm_sq,
     mass,
@@ -41,7 +39,6 @@ from .state import (
     quartic_norm_spectral,
     record_observables,
     spectral_tail_fraction,
-    variance,
     variance_and_rate,
 )
 from .propagator import (

@@ -28,7 +28,7 @@ import hashlib
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Union
@@ -233,18 +233,17 @@ class KernelSymbol:
     the real-input transform layout; the propagator and the dipolar
     energy use it to halve the cost of the nonlocal term.  Both read only
     the even part of the symbol, so the first use of half_values checks
-    evenness unless validate() has already passed.
+    evenness.
     """
 
     dim: int
     values: np.ndarray
     provenance: Provenance
     grid: SpectralGrid
-    _even: bool = field(default=False, init=False, repr=False)
 
     @cached_property
     def half_values(self) -> np.ndarray:
-        if not (self._even or self._is_even()):
+        if not self._is_even():
             raise KernelRealityError(
                 "symbol is not even on the frequency lattice; its real-transform "
                 "application would drop the odd part"
@@ -273,7 +272,6 @@ class KernelSymbol:
                 raise ValueError("effective symbol values exceed the analytic envelope")
         if not self._is_even():
             raise ValueError("symbol is not even on the frequency lattice")
-        self._even = True
 
     def _is_even(self) -> bool:
         """Even symmetry on non-Nyquist modes: index k maps to -k under flip+roll."""

@@ -48,6 +48,7 @@ from .state import (
     PhysicalParams,
     WaveField,
     density,
+    field_spectrum,
     gradient_norm_sq,
     record_observables,
     spectral_tail_fraction,
@@ -279,7 +280,7 @@ def evolve(
     sample_steps.add(n_steps)
     sample_steps |= callback_steps
 
-    spectrum0 = FieldSpectrum(_fft.fftn(field0.values, workers=fft_workers()))
+    spectrum0 = field_spectrum(field0)
     grad0 = gradient_norm_sq(field0, spectrum0)
     grad_threshold = (
         monitor.grad_threshold

@@ -189,17 +189,16 @@ def energy(
     params: PhysicalParams,
     symbol: "KernelSymbol | None" = None,
     potential_mesh: "np.ndarray | None" = None,
-    spectrum: "FieldSpectrum | None" = None,
 ) -> EnergyBreakdown:
     """Four-part energy of a field.
 
     The kinetic part is spectral, the trap and contact parts are lattice
     sums, and the dipolar part pairs the density against the convolved
     potential (by Parseval, see the module docstring).  A symbol is
-    required whenever lambda2 is nonzero.  potential_mesh and spectrum
-    may pass a precomputed trap and FieldSpectrum to sampling loops.
+    required whenever lambda2 is nonzero.  potential_mesh may pass a
+    precomputed trap to avoid rebuilding it in sampling loops.
     """
-    return _energy(field, density(field), params, symbol, potential_mesh, spectrum)
+    return _energy(field, density(field), params, symbol, potential_mesh, None)
 
 
 def _energy(field, rho, params, symbol, potential_mesh, spectrum) -> EnergyBreakdown:
@@ -231,15 +230,13 @@ def _variance(field: WaveField, rho: np.ndarray) -> float:
     return float(np.sum(field.grid.radius_sq * rho)) * field.grid.cell_volume
 
 
-def variance_and_rate(
-    field: WaveField, spectrum: "FieldSpectrum | None" = None
-) -> tuple[float, float]:
+def variance_and_rate(field: WaveField) -> tuple[float, float]:
     """Position variance y = int |x|^2 |psi|^2 and its time derivative.
 
     The rate uses the standard identity dy/dt = 2 Im int conj(psi)
     (x . grad psi); the gradient is spectral.
     """
-    return _variance(field, density(field)), _variance_rate(field, spectrum)
+    return _variance(field, density(field)), _variance_rate(field, None)
 
 
 def _variance_rate(field: WaveField, spectrum: "FieldSpectrum | None") -> float:
