@@ -27,9 +27,6 @@ application elsewhere in the package is plain ``ifftn(m * fftn(u))``.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -37,35 +34,15 @@ from typing import Sequence
 import numpy as np
 from scipy import fft as _fft
 
-# scipy.fft delegates to pocketfft, whose output is bit-identical for any
-# worker count, so the worker count can follow the thread layout without
-# touching the determinism requirement.
-_thread = threading.local()
-
-
-def fft_workers() -> int:
-    """pocketfft workers for a transform issued by the calling thread.
-
-    Every core (-1), except inside :func:`shared_cores`.  Every transform
-    in the package passes this as its ``workers`` argument.
-    """
-    return getattr(_thread, "workers", -1)
-
-
-@contextmanager
-def shared_cores(concurrent: int):
-    """Give the calling thread ``max(1, cpu_count // concurrent)`` workers.
-
-    For threads that run transforms alongside ``concurrent - 1`` others,
-    such as the members of ``epsilon_sweep``'s pool: together they ask
-    for the machine's cores instead of each asking for all of them.
-    """
-    previous = fft_workers()
-    _thread.workers = max(1, (os.cpu_count() or 1) // concurrent)
-    try:
-        yield
-    finally:
-        _thread.workers = previous
+# Every transform in the package runs on one pocketfft worker, the calling
+# thread.  pocketfft splits each axis pass of a transform statically
+# between its workers and joins them at the end of the pass, so with two
+# workers on a shared two-vCPU host every pass waits for the vCPU the host
+# runs last, and wall time follows the host rather than the work.
+# Concurrency comes from independent work instead: epsilon_sweep runs its
+# members on a thread pool.  pocketfft output is bit-identical for any
+# worker count.
+FFT_WORKERS = 1
 
 
 class GridError(ValueError):
@@ -173,11 +150,11 @@ class SpectralGrid:
 
     def fftn(self, u: np.ndarray) -> np.ndarray:
         """Raw unnormalized FFT (for multiplier application)."""
-        return _fft.fftn(u, workers=fft_workers())
+        return _fft.fftn(u, workers=FFT_WORKERS)
 
     def ifftn(self, u: np.ndarray) -> np.ndarray:
         """Raw inverse FFT, including the 1/N factor."""
-        return _fft.ifftn(u, workers=fft_workers())
+        return _fft.ifftn(u, workers=FFT_WORKERS)
 
     def forward_transform(self, u: np.ndarray) -> np.ndarray:
         """Continuum-normalized forward transform on the frequency lattice.
@@ -186,12 +163,12 @@ class SpectralGrid:
         in FFT order.
         """
         self._check_shape(u)
-        return self.cell_volume * (self.sign_mesh * _fft.fftn(u, workers=fft_workers()))
+        return self.cell_volume * (self.sign_mesh * _fft.fftn(u, workers=FFT_WORKERS))
 
     def inverse_transform(self, u_hat: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward_transform`."""
         self._check_shape(u_hat)
-        return _fft.ifftn(u_hat * self.sign_mesh, workers=fft_workers()) / self.cell_volume
+        return _fft.ifftn(u_hat * self.sign_mesh, workers=FFT_WORKERS) / self.cell_volume
 
     def _check_shape(self, u: np.ndarray) -> None:
         if tuple(u.shape) != self.shape:

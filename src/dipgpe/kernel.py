@@ -37,7 +37,7 @@ import numpy as np
 from scipy import fft as _fft
 from scipy import integrate, special
 
-from .grid import GridError, SpectralGrid, fft_workers
+from .grid import FFT_WORKERS, GridError, SpectralGrid
 
 SYMBOL_MAX = 8.0 * math.pi / 3.0
 SYMBOL_MIN = -4.0 * math.pi / 3.0
@@ -445,9 +445,9 @@ def apply_kernel(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
     grid._check_shape(density)
     if np.iscomplexobj(density):
         raise TypeError("density must be a real array")
-    spectrum = _fft.fftn(density, workers=fft_workers())
+    spectrum = _fft.fftn(density, workers=FFT_WORKERS)
     spectrum *= symbol.values
-    phi = _fft.ifftn(spectrum, workers=fft_workers())
+    phi = _fft.ifftn(spectrum, workers=FFT_WORKERS)
     scale = float(np.linalg.norm(density.ravel()))
     residue = float(np.linalg.norm(phi.imag.ravel()))
     if residue > 1e-8 * scale:
@@ -463,9 +463,9 @@ def _apply_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
     Skips the reality check performed by apply_kernel; half_values
     checks the symbol's even symmetry once instead.
     """
-    spectrum = _fft.rfftn(density, workers=fft_workers())
+    spectrum = _fft.rfftn(density, workers=FFT_WORKERS)
     spectrum *= symbol.half_values
-    return _fft.irfftn(spectrum, s=symbol.grid.shape, workers=fft_workers())
+    return _fft.irfftn(spectrum, s=symbol.grid.shape, workers=FFT_WORKERS)
 
 
 def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:
@@ -476,7 +476,7 @@ def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:
     last axis for itself and its mirror image, so those count twice; the
     zero and Nyquist planes of the last axis count once.
     """
-    spectrum = _fft.rfftn(density, workers=fft_workers())
+    spectrum = _fft.rfftn(density, workers=FFT_WORKERS)
     power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
     power *= symbol.half_values
     total = (

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import GridError, SpectralGrid, fft_workers, make_grid
+from .grid import FFT_WORKERS, GridError, SpectralGrid, make_grid
 from .kernel import KernelSymbol, _apply_symbol_real
 from .state import (
     FieldSpectrum,
@@ -193,13 +193,13 @@ class _Splitting:
             y, self.dt, self.params, self.symbol, self.trap_dt,
             self.rho, self.phase, self.rotor,
         )
-        return _fft.fftn(y, workers=fft_workers(), overwrite_x=True)
+        return _fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True)
 
     @staticmethod
     def kinetic(spec: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         """Inverse transform of spec * multiplier, reusing spec."""
         spec *= multiplier
-        return _fft.ifftn(spec, workers=fft_workers(), overwrite_x=True)
+        return _fft.ifftn(spec, workers=FFT_WORKERS, overwrite_x=True)
 
 
 def strang_step(
@@ -216,7 +216,7 @@ def strang_step(
     if potential_mesh is None:
         potential_mesh = params.potential(grid)
     split = _Splitting(grid, dt, params, symbol, potential_mesh)
-    y = split.kinetic(_fft.fftn(field.values, workers=fft_workers()), split.khalf)
+    y = split.kinetic(_fft.fftn(field.values, workers=FFT_WORKERS), split.khalf)
     out = split.kinetic(split.advance(y), split.khalf)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteStateError(
@@ -327,14 +327,14 @@ def evolve(
             # re-split the carried half step: the stored y already includes
             # a dt/2 kinetic phase, so advance by the difference first
             delta = np.exp(-0.25j * (step_dt - dt) * grid.ksq)
-            y = split.kinetic(_fft.fftn(y, workers=fft_workers(), overwrite_x=True), delta)
+            y = split.kinetic(_fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True), delta)
             split.set_dt(step_dt)
         w_spec = split.advance(y)
         t_now = t0 + (step - 1) * dt + step_dt if step == n_steps else t0 + step * dt
 
         if step in sample_steps:
             spectrum = FieldSpectrum(split.khalf * w_spec)
-            psi_values = _fft.ifftn(spectrum.values, workers=fft_workers())
+            psi_values = _fft.ifftn(spectrum.values, workers=FFT_WORKERS)
             if not np.all(np.isfinite(psi_values.view(float))):
                 raise NonFiniteStateError(
                     f"non-finite field at t = {t_now:.6g}", t_now, step

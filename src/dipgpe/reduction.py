@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, SpectralGrid, make_grid, shared_cores
+from .grid import GridError, SpectralGrid, make_grid
 from .kernel import Analytic3D, Effective1D, Effective2D, KernelSymbol, build_symbol
 from .propagator import CollapseReport, MonitorSpec, evolve
 from .state import ObservableSeries, PhysicalParams, WaveField, mass
@@ -467,10 +467,8 @@ def epsilon_sweep(
     """Run the error study across eps values concurrently.
 
     The reduced trajectory does not depend on eps, so it is computed
-    once and shared.  Members running concurrently split the cores
-    between their transforms (see grid.shared_cores).  Rows come back
-    in input order with the pairwise log-log slope against the previous
-    eps (nan on the first row).
+    once and shared.  Rows come back in input order with the pairwise
+    log-log slope against the previous eps (nan on the first row).
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
@@ -500,14 +498,8 @@ def epsilon_sweep(
     if len(epsilons) == 1 or max_workers == 1:
         studies = [member(e) for e in epsilons]
     else:
-        concurrent = min(max_workers or len(epsilons), len(epsilons))
-
-        def pooled_member(eps: float) -> ReductionStudy:
-            with shared_cores(concurrent):
-                return member(eps)
-
-        with ThreadPoolExecutor(max_workers=concurrent) as pool:
-            studies = list(pool.map(pooled_member, epsilons))
+        with ThreadPoolExecutor(max_workers=max_workers or len(epsilons)) as pool:
+            studies = list(pool.map(member, epsilons))
 
     rows = []
     for i, study in enumerate(studies):

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import GridError, SpectralGrid, fft_workers
+from .grid import FFT_WORKERS, GridError, SpectralGrid
 from .kernel import KernelSymbol, _pair_symbol_real
 from .kernel import apply_kernel  # noqa: F401  bench/tracer.py spans state.apply_kernel
 
@@ -143,7 +143,7 @@ class FieldSpectrum:
 
 def field_spectrum(field: "WaveField") -> FieldSpectrum:
     """The FieldSpectrum of a field: one forward complex transform."""
-    return FieldSpectrum(_fft.fftn(field.values, workers=fft_workers()))
+    return FieldSpectrum(_fft.fftn(field.values, workers=FFT_WORKERS))
 
 
 def density(field: WaveField) -> np.ndarray:
@@ -180,7 +180,7 @@ def quartic_norm_spectral(field: WaveField) -> float:
     independent route for cross-checks.
     """
     grid = field.grid
-    rho_spec = _fft.fftn(density(field), workers=fft_workers())
+    rho_spec = _fft.fftn(density(field), workers=FFT_WORKERS)
     return float(np.sum(np.abs(rho_spec) ** 2)) * grid.cell_volume / grid.size
 
 
@@ -250,7 +250,7 @@ def _variance_rate(field: WaveField, spectrum: "FieldSpectrum | None") -> float:
         # Im(conj(psi) x_j d_j psi) is Re(conj(psi) x_j g).  It is summed
         # without BLAS: a BLAS dot leaves its threads spinning, which
         # starves the other members of a sweep.
-        g = _fft.ifftn(freq * spectrum.values, workers=fft_workers(), overwrite_x=True)
+        g = _fft.ifftn(freq * spectrum.values, workers=FFT_WORKERS, overwrite_x=True)
         g *= coord
         re = psi.real * g.real
         re += psi.imag * g.imag

@@ -1,12 +1,9 @@
 import math
-import os
-import threading
 
 import numpy as np
 import pytest
 
 from dipgpe import GridError, make_grid
-from dipgpe.grid import fft_workers, shared_cores
 
 
 def test_spacings_1d():
@@ -153,33 +150,3 @@ def test_sign_mesh_alternates():
     assert s[1, 0] == -1.0
     assert s[0, 1] == -1.0
     assert s[3, 5] == 1.0
-
-
-def test_shared_cores_is_per_thread_and_restored():
-    assert fft_workers() == -1
-    cores = os.cpu_count() or 1
-    seen = {}
-    barrier = threading.Barrier(3, timeout=10)
-
-    def member(name, concurrent):
-        with shared_cores(concurrent):
-            barrier.wait()  # all three inside at once
-            seen[name] = fft_workers()
-            barrier.wait()
-        seen[name + "-after"] = fft_workers()
-
-    threads = [
-        threading.Thread(target=member, args=("a", 3)),
-        threading.Thread(target=member, args=("b", 1)),
-    ]
-    for t in threads:
-        t.start()
-    barrier.wait()
-    assert fft_workers() == -1  # the calling thread keeps every core
-    barrier.wait()
-    for t in threads:
-        t.join(timeout=10)
-        assert not t.is_alive()
-    assert seen == {
-        "a": max(1, cores // 3), "a-after": -1, "b": cores, "b-after": -1,
-    }

@@ -383,6 +383,7 @@ class CountingFFT:
 
     def __init__(self):
         self.counts = {"c2c": 0, "r2c": 0}
+        self.workers = set()
 
     def __getattr__(self, name):
         fn = getattr(scipy_fft, name)
@@ -392,6 +393,7 @@ class CountingFFT:
 
         def counted(*args, **kwargs):
             self.counts[kind] += 1
+            self.workers.add(kwargs.get("workers"))
             return fn(*args, **kwargs)
 
         return counted
@@ -437,3 +439,5 @@ def test_transform_budget_per_step_and_sample(counting_fft):
 
     strang_step(f0, 1e-3, p, sym)
     assert counting_fft.take() == (4, 2)
+    # Every transform runs on the calling thread alone.
+    assert counting_fft.workers == {1}
