@@ -48,9 +48,11 @@ from .propagator import (
     write_snapshot,
 )
 from .reduction import (
+    TIGHT_AXES,
     ReductionSetup,
     epsilon_sweep,
     fitted_slope,
+    slow_grid,
     sweep_to_csv,
 )
 from .regimes import (
@@ -59,7 +61,7 @@ from .regimes import (
     classify,
     unstable_energy_ledger,
 )
-from .state import PhysicalParams, WaveField, mass, gradient_norm_sq
+from .state import PhysicalParams, mass, gradient_norm_sq
 
 
 class _UsageError(Exception):
@@ -209,21 +211,14 @@ def _cmd_reduce(args) -> int:
     if grid.dim != 3:
         raise ConfigError(["reduce requires a three-dimensional grid block"])
     red = config.reduction
-    if red.target == "1d":
-        sub_grid = make_grid(1, (grid.extents[2],), (grid.shape[2],))
-        longitudinal = (config.params.omega[2],)
-    else:
-        sub_grid = make_grid(2, grid.extents[:2], grid.shape[:2])
-        longitudinal = tuple(config.params.omega[:2])
+    tight = TIGHT_AXES[red.target]
+    sub_grid = slow_grid(grid, tight)
     if red.u0_kind == "ground_state":
-        u0, _ = linear_eigenstate(sub_grid, longitudinal)
+        omegas = tuple(w for a, w in enumerate(config.params.omega) if a not in tight)
     else:
-        values = np.ones(sub_grid.shape, dtype=complex)
-        for coord in sub_grid.coord_mesh:
-            values = values * np.exp(-(coord**2) / (2.0 * red.u0_width**2))
-        norm_sq = float(np.sum(np.abs(values) ** 2)) * sub_grid.cell_volume
-        values /= math.sqrt(norm_sq)
-        u0 = WaveField(values=values, grid=sub_grid, t=0.0)
+        # the ground state for omega = 1 / width^2 is the Gaussian of that width
+        omegas = (red.u0_width**-2,) * sub_grid.dim
+    u0, _ = linear_eigenstate(sub_grid, omegas)
     setup = ReductionSetup(
         epsilon=red.epsilons[0],
         omega=tuple(config.params.omega),
@@ -392,7 +387,7 @@ def run_command(argv) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (ConfigError, GridError, FileNotFoundError, ValueError, TypeError) as exc:
+    except (ConfigError, GridError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NonFiniteStateError, QuadratureError, KernelRealityError, ArithmeticError, RuntimeError) as exc:

@@ -460,7 +460,6 @@ def build_initial_field(config: RunConfig, grid: SpectralGrid) -> WaveField:
 def build_symbol_from_config(
     config: RunConfig,
     grid: SpectralGrid,
-    cache_dir: "str | None" = None,
 ) -> "KernelSymbol | None":
     """Build the kernel symbol the config calls for, or None when unused."""
     kind = config.kernel.kind
@@ -471,18 +470,18 @@ def build_symbol_from_config(
             return None
         kind = {3: "analytic3d", 2: "effective2d", 1: "effective1d"}[grid.dim]
     if kind == "analytic3d":
-        return build_symbol(grid, Analytic3D(), cache_dir=cache_dir)
+        return build_symbol(grid, Analytic3D())
     trans = config.kernel.transverse_omega
     if kind == "effective1d":
         if trans is None or len(trans) != 2:
             raise ConfigError(
                 ["kernel.kind = effective1d requires kernel.transverse_omega with 2 entries"]
             )
-        return build_symbol(grid, Effective1D(trans[0], trans[1]), cache_dir=cache_dir)
+        return build_symbol(grid, Effective1D(trans[0], trans[1]))
     if kind == "effective2d":
         if trans is None or len(trans) != 1:
             raise ConfigError(
                 ["kernel.kind = effective2d requires kernel.transverse_omega with 1 entry"]
             )
-        return build_symbol(grid, Effective2D(trans[0]), cache_dir=cache_dir)
+        return build_symbol(grid, Effective2D(trans[0]))
     raise ConfigError([f"unknown kernel.kind {kind!r}"])

@@ -13,7 +13,9 @@ provided:
 
 The effective symbols need one adaptive quadrature per distinct lattice
 frequency, so tabulations are cached to disk keyed by a content hash of
-the grid and trap frequencies.
+the grid and trap frequencies.  The cache lives in the directory named by
+the GPE_CACHE_DIR environment variable, or ~/.cache/dipgpe when it is
+unset.
 
 Applying a symbol to a density is pointwise multiplication between an
 FFT/inverse-FFT pair; no normalization factors appear because they
@@ -293,9 +295,7 @@ class KernelSymbol:
         raise TypeError(f"unknown provenance {self.provenance!r}")
 
 
-def _cache_dir(explicit: "str | os.PathLike | None") -> Path:
-    if explicit is not None:
-        return Path(explicit)
+def _cache_dir() -> Path:
     env = os.environ.get("GPE_CACHE_DIR")
     if env:
         return Path(env)
@@ -369,8 +369,6 @@ def build_symbol(
     grid: SpectralGrid,
     provenance: Provenance,
     quad: QuadratureSpec = QuadratureSpec(),
-    cache_dir: "str | os.PathLike | None" = None,
-    use_cache: bool = True,
 ) -> KernelSymbol:
     """Tabulate a symbol on the grid's frequency lattice.
 
@@ -392,16 +390,12 @@ def build_symbol(
         symbol.validate()
         return symbol
 
-    cache_base = _cache_dir(cache_dir)
-    path = _cache_path(grid, provenance, cache_base)
-    if use_cache:
-        cached = _read_cache(path, grid, provenance)
-        if cached is not None:
-            symbol = KernelSymbol(
-                dim=grid.dim, values=cached, provenance=provenance, grid=grid
-            )
-            symbol.validate()
-            return symbol
+    path = _cache_path(grid, provenance, _cache_dir())
+    cached = _read_cache(path, grid, provenance)
+    if cached is not None:
+        symbol = KernelSymbol(dim=grid.dim, values=cached, provenance=provenance, grid=grid)
+        symbol.validate()
+        return symbol
 
     if isinstance(provenance, Effective1D):
         xi = grid.freqs[0]
@@ -429,8 +423,7 @@ def build_symbol(
     values = np.ascontiguousarray(values, dtype=float)
     symbol = KernelSymbol(dim=grid.dim, values=values, provenance=provenance, grid=grid)
     symbol.validate()
-    if use_cache:
-        _write_cache(path, grid, provenance, values)
+    _write_cache(path, grid, provenance, values)
     return symbol
 
 

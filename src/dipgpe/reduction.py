@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -41,6 +41,11 @@ from .propagator import CollapseReport, MonitorSpec, evolve
 from .state import ObservableSeries, PhysicalParams, WaveField, mass
 
 SWEEP_HEADER = "epsilon,T,sup_err,slope_partner,excitation_sq"
+
+# Tight axes of the 3D lattice for each target: a cigar squeezes the two
+# transverse axes and leaves the dipole axis slow, a pancake squeezes the
+# dipole axis and leaves the plane slow.
+TIGHT_AXES = {"1d": (0, 1), "2d": (2,)}
 
 
 def effective_coupling(lambda1: float, transverse_omegas: Sequence[float]) -> float:
@@ -65,9 +70,10 @@ class ReductionSetup:
     """Geometry and couplings of one reduction experiment.
 
     omega holds the three physical trap frequencies (omega1, omega2,
-    omega3).  For the "1d" target the first two are the tight transverse
-    pair; for the "2d" target the third is tight.  u0 is the initial
-    longitudinal modulation on its own 1D or 2D grid.
+    omega3).  The target names the tight axes (TIGHT_AXES): for "1d" the
+    first two are the tight transverse pair, for "2d" the third is tight.
+    The remaining slow axes carry u0, the initial longitudinal modulation
+    on its own 1D or 2D grid.
     """
 
     epsilon: float
@@ -76,10 +82,12 @@ class ReductionSetup:
     lambda2: float
     u0: WaveField
     target: str = "1d"
+    tight_axes: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.target not in ("1d", "2d"):
+        if self.target not in TIGHT_AXES:
             raise ValueError(f"target must be '1d' or '2d', got {self.target!r}")
+        self.tight_axes = TIGHT_AXES[self.target]
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         self.omega = tuple(float(w) for w in self.omega)
@@ -87,19 +95,22 @@ class ReductionSetup:
             raise ValueError("omega must have three components")
         if any(w <= 0.0 for w in self.transverse_omegas):
             raise ValueError("transverse trap frequencies must be positive")
-        expected_dim = 1 if self.target == "1d" else 2
-        if self.u0.grid.dim != expected_dim:
+        if self.u0.grid.dim != len(self.slow_axes):
             raise GridError(
-                f"u0 must be {expected_dim}-dimensional for target {self.target!r}"
+                f"u0 must be {len(self.slow_axes)}-dimensional for target {self.target!r}"
             )
 
     @property
+    def slow_axes(self) -> tuple[int, ...]:
+        return _slow_axes(self.tight_axes)
+
+    @property
     def transverse_omegas(self) -> tuple[float, ...]:
-        return self.omega[:2] if self.target == "1d" else (self.omega[2],)
+        return tuple(self.omega[a] for a in self.tight_axes)
 
     @property
     def longitudinal_omegas(self) -> tuple[float, ...]:
-        return (self.omega[2],) if self.target == "1d" else self.omega[:2]
+        return tuple(self.omega[a] for a in self.slow_axes)
 
     @cached_property
     def mu0(self) -> float:
@@ -123,18 +134,11 @@ def reduced_params(setup: ReductionSetup) -> PhysicalParams:
     )
 
 
-def reduced_symbol(
-    setup: ReductionSetup,
-    cache_dir: "str | None" = None,
-    use_cache: bool = True,
-) -> "KernelSymbol | None":
+def reduced_symbol(setup: ReductionSetup) -> "KernelSymbol | None":
     if setup.lambda2 == 0.0:
         return None
-    if setup.target == "1d":
-        provenance = Effective1D(setup.omega[0], setup.omega[1])
-    else:
-        provenance = Effective2D(setup.omega[2])
-    return build_symbol(setup.u0.grid, provenance, cache_dir=cache_dir, use_cache=use_cache)
+    family = Effective1D if setup.target == "1d" else Effective2D
+    return build_symbol(setup.u0.grid, family(*setup.transverse_omegas))
 
 
 def evolve_reduced(
@@ -144,10 +148,9 @@ def evolve_reduced(
     monitor: MonitorSpec = MonitorSpec(),
     callback=None,
     sample_times: "Sequence[float] | None" = None,
-    cache_dir: "str | None" = None,
 ) -> tuple[ObservableSeries, "WaveField | CollapseReport"]:
     """Run the effective lower-dimensional model."""
-    symbol = reduced_symbol(setup, cache_dir=cache_dir)
+    symbol = reduced_symbol(setup)
     return evolve(
         setup.u0,
         reduced_params(setup),
@@ -160,35 +163,51 @@ def evolve_reduced(
     )
 
 
-def _tight_profile(coords: Sequence[np.ndarray], omegas: Sequence[float]) -> np.ndarray:
-    """Normalized transverse harmonic ground state on the given axes."""
+def _slow_axes(tight_axes: Sequence[int]) -> tuple[int, ...]:
+    return tuple(a for a in range(3) if a not in tight_axes)
+
+
+def slow_grid(grid3d: SpectralGrid, tight_axes: Sequence[int]) -> SpectralGrid:
+    """The 3D lattice restricted to its slow axes (those not in tight_axes)."""
+    slow = _slow_axes(tight_axes)
+    return make_grid(
+        len(slow),
+        [grid3d.extents[a] for a in slow],
+        [grid3d.shape[a] for a in slow],
+    )
+
+
+def _tight_profile(
+    grid3d: SpectralGrid, tight_axes: Sequence[int], omegas: Sequence[float]
+) -> np.ndarray:
+    """Normalized transverse harmonic ground state on the tight axes.
+
+    Broadcastable against the 3D lattice: length one on the slow axes.
+    """
     out = np.ones(1)
-    for w, c in zip(omegas, coords):
+    for axis, w in zip(tight_axes, omegas):
+        c = grid3d.coord_mesh[axis]
         out = out * ((w / math.pi) ** 0.25 * np.exp(-0.5 * w * c * c))
     return out
+
+
+def _factorized(chi: np.ndarray, u: np.ndarray, tight_axes: Sequence[int]) -> np.ndarray:
+    """chi (tight axes) times the slow-axes array u, on the 3D lattice."""
+    return chi * np.expand_dims(u, tuple(tight_axes))
 
 
 def well_prepared_data(setup: ReductionSetup, ref_grid3d: SpectralGrid) -> np.ndarray:
     """Stretched-frame array chi0 (tight axes) times u0 (slow axes)."""
     if ref_grid3d.dim != 3:
         raise GridError("the reference grid must be three-dimensional")
-    x1, x2, x3 = ref_grid3d.coords
-    if setup.target == "1d":
-        if ref_grid3d.shape[2] != setup.u0.grid.shape[0] or not math.isclose(
-            ref_grid3d.extents[2], setup.u0.grid.extents[0]
-        ):
-            raise GridError("reference grid's third axis must match u0's grid")
-        chi = _tight_profile((x1[:, None], x2[None, :]), setup.transverse_omegas)
-        return chi[:, :, None] * setup.u0.values[None, None, :]
-    if (
-        ref_grid3d.shape[0] != setup.u0.grid.shape[0]
-        or ref_grid3d.shape[1] != setup.u0.grid.shape[1]
-        or not math.isclose(ref_grid3d.extents[0], setup.u0.grid.extents[0])
-        or not math.isclose(ref_grid3d.extents[1], setup.u0.grid.extents[1])
+    sub = slow_grid(ref_grid3d, setup.tight_axes)
+    u_grid = setup.u0.grid
+    if sub.shape != u_grid.shape or not all(
+        math.isclose(a, b) for a, b in zip(sub.extents, u_grid.extents)
     ):
-        raise GridError("reference grid's first two axes must match u0's grid")
-    chi = _tight_profile((x3,), setup.transverse_omegas)
-    return setup.u0.values[:, :, None] * chi[None, None, :]
+        raise GridError("reference grid's slow axes must match u0's grid")
+    chi = _tight_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
+    return _factorized(chi, setup.u0.values, setup.tight_axes)
 
 
 def _run_geometry(
@@ -203,24 +222,9 @@ def _run_geometry(
     divided by eps exactly as the coordinate change requires.
     """
     eps = setup.epsilon
-    if setup.target == "1d":
-        extents = (
-            eps * ref_grid3d.extents[0],
-            eps * ref_grid3d.extents[1],
-            ref_grid3d.extents[2],
-        )
-        omega = (
-            setup.omega[0] / eps**2,
-            setup.omega[1] / eps**2,
-            setup.omega[2],
-        )
-    else:
-        extents = (
-            ref_grid3d.extents[0],
-            ref_grid3d.extents[1],
-            eps * ref_grid3d.extents[2],
-        )
-        omega = (setup.omega[0], setup.omega[1], setup.omega[2] / eps**2)
+    tight = setup.tight_axes
+    extents = [eps * L if a in tight else L for a, L in enumerate(ref_grid3d.extents)]
+    omega = tuple(w / eps**2 if a in tight else w for a, w in enumerate(setup.omega))
     grid = make_grid(3, extents, ref_grid3d.shape)
     params = PhysicalParams(dim=3, omega=omega, lambda1=setup.lambda1, lambda2=setup.lambda2)
     return grid, params
@@ -253,7 +257,6 @@ def evolve_rescaled_3d(
     T: float,
     sample_times: Sequence[float],
     monitor: "MonitorSpec | None" = None,
-    cache_dir: "str | None" = None,
 ) -> tuple[ObservableSeries, list[tuple[float, WaveField]]]:
     """Run the companion 3D problem; return stretched-frame snapshots.
 
@@ -306,27 +309,22 @@ def ground_state_projection(
 ) -> WaveField:
     """Project a stretched-frame 3D field onto the tight ground state.
 
-    Two tight frequencies integrate out the first two axes and return
-    the axial modulation; one tight frequency integrates out the third
-    axis and returns the planar modulation.
+    The number of tight frequencies selects the target's tight axes
+    (TIGHT_AXES): two integrate out the first two axes and return the
+    axial modulation, one integrates out the third axis and returns the
+    planar modulation.
     """
     omegas = tuple(float(w) for w in transverse_omegas)
     grid = field3d.grid
     if grid.dim != 3:
         raise GridError("projection expects a three-dimensional field")
-    if len(omegas) == 2:
-        x1, x2 = grid.coords[0], grid.coords[1]
-        chi = _tight_profile((x1[:, None], x2[None, :]), omegas)
-        area = grid.steps[0] * grid.steps[1]
-        values = np.tensordot(chi, field3d.values, axes=([0, 1], [0, 1])) * area
-        out_grid = make_grid(1, (grid.extents[2],), (grid.shape[2],))
-        return WaveField(values=values, grid=out_grid, t=field3d.t)
-    if len(omegas) == 1:
-        chi = _tight_profile((grid.coords[2],), omegas)
-        values = np.tensordot(field3d.values, chi, axes=([2], [0])) * grid.steps[2]
-        out_grid = make_grid(2, grid.extents[:2], grid.shape[:2])
-        return WaveField(values=values, grid=out_grid, t=field3d.t)
-    raise ValueError(f"expected 1 or 2 transverse frequencies, got {len(omegas)}")
+    tight = {len(axes): axes for axes in TIGHT_AXES.values()}.get(len(omegas))
+    if tight is None:
+        raise ValueError(f"expected 1 or 2 transverse frequencies, got {len(omegas)}")
+    chi = _tight_profile(grid, tight, omegas).reshape([grid.shape[a] for a in tight])
+    values = np.tensordot(chi, field3d.values, axes=(tuple(range(len(tight))), tight))
+    values = values * math.prod(grid.steps[a] for a in tight)
+    return WaveField(values=values, grid=slow_grid(grid, tight), t=field3d.t)
 
 
 @dataclass(frozen=True)
@@ -347,7 +345,6 @@ def _study(
     T: float,
     n_samples: int = 8,
     allow_unstable: bool = False,
-    cache_dir: "str | None" = None,
     reduced_snapshots: "list[tuple[float, WaveField]] | None" = None,
 ) -> ReductionStudy:
     if T <= 0.0:
@@ -361,19 +358,11 @@ def _study(
     times = [j * T / n_samples for j in range(1, n_samples + 1)]
 
     if reduced_snapshots is None:
-        reduced_snapshots = run_reduced_snapshots(
-            setup, dt, T, n_samples, cache_dir=cache_dir
-        )
+        reduced_snapshots = run_reduced_snapshots(setup, dt, T, n_samples)
 
-    _, snaps3d = evolve_rescaled_3d(
-        setup, ref_grid3d, dt, T, times, cache_dir=cache_dir
-    )
+    _, snaps3d = evolve_rescaled_3d(setup, ref_grid3d, dt, T, times)
 
-    x1, x2, x3 = ref_grid3d.coords
-    if setup.target == "1d":
-        chi = _tight_profile((x1[:, None], x2[None, :]), setup.transverse_omegas)
-    else:
-        chi = _tight_profile((x3,), setup.transverse_omegas)
+    chi = _tight_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
 
     dv = ref_grid3d.cell_volume
     samples = []
@@ -382,10 +371,7 @@ def _study(
         if abs(t3 - tr) > 1e-9 * max(T, 1.0):
             raise AssertionError("sample times of the two runs diverged")
         phase = np.exp(-1j * setup.mu0 * t3 / setup.epsilon**2)
-        if setup.target == "1d":
-            model = phase * chi[:, :, None] * u_t.values[None, None, :]
-        else:
-            model = phase * u_t.values[:, :, None] * chi[None, None, :]
+        model = _factorized(phase * chi, u_t.values, setup.tight_axes)
         err = math.sqrt(float(np.sum(np.abs(psi_eps.values - model) ** 2)) * dv)
         samples.append((t3, err))
 
@@ -406,7 +392,6 @@ def run_reduced_snapshots(
     dt: float,
     T: float,
     n_samples: int,
-    cache_dir: "str | None" = None,
 ) -> list[tuple[float, WaveField]]:
     """Reduced-model trajectory sampled at j*T/n_samples."""
     times = [j * T / n_samples for j in range(1, n_samples + 1)]
@@ -416,14 +401,7 @@ def run_reduced_snapshots(
     def grab(field: WaveField) -> None:
         collected.append((field.t, field.copy()))
 
-    _, outcome = evolve_reduced(
-        setup,
-        dt_red,
-        T,
-        callback=grab,
-        sample_times=times,
-        cache_dir=cache_dir,
-    )
+    _, outcome = evolve_reduced(setup, dt_red, T, callback=grab, sample_times=times)
     if isinstance(outcome, CollapseReport):
         raise RuntimeError(
             "reduced run tripped the collapse monitor: " + outcome.describe()
@@ -438,7 +416,6 @@ def reduction_error(
     T: float,
     n_samples: int = 8,
     allow_unstable: bool = False,
-    cache_dir: "str | None" = None,
 ) -> list[tuple[float, float]]:
     """Modulation error against the reduced model at each sample time."""
     study = _study(
@@ -448,7 +425,6 @@ def reduction_error(
         T,
         n_samples=n_samples,
         allow_unstable=allow_unstable,
-        cache_dir=cache_dir,
     )
     return study.samples
 
@@ -461,7 +437,6 @@ def epsilon_sweep(
     T: float,
     n_samples: int = 8,
     allow_unstable: bool = False,
-    cache_dir: "str | None" = None,
     max_workers: "int | None" = None,
 ) -> list[dict]:
     """Run the error study across eps values concurrently.
@@ -473,25 +448,16 @@ def epsilon_sweep(
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ValueError("need at least one eps value")
-    reduced = run_reduced_snapshots(setup, dt, T, n_samples, cache_dir=cache_dir)
+    reduced = run_reduced_snapshots(setup, dt, T, n_samples)
 
     def member(eps: float) -> ReductionStudy:
-        member_setup = ReductionSetup(
-            epsilon=eps,
-            omega=setup.omega,
-            lambda1=setup.lambda1,
-            lambda2=setup.lambda2,
-            u0=setup.u0,
-            target=setup.target,
-        )
         return _study(
-            member_setup,
+            replace(setup, epsilon=eps),
             ref_grid3d,
             dt,
             T,
             n_samples=n_samples,
             allow_unstable=allow_unstable,
-            cache_dir=cache_dir,
             reduced_snapshots=reduced,
         )
 

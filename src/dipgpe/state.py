@@ -268,7 +268,8 @@ def spectral_tail_fraction(
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    return float(np.sum(power[field.grid.top_octave_mask])) / total
+    # a masked reduction: gathering power[mask] would copy 7/8 of the lattice
+    return float(np.sum(power, where=field.grid.top_octave_mask)) / total
 
 
 def field_std(field: WaveField) -> tuple[float, ...]:

@@ -240,7 +240,7 @@ kernel.kind = effective1d
 """
     cfg = parse_config(base + "kernel.transverse_omega = 1, 1\n")
     grid = cfg.grid.build()
-    sym = build_symbol_from_config(cfg, grid, cache_dir=None)
+    sym = build_symbol_from_config(cfg, grid)
     assert sym.values[0] == pytest.approx(-4.0 / 3.0, abs=1e-8)
     with pytest.raises(ConfigError, match="transverse_omega"):
         build_symbol_from_config(parse_config(base), grid)
@@ -251,7 +251,7 @@ kernel.kind = effective1d
     ).replace("params.omega = 1", "params.omega = 1, 1")
     cfg2 = parse_config(base2 + "kernel.transverse_omega = 1.3\n")
     grid2 = cfg2.grid.build()
-    sym2 = build_symbol_from_config(cfg2, grid2, cache_dir=None)
+    sym2 = build_symbol_from_config(cfg2, grid2)
     assert sym2.values[0, 0] == pytest.approx(
         (8.0 / 3.0) * math.sqrt(math.pi * 1.3), abs=1e-8
     )
@@ -422,6 +422,35 @@ reduction.samples = 2
     assert len(lines) == 3
 
 
+def test_cli_reduce_sweep_2d(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "reduce2d.cfg",
+        """
+grid.dim = 3
+grid.extents = 10, 10, 8
+grid.points = 24, 24, 24
+params.omega = 1, 1, 1
+params.lambda1 = 0.5
+params.lambda2 = 0.0
+dt = 2e-3
+reduction.target = 2d
+reduction.epsilons = 0.2
+reduction.T = 0.25
+reduction.samples = 2
+reduction.u0_kind = gaussian
+""",
+    )
+    out_dir = tmp_path / "sweep2d"
+    code = run_command(["reduce", "--config", path, "--out", str(out_dir)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert "sup_err" in stdout
+    lines = (out_dir / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "epsilon,T,sup_err,slope_partner,excitation_sq"
+    assert len(lines) == 2
+
+
 def test_cli_unstable_data_ledger(tmp_path, capsys):
     path = _write(
         tmp_path,
@@ -465,3 +494,24 @@ def test_cli_error_paths(tmp_path, capsys):
     not3d = _write(tmp_path, "flat.cfg", MINIMAL)
     assert run_command(["reduce", "--config", not3d]) == 1
     assert run_command(["bogus"]) == 1
+
+
+def test_cli_init_file_naming_a_directory_exits_1(tmp_path, capsys):
+    path = _write(
+        tmp_path, "dir.cfg", MINIMAL + f"init.kind = file\ninit.file = {tmp_path}\n"
+    )
+    assert run_command(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_out_naming_an_existing_file_exits_1(tmp_path, capsys):
+    path = _write(tmp_path, "run.cfg", MINIMAL + "T = 0.01\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert run_command(["simulate", "--config", path, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"

@@ -177,18 +177,20 @@ def test_build_symbol_3d_lattice():
     assert sym.values[5, 0, 0] == pytest.approx(-FOUR_PI_THIRD, rel=1e-14)
 
 
-def test_build_symbol_1d_values_match_pointwise():
+def test_build_symbol_1d_values_match_pointwise(tmp_path, monkeypatch):
+    monkeypatch.setenv("GPE_CACHE_DIR", str(tmp_path))  # empty: tabulate afresh
     g = make_grid(1, [20.0], [32])
-    sym = build_symbol(g, Effective1D(1.0, 1.0), use_cache=False)
+    sym = build_symbol(g, Effective1D(1.0, 1.0))
     xi = g.freqs[0]
     direct = np.array([symbol1d_effective(abs(k), 1.0, 1.0) for k in xi])
     assert np.allclose(sym.values, direct, atol=1e-12)
     assert sym.values[0] == pytest.approx(-4.0 / 3.0, abs=1e-10)
 
 
-def test_build_symbol_2d_values_match_pointwise():
+def test_build_symbol_2d_values_match_pointwise(tmp_path, monkeypatch):
+    monkeypatch.setenv("GPE_CACHE_DIR", str(tmp_path))  # empty: tabulate afresh
     g = make_grid(2, [18.0, 14.0], [16, 12])
-    sym = build_symbol(g, Effective2D(0.9), use_cache=False)
+    sym = build_symbol(g, Effective2D(0.9))
     xi1, xi2 = np.meshgrid(*g.freqs, indexing="ij")
     direct = np.array(
         [
@@ -208,25 +210,27 @@ def test_build_symbol_dim_mismatch():
         build_symbol(g3, Effective1D(1.0, 1.0))
 
 
-def test_symbol_cache_roundtrip(tmp_path):
+def test_symbol_cache_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setenv("GPE_CACHE_DIR", str(tmp_path))
     g = make_grid(1, [20.0], [48])
     prov = Effective1D(1.2, 0.8)
-    sym1 = build_symbol(g, prov, cache_dir=tmp_path)
+    sym1 = build_symbol(g, prov)
     files = list(tmp_path.glob("symbol-*.gpek1"))
     assert len(files) == 1
     header = files[0].read_bytes().split(b"\n", 1)[0]
     assert header.startswith(b"GPEK1 v1 1 48")
-    sym2 = build_symbol(g, prov, cache_dir=tmp_path)
+    sym2 = build_symbol(g, prov)
     assert np.array_equal(sym1.values, sym2.values)
 
 
-def test_symbol_cache_corruption_recovers(tmp_path):
+def test_symbol_cache_corruption_recovers(tmp_path, monkeypatch):
+    monkeypatch.setenv("GPE_CACHE_DIR", str(tmp_path))
     g = make_grid(1, [16.0], [32])
     prov = Effective1D(1.0, 1.0)
-    sym1 = build_symbol(g, prov, cache_dir=tmp_path)
+    sym1 = build_symbol(g, prov)
     target = next(tmp_path.glob("symbol-*.gpek1"))
     target.write_bytes(b"GPEK1 v1 garbage\n" + b"\x00" * 64)
-    sym2 = build_symbol(g, prov, cache_dir=tmp_path)
+    sym2 = build_symbol(g, prov)
     assert np.allclose(sym1.values, sym2.values, atol=1e-15)
 
 
@@ -268,7 +272,7 @@ def test_apply_kernel_zero_and_linearity():
 
 def test_apply_kernel_rejects_complex_density():
     g = make_grid(1, [8.0], [16])
-    sym = build_symbol(g, Effective1D(1.0, 1.0), use_cache=False)
+    sym = build_symbol(g, Effective1D(1.0, 1.0))
     with pytest.raises(TypeError):
         apply_kernel(sym, np.zeros(g.shape, dtype=complex))
 

@@ -133,7 +133,7 @@ def test_reduced_params_and_symbol():
     assert p.lambda2 == 0.0
     assert reduced_symbol(s) is None
     s2 = ReductionSetup(0.2, OMEGA, 1.0, 0.2, u0, "1d")
-    sym = reduced_symbol(s2, use_cache=False)
+    sym = reduced_symbol(s2)
     assert sym is not None
     assert sym.values.shape == u0.grid.shape
     assert sym.values[0] == pytest.approx(-4.0 / 3.0, abs=1e-10)
@@ -156,6 +156,20 @@ def test_well_prepared_data_grid_mismatch():
     with pytest.raises(GridError):
         well_prepared_data(s, bad_points)
     bad_extent = make_grid(3, [10.0, 10.0, 16.0], [32, 32, 32])
+    with pytest.raises(GridError):
+        well_prepared_data(s, bad_extent)
+
+
+def test_well_prepared_data_grid_mismatch_2d():
+    g2 = make_grid(2, [12.0, 12.0], [24, 24])
+    u0, _ = linear_eigenstate(g2, (1.0, 1.0))
+    s = ReductionSetup(0.2, OMEGA, 1.0, 0.0, u0, "2d")
+    good = make_grid(3, [12.0, 12.0, 8.0], [24, 24, 32])
+    assert well_prepared_data(s, good).shape == good.shape
+    bad_points = make_grid(3, [12.0, 12.0, 8.0], [24, 32, 32])
+    with pytest.raises(GridError):
+        well_prepared_data(s, bad_points)
+    bad_extent = make_grid(3, [12.0, 16.0, 8.0], [24, 24, 32])
     with pytest.raises(GridError):
         well_prepared_data(s, bad_extent)
 
@@ -256,6 +270,19 @@ def test_linear_study_error_is_splitting_floor():
     samples = reduction_error(s, ref, 5e-4, 0.5, n_samples=4)
     assert max(err for _, err in samples) < 1e-3
     assert all(t > 0.0 for t, _ in samples)
+
+
+def test_linear_study_error_is_splitting_floor_2d():
+    # the pancake target: the tight axis is the third one, and with both
+    # couplings off the planar ground state times chi0 is exact up to the
+    # splitting error
+    g2 = make_grid(2, [10.0, 10.0], [24, 24])
+    u0, _ = linear_eigenstate(g2, (1.0, 1.0))
+    ref = make_grid(3, [10.0, 10.0, 8.0], [24, 24, 24])
+    s = ReductionSetup(0.2, OMEGA, 0.0, 0.0, u0, "2d")
+    samples = reduction_error(s, ref, 2e-3, 0.25, n_samples=2)
+    assert len(samples) == 2
+    assert max(err for _, err in samples) < 1e-3
 
 
 def test_fast_phase_matters():
