@@ -321,6 +321,12 @@ def _validate(config: RunConfig) -> list[str]:
         errors.append(f"dt must be positive, got {config.dt!r}")
     if config.T <= 0.0:
         errors.append(f"T must be positive, got {config.T!r}")
+    if config.dt > 0.0:
+        for key, T in (("T", config.T), ("reduction.T", config.reduction.T)):
+            if T > 0.0 and not math.isfinite(T / config.dt):
+                errors.append(
+                    f"{key} / dt = {T!r} / {config.dt!r} is not a finite step count"
+                )
 
     init = config.init
     if init.kind == "file" and not init.file:

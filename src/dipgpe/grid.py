@@ -203,4 +203,14 @@ def make_grid(
     for n in points:
         if n < 8 or n % 2 != 0:
             raise GridError(f"point counts must be even and >= 8, got {n}")
+    # the largest |xi|^2 on the lattice; k*k, because k**2 raises on overflow
+    kmax_sq = 0.0
+    for L, n in zip(extents, points):
+        k = math.pi * n / L
+        kmax_sq += k * k
+    if not math.isfinite(kmax_sq):
+        raise GridError(
+            f"extents {extents} are too small for {points} points: "
+            "the lattice frequencies overflow"
+        )
     return SpectralGrid(dim=dim, extents=extents, shape=points)

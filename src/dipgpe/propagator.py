@@ -11,17 +11,22 @@ so mass is conserved to roundoff and the step is time-symmetric.
 Across consecutive steps the two adjacent kinetic half-steps fuse into
 one full step, so the integrator carries the pre-B state y and only
 materializes the physical field at sampling times.  strang_step and
-evolve share one step routine (_Splitting): B(dt) builds
--dt (V + lambda1 rho + lambda2 K*rho) in a work buffer, with dt folded
-into the trap once, writes its cos/sin into one complex buffer and
-multiplies y in place; the forward transform of the result and the
-kinetic multiply reuse the same array.  A step costs two complex and two
-real transforms.
+evolve share one step routine (_Splitting): B(dt) builds the half angle
+-(dt/2) (V + lambda1 rho + lambda2 K*rho) in a work buffer, with dt/2
+folded into the trap once, turns it into the rotor exp(i theta) through
+one tangent (the half-angle formulas, see _nonlinear_phase) in one
+complex buffer and multiplies y in place; the forward transform of the
+result and the kinetic multiply reuse the same array.  A step costs two
+complex and two real transforms.
 
 At a sample, the spectrum the loop already holds gives psi_hat, which
 the observables reuse (see the state module): a 3D sample adds one
 inverse transform for psi, three for its gradient and one real
-transform for the dipolar energy.
+transform for the dipolar energy.  A caller that discards the series
+(evolve with observables=False) takes monitor-only samples: the gradient
+norm and the spectral tail come from the power of psi_hat with no
+transform, and psi is materialized (one inverse transform) only where a
+callback, the final step or a tripped monitor needs it.
 
 Blow-up cannot be followed on a fixed lattice.  The monitor reports
 under-resolution consistent with collapse when the gradient norm or the
@@ -137,20 +142,31 @@ def _nonlinear_phase(
 ) -> None:
     """Apply the exact potential-plus-nonlinear substep to values in place.
 
-    trap_dt is -dt * V; rho and phase are real and rotor complex work
-    buffers of the lattice shape.
+    The rotor exp(i theta), theta = -dt (V + lambda1 rho + lambda2 K*rho),
+    is built from t = tan(theta/2) as cos theta = 2/(1+t^2) - 1 and
+    sin theta = 2t/(1+t^2): one tan in place of a cos and a sin, because
+    numpy vectorizes float64 tan on x86-64 with AVX-512 but runs cos and
+    sin scalar there.  At theta = pi, the pole of tan(theta/2), t is
+    about 1.6e16, 1 + t^2 stays finite and the rotor is -1.  trap_dt is
+    -(dt/2) V; rho and phase are real and rotor complex work buffers of
+    the lattice shape.
     """
     np.multiply(values.real, values.real, out=rho)
     np.multiply(values.imag, values.imag, out=phase)
     rho += phase
-    np.multiply(rho, -dt * params.lambda1, out=phase)
+    np.multiply(rho, -0.5 * dt * params.lambda1, out=phase)
     phase += trap_dt
     if params.lambda2 != 0.0:
         phi = _apply_symbol_real(symbol, rho)
-        phi *= -dt * params.lambda2
+        phi *= -0.5 * dt * params.lambda2
         phase += phi
-    np.cos(phase, out=rotor.real)
-    np.sin(phase, out=rotor.imag)
+    # phase holds theta/2; rho becomes 2/(1+t^2)
+    np.tan(phase, out=phase)
+    np.multiply(phase, phase, out=rho)
+    rho += 1.0
+    np.divide(2.0, rho, out=rho)
+    np.subtract(rho, 1.0, out=rotor.real)
+    np.multiply(phase, rho, out=rotor.imag)
     values *= rotor
 
 
@@ -185,7 +201,7 @@ class _Splitting:
         self.dt = dt
         self.khalf = np.exp(-0.25j * dt * self.grid.ksq)
         self.kfull = self.khalf * self.khalf
-        self.trap_dt = -dt * self.potential_mesh
+        self.trap_dt = (-0.5 * dt) * self.potential_mesh
 
     def advance(self, y: np.ndarray) -> np.ndarray:
         """B(dt) on y in place, then its forward transform (reusing y)."""
@@ -225,6 +241,16 @@ def strang_step(
     return WaveField(values=out, grid=grid, t=field.t + dt)
 
 
+def _materialize(
+    spectrum: FieldSpectrum, grid: SpectralGrid, t: float, step: int
+) -> WaveField:
+    """The field of a spectrum (one inverse transform), checked finite."""
+    values = _fft.ifftn(spectrum.values, workers=FFT_WORKERS)
+    if not np.all(np.isfinite(values.view(float))):
+        raise NonFiniteStateError(f"non-finite field at t = {t:.6g}", t, step)
+    return WaveField(values=values, grid=grid, t=t)
+
+
 def evolve(
     field0: WaveField,
     params: PhysicalParams,
@@ -236,6 +262,7 @@ def evolve(
     callback: "Callable[[WaveField], None] | None" = None,
     sample_times: "Sequence[float] | None" = None,
     warn_resolution: bool = True,
+    observables: bool = True,
 ) -> tuple[ObservableSeries, "WaveField | CollapseReport"]:
     """Propagate to time T, recording observables every monitor.stride steps.
 
@@ -245,6 +272,11 @@ def evolve(
     with a step time (the caller arranges divisibility) and callback
     fires there with the materialized field; otherwise callback fires at
     every stride sample.
+
+    With observables=False no record is taken (the series comes back
+    empty) and a sample only runs the monitor, from the spectrum the
+    loop holds, and its finiteness check; the field is materialized only
+    where callback fires, at the final step and when the monitor trips.
 
     Returns the series together with the final field, or with a
     CollapseReport if a threshold tripped first.
@@ -306,11 +338,12 @@ def evolve(
             )
 
     series = ObservableSeries()
-    series.append(
-        record_observables(
-            field0, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum0
+    if observables:
+        series.append(
+            record_observables(
+                field0, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum0
+            )
         )
-    )
     if callback is not None and sample_times is None:
         callback(field0)
 
@@ -334,33 +367,41 @@ def evolve(
 
         if step in sample_steps:
             spectrum = FieldSpectrum(split.khalf * w_spec)
-            psi_values = _fft.ifftn(spectrum.values, workers=FFT_WORKERS)
-            if not np.all(np.isfinite(psi_values.view(float))):
-                raise NonFiniteStateError(
-                    f"non-finite field at t = {t_now:.6g}", t_now, step
-                )
-            psi = WaveField(values=psi_values, grid=grid, t=t_now)
-            record = record_observables(
-                psi, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum
-            )
-            series.append(record)
-            tail = spectral_tail_fraction(psi, spectrum)
-            del spectrum
-            if callback is not None and (
+            fires = callback is not None and (
                 step in callback_steps if sample_times is not None else True
-            ):
+            )
+            psi = None
+            if observables or fires or step == n_steps:
+                psi = _materialize(spectrum, grid, t_now, step)
+            if observables:
+                record = record_observables(
+                    psi, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum
+                )
+                series.append(record)
+                grad_sq = record.gradsq
+            else:
+                # given a spectrum, the monitor functions read only field0's grid
+                grad_sq = gradient_norm_sq(field0, spectrum)
+                if not math.isfinite(grad_sq):
+                    raise NonFiniteStateError(
+                        f"non-finite field at t = {t_now:.6g}", t_now, step
+                    )
+            tail = spectral_tail_fraction(field0, spectrum)
+            tripped = grad_sq > grad_threshold or tail > monitor.spectral_tail
+            if tripped and psi is None:
+                psi = _materialize(spectrum, grid, t_now, step)
+            del spectrum
+            if fires:
                 callback(psi)
-            if record.gradsq > grad_threshold or tail > monitor.spectral_tail:
+            if tripped:
                 reason = (
-                    "gradient-threshold"
-                    if record.gradsq > grad_threshold
-                    else "spectral-tail"
+                    "gradient-threshold" if grad_sq > grad_threshold else "spectral-tail"
                 )
                 report = CollapseReport(
                     t_stop=t_now,
                     step=step,
                     reason=reason,
-                    grad_sq=record.gradsq,
+                    grad_sq=grad_sq,
                     tail_fraction=tail,
                     field=psi,
                 )

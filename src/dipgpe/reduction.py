@@ -38,7 +38,7 @@ import numpy as np
 from .grid import GridError, SpectralGrid, make_grid
 from .kernel import Analytic3D, Effective1D, Effective2D, KernelSymbol, build_symbol
 from .propagator import CollapseReport, MonitorSpec, evolve
-from .state import ObservableSeries, PhysicalParams, WaveField, mass
+from .state import ObservableSeries, PhysicalParams, WaveField
 
 SWEEP_HEADER = "epsilon,T,sup_err,slope_partner,excitation_sq"
 
@@ -257,7 +257,7 @@ def evolve_rescaled_3d(
     T: float,
     sample_times: Sequence[float],
     monitor: "MonitorSpec | None" = None,
-) -> tuple[ObservableSeries, list[tuple[float, WaveField]]]:
+) -> list[tuple[float, WaveField]]:
     """Run the companion 3D problem; return stretched-frame snapshots.
 
     The evolution happens in the original frame (standard symbol, tight
@@ -265,6 +265,8 @@ def evolve_rescaled_3d(
     requested snapshot is re-labeled onto the reference grid, which is
     the exact frame change for matched point counts.  The step is
     clamped to eps^2 / (20 mu0) and snapped so samples land on steps.
+    No observables are recorded: the run's samples only feed the
+    collapse monitor.
     """
     times = _check_sample_times(sample_times, T)
     grid, params = _run_geometry(setup, ref_grid3d)
@@ -286,7 +288,7 @@ def evolve_rescaled_3d(
             (field.t, WaveField(values=field.values.copy(), grid=ref_grid3d, t=field.t))
         )
 
-    series, outcome = evolve(
+    _, outcome = evolve(
         field0,
         params,
         symbol,
@@ -296,12 +298,13 @@ def evolve_rescaled_3d(
         callback=grab,
         sample_times=times,
         warn_resolution=False,
+        observables=False,
     )
     if isinstance(outcome, CollapseReport):
         raise RuntimeError(
             "companion 3D run tripped the collapse monitor: " + outcome.describe()
         )
-    return series, snapshots
+    return snapshots
 
 
 def ground_state_projection(
@@ -325,6 +328,23 @@ def ground_state_projection(
     values = np.tensordot(chi, field3d.values, axes=(tuple(range(len(tight))), tight))
     values = values * math.prod(grid.steps[a] for a in tight)
     return WaveField(values=values, grid=slow_grid(grid, tight), t=field3d.t)
+
+
+def _excitation_sq(
+    field3d: WaveField, tight_axes: Sequence[int], transverse_omegas: Sequence[float]
+) -> float:
+    """||psi - chi0 P psi||^2: the part of psi outside the tight ground state.
+
+    Summed directly rather than as mass(psi) - mass(P psi), a difference
+    of two numbers near the unit mass, so it is never negative and keeps
+    its relative accuracy at the splitting noise floor.
+    """
+    chi = _tight_profile(field3d.grid, tight_axes, transverse_omegas)
+    projected = ground_state_projection(field3d, transverse_omegas)
+    rest = field3d.values - _factorized(chi, projected.values, tight_axes)
+    return float(np.sum(rest.real * rest.real + rest.imag * rest.imag)) * (
+        field3d.grid.cell_volume
+    )
 
 
 @dataclass(frozen=True)
@@ -360,7 +380,7 @@ def _study(
     if reduced_snapshots is None:
         reduced_snapshots = run_reduced_snapshots(setup, dt, T, n_samples)
 
-    _, snaps3d = evolve_rescaled_3d(setup, ref_grid3d, dt, T, times)
+    snaps3d = evolve_rescaled_3d(setup, ref_grid3d, dt, T, times)
 
     chi = _tight_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
 
@@ -374,9 +394,10 @@ def _study(
         model = _factorized(phase * chi, u_t.values, setup.tight_axes)
         err = math.sqrt(float(np.sum(np.abs(psi_eps.values - model) ** 2)) * dv)
         samples.append((t3, err))
-
-        projected = ground_state_projection(psi_eps, setup.transverse_omegas)
-        excitation = max(excitation, mass(psi_eps) - mass(projected))
+        excitation = max(
+            excitation,
+            _excitation_sq(psi_eps, setup.tight_axes, setup.transverse_omegas),
+        )
 
     return ReductionStudy(
         epsilon=setup.epsilon,

@@ -515,3 +515,24 @@ def test_cli_out_naming_an_existing_file_exits_1(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["T = 1e308\n", "dt = 1e-320\n", "grid.extents = 1e-300, 1e-300\n"],
+    ids=["huge-T", "tiny-dt", "tiny-extents"],
+)
+def test_cli_overflowing_input_exits_1(tmp_path, capsys, extra):
+    text = MINIMAL.replace("grid.extents = 12, 12\n", "") if "extents" in extra else MINIMAL
+    path = _write(tmp_path, "big.cfg", text + extra)
+    with pytest.raises(ConfigError):
+        parse_config(text + extra)
+    assert run_command(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_reduction_step_count_must_be_finite():
+    with pytest.raises(ConfigError, match="reduction.T / dt"):
+        parse_config(MINIMAL + "reduction.T = 1e308\n")

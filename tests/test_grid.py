@@ -35,6 +35,13 @@ def test_rejects_bad_construction():
         make_grid(1, [math.inf], [16])
 
 
+def test_rejects_extents_whose_frequencies_overflow():
+    with pytest.raises(GridError, match="overflow"):
+        make_grid(2, [1e-300, 1.0], [8, 8])
+    # the largest |xi|^2 is still finite here
+    assert np.isfinite(np.max(make_grid(1, [1e-150], [8]).ksq))
+
+
 def test_coordinates_cover_half_open_box():
     g = make_grid(1, [10.0], [20])
     x = g.coords[0]

@@ -441,3 +441,111 @@ def test_transform_budget_per_step_and_sample(counting_fft):
     assert counting_fft.take() == (4, 2)
     # Every transform runs on the calling thread alone.
     assert counting_fft.workers == {1}
+
+
+def test_nonlinear_phase_rotor_matches_exp_i_theta():
+    theta = np.concatenate(
+        [
+            [math.pi, -math.pi, 0.0, 0.5 * math.pi, -0.5 * math.pi, 1e3, -1e3],
+            np.random.default_rng(5).uniform(-1e3, 1e3, 57),
+            np.linspace(-7.0, 7.0, 64),
+        ]
+    )
+    p = PhysicalParams(1, (0.0,), 0.0, 0.0)
+    values = np.ones(theta.shape, dtype=complex)
+    rho, phase = np.empty(theta.shape), np.empty(theta.shape)
+    rotor = np.empty(theta.shape, dtype=complex)
+    propagator_module._nonlinear_phase(values, 1.0, p, None, 0.5 * theta, rho, phase, rotor)
+    assert np.max(np.abs(values - np.exp(1j * theta))) <= 1e-15
+    assert np.max(np.abs(np.abs(values) - 1.0)) <= 1e-15
+    assert values[0].real == -1.0 and values[1].real == -1.0
+
+
+def test_strang_step_with_phase_beyond_pi_keeps_mass_and_reverses():
+    g = make_grid(2, [12.0, 12.0], [32, 32])
+    p = PhysicalParams(2, (1.0, 1.0), 1.0, 0.0)
+    dt = 0.1
+    assert dt * np.max(p.potential(g)) > math.pi
+    f0 = gaussian(g, 1.2)
+    m0 = mass(f0)
+    fwd = f0
+    for _ in range(20):
+        fwd = strang_step(fwd, dt, p)
+    assert mass(fwd) == pytest.approx(m0, rel=1e-13)
+    back = fwd
+    for _ in range(20):
+        back = strang_step(back, -dt, p)
+    assert np.max(np.abs(back.values - f0.values)) < 1e-11
+
+
+def test_monitor_only_run_gives_the_same_snapshots():
+    g, p, sym, f0 = dipolar_problem()
+    runs = {}
+    for observables in (True, False):
+        fields = []
+        series, final = evolve(
+            f0, p, sym, dt=1e-3, T=0.012, monitor=MonitorSpec(stride=4),
+            callback=lambda f: fields.append(f.copy()), warn_resolution=False,
+            observables=observables,
+        )
+        runs[observables] = (series, fields, final)
+    (series, fields, final), (empty, monitored, final_m) = runs[True], runs[False]
+    assert len(series) == 4 and len(empty) == 0
+    assert len(fields) == len(monitored) == 4
+    for a, b in zip(fields + [final], monitored + [final_m]):
+        assert a.t == b.t
+        assert np.array_equal(a.values, b.values)
+
+
+def test_monitor_only_run_gives_the_same_collapse_report():
+    g = make_grid(2, [12.0, 12.0], [64, 64])
+    p = PhysicalParams(2, (1.0, 1.0), -8.0, 0.0)
+    f0 = WaveField(2.0 * gaussian(g, 1.0).values, g)
+    reports = []
+    for observables in (True, False):
+        _, out = evolve(
+            f0, p, dt=5e-4, T=3.0, monitor=MonitorSpec(stride=5),
+            warn_resolution=False, observables=observables,
+        )
+        assert isinstance(out, CollapseReport)
+        reports.append(out)
+    full, monitored = reports
+    assert (monitored.step, monitored.reason) == (full.step, full.reason)
+    assert monitored.grad_sq == full.grad_sq
+    assert monitored.tail_fraction == full.tail_fraction
+    assert monitored.t_stop == full.t_stop
+    assert np.array_equal(monitored.field.values, full.field.values)
+
+
+def test_monitor_only_samples_add_no_transform(counting_fft):
+    g, p, sym, f0 = dipolar_problem()
+
+    def run(stride, **kwargs):
+        evolve(
+            f0, p, sym, dt=1e-3, T=6e-3, monitor=MonitorSpec(stride=stride),
+            warn_resolution=False, observables=False, **kwargs,
+        )
+        return counting_fft.take()
+
+    # spectrum of field0, first half step, six forward and five inverse
+    # step transforms, the final field
+    sparse = run(100)
+    assert sparse == (1 + 1 + 6 + 5 + 1, 6 * 2)
+    # five more samples over the same six steps
+    assert run(1) == sparse
+    # each callback step materializes its field: one inverse transform
+    assert run(1, callback=lambda f: None, sample_times=[2e-3, 4e-3]) == (
+        sparse[0] + 2, sparse[1],
+    )
+
+
+def test_monitor_only_sample_detects_nonfinite_field():
+    g = make_grid(1, [16.0], [64])
+    p = PhysicalParams(1, (1.0,), 1.0, 0.0)
+    f0 = gaussian(g, 1.0)
+    f0 = WaveField(1e160 * f0.values, g)
+    with pytest.raises(NonFiniteStateError), np.errstate(all="ignore"):
+        evolve(
+            f0, p, dt=1e-3, T=0.1, monitor=MonitorSpec(stride=2),
+            warn_resolution=False, observables=False,
+        )

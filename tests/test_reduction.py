@@ -27,6 +27,7 @@ from dipgpe import (
     sweep_to_csv,
     well_prepared_data,
 )
+from dipgpe.reduction import _excitation_sq
 
 OMEGA = (1.0, 1.0, 1.0)
 
@@ -206,6 +207,22 @@ def test_projection_kills_excited_transverse_mode():
     assert np.max(np.abs(proj.values)) < 1e-9
 
 
+def test_excitation_is_the_mass_of_the_excited_transverse_mode():
+    ref = make_grid(3, [14.0, 14.0, 12.0], [32, 32, 32])
+    z = ref.coords[2]
+    u = 0.7 * np.exp(-0.5 * (z - 0.3) ** 2 + 0.4j * z)
+    chi0 = transverse_profile(ref)
+    # first excited transverse state along x1, normalized
+    chi1 = math.sqrt(2.0) * ref.coords[0][:, None] * chi0
+    u_sq = float(np.sum(np.abs(u) ** 2)) * ref.steps[2]
+    for a in (1e-4, 0.3):
+        values = (chi0 + a * chi1)[:, :, None] * u[None, None, :]
+        got = _excitation_sq(WaveField(values, ref), (0, 1), (1.0, 1.0))
+        assert got == pytest.approx(a * a * u_sq, rel=1e-12)
+    ground = WaveField(chi0[:, :, None] * u[None, None, :], ref)
+    assert 0.0 <= _excitation_sq(ground, (0, 1), (1.0, 1.0)) < 1e-24
+
+
 def test_projection_is_a_contraction():
     ref = reference_grid()
     rng = np.random.default_rng(17)
@@ -292,7 +309,7 @@ def test_fast_phase_matters():
     ref = reference_grid()
     s = ReductionSetup(0.2, OMEGA, 0.0, 0.0, u0, "1d")
     times = [0.125, 0.25, 0.375, 0.5]
-    _, snaps3 = evolve_rescaled_3d(s, ref, 5e-4, 0.5, times)
+    snaps3 = evolve_rescaled_3d(s, ref, 5e-4, 0.5, times)
     collected = []
     evolve(
         u0.copy(), reduced_params(s), None, dt=5e-4, T=0.5,
@@ -362,7 +379,7 @@ def test_eps_weighted_multiplier_tracks_3d_run():
         callback=lambda f: collected.append((f.t, f.copy())),
         sample_times=times,
     )
-    _, snaps3 = evolve_rescaled_3d(s, ref, 5e-4, T, times)
+    snaps3 = evolve_rescaled_3d(s, ref, 5e-4, T, times)
     err_weighted = sup_model_error(snaps3, collected, s, ref)
 
     assert err_plain > 8e-3
