@@ -19,14 +19,19 @@ complex buffer and multiplies y in place; the forward transform of the
 result and the kinetic multiply reuse the same array.  A step costs two
 complex and two real transforms.
 
-At a sample, the spectrum the loop already holds gives psi_hat, which
-the observables reuse (see the state module): a 3D sample adds one
-inverse transform for psi, three for its gradient and one real
-transform for the dipolar energy.  A caller that discards the series
-(evolve with observables=False) takes monitor-only samples: the gradient
-norm and the spectral tail come from the power of psi_hat with no
-transform, and psi is materialized (one inverse transform) only where a
-callback, the final step or a tripped monitor needs it.
+At a sample, the spectrum the loop already holds gives psi_hat.  The
+collapse monitor runs on the calling thread: the gradient norm and the
+spectral tail come from the power of psi_hat with no transform.  The
+ObservableRecord reuses psi_hat too (see the state module): a 3D record
+adds one inverse transform for psi, three for its gradient and one real
+transform for the dipolar energy.  evolve takes each record on one
+recorder thread while the loop steps on.  At most one record is in
+flight: a sample first joins the previous record, so records reach the
+series in order.  psi is materialized on the calling thread only where a
+callback, the final step or a tripped monitor needs it, and by the
+record otherwise; the pending record is joined before a callback fires
+and before evolve returns.  A caller that discards the series (evolve
+with observables=False) takes monitor-only samples and starts no thread.
 
 Blow-up cannot be followed on a fixed lattice.  The monitor reports
 under-resolution consistent with collapse when the gradient norm or the
@@ -36,8 +41,10 @@ with a CollapseReport instead of an exception.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -49,6 +56,7 @@ from .grid import FFT_WORKERS, GridError, SpectralGrid, make_grid
 from .kernel import KernelSymbol, _apply_symbol_real
 from .state import (
     FieldSpectrum,
+    ObservableRecord,
     ObservableSeries,
     PhysicalParams,
     WaveField,
@@ -251,6 +259,60 @@ def _materialize(
     return WaveField(values=values, grid=grid, t=t)
 
 
+class _Recorder:
+    """Runs evolve's records on one thread, one at a time, beside the loop.
+
+    submit joins the pending record before it hands over the next, so
+    records reach the series in order; join appends the pending record
+    and re-raises whatever it raised.  The thread starts at the first
+    submit and is joined on exit, so none outlives evolve.  A record runs
+    in a copy of the submitting thread's context, so numpy's error state
+    (np.errstate) holds there as on the calling thread.
+    """
+
+    def __init__(self, series: ObservableSeries) -> None:
+        self.series = series
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dipgpe-recorder")
+        self._pending: "Future[ObservableRecord] | None" = None
+
+    def __enter__(self) -> "_Recorder":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._pool.shutdown(wait=True)
+
+    def submit(self, record: Callable[..., ObservableRecord], *args) -> None:
+        self.join()
+        self._pending = self._pool.submit(contextvars.copy_context().run, record, *args)
+
+    def join(self) -> None:
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            self.series.append(pending.result())
+
+
+def _warn_phase_scale(
+    field0: WaveField,
+    params: PhysicalParams,
+    symbol: "KernelSymbol | None",
+    potential_mesh: np.ndarray,
+    dt: float,
+) -> None:
+    """Warn when dt * max|V + nonlinear potential| of field0 reaches pi."""
+    rho0 = density(field0)
+    scale = potential_mesh + params.lambda1 * rho0
+    if params.lambda2 != 0.0 and symbol is not None:
+        scale += params.lambda2 * _apply_symbol_real(symbol, rho0)
+    phase_scale = float(np.max(np.abs(scale)))
+    if dt * phase_scale >= math.pi:
+        warnings.warn(
+            f"dt * max|V + nonlinear potential| = {dt * phase_scale:.3g} >= pi; "
+            "the nonlinear phase per step is under-resolved",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def evolve(
     field0: WaveField,
     params: PhysicalParams,
@@ -267,16 +329,24 @@ def evolve(
     """Propagate to time T, recording observables every monitor.stride steps.
 
     Consecutive kinetic half-steps are fused; the physical field is
-    materialized only at sampling points, where the collapse monitor
-    also runs.  When sample_times is given, each entry must coincide
-    with a step time (the caller arranges divisibility) and callback
-    fires there with the materialized field; otherwise callback fires at
-    every stride sample.
+    materialized only where it is needed.  At every stride sample the
+    collapse monitor runs on the calling thread, from the spectrum the
+    loop holds (the gradient norm, which must be finite, and the spectral
+    tail).  When sample_times is given, each entry must coincide with a
+    step time (the caller arranges divisibility) and callback fires there
+    with the materialized field; otherwise callback fires at every stride
+    sample.
 
-    With observables=False no record is taken (the series comes back
-    empty) and a sample only runs the monitor, from the spectrum the
-    loop holds, and its finiteness check; the field is materialized only
-    where callback fires, at the final step and when the monitor trips.
+    Each ObservableRecord, the one at t = 0 included, is taken on one
+    recorder thread while the loop steps on.  At most one record is in
+    flight: the next sample waits for the previous record before it
+    submits its own.  The field is materialized on the calling thread at a
+    callback step, at the final step and when the monitor trips, and by
+    the record otherwise.  The pending record is joined before a callback
+    fires, so the callback runs after its step's record, and before evolve
+    returns; an exception raised in a record propagates out of evolve.
+    With observables=False no record is taken, the series comes back empty
+    and the recorder thread never starts.
 
     Returns the series together with the final field, or with a
     CollapseReport if a threshold tripped first.
@@ -322,93 +392,84 @@ def evolve(
 
     if warn_resolution:
         check_resolution(field0, spectrum=spectrum0)
-        rho0 = density(field0)
-        phase_scale = float(np.max(np.abs(potential_mesh + params.lambda1 * rho0)))
-        if params.lambda2 != 0.0 and symbol is not None:
-            phi0 = _apply_symbol_real(symbol, rho0)
-            phase_scale = float(
-                np.max(np.abs(potential_mesh + params.lambda1 * rho0 + params.lambda2 * phi0))
-            )
-        if dt * phase_scale >= math.pi:
-            warnings.warn(
-                f"dt * max|V + nonlinear potential| = {dt * phase_scale:.3g} >= pi; "
-                "the nonlinear phase per step is under-resolved",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        _warn_phase_scale(field0, params, symbol, potential_mesh, dt)
+
+    def record(psi, spectrum, t, step):
+        # on the recorder thread; _materialize, record_observables and the
+        # transforms under them resolve through the module globals
+        if psi is None:
+            psi = _materialize(spectrum, grid, t, step)
+        return record_observables(
+            psi, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum
+        )
 
     series = ObservableSeries()
-    if observables:
-        series.append(
-            record_observables(
-                field0, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum0
-            )
-        )
-    if callback is not None and sample_times is None:
-        callback(field0)
-
     split = _Splitting(grid, dt, params, symbol, potential_mesh)
     t0 = field0.t
+    with _Recorder(series) as recorder:
+        if observables:
+            recorder.submit(record, field0, spectrum0, t0, 0)
+        if callback is not None and sample_times is None:
+            recorder.join()
+            callback(field0)
 
-    # pre-B state: initial half kinetic step
-    y = split.kinetic(spectrum0.values, split.khalf)
-    del spectrum0
+        # pre-B state: initial half kinetic step, leaving spectrum0 to the record
+        y = _fft.ifftn(
+            np.multiply(spectrum0.values, split.khalf), workers=FFT_WORKERS, overwrite_x=True
+        )
+        del spectrum0
 
-    for step in range(1, n_steps + 1):
-        step_dt = dt if step < n_steps else last_dt
-        if step == n_steps and abs(last_dt - dt) > 1e-15 * max(dt, 1.0):
-            # re-split the carried half step: the stored y already includes
-            # a dt/2 kinetic phase, so advance by the difference first
-            delta = np.exp(-0.25j * (step_dt - dt) * grid.ksq)
-            y = split.kinetic(_fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True), delta)
-            split.set_dt(step_dt)
-        w_spec = split.advance(y)
-        t_now = t0 + (step - 1) * dt + step_dt if step == n_steps else t0 + step * dt
+        for step in range(1, n_steps + 1):
+            step_dt = dt if step < n_steps else last_dt
+            if step == n_steps and abs(last_dt - dt) > 1e-15 * max(dt, 1.0):
+                # re-split the carried half step: the stored y already includes
+                # a dt/2 kinetic phase, so advance by the difference first
+                delta = np.exp(-0.25j * (step_dt - dt) * grid.ksq)
+                y = split.kinetic(_fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True), delta)
+                split.set_dt(step_dt)
+            w_spec = split.advance(y)
+            t_now = t0 + (step - 1) * dt + step_dt if step == n_steps else t0 + step * dt
 
-        if step in sample_steps:
-            spectrum = FieldSpectrum(split.khalf * w_spec)
-            fires = callback is not None and (
-                step in callback_steps if sample_times is not None else True
-            )
-            psi = None
-            if observables or fires or step == n_steps:
-                psi = _materialize(spectrum, grid, t_now, step)
-            if observables:
-                record = record_observables(
-                    psi, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum
-                )
-                series.append(record)
-                grad_sq = record.gradsq
-            else:
+            if step in sample_steps:
+                # the previous record's arrays go before this sample's come
+                recorder.join()
+                spectrum = FieldSpectrum(split.khalf * w_spec)
                 # given a spectrum, the monitor functions read only field0's grid
                 grad_sq = gradient_norm_sq(field0, spectrum)
                 if not math.isfinite(grad_sq):
                     raise NonFiniteStateError(
                         f"non-finite field at t = {t_now:.6g}", t_now, step
                     )
-            tail = spectral_tail_fraction(field0, spectrum)
-            tripped = grad_sq > grad_threshold or tail > monitor.spectral_tail
-            if tripped and psi is None:
-                psi = _materialize(spectrum, grid, t_now, step)
-            del spectrum
-            if fires:
-                callback(psi)
-            if tripped:
-                reason = (
-                    "gradient-threshold" if grad_sq > grad_threshold else "spectral-tail"
+                tail = spectral_tail_fraction(field0, spectrum)
+                tripped = grad_sq > grad_threshold or tail > monitor.spectral_tail
+                fires = callback is not None and (
+                    step in callback_steps if sample_times is not None else True
                 )
-                report = CollapseReport(
-                    t_stop=t_now,
-                    step=step,
-                    reason=reason,
-                    grad_sq=grad_sq,
-                    tail_fraction=tail,
-                    field=psi,
-                )
-                return series, report
-            if step == n_steps:
-                return series, psi
-        y = split.kinetic(w_spec, split.kfull)
+                ends = tripped or step == n_steps
+                psi = _materialize(spectrum, grid, t_now, step) if fires or ends else None
+                if observables:
+                    recorder.submit(record, psi, spectrum, t_now, step)
+                del spectrum
+                if fires or ends:
+                    recorder.join()
+                if fires:
+                    callback(psi)
+                if tripped:
+                    reason = (
+                        "gradient-threshold" if grad_sq > grad_threshold else "spectral-tail"
+                    )
+                    report = CollapseReport(
+                        t_stop=t_now,
+                        step=step,
+                        reason=reason,
+                        grad_sq=grad_sq,
+                        tail_fraction=tail,
+                        field=psi,
+                    )
+                    return series, report
+                if step == n_steps:
+                    return series, psi
+            y = split.kinetic(w_spec, split.kfull)
 
     raise AssertionError("unreachable: loop must return at the final step")
 

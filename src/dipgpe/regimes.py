@@ -203,16 +203,16 @@ def make_unstable_data(
         raise ValueError("widths must be positive")
 
     x1, x2, x3 = grid.coord_mesh
-    values = (eps ** (alpha / 2.0)) * np.exp(
+    real = (eps ** (alpha / 2.0)) * np.exp(
         -(x1 * x1 + x2 * x2) / (2.0 * f_width * f_width)
         - (eps * eps * x3 * x3) / (2.0 * g_width * g_width)
     )
-    values = np.ascontiguousarray(values + 0.0j)
-    peak = float(np.abs(values).max())
+    # the real Gaussian is nonnegative, so it is the modulus of the field
+    peak = float(real.max())
     edge = 0.0
     for axis in range(3):
         for index in (0, grid.shape[axis] - 1):
-            plane = np.take(np.abs(values), index, axis=axis)
+            plane = np.take(real, index, axis=axis)
             edge = max(edge, float(plane.max()))
     rel = edge / peak if peak > 0.0 else 0.0
     if rel > 1e-4:
@@ -227,7 +227,7 @@ def make_unstable_data(
             RuntimeWarning,
             stacklevel=2,
         )
-    return WaveField(values=values, grid=grid, t=0.0)
+    return WaveField(values=np.ascontiguousarray(real + 0.0j), grid=grid, t=0.0)
 
 
 def unstable_energy_ledger(

@@ -244,16 +244,21 @@ def _variance_rate(field: WaveField, spectrum: "FieldSpectrum | None") -> float:
     if spectrum is None:
         spectrum = field_spectrum(field)
     psi = field.values
+    # one complex and one real buffer serve every axis
+    g = np.empty_like(spectrum.values)
+    re = np.empty(grid.shape)
     acc = 0.0
     for freq, coord in zip(grid.freq_mesh, grid.coord_mesh):
         # g = ifftn(xi_j psi_hat) = -i d_j psi, so the integrand
         # Im(conj(psi) x_j d_j psi) is Re(conj(psi) x_j g).  It is summed
         # without BLAS: a BLAS dot leaves its threads spinning, which
         # starves the other members of a sweep.
-        g = _fft.ifftn(freq * spectrum.values, workers=FFT_WORKERS, overwrite_x=True)
+        np.multiply(freq, spectrum.values, out=g)
+        g = _fft.ifftn(g, workers=FFT_WORKERS, overwrite_x=True)
         g *= coord
-        re = psi.real * g.real
-        re += psi.imag * g.imag
+        np.multiply(psi.real, g.real, out=re)
+        # g.imag is spent once read, so it takes the second product
+        re += np.multiply(psi.imag, g.imag, out=g.imag)
         acc += float(np.sum(re))
     return 2.0 * acc * grid.cell_volume
 

@@ -257,6 +257,24 @@ def test_kernel_symbol_validate_rejects_odd_part():
         KernelSymbol(3, values, Analytic3D(), g).validate()
 
 
+def test_evenness_tolerance_holds_off_the_nyquist_planes():
+    g = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
+    sym = build_symbol(g, Analytic3D())
+
+    def perturbed(index, delta):
+        values = sym.values.copy()
+        values[index] += delta
+        return KernelSymbol(3, values, Analytic3D(), g)
+
+    # |s(k) - s(-k)| <= 1e-12 is the rule: 2e-12 at an interior mode breaks it
+    with pytest.raises(ValueError, match="not even"):
+        perturbed((1, 2, 3), 2e-12).validate()
+    perturbed((1, 2, 3), 0.5e-12).validate()
+    # the same 2e-12 on a Nyquist plane (index n // 2 = 4) is not checked
+    for index in ((4, 2, 3), (1, 4, 3), (1, 2, 4)):
+        perturbed(index, 2e-12).validate()
+
+
 def test_apply_kernel_zero_and_linearity():
     g = make_grid(3, [10.0, 10.0, 10.0], [16, 16, 16])
     sym = build_symbol(g, Analytic3D())

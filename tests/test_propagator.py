@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -384,6 +386,8 @@ class CountingFFT:
     def __init__(self):
         self.counts = {"c2c": 0, "r2c": 0}
         self.workers = set()
+        # evolve's recorder thread transforms beside the calling thread
+        self.lock = threading.Lock()
 
     def __getattr__(self, name):
         fn = getattr(scipy_fft, name)
@@ -392,15 +396,17 @@ class CountingFFT:
             return fn
 
         def counted(*args, **kwargs):
-            self.counts[kind] += 1
-            self.workers.add(kwargs.get("workers"))
+            with self.lock:
+                self.counts[kind] += 1
+                self.workers.add(kwargs.get("workers"))
             return fn(*args, **kwargs)
 
         return counted
 
     def take(self):
-        out = (self.counts["c2c"], self.counts["r2c"])
-        self.counts = {"c2c": 0, "r2c": 0}
+        with self.lock:
+            out = (self.counts["c2c"], self.counts["r2c"])
+            self.counts = {"c2c": 0, "r2c": 0}
         return out
 
 
@@ -544,8 +550,105 @@ def test_monitor_only_sample_detects_nonfinite_field():
     p = PhysicalParams(1, (1.0,), 1.0, 0.0)
     f0 = gaussian(g, 1.0)
     f0 = WaveField(1e160 * f0.values, g)
-    with pytest.raises(NonFiniteStateError), np.errstate(all="ignore"):
+    # the monitor runs on the calling thread whether or not records are taken
+    for observables in (False, True):
+        with pytest.raises(NonFiniteStateError), np.errstate(all="ignore"):
+            evolve(
+                f0, p, dt=1e-3, T=0.1, monitor=MonitorSpec(stride=2),
+                warn_resolution=False, observables=observables,
+            )
+
+
+def test_error_in_a_record_propagates_and_leaves_no_thread(monkeypatch):
+    g, p, sym, f0 = dipolar_problem()
+    real_record = propagator_module.record_observables
+    calls = []
+
+    class RecordFailed(RuntimeError):
+        pass
+
+    def failing_record(*args, **kwargs):
+        calls.append(args[0].t)
+        if len(calls) == 3:
+            raise RecordFailed("third sample")
+        return real_record(*args, **kwargs)
+
+    monkeypatch.setattr(propagator_module, "record_observables", failing_record)
+    threads = threading.active_count()
+    with pytest.raises(RecordFailed, match="third sample"):
         evolve(
-            f0, p, dt=1e-3, T=0.1, monitor=MonitorSpec(stride=2),
-            warn_resolution=False, observables=False,
+            f0, p, sym, dt=1e-3, T=0.02, monitor=MonitorSpec(stride=2),
+            warn_resolution=False,
         )
+    assert threading.active_count() == threads
+    # the loop met the failure at the next sample, not at the end
+    assert len(calls) == 3
+
+
+def test_records_taken_beside_the_loop_match_their_fields():
+    g, p, sym, f0 = dipolar_problem()
+    kwargs = dict(dt=1e-3, T=0.01, monitor=MonitorSpec(stride=1), warn_resolution=False)
+    fields = []
+    held, _ = evolve(f0, p, sym, callback=lambda f: fields.append(f.copy()), **kwargs)
+    # without a callback the recorder materializes psi while the loop steps
+    # on; a short switch interval makes the two threads interleave finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        beside, _ = evolve(f0, p, sym, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(fields) == len(held) == len(beside) == 11
+    assert beside.records == held.records
+    for record, field in zip(beside, fields):
+        e = energy(field, p, sym)
+        y, ydot = variance_and_rate(field)
+        assert record.t == field.t
+        assert_close(record.mass, mass(field))
+        assert_close(record.maxpsi, max_abs(field))
+        assert_close(record.E, e.total)
+        assert_close(record.Edip, e.dipolar)
+        assert_close(record.gradsq, gradient_norm_sq(field))
+        assert_close(record.y, y)
+        assert_close(record.ydot, ydot)
+
+
+def test_callback_runs_on_the_calling_thread_after_its_record(monkeypatch):
+    g, p, sym, f0 = dipolar_problem()
+    real_record = propagator_module.record_observables
+    events = []
+
+    def logged_record(field, *args, **kwargs):
+        out = real_record(field, *args, **kwargs)
+        events.append(("record", field.t))
+        return out
+
+    def callback(field):
+        assert threading.current_thread() is threading.main_thread()
+        events.append(("callback", field.t))
+
+    monkeypatch.setattr(propagator_module, "record_observables", logged_record)
+    evolve(
+        f0, p, sym, dt=1e-3, T=0.012, monitor=MonitorSpec(stride=2),
+        callback=callback, sample_times=[4e-3, 0.012], warn_resolution=False,
+    )
+    t = [1e-3 * k for k in range(0, 13, 2)]
+    records = [("record", pytest.approx(tk)) for tk in t]
+    assert events == records[:3] + [("callback", pytest.approx(4e-3))] + records[3:] + [
+        ("callback", pytest.approx(0.012))
+    ]
+
+
+def test_monitor_only_run_starts_no_thread():
+    g, p, sym, f0 = dipolar_problem()
+    threads = threading.active_count()
+    seen = []
+    for observables in (False, True):
+        evolve(
+            f0, p, sym, dt=1e-3, T=4e-3, monitor=MonitorSpec(stride=2),
+            callback=lambda f: seen.append(threading.active_count()),
+            warn_resolution=False, observables=observables,
+        )
+    # the recorder thread lives only while a run records observables
+    assert seen == [threads] * 3 + [threads + 1] * 3
+    assert threading.active_count() == threads
