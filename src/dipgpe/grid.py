@@ -49,6 +49,20 @@ class GridError(ValueError):
     """Raised for invalid grid construction or mismatched field shapes."""
 
 
+def mesh_sum(terms) -> np.ndarray:
+    """Left-to-right sum of per-axis sparse mesh terms on the full lattice.
+
+    The partial sums stay broadcast over the axes not yet reached, so only
+    the last addition fills the full lattice.  Each term of a sparse mesh
+    spans its own axis, so the result is a fresh contiguous array of the
+    full shape, bit for bit the accumulation 0 + t_1 + ... + t_d.
+    """
+    total = None
+    for term in terms:
+        total = term if total is None else total + term
+    return total
+
+
 @dataclass(eq=False)
 class SpectralGrid:
     """Tensor-product lattice with cached coordinate and frequency meshes.
@@ -108,18 +122,12 @@ class SpectralGrid:
     @cached_property
     def ksq(self) -> np.ndarray:
         """|xi|^2 on the full frequency lattice (FFT order)."""
-        out = np.zeros(self.shape)
-        for f in self.freq_mesh:
-            out = out + f * f
-        return out
+        return mesh_sum(f * f for f in self.freq_mesh)
 
     @cached_property
     def radius_sq(self) -> np.ndarray:
         """|x|^2 on the full coordinate lattice."""
-        out = np.zeros(self.shape)
-        for c in self.coord_mesh:
-            out = out + c * c
-        return out
+        return mesh_sum(c * c for c in self.coord_mesh)
 
     @cached_property
     def sign_mesh(self) -> np.ndarray:

@@ -17,6 +17,12 @@ the grid and trap frequencies.  The cache lives in the directory named by
 the GPE_CACHE_DIR environment variable, or ~/.cache/dipgpe when it is
 unset.
 
+The closed-form 3D symbol is evaluated on one octant of the lattice,
+indices 0..n/2 of each axis; fftfreq gives xi[n - k] = -xi[k] bit for bit,
+so the rest of the lattice is filled by mirrored slice copies.  The
+evenness check compares mirrored views of the same pieces, {0}, [1, n/2)
+and (n/2, n) per axis, instead of gathering s(-k) into a new array.
+
 Applying a symbol to a density is pointwise multiplication between an
 FFT/inverse-FFT pair; no normalization factors appear because they
 cancel between the two directions.  The dipolar energy needs only the
@@ -27,6 +33,7 @@ one real transform of the density.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import tempfile
@@ -227,6 +234,25 @@ def symbol2d_effective(
     return head + tail
 
 
+# Piece 1 and piece 2 of _mirror_pieces are each other's mirror image.
+_MIRROR_PIECE = (0, 2, 1)
+
+
+def _mirror_pieces(n: int) -> tuple[tuple[slice, slice], ...]:
+    """The pieces {0}, [1, n/2) and (n/2, n) of an even FFT-ordered axis.
+
+    Each piece comes with the reversed slice that holds its mirror image:
+    index k and index n - k carry opposite frequencies.  The Nyquist
+    index n/2 lies in no piece.
+    """
+    h = n // 2
+    return (
+        (slice(0, 1), slice(0, 1)),
+        (slice(1, h), slice(n - 1, h, -1)),
+        (slice(h + 1, n), slice(h - 1, 0, -1)),
+    )
+
+
 @dataclass(eq=False)
 class KernelSymbol:
     """Real, even Fourier multiplier tabulated on a grid's frequency lattice.
@@ -259,18 +285,20 @@ class KernelSymbol:
             raise GridError(
                 f"symbol shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        # min and max propagate NaN, so they also decide finiteness
+        lo, hi = float(self.values.min()), float(self.values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("symbol contains non-finite values")
         if isinstance(self.provenance, Analytic3D):
             slack = 1e-12
-            if self.values.min() < SYMBOL_MIN - slack or self.values.max() > SYMBOL_MAX + slack:
+            if lo < SYMBOL_MIN - slack or hi > SYMBOL_MAX + slack:
                 raise ValueError("3D symbol values outside [-4pi/3, 8pi/3]")
             origin = self.values[(0,) * self.dim]
             if origin != 0.0:
                 raise ValueError(f"3D symbol must vanish at the origin, got {origin}")
         else:
             bound = self._effective_bound() * (1.0 + 1e-8) + 1e-10
-            if np.abs(self.values).max() > bound:
+            if max(hi, -lo) > bound:
                 raise ValueError("effective symbol values exceed the analytic envelope")
         if not self._is_even():
             raise ValueError("symbol is not even on the frequency lattice")
@@ -278,14 +306,23 @@ class KernelSymbol:
     def _is_even(self) -> bool:
         """Even symmetry, |s(k) - s(-k)| <= 1e-12 on every mode off the Nyquist planes.
 
-        One gather builds s(-k); the Nyquist planes (index n // 2 on each
-        axis) are zeroed out of the difference by slicing.
+        Each axis splits into the pieces of _mirror_pieces, so s(-k) over
+        a product of pieces is a view of the values with the mirrored
+        pieces; the Nyquist planes lie in no piece.  A block and its
+        mirror image make the same comparisons, so only one of each pair
+        is compared.  A NaN off the Nyquist planes fails the check.
         """
-        shape = self.grid.shape
-        diff = self.values - self.values[np.ix_(*[-np.arange(n) % n for n in shape])]
-        for axis, n in enumerate(shape):
-            diff[(slice(None),) * axis + (n // 2,)] = 0.0
-        return bool(np.abs(diff).max() <= 1e-12)
+        values = self.values
+        pieces = [_mirror_pieces(n) for n in values.shape]
+        for choice in itertools.product(range(3), repeat=values.ndim):
+            if choice > tuple(_MIRROR_PIECE[c] for c in choice):
+                continue
+            here = tuple(pieces[a][c][0] for a, c in enumerate(choice))
+            there = tuple(pieces[a][c][1] for a, c in enumerate(choice))
+            diff = values[here] - values[there]
+            if not (np.abs(diff, out=diff).max() <= 1e-12):
+                return False
+        return True
 
     def _effective_bound(self) -> float:
         if isinstance(self.provenance, Effective1D):
@@ -375,7 +412,9 @@ def build_symbol(
     The provenance selects the family and carries its trap frequencies;
     its dimension must match the grid.  Effective tabulations are cached
     on disk (see module docstring); the closed-form 3D symbol is cheap
-    and never cached.
+    and never cached: symbol3d runs on the octant of indices 0..n/2 per
+    axis and one mirrored slice copy per axis fills the rest, bit for bit
+    the values symbol3d gives on the full lattice.
     """
     if provenance.dim != grid.dim:
         raise GridError(
@@ -383,9 +422,17 @@ def build_symbol(
         )
 
     if isinstance(provenance, Analytic3D):
-        f1, f2, f3 = grid.freq_mesh
-        values = np.asarray(symbol3d(f1, f2, f3))
-        values = np.ascontiguousarray(np.broadcast_to(values, grid.shape))
+        # symbol3d on indices 0..n/2 of each axis; index n - k holds -xi[k]
+        # bit for bit, so the rest of each axis is a mirrored copy
+        octant = tuple(slice(0, n // 2 + 1) for n in grid.shape)
+        values = np.empty(grid.shape)
+        values[octant] = symbol3d(*(f[octant] for f in grid.freq_mesh))
+        for axis, n in enumerate(grid.shape):
+            _, _, (upper, lower) = _mirror_pieces(n)
+            head = (slice(None),) * axis
+            values[head + (upper,) + octant[axis + 1 :]] = values[
+                head + (lower,) + octant[axis + 1 :]
+            ]
         symbol = KernelSymbol(dim=3, values=values, provenance=provenance, grid=grid)
         symbol.validate()
         return symbol

@@ -148,8 +148,13 @@ def evolve_reduced(
     monitor: MonitorSpec = MonitorSpec(),
     callback=None,
     sample_times: "Sequence[float] | None" = None,
+    observables: bool = True,
 ) -> tuple[ObservableSeries, "WaveField | CollapseReport"]:
-    """Run the effective lower-dimensional model."""
+    """Run the effective lower-dimensional model.
+
+    observables is passed to evolve: with False the series is empty and
+    only the collapse monitor samples the run.
+    """
     symbol = reduced_symbol(setup)
     return evolve(
         setup.u0,
@@ -160,6 +165,7 @@ def evolve_reduced(
         monitor=monitor,
         callback=callback,
         sample_times=sample_times,
+        observables=observables,
     )
 
 
@@ -422,7 +428,10 @@ def run_reduced_snapshots(
     def grab(field: WaveField) -> None:
         collected.append((field.t, field.copy()))
 
-    _, outcome = evolve_reduced(setup, dt_red, T, callback=grab, sample_times=times)
+    # the series is not read, so only the monitor samples the run
+    _, outcome = evolve_reduced(
+        setup, dt_red, T, callback=grab, sample_times=times, observables=False
+    )
     if isinstance(outcome, CollapseReport):
         raise RuntimeError(
             "reduced run tripped the collapse monitor: " + outcome.describe()

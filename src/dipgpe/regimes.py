@@ -34,9 +34,11 @@ from .state import (
     ObservableSeries,
     PhysicalParams,
     WaveField,
+    _energy,
+    _mass,
+    _variance,
+    density,
     energy,
-    mass,
-    variance,
 )
 
 VERDICT_GLOBAL = "GlobalStable"
@@ -120,11 +122,12 @@ def classify(
        -> ConditionallyGlobal (conditional on gn_constant).
     4. Otherwise Indeterminate.
     """
-    e = energy(phi, params, symbol)
+    rho = density(phi)
+    e = _energy(phi, rho, params, symbol, None, None)
     E = e.total
-    M = mass(phi)
+    M = _mass(phi, rho)
     grad_sq = 2.0 * e.kinetic
-    xphi_sq = variance(phi)
+    xphi_sq = _variance(phi, rho)
     gap = params.lambda1 - (4.0 * math.pi / 3.0) * params.lambda2
     evidence: dict = {
         "E": E,
@@ -203,10 +206,13 @@ def make_unstable_data(
         raise ValueError("widths must be positive")
 
     x1, x2, x3 = grid.coord_mesh
-    real = (eps ** (alpha / 2.0)) * np.exp(
-        -(x1 * x1 + x2 * x2) / (2.0 * f_width * f_width)
-        - (eps * eps * x3 * x3) / (2.0 * g_width * g_width)
+    # one full-lattice array: the exponent, then exp and the scale in place
+    real = np.subtract(
+        -(x1 * x1 + x2 * x2) / (2.0 * f_width * f_width),
+        (eps * eps * x3 * x3) / (2.0 * g_width * g_width),
     )
+    np.exp(real, out=real)
+    real *= eps ** (alpha / 2.0)
     # the real Gaussian is nonnegative, so it is the modulus of the field
     peak = float(real.max())
     edge = 0.0
@@ -227,7 +233,7 @@ def make_unstable_data(
             RuntimeWarning,
             stacklevel=2,
         )
-    return WaveField(values=np.ascontiguousarray(real + 0.0j), grid=grid, t=0.0)
+    return WaveField(values=real.astype(complex), grid=grid, t=0.0)
 
 
 def unstable_energy_ledger(

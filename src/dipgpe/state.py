@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import FFT_WORKERS, GridError, SpectralGrid
+from .grid import FFT_WORKERS, GridError, SpectralGrid, mesh_sum
 from .kernel import KernelSymbol, _pair_symbol_real
 from .kernel import apply_kernel  # noqa: F401  bench/tracer.py spans state.apply_kernel
 
@@ -83,10 +83,7 @@ class PhysicalParams:
             raise GridError(
                 f"params are {self.dim}-dimensional but grid is {grid.dim}-dimensional"
             )
-        out = np.zeros(grid.shape)
-        for w, c in zip(self.omega, grid.coord_mesh):
-            out = out + (0.5 * w * w) * (c * c)
-        return out
+        return mesh_sum((0.5 * w * w) * (c * c) for w, c in zip(self.omega, grid.coord_mesh))
 
 
 @dataclass(eq=False)
@@ -152,7 +149,11 @@ def density(field: WaveField) -> np.ndarray:
 
 
 def mass(field: WaveField) -> float:
-    return float(np.sum(density(field))) * field.grid.cell_volume
+    return _mass(field, density(field))
+
+
+def _mass(field: WaveField, rho: np.ndarray) -> float:
+    return float(np.sum(rho)) * field.grid.cell_volume
 
 
 def max_abs(field: WaveField) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dipgpe import GridError, make_grid
+from dipgpe import GridError, PhysicalParams, make_grid
 
 
 def test_spacings_1d():
@@ -139,6 +139,31 @@ def test_ksq_is_sum_of_squares():
     g = make_grid(3, [8.0, 10.0, 12.0], [16, 16, 16])
     xi1, xi2, xi3 = np.meshgrid(*g.freqs, indexing="ij")
     assert np.allclose(g.ksq, xi1**2 + xi2**2 + xi3**2, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_tables_equal_the_accumulation_from_zeros(dim):
+    g = make_grid(dim, [8.0, 10.0, 12.0][:dim], [16, 10, 12][:dim])
+    omega = (1.0, 0.0, 1.7)[:dim]
+
+    def accumulated(terms):
+        out = np.zeros(g.shape)
+        for term in terms:
+            out = out + term
+        return out
+
+    tables = [
+        (g.ksq, accumulated(f * f for f in g.freq_mesh)),
+        (g.radius_sq, accumulated(c * c for c in g.coord_mesh)),
+        (
+            PhysicalParams(dim, omega, 0.0, 0.0).potential(g),
+            accumulated((0.5 * w * w) * (c * c) for w, c in zip(omega, g.coord_mesh)),
+        ),
+    ]
+    for table, expected in tables:
+        assert table.shape == g.shape and table.flags.c_contiguous
+        assert not any(np.shares_memory(table, m) for m in g.freq_mesh + g.coord_mesh)
+        assert table.tobytes() == expected.tobytes()
 
 
 def test_top_octave_mask_counts():

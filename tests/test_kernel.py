@@ -275,6 +275,82 @@ def test_evenness_tolerance_holds_off_the_nyquist_planes():
         perturbed(index, 2e-12).validate()
 
 
+@pytest.mark.parametrize(
+    "extents, shape",
+    [
+        ((8.0, 8.0, 8.0), (8, 8, 8)),
+        ((5.0, 9.0, 13.0), (10, 12, 14)),
+        ((15.0, 15.0, 30.0), (96, 96, 96)),
+    ],
+)
+def test_symbol_from_one_octant_equals_the_full_lattice_formula(extents, shape):
+    g = make_grid(3, extents, shape)
+    values = build_symbol(g, Analytic3D()).values
+    full = np.ascontiguousarray(np.broadcast_to(symbol3d(*g.freq_mesh), g.shape))
+    assert values.flags.c_contiguous
+    assert np.array_equal(values.view(np.uint64), full.view(np.uint64))
+
+
+def _is_even_by_gather(values):
+    """The evenness rule evaluated with one np.ix_ gather of s(-k)."""
+    shape = values.shape
+    diff = values - values[np.ix_(*[-np.arange(n) % n for n in shape])]
+    for axis, n in enumerate(shape):
+        diff[(slice(None),) * axis + (n // 2,)] = 0.0
+    return bool(np.abs(diff).max() <= 1e-12)
+
+
+def _even_symbol(shape):
+    extents = tuple(3.0 + n for n in shape)
+    g = make_grid(len(shape), extents, shape)
+    # a function of |xi|^2 is even bit for bit on the lattice
+    values = np.cos(g.ksq)
+    provenance = {1: Effective1D(1.0, 1.0), 2: Effective2D(1.0), 3: Analytic3D()}[g.dim]
+    return g, values, provenance
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (8, 10, 12), (16,), (12, 8)])
+def test_evenness_check_agrees_with_the_gather(shape):
+    g, base, provenance = _even_symbol(shape)
+    rng = np.random.default_rng(sum(shape))
+    n = np.array(shape)
+
+    def index(kind):
+        if kind == "interior":
+            k = rng.integers(1, n // 2)
+            return tuple(k * rng.choice([-1, 1], size=len(shape)) % n)
+        if kind == "nyquist":
+            k = rng.integers(0, n)
+            axis = rng.integers(len(shape))
+            k[axis] = n[axis] // 2
+            return tuple(k)
+        if kind == "origin":
+            return (0,) * len(shape)
+        return tuple(rng.choice([0, -1], size=len(shape)) % n)  # a corner
+
+    verdicts = set()
+    for trial in range(200):
+        values = base.copy()
+        for _ in range(rng.integers(1, 4)):
+            kind = rng.choice(["interior", "nyquist", "origin", "corner"])
+            delta = rng.choice([0.5e-12, 2e-12, -2e-12, 1e-3])
+            values[index(kind)] += delta
+        expected = _is_even_by_gather(values)
+        assert KernelSymbol(g.dim, values, provenance, g)._is_even() is expected, trial
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_nan_off_the_nyquist_planes_fails_the_evenness_check():
+    g = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
+    values = build_symbol(g, Analytic3D()).values.copy()
+    values[1, 2, 3] = math.nan
+    with pytest.raises(KernelRealityError):
+        KernelSymbol(3, values, Analytic3D(), g).half_values
+    with pytest.raises(ValueError, match="non-finite"):
+        KernelSymbol(3, values, Analytic3D(), g).validate()
+
+
 def test_apply_kernel_zero_and_linearity():
     g = make_grid(3, [10.0, 10.0, 10.0], [16, 16, 16])
     sym = build_symbol(g, Analytic3D())

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from dipgpe import (
     sweep_to_csv,
     well_prepared_data,
 )
-from dipgpe.reduction import _excitation_sq
+from dipgpe import reduction
+from dipgpe.reduction import _excitation_sq, run_reduced_snapshots
 
 OMEGA = (1.0, 1.0, 1.0)
 
@@ -420,6 +422,41 @@ def test_rescaled_3d_sample_time_validation():
         evolve_rescaled_3d(s, ref, 1e-3, 0.5, [0.1, 0.5])
     with pytest.raises(ValueError):
         evolve_rescaled_3d(s, ref, 1e-3, 0.5, [])
+
+
+def test_reduced_snapshots_start_no_thread_and_match_a_recorded_run(monkeypatch):
+    s = ReductionSetup(0.2, OMEGA, 0.5, 0.3, axial_ground_state(), "1d")
+    dt, T, n = 2e-3, 0.2, 4
+    threads = threading.active_count()
+    seen = []
+    traced = reduction.evolve
+
+    def spy(*args, callback, **kwargs):
+        def counted(field):
+            seen.append(threading.active_count())
+            callback(field)
+
+        return traced(*args, callback=counted, **kwargs)
+
+    monkeypatch.setattr(reduction, "evolve", spy)
+    snaps = run_reduced_snapshots(s, dt, T, n)
+    monkeypatch.undo()
+    # the series is not read, so no recorder thread runs beside the loop
+    assert seen == [threads] * n
+    assert threading.active_count() == threads
+
+    recorded = []
+    series, _ = evolve_reduced(
+        s,
+        reduction._snap_step(dt, T, n),
+        T,
+        callback=lambda f: recorded.append((f.t, f.copy())),
+        sample_times=[j * T / n for j in range(1, n + 1)],
+    )
+    assert len(series) > 0
+    assert [t for t, _ in snaps] == [t for t, _ in recorded]
+    for (_, a), (_, b) in zip(snaps, recorded):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_epsilon_sweep_rows_and_determinism(tmp_path):

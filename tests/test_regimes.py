@@ -23,6 +23,7 @@ from dipgpe import (
     unstable_energy_ledger,
     virial_audit,
 )
+from dipgpe.state import energy, variance
 
 # with gn = 3 / (4 pi) and lambda1 = 0, lambda2 = 1, M = 1 the bootstrap
 # scale eps2 is exactly 1, so the caps are (3/2)^-2 = 4/9 and 4/27
@@ -120,6 +121,20 @@ def test_classify_evidence_refinement_invariance():
         assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1.0)
 
 
+def test_classify_evidence_equals_the_standalone_observables():
+    g = make_grid(3, [15.0, 15.0, 280.0], [32, 32, 128])
+    p = PhysicalParams(3, (1.0, 0.8, 1.0), 0.3, 1.0)
+    sym = build_symbol(g, Analytic3D())
+    phi = make_unstable_data(g, 0.1, -3.0)
+    evidence = classify(phi, p, sym).evidence
+    e = energy(phi, p, sym)
+    # one density serves every term, with the same floats as each alone
+    assert evidence["E"] == e.total
+    assert evidence["grad_sq"] == 2.0 * e.kinetic
+    assert evidence["M"] == mass(phi)
+    assert evidence["xphi_sq"] == variance(phi)
+
+
 def test_certificate_text_layout():
     g = make_grid(3, [15.0, 15.0, 280.0], [32, 32, 128])
     p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
@@ -152,6 +167,19 @@ def test_unstable_data_mass_formula():
     phi = make_unstable_data(g, eps, alpha, fw, gw)
     expected = eps ** (alpha - 1.0) * math.pi**1.5 * fw**2 * gw
     assert mass(phi) == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("eps, fw, gw", [(0.1, 1.0, 1.0), (0.13, 0.8, 1.3)])
+def test_unstable_data_is_the_reference_gaussian(eps, fw, gw):
+    g = make_grid(3, [15.0, 15.0, 280.0], [32, 32, 128])
+    alpha = -3.0
+    x1, x2, x3 = g.coord_mesh
+    expected = (eps ** (alpha / 2.0)) * np.exp(
+        -(x1 * x1 + x2 * x2) / (2.0 * fw * fw) - (eps * eps * x3 * x3) / (2.0 * gw * gw)
+    ) + 0.0j
+    values = make_unstable_data(g, eps, alpha, fw, gw).values
+    assert values.flags.c_contiguous
+    assert values.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_unstable_data_validation():
