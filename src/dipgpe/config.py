@@ -7,7 +7,9 @@ collects every problem (unknown key, duplicate key, type mismatch,
 invariant violation) with line numbers before failing, so a config can
 be fixed in one pass.
 
-The grid and params blocks are required; every other key has a default.
+Every key is one row of _SCHEMA, which names the RunConfig section and
+field it sets and its value parser.  Defaults live only in the spec
+dataclasses: the grid and params blocks have none and are required.
 serialize_config renders a parsed config back to canonical text, and
 the two functions are mutually idempotent, which is what makes configs
 usable as experiment provenance.
@@ -16,10 +18,10 @@ usable as experiment provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import MISSING, dataclass, is_dataclass
+from typing import Callable, Optional, get_type_hints
 
-from .grid import GridError, SpectralGrid, make_grid
+from .grid import GridError, SpectralGrid, make_grid, mesh_product, mesh_sum
 from .kernel import Analytic3D, Effective1D, Effective2D, KernelSymbol, build_symbol
 from .propagator import MonitorSpec, linear_eigenstate, read_snapshot
 from .regimes import make_unstable_data
@@ -145,57 +147,70 @@ def _enum(*allowed: str) -> Callable[[str], str]:
     return parse
 
 
-# key -> value parser; None results are represented by omitting the key
-_KEY_PARSERS: dict[str, Callable[[str], object]] = {
-    "grid.dim": _int,
-    "grid.extents": _floats,
-    "grid.points": _ints,
-    "params.omega": _floats,
-    "params.lambda1": _float,
-    "params.lambda2": _float,
-    "init.kind": _enum("ground_state", "gaussian", "unstable", "file"),
-    "init.widths": _floats,
-    "init.center": _floats,
-    "init.beta": _float,
-    "init.epsilon": _float,
-    "init.alpha": _float,
-    "init.file": _string,
-    "dt": _float,
-    "T": _float,
-    "output.dir": _string,
-    "monitor.stride": _int,
-    "monitor.grad_factor": _float,
-    "monitor.grad_threshold": _float,
-    "monitor.spectral_tail": _float,
-    "kernel.kind": _enum("auto", "analytic3d", "effective1d", "effective2d", "none"),
-    "kernel.transverse_omega": _floats,
-    "reduction.target": _enum("1d", "2d"),
-    "reduction.epsilons": _floats,
-    "reduction.T": _float,
-    "reduction.samples": _int,
-    "reduction.u0_kind": _enum("ground_state", "gaussian"),
-    "reduction.u0_width": _float,
-    "ledger.epsilons": _floats,
-    "ledger.alpha": _float,
-    "ledger.f_width": _float,
-    "ledger.g_width": _float,
-}
-
-_REQUIRED_KEYS = (
-    "grid.dim",
-    "grid.extents",
-    "grid.points",
-    "params.omega",
-    "params.lambda1",
-    "params.lambda2",
+# One row per key, in canonical order: key, RunConfig section (None for
+# a top-level field), field name, value parser.  Defaults and required
+# keys come from the dataclasses; a None value is written by omitting
+# the key.
+_SCHEMA: tuple[tuple[str, Optional[str], str, Callable[[str], object]], ...] = (
+    ("grid.dim", "grid", "dim", _int),
+    ("grid.extents", "grid", "extents", _floats),
+    ("grid.points", "grid", "points", _ints),
+    ("params.omega", "params", "omega", _floats),
+    ("params.lambda1", "params", "lambda1", _float),
+    ("params.lambda2", "params", "lambda2", _float),
+    ("init.kind", "init", "kind", _enum("ground_state", "gaussian", "unstable", "file")),
+    ("init.widths", "init", "widths", _floats),
+    ("init.center", "init", "center", _floats),
+    ("init.beta", "init", "beta", _float),
+    ("init.epsilon", "init", "epsilon", _float),
+    ("init.alpha", "init", "alpha", _float),
+    ("init.file", "init", "file", _string),
+    ("dt", None, "dt", _float),
+    ("T", None, "T", _float),
+    ("output.dir", None, "output_dir", _string),
+    ("monitor.stride", "monitor", "stride", _int),
+    ("monitor.grad_factor", "monitor", "grad_factor", _float),
+    ("monitor.grad_threshold", "monitor", "grad_threshold", _float),
+    ("monitor.spectral_tail", "monitor", "spectral_tail", _float),
+    (
+        "kernel.kind",
+        "kernel",
+        "kind",
+        _enum("auto", "analytic3d", "effective1d", "effective2d", "none"),
+    ),
+    ("kernel.transverse_omega", "kernel", "transverse_omega", _floats),
+    ("reduction.target", "reduction", "target", _enum("1d", "2d")),
+    ("reduction.epsilons", "reduction", "epsilons", _floats),
+    ("reduction.T", "reduction", "T", _float),
+    ("reduction.samples", "reduction", "samples", _int),
+    ("reduction.u0_kind", "reduction", "u0_kind", _enum("ground_state", "gaussian")),
+    ("reduction.u0_width", "reduction", "u0_width", _float),
+    ("ledger.epsilons", "ledger", "epsilons", _floats),
+    ("ledger.alpha", "ledger", "alpha", _float),
+    ("ledger.f_width", "ledger", "f_width", _float),
+    ("ledger.g_width", "ledger", "g_width", _float),
 )
+
+_SECTION_TYPES = {
+    name: hint for name, hint in get_type_hints(RunConfig).items() if is_dataclass(hint)
+}
+_BY_KEY = {key: (section, name, parser) for key, section, name, parser in _SCHEMA}
+# MISSING marks a required key; it equals no value, so serialize_config
+# always writes one
+_DEFAULTS = {
+    key: (RunConfig if section is None else _SECTION_TYPES[section])
+    .__dataclass_fields__[name]
+    .default
+    for key, section, name, _ in _SCHEMA
+}
+_REQUIRED_KEYS = tuple(key for key, default in _DEFAULTS.items() if default is MISSING)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate config text, reporting every error at once."""
     errors: list[str] = []
     seen: dict[str, int] = {}
-    typed: dict[str, object] = {}
+    given: dict[Optional[str], dict[str, object]] = {s: {} for s in (None, *_SECTION_TYPES)}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -213,86 +228,34 @@ def parse_config(text: str) -> RunConfig:
             )
             continue
         seen[key] = line_no
-        parser = _KEY_PARSERS.get(key)
-        if parser is None:
+        entry = _BY_KEY.get(key)
+        if entry is None:
             errors.append(f"line {line_no}: unknown key {key!r}")
             continue
         if value == "":
             errors.append(f"line {line_no}: key {key!r} has no value")
             continue
+        section, name, parser = entry
         try:
-            typed[key] = parser(value)
+            given[section][name] = parser(value)
         except ValueError as exc:
             errors.append(f"line {line_no}: key {key!r}: {exc}")
 
     for key in _REQUIRED_KEYS:
-        if key not in typed and key not in seen:
+        if key not in seen:
             errors.append(f"missing required key {key!r}")
 
     if errors:
         raise ConfigError(errors)
 
-    grid_spec = GridSpec(
-        dim=typed["grid.dim"],
-        extents=typed["grid.extents"],
-        points=typed["grid.points"],
-    )
-    param_spec = ParamSpec(
-        omega=typed["params.omega"],
-        lambda1=typed["params.lambda1"],
-        lambda2=typed["params.lambda2"],
-    )
-    init = InitSpec(
-        kind=typed.get("init.kind", "ground_state"),
-        widths=typed.get("init.widths"),
-        center=typed.get("init.center"),
-        beta=typed.get("init.beta", 0.0),
-        epsilon=typed.get("init.epsilon", 0.1),
-        alpha=typed.get("init.alpha", -3.0),
-        file=typed.get("init.file"),
-    )
-    kernel_spec = KernelSpec(
-        kind=typed.get("kernel.kind", "auto"),
-        transverse_omega=typed.get("kernel.transverse_omega"),
-    )
-    reduction_spec = ReductionSpec(
-        target=typed.get("reduction.target", "1d"),
-        epsilons=typed.get("reduction.epsilons", (0.2, 0.141, 0.1)),
-        T=typed.get("reduction.T", 1.0),
-        samples=typed.get("reduction.samples", 8),
-        u0_kind=typed.get("reduction.u0_kind", "ground_state"),
-        u0_width=typed.get("reduction.u0_width", 1.0),
-    )
-    ledger_spec = LedgerSpec(
-        epsilons=typed.get("ledger.epsilons", (0.2, 0.1, 0.05)),
-        alpha=typed.get("ledger.alpha", -3.0),
-        f_width=typed.get("ledger.f_width", 1.0),
-        g_width=typed.get("ledger.g_width", 1.0),
-    )
-
-    try:
-        monitor = MonitorSpec(
-            stride=typed.get("monitor.stride", 10),
-            grad_factor=typed.get("monitor.grad_factor", 1e4),
-            grad_threshold=typed.get("monitor.grad_threshold"),
-            spectral_tail=typed.get("monitor.spectral_tail", 1e-3),
-        )
-    except ValueError as exc:
-        errors.append(f"monitor: {exc}")
-        monitor = MonitorSpec()
-
-    config = RunConfig(
-        grid=grid_spec,
-        params=param_spec,
-        init=init,
-        dt=typed.get("dt", 1e-3),
-        T=typed.get("T", 1.0),
-        output_dir=typed.get("output.dir", "out"),
-        monitor=monitor,
-        kernel=kernel_spec,
-        reduction=reduction_spec,
-        ledger=ledger_spec,
-    )
+    # a section that rejects its values is reported and left at its default
+    top = given.pop(None)
+    for section, spec_type in _SECTION_TYPES.items():
+        try:
+            top[section] = spec_type(**given[section])
+        except ValueError as exc:
+            errors.append(f"{section}: {exc}")
+    config = RunConfig(**top)
     errors.extend(_validate(config))
     if errors:
         raise ConfigError(errors)
@@ -376,53 +339,10 @@ def _fmt(value: object) -> str:
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c."""
-    default = RunConfig(grid=config.grid, params=config.params)
-    pairs: list[tuple[str, object, object]] = [
-        ("grid.dim", config.grid.dim, None),
-        ("grid.extents", config.grid.extents, None),
-        ("grid.points", config.grid.points, None),
-        ("params.omega", config.params.omega, None),
-        ("params.lambda1", config.params.lambda1, None),
-        ("params.lambda2", config.params.lambda2, None),
-        ("init.kind", config.init.kind, default.init.kind),
-        ("init.widths", config.init.widths, default.init.widths),
-        ("init.center", config.init.center, default.init.center),
-        ("init.beta", config.init.beta, default.init.beta),
-        ("init.epsilon", config.init.epsilon, default.init.epsilon),
-        ("init.alpha", config.init.alpha, default.init.alpha),
-        ("init.file", config.init.file, default.init.file),
-        ("dt", config.dt, default.dt),
-        ("T", config.T, default.T),
-        ("output.dir", config.output_dir, default.output_dir),
-        ("monitor.stride", config.monitor.stride, default.monitor.stride),
-        ("monitor.grad_factor", config.monitor.grad_factor, default.monitor.grad_factor),
-        ("monitor.grad_threshold", config.monitor.grad_threshold, default.monitor.grad_threshold),
-        ("monitor.spectral_tail", config.monitor.spectral_tail, default.monitor.spectral_tail),
-        ("kernel.kind", config.kernel.kind, default.kernel.kind),
-        ("kernel.transverse_omega", config.kernel.transverse_omega, default.kernel.transverse_omega),
-        ("reduction.target", config.reduction.target, default.reduction.target),
-        ("reduction.epsilons", config.reduction.epsilons, default.reduction.epsilons),
-        ("reduction.T", config.reduction.T, default.reduction.T),
-        ("reduction.samples", config.reduction.samples, default.reduction.samples),
-        ("reduction.u0_kind", config.reduction.u0_kind, default.reduction.u0_kind),
-        ("reduction.u0_width", config.reduction.u0_width, default.reduction.u0_width),
-        ("ledger.epsilons", config.ledger.epsilons, default.ledger.epsilons),
-        ("ledger.alpha", config.ledger.alpha, default.ledger.alpha),
-        ("ledger.f_width", config.ledger.f_width, default.ledger.f_width),
-        ("ledger.g_width", config.ledger.g_width, default.ledger.g_width),
-    ]
     lines = []
-    for key, value, default_value in pairs:
-        if value is None:
-            continue
-        if default_value is not None and value == default_value and key not in (
-            "grid.dim",
-            "grid.extents",
-            "grid.points",
-            "params.omega",
-            "params.lambda1",
-            "params.lambda2",
-        ):
+    for key, section, name, _ in _SCHEMA:
+        value = getattr(config if section is None else getattr(config, section), name)
+        if value is None or value == _DEFAULTS[key]:
             continue
         lines.append(f"{key} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
@@ -443,15 +363,14 @@ def build_initial_field(config: RunConfig, grid: SpectralGrid) -> WaveField:
         center = init.center or tuple(0.0 for _ in range(grid.dim))
         if len(center) != grid.dim:
             raise ConfigError([f"init.center needs {grid.dim} entries"])
-        values = np.ones(grid.shape, dtype=complex)
-        shifted_sq = np.zeros(grid.shape)
-        for width, c0, coord in zip(widths, center, grid.coord_mesh):
-            values = values * np.exp(-((coord - c0) ** 2) / (2.0 * width * width))
-            shifted_sq = shifted_sq + (coord - c0) ** 2
-        norm_sq = float(np.sum(values.real**2 + values.imag**2)) * grid.cell_volume
-        values /= math.sqrt(norm_sq)
+        shifted = [(coord - c0) ** 2 for c0, coord in zip(center, grid.coord_mesh)]
+        values = mesh_product(np.exp(-s / (2.0 * w * w)) for s, w in zip(shifted, widths))
+        # times the reciprocal, not a division: the frozen outputs hold a * (1/c)
+        values *= 1.0 / math.sqrt(float(np.sum(values * values)) * grid.cell_volume)
         if init.beta != 0.0:
-            values = values * np.exp(0.5j * init.beta * shifted_sq)
+            values = values * np.exp(0.5j * init.beta * mesh_sum(shifted))
+        else:
+            values = values.astype(complex)
         return WaveField(values=values, grid=grid, t=0.0)
     if init.kind == "unstable":
         widths = init.widths or (1.0,)

@@ -63,6 +63,21 @@ def mesh_sum(terms) -> np.ndarray:
     return total
 
 
+def mesh_product(factors) -> np.ndarray:
+    """Left-to-right product of per-axis sparse mesh factors.
+
+    The product counterpart of mesh_sum: the partial products stay
+    broadcast over the axes not yet reached, and the result is bit for
+    bit the accumulation 1 * f_1 * ... * f_d.  With the factors of every
+    axis it fills the full lattice once; with those of some axes it
+    stays broadcastable against it.
+    """
+    total = None
+    for factor in factors:
+        total = factor if total is None else total * factor
+    return total
+
+
 @dataclass(eq=False)
 class SpectralGrid:
     """Tensor-product lattice with cached coordinate and frequency meshes.

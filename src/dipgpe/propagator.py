@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import FFT_WORKERS, GridError, SpectralGrid, make_grid
+from .grid import FFT_WORKERS, GridError, SpectralGrid, make_grid, mesh_product
 from .kernel import KernelSymbol, _apply_symbol_real
 from .state import (
     FieldSpectrum,
@@ -129,13 +129,13 @@ def linear_eigenstate(grid: SpectralGrid, omega: Sequence[float]) -> tuple[WaveF
         )
     if any(w <= 0.0 for w in omega):
         raise ValueError("linear eigenstate requires all trap frequencies positive")
-    values = np.ones(grid.shape, dtype=complex)
-    for w, c in zip(omega, grid.coord_mesh):
-        values = values * ((w / math.pi) ** 0.25 * np.exp(-0.5 * w * c * c))
-    norm_sq = float(np.sum(values.real**2 + values.imag**2)) * grid.cell_volume
-    values /= math.sqrt(norm_sq)
+    values = mesh_product(
+        (w / math.pi) ** 0.25 * np.exp(-0.5 * w * c * c) for w, c in zip(omega, grid.coord_mesh)
+    )
+    # times the reciprocal, not a division: the frozen outputs hold a * (1/c)
+    values *= 1.0 / math.sqrt(float(np.sum(values * values)) * grid.cell_volume)
     mu = 0.5 * sum(omega)
-    return WaveField(values=values, grid=grid, t=0.0), mu
+    return WaveField(values=values.astype(complex), grid=grid, t=0.0), mu
 
 
 def _nonlinear_phase(

@@ -35,10 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, SpectralGrid, make_grid
+from .grid import GridError, SpectralGrid, make_grid, mesh_product
 from .kernel import Analytic3D, Effective1D, Effective2D, KernelSymbol, build_symbol
 from .propagator import CollapseReport, MonitorSpec, evolve
-from .state import ObservableSeries, PhysicalParams, WaveField
+from .state import ObservableSeries, PhysicalParams, WaveField, in_stable_cone
 
 SWEEP_HEADER = "epsilon,T,sup_err,slope_partner,excitation_sq"
 
@@ -122,7 +122,7 @@ class ReductionSetup:
         return effective_coupling(self.lambda1, self.transverse_omegas)
 
     def in_stable_regime(self) -> bool:
-        return self.lambda2 >= 0.0 and self.lambda1 >= (4.0 * math.pi / 3.0) * self.lambda2
+        return in_stable_cone(self.lambda1, self.lambda2)
 
 
 def reduced_params(setup: ReductionSetup) -> PhysicalParams:
@@ -190,11 +190,11 @@ def _tight_profile(
 
     Broadcastable against the 3D lattice: length one on the slow axes.
     """
-    out = np.ones(1)
-    for axis, w in zip(tight_axes, omegas):
-        c = grid3d.coord_mesh[axis]
-        out = out * ((w / math.pi) ** 0.25 * np.exp(-0.5 * w * c * c))
-    return out
+    mesh = grid3d.coord_mesh
+    return mesh_product(
+        (w / math.pi) ** 0.25 * np.exp(-0.5 * w * mesh[axis] * mesh[axis])
+        for axis, w in zip(tight_axes, omegas)
+    )
 
 
 def _factorized(chi: np.ndarray, u: np.ndarray, tight_axes: Sequence[int]) -> np.ndarray:

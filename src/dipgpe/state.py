@@ -40,6 +40,11 @@ from .kernel import apply_kernel  # noqa: F401  bench/tracer.py spans state.appl
 CSV_HEADER = "t,mass,E,Ekin,Epot,Ecubic,Edip,y,ydot,maxpsi,gradsq"
 
 
+def in_stable_cone(lambda1: float, lambda2: float) -> bool:
+    """lambda1 >= (4 pi / 3) lambda2 >= 0, the global-existence cone."""
+    return lambda2 >= 0.0 and lambda1 >= (4.0 * math.pi / 3.0) * lambda2
+
+
 @dataclass(eq=False)
 class PhysicalParams:
     """Trap frequencies and coupling constants.
@@ -74,8 +79,7 @@ class PhysicalParams:
         return min(self.omega)
 
     def in_stable_regime(self) -> bool:
-        """lambda1 >= (4 pi / 3) lambda2 >= 0, the global-existence cone."""
-        return self.lambda2 >= 0.0 and self.lambda1 >= (4.0 * math.pi / 3.0) * self.lambda2
+        return in_stable_cone(self.lambda1, self.lambda2)
 
     def potential(self, grid: SpectralGrid) -> np.ndarray:
         """Harmonic trap 0.5 * sum_j omega_j^2 x_j^2 on the full lattice."""

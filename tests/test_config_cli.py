@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import dipgpe
 import numpy as np
 import pytest
 
@@ -20,6 +25,7 @@ from dipgpe import (
     write_snapshot,
 )
 from dipgpe.cli import run_command
+from dipgpe.config import _SCHEMA
 
 MINIMAL = """
 grid.dim = 2
@@ -81,17 +87,36 @@ def test_missing_required_key():
 
 
 def test_all_errors_collected_in_one_pass():
-    text = MINIMAL + "\n".join(
+    text = MINIMAL.replace("params.lambda2 = 0.0\n", "") + "\n".join(
         [
             "dt = fast",
             "grid.species = boson",
             "reduction.target = radial",
             "params.lambda1 = 2.0",
+            "grid.dim = 3",
         ]
     )
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert len(err.value.errors) == 4
+    assert err.value.errors == [
+        "line 7: key 'dt': could not convert string to float: 'fast'",
+        "line 8: unknown key 'grid.species'",
+        "line 9: key 'reduction.target': expected one of 1d, 2d; got 'radial'",
+        "line 10: duplicate key 'params.lambda1' (first set on line 6)",
+        "line 11: duplicate key 'grid.dim' (first set on line 2)",
+        "missing required key 'params.lambda2'",
+    ]
+
+
+def test_bad_monitor_reported_under_its_section_before_validation():
+    text = MINIMAL + "monitor.stride = 0\ndt = -1e-3\nledger.alpha = -1.5\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [
+        "monitor: stride must be a positive integer",
+        "dt must be positive, got -0.001",
+        "ledger.alpha must be below -2",
+    ]
 
 
 def test_semantic_validation():
@@ -134,6 +159,99 @@ def test_serialize_parse_round_trip():
     assert serialize_config(parse_config(canon)) == canon
 
 
+def test_canonical_text_is_frozen():
+    # the round-trip config above; key order and number format are provenance
+    text = MINIMAL + "\n".join(
+        [
+            "dt = 5e-4",
+            "T = 2.5",
+            "init.kind = gaussian",
+            "init.widths = 1.3, 0.7",
+            "init.beta = 0.25",
+            "monitor.stride = 4",
+            "monitor.grad_threshold = 50.0",
+            "kernel.kind = effective2d",
+            "kernel.transverse_omega = 1.4",
+            "reduction.epsilons = 0.2, 0.1",
+            "ledger.f_width = 0.8",
+            "output.dir = runs/a",
+        ]
+    )
+    assert serialize_config(parse_config(text)) == (
+        "grid.dim = 2\n"
+        "grid.extents = 12,12\n"
+        "grid.points = 32,32\n"
+        "params.omega = 1,1\n"
+        "params.lambda1 = 1\n"
+        "params.lambda2 = 0\n"
+        "init.kind = gaussian\n"
+        "init.widths = 1.3,0.69999999999999996\n"
+        "init.beta = 0.25\n"
+        "dt = 0.00050000000000000001\n"
+        "T = 2.5\n"
+        "output.dir = runs/a\n"
+        "monitor.stride = 4\n"
+        "monitor.grad_threshold = 50\n"
+        "kernel.kind = effective2d\n"
+        "kernel.transverse_omega = 1.3999999999999999\n"
+        "reduction.epsilons = 0.20000000000000001,0.10000000000000001\n"
+        "ledger.f_width = 0.80000000000000004\n"
+    )
+
+
+EVERY_KEY = """
+grid.dim = 2
+grid.extents = 12, 10
+grid.points = 32, 24
+params.omega = 1.3, 0.7
+params.lambda1 = 2.5
+params.lambda2 = 0.25
+init.kind = file
+init.widths = 1.3, 0.7
+init.center = 0.5, -0.25
+init.beta = 0.25
+init.epsilon = 0.2
+init.alpha = -3.5
+init.file = seed.gpef
+dt = 5e-4
+T = 2.5
+output.dir = runs/a
+monitor.stride = 4
+monitor.grad_factor = 100
+monitor.grad_threshold = 50
+monitor.spectral_tail = 1e-4
+kernel.kind = effective2d
+kernel.transverse_omega = 1.4
+reduction.target = 2d
+reduction.epsilons = 0.2, 0.1
+reduction.T = 0.5
+reduction.samples = 3
+reduction.u0_kind = gaussian
+reduction.u0_width = 0.9
+ledger.epsilons = 0.3, 0.1
+ledger.alpha = -2.5
+ledger.f_width = 0.8
+ledger.g_width = 1.2
+"""
+
+
+def test_every_key_set_off_default_round_trips():
+    cfg = parse_config(EVERY_KEY)
+    canon = serialize_config(cfg)
+    keys = [line.split(" = ")[0] for line in canon.splitlines()]
+    # every key is written, so none of the values equals its default
+    assert keys == [key for key, _, _, _ in _SCHEMA] and len(keys) == 32
+    again = parse_config(canon)
+    assert again == cfg
+    assert serialize_config(again) == canon
+
+
+def test_every_config_key_is_documented_in_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [key for key, _, _, _ in _SCHEMA if f"`{key}`" not in readme]
+    assert missing == []
+
+
 def test_serialize_omits_defaults():
     canon = serialize_config(parse_config(MINIMAL))
     assert "dt" not in canon
@@ -165,6 +283,45 @@ def test_initial_field_gaussian_width_center_beta():
     )
     y, ydot = variance_and_rate(build_initial_field(centered, grid))
     assert ydot == pytest.approx(2.0 * 0.3 * y, rel=1e-10)
+
+
+def _gaussian_accumulated(grid, widths, center, beta):
+    # the former construction: complex passes from np.ones and np.zeros
+    values = np.ones(grid.shape, dtype=complex)
+    shifted_sq = np.zeros(grid.shape)
+    for width, c0, coord in zip(widths, center, grid.coord_mesh):
+        values = values * np.exp(-((coord - c0) ** 2) / (2.0 * width * width))
+        shifted_sq = shifted_sq + (coord - c0) ** 2
+    norm_sq = float(np.sum(values.real**2 + values.imag**2)) * grid.cell_volume
+    values /= math.sqrt(norm_sq)
+    if beta != 0.0:
+        values = values * np.exp(0.5j * beta * shifted_sq)
+    return values
+
+
+@pytest.mark.parametrize(
+    "extra, widths, center, beta",
+    [
+        ("", (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 0.0),
+        (
+            "init.widths = 0.9, 1.1, 1.05\ninit.center = 0.3, -0.2, 0.1\ninit.beta = 0.13\n",
+            (0.9, 1.1, 1.05),
+            (0.3, -0.2, 0.1),
+            0.13,
+        ),
+    ],
+)
+def test_initial_gaussian_is_the_accumulated_product_bit_for_bit(extra, widths, center, beta):
+    cfg = parse_config(
+        "grid.dim = 3\ngrid.extents = 16, 16, 16\ngrid.points = 48, 48, 48\n"
+        "params.omega = 1, 1, 1\nparams.lambda1 = 1\nparams.lambda2 = 0.3\n"
+        "init.kind = gaussian\n" + extra
+    )
+    grid = cfg.grid.build()
+    field = build_initial_field(cfg, grid)
+    expected = _gaussian_accumulated(grid, widths, center, beta)
+    assert field.values.dtype == complex and field.values.flags.c_contiguous
+    assert np.array_equal(field.values.view(np.uint64), expected.view(np.uint64))
 
 
 def test_initial_field_gaussian_bad_lengths():
@@ -536,3 +693,15 @@ def test_cli_overflowing_input_exits_1(tmp_path, capsys, extra):
 def test_reduction_step_count_must_be_finite():
     with pytest.raises(ConfigError, match="reduction.T / dt"):
         parse_config(MINIMAL + "reduction.T = 1e308\n")
+
+
+def test_python_m_dipgpe_runs_the_cli():
+    src = str(Path(dipgpe.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dipgpe", "selftest"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "all selftest checks passed"

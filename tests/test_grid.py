@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dipgpe import GridError, PhysicalParams, make_grid
+from dipgpe.grid import mesh_product
 
 
 def test_spacings_1d():
@@ -164,6 +165,21 @@ def test_lattice_tables_equal_the_accumulation_from_zeros(dim):
         assert table.shape == g.shape and table.flags.c_contiguous
         assert not any(np.shares_memory(table, m) for m in g.freq_mesh + g.coord_mesh)
         assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mesh_product_equals_the_accumulation_from_ones(dim):
+    g = make_grid(dim, [8.0, 10.0, 12.0][:dim], [16, 10, 12][:dim])
+    factors = [np.exp(-0.3 * (a + 1) * c * c) for a, c in enumerate(g.coord_mesh)]
+    expected = np.ones(g.shape)
+    for f in factors:
+        expected = expected * f
+    table = mesh_product(factors)
+    assert table.shape == g.shape and table.flags.c_contiguous
+    assert table.tobytes() == expected.tobytes()
+    if dim > 1:
+        # the factors of some axes stay broadcastable against the lattice
+        assert mesh_product(factors[1:]).shape == (1,) + g.shape[1:]
 
 
 def test_top_octave_mask_counts():

@@ -52,6 +52,29 @@ def test_linear_eigenstate_energies():
     assert mass(f3) == pytest.approx(1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "extents, points, omega",
+    [
+        ((16.0, 16.0, 16.0), (48, 48, 48), (1.0, 1.0, 1.0)),
+        ((12.0, 12.0, 16.0), (24, 24, 64), (1.1, 0.93, 1.0)),
+        ((16.0,), (64,), (0.84,)),
+        ((12.0, 10.0), (32, 24), (1.3, 0.7)),
+    ],
+)
+def test_linear_eigenstate_is_the_accumulated_product_bit_for_bit(extents, points, omega):
+    grid = make_grid(len(points), extents, points)
+    field, _ = linear_eigenstate(grid, omega)
+    # the former construction: a complex np.ones lattice times each factor
+    expected = np.ones(grid.shape, dtype=complex)
+    for w, c in zip(omega, grid.coord_mesh):
+        expected = expected * ((w / math.pi) ** 0.25 * np.exp(-0.5 * w * c * c))
+    expected /= math.sqrt(
+        float(np.sum(expected.real**2 + expected.imag**2)) * grid.cell_volume
+    )
+    assert field.values.dtype == complex and field.values.flags.c_contiguous
+    assert np.array_equal(field.values.view(np.uint64), expected.view(np.uint64))
+
+
 def test_linear_eigenstate_validation():
     g = make_grid(1, [12.0], [32])
     with pytest.raises(ValueError):

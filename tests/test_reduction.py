@@ -152,6 +152,21 @@ def test_well_prepared_data_mass_and_shape():
     assert mass(field) == pytest.approx(mass(u0), rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "tight_axes, omegas", [((0, 1), (1.0, 1.0)), ((0, 1), (1.07, 0.95)), ((0,), (1.2,))]
+)
+def test_tight_profile_is_the_accumulated_product_bit_for_bit(tight_axes, omegas):
+    g3 = make_grid(3, (12.0, 12.0, 16.0), (24, 24, 64))
+    # the former construction: np.ones(1) times each tight-axis factor
+    expected = np.ones(1)
+    for axis, w in zip(tight_axes, omegas):
+        c = g3.coord_mesh[axis]
+        expected = expected * ((w / math.pi) ** 0.25 * np.exp(-0.5 * w * c * c))
+    chi = reduction._tight_profile(g3, tight_axes, omegas)
+    assert chi.shape == expected.shape
+    assert np.array_equal(chi.view(np.uint64), expected.view(np.uint64))
+
+
 def test_well_prepared_data_grid_mismatch():
     u0 = axial_ground_state()
     s = ReductionSetup(0.2, OMEGA, 1.0, 0.0, u0, "1d")
