@@ -14,7 +14,6 @@ from .kernel import (
     KernelRealityError,
     KernelSymbol,
     QuadratureError,
-    QuadratureSpec,
     apply_kernel,
     bessel_radial_check,
     build_symbol,

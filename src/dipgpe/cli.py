@@ -28,20 +28,17 @@ from .config import (
     build_symbol_from_config,
     parse_config,
 )
-from .grid import GridError, make_grid
+from .grid import make_grid
 from .kernel import (
     Analytic3D,
     Effective1D,
     Effective2D,
-    KernelRealityError,
-    QuadratureError,
     bessel_radial_check,
     build_symbol,
     symbol3d,
 )
 from .propagator import (
     CollapseReport,
-    NonFiniteStateError,
     evolve,
     linear_eigenstate,
     strang_step,
@@ -387,10 +384,10 @@ def run_command(argv) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (ConfigError, GridError, OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonFiniteStateError, QuadratureError, KernelRealityError, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -171,14 +171,6 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------
 
-    def fftn(self, u: np.ndarray) -> np.ndarray:
-        """Raw unnormalized FFT (for multiplier application)."""
-        return _fft.fftn(u, workers=FFT_WORKERS)
-
-    def ifftn(self, u: np.ndarray) -> np.ndarray:
-        """Raw inverse FFT, including the 1/N factor."""
-        return _fft.ifftn(u, workers=FFT_WORKERS)
-
     def forward_transform(self, u: np.ndarray) -> np.ndarray:
         """Continuum-normalized forward transform on the frequency lattice.
 

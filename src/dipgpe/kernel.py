@@ -11,11 +11,14 @@ provided:
 * the analogous effective 2D symbol for tight confinement along the
   dipole axis.
 
-The effective symbols need one adaptive quadrature per distinct lattice
-frequency, so tabulations are cached to disk keyed by a content hash of
-the grid and trap frequencies.  The cache lives in the directory named by
-the GPE_CACHE_DIR environment variable, or ~/.cache/dipgpe when it is
-unset.
+The effective 1D symbol needs one adaptive quadrature per distinct
+lattice frequency, so its tabulations are cached to disk keyed by a
+content hash of the grid and trap frequencies.  The cache lives in the
+directory named by the GPE_CACHE_DIR environment variable, or
+~/.cache/dipgpe when it is unset.  The effective 2D symbol has the
+closed form (8/3) sqrt(pi omega3) - 2 pi R erfcx(R / (2 sqrt(omega3)))
+with R = |xi| (Cai, Rosenkranz, Lei, Bao, PRA 82, 043623 (2010)),
+tabulated on the lattice in one vectorized expression and not cached.
 
 The closed-form 3D symbol is evaluated on one octant of the lattice,
 indices 0..n/2 of each axis; fftfreq gives xi[n - k] = -xi[k] bit for bit,
@@ -58,15 +61,6 @@ class QuadratureError(ArithmeticError):
 
 class KernelRealityError(ArithmeticError):
     """Kernel application produced a non-negligible imaginary part."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the effective-symbol quadratures."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    limit: int = 200
 
 
 @dataclass(frozen=True)
@@ -159,8 +153,14 @@ def bessel_radial_check(r_max: float, tol: float) -> float:
     return refined
 
 
-def _quad(func, lo, hi, quad: QuadratureSpec, points=None) -> float:
-    kwargs = dict(epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.limit, full_output=1)
+# Tolerances of every effective-symbol quadrature.
+_QUAD_ABS_TOL = 1e-12
+_QUAD_REL_TOL = 1e-10
+_QUAD_LIMIT = 200
+
+
+def _quad(func, lo, hi, points=None) -> float:
+    kwargs = dict(epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL, limit=_QUAD_LIMIT, full_output=1)
     if points is not None and np.isfinite(hi):
         kwargs["points"] = points
     result = integrate.quad(func, lo, hi, **kwargs)
@@ -169,9 +169,7 @@ def _quad(func, lo, hi, quad: QuadratureSpec, points=None) -> float:
     return result[0]
 
 
-def symbol1d_effective(
-    xi3: float, omega1: float, omega2: float, quad: QuadratureSpec = QuadratureSpec()
-) -> float:
+def symbol1d_effective(xi3: float, omega1: float, omega2: float) -> float:
     """Effective 1D symbol at axial frequency xi3.
 
     Averages the 3D symbol against the transverse harmonic ground-state
@@ -198,14 +196,12 @@ def symbol1d_effective(
 
     split = 80.0 / (p - q)
     points = [xi3sq] if 0.0 < xi3sq < split else None
-    head = _quad(integrand, 0.0, split, quad, points=points)
-    tail = _quad(integrand, split, np.inf, quad)
+    head = _quad(integrand, 0.0, split, points=points)
+    tail = _quad(integrand, split, np.inf)
     return head + tail
 
 
-def symbol2d_effective(
-    xi1: float, xi2: float, omega3: float, quad: QuadratureSpec = QuadratureSpec()
-) -> float:
+def symbol2d_effective(xi1: float, xi2: float, omega3: float) -> float:
     """Effective 2D symbol at in-plane frequency (xi1, xi2).
 
     Averages the 3D symbol against the axial harmonic ground-state
@@ -215,7 +211,8 @@ def symbol2d_effective(
 
     with R^2 = xi1^2 + xi2^2.  Depends on (xi1, xi2) only through R,
     starts at (8/3) sqrt(pi omega3) and falls to -(4/3) sqrt(pi omega3)
-    as R -> inf.
+    as R -> inf.  build_symbol tabulates the closed form of this average
+    (module docstring); this quadrature is its reference.
     """
     if omega3 <= 0.0:
         raise ValueError("trap frequency must be positive")
@@ -229,8 +226,8 @@ def symbol2d_effective(
 
     split = math.sqrt(160.0 * omega3)
     points = [r] if 0.0 < r < split else None
-    head = _quad(integrand, 0.0, split, quad, points=points)
-    tail = _quad(integrand, split, np.inf, quad)
+    head = _quad(integrand, 0.0, split, points=points)
+    tail = _quad(integrand, split, np.inf)
     return head + tail
 
 
@@ -260,8 +257,8 @@ class KernelSymbol:
     values are stored in FFT order.  half_values is the slice matching
     the real-input transform layout; the propagator and the dipolar
     energy use it to halve the cost of the nonlocal term.  Both read only
-    the even part of the symbol, so the first use of half_values checks
-    evenness.
+    the even part of the symbol, so half_values requires evenness; the
+    verdict is computed once and shared with validate.
     """
 
     dim: int
@@ -270,8 +267,12 @@ class KernelSymbol:
     grid: SpectralGrid
 
     @cached_property
+    def _even(self) -> bool:
+        return self._is_even()
+
+    @cached_property
     def half_values(self) -> np.ndarray:
-        if not self._is_even():
+        if not self._even:
             raise KernelRealityError(
                 "symbol is not even on the frequency lattice; its real-transform "
                 "application would drop the odd part"
@@ -300,7 +301,7 @@ class KernelSymbol:
             bound = self._effective_bound() * (1.0 + 1e-8) + 1e-10
             if max(hi, -lo) > bound:
                 raise ValueError("effective symbol values exceed the analytic envelope")
-        if not self._is_even():
+        if not self._even:
             raise ValueError("symbol is not even on the frequency lattice")
 
     def _is_even(self) -> bool:
@@ -339,35 +340,31 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "dipgpe"
 
 
-def _cache_omegas(provenance: Provenance) -> tuple[float, ...]:
-    if isinstance(provenance, Effective1D):
-        return (provenance.omega1, provenance.omega2)
-    if isinstance(provenance, Effective2D):
-        return (provenance.omega3,)
-    return ()
+def _cache_header(grid: SpectralGrid, provenance: Effective1D) -> list[str]:
+    omegas = (provenance.omega1, provenance.omega2)
+    return (
+        ["GPEK1", "v1", str(grid.dim)]
+        + [str(n) for n in grid.shape]
+        + [f"{w:.17g}" for w in omegas]
+    )
 
 
-def _cache_path(grid: SpectralGrid, provenance: Provenance, base: Path) -> Path:
+def _cache_path(grid: SpectralGrid, provenance: Effective1D, base: Path) -> Path:
     key = "|".join(
         [
             type(provenance).__name__,
             repr(grid.dim),
             ",".join(repr(n) for n in grid.shape),
             ",".join(repr(L) for L in grid.extents),
-            ",".join(repr(w) for w in _cache_omegas(provenance)),
+            ",".join(repr(w) for w in (provenance.omega1, provenance.omega2)),
         ]
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
     return base / f"symbol-{digest}.gpek1"
 
 
-def _write_cache(path: Path, grid: SpectralGrid, provenance: Provenance, values: np.ndarray) -> None:
-    omegas = _cache_omegas(provenance)
-    header = " ".join(
-        ["GPEK1", "v1", str(grid.dim)]
-        + [str(n) for n in grid.shape]
-        + [f"{w:.17g}" for w in omegas]
-    )
+def _write_cache(path: Path, grid: SpectralGrid, provenance: Effective1D, values: np.ndarray) -> None:
+    header = " ".join(_cache_header(grid, provenance))
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -381,20 +378,14 @@ def _write_cache(path: Path, grid: SpectralGrid, provenance: Provenance, values:
         raise
 
 
-def _read_cache(path: Path, grid: SpectralGrid, provenance: Provenance) -> "np.ndarray | None":
+def _read_cache(path: Path, grid: SpectralGrid, provenance: Effective1D) -> "np.ndarray | None":
     try:
         with open(path, "rb") as fh:
             header = fh.readline().decode("ascii").split()
             payload = fh.read()
     except (OSError, UnicodeDecodeError):
         return None
-    omegas = _cache_omegas(provenance)
-    expected = (
-        ["GPEK1", "v1", str(grid.dim)]
-        + [str(n) for n in grid.shape]
-        + [f"{w:.17g}" for w in omegas]
-    )
-    if header != expected:
+    if header != _cache_header(grid, provenance):
         return None
     values = np.frombuffer(payload, dtype="<f8")
     if values.size != grid.size:
@@ -402,25 +393,24 @@ def _read_cache(path: Path, grid: SpectralGrid, provenance: Provenance) -> "np.n
     return values.reshape(grid.shape).astype(float)
 
 
-def build_symbol(
-    grid: SpectralGrid,
-    provenance: Provenance,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> KernelSymbol:
+def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     """Tabulate a symbol on the grid's frequency lattice.
 
     The provenance selects the family and carries its trap frequencies;
-    its dimension must match the grid.  Effective tabulations are cached
-    on disk (see module docstring); the closed-form 3D symbol is cheap
-    and never cached: symbol3d runs on the octant of indices 0..n/2 per
-    axis and one mirrored slice copy per axis fills the rest, bit for bit
-    the values symbol3d gives on the full lattice.
+    its dimension must match the grid.  The closed-form 3D symbol runs on
+    the octant of indices 0..n/2 per axis and one mirrored slice copy per
+    axis fills the rest, bit for bit the values symbol3d gives on the
+    full lattice.  The effective 2D symbol is its closed form on
+    grid.ksq.  Neither is cached.  The effective 1D symbol takes one
+    quadrature per distinct |xi3| and is cached on disk (see module
+    docstring).
     """
     if provenance.dim != grid.dim:
         raise GridError(
             f"provenance is {provenance.dim}-dimensional but grid is {grid.dim}-dimensional"
         )
 
+    write_to = None
     if isinstance(provenance, Analytic3D):
         # symbol3d on indices 0..n/2 of each axis; index n - k holds -xi[k]
         # bit for bit, so the rest of each axis is a mirrored copy
@@ -433,44 +423,31 @@ def build_symbol(
             values[head + (upper,) + octant[axis + 1 :]] = values[
                 head + (lower,) + octant[axis + 1 :]
             ]
-        symbol = KernelSymbol(dim=3, values=values, provenance=provenance, grid=grid)
-        symbol.validate()
-        return symbol
-
-    path = _cache_path(grid, provenance, _cache_dir())
-    cached = _read_cache(path, grid, provenance)
-    if cached is not None:
-        symbol = KernelSymbol(dim=grid.dim, values=cached, provenance=provenance, grid=grid)
-        symbol.validate()
-        return symbol
-
-    if isinstance(provenance, Effective1D):
-        xi = grid.freqs[0]
-        magnitudes, inverse = np.unique(np.abs(xi), return_inverse=True)
-        table = np.array(
-            [
-                symbol1d_effective(m, provenance.omega1, provenance.omega2, quad)
-                for m in magnitudes
-            ]
-        )
-        values = table[inverse]
     elif isinstance(provenance, Effective2D):
-        rsq = np.asarray(grid.ksq)
-        magnitudes, inverse = np.unique(rsq.ravel(), return_inverse=True)
-        table = np.array(
-            [
-                symbol2d_effective(math.sqrt(m), 0.0, provenance.omega3, quad)
-                for m in magnitudes
-            ]
+        w3 = provenance.omega3
+        if w3 <= 0.0:
+            raise ValueError("trap frequency must be positive")
+        r = np.sqrt(grid.ksq)
+        values = (8.0 / 3.0) * math.sqrt(math.pi * w3) - 2.0 * math.pi * r * special.erfcx(
+            r / (2.0 * math.sqrt(w3))
         )
-        values = table[inverse].reshape(grid.shape)
+    elif isinstance(provenance, Effective1D):
+        path = _cache_path(grid, provenance, _cache_dir())
+        values = _read_cache(path, grid, provenance)
+        if values is None:
+            write_to = path
+            magnitudes, inverse = np.unique(np.abs(grid.freqs[0]), return_inverse=True)
+            table = np.array(
+                [symbol1d_effective(m, provenance.omega1, provenance.omega2) for m in magnitudes]
+            )
+            values = np.ascontiguousarray(table[inverse], dtype=float)
     else:
         raise TypeError(f"unknown provenance {provenance!r}")
 
-    values = np.ascontiguousarray(values, dtype=float)
     symbol = KernelSymbol(dim=grid.dim, values=values, provenance=provenance, grid=grid)
     symbol.validate()
-    _write_cache(path, grid, provenance, values)
+    if write_to is not None:
+        _write_cache(write_to, grid, provenance, values)
     return symbol
 
 

@@ -262,7 +262,6 @@ def evolve_rescaled_3d(
     dt: float,
     T: float,
     sample_times: Sequence[float],
-    monitor: "MonitorSpec | None" = None,
 ) -> list[tuple[float, WaveField]]:
     """Run the companion 3D problem; return stretched-frame snapshots.
 
@@ -283,9 +282,6 @@ def evolve_rescaled_3d(
     dt_clamp = min(dt, setup.epsilon**2 / (20.0 * setup.mu0))
     dt_eff = _snap_step(dt_clamp, T, len(times))
     n_total = int(round(T / dt_eff))
-    stride = max(1, n_total // 200)
-    if monitor is None:
-        monitor = MonitorSpec(stride=stride)
 
     snapshots: list[tuple[float, WaveField]] = []
 
@@ -300,7 +296,7 @@ def evolve_rescaled_3d(
         symbol,
         dt=dt_eff,
         T=T,
-        monitor=monitor,
+        monitor=MonitorSpec(stride=max(1, n_total // 200)),
         callback=grab,
         sample_times=times,
         warn_resolution=False,

@@ -68,6 +68,12 @@ def blowup_time_bound(params: PhysicalParams) -> float:
     return math.pi / (2.0 * params.omega_min)
 
 
+def _bootstrap_scale(M: float, params: PhysicalParams, gn_constant: float) -> tuple[float, float]:
+    """eps2 = gn_constant * (4 pi lambda2 / 3 - lambda1) * sqrt(M) and (3 eps2 / 2)^(-2)."""
+    eps2 = gn_constant * ((4.0 * math.pi / 3.0) * params.lambda2 - params.lambda1) * math.sqrt(M)
+    return eps2, (1.5 * eps2) ** -2
+
+
 def bootstrap_check(
     E: float,
     M: float,
@@ -102,8 +108,7 @@ def bootstrap_check(
         raise ValueError("bootstrap check requires positive energy")
     if M < 0.0 or grad_sq < 0.0:
         raise ValueError("mass and gradient norm must be nonnegative")
-    eps2 = gn_constant * gap * math.sqrt(M)
-    cap = (1.5 * eps2) ** -2
+    _, cap = _bootstrap_scale(M, params, gn_constant)
     return (2.0 * E < cap / 3.0) and (grad_sq <= cap)
 
 
@@ -151,8 +156,7 @@ def classify(
             return RegimeCertificate(VERDICT_BLOWUP, t_bound, evidence)
 
     if params.lambda2 >= 0.0 and E > 0.0:
-        eps2 = gn_constant * ((4.0 * math.pi / 3.0) * params.lambda2 - params.lambda1) * math.sqrt(M)
-        cap = (1.5 * eps2) ** -2
+        eps2, cap = _bootstrap_scale(M, params, gn_constant)
         evidence["bootstrap_eps2"] = eps2
         evidence["bootstrap_energy_cap"] = cap / 3.0
         evidence["bootstrap_grad_cap"] = cap

@@ -39,6 +39,9 @@ from .kernel import apply_kernel  # noqa: F401  bench/tracer.py spans state.appl
 
 CSV_HEADER = "t,mass,E,Ekin,Epot,Ecubic,Edip,y,ydot,maxpsi,gradsq"
 
+# Top-octave share of the spectral mass above which check_resolution warns.
+_TAIL_WARN = 1e-6
+
 
 def in_stable_cone(lambda1: float, lambda2: float) -> bool:
     """lambda1 >= (4 pi / 3) lambda2 >= 0, the global-existence cone."""
@@ -108,10 +111,6 @@ class WaveField:
 
     def copy(self) -> "WaveField":
         return WaveField(values=self.values.copy(), grid=self.grid, t=self.t)
-
-    def spectrum(self) -> np.ndarray:
-        """Continuum-normalized Fourier coefficients (FFT order)."""
-        return self.grid.forward_transform(self.values)
 
 
 @dataclass(frozen=True)
@@ -298,15 +297,11 @@ def field_std(field: WaveField) -> tuple[float, ...]:
     return tuple(out)
 
 
-def check_resolution(
-    field: WaveField,
-    tail_warn: float = 1e-6,
-    spectrum: "FieldSpectrum | None" = None,
-) -> None:
+def check_resolution(field: WaveField, spectrum: "FieldSpectrum | None" = None) -> None:
     """Warn when the box or the lattice look too small for the state.
 
     The box should span at least 8 standard deviations per axis so the
-    periodic images stay negligible, and no more than tail_warn of the
+    periodic images stay negligible, and no more than 1e-6 of the
     spectral mass should sit in the top frequency octave.
     """
     grid = field.grid
@@ -320,9 +315,9 @@ def check_resolution(
                 stacklevel=2,
             )
     tail = spectral_tail_fraction(field, spectrum)
-    if tail > tail_warn:
+    if tail > _TAIL_WARN:
         warnings.warn(
-            f"spectral tail fraction {tail:.3e} exceeds {tail_warn:g}; "
+            f"spectral tail fraction {tail:.3e} exceeds {_TAIL_WARN:g}; "
             "the state is marginally resolved",
             RuntimeWarning,
             stacklevel=2,

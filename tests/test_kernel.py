@@ -12,7 +12,6 @@ from dipgpe import (
     KernelRealityError,
     KernelSymbol,
     QuadratureError,
-    QuadratureSpec,
     apply_kernel,
     bessel_radial_check,
     build_symbol,
@@ -158,13 +157,6 @@ def test_symbol2d_rotational_symmetry():
         )
 
 
-def test_quadrature_spec_is_frozen():
-    spec = QuadratureSpec()
-    assert spec.abs_tol == 1e-12
-    with pytest.raises(AttributeError):
-        spec.abs_tol = 1e-3
-
-
 def test_build_symbol_3d_lattice():
     g = make_grid(3, [12.0, 12.0, 12.0], [16, 16, 16])
     sym = build_symbol(g, Analytic3D())
@@ -199,6 +191,42 @@ def test_build_symbol_2d_values_match_pointwise(tmp_path, monkeypatch):
         ]
     )
     assert np.allclose(sym.values, direct, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "shape, extents, omega3",
+    [
+        ((16, 12), (18.0, 14.0), 0.9),
+        ((64, 64), (16.0, 16.0), 1.0),
+        ((24, 24), (12.0, 12.0), 100.0),
+    ],
+)
+def test_effective2d_symbol_is_the_closed_form(tmp_path, monkeypatch, shape, extents, omega3):
+    monkeypatch.setenv("GPE_CACHE_DIR", str(tmp_path))
+    g = make_grid(2, extents, shape)
+    values = build_symbol(g, Effective2D(omega3)).values
+    magnitudes, inverse = np.unique(np.sqrt(g.ksq), return_inverse=True)
+    reference = np.array([symbol2d_effective(r, 0.0, omega3) for r in magnitudes])
+    assert np.max(np.abs(values - reference[inverse].reshape(shape))) <= 1e-13
+    mirrored = values[np.ix_(*[-np.arange(n) % n for n in shape])]
+    assert np.array_equal(values.view(np.uint64), mirrored.view(np.uint64))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_built_symbol_checks_evenness_once(monkeypatch):
+    calls = []
+    is_even = KernelSymbol._is_even
+
+    def counted(self):
+        calls.append(self)
+        return is_even(self)
+
+    monkeypatch.setattr(KernelSymbol, "_is_even", counted)
+    g = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
+    sym = build_symbol(g, Analytic3D())
+    sym.half_values
+    sym.validate()
+    assert len(calls) == 1
 
 
 def test_build_symbol_dim_mismatch():
