@@ -12,12 +12,20 @@ Across consecutive steps the two adjacent kinetic half-steps fuse into
 one full step, so the integrator carries the pre-B state y and only
 materializes the physical field at sampling times.  strang_step and
 evolve share one step routine (_Splitting): B(dt) builds the half angle
--(dt/2) (V + lambda1 rho + lambda2 K*rho) in a work buffer, with dt/2
-folded into the trap once, turns it into the rotor exp(i theta) through
-one tangent (the half-angle formulas, see _nonlinear_phase) in one
-complex buffer and multiplies y in place; the forward transform of the
-result and the kinetic multiply reuse the same array.  A step costs two
-complex and two real transforms.
+-(dt/2) (V + lambda1 rho + lambda2 K*rho), turns it into the rotor
+exp(i theta) through one tangent (the half-angle formulas, see
+_nonlinear_phase) and multiplies y in place; the forward transform of
+the result and the kinetic multiply reuse the same array.  A step costs
+two complex and two real transforms.
+
+The pointwise passes of a step run over flat blocks of _BLOCK elements,
+so each block's work stays in cache.  B(dt) makes two block loops, one
+for the density, which the convolution needs whole, and one for the
+half angle, the rotor and the multiply; the full kinetic step forms
+khalf^2 per block.  The step holds two full lattices, the density and
+khalf, and block scratch; every element goes through the same
+operations as in full-lattice passes, so the results are the same to
+the last bit.
 
 At a sample, the spectrum the loop already holds gives psi_hat.  The
 collapse monitor runs on the calling thread: the gradient norm and the
@@ -138,12 +146,18 @@ def linear_eigenstate(grid: SpectralGrid, omega: Sequence[float]) -> tuple[WaveF
     return WaveField(values=values.astype(complex), grid=grid, t=0.0), mu
 
 
+# Elements per block of the pointwise passes of a step.  A block's real
+# scratch is 512 KiB and its complex scratch 1 MiB, so the passes over one
+# block run in cache; a lattice no larger than one block runs as one block.
+_BLOCK = 1 << 16
+
+
 def _nonlinear_phase(
     values: np.ndarray,
     dt: float,
     params: PhysicalParams,
     symbol: "KernelSymbol | None",
-    trap_dt: np.ndarray,
+    potential: np.ndarray,
     rho: np.ndarray,
     phase: np.ndarray,
     rotor: np.ndarray,
@@ -155,27 +169,56 @@ def _nonlinear_phase(
     sin theta = 2t/(1+t^2): one tan in place of a cos and a sin, because
     numpy vectorizes float64 tan on x86-64 with AVX-512 but runs cos and
     sin scalar there.  At theta = pi, the pole of tan(theta/2), t is
-    about 1.6e16, 1 + t^2 stays finite and the rotor is -1.  trap_dt is
-    -(dt/2) V; rho and phase are real and rotor complex work buffers of
-    the lattice shape.
+    about 1.6e16, 1 + t^2 stays finite and the rotor is -1.
+
+    values, the trap potential V and the real work buffer rho are
+    C-contiguous arrays of the lattice shape.  The pointwise passes run
+    over flat blocks of at most _BLOCK elements: the first fills rho, the
+    input of the convolution, and the second forms theta/2 per block as
+    ((rho * c1) + (-dt/2) V) + (K*rho) * c2 in phase, then the rotor in
+    rotor, and multiplies.  phase (real) and rotor (complex) are block
+    scratch of at least min(_BLOCK, values.size) elements.
     """
-    np.multiply(values.real, values.real, out=rho)
-    np.multiply(values.imag, values.imag, out=phase)
-    rho += phase
-    np.multiply(rho, -0.5 * dt * params.lambda1, out=phase)
-    phase += trap_dt
+    y_flat = values.reshape(-1)
+    rho_flat = rho.reshape(-1)
+    v_flat = potential.reshape(-1)
+    blocks = range(0, y_flat.size, _BLOCK)
+    for start in blocks:
+        stop = start + _BLOCK
+        y = y_flat[start:stop]
+        r = rho_flat[start:stop]
+        w = phase[: y.size]
+        np.multiply(y.real, y.real, out=r)
+        np.multiply(y.imag, y.imag, out=w)
+        r += w
+    phi = None
     if params.lambda2 != 0.0:
-        phi = _apply_symbol_real(symbol, rho)
-        phi *= -0.5 * dt * params.lambda2
-        phase += phi
-    # phase holds theta/2; rho becomes 2/(1+t^2)
-    np.tan(phase, out=phase)
-    np.multiply(phase, phase, out=rho)
-    rho += 1.0
-    np.divide(2.0, rho, out=rho)
-    np.subtract(rho, 1.0, out=rotor.real)
-    np.multiply(phase, rho, out=rotor.imag)
-    values *= rotor
+        phi = _apply_symbol_real(symbol, rho).reshape(-1)
+    c0 = -0.5 * dt
+    c1 = -0.5 * dt * params.lambda1
+    c2 = -0.5 * dt * params.lambda2
+    for start in blocks:
+        stop = start + _BLOCK
+        y = y_flat[start:stop]
+        r = rho_flat[start:stop]
+        w = phase[: y.size]
+        z = rotor[: y.size]
+        np.multiply(r, c1, out=w)
+        # rho is spent once read: it takes the trap term, then 2/(1+t^2)
+        np.multiply(v_flat[start:stop], c0, out=r)
+        w += r
+        if phi is not None:
+            p = phi[start:stop]
+            p *= c2
+            w += p
+        # w holds theta/2
+        np.tan(w, out=w)
+        np.multiply(w, w, out=r)
+        r += 1.0
+        np.divide(2.0, r, out=r)
+        np.subtract(r, 1.0, out=z.real)
+        np.multiply(w, r, out=z.imag)
+        y *= z
 
 
 class _Splitting:
@@ -183,7 +226,12 @@ class _Splitting:
 
     The step is carried on the pre-B state y = A(dt/2) psi: ``advance``
     applies B(dt) to y in place and returns the spectrum of the result,
-    from which ``kinetic`` with khalf gives psi and with kfull the next y.
+    from which ``kinetic`` with khalf gives psi and ``kinetic_full`` the
+    next y.  It owns two full lattices: rho, the density the convolution
+    transforms, and khalf, the half-step kinetic phase.  phase and rotor
+    are block scratch, min(_BLOCK, grid.size) long.  The trap term
+    (-dt/2) V is formed per block from the potential the caller holds,
+    and the full-step phase khalf^2 per block in rotor.
     """
 
     def __init__(
@@ -201,20 +249,22 @@ class _Splitting:
         self.symbol = symbol
         self.potential_mesh = potential_mesh
         self.rho = np.empty(grid.shape)
-        self.phase = np.empty(grid.shape)
-        self.rotor = np.empty(grid.shape, dtype=complex)
+        self.khalf = np.empty(grid.shape, dtype=complex)
+        self._khalf_flat = self.khalf.reshape(-1)
+        block = min(_BLOCK, grid.size)
+        self.phase = np.empty(block)
+        self.rotor = np.empty(block, dtype=complex)
         self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
         self.dt = dt
-        self.khalf = np.exp(-0.25j * dt * self.grid.ksq)
-        self.kfull = self.khalf * self.khalf
-        self.trap_dt = (-0.5 * dt) * self.potential_mesh
+        np.multiply(self.grid.ksq, -0.25j * dt, out=self.khalf)
+        np.exp(self.khalf, out=self.khalf)
 
     def advance(self, y: np.ndarray) -> np.ndarray:
         """B(dt) on y in place, then its forward transform (reusing y)."""
         _nonlinear_phase(
-            y, self.dt, self.params, self.symbol, self.trap_dt,
+            y, self.dt, self.params, self.symbol, self.potential_mesh,
             self.rho, self.phase, self.rotor,
         )
         return _fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True)
@@ -223,6 +273,18 @@ class _Splitting:
     def kinetic(spec: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         """Inverse transform of spec * multiplier, reusing spec."""
         spec *= multiplier
+        return _fft.ifftn(spec, workers=FFT_WORKERS, overwrite_x=True)
+
+    def kinetic_full(self, spec: np.ndarray) -> np.ndarray:
+        """Inverse transform of spec * khalf^2, reusing spec."""
+        flat = spec.reshape(-1)
+        for start in range(0, flat.size, _BLOCK):
+            stop = start + _BLOCK
+            k = self._khalf_flat[start:stop]
+            s = flat[start:stop]
+            kfull = self.rotor[: k.size]
+            np.multiply(k, k, out=kfull)
+            s *= kfull
         return _fft.ifftn(spec, workers=FFT_WORKERS, overwrite_x=True)
 
 
@@ -469,7 +531,7 @@ def evolve(
                     return series, report
                 if step == n_steps:
                     return series, psi
-            y = split.kinetic(w_spec, split.kfull)
+            y = split.kinetic_full(w_spec)
 
     raise AssertionError("unreachable: loop must return at the final step")
 

@@ -130,10 +130,15 @@ class FieldSpectrum:
     """Raw transform fftn(psi) of a field (FFT order, unnormalized).
 
     The power |psi_hat|^2 is computed once, on first use, and shared by
-    every observable that reads it.
+    every observable that reads it.  So is the gradient norm: the first
+    gradient_norm_sq of the spectrum keeps it, with the grid it was
+    summed on, and a later call on that grid returns it.
     """
 
     values: np.ndarray
+    _grad_sq: "tuple[SpectralGrid, float] | None" = dataclass_field(
+        default=None, init=False, repr=False
+    )
 
     @cached_property
     def power(self) -> np.ndarray:
@@ -168,7 +173,11 @@ def gradient_norm_sq(field: WaveField, spectrum: "FieldSpectrum | None" = None) 
     grid = field.grid
     if spectrum is None:
         spectrum = field_spectrum(field)
-    return float(np.sum(grid.ksq * spectrum.power)) * grid.cell_volume / grid.size
+    elif spectrum._grad_sq is not None and spectrum._grad_sq[0] is grid:
+        return spectrum._grad_sq[1]
+    value = float(np.sum(grid.ksq * spectrum.power)) * grid.cell_volume / grid.size
+    spectrum._grad_sq = (grid, value)
+    return value
 
 
 def quartic_norm(field: WaveField) -> float:
@@ -248,9 +257,8 @@ def _variance_rate(field: WaveField, spectrum: "FieldSpectrum | None") -> float:
     if spectrum is None:
         spectrum = field_spectrum(field)
     psi = field.values
-    # one complex and one real buffer serve every axis
+    # one complex buffer serves every axis
     g = np.empty_like(spectrum.values)
-    re = np.empty(grid.shape)
     acc = 0.0
     for freq, coord in zip(grid.freq_mesh, grid.coord_mesh):
         # g = ifftn(xi_j psi_hat) = -i d_j psi, so the integrand
@@ -260,9 +268,11 @@ def _variance_rate(field: WaveField, spectrum: "FieldSpectrum | None") -> float:
         np.multiply(freq, spectrum.values, out=g)
         g = _fft.ifftn(g, workers=FFT_WORKERS, overwrite_x=True)
         g *= coord
-        np.multiply(psi.real, g.real, out=re)
-        # g.imag is spent once read, so it takes the second product
-        re += np.multiply(psi.imag, g.imag, out=g.imag)
+        # each half of g is spent once read, so it takes its own product
+        re, im = g.real, g.imag
+        np.multiply(psi.real, re, out=re)
+        np.multiply(psi.imag, im, out=im)
+        re += im
         acc += float(np.sum(re))
     return 2.0 * acc * grid.cell_volume
 

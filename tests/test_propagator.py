@@ -9,6 +9,8 @@ from scipy import fft as scipy_fft
 from dipgpe import (
     Analytic3D,
     CollapseReport,
+    Effective1D,
+    Effective2D,
     GridError,
     MonitorSpec,
     NonFiniteStateError,
@@ -484,10 +486,155 @@ def test_nonlinear_phase_rotor_matches_exp_i_theta():
     values = np.ones(theta.shape, dtype=complex)
     rho, phase = np.empty(theta.shape), np.empty(theta.shape)
     rotor = np.empty(theta.shape, dtype=complex)
-    propagator_module._nonlinear_phase(values, 1.0, p, None, 0.5 * theta, rho, phase, rotor)
+    propagator_module._nonlinear_phase(values, 1.0, p, None, -theta, rho, phase, rotor)
     assert np.max(np.abs(values - np.exp(1j * theta))) <= 1e-15
     assert np.max(np.abs(np.abs(values) - 1.0)) <= 1e-15
     assert values[0].real == -1.0 and values[1].real == -1.0
+
+
+class UnblockedSplitting:
+    """The splitting step with full-lattice passes, as it ran unblocked.
+
+    Full-lattice work buffers, the trap term (-dt/2) V and the full-step
+    phase khalf^2 precomputed: the reference the blocked step must match
+    bit for bit.
+    """
+
+    def __init__(self, grid, dt, params, symbol, potential):
+        self.dt, self.params, self.symbol = dt, params, symbol
+        self.rho = np.empty(grid.shape)
+        self.phase = np.empty(grid.shape)
+        self.rotor = np.empty(grid.shape, dtype=complex)
+        self.khalf = np.exp(-0.25j * dt * grid.ksq)
+        self.kfull = self.khalf * self.khalf
+        self.trap_dt = (-0.5 * dt) * potential
+
+    def advance(self, values):
+        rho, phase, rotor = self.rho, self.phase, self.rotor
+        dt, params = self.dt, self.params
+        np.multiply(values.real, values.real, out=rho)
+        np.multiply(values.imag, values.imag, out=phase)
+        rho += phase
+        np.multiply(rho, -0.5 * dt * params.lambda1, out=phase)
+        phase += self.trap_dt
+        if params.lambda2 != 0.0:
+            phi = scipy_fft.irfftn(
+                scipy_fft.rfftn(rho) * self.symbol.half_values, s=rho.shape
+            )
+            phi *= -0.5 * dt * params.lambda2
+            phase += phi
+        np.tan(phase, out=phase)
+        np.multiply(phase, phase, out=rho)
+        rho += 1.0
+        np.divide(2.0, rho, out=rho)
+        np.subtract(rho, 1.0, out=rotor.real)
+        np.multiply(phase, rho, out=rotor.imag)
+        values *= rotor
+        return scipy_fft.fftn(values, overwrite_x=True)
+
+    @staticmethod
+    def kinetic(spec, multiplier):
+        spec *= multiplier
+        return scipy_fft.ifftn(spec, overwrite_x=True)
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+BLOCK = propagator_module._BLOCK
+
+# Lattices below, at and above one block, one of them not a multiple of it.
+BLOCKED_CASES = [
+    # dim, extents, points, omega, lambda1, lambda2, symbol provenance
+    (1, (20.0,), (64,), (1.0,), 1.0, 0.5, Effective1D(1.0, 1.0)),
+    (1, (400.0,), (BLOCK,), (0.01,), 2.0, 0.0, None),
+    (1, (600.0,), (BLOCK + 4464,), (0.01,), 0.0, 0.0, None),
+    (2, (14.0, 12.0), (32, 24), (1.0, 1.3), 1.0, 0.4, Effective2D(2.0)),
+    (2, (24.0, 24.0), (256, 256), (1.0, 1.0), 0.0, 0.3, Effective2D(1.0)),
+    (3, (10.0, 10.0, 12.0), (16, 16, 16), (1.0, 1.0, 1.0), 1.0, 0.3, Analytic3D()),
+    (3, (10.0, 10.0, 12.0), (64, 64, 16), (1.0, 1.0, 1.0), 1.0, 0.0, None),
+    (3, (10.0, 10.0, 12.0), (40, 40, 48), (1.0, 0.9, 1.1), 1.0, 0.3, Analytic3D()),
+    (3, (10.0, 10.0, 12.0), (40, 40, 48), (1.0, 0.9, 1.1), 0.0, -0.8, Analytic3D()),
+]
+
+
+def chirped_gaussian(grid):
+    center = np.linspace(0.3, -0.2, grid.dim)
+    arg = sum(
+        -((x - c) ** 2) / (0.12 * L) ** 2 + 0.3j * (x - c) ** 2
+        for x, c, L in zip(grid.coord_mesh, center, grid.extents)
+    )
+    values = np.exp(arg)
+    values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.cell_volume)
+    return WaveField(values, grid)
+
+
+@pytest.mark.parametrize("dim, extents, points, omega, lambda1, lambda2, prov", BLOCKED_CASES)
+def test_blocked_step_is_bit_identical(dim, extents, points, omega, lambda1, lambda2, prov):
+    g = make_grid(dim, extents, points)
+    p = PhysicalParams(dim, omega, lambda1, lambda2)
+    sym = build_symbol(g, prov) if prov is not None else None
+    f0 = chirped_gaussian(g)
+    dt = 2.0**-9
+    potential = p.potential(g)
+    ref = UnblockedSplitting(g, dt, p, sym, potential)
+    split = propagator_module._Splitting(g, dt, p, sym, potential)
+    assert np.array_equal(bits(split.khalf), bits(ref.khalf))
+
+    # advance, then each kinetic multiply
+    y_ref, y = f0.values.copy(), f0.values.copy()
+    w_ref, w = ref.advance(y_ref), split.advance(y)
+    assert np.array_equal(bits(w), bits(w_ref))
+    half_ref = ref.kinetic(w_ref.copy(), ref.khalf)
+    assert np.array_equal(bits(split.kinetic(w.copy(), split.khalf)), bits(half_ref))
+    full_ref = ref.kinetic(w_ref, ref.kfull)
+    assert np.array_equal(bits(split.kinetic_full(w)), bits(full_ref))
+
+    # one strang_step
+    y_ref = ref.kinetic(scipy_fft.fftn(f0.values), ref.khalf)
+    out_ref = ref.kinetic(ref.advance(y_ref), ref.khalf)
+    out = strang_step(f0, dt, p, sym, potential)
+    assert np.array_equal(bits(out.values), bits(out_ref))
+
+    # a 20-step evolve, with samples on the way
+    n = 20
+    y_ref = scipy_fft.ifftn(scipy_fft.fftn(f0.values) * ref.khalf, overwrite_x=True)
+    for step in range(1, n + 1):
+        w_ref = ref.advance(y_ref)
+        if step < n:
+            y_ref = ref.kinetic(w_ref, ref.kfull)
+    psi_ref = scipy_fft.ifftn(ref.khalf * w_ref)
+    _, final = evolve(
+        f0, p, sym, dt=dt, T=n * dt,
+        monitor=MonitorSpec(stride=7, grad_threshold=math.inf, spectral_tail=1.0),
+        warn_resolution=False, observables=False,
+    )
+    assert final.t == n * dt
+    assert np.array_equal(bits(final.values), bits(psi_ref))
+
+
+@pytest.mark.parametrize("points", [(16, 16, 16), (64, 64, 16), (40, 40, 48), (96, 96, 96)])
+def test_splitting_holds_two_full_lattices(points):
+    g = make_grid(3, (10.0, 10.0, 12.0), points)
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    potential = p.potential(g)
+    split = propagator_module._Splitting(g, 1e-3, p, build_symbol(g, Analytic3D()), potential)
+    owned = {
+        name: value
+        for name, value in vars(split).items()
+        if isinstance(value, np.ndarray) and value is not potential
+    }
+    # views of rho or khalf, flat ones included, are no further lattices
+    full = {name for name, value in owned.items() if np.shares_memory(value, split.rho)}
+    full |= {name for name, value in owned.items() if np.shares_memory(value, split.khalf)}
+    assert {"rho", "khalf"} <= full
+    assert split.rho.shape == split.khalf.shape == g.shape
+    block = min(BLOCK, g.size)
+    for name in owned.keys() - full:
+        assert owned[name].size == block, name
+    split.set_dt(2e-3)
+    assert split.khalf is owned["khalf"]
 
 
 def test_strang_step_with_phase_beyond_pi_keeps_mass_and_reverses():

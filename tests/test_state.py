@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from dipgpe import (
     Analytic3D,
@@ -32,6 +34,7 @@ from dipgpe import (
     spectral_tail_fraction,
     variance_and_rate,
 )
+from dipgpe.state import field_spectrum
 
 
 def gaussian_field(grid, sigma, center=None):
@@ -201,6 +204,68 @@ def test_variance_rate_of_quadratic_phase():
     g_field = WaveField(f.values * np.exp(0.5j * beta * r2), g)
     y, ydot = variance_and_rate(g_field)
     assert ydot == pytest.approx(2.0 * beta * y, rel=1e-9)
+
+
+def chirped_field(grid):
+    center = np.linspace(0.4, -0.3, grid.dim)
+    arg = sum(
+        -((x - c) ** 2) / (0.1 * L) ** 2 + 0.4j * (x - c) ** 2 + 0.7j * x
+        for x, c, L in zip(grid.coord_mesh, center, grid.extents)
+    )
+    return WaveField(np.exp(arg), grid)
+
+
+def variance_rate_with_a_real_buffer(field):
+    """dy/dt summed in a separate real lattice, as it was before."""
+    grid = field.grid
+    spectrum = scipy_fft.fftn(field.values)
+    psi = field.values
+    acc = 0.0
+    for freq, coord in zip(grid.freq_mesh, grid.coord_mesh):
+        g = scipy_fft.ifftn(freq * spectrum)
+        g *= coord
+        re = psi.real * g.real
+        re += psi.imag * g.imag
+        acc += float(np.sum(re))
+    return 2.0 * acc * grid.cell_volume
+
+
+@pytest.mark.parametrize(
+    "dim, extents, points",
+    [(1, (16.0,), (96,)), (2, (14.0, 12.0), (48, 40)), (3, (10.0, 10.0, 12.0), (24, 20, 32))],
+)
+def test_variance_rate_summed_in_place_is_bit_identical(dim, extents, points):
+    f = chirped_field(make_grid(dim, extents, points))
+    want = variance_rate_with_a_real_buffer(f)
+    _, got = variance_and_rate(f)
+    assert want != 0.0
+    assert np.array([got]).view(np.uint64)[0] == np.array([want]).view(np.uint64)[0]
+
+
+def test_gradient_norm_is_kept_on_its_spectrum():
+    g = make_grid(3, (10.0, 10.0, 12.0), (32, 32, 32))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    sym = build_symbol(g, Analytic3D())
+    f = chirped_field(g)
+    fresh = record_observables(f, p, sym, spectrum=field_spectrum(f))
+    spectrum = field_spectrum(f)
+    grad_sq = gradient_norm_sq(f, spectrum)
+    # the second call on the same grid sums nothing: no lattice is allocated
+    tracemalloc.start()
+    try:
+        assert gradient_norm_sq(f, spectrum) == grad_sq
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.size * 8
+    rec = record_observables(f, p, sym, spectrum=spectrum)
+    assert rec == fresh
+    assert rec.gradsq == grad_sq
+    # another grid of the same shape sums again on its own frequencies
+    g2 = make_grid(3, (20.0, 20.0, 24.0), (32, 32, 32))
+    f2 = WaveField(f.values, g2)
+    assert gradient_norm_sq(f2, spectrum) == gradient_norm_sq(f2, field_spectrum(f2))
+    assert gradient_norm_sq(f2, spectrum) != grad_sq
 
 
 def test_quartic_norm_routes_agree():
