@@ -1,9 +1,9 @@
 """Command-line surface tying the solver modules into reproducible runs.
 
-Subcommands: simulate, classify, kernel, reduce, unstable-data,
-selftest.  Each takes a config file in the flat key = value format (see
-config module); kernel can also run from bare flags for quick
-tabulation.  Exit codes: 0 success (a monitored collapse is a
+_build_parser defines each subcommand and binds it to its handler.
+All but selftest take a config file in the flat key = value format
+(see the config module); kernel can also run from bare flags for
+quick tabulation.  Exit codes: 0 success (a monitored collapse is a
 successful outcome, reported as such), 1 validation problem, 2
 numerical failure.
 
@@ -24,6 +24,7 @@ import numpy as np
 from .config import (
     ConfigError,
     RunConfig,
+    _floats,
     build_initial_field,
     build_symbol_from_config,
     parse_config,
@@ -58,7 +59,7 @@ from .regimes import (
     classify,
     unstable_energy_ledger,
 )
-from .state import PhysicalParams, mass, gradient_norm_sq
+from .state import PhysicalParams, csv_table, mass, gradient_norm_sq
 
 
 class _UsageError(Exception):
@@ -75,35 +76,49 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="evolve a configured run, write series and snapshots")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--config", required=True, help="path to a run config")
     p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
 
     p = sub.add_parser("classify", help="print the regime certificate for the configured data")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="also write the certificate to this file")
     p.add_argument("--gn-constant", type=float, default=1.0,
                    help="quartic-interpolation constant for the bootstrap branch")
 
     p = sub.add_parser("kernel", help="tabulate a symbol to CSV")
+    p.set_defaults(run=_cmd_kernel)
     p.add_argument("--config", default=None, help="take grid and kernel blocks from this config")
     p.add_argument("--dim", type=int, default=None, choices=(1, 2, 3))
     p.add_argument("--points", type=int, default=32, help="points per axis (flag mode)")
     p.add_argument("--extent", type=float, default=16.0, help="box length per axis (flag mode)")
-    p.add_argument("--omega", default="1,1", help="transverse trap frequencies (flag mode)")
+    p.add_argument("--omega", default=None,
+                   help="transverse trap frequencies (flag mode; default 1,1 in 1D, 1 in 2D)")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
     p = sub.add_parser("reduce", help="run the eps sweep of the dimension-reduction study")
+    p.set_defaults(run=_cmd_reduce)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--allow-unstable", action="store_true",
                    help="permit couplings outside the stable cone (excluded from acceptance)")
 
     p = sub.add_parser("unstable-data", help="energy-term scaling table for the squeezed family")
+    p.set_defaults(run=_cmd_unstable_data)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("selftest", help="run the fast invariant suite")
+    p.set_defaults(run=_cmd_selftest)
     return parser
+
+
+def _out_dir(args, config: RunConfig) -> Path:
+    """The created output directory: --out when given, else output.dir."""
+    out_dir = Path(args.out if args.out is not None else config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _load_config(path: str) -> RunConfig:
@@ -120,8 +135,7 @@ def _cmd_simulate(args) -> int:
     params = config.params.build(grid.dim)
     field0 = build_initial_field(config, grid)
     symbol = build_symbol_from_config(config, grid)
-    out_dir = Path(args.out if args.out is not None else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, config)
 
     write_snapshot(field0, out_dir / "initial.gpef")
     series, outcome = evolve(
@@ -162,12 +176,9 @@ def _kernel_rows(grid, symbol):
         2: "xi1,xi2,value",
         3: "xi1,xi2,xi3,value",
     }
-    lines = [headers[grid.dim]]
     meshes = [np.broadcast_to(m, grid.shape) for m in grid.freq_mesh]
     flat = [m.ravel() for m in meshes] + [symbol.values.ravel()]
-    for row in zip(*flat):
-        lines.append(",".join("%.17g" % v for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_table(headers[grid.dim], zip(*flat))
 
 
 def _cmd_kernel(args) -> int:
@@ -182,16 +193,15 @@ def _cmd_kernel(args) -> int:
             )
     else:
         dim = args.dim if args.dim is not None else 3
-        omegas = tuple(float(w) for w in str(args.omega).split(","))
         grid = make_grid(dim, (args.extent,) * dim, (args.points,) * dim)
         if dim == 3:
             provenance = Analytic3D()
-        elif dim == 1:
-            if len(omegas) != 2:
-                raise ConfigError(["--omega needs two entries for the 1D symbol"])
-            provenance = Effective1D(*omegas)
         else:
-            provenance = Effective2D(omegas[0])
+            # the 1D symbol averages out two transverse axes, the 2D symbol one
+            omegas = (1.0,) * (3 - dim) if args.omega is None else _floats(args.omega)
+            if len(omegas) != 3 - dim:
+                raise ConfigError([f"--omega needs {3 - dim} value(s) for the {dim}D symbol"])
+            provenance = (Effective1D if dim == 1 else Effective2D)(*omegas)
         symbol = build_symbol(grid, provenance)
     text = _kernel_rows(grid, symbol)
     if args.out is None:
@@ -233,8 +243,7 @@ def _cmd_reduce(args) -> int:
         n_samples=red.samples,
         allow_unstable=args.allow_unstable,
     )
-    out_dir = Path(args.out if args.out is not None else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, config)
     sweep_to_csv(rows, out_dir / "sweep.csv")
     for row in rows:
         print(
@@ -264,13 +273,8 @@ def _cmd_unstable_data(args) -> int:
         grid, params, symbol, led.epsilons, led.alpha, led.f_width, led.g_width
     )
     header = "epsilon,kinetic,potential,interaction,total"
-    lines = [header]
-    for row in rows:
-        lines.append(",".join("%.17g" % row[k] for k in header.split(",")))
-    text = "\n".join(lines) + "\n"
-    out_dir = Path(args.out if args.out is not None else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ledger.csv").write_text(text)
+    text = csv_table(header, ([row[k] for k in header.split(",")] for row in rows))
+    (_out_dir(args, config) / "ledger.csv").write_text(text)
     sys.stdout.write(text)
     expected = {
         "kinetic": led.alpha - 1.0,
@@ -368,19 +372,7 @@ def run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "kernel":
-            return _cmd_kernel(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "unstable-data":
-            return _cmd_unstable_data(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -111,8 +111,8 @@ class RunConfig:
 
 def _float(text: str) -> float:
     value = float(text)
-    if math.isnan(value):
-        raise ValueError("nan is not a valid value")
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
     return value
 
 

@@ -39,7 +39,10 @@ series in order.  psi is materialized on the calling thread only where a
 callback, the final step or a tripped monitor needs it, and by the
 record otherwise; the pending record is joined before a callback fires
 and before evolve returns.  A caller that discards the series (evolve
-with observables=False) takes monitor-only samples and starts no thread.
+with observables=False, as the reduction module's snapshot runs do)
+takes monitor-only samples and starts no thread.  _harmonic_profile
+builds the trap ground state on any set of axes, for linear_eigenstate
+and for the reduction module's transverse profile.
 
 Blow-up cannot be followed on a fixed lattice.  The monitor reports
 under-resolution consistent with collapse when the gradient norm or the
@@ -124,6 +127,17 @@ class CollapseReport:
         )
 
 
+def _harmonic_profile(
+    grid: SpectralGrid, axes: Sequence[int], omegas: Sequence[float]
+) -> np.ndarray:
+    """Product of (w/pi)^(1/4) exp(-w x^2 / 2) over axes; length one on the others."""
+    mesh = grid.coord_mesh
+    return mesh_product(
+        (w / math.pi) ** 0.25 * np.exp(-0.5 * w * mesh[axis] * mesh[axis])
+        for axis, w in zip(axes, omegas)
+    )
+
+
 def linear_eigenstate(grid: SpectralGrid, omega: Sequence[float]) -> tuple[WaveField, float]:
     """Ground state of the linear trapped problem and its frequency.
 
@@ -137,9 +151,7 @@ def linear_eigenstate(grid: SpectralGrid, omega: Sequence[float]) -> tuple[WaveF
         )
     if any(w <= 0.0 for w in omega):
         raise ValueError("linear eigenstate requires all trap frequencies positive")
-    values = mesh_product(
-        (w / math.pi) ** 0.25 * np.exp(-0.5 * w * c * c) for w, c in zip(omega, grid.coord_mesh)
-    )
+    values = _harmonic_profile(grid, range(grid.dim), omega)
     # times the reciprocal, not a division: the frozen outputs hold a * (1/c)
     values *= 1.0 / math.sqrt(float(np.sum(values * values)) * grid.cell_volume)
     mu = 0.5 * sum(omega)

@@ -18,7 +18,11 @@ dipolar symbol applies verbatim, and measures the modulation error
 together with the transverse excitation fraction.  The frame change is
 resampling-free: matching point counts on boxes scaled by eps make the
 stretched-frame field and the original-frame field the same array under
-two grids.
+two grids.  Both runs of a comparison, the reduced one and the 3D one,
+go through one snapshot routine: the collapse monitor alone samples
+them, psi is copied at the comparison times, and a run the monitor
+stops raises RuntimeError naming the run.  chi0 is the trap ground
+state of the propagator module, taken on the tight axes only.
 
 The stiff transverse phase rotates at mu0 / eps^2, so the 3D time step
 is clamped to eps^2 / (20 mu0) to keep at least 20 samples per cycle.
@@ -35,10 +39,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridError, SpectralGrid, make_grid, mesh_product
+from .grid import GridError, SpectralGrid, make_grid
 from .kernel import Analytic3D, Effective1D, Effective2D, KernelSymbol, build_symbol
-from .propagator import CollapseReport, MonitorSpec, evolve
-from .state import ObservableSeries, PhysicalParams, WaveField, in_stable_cone
+from .propagator import CollapseReport, MonitorSpec, _harmonic_profile, evolve
+from .state import ObservableSeries, PhysicalParams, WaveField, csv_table, in_stable_cone
 
 SWEEP_HEADER = "epsilon,T,sup_err,slope_partner,excitation_sq"
 
@@ -148,13 +152,8 @@ def evolve_reduced(
     monitor: MonitorSpec = MonitorSpec(),
     callback=None,
     sample_times: "Sequence[float] | None" = None,
-    observables: bool = True,
 ) -> tuple[ObservableSeries, "WaveField | CollapseReport"]:
-    """Run the effective lower-dimensional model.
-
-    observables is passed to evolve: with False the series is empty and
-    only the collapse monitor samples the run.
-    """
+    """Run the effective lower-dimensional model."""
     symbol = reduced_symbol(setup)
     return evolve(
         setup.u0,
@@ -165,7 +164,6 @@ def evolve_reduced(
         monitor=monitor,
         callback=callback,
         sample_times=sample_times,
-        observables=observables,
     )
 
 
@@ -180,20 +178,6 @@ def slow_grid(grid3d: SpectralGrid, tight_axes: Sequence[int]) -> SpectralGrid:
         len(slow),
         [grid3d.extents[a] for a in slow],
         [grid3d.shape[a] for a in slow],
-    )
-
-
-def _tight_profile(
-    grid3d: SpectralGrid, tight_axes: Sequence[int], omegas: Sequence[float]
-) -> np.ndarray:
-    """Normalized transverse harmonic ground state on the tight axes.
-
-    Broadcastable against the 3D lattice: length one on the slow axes.
-    """
-    mesh = grid3d.coord_mesh
-    return mesh_product(
-        (w / math.pi) ** 0.25 * np.exp(-0.5 * w * mesh[axis] * mesh[axis])
-        for axis, w in zip(tight_axes, omegas)
     )
 
 
@@ -212,7 +196,7 @@ def well_prepared_data(setup: ReductionSetup, ref_grid3d: SpectralGrid) -> np.nd
         math.isclose(a, b) for a, b in zip(sub.extents, u_grid.extents)
     ):
         raise GridError("reference grid's slow axes must match u0's grid")
-    chi = _tight_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
+    chi = _harmonic_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
     return _factorized(chi, setup.u0.values, setup.tight_axes)
 
 
@@ -256,6 +240,26 @@ def _check_sample_times(sample_times: Sequence[float], T: float) -> list[float]:
     return times
 
 
+def _snapshot_run(
+    run: str, grid: SpectralGrid, field0: WaveField, *args, **kwargs
+) -> list[tuple[float, WaveField]]:
+    """evolve(field0, *args, **kwargs) with copies of psi at its sample times.
+
+    Each copy is labeled with grid.  The series is not read, so only the
+    collapse monitor samples the run; a run it stops raises RuntimeError
+    naming the run.
+    """
+    snapshots: list[tuple[float, WaveField]] = []
+
+    def grab(field: WaveField) -> None:
+        snapshots.append((field.t, WaveField(field.values.copy(), grid, field.t)))
+
+    _, outcome = evolve(field0, *args, callback=grab, observables=False, **kwargs)
+    if isinstance(outcome, CollapseReport):
+        raise RuntimeError(f"{run} tripped the collapse monitor: " + outcome.describe())
+    return snapshots
+
+
 def evolve_rescaled_3d(
     setup: ReductionSetup,
     ref_grid3d: SpectralGrid,
@@ -270,8 +274,6 @@ def evolve_rescaled_3d(
     requested snapshot is re-labeled onto the reference grid, which is
     the exact frame change for matched point counts.  The step is
     clamped to eps^2 / (20 mu0) and snapped so samples land on steps.
-    No observables are recorded: the run's samples only feed the
-    collapse monitor.
     """
     times = _check_sample_times(sample_times, T)
     grid, params = _run_geometry(setup, ref_grid3d)
@@ -281,32 +283,11 @@ def evolve_rescaled_3d(
 
     dt_clamp = min(dt, setup.epsilon**2 / (20.0 * setup.mu0))
     dt_eff = _snap_step(dt_clamp, T, len(times))
-    n_total = int(round(T / dt_eff))
-
-    snapshots: list[tuple[float, WaveField]] = []
-
-    def grab(field: WaveField) -> None:
-        snapshots.append(
-            (field.t, WaveField(values=field.values.copy(), grid=ref_grid3d, t=field.t))
-        )
-
-    _, outcome = evolve(
-        field0,
-        params,
-        symbol,
-        dt=dt_eff,
-        T=T,
-        monitor=MonitorSpec(stride=max(1, n_total // 200)),
-        callback=grab,
-        sample_times=times,
-        warn_resolution=False,
-        observables=False,
+    monitor = MonitorSpec(stride=max(1, round(T / dt_eff) // 200))
+    return _snapshot_run(
+        "companion 3D run", ref_grid3d, field0, params, symbol, dt=dt_eff, T=T,
+        monitor=monitor, sample_times=times, warn_resolution=False,
     )
-    if isinstance(outcome, CollapseReport):
-        raise RuntimeError(
-            "companion 3D run tripped the collapse monitor: " + outcome.describe()
-        )
-    return snapshots
 
 
 def ground_state_projection(
@@ -326,7 +307,7 @@ def ground_state_projection(
     tight = {len(axes): axes for axes in TIGHT_AXES.values()}.get(len(omegas))
     if tight is None:
         raise ValueError(f"expected 1 or 2 transverse frequencies, got {len(omegas)}")
-    chi = _tight_profile(grid, tight, omegas).reshape([grid.shape[a] for a in tight])
+    chi = _harmonic_profile(grid, tight, omegas).reshape([grid.shape[a] for a in tight])
     values = np.tensordot(chi, field3d.values, axes=(tuple(range(len(tight))), tight))
     values = values * math.prod(grid.steps[a] for a in tight)
     return WaveField(values=values, grid=slow_grid(grid, tight), t=field3d.t)
@@ -341,7 +322,7 @@ def _excitation_sq(
     of two numbers near the unit mass, so it is never negative and keeps
     its relative accuracy at the splitting noise floor.
     """
-    chi = _tight_profile(field3d.grid, tight_axes, transverse_omegas)
+    chi = _harmonic_profile(field3d.grid, tight_axes, transverse_omegas)
     projected = ground_state_projection(field3d, transverse_omegas)
     rest = field3d.values - _factorized(chi, projected.values, tight_axes)
     return float(np.sum(rest.real * rest.real + rest.imag * rest.imag)) * (
@@ -384,7 +365,7 @@ def _study(
 
     snaps3d = evolve_rescaled_3d(setup, ref_grid3d, dt, T, times)
 
-    chi = _tight_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
+    chi = _harmonic_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
 
     dv = ref_grid3d.cell_volume
     samples = []
@@ -418,21 +399,10 @@ def run_reduced_snapshots(
 ) -> list[tuple[float, WaveField]]:
     """Reduced-model trajectory sampled at j*T/n_samples."""
     times = [j * T / n_samples for j in range(1, n_samples + 1)]
-    dt_red = _snap_step(dt, T, n_samples)
-    collected: list[tuple[float, WaveField]] = []
-
-    def grab(field: WaveField) -> None:
-        collected.append((field.t, field.copy()))
-
-    # the series is not read, so only the monitor samples the run
-    _, outcome = evolve_reduced(
-        setup, dt_red, T, callback=grab, sample_times=times, observables=False
+    return _snapshot_run(
+        "reduced run", setup.u0.grid, setup.u0, reduced_params(setup), reduced_symbol(setup),
+        dt=_snap_step(dt, T, n_samples), T=T, sample_times=times,
     )
-    if isinstance(outcome, CollapseReport):
-        raise RuntimeError(
-            "reduced run tripped the collapse monitor: " + outcome.describe()
-        )
-    return collected
 
 
 def reduction_error(
@@ -520,9 +490,5 @@ def fitted_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def sweep_to_csv(rows: Sequence[dict], path) -> None:
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join("%.17g" % row[name] for name in SWEEP_HEADER.split(","))
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = ([row[name] for name in SWEEP_HEADER.split(",")] for row in rows)
+    Path(path).write_text(csv_table(SWEEP_HEADER, table))

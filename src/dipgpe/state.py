@@ -19,7 +19,9 @@ sampling time, which serializes to CSV with the fixed header
 
     t,mass,E,Ekin,Epot,Ecubic,Edip,y,ydot,maxpsi,gradsq
 
-written in full round-trip precision (17 significant digits).
+written in full round-trip precision (17 significant digits).  Every
+numeric table the package writes (series, eps sweep, energy ledger,
+tabulated symbol) goes through the one CSV writer, csv_table.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 from scipy import fft as _fft
@@ -38,6 +41,14 @@ from .kernel import KernelSymbol, _pair_symbol_real
 from .kernel import apply_kernel  # noqa: F401  bench/tracer.py spans state.apply_kernel
 
 CSV_HEADER = "t,mass,E,Ekin,Epot,Ecubic,Edip,y,ydot,maxpsi,gradsq"
+
+
+def csv_table(header: str, rows: Iterable[Iterable[float]]) -> str:
+    """CSV text: the header line, then each row's numbers at 17 significant digits."""
+    lines = [header]
+    lines.extend(",".join("%.17g" % v for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
 
 # Top-octave share of the spectral mass above which check_resolution warns.
 _TAIL_WARN = 1e-6
@@ -405,14 +416,9 @@ class ObservableSeries:
         return np.array([getattr(r, name) for r in self.records])
 
     def to_csv(self, path: "str | Path") -> None:
-        lines = [CSV_HEADER]
-        for r in self.records:
-            lines.append(
-                ",".join(
-                    "%.17g" % getattr(r, name) for name in CSV_HEADER.split(",")
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        names = CSV_HEADER.split(",")
+        rows = ([getattr(r, n) for n in names] for r in self.records)
+        Path(path).write_text(csv_table(CSV_HEADER, rows))
 
     @classmethod
     def from_csv(cls, path: "str | Path") -> "ObservableSeries":

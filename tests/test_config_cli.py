@@ -1,5 +1,7 @@
+import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,7 @@ from dipgpe import (
     variance_and_rate,
     write_snapshot,
 )
+from dipgpe import cli
 from dipgpe.cli import run_command
 from dipgpe.config import _SCHEMA
 
@@ -552,6 +555,33 @@ def test_cli_kernel_dim1_flag_mode(tmp_path, capsys):
     assert run_command(["kernel", "--dim", "1", "--omega", "1"]) == 1
 
 
+@pytest.mark.parametrize("dim, default, wrong", [(1, "1,1", "1,1,2"), (2, "1", "1.4,2")])
+def test_cli_kernel_flag_omega_count_and_default(capsys, dim, default, wrong):
+    flags = ["kernel", "--dim", str(dim), "--points", "8"]
+    assert run_command(flags + ["--omega", wrong]) == 1
+    assert capsys.readouterr().err.startswith("error: --omega needs")
+    assert run_command(flags) == 0
+    omitted = capsys.readouterr().out
+    assert run_command(flags + ["--omega", default]) == 0
+    assert capsys.readouterr().out == omitted
+
+
+def test_every_subcommand_runs_its_handler_and_is_in_the_readme_synopsis(monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (commands,) = [
+        a.choices for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    ran = []
+    for name, sub in commands.items():
+        handler = "_cmd_" + name.replace("-", "_")
+        monkeypatch.setattr(cli, handler, lambda args, handler=handler: ran.append(handler) or 0)
+        required = [s for a in sub._actions if a.required for s in (a.option_strings[0], "x")]
+        assert run_command([name, *required]) == 0
+        assert ran.pop() == handler
+        assert re.search(rf"^    dipgpe {re.escape(name)}( |$)", readme, re.M), name
+
+
 def test_cli_reduce_sweep(tmp_path, capsys):
     path = _write(
         tmp_path,
@@ -606,6 +636,34 @@ reduction.u0_kind = gaussian
     lines = (out_dir / "sweep.csv").read_text().splitlines()
     assert lines[0] == "epsilon,T,sup_err,slope_partner,excitation_sq"
     assert len(lines) == 2
+
+
+@pytest.mark.filterwarnings("ignore:spectral tail fraction:RuntimeWarning")
+def test_cli_reduce_exits_2_when_a_run_trips_the_monitor(tmp_path, capsys):
+    # u0 far narrower than the axial step trips the monitor at its first sample
+    path = _write(
+        tmp_path,
+        "narrow.cfg",
+        """
+grid.dim = 3
+grid.extents = 8, 8, 10
+grid.points = 24, 24, 24
+params.omega = 1, 1, 1
+params.lambda1 = 0.5
+params.lambda2 = 0.0
+dt = 2e-3
+reduction.epsilons = 0.2
+reduction.T = 0.25
+reduction.samples = 2
+reduction.u0_kind = gaussian
+reduction.u0_width = 0.1
+""",
+    )
+    code = run_command(["reduce", "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure: reduced run tripped the collapse monitor: ")
+    assert "Traceback" not in err
 
 
 def test_cli_unstable_data_ledger(tmp_path, capsys):
@@ -676,11 +734,22 @@ def test_cli_out_naming_an_existing_file_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "extra",
-    ["T = 1e308\n", "dt = 1e-320\n", "grid.extents = 1e-300, 1e-300\n"],
-    ids=["huge-T", "tiny-dt", "tiny-extents"],
+    [
+        "T = 1e308\n",
+        "dt = 1e-320\n",
+        "grid.extents = 1e-300, 1e-300\n",
+        "dt = inf\n",
+        "params.lambda1 = inf\n",
+        "init.kind = gaussian\ninit.center = inf, 0\n",
+    ],
+    ids=["huge-T", "tiny-dt", "tiny-extents", "inf-dt", "inf-lambda1", "inf-center"],
 )
 def test_cli_overflowing_input_exits_1(tmp_path, capsys, extra):
-    text = MINIMAL.replace("grid.extents = 12, 12\n", "") if "extents" in extra else MINIMAL
+    # a key set in extra replaces its line of MINIMAL
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    text = "".join(
+        line + "\n" for line in MINIMAL.splitlines() if line.partition("=")[0].strip() not in keys
+    )
     path = _write(tmp_path, "big.cfg", text + extra)
     with pytest.raises(ConfigError):
         parse_config(text + extra)

@@ -162,7 +162,7 @@ def test_tight_profile_is_the_accumulated_product_bit_for_bit(tight_axes, omegas
     for axis, w in zip(tight_axes, omegas):
         c = g3.coord_mesh[axis]
         expected = expected * ((w / math.pi) ** 0.25 * np.exp(-0.5 * w * c * c))
-    chi = reduction._tight_profile(g3, tight_axes, omegas)
+    chi = reduction._harmonic_profile(g3, tight_axes, omegas)
     assert chi.shape == expected.shape
     assert np.array_equal(chi.view(np.uint64), expected.view(np.uint64))
 
@@ -472,6 +472,20 @@ def test_reduced_snapshots_start_no_thread_and_match_a_recorded_run(monkeypatch)
     assert [t for t, _ in snaps] == [t for t, _ in recorded]
     for (_, a), (_, b) in zip(snaps, recorded):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:spectral tail fraction:RuntimeWarning")
+def test_a_run_the_monitor_stops_raises_naming_its_side():
+    # u0 far narrower than the axial step: its top-octave fraction starts
+    # above monitor.spectral_tail, so each run trips at its first stride sample
+    u0, _ = linear_eigenstate(axial_grid(), (100.0,))
+    s = ReductionSetup(0.2, OMEGA, 0.5, 0.0, u0, "1d")
+    T, n = 0.2, 4
+    with pytest.raises(RuntimeError, match="^reduced run tripped the collapse monitor: "):
+        run_reduced_snapshots(s, 2e-3, T, n)
+    times = [j * T / n for j in range(1, n + 1)]
+    with pytest.raises(RuntimeError, match="^companion 3D run tripped the collapse monitor: "):
+        evolve_rescaled_3d(s, reference_grid(), 2e-3, T, times)
 
 
 def test_epsilon_sweep_rows_and_determinism(tmp_path):
