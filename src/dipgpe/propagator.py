@@ -106,6 +106,14 @@ class MonitorSpec:
     def __post_init__(self) -> None:
         if self.stride < 1:
             raise ValueError("stride must be a positive integer")
+        # a NaN threshold never trips and a nonpositive gradient threshold
+        # trips at the first sample; the comparisons are false for NaN
+        if not self.grad_factor > 0.0:
+            raise ValueError(f"grad_factor must be positive, got {self.grad_factor!r}")
+        if self.grad_threshold is not None and not self.grad_threshold > 0.0:
+            raise ValueError(f"grad_threshold must be positive, got {self.grad_threshold!r}")
+        if not self.spectral_tail >= 0.0:
+            raise ValueError(f"spectral_tail must be nonnegative, got {self.spectral_tail!r}")
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,12 @@ def _bootstrap_scale(M: float, params: PhysicalParams, gn_constant: float) -> tu
     return eps2, (1.5 * eps2) ** -2
 
 
+def _check_gn_constant(gn_constant: float) -> None:
+    # written so that nan fails too
+    if not 0.0 < gn_constant < math.inf:
+        raise ValueError(f"gn_constant must be finite and positive, got {gn_constant!r}")
+
+
 def bootstrap_check(
     E: float,
     M: float,
@@ -95,8 +101,7 @@ def bootstrap_check(
     analytically here, so the verdict is conditional on the supplied
     value (default 1.0).
     """
-    if gn_constant <= 0.0:
-        raise ValueError("gn_constant must be positive")
+    _check_gn_constant(gn_constant)
     if params.lambda2 < 0.0:
         raise ValueError("bootstrap check requires lambda2 >= 0")
     gap = (4.0 * math.pi / 3.0) * params.lambda2 - params.lambda1
@@ -127,6 +132,7 @@ def classify(
        -> ConditionallyGlobal (conditional on gn_constant).
     4. Otherwise Indeterminate.
     """
+    _check_gn_constant(gn_constant)
     rho = density(phi)
     e = _energy(phi, rho, params, symbol, None, None)
     E = e.total

@@ -122,6 +122,18 @@ def test_bad_monitor_reported_under_its_section_before_validation():
     ]
 
 
+def test_bad_monitor_threshold_exits_1(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "monitor.grad_factor = -1\n")
+    assert err.value.errors == ["monitor: grad_factor must be positive, got -1.0"]
+    path = _write(tmp_path, "monitor.cfg", MINIMAL + "monitor.grad_factor = -1\n")
+    assert run_command(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "monitor: grad_factor must be positive" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_semantic_validation():
     with pytest.raises(ConfigError, match="dt must be positive"):
         parse_config(MINIMAL + "dt = -1e-3\n")
@@ -442,6 +454,26 @@ params.lambda2 = 0.0
     assert code == 0
     assert out.splitlines()[0] == "verdict = GlobalStable"
     assert cert.read_text() == out
+
+
+@pytest.mark.parametrize("gn", ["nan", "inf", "-1"])
+def test_cli_classify_rejects_gn_constant_not_finite_and_positive(tmp_path, capsys, gn):
+    path = _write(
+        tmp_path,
+        "dipolar.cfg",
+        """
+grid.dim = 3
+grid.extents = 8, 8, 8
+grid.points = 16, 16, 16
+params.omega = 1, 1, 1
+params.lambda1 = 1.0
+params.lambda2 = 0.3
+""",
+    )
+    assert run_command(["classify", "--config", path, "--gn-constant", gn]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gn_constant must be finite and positive")
 
 
 def test_cli_classify_blowup(tmp_path, capsys):

@@ -1,5 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import dipgpe
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -443,3 +450,58 @@ def test_elongated_pairing_matches_continuum_quadrature():
     oracle = -24.7619053945756
     assert pairing < 0.0
     assert abs(pairing - oracle) / abs(oracle) < 0.05
+
+
+# Runs in a fresh interpreter: the test process has loaded scipy.integrate
+# already.  Prints whether scipy.integrate is loaded after each stage.
+_FOOTPRINT_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+    import numpy as np
+    loaded = lambda: "scipy.integrate" in sys.modules
+    stages = {}
+    import dipgpe
+    from dipgpe import (Analytic3D, Effective1D, Effective2D, MonitorSpec,
+                        PhysicalParams, build_symbol, classify, evolve,
+                        linear_eigenstate, make_grid, symbol1d_effective)
+    stages["import"] = loaded()
+    g3 = make_grid(3, [8.0] * 3, [16] * 3)
+    symbol = build_symbol(g3, Analytic3D())
+    stages["analytic3d"] = loaded()
+    params = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    phi, _ = linear_eigenstate(g3, params.omega)
+    classify(phi, params, symbol)
+    stages["classify"] = loaded()
+    _, out = evolve(phi, params, symbol, dt=1e-3, T=1e-2, monitor=MonitorSpec(stride=5))
+    stages["evolve"] = loaded()
+    stages["evolve_outcome"] = type(out).__name__
+    build_symbol(make_grid(2, [12.0] * 2, [16] * 2), Effective2D(2.0))
+    stages["effective2d"] = loaded()
+    g1 = make_grid(1, [16.0], [32])
+    values = build_symbol(g1, Effective1D(1.2, 0.8)).values
+    stages["effective1d"] = loaded()
+    oracle = [symbol1d_effective(x, 1.2, 0.8) for x in g1.freqs[0]]
+    stages["effective1d_matches"] = bool(np.array_equal(values, oracle))
+    print(json.dumps(stages))
+    """
+)
+
+
+def test_scipy_integrate_loads_only_for_a_quadrature(tmp_path):
+    src = str(Path(dipgpe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, GPE_CACHE_DIR=str(tmp_path / "empty-cache"))
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import": False,
+        "analytic3d": False,
+        "classify": False,
+        "evolve": False,
+        "evolve_outcome": "WaveField",
+        "effective2d": False,
+        "effective1d": True,
+        "effective1d_matches": True,
+    }

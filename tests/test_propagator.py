@@ -94,6 +94,24 @@ def test_monitor_spec_validation():
     assert m.spectral_tail == 1e-3
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(grad_factor=math.nan),
+        dict(grad_threshold=math.nan),
+        dict(spectral_tail=math.nan),
+        dict(grad_factor=-1.0),
+        dict(grad_factor=0.0),
+        dict(grad_threshold=0.0),
+        dict(grad_threshold=-math.inf),
+        dict(spectral_tail=-1e-3),
+    ],
+)
+def test_monitor_spec_rejects_thresholds_that_disable_or_fake_it(kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        MonitorSpec(stride=1, **kwargs)
+
+
 def test_strang_step_preserves_mass_exactly():
     g = make_grid(2, [14.0, 14.0], [48, 48])
     p = PhysicalParams(2, (1.0, 1.0), 1.0, 0.0)

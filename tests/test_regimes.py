@@ -98,6 +98,17 @@ def test_classify_conditional_for_weak_dipolar():
     assert "gn_constant" in cert.evidence["note"]
 
 
+@pytest.mark.parametrize("gn", [math.nan, math.inf, -1.0])
+def test_classify_rejects_gn_constant_not_finite_and_positive(gn):
+    g = make_grid(3, [8.0] * 3, [16] * 3)
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    f, _ = linear_eigenstate(g, (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="gn_constant must be finite and positive"):
+        classify(f, p, build_symbol(g, Analytic3D()), gn_constant=gn)
+    with pytest.raises(ValueError, match="gn_constant must be finite and positive"):
+        bootstrap_check(0.1, 1.0, 0.1, p, gn_constant=gn)
+
+
 def test_classify_indeterminate_fallthrough():
     g = make_grid(3, [14.0] * 3, [24] * 3)
     p = PhysicalParams(3, (1.0, 1.0, 1.0), -5.0, 0.0)
