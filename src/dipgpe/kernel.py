@@ -11,22 +11,16 @@ provided:
 * the analogous effective 2D symbol for tight confinement along the
   dipole axis.
 
-The effective 1D symbol needs one adaptive quadrature per distinct
-lattice frequency, so its tabulations are cached to disk keyed by a
-content hash of the grid and trap frequencies.  The cache lives in the
-directory named by the GPE_CACHE_DIR environment variable, or
-~/.cache/dipgpe when it is unset.  The effective 2D symbol has the
-closed form (8/3) sqrt(pi omega3) - 2 pi R erfcx(R / (2 sqrt(omega3)))
-with R = |xi| (Cai, Rosenkranz, Lei, Bao, PRA 82, 043623 (2010)),
-tabulated on the lattice in one vectorized expression and not cached.
-
-scipy.integrate is imported on the first quadrature, not with the module.
-It pulls in scipy.linalg, scipy.optimize, scipy.sparse and scipy.spatial,
-about 24 MB of resident memory and 0.3 s of start-up on numpy 2.4 and
-scipy 1.17, which every 3D run would otherwise pay without ever
-integrating: the closed-form 3D and effective 2D symbols need only
-scipy.special.  Effective 1D tabulations and the quadrature references
-load it when they first run.
+Every family is tabulated in closed form and nothing is cached.  The
+effective 2D symbol is (8/3) sqrt(pi omega3) - 2 pi R erfcx(R / (2
+sqrt(omega3))) with R = |xi| (Cai, Rosenkranz, Lei, Bao, PRA 82, 043623
+(2010)); the effective 1D symbol is an angular mean of the isotropic
+closed form (_effective1d_table).  symbol1d_effective and
+symbol2d_effective are adaptive quadratures of the same averages, kept
+as references.  They import scipy.integrate on first use, which pulls in
+scipy.linalg, scipy.optimize, scipy.sparse and scipy.spatial, about
+24 MB of resident memory and 0.3 s of start-up on numpy 2.4 and scipy
+1.17; no tabulation needs more than scipy.special.
 
 The closed-form 3D symbol is evaluated on one octant of the lattice,
 indices 0..n/2 of each axis; fftfreq gives xi[n - k] = -xi[k] bit for bit,
@@ -43,14 +37,10 @@ one real transform of the density.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -64,7 +54,7 @@ SYMBOL_MIN = -4.0 * math.pi / 3.0
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature or angular mean failed to reach its tolerance."""
 
 
 class KernelRealityError(ArithmeticError):
@@ -161,7 +151,7 @@ def bessel_radial_check(r_max: float, tol: float) -> float:
     return refined
 
 
-# Tolerances of every effective-symbol quadrature.
+# Tolerances of the quadrature references.
 _QUAD_ABS_TOL = 1e-12
 _QUAD_REL_TOL = 1e-10
 _QUAD_LIMIT = 200
@@ -169,7 +159,7 @@ _QUAD_LIMIT = 200
 
 def _quad(func, lo, hi, points=None) -> float:
     # deferred: importing scipy.integrate costs about 24 MB and 0.3 s, and
-    # only effective 1D symbols and the quadrature references need it
+    # only the quadrature references need it
     from scipy import integrate
 
     kwargs = dict(epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL, limit=_QUAD_LIMIT, full_output=1)
@@ -194,6 +184,8 @@ def symbol1d_effective(xi3: float, omega1: float, omega2: float) -> float:
 
     with p = (1/omega1 + 1/omega2)/8 and q = |1/omega1 - 1/omega2|/8.
     Even in xi3, bounded, and -> (8/3) sqrt(omega1 omega2) as |xi3| -> inf.
+    build_symbol tabulates the angular mean of the closed form (module
+    docstring); this quadrature is its reference.
     """
     if omega1 <= 0.0 or omega2 <= 0.0:
         raise ValueError("trap frequencies must be positive")
@@ -241,6 +233,70 @@ def symbol2d_effective(xi1: float, xi2: float, omega3: float) -> float:
     head = _quad(integrand, 0.0, split, points=points)
     tail = _quad(integrand, split, np.inf)
     return head + tail
+
+
+# Above the cut, z e^z E1(z) is its asymptotic series sum_k (-1)^k k! / z^k
+# to k = 20, whose error is below the next term, 21!/50^21 ~ 1e-16; e^z
+# alone overflows from z ~ 710.
+_EXP1_CUT = 50.0
+_EXP1_SERIES = [(-1.0) ** k * math.factorial(k) for k in range(21)]
+
+# Midpoint nodes of the angular mean: 8, doubled up to this cap.
+_ANGLE_NODES_MAX = 4096
+
+
+def _z_exp_exp1(z: np.ndarray) -> np.ndarray:
+    """z e^z E1(z) for z >= 0: 0 at z = 0, rising to 1 as z -> inf, finite throughout."""
+    out = np.zeros_like(z)
+    near = (z > 0.0) & (z <= _EXP1_CUT)
+    zn = z[near]
+    out[near] = zn * np.exp(zn) * special.exp1(zn)
+    far = z > _EXP1_CUT
+    out[far] = np.polynomial.polynomial.polyval(1.0 / z[far], _EXP1_SERIES)
+    return out
+
+
+def _effective1d_table(xi3: np.ndarray, omega1: float, omega2: float) -> np.ndarray:
+    """symbol1d_effective at each frequency of xi3, as a mean over one angle.
+
+    Along the transverse direction phi the weight is the isotropic one of
+    w(phi) = 1/(cos^2 phi/omega1 + sin^2 phi/omega2), whose average is
+    the closed form -4w/3 + 4w g(xi3^2/(4w)) with g(z) = z e^z E1(z); the
+    symbol is its mean over phi.  Substituting
+    tan phi = sqrt(omega2/omega1) tan theta turns the mean into
+
+        sqrt(omega1 omega2) * (4 mean_theta g(xi3^2/(4 v(theta))) - 4/3),
+        v(theta) = omega1 cos^2 theta + omega2 sin^2 theta,
+
+    which is exact at xi3 = 0 and whose nodes stay inside the envelope.
+    The integrand is smooth and periodic, so the midpoint rule on
+    [0, pi/2] converges geometrically, more slowly as omega1/omega2 moves
+    away from 1.  The node count doubles from 8 until two tables agree to
+    1e-14 of the envelope (8/3) sqrt(omega1 omega2); the finer one is
+    returned.
+    """
+    if not (omega1 > 0.0 and omega2 > 0.0):
+        raise ValueError("trap frequencies must be positive")
+    scale = math.sqrt(omega1 * omega2)
+    quarter_xi3sq = 0.25 * np.square(xi3, dtype=float)[:, None]
+
+    def mean_g(m: int) -> np.ndarray:
+        theta = (np.arange(m) + 0.5) * (0.5 * math.pi / m)
+        v = omega1 * np.cos(theta) ** 2 + omega2 * np.sin(theta) ** 2
+        return np.mean(_z_exp_exp1(quarter_xi3sq / v), axis=1)
+
+    m = 8
+    table = mean_g(m)
+    while m < _ANGLE_NODES_MAX:
+        m *= 2
+        finer = mean_g(m)
+        # 4 scale (finer - table) against 1e-14 (8/3) scale
+        if np.max(np.abs(finer - table)) <= (2.0 / 3.0) * 1e-14:
+            return scale * (4.0 * finer - 4.0 / 3.0)
+        table = finer
+    raise QuadratureError(
+        f"angular mean of Effective1D({omega1}, {omega2}) unsettled at {m} nodes"
+    )
 
 
 # Piece 1 and piece 2 of _mirror_pieces are each other's mirror image.
@@ -345,64 +401,10 @@ class KernelSymbol:
         raise TypeError(f"unknown provenance {self.provenance!r}")
 
 
-def _cache_dir() -> Path:
-    env = os.environ.get("GPE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "dipgpe"
-
-
-def _cache_header(grid: SpectralGrid, provenance: Effective1D) -> list[str]:
-    omegas = (provenance.omega1, provenance.omega2)
-    return (
-        ["GPEK1", "v1", str(grid.dim)]
-        + [str(n) for n in grid.shape]
-        + [f"{w:.17g}" for w in omegas]
-    )
-
-
-def _cache_path(grid: SpectralGrid, provenance: Effective1D, base: Path) -> Path:
-    key = "|".join(
-        [
-            type(provenance).__name__,
-            repr(grid.dim),
-            ",".join(repr(n) for n in grid.shape),
-            ",".join(repr(L) for L in grid.extents),
-            ",".join(repr(w) for w in (provenance.omega1, provenance.omega2)),
-        ]
-    )
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return base / f"symbol-{digest}.gpek1"
-
-
-def _write_cache(path: Path, grid: SpectralGrid, provenance: Effective1D, values: np.ndarray) -> None:
-    header = " ".join(_cache_header(grid, provenance))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header.encode("ascii") + b"\n")
-            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _read_cache(path: Path, grid: SpectralGrid, provenance: Effective1D) -> "np.ndarray | None":
-    try:
-        with open(path, "rb") as fh:
-            header = fh.readline().decode("ascii").split()
-            payload = fh.read()
-    except (OSError, UnicodeDecodeError):
-        return None
-    if header != _cache_header(grid, provenance):
-        return None
-    values = np.frombuffer(payload, dtype="<f8")
-    if values.size != grid.size:
-        return None
-    return values.reshape(grid.shape).astype(float)
+def _read_cache(*args) -> None:
+    # No symbol is cached.  Kept only because bench/tracer.py wraps this
+    # name to count cache misses; nothing calls it.
+    return None
 
 
 def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
@@ -413,16 +415,14 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     the octant of indices 0..n/2 per axis and one mirrored slice copy per
     axis fills the rest, bit for bit the values symbol3d gives on the
     full lattice.  The effective 2D symbol is its closed form on
-    grid.ksq.  Neither is cached.  The effective 1D symbol takes one
-    quadrature per distinct |xi3| and is cached on disk (see module
-    docstring).
+    grid.ksq, and the effective 1D symbol its angular mean (see module
+    docstring) over the distinct |xi3|.  Nothing is cached.
     """
     if provenance.dim != grid.dim:
         raise GridError(
             f"provenance is {provenance.dim}-dimensional but grid is {grid.dim}-dimensional"
         )
 
-    write_to = None
     if isinstance(provenance, Analytic3D):
         # symbol3d on indices 0..n/2 of each axis; index n - k holds -xi[k]
         # bit for bit, so the rest of each axis is a mirrored copy
@@ -444,22 +444,13 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
             r / (2.0 * math.sqrt(w3))
         )
     elif isinstance(provenance, Effective1D):
-        path = _cache_path(grid, provenance, _cache_dir())
-        values = _read_cache(path, grid, provenance)
-        if values is None:
-            write_to = path
-            magnitudes, inverse = np.unique(np.abs(grid.freqs[0]), return_inverse=True)
-            table = np.array(
-                [symbol1d_effective(m, provenance.omega1, provenance.omega2) for m in magnitudes]
-            )
-            values = np.ascontiguousarray(table[inverse], dtype=float)
+        magnitudes, inverse = np.unique(np.abs(grid.freqs[0]), return_inverse=True)
+        values = _effective1d_table(magnitudes, provenance.omega1, provenance.omega2)[inverse]
     else:
         raise TypeError(f"unknown provenance {provenance!r}")
 
     symbol = KernelSymbol(dim=grid.dim, values=values, provenance=provenance, grid=grid)
     symbol.validate()
-    if write_to is not None:
-        _write_cache(write_to, grid, provenance, values)
     return symbol
 
 

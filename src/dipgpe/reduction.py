@@ -341,6 +341,17 @@ class ReductionStudy:
     excitation_sq: float
 
 
+def _check_study(setup: ReductionSetup, T: float, allow_unstable: bool) -> None:
+    if T <= 0.0:
+        raise ValueError("T must be positive")
+    if not setup.in_stable_regime() and not allow_unstable:
+        raise ValueError(
+            "reduction study outside the stable regime; the O(eps) statement "
+            "assumes lambda1 >= (4 pi / 3) lambda2 >= 0 "
+            "(pass allow_unstable=True to explore anyway)"
+        )
+
+
 def _study(
     setup: ReductionSetup,
     ref_grid3d: SpectralGrid,
@@ -350,14 +361,7 @@ def _study(
     allow_unstable: bool = False,
     reduced_snapshots: "list[tuple[float, WaveField]] | None" = None,
 ) -> ReductionStudy:
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if not setup.in_stable_regime() and not allow_unstable:
-        raise ValueError(
-            "reduction study outside the stable regime; the O(eps) statement "
-            "assumes lambda1 >= (4 pi / 3) lambda2 >= 0 "
-            "(pass allow_unstable=True to explore anyway)"
-        )
+    _check_study(setup, T, allow_unstable)
     times = [j * T / n_samples for j in range(1, n_samples + 1)]
 
     if reduced_snapshots is None:
@@ -444,6 +448,7 @@ def epsilon_sweep(
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ValueError("need at least one eps value")
+    _check_study(setup, T, allow_unstable)
     reduced = run_reduced_snapshots(setup, dt, T, n_samples)
 
     def member(eps: float) -> ReductionStudy:

@@ -26,7 +26,7 @@ from dipgpe import (
     variance_and_rate,
     write_snapshot,
 )
-from dipgpe import cli
+from dipgpe import cli, reduction
 from dipgpe.cli import run_command
 from dipgpe.config import _SCHEMA
 
@@ -668,6 +668,33 @@ reduction.u0_kind = gaussian
     lines = (out_dir / "sweep.csv").read_text().splitlines()
     assert lines[0] == "epsilon,T,sup_err,slope_partner,excitation_sq"
     assert len(lines) == 2
+
+
+def test_cli_reduce_refuses_unstable_couplings_before_any_run(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a symbol was built before the precondition check")
+
+    monkeypatch.setattr(reduction, "build_symbol", refuse)
+    path = _write(
+        tmp_path,
+        "unstable.cfg",
+        """
+grid.dim = 3
+grid.extents = 8, 8, 10
+grid.points = 24, 24, 24
+params.omega = 1, 1, 1
+params.lambda1 = 0.5
+params.lambda2 = 0.3
+dt = 2e-3
+reduction.epsilons = 0.2, 0.141
+reduction.T = 0.25
+reduction.samples = 2
+""",
+    )
+    code = run_command(["reduce", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "reduction study outside the stable regime" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("ignore:spectral tail fraction:RuntimeWarning")

@@ -429,6 +429,20 @@ def test_study_rejects_unstable_couplings():
         reduction_error(s, ref, 2e-3, 0.25)
 
 
+def test_sweep_checks_its_preconditions_before_any_tabulation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a symbol was built before the precondition check")
+
+    monkeypatch.setattr(reduction, "build_symbol", refuse)
+    ref = reference_grid()
+    s = ReductionSetup(0.2, OMEGA, 0.5, 0.3, axial_ground_state(), "1d")
+    with pytest.raises(ValueError, match="outside the stable regime"):
+        epsilon_sweep(s, [0.2, 0.1], ref, 2e-3, 0.25)
+    stable = ReductionSetup(0.2, OMEGA, 2.0, 0.3, axial_ground_state(), "1d")
+    with pytest.raises(ValueError, match="T must be positive"):
+        epsilon_sweep(stable, [0.2], ref, 2e-3, 0.0)
+
+
 def test_rescaled_3d_sample_time_validation():
     u0 = axial_ground_state()
     ref = reference_grid()
