@@ -21,7 +21,7 @@ import math
 from dataclasses import MISSING, dataclass, is_dataclass
 from typing import Callable, Optional, get_type_hints
 
-from .grid import GridError, SpectralGrid, make_grid, mesh_product, mesh_sum
+from .grid import GridError, SpectralGrid, make_grid, mesh_product
 from .kernel import Analytic3D, Effective1D, Effective2D, KernelSymbol, build_symbol
 from .propagator import MonitorSpec, linear_eigenstate, read_snapshot
 from .regimes import make_unstable_data
@@ -368,7 +368,9 @@ def build_initial_field(config: RunConfig, grid: SpectralGrid) -> WaveField:
         # times the reciprocal, not a division: the frozen outputs hold a * (1/c)
         values *= 1.0 / math.sqrt(float(np.sum(values * values)) * grid.cell_volume)
         if init.beta != 0.0:
-            values = values * np.exp(0.5j * init.beta * mesh_sum(shifted))
+            # the chirp exp(i beta |x - c|^2 / 2) as a product of per-axis factors
+            chirp = mesh_product(np.exp(0.5j * init.beta * s) for s in shifted)
+            values = np.multiply(chirp, values, out=chirp)
         else:
             values = values.astype(complex)
         return WaveField(values=values, grid=grid, t=0.0)

@@ -459,12 +459,16 @@ def apply_kernel(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
 
     The output of the transform pair is checked to be real up to
     roundoff; a larger imaginary residue means the symbol lost its even
-    symmetry and is reported instead of silently discarded.
+    symmetry and is reported instead of silently discarded.  A non-finite
+    density is bad input (ValueError): one NaN would spread through the
+    transform to every output.
     """
     grid = symbol.grid
     grid._check_shape(density)
     if np.iscomplexobj(density):
         raise TypeError("density must be a real array")
+    if not np.all(np.isfinite(density)):
+        raise ValueError("density contains non-finite values")
     spectrum = _fft.fftn(density, workers=FFT_WORKERS)
     spectrum *= symbol.values
     phi = _fft.ifftn(spectrum, workers=FFT_WORKERS)

@@ -20,9 +20,14 @@ resampling-free: matching point counts on boxes scaled by eps make the
 stretched-frame field and the original-frame field the same array under
 two grids.  Both runs of a comparison, the reduced one and the 3D one,
 go through one snapshot routine: the collapse monitor alone samples
-them, psi is copied at the comparison times, and a run the monitor
-stops raises RuntimeError naming the run.  chi0 is the trap ground
-state of the propagator module, taken on the tight axes only.
+them, psi goes to a consumer at each comparison time, and a run the
+monitor stops raises RuntimeError naming the run.  The reduced run's
+consumer keeps its samples, which every eps shares; the 3D run's
+consumer compares each sample as it lands and keeps only the running
+results, so no eps member holds a list of 3D fields.  chi0 is the trap
+ground state of the propagator module, taken on the tight axes only.
+The projection onto it is an einsum, not a BLAS contraction: BLAS
+threads spin beside the eps members that share the cores.
 
 The stiff transverse phase rotates at mu0 / eps^2, so the 3D time step
 is clamped to eps^2 / (20 mu0) to keep at least 20 samples per cycle.
@@ -35,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -241,23 +246,59 @@ def _check_sample_times(sample_times: Sequence[float], T: float) -> list[float]:
 
 
 def _snapshot_run(
-    run: str, grid: SpectralGrid, field0: WaveField, *args, **kwargs
-) -> list[tuple[float, WaveField]]:
-    """evolve(field0, *args, **kwargs) with copies of psi at its sample times.
+    run: str,
+    grid: SpectralGrid,
+    consume: Callable[[WaveField], None],
+    field0: WaveField,
+    *args,
+    **kwargs,
+) -> None:
+    """evolve(field0, *args, **kwargs), handing psi to consume at its sample times.
 
-    Each copy is labeled with grid.  The series is not read, so only the
-    collapse monitor samples the run; a run it stops raises RuntimeError
-    naming the run.
+    Each sample reaches consume labeled with grid.  Its array is the one
+    evolve materialized for the callback, which the loop never touches
+    again, so it is passed on without a copy.  The series is not read,
+    so only the collapse monitor samples the run; a run it stops raises
+    RuntimeError naming the run.
     """
-    snapshots: list[tuple[float, WaveField]] = []
 
-    def grab(field: WaveField) -> None:
-        snapshots.append((field.t, WaveField(field.values.copy(), grid, field.t)))
+    def relabel(field: WaveField) -> None:
+        consume(WaveField(field.values, grid, field.t))
 
-    _, outcome = evolve(field0, *args, callback=grab, observables=False, **kwargs)
+    _, outcome = evolve(field0, *args, callback=relabel, observables=False, **kwargs)
     if isinstance(outcome, CollapseReport):
         raise RuntimeError(f"{run} tripped the collapse monitor: " + outcome.describe())
-    return snapshots
+
+
+def _companion_run(
+    setup: ReductionSetup,
+    ref_grid3d: SpectralGrid,
+    dt: float,
+    T: float,
+    sample_times: Sequence[float],
+    consume: Callable[[WaveField], None],
+) -> None:
+    """Run the companion 3D problem, handing each stretched-frame sample to consume.
+
+    The evolution happens in the original frame (standard symbol, tight
+    trap omega_perp / eps^2, box shrunk by eps on the tight axes); each
+    requested sample is re-labeled onto the reference grid, which is the
+    exact frame change for matched point counts.  The step is clamped to
+    eps^2 / (20 mu0) and snapped so samples land on steps.
+    """
+    times = _check_sample_times(sample_times, T)
+    grid, params = _run_geometry(setup, ref_grid3d)
+    symbol = build_symbol(grid, Analytic3D()) if setup.lambda2 != 0.0 else None
+    values = well_prepared_data(setup, ref_grid3d)
+    field0 = WaveField(values=values, grid=grid, t=0.0)
+
+    dt_clamp = min(dt, setup.epsilon**2 / (20.0 * setup.mu0))
+    dt_eff = _snap_step(dt_clamp, T, len(times))
+    monitor = MonitorSpec(stride=max(1, round(T / dt_eff) // 200))
+    _snapshot_run(
+        "companion 3D run", ref_grid3d, consume, field0, params, symbol, dt=dt_eff, T=T,
+        monitor=monitor, sample_times=times, warn_resolution=False,
+    )
 
 
 def evolve_rescaled_3d(
@@ -269,25 +310,11 @@ def evolve_rescaled_3d(
 ) -> list[tuple[float, WaveField]]:
     """Run the companion 3D problem; return stretched-frame snapshots.
 
-    The evolution happens in the original frame (standard symbol, tight
-    trap omega_perp / eps^2, box shrunk by eps on the tight axes); each
-    requested snapshot is re-labeled onto the reference grid, which is
-    the exact frame change for matched point counts.  The step is
-    clamped to eps^2 / (20 mu0) and snapped so samples land on steps.
+    The samples of _companion_run, kept as (t, field) pairs.
     """
-    times = _check_sample_times(sample_times, T)
-    grid, params = _run_geometry(setup, ref_grid3d)
-    symbol = build_symbol(grid, Analytic3D()) if setup.lambda2 != 0.0 else None
-    values = well_prepared_data(setup, ref_grid3d)
-    field0 = WaveField(values=values, grid=grid, t=0.0)
-
-    dt_clamp = min(dt, setup.epsilon**2 / (20.0 * setup.mu0))
-    dt_eff = _snap_step(dt_clamp, T, len(times))
-    monitor = MonitorSpec(stride=max(1, round(T / dt_eff) // 200))
-    return _snapshot_run(
-        "companion 3D run", ref_grid3d, field0, params, symbol, dt=dt_eff, T=T,
-        monitor=monitor, sample_times=times, warn_resolution=False,
-    )
+    snapshots: list[WaveField] = []
+    _companion_run(setup, ref_grid3d, dt, T, sample_times, snapshots.append)
+    return [(field.t, field) for field in snapshots]
 
 
 def ground_state_projection(
@@ -308,7 +335,8 @@ def ground_state_projection(
     if tight is None:
         raise ValueError(f"expected 1 or 2 transverse frequencies, got {len(omegas)}")
     chi = _harmonic_profile(grid, tight, omegas).reshape([grid.shape[a] for a in tight])
-    values = np.tensordot(chi, field3d.values, axes=(tuple(range(len(tight))), tight))
+    # einsum without optimize never calls BLAS (see the module docstring)
+    values = np.einsum(chi, list(tight), field3d.values, [0, 1, 2], list(_slow_axes(tight)))
     values = values * math.prod(grid.steps[a] for a in tight)
     return WaveField(values=values, grid=slow_grid(grid, tight), t=field3d.t)
 
@@ -367,14 +395,15 @@ def _study(
     if reduced_snapshots is None:
         reduced_snapshots = run_reduced_snapshots(setup, dt, T, n_samples)
 
-    snaps3d = evolve_rescaled_3d(setup, ref_grid3d, dt, T, times)
-
     chi = _harmonic_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
-
     dv = ref_grid3d.cell_volume
     samples = []
     excitation = 0.0
-    for (t3, psi_eps), (tr, u_t) in zip(snaps3d, reduced_snapshots):
+
+    def compare(psi_eps: WaveField) -> None:
+        nonlocal excitation
+        t3 = psi_eps.t
+        tr, u_t = reduced_snapshots[len(samples)]
         if abs(t3 - tr) > 1e-9 * max(T, 1.0):
             raise AssertionError("sample times of the two runs diverged")
         phase = np.exp(-1j * setup.mu0 * t3 / setup.epsilon**2)
@@ -386,6 +415,7 @@ def _study(
             _excitation_sq(psi_eps, setup.tight_axes, setup.transverse_omegas),
         )
 
+    _companion_run(setup, ref_grid3d, dt, T, times, compare)
     return ReductionStudy(
         epsilon=setup.epsilon,
         T=T,
@@ -403,10 +433,12 @@ def run_reduced_snapshots(
 ) -> list[tuple[float, WaveField]]:
     """Reduced-model trajectory sampled at j*T/n_samples."""
     times = [j * T / n_samples for j in range(1, n_samples + 1)]
-    return _snapshot_run(
-        "reduced run", setup.u0.grid, setup.u0, reduced_params(setup), reduced_symbol(setup),
-        dt=_snap_step(dt, T, n_samples), T=T, sample_times=times,
+    snapshots: list[WaveField] = []
+    _snapshot_run(
+        "reduced run", setup.u0.grid, snapshots.append, setup.u0, reduced_params(setup),
+        reduced_symbol(setup), dt=_snap_step(dt, T, n_samples), T=T, sample_times=times,
     )
+    return [(field.t, field) for field in snapshots]
 
 
 def reduction_error(

@@ -301,16 +301,17 @@ def test_initial_field_gaussian_width_center_beta():
 
 
 def _gaussian_accumulated(grid, widths, center, beta):
-    # the former construction: complex passes from np.ones and np.zeros
+    # the former construction: complex passes from np.ones; the chirp
+    # accumulates its per-axis factors the same way
     values = np.ones(grid.shape, dtype=complex)
-    shifted_sq = np.zeros(grid.shape)
+    chirp = np.ones(grid.shape, dtype=complex)
     for width, c0, coord in zip(widths, center, grid.coord_mesh):
         values = values * np.exp(-((coord - c0) ** 2) / (2.0 * width * width))
-        shifted_sq = shifted_sq + (coord - c0) ** 2
+        chirp = chirp * np.exp(0.5j * beta * (coord - c0) ** 2)
     norm_sq = float(np.sum(values.real**2 + values.imag**2)) * grid.cell_volume
     values /= math.sqrt(norm_sq)
     if beta != 0.0:
-        values = values * np.exp(0.5j * beta * shifted_sq)
+        values = values * chirp
     return values
 
 
@@ -337,6 +338,21 @@ def test_initial_gaussian_is_the_accumulated_product_bit_for_bit(extra, widths, 
     expected = _gaussian_accumulated(grid, widths, center, beta)
     assert field.values.dtype == complex and field.values.flags.c_contiguous
     assert np.array_equal(field.values.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("beta", [0.13, -0.4, 1.0])
+def test_initial_chirp_matches_the_full_lattice_exp(beta):
+    text = (
+        "grid.dim = 3\ngrid.extents = 16, 16, 16\ngrid.points = 48, 48, 48\n"
+        "params.omega = 1, 1, 1\nparams.lambda1 = 1\nparams.lambda2 = 0.3\n"
+        "init.kind = gaussian\ninit.widths = 0.9, 1.1, 1.05\ninit.center = 0.3, -0.2, 0.1\n"
+    )
+    grid = parse_config(text).grid.build()
+    field = build_initial_field(parse_config(text + f"init.beta = {beta}\n"), grid)
+    real = build_initial_field(parse_config(text), grid).values
+    shifted_sq = sum((x - c) ** 2 for x, c in zip(grid.coord_mesh, (0.3, -0.2, 0.1)))
+    full = real * np.exp(0.5j * beta * shifted_sq)
+    assert np.max(np.abs(field.values - full)) <= 1e-14 * np.max(np.abs(full))
 
 
 def test_initial_field_gaussian_bad_lengths():

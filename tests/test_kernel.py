@@ -410,6 +410,18 @@ def test_apply_kernel_rejects_complex_density():
         apply_kernel(sym, np.zeros(g.shape, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_apply_kernel_rejects_a_non_finite_density(bad):
+    # one NaN used to come back as 512 NaN outputs: the residue check
+    # residue > 1e-8 * scale is false when both sides are NaN
+    g = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
+    sym = build_symbol(g, Analytic3D())
+    rho = np.exp(-(g.radius_sq))
+    rho[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_kernel(sym, rho)
+
+
 def test_apply_kernel_output_is_real_for_even_symbol():
     g = make_grid(3, [10.0, 10.0, 10.0], [16, 16, 16])
     sym = build_symbol(g, Analytic3D())

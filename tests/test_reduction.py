@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -522,6 +523,80 @@ def test_epsilon_sweep_rows_and_determinism(tmp_path):
     sweep_to_csv(rows_parallel, b)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "epsilon,T,sup_err,slope_partner,excitation_sq"
+
+
+def small_sweep_setup():
+    u0, _ = linear_eigenstate(make_grid(1, [10.0], [32]), (1.0,))
+    ref = make_grid(3, [8.0, 8.0, 10.0], [16, 16, 32])
+    return ReductionSetup(0.2, OMEGA, 0.5, 0.1, u0, "1d"), ref
+
+
+def test_sweep_and_projection_use_no_blas(monkeypatch):
+    # BLAS threads spin beside the sweep's members, so nothing the member
+    # pool runs may call it; the einsum projection keeps tensordot's values
+    rng = np.random.default_rng(5)
+    ref = make_grid(3, [8.0, 8.0, 10.0], [12, 14, 16])
+    values = rng.standard_normal(ref.shape) + 1j * rng.standard_normal(ref.shape)
+    field = WaveField(values, ref)
+    expected = []
+    for tight in reduction.TIGHT_AXES.values():
+        omegas = (1.1, 0.9)[: len(tight)]
+        chi = reduction._harmonic_profile(ref, tight, omegas)
+        chi = chi.reshape([ref.shape[a] for a in tight])
+        contracted = np.tensordot(chi, values, axes=(tuple(range(len(tight))), tight))
+        expected.append((omegas, contracted * math.prod(ref.steps[a] for a in tight)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    for name in ("tensordot", "dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+
+    for omegas, want in expected:
+        got = ground_state_projection(field, omegas).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    s, small_ref = small_sweep_setup()
+    rows = epsilon_sweep(s, [0.2, 0.141], small_ref, 2e-3, 0.25, n_samples=2, max_workers=2)
+    assert [r["epsilon"] for r in rows] == [0.2, 0.141]
+    assert all(math.isfinite(r["sup_err"]) for r in rows)
+
+
+def sweep_peak_bytes(setup, ref, n_samples):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows = epsilon_sweep(setup, [0.2], ref, 2e-3, 0.25, n_samples=n_samples, max_workers=1)
+        return rows, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_compares_each_3d_sample_as_it_lands():
+    s, ref = small_sweep_setup()
+    lattice = ref.size * np.dtype(complex).itemsize
+    sweep_peak_bytes(s, ref, 2)  # warm-up: first-use allocations stay out of the peaks
+    _, few = sweep_peak_bytes(s, ref, 2)
+    rows, many = sweep_peak_bytes(s, ref, 16)
+    # 16 stored 3D snapshots would add 14 lattices over 2
+    assert many - few < lattice
+
+    dt, T, n = 2e-3, 0.25, 16
+    times = [j * T / n for j in range(1, n + 1)]
+    reduced = run_reduced_snapshots(s, dt, T, n)
+    snaps3 = evolve_rescaled_3d(s, ref, dt, T, times)
+    assert [t for t, _ in snaps3] == [t for t, _ in reduced]
+    chi = reduction._harmonic_profile(ref, s.tight_axes, s.transverse_omegas)
+    errs = []
+    for (t, psi), (_, u_t) in zip(snaps3, reduced):
+        model = reduction._factorized(
+            np.exp(-1j * s.mu0 * t / s.epsilon**2) * chi, u_t.values, s.tight_axes
+        )
+        errs.append(math.sqrt(float(np.sum(np.abs(psi.values - model) ** 2)) * ref.cell_volume))
+    excitation = max(_excitation_sq(psi, s.tight_axes, s.transverse_omegas) for _, psi in snaps3)
+    (row,) = rows
+    assert row["sup_err"] == max(errs)
+    assert row["excitation_sq"] == pytest.approx(excitation, rel=1e-12, abs=0.0)
 
 
 def test_fitted_slope_exact_powers():
