@@ -63,6 +63,124 @@ def mesh_sum(terms) -> np.ndarray:
     return total
 
 
+# Elements per block of the package's blocked pointwise passes and lattice
+# sums.  A block's real scratch is 512 KiB and its complex scratch 1 MiB, so
+# the work on one block runs in cache; a lattice no larger than one block
+# is one block.
+_BLOCK = 1 << 16
+
+
+def lattice_blocks(shape: Sequence[int]) -> list[tuple[int, int]]:
+    """Flat [start, stop) ranges of at most _BLOCK elements tiling a C-order lattice.
+
+    Each range is a run of whole rows of the last axis, or a piece of one
+    row when a row is longer than a block, so that per-axis terms and
+    per-axis sums line up with it (see MeshSumBlocks and the state
+    module's marginals).
+    """
+    m = shape[-1]
+    size = math.prod(shape)
+    if m > _BLOCK:
+        return [
+            (row + k, row + min(k + _BLOCK, m))
+            for row in range(0, size, m)
+            for k in range(0, m, _BLOCK)
+        ]
+    step = (_BLOCK // m) * m
+    return [(start, min(start + step, size)) for start in range(0, size, step)]
+
+
+class MeshSumBlocks:
+    """mesh_sum of per-axis sparse mesh terms, one lattice block at a time.
+
+    The leading axes' partial sum is kept, one value per row of the last
+    axis, so no full lattice is built: fill writes the elements of one
+    block of lattice_blocks, each the sum of its row's partial sum and
+    the last axis' term, bit for bit what mesh_sum gives there.
+    """
+
+    def __init__(self, terms) -> None:
+        terms = list(terms)
+        self.last = terms[-1].reshape(-1)
+        self.lead = mesh_sum(terms[:-1]).reshape(-1) if len(terms) > 1 else None
+
+    def fill(self, start: int, stop: int, out: np.ndarray) -> None:
+        """out = the lattice elements [start, stop) of one block of lattice_blocks."""
+        m = self.last.size
+        row, k = divmod(start, m)
+        n = stop - start
+        if self.lead is None:
+            np.copyto(out, self.last[k : k + n])
+        elif k == 0 and n % m == 0:
+            np.add(self.lead[row : row + n // m, None], self.last, out=out.reshape(-1, m))
+        else:
+            np.add(self.lead[row], self.last[k : k + n], out=out)
+
+
+def power_blocks(values: np.ndarray, weights: "np.ndarray | None" = None):
+    """Yield (start, |values|^2 [* weights]) per block of lattice_blocks.
+
+    Each power block is formed in block scratch, which the next block
+    reuses, so no power lattice is built.
+    """
+    flat = values.reshape(-1)
+    scale = None if weights is None else weights.reshape(-1)
+    n = min(_BLOCK, values.size)
+    power, im_sq = np.empty(n), np.empty(n)
+    for start, stop in lattice_blocks(values.shape):
+        v = flat[start:stop]
+        p, w = power[: stop - start], im_sq[: stop - start]
+        np.multiply(v.real, v.real, out=p)
+        np.multiply(v.imag, v.imag, out=w)
+        p += w
+        if scale is not None:
+            p *= scale[start:stop]
+        yield start, p
+
+
+class AxisSums:
+    """Sums of a lattice over its last axis (one per row) and over its rows.
+
+    Filled one block of lattice_blocks at a time, so a lattice that only
+    ever exists a block at a time (a power, a weighted product) is summed
+    from block scratch.  With a band of the last axis, each row's sum over
+    that band is kept too.
+    """
+
+    def __init__(self, shape: Sequence[int], band: "slice | None" = None) -> None:
+        self.shape = tuple(shape)
+        m = self.shape[-1]
+        self.rows = np.zeros(math.prod(self.shape) // m)
+        self.cols = np.zeros(m)
+        self.band = band
+        self.band_rows = None if band is None else np.zeros_like(self.rows)
+
+    def add(self, start: int, block: np.ndarray) -> None:
+        """Add the values of the block of lattice_blocks starting at flat index start."""
+        m = self.cols.size
+        row, k = divmod(start, m)
+        if k == 0 and block.size % m == 0:
+            b = block.reshape(-1, m)
+            rows = slice(row, row + b.shape[0])
+            self.rows[rows] = b.sum(axis=1)
+            self.cols += b.sum(axis=0)
+            if self.band is not None:
+                self.band_rows[rows] = b[:, self.band].sum(axis=1)
+        else:
+            self.rows[row] += block.sum()
+            self.cols[k : k + block.size] += block
+            if self.band is not None:
+                lo, hi = max(self.band.start, k), min(self.band.stop, k + block.size)
+                if lo < hi:
+                    self.band_rows[row] += block[lo - k : hi - k].sum()
+
+    def marginals(self) -> list[np.ndarray]:
+        """Per-axis marginals: for each axis, the sums over every other axis."""
+        lead = self.rows.reshape(self.shape[:-1])
+        axes = range(lead.ndim)
+        return [lead.sum(axis=tuple(b for b in axes if b != a)) for a in axes] + [self.cols]
+
+
 def mesh_product(factors) -> np.ndarray:
     """Left-to-right product of per-axis sparse mesh factors.
 
@@ -136,12 +254,16 @@ class SpectralGrid:
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        """|xi|^2 on the full frequency lattice (FFT order)."""
+        """|xi|^2 on the full frequency lattice (FFT order).
+
+        Built on demand for the 2D symbol and for tests; a run forms
+        |xi|^2 block by block from the per-axis terms instead.
+        """
         return mesh_sum(f * f for f in self.freq_mesh)
 
     @cached_property
     def radius_sq(self) -> np.ndarray:
-        """|x|^2 on the full coordinate lattice."""
+        """|x|^2 on the full coordinate lattice (on demand; no run builds it)."""
         return mesh_sum(c * c for c in self.coord_mesh)
 
     @cached_property
@@ -158,15 +280,13 @@ class SpectralGrid:
         """Modes with |k_j| >= N_j/4 on at least one axis (FFT order).
 
         The complement is the "safe" band; spectral mass migrating into
-        this mask is the collapse / under-resolution indicator.
+        this mask is the collapse / under-resolution indicator.  Built on
+        demand for tests: spectral_tail_fraction sums the same modes from
+        per-axis bands without a mask.
         """
         mask = np.zeros(self.shape, dtype=bool)
         for axis, n in enumerate(self.shape):
-            k = np.rint(_fft.fftfreq(n) * n).astype(int)
-            axis_mask = np.abs(k) >= n // 4
-            mask |= axis_mask.reshape(
-                [-1 if a == axis else 1 for a in range(self.dim)]
-            )
+            mask[(slice(None),) * axis + (top_band(n),)] = True
         return mask
 
     # -- transforms ---------------------------------------------------
@@ -190,6 +310,15 @@ class SpectralGrid:
             raise GridError(
                 f"field shape {tuple(u.shape)} does not match grid shape {self.shape}"
             )
+
+
+def top_band(n: int) -> slice:
+    """Indices of the frequencies |k| >= n/4 of an even n-point axis (FFT order).
+
+    In FFT order they form one contiguous run, k = n/4 .. n/2 - 1 followed
+    by -n/2 .. -n/4.
+    """
+    return slice(n // 4, n - n // 4 + 1)
 
 
 def make_grid(

@@ -18,29 +18,34 @@ _nonlinear_phase) and multiplies y in place; the forward transform of
 the result and the kinetic multiply reuse the same array.  A step costs
 two complex and two real transforms.
 
-The pointwise passes of a step run over flat blocks of _BLOCK elements,
-so each block's work stays in cache.  B(dt) makes two block loops, one
-for the density, which the convolution needs whole, and one for the
-half angle, the rotor and the multiply; the full kinetic step forms
-khalf^2 per block.  The step holds two full lattices, the density and
-khalf, and block scratch; every element goes through the same
+The pointwise passes of a step run over the blocks of grid.lattice_blocks,
+at most _BLOCK elements each, so each block's work stays in cache.
+B(dt) makes two block loops, one for the density, which the convolution
+needs whole, and one for the half angle, the rotor and the multiply; the
+full kinetic step forms khalf^2 per block.  The trap V and |xi|^2 are
+never built as lattices: both are harmonic sums of per-axis terms, formed
+per block by grid.MeshSumBlocks in mesh_sum's order, V inside
+_nonlinear_phase and |xi|^2 where set_dt (and the final step's
+re-split) builds khalf.  The step holds two full lattices, the density
+and khalf, and block scratch; every element goes through the same
 operations as in full-lattice passes, so the results are the same to
 the last bit.
 
 At a sample, the spectrum the loop already holds gives psi_hat.  The
 collapse monitor runs on the calling thread: the gradient norm and the
-spectral tail come from the power of psi_hat with no transform.  The
-ObservableRecord reuses psi_hat too (see the state module): a 3D record
-adds one inverse transform for psi, three for its gradient and one real
-transform for the dipolar energy.  evolve takes each record on one
-recorder thread while the loop steps on.  At most one record is in
-flight: a sample first joins the previous record, so records reach the
-series in order.  psi is materialized on the calling thread only where a
-callback, the final step or a tripped monitor needs it, and by the
-record otherwise; the pending record is joined before a callback fires
-and before evolve returns.  A caller that discards the series (evolve
-with observables=False, as the reduction module's snapshot runs do)
-takes monitor-only samples and starts no thread.  _harmonic_profile
+spectral tail come from per-axis sums of the power of psi_hat, taken a
+block at a time with no transform and kept on the spectrum for the
+record.  The ObservableRecord reuses psi_hat too (see the state module):
+a 3D record adds one inverse transform for psi, three for its gradient
+and one real transform for the dipolar energy.  evolve takes each record
+on one recorder thread while the loop steps on.  At most one record is
+in flight: a sample first joins the previous record, so records reach
+the series in order.  psi is materialized on the calling thread only
+where a callback, the final step or a tripped monitor needs it, and by
+the record otherwise; the pending record is joined before a callback
+fires and before evolve returns.  A caller that discards the series
+(evolve with observables=False, as the reduction module's snapshot runs
+do) takes monitor-only samples and starts no thread.  _harmonic_profile
 builds the trap ground state on any set of axes, for linear_eigenstate
 and for the reduction module's transverse profile.
 
@@ -63,7 +68,16 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import FFT_WORKERS, GridError, SpectralGrid, make_grid, mesh_product
+from .grid import (
+    _BLOCK,
+    FFT_WORKERS,
+    GridError,
+    MeshSumBlocks,
+    SpectralGrid,
+    lattice_blocks,
+    make_grid,
+    mesh_product,
+)
 from .kernel import KernelSymbol, _apply_symbol_real
 from .state import (
     FieldSpectrum,
@@ -166,18 +180,12 @@ def linear_eigenstate(grid: SpectralGrid, omega: Sequence[float]) -> tuple[WaveF
     return WaveField(values=values.astype(complex), grid=grid, t=0.0), mu
 
 
-# Elements per block of the pointwise passes of a step.  A block's real
-# scratch is 512 KiB and its complex scratch 1 MiB, so the passes over one
-# block run in cache; a lattice no larger than one block runs as one block.
-_BLOCK = 1 << 16
-
-
 def _nonlinear_phase(
     values: np.ndarray,
     dt: float,
     params: PhysicalParams,
     symbol: "KernelSymbol | None",
-    potential: np.ndarray,
+    trap: Sequence[np.ndarray],
     rho: np.ndarray,
     phase: np.ndarray,
     rotor: np.ndarray,
@@ -191,20 +199,21 @@ def _nonlinear_phase(
     sin scalar there.  At theta = pi, the pole of tan(theta/2), t is
     about 1.6e16, 1 + t^2 stays finite and the rotor is -1.
 
-    values, the trap potential V and the real work buffer rho are
-    C-contiguous arrays of the lattice shape.  The pointwise passes run
-    over flat blocks of at most _BLOCK elements: the first fills rho, the
-    input of the convolution, and the second forms theta/2 per block as
-    ((rho * c1) + (-dt/2) V) + (K*rho) * c2 in phase, then the rotor in
-    rotor, and multiplies.  phase (real) and rotor (complex) are block
-    scratch of at least min(_BLOCK, values.size) elements.
+    values and the real work buffer rho are C-contiguous arrays of the
+    lattice shape; trap holds the per-axis terms of the potential V
+    (PhysicalParams.trap_terms).  The pointwise passes run over the
+    blocks of lattice_blocks, at most _BLOCK elements each: the first
+    fills rho, the input of the convolution, and the second forms theta/2
+    per block as ((rho * c1) + (-dt/2) V) + (K*rho) * c2 in phase, V
+    summed from trap in mesh_sum's order, then the rotor in rotor, and
+    multiplies.  phase (real) and rotor (complex) are block scratch of at
+    least min(_BLOCK, values.size) elements.
     """
     y_flat = values.reshape(-1)
     rho_flat = rho.reshape(-1)
-    v_flat = potential.reshape(-1)
-    blocks = range(0, y_flat.size, _BLOCK)
-    for start in blocks:
-        stop = start + _BLOCK
+    potential = MeshSumBlocks(trap)
+    blocks = lattice_blocks(values.shape)
+    for start, stop in blocks:
         y = y_flat[start:stop]
         r = rho_flat[start:stop]
         w = phase[: y.size]
@@ -217,15 +226,15 @@ def _nonlinear_phase(
     c0 = -0.5 * dt
     c1 = -0.5 * dt * params.lambda1
     c2 = -0.5 * dt * params.lambda2
-    for start in blocks:
-        stop = start + _BLOCK
+    for start, stop in blocks:
         y = y_flat[start:stop]
         r = rho_flat[start:stop]
         w = phase[: y.size]
         z = rotor[: y.size]
         np.multiply(r, c1, out=w)
         # rho is spent once read: it takes the trap term, then 2/(1+t^2)
-        np.multiply(v_flat[start:stop], c0, out=r)
+        potential.fill(start, stop, r)
+        r *= c0
         w += r
         if phi is not None:
             p = phi[start:stop]
@@ -250,8 +259,10 @@ class _Splitting:
     next y.  It owns two full lattices: rho, the density the convolution
     transforms, and khalf, the half-step kinetic phase.  phase and rotor
     are block scratch, min(_BLOCK, grid.size) long.  The trap term
-    (-dt/2) V is formed per block from the potential the caller holds,
-    and the full-step phase khalf^2 per block in rotor.
+    (-dt/2) V is formed per block from the per-axis trap terms the caller
+    holds, khalf per block from the per-axis |xi|^2 terms and the
+    full-step phase khalf^2 per block in rotor; no trap or |xi|^2 lattice
+    is built.
     """
 
     def __init__(
@@ -260,14 +271,16 @@ class _Splitting:
         dt: float,
         params: PhysicalParams,
         symbol: "KernelSymbol | None",
-        potential_mesh: np.ndarray,
+        trap: Sequence[np.ndarray],
     ) -> None:
         if params.lambda2 != 0.0 and symbol is None:
             raise ValueError("a kernel symbol is required when lambda2 != 0")
         self.grid = grid
         self.params = params
         self.symbol = symbol
-        self.potential_mesh = potential_mesh
+        self.trap = trap
+        self._blocks = lattice_blocks(grid.shape)
+        self._ksq = MeshSumBlocks(f * f for f in grid.freq_mesh)
         self.rho = np.empty(grid.shape)
         self.khalf = np.empty(grid.shape, dtype=complex)
         self._khalf_flat = self.khalf.reshape(-1)
@@ -277,14 +290,19 @@ class _Splitting:
         self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
+        """khalf = exp(-i dt |xi|^2 / 4), formed a block at a time."""
         self.dt = dt
-        np.multiply(self.grid.ksq, -0.25j * dt, out=self.khalf)
-        np.exp(self.khalf, out=self.khalf)
+        for start, stop in self._blocks:
+            ksq = self.phase[: stop - start]
+            self._ksq.fill(start, stop, ksq)
+            k = self._khalf_flat[start:stop]
+            np.multiply(ksq, -0.25j * dt, out=k)
+            np.exp(k, out=k)
 
     def advance(self, y: np.ndarray) -> np.ndarray:
         """B(dt) on y in place, then its forward transform (reusing y)."""
         _nonlinear_phase(
-            y, self.dt, self.params, self.symbol, self.potential_mesh,
+            y, self.dt, self.params, self.symbol, self.trap,
             self.rho, self.phase, self.rotor,
         )
         return _fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True)
@@ -298,8 +316,7 @@ class _Splitting:
     def kinetic_full(self, spec: np.ndarray) -> np.ndarray:
         """Inverse transform of spec * khalf^2, reusing spec."""
         flat = spec.reshape(-1)
-        for start in range(0, flat.size, _BLOCK):
-            stop = start + _BLOCK
+        for start, stop in self._blocks:
             k = self._khalf_flat[start:stop]
             s = flat[start:stop]
             kfull = self.rotor[: k.size]
@@ -313,15 +330,18 @@ def strang_step(
     dt: float,
     params: PhysicalParams,
     symbol: "KernelSymbol | None" = None,
-    potential_mesh: "np.ndarray | None" = None,
+    trap: "Sequence[np.ndarray] | None" = None,
 ) -> WaveField:
-    """One splitting step; dt may be negative to run backwards."""
+    """One splitting step; dt may be negative to run backwards.
+
+    trap may pass the per-axis trap terms (PhysicalParams.trap_terms).
+    """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     grid = field.grid
-    if potential_mesh is None:
-        potential_mesh = params.potential(grid)
-    split = _Splitting(grid, dt, params, symbol, potential_mesh)
+    if trap is None:
+        trap = params.trap_terms(grid)
+    split = _Splitting(grid, dt, params, symbol, trap)
     y = split.kinetic(_fft.fftn(field.values, workers=FFT_WORKERS), split.khalf)
     out = split.kinetic(split.advance(y), split.khalf)
     if not np.all(np.isfinite(out.view(float))):
@@ -377,15 +397,27 @@ def _warn_phase_scale(
     field0: WaveField,
     params: PhysicalParams,
     symbol: "KernelSymbol | None",
-    potential_mesh: np.ndarray,
+    trap: Sequence[np.ndarray],
     dt: float,
 ) -> None:
-    """Warn when dt * max|V + nonlinear potential| of field0 reaches pi."""
-    rho0 = density(field0)
-    scale = potential_mesh + params.lambda1 * rho0
+    """Warn when dt * max|V + nonlinear potential| of field0 reaches pi.
+
+    The potential is summed a block at a time, V from its per-axis terms.
+    """
+    rho0 = density(field0).reshape(-1)
+    phi = None
     if params.lambda2 != 0.0 and symbol is not None:
-        scale += params.lambda2 * _apply_symbol_real(symbol, rho0)
-    phase_scale = float(np.max(np.abs(scale)))
+        phi = _apply_symbol_real(symbol, rho0.reshape(field0.grid.shape)).reshape(-1)
+    potential = MeshSumBlocks(trap)
+    scratch = np.empty(min(_BLOCK, rho0.size))
+    phase_scale = 0.0
+    for start, stop in lattice_blocks(field0.grid.shape):
+        w = scratch[: stop - start]
+        potential.fill(start, stop, w)
+        w += params.lambda1 * rho0[start:stop]
+        if phi is not None:
+            w += params.lambda2 * phi[start:stop]
+        phase_scale = max(phase_scale, float(np.max(np.abs(w, out=w))))
     if dt * phase_scale >= math.pi:
         warnings.warn(
             f"dt * max|V + nonlinear potential| = {dt * phase_scale:.3g} >= pi; "
@@ -439,7 +471,7 @@ def evolve(
         raise ValueError("dt must be positive")
     grid = field0.grid
     field0.validate_finite()
-    potential_mesh = params.potential(grid)
+    trap = params.trap_terms(grid)
 
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     last_dt = T - (n_steps - 1) * dt
@@ -474,19 +506,17 @@ def evolve(
 
     if warn_resolution:
         check_resolution(field0, spectrum=spectrum0)
-        _warn_phase_scale(field0, params, symbol, potential_mesh, dt)
+        _warn_phase_scale(field0, params, symbol, trap, dt)
 
     def record(psi, spectrum, t, step):
         # on the recorder thread; _materialize, record_observables and the
         # transforms under them resolve through the module globals
         if psi is None:
             psi = _materialize(spectrum, grid, t, step)
-        return record_observables(
-            psi, params, symbol, potential_mesh=potential_mesh, spectrum=spectrum
-        )
+        return record_observables(psi, params, symbol, spectrum=spectrum)
 
     series = ObservableSeries()
-    split = _Splitting(grid, dt, params, symbol, potential_mesh)
+    split = _Splitting(grid, dt, params, symbol, trap)
     t0 = field0.t
     with _Recorder(series) as recorder:
         if observables:
@@ -505,9 +535,10 @@ def evolve(
             step_dt = dt if step < n_steps else last_dt
             if step == n_steps and abs(last_dt - dt) > 1e-15 * max(dt, 1.0):
                 # re-split the carried half step: the stored y already includes
-                # a dt/2 kinetic phase, so advance by the difference first
-                delta = np.exp(-0.25j * (step_dt - dt) * grid.ksq)
-                y = split.kinetic(_fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True), delta)
+                # a dt/2 kinetic phase, so advance by the difference first,
+                # with khalf holding the phase of that difference
+                split.set_dt(step_dt - dt)
+                y = split.kinetic(_fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True), split.khalf)
                 split.set_dt(step_dt)
             w_spec = split.advance(y)
             t_now = t0 + (step - 1) * dt + step_dt if step == n_steps else t0 + step * dt

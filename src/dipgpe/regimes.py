@@ -34,11 +34,10 @@ from .state import (
     ObservableSeries,
     PhysicalParams,
     WaveField,
-    _energy,
-    _mass,
-    _variance,
+    _density_sums,
     density,
     energy,
+    gradient_norm_sq,
 )
 
 VERDICT_GLOBAL = "GlobalStable"
@@ -133,12 +132,11 @@ def classify(
     4. Otherwise Indeterminate.
     """
     _check_gn_constant(gn_constant)
-    rho = density(phi)
-    e = _energy(phi, rho, params, symbol, None, None)
-    E = e.total
-    M = _mass(phi, rho)
-    grad_sq = 2.0 * e.kinetic
-    xphi_sq = _variance(phi, rho)
+    d = _density_sums(phi, density(phi), params, symbol)
+    grad_sq = gradient_norm_sq(phi)
+    E = d.energy(0.5 * grad_sq).total
+    M = d.mass
+    xphi_sq = d.y
     gap = params.lambda1 - (4.0 * math.pi / 3.0) * params.lambda2
     evidence: dict = {
         "E": E,

@@ -5,14 +5,21 @@ density and its growth rate, plus spectral diagnostics.  All derivatives
 are spectral so that what the propagator conserves exactly is what these
 functions measure.
 
-The spectral observables share one FieldSpectrum, the raw transform
-psi_hat = fftn(psi) and its power |psi_hat|^2: the power gives the
-gradient norm and the top-octave tail, and d_j psi = ifftn(i xi_j psi_hat)
-gives the variance rate.  The dipolar energy pairs the density with its
-convolution by Parseval, from one real transform of the density.  A
-sample therefore costs one forward complex transform when no spectrum is
-passed (none when the caller holds one, as evolve does), one inverse
-complex transform per axis and one real transform.
+Every moment a sample takes comes from 1D per-axis sums, so no sum
+forms a full-lattice temporary.  Mass, trap energy and the variance y
+are sum_a w_a sum_i x_(a,i)^2 m_a(i) over the marginals m_a of the
+density (weights 1/2 omega_a^2 or 1), and field_std reads the same
+marginals.  The spectral observables share one FieldSpectrum, the raw
+transform psi_hat = fftn(psi): the per-axis marginals M_a of its power
+|psi_hat|^2, summed once a block at a time and kept, give the gradient
+norm sum_a sum_k xi_(a,k)^2 M_a(k), and the same pass gives the
+top-octave mass as a sum of disjoint boxes.  d_j psi = ifftn(i xi_j
+psi_hat) gives the variance rate.  The dipolar energy pairs the density
+with its convolution by Parseval, from one real transform of the density
+summed slab by slab.  A sample therefore costs one forward complex
+transform when no spectrum is passed (none when the caller holds one, as
+evolve does), one inverse complex transform per axis and one real
+transform.
 
 An evolution is summarized by an ObservableSeries, one record per
 sampling time, which serializes to CSV with the fixed header
@@ -36,7 +43,17 @@ from typing import Iterable
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import FFT_WORKERS, GridError, SpectralGrid, mesh_sum
+from .grid import (
+    _BLOCK,
+    FFT_WORKERS,
+    AxisSums,
+    GridError,
+    SpectralGrid,
+    lattice_blocks,
+    mesh_sum,
+    power_blocks,
+    top_band,
+)
 from .kernel import KernelSymbol, _pair_symbol_real
 from .kernel import apply_kernel  # noqa: F401  bench/tracer.py spans state.apply_kernel
 
@@ -95,13 +112,24 @@ class PhysicalParams:
     def in_stable_regime(self) -> bool:
         return in_stable_cone(self.lambda1, self.lambda2)
 
-    def potential(self, grid: SpectralGrid) -> np.ndarray:
-        """Harmonic trap 0.5 * sum_j omega_j^2 x_j^2 on the full lattice."""
+    def _check_grid(self, grid: SpectralGrid) -> None:
         if grid.dim != self.dim:
             raise GridError(
                 f"params are {self.dim}-dimensional but grid is {grid.dim}-dimensional"
             )
-        return mesh_sum((0.5 * w * w) * (c * c) for w, c in zip(self.omega, grid.coord_mesh))
+
+    def trap_terms(self, grid: SpectralGrid) -> list[np.ndarray]:
+        """Per-axis terms 0.5 * omega_j^2 x_j^2 of the trap, as sparse meshes."""
+        self._check_grid(grid)
+        return [(0.5 * w * w) * (c * c) for w, c in zip(self.omega, grid.coord_mesh)]
+
+    def potential(self, grid: SpectralGrid) -> np.ndarray:
+        """Harmonic trap 0.5 * sum_j omega_j^2 x_j^2 on the full lattice.
+
+        Built on demand for tests and callers; a run forms the trap block
+        by block from trap_terms, bit for bit these values.
+        """
+        return mesh_sum(self.trap_terms(grid))
 
 
 @dataclass(eq=False)
@@ -140,21 +168,35 @@ class EnergyBreakdown:
 class FieldSpectrum:
     """Raw transform fftn(psi) of a field (FFT order, unnormalized).
 
-    The power |psi_hat|^2 is computed once, on first use, and shared by
-    every observable that reads it.  So is the gradient norm: the first
-    gradient_norm_sq of the spectrum keeps it, with the grid it was
-    summed on, and a later call on that grid returns it.
+    The per-axis marginals of the power |psi_hat|^2, its total and its
+    top-octave mass are summed once, on first use, one block at a time,
+    and shared by every observable that reads them: the gradient norm
+    and the spectral tail.  The power is never held as a lattice.
     """
 
     values: np.ndarray
-    _grad_sq: "tuple[SpectralGrid, float] | None" = dataclass_field(
-        default=None, init=False, repr=False
-    )
 
     @cached_property
-    def power(self) -> np.ndarray:
-        v = self.values
-        return v.real * v.real + v.imag * v.imag
+    def _power_sums(self) -> tuple[list[np.ndarray], float, float]:
+        """Marginals of |psi_hat|^2, its total and its top-octave mass."""
+        shape = self.values.shape
+        sums = AxisSums(shape, top_band(shape[-1]))
+        for start, power in power_blocks(self.values):
+            sums.add(start, power)
+        # The top octave as disjoint boxes: high on leading axis a and low
+        # on the leading axes before it, then low on every leading axis and
+        # high on the last.  Summed directly, never as total - low, which
+        # would cancel a tail of 1e-26 away.
+        rows = sums.rows.reshape(shape[:-1])
+        band_rows = sums.band_rows.reshape(shape[:-1])
+        top = 0.0
+        for axis, n in enumerate(shape[:-1]):
+            high = top_band(n)
+            top += float(np.sum(rows[(slice(None),) * axis + (high,)]))
+            rows = np.delete(rows, high, axis=axis)
+            band_rows = np.delete(band_rows, high, axis=axis)
+        top += float(np.sum(band_rows))
+        return sums.marginals(), float(np.sum(sums.rows)), top
 
 
 def field_spectrum(field: "WaveField") -> FieldSpectrum:
@@ -163,16 +205,53 @@ def field_spectrum(field: "WaveField") -> FieldSpectrum:
 
 
 def density(field: WaveField) -> np.ndarray:
+    """|psi|^2 as one new lattice: re^2 whole, then im^2 added a block at a time."""
     values = field.values
-    return (values.real * values.real + values.imag * values.imag)
+    rho = np.multiply(values.real, values.real)
+    flat, im = rho.reshape(-1), values.reshape(-1).imag
+    scratch = np.empty(min(_BLOCK, rho.size))
+    for start, stop in lattice_blocks(rho.shape):
+        w = scratch[: stop - start]
+        np.multiply(im[start:stop], im[start:stop], out=w)
+        flat[start:stop] += w
+    return rho
+
+
+def _marginals(lattice: np.ndarray) -> list[np.ndarray]:
+    """Per-axis marginals of a real lattice: for each axis, the sums over the others."""
+    sums = AxisSums(lattice.shape)
+    flat = lattice.reshape(-1)
+    for start, stop in lattice_blocks(lattice.shape):
+        sums.add(start, flat[start:stop])
+    return sums.marginals()
+
+
+def _sum_sq(lattice: np.ndarray) -> float:
+    """Sum of lattice**2, squared a block at a time."""
+    flat = lattice.reshape(-1)
+    scratch = np.empty(min(_BLOCK, flat.size))
+    total = 0.0
+    for start, stop in lattice_blocks(lattice.shape):
+        w = scratch[: stop - start]
+        np.multiply(flat[start:stop], flat[start:stop], out=w)
+        total += float(np.sum(w))
+    return total
+
+
+def _mass(grid: SpectralGrid, marginals: list[np.ndarray]) -> float:
+    return float(np.sum(marginals[0])) * grid.cell_volume
+
+
+def _moment(grid: SpectralGrid, marginals: list[np.ndarray], weights) -> float:
+    """sum_a weights_a sum_i x_(a,i)^2 m_a(i), times the cell volume, from marginals m_a."""
+    total = sum(
+        w * float(np.sum((x * x) * m)) for w, x, m in zip(weights, grid.coords, marginals)
+    )
+    return total * grid.cell_volume
 
 
 def mass(field: WaveField) -> float:
-    return _mass(field, density(field))
-
-
-def _mass(field: WaveField, rho: np.ndarray) -> float:
-    return float(np.sum(rho)) * field.grid.cell_volume
+    return _mass(field.grid, _marginals(density(field)))
 
 
 def max_abs(field: WaveField) -> float:
@@ -180,21 +259,22 @@ def max_abs(field: WaveField) -> float:
 
 
 def gradient_norm_sq(field: WaveField, spectrum: "FieldSpectrum | None" = None) -> float:
-    """Squared L2 norm of the spectral gradient."""
+    """Squared L2 norm of the spectral gradient.
+
+    sum_a sum_k xi_(a,k)^2 M_a(k) over the per-axis marginals M_a of the
+    power, which the spectrum sums once and keeps.
+    """
     grid = field.grid
     if spectrum is None:
         spectrum = field_spectrum(field)
-    elif spectrum._grad_sq is not None and spectrum._grad_sq[0] is grid:
-        return spectrum._grad_sq[1]
-    value = float(np.sum(grid.ksq * spectrum.power)) * grid.cell_volume / grid.size
-    spectrum._grad_sq = (grid, value)
-    return value
+    marginals = spectrum._power_sums[0]
+    total = sum(float(np.sum((f * f) * m)) for f, m in zip(grid.freqs, marginals))
+    return total * grid.cell_volume / grid.size
 
 
 def quartic_norm(field: WaveField) -> float:
     """Integral of |psi|^4 evaluated in physical space."""
-    rho = density(field)
-    return float(np.sum(rho * rho)) * field.grid.cell_volume
+    return _sum_sq(density(field)) * field.grid.cell_volume
 
 
 def quartic_norm_spectral(field: WaveField) -> float:
@@ -208,31 +288,39 @@ def quartic_norm_spectral(field: WaveField) -> float:
     return float(np.sum(np.abs(rho_spec) ** 2)) * grid.cell_volume / grid.size
 
 
-def energy(
+@dataclass(frozen=True)
+class _DensitySums:
+    """The series terms a density gives: mass, y and three energy parts."""
+
+    mass: float
+    y: float
+    potential: float
+    cubic: float
+    dipolar: float
+
+    def energy(self, kinetic: float) -> EnergyBreakdown:
+        return EnergyBreakdown(kinetic, self.potential, self.cubic, self.dipolar)
+
+
+def _density_sums(
     field: WaveField,
+    rho: np.ndarray,
     params: PhysicalParams,
-    symbol: "KernelSymbol | None" = None,
-    potential_mesh: "np.ndarray | None" = None,
-) -> EnergyBreakdown:
-    """Four-part energy of a field.
+    symbol: "KernelSymbol | None",
+) -> _DensitySums:
+    """Mass, y and the trap, contact and dipolar energies of a density.
 
-    The kinetic part is spectral, the trap and contact parts are lattice
-    sums, and the dipolar part pairs the density against the convolved
-    potential (by Parseval, see the module docstring).  A symbol is
-    required whenever lambda2 is nonzero.  potential_mesh may pass a
-    precomputed trap to avoid rebuilding it in sampling loops.
+    Mass, trap energy and y come from the per-axis marginals of rho, the
+    contact energy from a blocked sum of rho^2, and the dipolar energy
+    pairs rho with its convolution by Parseval, from one real transform
+    (see the module docstring).  No full-lattice temporary is formed.  A
+    symbol is required whenever lambda2 is nonzero.
     """
-    return _energy(field, density(field), params, symbol, potential_mesh, None)
-
-
-def _energy(field, rho, params, symbol, potential_mesh, spectrum) -> EnergyBreakdown:
     grid = field.grid
+    params._check_grid(grid)
     dv = grid.cell_volume
-    kinetic = 0.5 * gradient_norm_sq(field, spectrum)
-    if potential_mesh is None:
-        potential_mesh = params.potential(grid)
-    potential = float(np.sum(potential_mesh * rho)) * dv
-    cubic = 0.5 * params.lambda1 * float(np.sum(rho * rho)) * dv
+    marginals = _marginals(rho)
+    cubic = 0.0 if params.lambda1 == 0.0 else 0.5 * params.lambda1 * _sum_sq(rho) * dv
     if params.lambda2 == 0.0:
         dipolar = 0.0
     else:
@@ -240,18 +328,35 @@ def _energy(field, rho, params, symbol, potential_mesh, spectrum) -> EnergyBreak
             raise ValueError("a kernel symbol is required when lambda2 != 0")
         grid._check_shape(symbol.values)
         dipolar = 0.5 * params.lambda2 * _pair_symbol_real(symbol, rho) * dv
-    return EnergyBreakdown(
-        kinetic=kinetic, potential=potential, cubic=cubic, dipolar=dipolar
+    return _DensitySums(
+        mass=_mass(grid, marginals),
+        y=_moment(grid, marginals, [1.0] * grid.dim),
+        potential=_moment(grid, marginals, [0.5 * w * w for w in params.omega]),
+        cubic=cubic,
+        dipolar=dipolar,
     )
+
+
+def energy(
+    field: WaveField,
+    params: PhysicalParams,
+    symbol: "KernelSymbol | None" = None,
+) -> EnergyBreakdown:
+    """Four-part energy of a field.
+
+    The kinetic part is spectral, the trap and contact parts are lattice
+    sums, and the dipolar part pairs the density against the convolved
+    potential (by Parseval, see the module docstring).  A symbol is
+    required whenever lambda2 is nonzero.
+    """
+    d = _density_sums(field, density(field), params, symbol)
+    return d.energy(0.5 * gradient_norm_sq(field))
 
 
 def variance(field: WaveField) -> float:
     """Position variance y = int |x|^2 |psi|^2."""
-    return _variance(field, density(field))
-
-
-def _variance(field: WaveField, rho: np.ndarray) -> float:
-    return float(np.sum(field.grid.radius_sq * rho)) * field.grid.cell_volume
+    grid = field.grid
+    return _moment(grid, _marginals(density(field)), [1.0] * grid.dim)
 
 
 def variance_and_rate(field: WaveField) -> tuple[float, float]:
@@ -260,7 +365,7 @@ def variance_and_rate(field: WaveField) -> tuple[float, float]:
     The rate uses the standard identity dy/dt = 2 Im int conj(psi)
     (x . grad psi); the gradient is spectral.
     """
-    return _variance(field, density(field)), _variance_rate(field, None)
+    return variance(field), _variance_rate(field, None)
 
 
 def _variance_rate(field: WaveField, spectrum: "FieldSpectrum | None") -> float:
@@ -291,29 +396,30 @@ def _variance_rate(field: WaveField, spectrum: "FieldSpectrum | None") -> float:
 def spectral_tail_fraction(
     field: WaveField, spectrum: "FieldSpectrum | None" = None
 ) -> float:
-    """Fraction of spectral mass in the top frequency octave."""
+    """Fraction of spectral mass in the top frequency octave.
+
+    The modes with |k_j| >= N_j/4 on at least one axis (the grid's
+    top_octave_mask), summed from the spectrum's blocked power sums.
+    """
     if spectrum is None:
         spectrum = field_spectrum(field)
-    power = spectrum.power
-    total = float(np.sum(power))
+    _, total, top = spectrum._power_sums
     if total == 0.0:
         return 0.0
-    # a masked reduction: gathering power[mask] would copy 7/8 of the lattice
-    return float(np.sum(power, where=field.grid.top_octave_mask)) / total
+    return top / total
 
 
 def field_std(field: WaveField) -> tuple[float, ...]:
-    """Per-axis standard deviation of the position density."""
+    """Per-axis standard deviation of the position density, from its marginals."""
     grid = field.grid
-    rho = density(field)
-    total = float(np.sum(rho))
+    marginals = _marginals(density(field))
+    total = float(np.sum(marginals[0]))
     if total == 0.0:
         return tuple(0.0 for _ in range(grid.dim))
     out = []
-    for axis in range(grid.dim):
-        coord = grid.coord_mesh[axis]
-        mean = float(np.sum(coord * rho)) / total
-        var = float(np.sum((coord - mean) ** 2 * rho)) / total
+    for x, m in zip(grid.coords, marginals):
+        mean = float(np.sum(x * m)) / total
+        var = float(np.sum((x - mean) ** 2 * m)) / total
         out.append(math.sqrt(max(var, 0.0)))
     return tuple(out)
 
@@ -372,25 +478,32 @@ def record_observables(
     field: WaveField,
     params: PhysicalParams,
     symbol: "KernelSymbol | None" = None,
-    potential_mesh: "np.ndarray | None" = None,
     spectrum: "FieldSpectrum | None" = None,
 ) -> ObservableRecord:
-    """Every series column at one instant, from one density and one spectrum."""
+    """Every series column at one instant, from one density and one spectrum.
+
+    The density's terms are summed first and the density is released
+    before the variance rate takes its gradient buffer, so a record given
+    its spectrum holds about one complex lattice beside its inputs.
+    """
     if spectrum is None:
         spectrum = field_spectrum(field)
     rho = density(field)
-    e = _energy(field, rho, params, symbol, potential_mesh, spectrum)
+    d = _density_sums(field, rho, params, symbol)
+    maxpsi = float(np.sqrt(rho.max()))
+    del rho
+    e = d.energy(0.5 * gradient_norm_sq(field, spectrum))
     return ObservableRecord(
         t=field.t,
-        mass=float(np.sum(rho)) * field.grid.cell_volume,
+        mass=d.mass,
         E=e.total,
         Ekin=e.kinetic,
         Epot=e.potential,
         Ecubic=e.cubic,
         Edip=e.dipolar,
-        y=_variance(field, rho),
+        y=d.y,
         ydot=_variance_rate(field, spectrum),
-        maxpsi=float(np.sqrt(rho.max())),
+        maxpsi=maxpsi,
         gradsq=2.0 * e.kinetic,
     )
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from dipgpe import GridError, PhysicalParams, make_grid
-from dipgpe.grid import mesh_product
+from dipgpe.grid import (
+    _BLOCK,
+    AxisSums,
+    MeshSumBlocks,
+    lattice_blocks,
+    mesh_product,
+    mesh_sum,
+    top_band,
+)
 
 
 def test_spacings_1d():
@@ -189,6 +197,64 @@ def test_top_octave_mask_counts():
     g2 = make_grid(2, [8.0, 8.0], [8, 8])
     # per axis |k| >= 2 leaves a 3x3 block of False
     assert int((~g2.top_octave_mask).sum()) == 9
+
+
+@pytest.mark.parametrize("n", [8, 10, 16, 96, 130])
+def test_top_band_is_the_top_octave_of_an_axis(n):
+    k = np.rint(np.fft.fftfreq(n) * n).astype(int)
+    want = np.flatnonzero(np.abs(k) >= n // 4)
+    band = top_band(n)
+    assert np.array_equal(np.arange(n)[band], want)
+
+
+# Shapes whose last axis fits a block many times, once, not at all.
+BLOCK_SHAPES = [(16,), (6, 10), (5, 7, 9), (3, _BLOCK // 2 + 3), (2, _BLOCK + 4464), (_BLOCK + 96,)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_lattice_blocks_tile_whole_rows_or_one_row(shape):
+    blocks = lattice_blocks(shape)
+    m = shape[-1]
+    assert blocks[0][0] == 0 and blocks[-1][1] == math.prod(shape)
+    for (_, stop), (start, _) in zip(blocks, blocks[1:]):
+        assert stop == start
+    for start, stop in blocks:
+        assert 0 < stop - start <= _BLOCK
+        whole_rows = start % m == 0 and (stop - start) % m == 0
+        one_row = start // m == (stop - 1) // m
+        assert whole_rows or one_row
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_mesh_sum_blocks_are_bit_for_bit_the_mesh_sum(shape):
+    axes = [np.linspace(-1.3, 2.1, n) ** 2 for n in shape]
+    terms = [
+        (0.5 + a) * x.reshape([-1 if b == a else 1 for b in range(len(shape))])
+        for a, x in enumerate(axes)
+    ]
+    want = mesh_sum(terms)
+    got = np.empty(math.prod(shape))
+    blocks = MeshSumBlocks(terms)
+    for start, stop in lattice_blocks(shape):
+        out = np.empty(stop - start)
+        blocks.fill(start, stop, out)
+        got[start:stop] = out
+    assert got.tobytes() == np.ascontiguousarray(want).reshape(-1).tobytes()
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_axis_sums_give_marginals_and_band_rows(shape):
+    values = np.random.default_rng(len(shape)).random(shape)
+    band = top_band(shape[-1])
+    sums = AxisSums(shape, band)
+    flat = values.reshape(-1)
+    for start, stop in lattice_blocks(shape):
+        sums.add(start, flat[start:stop].copy())
+    for axis, marginal in enumerate(sums.marginals()):
+        others = tuple(b for b in range(len(shape)) if b != axis)
+        np.testing.assert_allclose(marginal, values.sum(axis=others), rtol=1e-13)
+    rows = values.reshape(-1, shape[-1])
+    np.testing.assert_allclose(sums.band_rows, rows[:, band].sum(axis=1), rtol=1e-13)
 
 
 def test_sign_mesh_alternates():

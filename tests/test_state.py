@@ -8,6 +8,7 @@ from scipy import fft as scipy_fft
 from dipgpe import (
     Analytic3D,
     Effective1D,
+    Effective2D,
     EnergyBreakdown,
     GridError,
     KernelRealityError,
@@ -34,7 +35,8 @@ from dipgpe import (
     spectral_tail_fraction,
     variance_and_rate,
 )
-from dipgpe.state import field_spectrum
+from dipgpe.grid import _BLOCK
+from dipgpe.state import field_spectrum, variance
 
 
 def gaussian_field(grid, sigma, center=None):
@@ -386,3 +388,128 @@ def test_series_csv_rejects_foreign_header(tmp_path):
     path.write_text("time,value\n0,1\n")
     with pytest.raises(ValueError):
         ObservableSeries.from_csv(path)
+
+
+def off_centre_chirped(grid, chirp=0.15):
+    """Off-centre anisotropic Gaussian with a chirp and a drift, unit lattice mass."""
+    centre = (0.4, -0.3, 0.25)[: grid.dim]
+    widths = (0.8, 1.1, 1.5)[: grid.dim]
+    arg = sum(
+        -((x - c) ** 2) / (2.0 * w * w) + 1j * chirp * (x - c) ** 2 + 0.3j * x
+        for x, c, w in zip(grid.coord_mesh, centre, widths)
+    )
+    values = np.exp(arg)
+    values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.cell_volume)
+    return WaveField(values, grid)
+
+
+def reference_sums(f, p, sym):
+    """Every moment a sample takes, as full-lattice sums."""
+    g = f.grid
+    dv = g.cell_volume
+    rho = np.abs(f.values) ** 2
+    power = np.abs(scipy_fft.fftn(f.values)) ** 2
+    stds = []
+    for x in g.coord_mesh:
+        mean = np.sum(x * rho) / np.sum(rho)
+        stds.append(math.sqrt(np.sum((x - mean) ** 2 * rho) / np.sum(rho)))
+    dipolar = 0.0 if sym is None else np.sum(rho * apply_kernel(sym, rho))
+    return {
+        "mass": np.sum(rho) * dv,
+        "Epot": np.sum(p.potential(g) * rho) * dv,
+        "Ecubic": 0.5 * p.lambda1 * np.sum(rho * rho) * dv,
+        "Edip": 0.5 * p.lambda2 * dipolar * dv,
+        "y": np.sum(g.radius_sq * rho) * dv,
+        "gradsq": np.sum(g.ksq * power) * dv / g.size,
+        "tail": np.sum(power[g.top_octave_mask]) / np.sum(power),
+        "std": tuple(stds),
+    }
+
+
+SUM_CASES = [
+    # dim, extents, points, omega, lambda2, symbol provenance
+    (1, (16.0,), (96,), (1.3,), 0.6, Effective1D(1.0, 1.5)),
+    (1, (900.0,), (_BLOCK + 4464,), (0.02,), 0.0, None),
+    (2, (14.0, 12.0), (48, 40), (1.0, 1.4), 0.4, Effective2D(1.5)),
+    (2, (10.0, 700.0), (8, _BLOCK + 96), (1.0, 0.03), 0.0, None),
+    (3, (10.0, 10.0, 12.0), (24, 20, 32), (1.0, 0.8, 1.2), 0.7, Analytic3D()),
+]
+
+
+@pytest.mark.parametrize("dim, extents, points, omega, lambda2, prov", SUM_CASES)
+def test_marginal_and_slab_sums_match_full_lattice_formulas(dim, extents, points, omega, lambda2, prov):
+    g = make_grid(dim, extents, points)
+    p = PhysicalParams(dim, omega, 0.9, lambda2)
+    sym = build_symbol(g, prov) if prov is not None else None
+    f = off_centre_chirped(g)
+    want = reference_sums(f, p, sym)
+    rec = record_observables(f, p, sym)
+    e = energy(f, p, sym)
+    got = {
+        "mass": [rec.mass, mass(f)],
+        "Epot": [rec.Epot, e.potential],
+        "Ecubic": [rec.Ecubic, e.cubic],
+        "Edip": [rec.Edip, e.dipolar],
+        "y": [rec.y, variance(f)],
+        "gradsq": [rec.gradsq, gradient_norm_sq(f), 2.0 * e.kinetic],
+        "tail": [spectral_tail_fraction(f)],
+    }
+    for name, values in got.items():
+        for value in values:
+            assert value == pytest.approx(want[name], rel=1e-13, abs=0.0), name
+    assert (rec.Edip != 0.0) == (sym is not None)
+    assert want["tail"] > 0.0
+    for a, b in zip(field_std(f), want["std"]):
+        assert a == pytest.approx(b, rel=1e-13)
+
+
+def test_a_tail_far_below_roundoff_is_summed_not_subtracted():
+    # criterion 6's data starts at a tail of 2e-26; total - low would read 0
+    # or 1e-16 of noise, the disjoint boxes read the tail itself
+    g = make_grid(3, (16.0, 16.0, 16.0), (80, 80, 80))
+    centre, widths = (0.3, -0.2, 0.1), (1.0, 1.1, 0.9)
+    f = WaveField(
+        np.exp(sum(-((x - c) ** 2) / (2 * w * w) for x, c, w in zip(g.coord_mesh, centre, widths))),
+        g,
+    )
+    power = np.abs(scipy_fft.fftn(f.values)) ** 2
+    want = np.sum(power[g.top_octave_mask]) / np.sum(power)
+    assert 0.0 < want < 1e-20
+    assert spectral_tail_fraction(f) == pytest.approx(want, rel=1e-13)
+
+
+def test_record_with_its_spectrum_allocates_about_one_complex_lattice():
+    g = make_grid(3, (10.0, 10.0, 12.0), (64, 64, 64))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    sym = build_symbol(g, Analytic3D())
+    f = off_centre_chirped(g, chirp=0.05)
+    spectrum = field_spectrum(f)
+    sym.half_values, g.coords, g.freqs, g.coord_mesh, g.freq_mesh
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        record_observables(f, p, sym, spectrum=spectrum)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one complex lattice, the density and the half spectrum of the dipolar
+    # energy or the gradient buffer, plus block scratch
+    assert peak <= 16 * g.size + 2**21
+    assert not {"ksq", "radius_sq", "top_octave_mask"} & vars(g).keys()
+
+
+def test_dipolar_energy_of_an_axisymmetric_gaussian_matches_its_closed_form():
+    # E_dip = -lambda2 f(kappa) / (3 sqrt(2 pi) s_perp^2 s_z) for unit mass,
+    # kappa = s_perp / s_z, with psi's widths s (O'Dell, Giovanazzi and
+    # Eberlein, PRL 92, 250401 (2004)).  The rest is the periodic images of
+    # the 1/r^3 kernel on an L = 24 box.
+    s_perp, s_z = 1.0, 2.0
+    g = make_grid(3, (24.0, 24.0, 24.0), (64, 64, 64))
+    f, _ = linear_eigenstate(g, (s_perp**-2, s_perp**-2, s_z**-2))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
+    k = s_perp / s_z
+    e = 1.0 - k * k
+    f_kappa = (1.0 + 2.0 * k * k) / e - 3.0 * k * k * math.atanh(math.sqrt(e)) / e**1.5
+    exact = -p.lambda2 * f_kappa / (3.0 * math.sqrt(2.0 * math.pi) * s_perp**2 * s_z)
+    got = energy(f, p, build_symbol(g, Analytic3D())).dipolar
+    assert abs(got - exact) <= 5e-4 * abs(exact)
