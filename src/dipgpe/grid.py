@@ -63,10 +63,10 @@ def mesh_sum(terms) -> np.ndarray:
     return total
 
 
-# Elements per block of the package's blocked pointwise passes and lattice
-# sums.  A block's real scratch is 512 KiB and its complex scratch 1 MiB, so
-# the work on one block runs in cache; a lattice no larger than one block
-# is one block.
+# Elements per block of the package's blocked pointwise passes, which need
+# scratch; lattice sums are numpy reductions and take no blocks.  A block's
+# real scratch is 512 KiB and its complex scratch 1 MiB, so the work on one
+# block runs in cache; a lattice no larger than one block is one block.
 _BLOCK = 1 << 16
 
 
@@ -74,9 +74,8 @@ def lattice_blocks(shape: Sequence[int]) -> list[tuple[int, int]]:
     """Flat [start, stop) ranges of at most _BLOCK elements tiling a C-order lattice.
 
     Each range is a run of whole rows of the last axis, or a piece of one
-    row when a row is longer than a block, so that per-axis terms and
-    per-axis sums line up with it (see MeshSumBlocks and the state
-    module's marginals).
+    row when a row is longer than a block, so that per-axis terms line up
+    with it (see MeshSumBlocks).
     """
     m = shape[-1]
     size = math.prod(shape)
@@ -112,73 +111,13 @@ class MeshSumBlocks:
         if self.lead is None:
             np.copyto(out, self.last[k : k + n])
         elif k == 0 and n % m == 0:
-            np.add(self.lead[row : row + n // m, None], self.last, out=out.reshape(-1, m))
+            # last + lead is lead + last bit for bit; adding the row column
+            # in place runs one long inner loop rather than one per row
+            rows = out.reshape(-1, m)
+            np.copyto(rows, self.last)
+            rows += self.lead[row : row + n // m, None]
         else:
             np.add(self.lead[row], self.last[k : k + n], out=out)
-
-
-def power_blocks(values: np.ndarray, weights: "np.ndarray | None" = None):
-    """Yield (start, |values|^2 [* weights]) per block of lattice_blocks.
-
-    Each power block is formed in block scratch, which the next block
-    reuses, so no power lattice is built.
-    """
-    flat = values.reshape(-1)
-    scale = None if weights is None else weights.reshape(-1)
-    n = min(_BLOCK, values.size)
-    power, im_sq = np.empty(n), np.empty(n)
-    for start, stop in lattice_blocks(values.shape):
-        v = flat[start:stop]
-        p, w = power[: stop - start], im_sq[: stop - start]
-        np.multiply(v.real, v.real, out=p)
-        np.multiply(v.imag, v.imag, out=w)
-        p += w
-        if scale is not None:
-            p *= scale[start:stop]
-        yield start, p
-
-
-class AxisSums:
-    """Sums of a lattice over its last axis (one per row) and over its rows.
-
-    Filled one block of lattice_blocks at a time, so a lattice that only
-    ever exists a block at a time (a power, a weighted product) is summed
-    from block scratch.  With a band of the last axis, each row's sum over
-    that band is kept too.
-    """
-
-    def __init__(self, shape: Sequence[int], band: "slice | None" = None) -> None:
-        self.shape = tuple(shape)
-        m = self.shape[-1]
-        self.rows = np.zeros(math.prod(self.shape) // m)
-        self.cols = np.zeros(m)
-        self.band = band
-        self.band_rows = None if band is None else np.zeros_like(self.rows)
-
-    def add(self, start: int, block: np.ndarray) -> None:
-        """Add the values of the block of lattice_blocks starting at flat index start."""
-        m = self.cols.size
-        row, k = divmod(start, m)
-        if k == 0 and block.size % m == 0:
-            b = block.reshape(-1, m)
-            rows = slice(row, row + b.shape[0])
-            self.rows[rows] = b.sum(axis=1)
-            self.cols += b.sum(axis=0)
-            if self.band is not None:
-                self.band_rows[rows] = b[:, self.band].sum(axis=1)
-        else:
-            self.rows[row] += block.sum()
-            self.cols[k : k + block.size] += block
-            if self.band is not None:
-                lo, hi = max(self.band.start, k), min(self.band.stop, k + block.size)
-                if lo < hi:
-                    self.band_rows[row] += block[lo - k : hi - k].sum()
-
-    def marginals(self) -> list[np.ndarray]:
-        """Per-axis marginals: for each axis, the sums over every other axis."""
-        lead = self.rows.reshape(self.shape[:-1])
-        axes = range(lead.ndim)
-        return [lead.sum(axis=tuple(b for b in axes if b != a)) for a in axes] + [self.cols]
 
 
 def mesh_product(factors) -> np.ndarray:

@@ -47,7 +47,7 @@ import numpy as np
 from scipy import fft as _fft
 from scipy import special
 
-from .grid import FFT_WORKERS, AxisSums, GridError, SpectralGrid, power_blocks
+from .grid import FFT_WORKERS, GridError, SpectralGrid
 
 SYMBOL_MAX = 8.0 * math.pi / 3.0
 SYMBOL_MIN = -4.0 * math.pi / 3.0
@@ -498,14 +498,16 @@ def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:
     By Parseval this is (1/N) sum_k symbol_k |rho_hat_k|^2 over the full
     lattice.  The real-transform layout holds each interior mode of the
     last axis for itself and its mirror image, so those count twice; the
-    zero and Nyquist planes of the last axis count once.  The weighted
-    power is formed one block of the half spectrum at a time and summed
-    into per-column sums of its last axis, which give both counts.
+    zero and Nyquist planes of the last axis count once.  The column sums
+    of the weighted power over the last axis give both counts; each is a
+    three-operand einsum on the real or the imaginary part, so no power
+    lattice is formed.
     """
     spectrum = _fft.rfftn(density, workers=FFT_WORKERS)
-    sums = AxisSums(spectrum.shape)
-    for start, power in power_blocks(spectrum, symbol.half_values):
-        sums.add(start, power)
-    cols = sums.cols
+    v = spectrum.reshape(-1, spectrum.shape[-1])
+    w = symbol.half_values.reshape(v.shape)
+    cols = np.einsum("ij,ij,ij->j", v.real, v.real, w) + np.einsum(
+        "ij,ij,ij->j", v.imag, v.imag, w
+    )
     total = 2.0 * float(np.sum(cols)) - float(cols[0]) - float(cols[-1])
     return total / symbol.grid.size

@@ -33,11 +33,11 @@ the last bit.
 
 At a sample, the spectrum the loop already holds gives psi_hat.  The
 collapse monitor runs on the calling thread: the gradient norm and the
-spectral tail come from per-axis sums of the power of psi_hat, taken a
-block at a time with no transform and kept on the spectrum for the
-record.  The ObservableRecord reuses psi_hat too (see the state module):
-a 3D record adds one inverse transform for psi, three for its gradient
-and one real transform for the dipolar energy.  evolve takes each record
+spectral tail come from per-axis sums of the power of psi_hat, taken
+with no transform and kept on the spectrum for the record.  The
+ObservableRecord reuses psi_hat too (see the state module): a 3D record
+adds one inverse transform for psi, three for its gradient and one real
+transform for the dipolar energy.  evolve takes each record
 on one recorder thread while the loop steps on.  At most one record is
 in flight: a sample first joins the previous record, so records reach
 the series in order.  psi is materialized on the calling thread only

@@ -5,21 +5,22 @@ density and its growth rate, plus spectral diagnostics.  All derivatives
 are spectral so that what the propagator conserves exactly is what these
 functions measure.
 
-Every moment a sample takes comes from 1D per-axis sums, so no sum
+Every moment a sample takes comes from 1D per-axis sums, and every sum
+is a numpy reduction (an axis sum or an einsum without optimize, which
+calls no BLAS) over the (rows, last axis) view of a lattice, so no sum
 forms a full-lattice temporary.  Mass, trap energy and the variance y
 are sum_a w_a sum_i x_(a,i)^2 m_a(i) over the marginals m_a of the
 density (weights 1/2 omega_a^2 or 1), and field_std reads the same
 marginals.  The spectral observables share one FieldSpectrum, the raw
 transform psi_hat = fftn(psi): the per-axis marginals M_a of its power
-|psi_hat|^2, summed once a block at a time and kept, give the gradient
-norm sum_a sum_k xi_(a,k)^2 M_a(k), and the same pass gives the
-top-octave mass as a sum of disjoint boxes.  d_j psi = ifftn(i xi_j
-psi_hat) gives the variance rate.  The dipolar energy pairs the density
-with its convolution by Parseval, from one real transform of the density
-summed slab by slab.  A sample therefore costs one forward complex
-transform when no spectrum is passed (none when the caller holds one, as
-evolve does), one inverse complex transform per axis and one real
-transform.
+|psi_hat|^2, summed once and kept, give the gradient norm
+sum_a sum_k xi_(a,k)^2 M_a(k), and the same sums give the top-octave
+mass as a sum of disjoint boxes.  d_j psi = ifftn(i xi_j psi_hat) gives
+the variance rate.  The dipolar energy pairs the density with its
+convolution by Parseval, from one real transform of the density.  A
+sample therefore costs one forward complex transform when no spectrum is
+passed (none when the caller holds one, as evolve does), one inverse
+complex transform per axis and one real transform.
 
 An evolution is summarized by an ObservableSeries, one record per
 sampling time, which serializes to CSV with the fixed header
@@ -46,12 +47,10 @@ from scipy import fft as _fft
 from .grid import (
     _BLOCK,
     FFT_WORKERS,
-    AxisSums,
     GridError,
     SpectralGrid,
     lattice_blocks,
     mesh_sum,
-    power_blocks,
     top_band,
 )
 from .kernel import KernelSymbol, _pair_symbol_real
@@ -169,26 +168,37 @@ class FieldSpectrum:
     """Raw transform fftn(psi) of a field (FFT order, unnormalized).
 
     The per-axis marginals of the power |psi_hat|^2, its total and its
-    top-octave mass are summed once, on first use, one block at a time,
-    and shared by every observable that reads them: the gradient norm
-    and the spectral tail.  The power is never held as a lattice.
+    top-octave mass are summed once, on first use, and shared by every
+    observable that reads them: the gradient norm and the spectral tail.
+    The power is never held as a lattice.
     """
 
     values: np.ndarray
 
     @cached_property
     def _power_sums(self) -> tuple[list[np.ndarray], float, float]:
-        """Marginals of |psi_hat|^2, its total and its top-octave mass."""
+        """Marginals of |psi_hat|^2, its total and its top-octave mass.
+
+        Row, column and top-band row sums of the (rows, last axis) view,
+        each an einsum of the real part with itself plus one of the
+        imaginary part, so no power lattice is formed.
+        """
         shape = self.values.shape
-        sums = AxisSums(shape, top_band(shape[-1]))
-        for start, power in power_blocks(self.values):
-            sums.add(start, power)
+        v = self.values.reshape(-1, shape[-1])
+        band = top_band(shape[-1])
+
+        def power(rows, out):
+            re, im = rows.real, rows.imag
+            return np.einsum(f"ij,ij->{out}", re, re) + np.einsum(f"ij,ij->{out}", im, im)
+
+        row_sums = power(v, "i")
+        marginals = _axis_marginals(row_sums, power(v, "j"), shape)
         # The top octave as disjoint boxes: high on leading axis a and low
         # on the leading axes before it, then low on every leading axis and
         # high on the last.  Summed directly, never as total - low, which
         # would cancel a tail of 1e-26 away.
-        rows = sums.rows.reshape(shape[:-1])
-        band_rows = sums.band_rows.reshape(shape[:-1])
+        rows = row_sums.reshape(shape[:-1])
+        band_rows = power(v[:, band], "i").reshape(shape[:-1])
         top = 0.0
         for axis, n in enumerate(shape[:-1]):
             high = top_band(n)
@@ -196,7 +206,7 @@ class FieldSpectrum:
             rows = np.delete(rows, high, axis=axis)
             band_rows = np.delete(band_rows, high, axis=axis)
         top += float(np.sum(band_rows))
-        return sums.marginals(), float(np.sum(sums.rows)), top
+        return marginals, float(np.sum(row_sums)), top
 
 
 def field_spectrum(field: "WaveField") -> FieldSpectrum:
@@ -217,25 +227,23 @@ def density(field: WaveField) -> np.ndarray:
     return rho
 
 
+def _axis_marginals(row_sums: np.ndarray, col_sums: np.ndarray, shape) -> list[np.ndarray]:
+    """Per-axis marginals of a lattice from its sums over the last axis and over its rows."""
+    lead = row_sums.reshape(shape[:-1])
+    axes = range(lead.ndim)
+    return [lead.sum(axis=tuple(b for b in axes if b != a)) for a in axes] + [col_sums]
+
+
 def _marginals(lattice: np.ndarray) -> list[np.ndarray]:
     """Per-axis marginals of a real lattice: for each axis, the sums over the others."""
-    sums = AxisSums(lattice.shape)
-    flat = lattice.reshape(-1)
-    for start, stop in lattice_blocks(lattice.shape):
-        sums.add(start, flat[start:stop])
-    return sums.marginals()
+    rows = lattice.reshape(-1, lattice.shape[-1])
+    return _axis_marginals(rows.sum(axis=1), rows.sum(axis=0), lattice.shape)
 
 
 def _sum_sq(lattice: np.ndarray) -> float:
-    """Sum of lattice**2, squared a block at a time."""
+    """Sum of lattice**2, with no squared lattice formed."""
     flat = lattice.reshape(-1)
-    scratch = np.empty(min(_BLOCK, flat.size))
-    total = 0.0
-    for start, stop in lattice_blocks(lattice.shape):
-        w = scratch[: stop - start]
-        np.multiply(flat[start:stop], flat[start:stop], out=w)
-        total += float(np.sum(w))
-    return total
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def _mass(grid: SpectralGrid, marginals: list[np.ndarray]) -> float:
@@ -311,9 +319,9 @@ def _density_sums(
     """Mass, y and the trap, contact and dipolar energies of a density.
 
     Mass, trap energy and y come from the per-axis marginals of rho, the
-    contact energy from a blocked sum of rho^2, and the dipolar energy
-    pairs rho with its convolution by Parseval, from one real transform
-    (see the module docstring).  No full-lattice temporary is formed.  A
+    contact energy from an einsum of rho with itself, and the dipolar
+    energy pairs rho with its convolution by Parseval, from one real
+    transform (see the module docstring).  No full-lattice temporary is formed.  A
     symbol is required whenever lambda2 is nonzero.
     """
     grid = field.grid
@@ -399,7 +407,7 @@ def spectral_tail_fraction(
     """Fraction of spectral mass in the top frequency octave.
 
     The modes with |k_j| >= N_j/4 on at least one axis (the grid's
-    top_octave_mask), summed from the spectrum's blocked power sums.
+    top_octave_mask), summed from the spectrum's power sums.
     """
     if spectrum is None:
         spectrum = field_spectrum(field)

@@ -6,13 +6,13 @@ import pytest
 from dipgpe import GridError, PhysicalParams, make_grid
 from dipgpe.grid import (
     _BLOCK,
-    AxisSums,
     MeshSumBlocks,
     lattice_blocks,
     mesh_product,
     mesh_sum,
     top_band,
 )
+from dipgpe.state import FieldSpectrum, _marginals
 
 
 def test_spacings_1d():
@@ -244,17 +244,21 @@ def test_mesh_sum_blocks_are_bit_for_bit_the_mesh_sum(shape):
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
 def test_axis_sums_give_marginals_and_band_rows(shape):
-    values = np.random.default_rng(len(shape)).random(shape)
-    band = top_band(shape[-1])
-    sums = AxisSums(shape, band)
-    flat = values.reshape(-1)
-    for start, stop in lattice_blocks(shape):
-        sums.add(start, flat[start:stop].copy())
-    for axis, marginal in enumerate(sums.marginals()):
-        others = tuple(b for b in range(len(shape)) if b != axis)
-        np.testing.assert_allclose(marginal, values.sum(axis=others), rtol=1e-13)
-    rows = values.reshape(-1, shape[-1])
-    np.testing.assert_allclose(sums.band_rows, rows[:, band].sum(axis=1), rtol=1e-13)
+    # the row, column and top-band row sums of a density and of a power
+    # |v|^2, on rows longer than a block and a 1D lattice past one block
+    rng = np.random.default_rng(len(shape))
+    values = rng.random(shape)
+    v = np.sqrt(values) * np.exp(2j * np.pi * rng.random(shape))
+    marginals, total, top = FieldSpectrum(v)._power_sums
+    for got in (_marginals(values), marginals):
+        for axis, marginal in enumerate(got):
+            others = tuple(b for b in range(len(shape)) if b != axis)
+            np.testing.assert_allclose(marginal, values.sum(axis=others), rtol=1e-13)
+    mask = np.zeros(shape, dtype=bool)
+    for axis, n in enumerate(shape):
+        mask[(slice(None),) * axis + (top_band(n),)] = True
+    np.testing.assert_allclose(total, values.sum(), rtol=1e-13)
+    np.testing.assert_allclose(top, values[mask].sum(), rtol=1e-13)
 
 
 def test_sign_mesh_alternates():

@@ -7,13 +7,18 @@ import pytest
 from scipy import special
 
 from dipgpe import (
+    Analytic3D,
     Effective1D,
     GridError,
     KernelSymbol,
     MonitorSpec,
+    PhysicalParams,
     ReductionSetup,
     WaveField,
+    build_symbol,
+    classify,
     effective_coupling,
+    energy,
     epsilon_sweep,
     evolve,
     evolve_reduced,
@@ -24,6 +29,7 @@ from dipgpe import (
     make_grid,
     mass,
     reduced_params,
+    record_observables,
     reduced_symbol,
     reduction_error,
     sweep_to_csv,
@@ -533,11 +539,14 @@ def small_sweep_setup():
 
 def test_sweep_and_projection_use_no_blas(monkeypatch):
     # BLAS threads spin beside the sweep's members, so nothing the member
-    # pool runs may call it; the einsum projection keeps tensordot's values
+    # pool runs may call it; the einsum projection keeps tensordot's values,
+    # and the lattice sums of a sample are einsums without optimize
     rng = np.random.default_rng(5)
     ref = make_grid(3, [8.0, 8.0, 10.0], [12, 14, 16])
     values = rng.standard_normal(ref.shape) + 1j * rng.standard_normal(ref.shape)
     field = WaveField(values, ref)
+    params = PhysicalParams(3, (1.0, 1.1, 0.9), 1.0, 0.3)
+    symbol = build_symbol(ref, Analytic3D())
     expected = []
     for tight in reduction.TIGHT_AXES.values():
         omegas = (1.1, 0.9)[: len(tight)]
@@ -552,10 +561,23 @@ def test_sweep_and_projection_use_no_blas(monkeypatch):
     for name in ("tensordot", "dot", "vdot", "inner"):
         monkeypatch.setattr(np, name, refuse)
     monkeypatch.setattr(np.linalg, "norm", refuse)
+    einsum = np.einsum
+
+    def plain_einsum(*operands, optimize=False, **kwargs):
+        # an optimized einsum contracts through matmul, out of reach of the
+        # patches above
+        if optimize is not False:
+            raise AssertionError("einsum with optimize")
+        return einsum(*operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", plain_einsum)
 
     for omegas, want in expected:
         got = ground_state_projection(field, omegas).values
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    record = record_observables(field, params, symbol)
+    assert energy(field, params, symbol).total == pytest.approx(record.E, rel=1e-13)
+    assert classify(field, params, symbol).evidence["E"] == pytest.approx(record.E, rel=1e-13)
     s, small_ref = small_sweep_setup()
     rows = epsilon_sweep(s, [0.2, 0.141], small_ref, 2e-3, 0.25, n_samples=2, max_workers=2)
     assert [r["epsilon"] for r in rows] == [0.2, 0.141]

@@ -36,7 +36,8 @@ from dipgpe import (
     variance_and_rate,
 )
 from dipgpe.grid import _BLOCK
-from dipgpe.state import field_spectrum, variance
+from dipgpe.kernel import _pair_symbol_real
+from dipgpe.state import _sum_sq, field_spectrum, variance
 
 
 def gaussian_field(grid, sigma, center=None):
@@ -496,6 +497,37 @@ def test_record_with_its_spectrum_allocates_about_one_complex_lattice():
     # energy or the gradient buffer, plus block scratch
     assert peak <= 16 * g.size + 2**21
     assert not {"ksq", "radius_sq", "top_octave_mask"} & vars(g).keys()
+
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_lattice_sums_allocate_no_lattice():
+    # every sum reduces over the (rows, last axis) view in place: no power,
+    # weighted power or squared lattice, not even a block of one
+    g = make_grid(3, (10.0, 10.0, 12.0), (64, 64, 64))
+    sym = build_symbol(g, Analytic3D())
+    f = off_centre_chirped(g, chirp=0.05)
+    rho = density(f)
+    spectrum = field_spectrum(f)
+    g.coords, g.freqs, sym.half_values
+    sixteenth = g.size  # bytes: 1/16 of a complex lattice
+
+    def monitor():
+        gradient_norm_sq(f, spectrum)
+        spectral_tail_fraction(f, spectrum)
+
+    assert peak_bytes(monitor) <= sixteenth
+    half_spectrum = 16 * sym.half_values.size
+    assert peak_bytes(lambda: _pair_symbol_real(sym, rho)) <= half_spectrum + sixteenth
+    assert peak_bytes(lambda: _sum_sq(rho)) <= 2**16
 
 
 def test_dipolar_energy_of_an_axisymmetric_gaussian_matches_its_closed_form():
