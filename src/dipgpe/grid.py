@@ -49,6 +49,14 @@ class GridError(ValueError):
     """Raised for invalid grid construction or mismatched field shapes."""
 
 
+def _accumulate(op, terms) -> np.ndarray:
+    """Left-to-right op of per-axis sparse mesh terms, t_1 op t_2 op ... op t_d."""
+    total = None
+    for term in terms:
+        total = term if total is None else op(total, term)
+    return total
+
+
 def mesh_sum(terms) -> np.ndarray:
     """Left-to-right sum of per-axis sparse mesh terms on the full lattice.
 
@@ -57,10 +65,19 @@ def mesh_sum(terms) -> np.ndarray:
     spans its own axis, so the result is a fresh contiguous array of the
     full shape, bit for bit the accumulation 0 + t_1 + ... + t_d.
     """
-    total = None
-    for term in terms:
-        total = term if total is None else total + term
-    return total
+    return _accumulate(np.add, terms)
+
+
+def mesh_product(factors) -> np.ndarray:
+    """Left-to-right product of per-axis sparse mesh factors.
+
+    The product counterpart of mesh_sum: the partial products stay
+    broadcast over the axes not yet reached, and the result is bit for
+    bit the accumulation 1 * f_1 * ... * f_d.  With the factors of every
+    axis it fills the full lattice once; with those of some axes it
+    stays broadcastable against it.
+    """
+    return _accumulate(np.multiply, factors)
 
 
 # Elements per block of the package's blocked pointwise passes, which need
@@ -75,7 +92,7 @@ def lattice_blocks(shape: Sequence[int]) -> list[tuple[int, int]]:
 
     Each range is a run of whole rows of the last axis, or a piece of one
     row when a row is longer than a block, so that per-axis terms line up
-    with it (see MeshSumBlocks).
+    with it (see MeshBlocks).
     """
     m = shape[-1]
     size = math.prod(shape)
@@ -89,50 +106,48 @@ def lattice_blocks(shape: Sequence[int]) -> list[tuple[int, int]]:
     return [(start, min(start + step, size)) for start in range(0, size, step)]
 
 
-class MeshSumBlocks:
-    """mesh_sum of per-axis sparse mesh terms, one lattice block at a time.
+class MeshBlocks:
+    """mesh_sum (op np.add) or mesh_product (op np.multiply), a lattice block at a time.
 
-    The leading axes' partial sum is kept, one value per row of the last
-    axis, so no full lattice is built: fill writes the elements of one
-    block of lattice_blocks, each the sum of its row's partial sum and
-    the last axis' term, bit for bit what mesh_sum gives there.
+    The leading axes' partial result is kept, one value per row of the
+    last axis, so no full lattice is built: block gives the elements of
+    one block of lattice_blocks, each its row's partial result op the
+    last axis' term, bit for bit what mesh_sum or mesh_product gives
+    there.  A lattice of at most one block, or of one axis, is kept
+    whole as that table, and its blocks are views of it.
     """
 
-    def __init__(self, terms) -> None:
+    def __init__(self, op, terms) -> None:
         terms = list(terms)
+        self.op = op
         self.last = terms[-1].reshape(-1)
-        self.lead = mesh_sum(terms[:-1]).reshape(-1) if len(terms) > 1 else None
+        self.lead = self.table = None
+        if len(terms) == 1 or math.prod(t.size for t in terms) <= _BLOCK:
+            self.table = _accumulate(op, terms).reshape(-1)
+        else:
+            self.lead = _accumulate(op, terms[:-1]).reshape(-1)
 
-    def fill(self, start: int, stop: int, out: np.ndarray) -> None:
-        """out = the lattice elements [start, stop) of one block of lattice_blocks."""
+    def block(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """The lattice elements [start, stop) of one block of lattice_blocks.
+
+        A view of the kept table, or out (at least stop - start long)
+        filled; callers read it and never write to it.
+        """
+        n = stop - start
+        if self.table is not None:
+            return self.table[start:stop]
+        out = out[:n]
         m = self.last.size
         row, k = divmod(start, m)
-        n = stop - start
-        if self.lead is None:
-            np.copyto(out, self.last[k : k + n])
-        elif k == 0 and n % m == 0:
-            # last + lead is lead + last bit for bit; adding the row column
-            # in place runs one long inner loop rather than one per row
+        if k == 0 and n % m == 0:
+            # each row takes its partial result, then op the last axis'
+            # term in place: lead op last, mesh_sum's and mesh_product's order
             rows = out.reshape(-1, m)
-            np.copyto(rows, self.last)
-            rows += self.lead[row : row + n // m, None]
+            np.copyto(rows, self.lead[row : row + n // m, None])
+            self.op(rows, self.last, out=rows)
         else:
-            np.add(self.lead[row], self.last[k : k + n], out=out)
-
-
-def mesh_product(factors) -> np.ndarray:
-    """Left-to-right product of per-axis sparse mesh factors.
-
-    The product counterpart of mesh_sum: the partial products stay
-    broadcast over the axes not yet reached, and the result is bit for
-    bit the accumulation 1 * f_1 * ... * f_d.  With the factors of every
-    axis it fills the full lattice once; with those of some axes it
-    stays broadcastable against it.
-    """
-    total = None
-    for factor in factors:
-        total = factor if total is None else total * factor
-    return total
+            self.op(self.lead[row], self.last[k : k + n], out=out)
+        return out
 
 
 @dataclass(eq=False)

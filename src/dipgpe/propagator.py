@@ -21,23 +21,29 @@ two complex and two real transforms.
 The pointwise passes of a step run over the blocks of grid.lattice_blocks,
 at most _BLOCK elements each, so each block's work stays in cache.
 B(dt) makes two block loops, one for the density, which the convolution
-needs whole, and one for the half angle, the rotor and the multiply; the
-full kinetic step forms khalf^2 per block.  The trap V and |xi|^2 are
-never built as lattices: both are harmonic sums of per-axis terms, formed
-per block by grid.MeshSumBlocks in mesh_sum's order, V inside
-_nonlinear_phase and |xi|^2 where set_dt (and the final step's
-re-split) builds khalf.  The step holds two full lattices, the density
-and khalf, and block scratch; every element goes through the same
-operations as in full-lattice passes, so the results are the same to
-the last bit.
+needs whole, and one for the half angle, the rotor and the multiply.
+The trap V and the kinetic phases are never built as lattices: V is a
+sum of per-axis terms and exp(-i dt |xi|^2 / 4) and exp(-i dt |xi|^2 / 2)
+are products of per-axis factors, formed per block by grid.MeshBlocks in
+mesh_sum's and mesh_product's order (a lattice of one block keeps them
+as tables), and set_dt costs O(sum_j N_j).  The step holds one full
+lattice, the density, and block scratch; every element goes through the
+same operations as in full-lattice passes over those tables, so the
+results are the same to the last bit.
 
-At a sample, the spectrum the loop already holds gives psi_hat.  The
-collapse monitor runs on the calling thread: the gradient norm and the
-spectral tail come from per-axis sums of the power of psi_hat, taken
-with no transform and kept on the spectrum for the record.  The
-ObservableRecord reuses psi_hat too (see the state module): a 3D record
-adds one inverse transform for psi, three for its gradient and one real
-transform for the dipolar energy.  evolve takes each record
+At a sample, the spectrum the loop already holds, times the half-step
+phase, gives psi_hat in a new array.  The collapse monitor runs on the
+calling thread: the gradient norm and the spectral tail come from
+per-axis sums of the power of psi_hat, taken with no transform and kept
+on the spectrum.  psi is then materialized in place over psi_hat
+(FieldSpectrum.spend), so no code reads the spent spectrum, and the
+ObservableRecord reads the spectrum's sums and psi (see the state
+module): a 3D record takes one inverse transform for psi, one-axis
+transforms there and back along each axis for the variance rate (nine
+complex axis passes in all) and one real transform for the dipolar
+energy, and holds psi and one work lattice.  Once that record is
+joined, the next sample's psi_hat reuses the array, unless psi went to
+a callback or the caller.  evolve takes each record
 on one recorder thread while the loop steps on.  At most one record is
 in flight: a sample first joins the previous record, so records reach
 the series in order.  psi is materialized on the calling thread only
@@ -72,7 +78,7 @@ from .grid import (
     _BLOCK,
     FFT_WORKERS,
     GridError,
-    MeshSumBlocks,
+    MeshBlocks,
     SpectralGrid,
     lattice_blocks,
     make_grid,
@@ -185,7 +191,7 @@ def _nonlinear_phase(
     dt: float,
     params: PhysicalParams,
     symbol: "KernelSymbol | None",
-    trap: Sequence[np.ndarray],
+    potential: MeshBlocks,
     rho: np.ndarray,
     phase: np.ndarray,
     rotor: np.ndarray,
@@ -200,18 +206,17 @@ def _nonlinear_phase(
     about 1.6e16, 1 + t^2 stays finite and the rotor is -1.
 
     values and the real work buffer rho are C-contiguous arrays of the
-    lattice shape; trap holds the per-axis terms of the potential V
-    (PhysicalParams.trap_terms).  The pointwise passes run over the
-    blocks of lattice_blocks, at most _BLOCK elements each: the first
-    fills rho, the input of the convolution, and the second forms theta/2
-    per block as ((rho * c1) + (-dt/2) V) + (K*rho) * c2 in phase, V
-    summed from trap in mesh_sum's order, then the rotor in rotor, and
-    multiplies.  phase (real) and rotor (complex) are block scratch of at
-    least min(_BLOCK, values.size) elements.
+    lattice shape; potential is the MeshBlocks sum of the per-axis terms
+    of the trap V (PhysicalParams.trap_terms).  The pointwise passes run
+    over the blocks of lattice_blocks, at most _BLOCK elements each: the
+    first fills rho, the input of the convolution, and the second forms
+    theta/2 per block as ((rho * c1) + (-dt/2) V) + (K*rho) * c2 in phase,
+    then the rotor in rotor, and multiplies.  phase (real) and rotor
+    (complex) are block scratch of at least min(_BLOCK, values.size)
+    elements.
     """
     y_flat = values.reshape(-1)
     rho_flat = rho.reshape(-1)
-    potential = MeshSumBlocks(trap)
     blocks = lattice_blocks(values.shape)
     for start, stop in blocks:
         y = y_flat[start:stop]
@@ -233,8 +238,7 @@ def _nonlinear_phase(
         z = rotor[: y.size]
         np.multiply(r, c1, out=w)
         # rho is spent once read: it takes the trap term, then 2/(1+t^2)
-        potential.fill(start, stop, r)
-        r *= c0
+        np.multiply(potential.block(start, stop, r), c0, out=r)
         w += r
         if phi is not None:
             p = phi[start:stop]
@@ -255,14 +259,14 @@ class _Splitting:
 
     The step is carried on the pre-B state y = A(dt/2) psi: ``advance``
     applies B(dt) to y in place and returns the spectrum of the result,
-    from which ``kinetic`` with khalf gives psi and ``kinetic_full`` the
-    next y.  It owns two full lattices: rho, the density the convolution
-    transforms, and khalf, the half-step kinetic phase.  phase and rotor
-    are block scratch, min(_BLOCK, grid.size) long.  The trap term
-    (-dt/2) V is formed per block from the per-axis trap terms the caller
-    holds, khalf per block from the per-axis |xi|^2 terms and the
-    full-step phase khalf^2 per block in rotor; no trap or |xi|^2 lattice
-    is built.
+    from which ``kinetic`` with ``half`` gives psi and with ``full`` the
+    next y.  It owns one full lattice, rho, the density the convolution
+    transforms; phase and rotor are block scratch, min(_BLOCK, grid.size)
+    long.  The trap V (``potential``) and the kinetic phases
+    exp(-i dt |xi|^2 / 4) (``half``) and exp(-i dt |xi|^2 / 2) (``full``)
+    are MeshBlocks of their per-axis terms and factors, formed per block
+    in mesh_sum's and mesh_product's order, or kept whole for a lattice
+    of one block; no trap, |xi|^2 or phase lattice is built.
     """
 
     def __init__(
@@ -278,50 +282,41 @@ class _Splitting:
         self.grid = grid
         self.params = params
         self.symbol = symbol
-        self.trap = trap
+        self.potential = MeshBlocks(np.add, trap)
         self._blocks = lattice_blocks(grid.shape)
-        self._ksq = MeshSumBlocks(f * f for f in grid.freq_mesh)
         self.rho = np.empty(grid.shape)
-        self.khalf = np.empty(grid.shape, dtype=complex)
-        self._khalf_flat = self.khalf.reshape(-1)
         block = min(_BLOCK, grid.size)
         self.phase = np.empty(block)
         self.rotor = np.empty(block, dtype=complex)
         self.set_dt(dt)
 
     def set_dt(self, dt: float) -> None:
-        """khalf = exp(-i dt |xi|^2 / 4), formed a block at a time."""
+        """The per-axis factors exp(-i dt xi_j^2 / 4) and exp(-i dt xi_j^2 / 2)."""
         self.dt = dt
-        for start, stop in self._blocks:
-            ksq = self.phase[: stop - start]
-            self._ksq.fill(start, stop, ksq)
-            k = self._khalf_flat[start:stop]
-            np.multiply(ksq, -0.25j * dt, out=k)
-            np.exp(k, out=k)
+        squares = [f * f for f in self.grid.freq_mesh]
+        self.half = MeshBlocks(np.multiply, (np.exp(s * (-0.25j * dt)) for s in squares))
+        self.full = MeshBlocks(np.multiply, (np.exp(s * (-0.5j * dt)) for s in squares))
 
     def advance(self, y: np.ndarray) -> np.ndarray:
         """B(dt) on y in place, then its forward transform (reusing y)."""
         _nonlinear_phase(
-            y, self.dt, self.params, self.symbol, self.trap,
+            y, self.dt, self.params, self.symbol, self.potential,
             self.rho, self.phase, self.rotor,
         )
         return _fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True)
 
-    @staticmethod
-    def kinetic(spec: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        """Inverse transform of spec * multiplier, reusing spec."""
-        spec *= multiplier
-        return _fft.ifftn(spec, workers=FFT_WORKERS, overwrite_x=True)
-
-    def kinetic_full(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse transform of spec * khalf^2, reusing spec."""
-        flat = spec.reshape(-1)
+    def multiply(self, spec: np.ndarray, phase: MeshBlocks, out: np.ndarray) -> np.ndarray:
+        """out = spec * the lattice of phase, a block at a time; out may be spec."""
+        src, dst = spec.reshape(-1), out.reshape(-1)
         for start, stop in self._blocks:
-            k = self._khalf_flat[start:stop]
-            s = flat[start:stop]
-            kfull = self.rotor[: k.size]
-            np.multiply(k, k, out=kfull)
-            s *= kfull
+            np.multiply(
+                src[start:stop], phase.block(start, stop, self.rotor), out=dst[start:stop]
+            )
+        return out
+
+    def kinetic(self, spec: np.ndarray, phase: MeshBlocks) -> np.ndarray:
+        """Inverse transform of spec * the lattice of phase, reusing spec."""
+        self.multiply(spec, phase, spec)
         return _fft.ifftn(spec, workers=FFT_WORKERS, overwrite_x=True)
 
 
@@ -342,8 +337,8 @@ def strang_step(
     if trap is None:
         trap = params.trap_terms(grid)
     split = _Splitting(grid, dt, params, symbol, trap)
-    y = split.kinetic(_fft.fftn(field.values, workers=FFT_WORKERS), split.khalf)
-    out = split.kinetic(split.advance(y), split.khalf)
+    y = split.kinetic(_fft.fftn(field.values, workers=FFT_WORKERS), split.half)
+    out = split.kinetic(split.advance(y), split.half)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteStateError(
             f"non-finite field after step at t = {field.t:.6g}", field.t, -1
@@ -354,11 +349,36 @@ def strang_step(
 def _materialize(
     spectrum: FieldSpectrum, grid: SpectralGrid, t: float, step: int
 ) -> WaveField:
-    """The field of a spectrum (one inverse transform), checked finite."""
-    values = _fft.ifftn(spectrum.values, workers=FFT_WORKERS)
+    """The field of a spectrum, checked finite: one inverse transform in place.
+
+    The field takes over the spectrum's array (FieldSpectrum.spend), so
+    the spectrum keeps only its power sums.
+    """
+    values = _fft.ifftn(spectrum.spend(), workers=FFT_WORKERS, overwrite_x=True)
     if not np.all(np.isfinite(values.view(float))):
         raise NonFiniteStateError(f"non-finite field at t = {t:.6g}", t, step)
     return WaveField(values=values, grid=grid, t=t)
+
+
+def _record(
+    psi: "WaveField | None",
+    spectrum: FieldSpectrum,
+    grid: SpectralGrid,
+    t: float,
+    step: int,
+    params: PhysicalParams,
+    symbol: "KernelSymbol | None",
+) -> ObservableRecord:
+    """One of evolve's records, from psi and the power sums of its spectrum.
+
+    Without psi, psi is materialized in place over the spectrum, so a
+    record in flight holds psi and one work lattice.  It runs on the
+    recorder thread; _materialize, record_observables and the transforms
+    under them resolve through the module globals.
+    """
+    if psi is None:
+        psi = _materialize(spectrum, grid, t, step)
+    return record_observables(psi, params, symbol, spectrum=spectrum)
 
 
 class _Recorder:
@@ -408,13 +428,12 @@ def _warn_phase_scale(
     phi = None
     if params.lambda2 != 0.0 and symbol is not None:
         phi = _apply_symbol_real(symbol, rho0.reshape(field0.grid.shape)).reshape(-1)
-    potential = MeshSumBlocks(trap)
+    potential = MeshBlocks(np.add, trap)
     scratch = np.empty(min(_BLOCK, rho0.size))
     phase_scale = 0.0
     for start, stop in lattice_blocks(field0.grid.shape):
         w = scratch[: stop - start]
-        potential.fill(start, stop, w)
-        w += params.lambda1 * rho0[start:stop]
+        np.add(potential.block(start, stop, w), params.lambda1 * rho0[start:stop], out=w)
         if phi is not None:
             w += params.lambda2 * phi[start:stop]
         phase_scale = max(phase_scale, float(np.max(np.abs(w, out=w))))
@@ -508,37 +527,34 @@ def evolve(
         check_resolution(field0, spectrum=spectrum0)
         _warn_phase_scale(field0, params, symbol, trap, dt)
 
-    def record(psi, spectrum, t, step):
-        # on the recorder thread; _materialize, record_observables and the
-        # transforms under them resolve through the module globals
-        if psi is None:
-            psi = _materialize(spectrum, grid, t, step)
-        return record_observables(psi, params, symbol, spectrum=spectrum)
-
     series = ObservableSeries()
     split = _Splitting(grid, dt, params, symbol, trap)
     t0 = field0.t
     with _Recorder(series) as recorder:
         if observables:
-            recorder.submit(record, field0, spectrum0, t0, 0)
+            recorder.submit(_record, field0, spectrum0, grid, t0, 0, params, symbol)
         if callback is not None and sample_times is None:
             recorder.join()
             callback(field0)
 
-        # pre-B state: initial half kinetic step, leaving spectrum0 to the record
-        y = _fft.ifftn(
-            np.multiply(spectrum0.values, split.khalf), workers=FFT_WORKERS, overwrite_x=True
-        )
+        # pre-B state: the initial half kinetic step, in place over spectrum0's
+        # array; the record at t = 0 reads only its power sums
+        y = split.kinetic(spectrum0.spend(), split.half)
         del spectrum0
+        # A sample's array holds psi_hat, then psi; the next sample reuses it
+        # unless psi went to a callback or the caller.  A lattice freed per
+        # sample let glibc's malloc hand heap pages back to the system, and
+        # the step's real transforms then faulted them in again.
+        spare = None
 
         for step in range(1, n_steps + 1):
             step_dt = dt if step < n_steps else last_dt
             if step == n_steps and abs(last_dt - dt) > 1e-15 * max(dt, 1.0):
                 # re-split the carried half step: the stored y already includes
                 # a dt/2 kinetic phase, so advance by the difference first,
-                # with khalf holding the phase of that difference
+                # with half holding the phase of that difference
                 split.set_dt(step_dt - dt)
-                y = split.kinetic(_fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True), split.khalf)
+                y = split.kinetic(_fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True), split.half)
                 split.set_dt(step_dt)
             w_spec = split.advance(y)
             t_now = t0 + (step - 1) * dt + step_dt if step == n_steps else t0 + step * dt
@@ -546,7 +562,9 @@ def evolve(
             if step in sample_steps:
                 # the previous record's arrays go before this sample's come
                 recorder.join()
-                spectrum = FieldSpectrum(split.khalf * w_spec)
+                buffer = spare if spare is not None else np.empty_like(w_spec)
+                spare = None
+                spectrum = FieldSpectrum(split.multiply(w_spec, split.half, buffer))
                 # given a spectrum, the monitor functions read only field0's grid
                 grad_sq = gradient_norm_sq(field0, spectrum)
                 if not math.isfinite(grad_sq):
@@ -561,8 +579,12 @@ def evolve(
                 ends = tripped or step == n_steps
                 psi = _materialize(spectrum, grid, t_now, step) if fires or ends else None
                 if observables:
-                    recorder.submit(record, psi, spectrum, t_now, step)
+                    recorder.submit(_record, psi, spectrum, grid, t_now, step, params, symbol)
                 del spectrum
+                if psi is None:
+                    # only the record reads this psi: once it is joined, the
+                    # array serves the next sample
+                    spare = buffer
                 if fires or ends:
                     recorder.join()
                 if fires:
@@ -582,7 +604,7 @@ def evolve(
                     return series, report
                 if step == n_steps:
                     return series, psi
-            y = split.kinetic_full(w_spec)
+            y = split.kinetic(w_spec, split.full)
 
     raise AssertionError("unreachable: loop must return at the final step")
 

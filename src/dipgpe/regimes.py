@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralGrid
+from .grid import SpectralGrid, mesh_product
 from .kernel import KernelSymbol
 from .state import (
     ObservableSeries,
@@ -214,20 +214,26 @@ def make_unstable_data(
         raise ValueError("widths must be positive")
 
     x1, x2, x3 = grid.coord_mesh
-    # one full-lattice array: the exponent, then exp and the scale in place
-    real = np.subtract(
-        -(x1 * x1 + x2 * x2) / (2.0 * f_width * f_width),
-        (eps * eps * x3 * x3) / (2.0 * g_width * g_width),
+    factors = [
+        np.exp(-(x1 * x1) / (2.0 * f_width * f_width)),
+        np.exp(-(x2 * x2) / (2.0 * f_width * f_width)),
+        eps ** (alpha / 2.0) * np.exp(-(eps * eps * x3 * x3) / (2.0 * g_width * g_width)),
+    ]
+    # The field is the product (f1 * f2) * f3 of positive factors, and
+    # rounded multiplication is monotone, so its peak, and its largest
+    # value on each boundary plane, is that product of the factors'
+    # maxima, one of them taken at the plane's index instead.
+    maxima = [float(f.max()) for f in factors]
+
+    def product(values):
+        return (values[0] * values[1]) * values[2]
+
+    peak = product(maxima)
+    edge = max(
+        product(maxima[:axis] + [float(f.reshape(-1)[index])] + maxima[axis + 1 :])
+        for axis, f in enumerate(factors)
+        for index in (0, f.size - 1)
     )
-    np.exp(real, out=real)
-    real *= eps ** (alpha / 2.0)
-    # the real Gaussian is nonnegative, so it is the modulus of the field
-    peak = float(real.max())
-    edge = 0.0
-    for axis in range(3):
-        for index in (0, grid.shape[axis] - 1):
-            plane = np.take(real, index, axis=axis)
-            edge = max(edge, float(plane.max()))
     rel = edge / peak if peak > 0.0 else 0.0
     if rel > 1e-4:
         raise ValueError(
@@ -241,7 +247,9 @@ def make_unstable_data(
             RuntimeWarning,
             stacklevel=2,
         )
-    return WaveField(values=real.astype(complex), grid=grid, t=0.0)
+    # a complex last factor writes the complex lattice in one pass
+    factors[-1] = factors[-1].astype(complex)
+    return WaveField(values=mesh_product(factors), grid=grid, t=0.0)
 
 
 def unstable_energy_ledger(

@@ -15,12 +15,15 @@ marginals.  The spectral observables share one FieldSpectrum, the raw
 transform psi_hat = fftn(psi): the per-axis marginals M_a of its power
 |psi_hat|^2, summed once and kept, give the gradient norm
 sum_a sum_k xi_(a,k)^2 M_a(k), and the same sums give the top-octave
-mass as a sum of disjoint boxes.  d_j psi = ifftn(i xi_j psi_hat) gives
-the variance rate.  The dipolar energy pairs the density with its
-convolution by Parseval, from one real transform of the density.  A
-sample therefore costs one forward complex transform when no spectrum is
-passed (none when the caller holds one, as evolve does), one inverse
-complex transform per axis and one real transform.
+mass as a sum of disjoint boxes; once they are taken, the spectrum can
+hand its array over (FieldSpectrum.spend), and evolve materializes psi
+in place over it.  The variance rate takes d_j psi = F_j^-1(i xi_j F_j psi)
+from psi by one-axis transforms along axis j, in one reused work
+lattice.  The dipolar energy pairs the density with its convolution by
+Parseval, from one real transform of the density.  A sample therefore
+costs one forward complex transform when no spectrum is passed (none
+when the caller holds one, as evolve does), a one-axis transform there
+and back per axis and one real transform.
 
 An evolution is summarized by an ObservableSeries, one record per
 sampling time, which serializes to CSV with the fixed header
@@ -163,42 +166,56 @@ class EnergyBreakdown:
         return self.kinetic + self.potential + self.cubic + self.dipolar
 
 
-@dataclass(eq=False)
 class FieldSpectrum:
     """Raw transform fftn(psi) of a field (FFT order, unnormalized).
 
     The per-axis marginals of the power |psi_hat|^2, its total and its
     top-octave mass are summed once, on first use, and shared by every
     observable that reads them: the gradient norm and the spectral tail.
-    The power is never held as a lattice.
+    The power is never held as a lattice.  spend hands the transform
+    array over once the sums are taken, for reuse in place (evolve
+    materializes psi over it); the spectrum then keeps only its sums, and
+    reading its values raises.
     """
 
-    values: np.ndarray
+    def __init__(self, values: np.ndarray) -> None:
+        self._values = values
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            raise RuntimeError("the spectrum's array was handed over by spend")
+        return self._values
+
+    def spend(self) -> np.ndarray:
+        """The transform array, handed over after the power sums are taken."""
+        self._power_sums
+        values, self._values = self.values, None
+        return values
 
     @cached_property
     def _power_sums(self) -> tuple[list[np.ndarray], float, float]:
         """Marginals of |psi_hat|^2, its total and its top-octave mass.
 
         Row, column and top-band row sums of the (rows, last axis) view,
-        each an einsum of the real part with itself plus one of the
-        imaginary part, so no power lattice is formed.
+        each one einsum of its contiguous float view (real and imaginary
+        parts side by side) with itself, so no power lattice is formed;
+        the last axis' marginal pairs adjacent float columns.
         """
         shape = self.values.shape
-        v = self.values.reshape(-1, shape[-1])
-        band = top_band(shape[-1])
-
-        def power(rows, out):
-            re, im = rows.real, rows.imag
-            return np.einsum(f"ij,ij->{out}", re, re) + np.einsum(f"ij,ij->{out}", im, im)
-
-        row_sums = power(v, "i")
-        marginals = _axis_marginals(row_sums, power(v, "j"), shape)
+        m = shape[-1]
+        f = self.values.reshape(-1, m).view(float)
+        band = top_band(m)
+        row_sums = np.einsum("ij,ij->i", f, f)
+        float_cols = np.einsum("ij,ij->j", f, f)
+        marginals = _axis_marginals(row_sums, float_cols[0::2] + float_cols[1::2], shape)
         # The top octave as disjoint boxes: high on leading axis a and low
         # on the leading axes before it, then low on every leading axis and
         # high on the last.  Summed directly, never as total - low, which
         # would cancel a tail of 1e-26 away.
         rows = row_sums.reshape(shape[:-1])
-        band_rows = power(v[:, band], "i").reshape(shape[:-1])
+        b = f[:, 2 * band.start : 2 * band.stop]
+        band_rows = np.einsum("ij,ij->i", b, b).reshape(shape[:-1])
         top = 0.0
         for axis, n in enumerate(shape[:-1]):
             high = top_band(n)
@@ -373,24 +390,25 @@ def variance_and_rate(field: WaveField) -> tuple[float, float]:
     The rate uses the standard identity dy/dt = 2 Im int conj(psi)
     (x . grad psi); the gradient is spectral.
     """
-    return variance(field), _variance_rate(field, None)
+    return variance(field), _variance_rate(field)
 
 
-def _variance_rate(field: WaveField, spectrum: "FieldSpectrum | None") -> float:
+def _variance_rate(field: WaveField) -> float:
+    """dy/dt, with d_j psi from one-axis transforms of psi along axis j."""
     grid = field.grid
-    if spectrum is None:
-        spectrum = field_spectrum(field)
     psi = field.values
-    # one complex buffer serves every axis
-    g = np.empty_like(spectrum.values)
+    # one complex work lattice serves every axis, transformed in place
+    g = np.empty_like(psi)
     acc = 0.0
-    for freq, coord in zip(grid.freq_mesh, grid.coord_mesh):
-        # g = ifftn(xi_j psi_hat) = -i d_j psi, so the integrand
+    for axis, (freq, coord) in enumerate(zip(grid.freq_mesh, grid.coord_mesh)):
+        # g = F_j^-1(xi_j F_j psi) = -i d_j psi, so the integrand
         # Im(conj(psi) x_j d_j psi) is Re(conj(psi) x_j g).  It is summed
         # without BLAS: a BLAS dot leaves its threads spinning, which
         # starves the other members of a sweep.
-        np.multiply(freq, spectrum.values, out=g)
-        g = _fft.ifftn(g, workers=FFT_WORKERS, overwrite_x=True)
+        np.copyto(g, psi)
+        g = _fft.fftn(g, axes=(axis,), workers=FFT_WORKERS, overwrite_x=True)
+        g *= freq
+        g = _fft.ifftn(g, axes=(axis,), workers=FFT_WORKERS, overwrite_x=True)
         g *= coord
         # each half of g is spent once read, so it takes its own product
         re, im = g.real, g.imag
@@ -490,9 +508,10 @@ def record_observables(
 ) -> ObservableRecord:
     """Every series column at one instant, from one density and one spectrum.
 
-    The density's terms are summed first and the density is released
-    before the variance rate takes its gradient buffer, so a record given
-    its spectrum holds about one complex lattice beside its inputs.
+    The spectrum is read only for its power sums.  The density's terms
+    are summed first and the density is released before the variance rate
+    takes its work lattice, so a record given its spectrum holds about one
+    complex lattice beside its inputs.
     """
     if spectrum is None:
         spectrum = field_spectrum(field)
@@ -510,7 +529,7 @@ def record_observables(
         Ecubic=e.cubic,
         Edip=e.dipolar,
         y=d.y,
-        ydot=_variance_rate(field, spectrum),
+        ydot=_variance_rate(field),
         maxpsi=maxpsi,
         gradsq=2.0 * e.kinetic,
     )

@@ -6,7 +6,7 @@ import pytest
 from dipgpe import GridError, PhysicalParams, make_grid
 from dipgpe.grid import (
     _BLOCK,
-    MeshSumBlocks,
+    MeshBlocks,
     lattice_blocks,
     mesh_product,
     mesh_sum,
@@ -227,19 +227,25 @@ def test_lattice_blocks_tile_whole_rows_or_one_row(shape):
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)
 def test_mesh_sum_blocks_are_bit_for_bit_the_mesh_sum(shape):
+    # and the product blocks the mesh_product, of complex factors
     axes = [np.linspace(-1.3, 2.1, n) ** 2 for n in shape]
-    terms = [
-        (0.5 + a) * x.reshape([-1 if b == a else 1 for b in range(len(shape))])
-        for a, x in enumerate(axes)
+    sparse = [
+        x.reshape([-1 if b == a else 1 for b in range(len(shape))]) for a, x in enumerate(axes)
     ]
-    want = mesh_sum(terms)
-    got = np.empty(math.prod(shape))
-    blocks = MeshSumBlocks(terms)
-    for start, stop in lattice_blocks(shape):
-        out = np.empty(stop - start)
-        blocks.fill(start, stop, out)
-        got[start:stop] = out
-    assert got.tobytes() == np.ascontiguousarray(want).reshape(-1).tobytes()
+    cases = [
+        (np.add, mesh_sum, [(0.5 + a) * x for a, x in enumerate(sparse)], float),
+        (np.multiply, mesh_product, [np.exp((-0.3j - 0.1 * a) * x) for a, x in enumerate(sparse)], complex),
+    ]
+    for op, mesh, terms, dtype in cases:
+        want = np.ascontiguousarray(mesh(terms)).reshape(-1)
+        got = np.empty(math.prod(shape), dtype=dtype)
+        blocks = MeshBlocks(op, terms)
+        for start, stop in lattice_blocks(shape):
+            out = np.full(stop - start, np.nan, dtype=dtype)
+            got[start:stop] = blocks.block(start, stop, out)
+        assert got.tobytes() == want.tobytes()
+        # a lattice of one block, or of one axis, is kept whole
+        assert (blocks.table is not None) == (len(shape) == 1 or got.size <= _BLOCK)
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,12 +424,21 @@ def test_strang_steps_match_evolve_and_keep_their_input():
 
 
 class CountingFFT:
-    """Stands in for scipy.fft and counts complex and real nD transforms."""
+    """Stands in for scipy.fft and counts complex and real nD transforms.
+
+    It counts each transform and its axis passes (one per transformed
+    axis).  Like the benchmark's tracer, it spans only fftn, ifftn, rfftn
+    and irfftn, and refuses every other transform of scipy.fft, so that no
+    transform escapes the count.
+    """
 
     KINDS = {"fftn": "c2c", "ifftn": "c2c", "rfftn": "r2c", "irfftn": "r2c"}
+    # the fft, fft2, hfft, dct, dst and fht families, forward and inverse
+    OTHER_TRANSFORMS = ("fft", "fft2", "fftn", "dct", "dctn", "dst", "dstn", "fht")
 
     def __init__(self):
         self.counts = {"c2c": 0, "r2c": 0}
+        self.passes = {"c2c": 0, "r2c": 0}
         self.workers = set()
         # evolve's recorder thread transforms beside the calling thread
         self.lock = threading.Lock()
@@ -437,20 +447,29 @@ class CountingFFT:
         fn = getattr(scipy_fft, name)
         kind = self.KINDS.get(name)
         if kind is None:
+            if name.endswith(self.OTHER_TRANSFORMS):
+                raise AssertionError(f"scipy.fft.{name} is a transform the tracer does not span")
             return fn
 
-        def counted(*args, **kwargs):
+        def counted(x, *args, **kwargs):
+            s = kwargs.get("s", args[0] if args else None)
+            axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
+            passes = len(axes) if axes is not None else len(s) if s is not None else np.ndim(x)
             with self.lock:
                 self.counts[kind] += 1
+                self.passes[kind] += passes
                 self.workers.add(kwargs.get("workers"))
-            return fn(*args, **kwargs)
+            return fn(x, *args, **kwargs)
 
         return counted
 
-    def take(self):
+    def take(self, passes=False):
+        """Transforms (or axis passes) since the last take, (c2c, r2c)."""
         with self.lock:
-            out = (self.counts["c2c"], self.counts["r2c"])
+            got = self.passes if passes else self.counts
+            out = (got["c2c"], got["r2c"])
             self.counts = {"c2c": 0, "r2c": 0}
+            self.passes = {"c2c": 0, "r2c": 0}
         return out
 
 
@@ -462,30 +481,40 @@ def counting_fft(monkeypatch):
     return proxy
 
 
+@pytest.mark.parametrize("name", ["fft", "ifft", "rfft", "irfft", "fft2", "irfft2", "hfftn", "dctn", "idst", "fht"])
+def test_counting_fft_refuses_transforms_the_tracer_does_not_span(name):
+    with pytest.raises(AssertionError, match="does not span"):
+        getattr(CountingFFT(), name)
+    assert CountingFFT().fftfreq is scipy_fft.fftfreq
+
+
 def test_transform_budget_per_step_and_sample(counting_fft):
     g, p, sym, f0 = dipolar_problem()
 
-    def run(n_steps, stride):
+    def run(n_steps, stride, passes):
         evolve(
             f0, p, sym, dt=1e-3, T=n_steps * 1e-3,
             monitor=MonitorSpec(stride=stride), warn_resolution=False,
         )
-        return counting_fft.take()
+        return counting_fft.take(passes)
 
-    # Both runs sample only at t = 0 and at the end.
-    short, long_ = run(3, 100), run(6, 100)
-    assert (long_[0] - short[0], long_[1] - short[1]) == (3 * 2, 3 * 2)
-    # Five more samples over the same six steps.
-    dense = run(6, 1)
-    extra_c2c, extra_r2c = dense[0] - long_[0], dense[1] - long_[1]
-    assert extra_c2c <= 5 * 4
-    assert extra_r2c <= 5 * 1
+    # Counted in transforms and in axis passes, three per 3D transform.
+    # The runs of 3 and 6 steps sample only at t = 0 and at the end: a
+    # step is 2 complex and 2 real 3D transforms.  Sampling every step
+    # adds five samples over the same six steps.  A record takes psi (one
+    # transform, 3 passes) and, per axis, one-axis transforms there and
+    # back for the variance rate: 9 complex passes, where full transforms
+    # took 12; the dipolar energy takes one real transform.
+    for passes, per_step, per_record in ((False, (2, 2), (1 + 2 * 3, 1)), (True, (6, 6), (9, 3))):
+        short, long_, dense = run(3, 100, passes), run(6, 100, passes), run(6, 1, passes)
+        assert (long_[0] - short[0], long_[1] - short[1]) == (3 * per_step[0], 3 * per_step[1])
+        assert (dense[0] - long_[0], dense[1] - long_[1]) == (5 * per_record[0], 5 * per_record[1])
 
     # A field given without a spectrum takes one forward transform, shared.
     energy(f0, p, sym)
-    assert counting_fft.take() == (1, 1)
+    assert counting_fft.take(passes=True) == (3, 3)
     record_observables(f0, p, sym)
-    assert counting_fft.take() == (1 + 3, 1)
+    assert counting_fft.take(passes=True) == (3 + 6, 3)
 
     strang_step(f0, 1e-3, p, sym)
     assert counting_fft.take() == (4, 2)
@@ -505,18 +534,29 @@ def test_nonlinear_phase_rotor_matches_exp_i_theta():
     values = np.ones(theta.shape, dtype=complex)
     rho, phase = np.empty(theta.shape), np.empty(theta.shape)
     rotor = np.empty(theta.shape, dtype=complex)
-    propagator_module._nonlinear_phase(values, 1.0, p, None, [-theta], rho, phase, rotor)
+    potential = grid_module.MeshBlocks(np.add, [-theta])
+    propagator_module._nonlinear_phase(values, 1.0, p, None, potential, rho, phase, rotor)
     assert np.max(np.abs(values - np.exp(1j * theta))) <= 1e-15
     assert np.max(np.abs(np.abs(values) - 1.0)) <= 1e-15
     assert values[0].real == -1.0 and values[1].real == -1.0
 
 
+def kinetic_factors(grid, dt):
+    """Per-axis factors exp(-i dt xi_j^2 / 4) and exp(-i dt xi_j^2 / 2)."""
+    squares = [f * f for f in grid.freq_mesh]
+    return (
+        [np.exp(s * (-0.25j * dt)) for s in squares],
+        [np.exp(s * (-0.5j * dt)) for s in squares],
+    )
+
+
 class UnblockedSplitting:
     """The splitting step with full-lattice passes, as it ran unblocked.
 
-    Full-lattice work buffers, the trap term (-dt/2) V and the full-step
-    phase khalf^2 precomputed: the reference the blocked step must match
-    bit for bit.
+    Full-lattice work buffers, the trap term (-dt/2) V and the kinetic
+    multipliers khalf and kfull precomputed, the latter as full-lattice
+    mesh_products of the per-axis factors: the reference the blocked
+    step must match bit for bit.
     """
 
     def __init__(self, grid, dt, params, symbol, potential):
@@ -524,8 +564,10 @@ class UnblockedSplitting:
         self.rho = np.empty(grid.shape)
         self.phase = np.empty(grid.shape)
         self.rotor = np.empty(grid.shape, dtype=complex)
-        self.khalf = np.exp(-0.25j * dt * grid.ksq)
-        self.kfull = self.khalf * self.khalf
+        half, full = kinetic_factors(grid, dt)
+        self.khalf = np.ascontiguousarray(grid_module.mesh_product(half))
+        self.kfull = np.ascontiguousarray(grid_module.mesh_product(full))
+        assert self.khalf.shape == self.kfull.shape == grid.shape
         self.trap_dt = (-0.5 * dt) * potential
 
     def advance(self, values):
@@ -600,16 +642,18 @@ def test_blocked_step_is_bit_identical(dim, extents, points, omega, lambda1, lam
     ref = UnblockedSplitting(g, dt, p, sym, potential)
     trap = p.trap_terms(g)
     split = propagator_module._Splitting(g, dt, p, sym, trap)
-    assert np.array_equal(bits(split.khalf), bits(ref.khalf))
+    for phase, table in ((split.half, ref.khalf), (split.full, ref.kfull)):
+        got = split.multiply(np.ones(g.shape, dtype=complex), phase, np.empty(g.shape, dtype=complex))
+        assert np.array_equal(bits(got), bits(table * (1.0 + 0.0j)))
 
     # advance, then each kinetic multiply
     y_ref, y = f0.values.copy(), f0.values.copy()
     w_ref, w = ref.advance(y_ref), split.advance(y)
     assert np.array_equal(bits(w), bits(w_ref))
     half_ref = ref.kinetic(w_ref.copy(), ref.khalf)
-    assert np.array_equal(bits(split.kinetic(w.copy(), split.khalf)), bits(half_ref))
+    assert np.array_equal(bits(split.kinetic(w.copy(), split.half)), bits(half_ref))
     full_ref = ref.kinetic(w_ref, ref.kfull)
-    assert np.array_equal(bits(split.kinetic_full(w)), bits(full_ref))
+    assert np.array_equal(bits(split.kinetic(w, split.full)), bits(full_ref))
 
     # one strang_step
     y_ref = ref.kinetic(scipy_fft.fftn(f0.values), ref.khalf)
@@ -624,7 +668,7 @@ def test_blocked_step_is_bit_identical(dim, extents, points, omega, lambda1, lam
         w_ref = ref.advance(y_ref)
         if step < n:
             y_ref = ref.kinetic(w_ref, ref.kfull)
-    psi_ref = scipy_fft.ifftn(ref.khalf * w_ref)
+    psi_ref = scipy_fft.ifftn(w_ref * ref.khalf)
     _, final = evolve(
         f0, p, sym, dt=dt, T=n * dt,
         monitor=MonitorSpec(stride=7, grad_threshold=math.inf, spectral_tail=1.0),
@@ -636,25 +680,101 @@ def test_blocked_step_is_bit_identical(dim, extents, points, omega, lambda1, lam
 
 @pytest.mark.parametrize("points", [(16, 16, 16), (64, 64, 16), (40, 40, 48), (96, 96, 96)])
 def test_splitting_holds_two_full_lattices(points):
+    # The step holds one full lattice, rho, and the kinetic phases no
+    # longer: beside rho, every array it owns, those of its MeshBlocks
+    # included, is at most a block long.
     g = make_grid(3, (10.0, 10.0, 12.0), points)
     p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
     trap = p.trap_terms(g)
     split = propagator_module._Splitting(g, 1e-3, p, build_symbol(g, Analytic3D()), trap)
-    owned = {
-        name: value
-        for name, value in vars(split).items()
-        if isinstance(value, np.ndarray) and not any(value is term for term in trap)
-    }
-    # views of rho or khalf, flat ones included, are no further lattices
-    full = {name for name, value in owned.items() if np.shares_memory(value, split.rho)}
-    full |= {name for name, value in owned.items() if np.shares_memory(value, split.khalf)}
-    assert {"rho", "khalf"} <= full
-    assert split.rho.shape == split.khalf.shape == g.shape
+
+    def owned(obj, prefix=""):
+        for name, value in vars(obj).items():
+            if isinstance(value, np.ndarray) and not any(value is term for term in trap):
+                yield prefix + name, value
+            elif isinstance(value, grid_module.MeshBlocks):
+                yield from owned(value, f"{prefix}{name}.")
+
+    arrays = dict(owned(split))
+    assert {"potential.last", "half.last", "full.last"} <= arrays.keys()
+    full = {name for name, value in arrays.items() if np.shares_memory(value, split.rho)}
+    assert full == {"rho"} and split.rho.shape == g.shape
     block = min(BLOCK, g.size)
-    for name in owned.keys() - full:
-        assert owned[name].size == block, name
-    split.set_dt(2e-3)
-    assert split.khalf is owned["khalf"]
+    for name in arrays.keys() - full:
+        assert arrays[name].size <= block, name
+    # a lattice of one block keeps its tables whole
+    assert (split.half.table is not None) == (g.size <= BLOCK)
+    # a new dt swaps the factors and allocates no lattice
+    tracemalloc.start()
+    try:
+        split.set_dt(2e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two kept tables at most, and numpy's iterator buffers
+    assert peak <= 2 * 16 * block + 2**19
+    assert split.rho is arrays["rho"]
+
+
+def test_a_record_in_flight_holds_psi_and_one_work_lattice():
+    g = make_grid(3, (10.0, 10.0, 12.0), (64, 64, 64))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    sym = build_symbol(g, Analytic3D())
+    f = chirped_dipolar_gaussian(g)
+    want = record_observables(f, p, sym)
+    sym.half_values, g.coords, g.freqs, g.coord_mesh, g.freq_mesh
+
+    # psi is materialized in place: it takes over the spectrum's array
+    spectrum = state_module.field_spectrum(f)
+    array = spectrum.values
+    psi = propagator_module._materialize(spectrum, g, 0.0, 0)
+    assert np.shares_memory(psi.values, array)
+    with pytest.raises(RuntimeError, match="spend"):
+        spectrum.values
+    assert spectrum._power_sums is not None
+
+    # a record as evolve submits it, from a spectrum whose sums the
+    # monitor took: beside the spectrum's array, which becomes psi, one
+    # complex work lattice (the density and the half spectrum of the
+    # dipolar energy, or the variance rate's) and block scratch
+    spectrum = state_module.field_spectrum(f)
+    gradient_norm_sq(f, spectrum)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = propagator_module._record(None, spectrum, g, f.t, 1, p, sym)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * g.size + 2**21
+    for name in ("mass", "E", "Ekin", "Epot", "Ecubic", "Edip", "y", "ydot", "maxpsi", "gradsq"):
+        assert_close(getattr(got, name), getattr(want, name))
+
+
+def test_samples_reuse_one_array_unless_psi_is_handed_out(monkeypatch):
+    g, p, sym, f0 = dipolar_problem()
+    real_spectrum = propagator_module.FieldSpectrum
+    addresses = []
+
+    def spectrum(values):
+        addresses.append(values.__array_interface__["data"][0])
+        return real_spectrum(values)
+
+    monkeypatch.setattr(propagator_module, "FieldSpectrum", spectrum)
+    kept = []
+    _, final = evolve(
+        f0, p, sym, dt=1e-3, T=0.012, monitor=MonitorSpec(stride=2),
+        callback=lambda f: kept.append((f, f.values.copy())), sample_times=[6e-3],
+        warn_resolution=False,
+    )
+    # samples at steps 2, 4, 6 (the callback's), 8, 10 and 12 (the end): the
+    # callback keeps the array of step 6, so step 8 takes a new one
+    a, b = addresses[0], addresses[3]
+    assert addresses == [a, a, a, b, b, b] and a != b
+    (field, values), = kept
+    assert field.values.__array_interface__["data"][0] == a
+    assert np.array_equal(field.values, values)
+    assert final.values.__array_interface__["data"][0] == b
 
 
 def test_a_3d_classify_and_evolve_build_no_trap_or_grid_lattice(monkeypatch):

@@ -185,12 +185,22 @@ def test_unstable_data_is_the_reference_gaussian(eps, fw, gw):
     g = make_grid(3, [15.0, 15.0, 280.0], [32, 32, 128])
     alpha = -3.0
     x1, x2, x3 = g.coord_mesh
-    expected = (eps ** (alpha / 2.0)) * np.exp(
-        -(x1 * x1 + x2 * x2) / (2.0 * fw * fw) - (eps * eps * x3 * x3) / (2.0 * gw * gw)
-    ) + 0.0j
+    # the product of the per-axis factors, accumulated from ones, bit for bit
+    expected = np.ones(g.shape)
+    for factor in (
+        np.exp(-(x1 * x1) / (2.0 * fw * fw)),
+        np.exp(-(x2 * x2) / (2.0 * fw * fw)),
+        (eps ** (alpha / 2.0)) * np.exp(-(eps * eps * x3 * x3) / (2.0 * gw * gw)),
+    ):
+        expected = expected * factor
     values = make_unstable_data(g, eps, alpha, fw, gw).values
     assert values.flags.c_contiguous
-    assert values.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert values.tobytes() == (expected + 0.0j).tobytes()
+    # and the reference Gaussian, from one exponent, to roundoff
+    gaussian = (eps ** (alpha / 2.0)) * np.exp(
+        -(x1 * x1 + x2 * x2) / (2.0 * fw * fw) - (eps * eps * x3 * x3) / (2.0 * gw * gw)
+    )
+    assert np.max(np.abs(values - gaussian)) <= 1e-15 * np.max(gaussian)
 
 
 def test_unstable_data_validation():
