@@ -12,16 +12,18 @@ pair
     u_hat(xi) = integral u(x) exp(-i x.xi) dx,
     u(x)     = (2*pi)^(-d) integral u_hat(xi) exp(i x.xi) dxi,
 
-by the trapezoidal rule on the lattice: ``u_hat = dx^d * S * fftn(u)``
-and ``u = ifftn(u_hat * S) / dx^d``.  The sign lattice ``S`` accounts for
-the box being centred at the origin while ``fftn`` assumes samples
+by the trapezoidal rule on the lattice: ``u_hat = dx^d * S * fft(u)``
+and ``u = ifft(u_hat * S) / dx^d``.  The sign lattice ``S`` accounts for
+the box being centred at the origin while ``fft`` assumes samples
 starting at index 0; since the point counts are even, the parity of the
 signed frequency integer equals the parity of the raw array index, so a
 single per-axis ``(-1)**index`` vector serves both orderings.
 
 Pointwise Fourier multipliers need neither the sign lattice nor the
-volume factors (they cancel between the two directions), so operator
-application elsewhere in the package is plain ``ifftn(m * fftn(u))``.
+volume factors (they cancel between the two directions), so operators
+elsewhere in the package run between the grid's raw transforms,
+``grid.ifft(m * grid.fft(u))``.  Those four methods (fft, ifft, rfft,
+irfft) are the package's only calls of scipy.fft's transforms.
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ import numpy as np
 from scipy import fft as _fft
 
 # Every transform in the package runs on one pocketfft worker, the calling
-# thread.  pocketfft splits each axis pass of a transform statically
-# between its workers and joins them at the end of the pass, so with two
-# workers on a shared two-vCPU host every pass waits for the vCPU the host
-# runs last, and wall time follows the host rather than the work.
-# Concurrency comes from independent work instead: epsilon_sweep runs its
-# members on a thread pool.  pocketfft output is bit-identical for any
-# worker count.
+# thread, and SpectralGrid's raw transforms alone read this.  pocketfft
+# splits each axis pass statically between its workers and joins them at
+# the end of the pass, so with two workers on a shared two-vCPU host every
+# pass waits for the vCPU the host runs last, and wall time follows the
+# host rather than the work.  Concurrency comes from independent work
+# instead: epsilon_sweep runs its members on a thread pool.  pocketfft
+# output is bit-identical for any worker count.
 FFT_WORKERS = 1
 
 
@@ -231,7 +233,7 @@ class SpectralGrid:
 
     @cached_property
     def top_octave_mask(self) -> np.ndarray:
-        """Modes with |k_j| >= N_j/4 on at least one axis (FFT order).
+        """Modes with |k_j| >= N_j // 4 on at least one axis (FFT order).
 
         The complement is the "safe" band; spectral mass migrating into
         this mask is the collapse / under-resolution indicator.  Built on
@@ -252,12 +254,29 @@ class SpectralGrid:
         in FFT order.
         """
         self._check_shape(u)
-        return self.cell_volume * (self.sign_mesh * _fft.fftn(u, workers=FFT_WORKERS))
+        return self.cell_volume * (self.sign_mesh * self.fft(u))
 
     def inverse_transform(self, u_hat: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward_transform`."""
         self._check_shape(u_hat)
-        return _fft.ifftn(u_hat * self.sign_mesh, workers=FFT_WORKERS) / self.cell_volume
+        return self.ifft(u_hat * self.sign_mesh) / self.cell_volume
+
+    # The raw transforms, unnormalized and in FFT order.  axis=j transforms
+    # along axis j alone; overwrite lets the transform reuse u.
+    def fft(self, u: np.ndarray, axis: "int | None" = None, overwrite: bool = False) -> np.ndarray:
+        axes = None if axis is None else (axis,)
+        return _fft.fftn(u, axes=axes, workers=FFT_WORKERS, overwrite_x=overwrite)
+
+    def ifft(self, u: np.ndarray, axis: "int | None" = None, overwrite: bool = False) -> np.ndarray:
+        axes = None if axis is None else (axis,)
+        return _fft.ifftn(u, axes=axes, workers=FFT_WORKERS, overwrite_x=overwrite)
+
+    def rfft(self, u: np.ndarray) -> np.ndarray:
+        return _fft.rfftn(u, workers=FFT_WORKERS)
+
+    def irfft(self, u_hat: np.ndarray) -> np.ndarray:
+        """The real lattice of a half spectrum from rfft."""
+        return _fft.irfftn(u_hat, s=self.shape, workers=FFT_WORKERS)
 
     def _check_shape(self, u: np.ndarray) -> None:
         if tuple(u.shape) != self.shape:
@@ -267,10 +286,10 @@ class SpectralGrid:
 
 
 def top_band(n: int) -> slice:
-    """Indices of the frequencies |k| >= n/4 of an even n-point axis (FFT order).
+    """Indices of the frequencies |k| >= n // 4 of an even n-point axis (FFT order).
 
-    In FFT order they form one contiguous run, k = n/4 .. n/2 - 1 followed
-    by -n/2 .. -n/4.
+    In FFT order they form one contiguous run, k = n // 4 .. n/2 - 1
+    followed by -n/2 .. -(n // 4).
     """
     return slice(n // 4, n - n // 4 + 1)
 

@@ -44,10 +44,10 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy import fft as _fft
+from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 from scipy import special
 
-from .grid import FFT_WORKERS, GridError, SpectralGrid
+from .grid import GridError, SpectralGrid
 
 SYMBOL_MAX = 8.0 * math.pi / 3.0
 SYMBOL_MIN = -4.0 * math.pi / 3.0
@@ -469,9 +469,9 @@ def apply_kernel(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
         raise TypeError("density must be a real array")
     if not np.all(np.isfinite(density)):
         raise ValueError("density contains non-finite values")
-    spectrum = _fft.fftn(density, workers=FFT_WORKERS)
+    spectrum = grid.fft(density)
     spectrum *= symbol.values
-    phi = _fft.ifftn(spectrum, workers=FFT_WORKERS)
+    phi = grid.ifft(spectrum)
     scale = float(np.linalg.norm(density.ravel()))
     residue = float(np.linalg.norm(phi.imag.ravel()))
     if residue > 1e-8 * scale:
@@ -487,9 +487,9 @@ def _apply_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
     Skips the reality check performed by apply_kernel; half_values
     checks the symbol's even symmetry once instead.
     """
-    spectrum = _fft.rfftn(density, workers=FFT_WORKERS)
+    spectrum = symbol.grid.rfft(density)
     spectrum *= symbol.half_values
-    return _fft.irfftn(spectrum, s=symbol.grid.shape, workers=FFT_WORKERS)
+    return symbol.grid.irfft(spectrum)
 
 
 def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:
@@ -503,7 +503,7 @@ def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:
     three-operand einsum on the real or the imaginary part, so no power
     lattice is formed.
     """
-    spectrum = _fft.rfftn(density, workers=FFT_WORKERS)
+    spectrum = symbol.grid.rfft(density)
     v = spectrum.reshape(-1, spectrum.shape[-1])
     w = symbol.half_values.reshape(v.shape)
     cols = np.einsum("ij,ij,ij->j", v.real, v.real, w) + np.einsum(

@@ -72,11 +72,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import fft as _fft
+from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 
 from .grid import (
     _BLOCK,
-    FFT_WORKERS,
     GridError,
     MeshBlocks,
     SpectralGrid,
@@ -91,6 +90,7 @@ from .state import (
     ObservableSeries,
     PhysicalParams,
     WaveField,
+    _density_into,
     density,
     field_spectrum,
     gradient_norm_sq,
@@ -209,29 +209,21 @@ def _nonlinear_phase(
     lattice shape; potential is the MeshBlocks sum of the per-axis terms
     of the trap V (PhysicalParams.trap_terms).  The pointwise passes run
     over the blocks of lattice_blocks, at most _BLOCK elements each: the
-    first fills rho, the input of the convolution, and the second forms
-    theta/2 per block as ((rho * c1) + (-dt/2) V) + (K*rho) * c2 in phase,
-    then the rotor in rotor, and multiplies.  phase (real) and rotor
-    (complex) are block scratch of at least min(_BLOCK, values.size)
-    elements.
+    first (state's density pass) fills rho, the input of the convolution,
+    and the second forms theta/2 per block as ((rho * c1) + (-dt/2) V) +
+    (K*rho) * c2 in phase, then the rotor in rotor, and multiplies.  phase
+    (real) and rotor (complex) are block scratch of at least
+    min(_BLOCK, values.size) elements.
     """
-    y_flat = values.reshape(-1)
-    rho_flat = rho.reshape(-1)
-    blocks = lattice_blocks(values.shape)
-    for start, stop in blocks:
-        y = y_flat[start:stop]
-        r = rho_flat[start:stop]
-        w = phase[: y.size]
-        np.multiply(y.real, y.real, out=r)
-        np.multiply(y.imag, y.imag, out=w)
-        r += w
+    _density_into(values, rho, phase)
     phi = None
     if params.lambda2 != 0.0:
         phi = _apply_symbol_real(symbol, rho).reshape(-1)
     c0 = -0.5 * dt
     c1 = -0.5 * dt * params.lambda1
     c2 = -0.5 * dt * params.lambda2
-    for start, stop in blocks:
+    y_flat, rho_flat = values.reshape(-1), rho.reshape(-1)
+    for start, stop in lattice_blocks(values.shape):
         y = y_flat[start:stop]
         r = rho_flat[start:stop]
         w = phase[: y.size]
@@ -303,7 +295,7 @@ class _Splitting:
             y, self.dt, self.params, self.symbol, self.potential,
             self.rho, self.phase, self.rotor,
         )
-        return _fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True)
+        return self.grid.fft(y, overwrite=True)
 
     def multiply(self, spec: np.ndarray, phase: MeshBlocks, out: np.ndarray) -> np.ndarray:
         """out = spec * the lattice of phase, a block at a time; out may be spec."""
@@ -317,7 +309,7 @@ class _Splitting:
     def kinetic(self, spec: np.ndarray, phase: MeshBlocks) -> np.ndarray:
         """Inverse transform of spec * the lattice of phase, reusing spec."""
         self.multiply(spec, phase, spec)
-        return _fft.ifftn(spec, workers=FFT_WORKERS, overwrite_x=True)
+        return self.grid.ifft(spec, overwrite=True)
 
 
 def strang_step(
@@ -337,7 +329,7 @@ def strang_step(
     if trap is None:
         trap = params.trap_terms(grid)
     split = _Splitting(grid, dt, params, symbol, trap)
-    y = split.kinetic(_fft.fftn(field.values, workers=FFT_WORKERS), split.half)
+    y = split.kinetic(grid.fft(field.values), split.half)
     out = split.kinetic(split.advance(y), split.half)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteStateError(
@@ -354,7 +346,7 @@ def _materialize(
     The field takes over the spectrum's array (FieldSpectrum.spend), so
     the spectrum keeps only its power sums.
     """
-    values = _fft.ifftn(spectrum.spend(), workers=FFT_WORKERS, overwrite_x=True)
+    values = grid.ifft(spectrum.spend(), overwrite=True)
     if not np.all(np.isfinite(values.view(float))):
         raise NonFiniteStateError(f"non-finite field at t = {t:.6g}", t, step)
     return WaveField(values=values, grid=grid, t=t)
@@ -554,7 +546,7 @@ def evolve(
                 # a dt/2 kinetic phase, so advance by the difference first,
                 # with half holding the phase of that difference
                 split.set_dt(step_dt - dt)
-                y = split.kinetic(_fft.fftn(y, workers=FFT_WORKERS, overwrite_x=True), split.half)
+                y = split.kinetic(grid.fft(y, overwrite=True), split.half)
                 split.set_dt(step_dt)
             w_spec = split.advance(y)
             t_now = t0 + (step - 1) * dt + step_dt if step == n_steps else t0 + step * dt

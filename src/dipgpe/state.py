@@ -12,7 +12,7 @@ forms a full-lattice temporary.  Mass, trap energy and the variance y
 are sum_a w_a sum_i x_(a,i)^2 m_a(i) over the marginals m_a of the
 density (weights 1/2 omega_a^2 or 1), and field_std reads the same
 marginals.  The spectral observables share one FieldSpectrum, the raw
-transform psi_hat = fftn(psi): the per-axis marginals M_a of its power
+transform psi_hat = grid.fft(psi): the per-axis marginals M_a of its power
 |psi_hat|^2, summed once and kept, give the gradient norm
 sum_a sum_k xi_(a,k)^2 M_a(k), and the same sums give the top-octave
 mass as a sum of disjoint boxes; once they are taken, the spectrum can
@@ -45,11 +45,10 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy import fft as _fft
+from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 
 from .grid import (
     _BLOCK,
-    FFT_WORKERS,
     GridError,
     SpectralGrid,
     lattice_blocks,
@@ -167,7 +166,7 @@ class EnergyBreakdown:
 
 
 class FieldSpectrum:
-    """Raw transform fftn(psi) of a field (FFT order, unnormalized).
+    """Raw transform grid.fft(psi) of a field (FFT order, unnormalized).
 
     The per-axis marginals of the power |psi_hat|^2, its total and its
     top-octave mass are summed once, on first use, and shared by every
@@ -228,19 +227,23 @@ class FieldSpectrum:
 
 def field_spectrum(field: "WaveField") -> FieldSpectrum:
     """The FieldSpectrum of a field: one forward complex transform."""
-    return FieldSpectrum(_fft.fftn(field.values, workers=FFT_WORKERS))
+    return FieldSpectrum(field.grid.fft(field.values))
 
 
 def density(field: WaveField) -> np.ndarray:
-    """|psi|^2 as one new lattice: re^2 whole, then im^2 added a block at a time."""
+    """|psi|^2 as one new lattice."""
     values = field.values
-    rho = np.multiply(values.real, values.real)
-    flat, im = rho.reshape(-1), values.reshape(-1).imag
-    scratch = np.empty(min(_BLOCK, rho.size))
-    for start, stop in lattice_blocks(rho.shape):
-        w = scratch[: stop - start]
-        np.multiply(im[start:stop], im[start:stop], out=w)
-        flat[start:stop] += w
+    return _density_into(values, np.empty(values.shape), np.empty(min(_BLOCK, values.size)))
+
+
+def _density_into(values: np.ndarray, rho: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """rho = |values|^2 a block at a time: re^2, plus im^2 formed in block scratch."""
+    v, flat = values.reshape(-1), rho.reshape(-1)
+    for start, stop in lattice_blocks(values.shape):
+        y, r, w = v[start:stop], flat[start:stop], scratch[: stop - start]
+        np.multiply(y.real, y.real, out=r)
+        np.multiply(y.imag, y.imag, out=w)
+        r += w
     return rho
 
 
@@ -309,7 +312,7 @@ def quartic_norm_spectral(field: WaveField) -> float:
     independent route for cross-checks.
     """
     grid = field.grid
-    rho_spec = _fft.fftn(density(field), workers=FFT_WORKERS)
+    rho_spec = grid.fft(density(field))
     return float(np.sum(np.abs(rho_spec) ** 2)) * grid.cell_volume / grid.size
 
 
@@ -406,9 +409,9 @@ def _variance_rate(field: WaveField) -> float:
         # without BLAS: a BLAS dot leaves its threads spinning, which
         # starves the other members of a sweep.
         np.copyto(g, psi)
-        g = _fft.fftn(g, axes=(axis,), workers=FFT_WORKERS, overwrite_x=True)
+        g = grid.fft(g, axis, overwrite=True)
         g *= freq
-        g = _fft.ifftn(g, axes=(axis,), workers=FFT_WORKERS, overwrite_x=True)
+        g = grid.ifft(g, axis, overwrite=True)
         g *= coord
         # each half of g is spent once read, so it takes its own product
         re, im = g.real, g.imag
@@ -424,7 +427,7 @@ def spectral_tail_fraction(
 ) -> float:
     """Fraction of spectral mass in the top frequency octave.
 
-    The modes with |k_j| >= N_j/4 on at least one axis (the grid's
+    The modes with |k_j| >= N_j // 4 on at least one axis (the grid's
     top_octave_mask), summed from the spectrum's power sums.
     """
     if spectrum is None:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from dipgpe import GridError, PhysicalParams, make_grid
 from dipgpe.grid import (
@@ -134,6 +135,30 @@ def test_inverse_matches_direct_sum():
     direct = dxi * np.array([np.sum(uh * np.exp(1j * xi * p)) for p in x])
     u = g.inverse_transform(uh)
     assert np.max(np.abs(u - direct)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "extents, points",
+    [([8.0], [16]), ([10.0, 14.0], [16, 24]), ([6.0, 8.0, 10.0], [8, 12, 10])],
+)
+def test_raw_transforms_are_the_scipy_calls_bit_for_bit(extents, points):
+    g = make_grid(len(points), extents, points)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(g.shape)
+    u = x + 1j * rng.standard_normal(g.shape)
+    for axis in (None, *range(g.dim)):
+        axes = None if axis is None else (axis,)
+        for overwrite in (False, True):
+            for method, raw in ((g.fft, scipy_fft.fftn), (g.ifft, scipy_fft.ifftn)):
+                got = method(u.copy(), axis, overwrite=overwrite)
+                want = raw(u.copy(), axes=axes, workers=1, overwrite_x=overwrite)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    spectrum = g.rfft(x)
+    assert np.array_equal(spectrum.view(np.uint64), scipy_fft.rfftn(x, workers=1).view(np.uint64))
+    back = g.irfft(spectrum)
+    assert back.shape == g.shape
+    want = scipy_fft.irfftn(spectrum, s=g.shape, workers=1)
+    assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
 
 
 def test_transform_rejects_wrong_shape():

@@ -16,10 +16,13 @@ from dipgpe import (
     MonitorSpec,
     NonFiniteStateError,
     PhysicalParams,
+    ReductionSetup,
     WaveField,
+    apply_kernel,
     build_symbol,
     classify,
     energy,
+    epsilon_sweep,
     evolve,
     gradient_norm_sq,
     grid as grid_module,
@@ -29,6 +32,7 @@ from dipgpe import (
     mass,
     max_abs,
     propagator as propagator_module,
+    quartic_norm_spectral,
     read_snapshot,
     record_observables,
     spectral_tail_fraction,
@@ -475,10 +479,43 @@ class CountingFFT:
 
 @pytest.fixture
 def counting_fft(monkeypatch):
+    # SpectralGrid's raw transforms are the package's one transform path
     proxy = CountingFFT()
-    for module in (grid_module, kernel_module, state_module, propagator_module):
-        monkeypatch.setattr(module, "_fft", proxy)
+    monkeypatch.setattr(grid_module, "_fft", proxy)
     return proxy
+
+
+class NoTransforms:
+    """Stands in for scipy.fft where the package must not reach it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a transform ({name}) bypassed SpectralGrid")
+
+
+def test_every_transform_goes_through_the_grid(monkeypatch):
+    for module in (kernel_module, state_module, propagator_module):
+        monkeypatch.setattr(module, "_fft", NoTransforms())
+    g, p, sym, f0 = dipolar_problem()
+    fields = []
+    # T is no multiple of dt, so the last step re-splits the carried half step
+    series, final = evolve(
+        f0, p, sym, dt=1e-3, T=0.0065, monitor=MonitorSpec(stride=2),
+        callback=lambda f: fields.append(f.t), warn_resolution=False,
+    )
+    assert len(series) == len(fields) == 5 and final.t == pytest.approx(0.0065)
+    strang_step(f0, 1e-3, p, sym)
+    energy(f0, p, sym)
+    quartic_norm_spectral(f0)
+    apply_kernel(sym, state_module.density(f0))
+    classify(f0, p, sym)
+    u0, _ = linear_eigenstate(make_grid(1, [10.0], [24]), (1.0,))
+    setup = ReductionSetup(0.2, (1.0, 1.0, 1.0), 0.5, 0.0, u0, "1d")
+    ref = make_grid(3, [8.0, 8.0, 10.0], [16, 16, 24])
+    rows = epsilon_sweep(setup, [0.2, 0.141], ref, 2e-3, 0.1, n_samples=2)
+    assert [r["epsilon"] for r in rows] == [0.2, 0.141]
+    # nor does any module but grid name the worker count
+    for module in (kernel_module, state_module, propagator_module):
+        assert not hasattr(module, "FFT_WORKERS")
 
 
 @pytest.mark.parametrize("name", ["fft", "ifft", "rfft", "irfft", "fft2", "irfft2", "hfftn", "dctn", "idst", "fht"])
