@@ -11,31 +11,35 @@ so mass is conserved to roundoff and the step is time-symmetric.
 Across consecutive steps the two adjacent kinetic half-steps fuse into
 one full step, so the integrator carries the pre-B state y and only
 materializes the physical field at sampling times.  strang_step and
-evolve share one step routine (_Splitting): B(dt) builds the half angle
--(dt/2) (V + lambda1 rho + lambda2 K*rho), turns it into the rotor
-exp(i theta) through one tangent (the half-angle formulas, see
-_nonlinear_phase) and multiplies y in place; the forward transform of
-the result and the kinetic multiply reuse the same array.  A step costs
-two complex and two real transforms.
+evolve share one step routine (_Splitting), the only owner of B(dt).
+Its one block sum, _Splitting.potential_blocks, forms
+c (V + lambda1 rho + lambda2 K*rho) for a given c: B(dt) takes the half
+angle (c = -dt/2), turns it into the rotor exp(i theta) through one
+tangent (the half-angle formulas, see _nonlinear_phase) and multiplies y
+in place; evolve's check before the first step takes c = 1 and the
+maximum modulus (_Splitting.phase_scale).  The forward transform of the
+result and the kinetic multiply reuse the same array.  A step costs two
+complex and two real transforms.
 
 The pointwise passes of a step run over the blocks of grid.lattice_blocks,
 at most _BLOCK elements each, so each block's work stays in cache.
-B(dt) makes two block loops, one for the density, which the convolution
-needs whole, and one for the half angle, the rotor and the multiply.
-The trap V and the kinetic phases are never built as lattices: V is a
-sum of per-axis terms and exp(-i dt |xi|^2 / 4) and exp(-i dt |xi|^2 / 2)
-are products of per-axis factors, formed per block by grid.MeshBlocks in
-mesh_sum's and mesh_product's order (a lattice of one block keeps them
-as tables), and set_dt costs O(sum_j N_j).  The step holds one full
-lattice, the density, and block scratch; every element goes through the
-same operations as in full-lattice passes over those tables, so the
-results are the same to the last bit.
+The block sum makes two block loops, one for the density, which the
+convolution needs whole, and one for the sum; B(dt) forms the rotor and
+multiplies in the second.  The trap V and the kinetic phases are never
+built as lattices: V is a sum of per-axis terms and exp(-i dt |xi|^2 / 4)
+and exp(-i dt |xi|^2 / 2) are products of per-axis factors, formed per
+block by grid.MeshBlocks in mesh_sum's and mesh_product's order (a
+lattice of one block keeps them as tables), and set_dt costs
+O(sum_j N_j).  The step holds one full lattice, the density, and block
+scratch; every element goes through the same operations as in
+full-lattice passes over those tables, so the results are the same to
+the last bit.
 
 At a sample, the spectrum the loop already holds, times the half-step
-phase, gives psi_hat in a new array.  The collapse monitor runs on the
-calling thread: the gradient norm and the spectral tail come from
-per-axis sums of the power of psi_hat, taken with no transform and kept
-on the spectrum.  psi is then materialized in place over psi_hat
+phase, gives psi_hat in a sample array, apart from the loop's.  The
+collapse monitor runs on the calling thread: the gradient norm and the
+spectral tail come from per-axis sums of the power of psi_hat, taken
+with no transform and kept on the spectrum.  psi is then materialized in place over psi_hat
 (FieldSpectrum.spend), so no code reads the spent spectrum, and the
 ObservableRecord reads the spectrum's sums and psi (see the state
 module): a 3D record takes one inverse transform for psi, one-axis
@@ -69,7 +73,7 @@ import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
@@ -91,7 +95,6 @@ from .state import (
     PhysicalParams,
     WaveField,
     _density_into,
-    density,
     field_spectrum,
     gradient_norm_sq,
     record_observables,
@@ -186,16 +189,7 @@ def linear_eigenstate(grid: SpectralGrid, omega: Sequence[float]) -> tuple[WaveF
     return WaveField(values=values.astype(complex), grid=grid, t=0.0), mu
 
 
-def _nonlinear_phase(
-    values: np.ndarray,
-    dt: float,
-    params: PhysicalParams,
-    symbol: "KernelSymbol | None",
-    potential: MeshBlocks,
-    rho: np.ndarray,
-    phase: np.ndarray,
-    rotor: np.ndarray,
-) -> None:
+def _nonlinear_phase(split: "_Splitting", values: np.ndarray) -> None:
     """Apply the exact potential-plus-nonlinear substep to values in place.
 
     The rotor exp(i theta), theta = -dt (V + lambda1 rho + lambda2 K*rho),
@@ -205,37 +199,15 @@ def _nonlinear_phase(
     sin scalar there.  At theta = pi, the pole of tan(theta/2), t is
     about 1.6e16, 1 + t^2 stays finite and the rotor is -1.
 
-    values and the real work buffer rho are C-contiguous arrays of the
-    lattice shape; potential is the MeshBlocks sum of the per-axis terms
-    of the trap V (PhysicalParams.trap_terms).  The pointwise passes run
-    over the blocks of lattice_blocks, at most _BLOCK elements each: the
-    first (state's density pass) fills rho, the input of the convolution,
-    and the second forms theta/2 per block as ((rho * c1) + (-dt/2) V) +
-    (K*rho) * c2 in phase, then the rotor in rotor, and multiplies.  phase
-    (real) and rotor (complex) are block scratch of at least
-    min(_BLOCK, values.size) elements.
+    values is a C-contiguous array of split's lattice.
+    split.potential_blocks gives theta/2 a block at a time; each block's
+    rotor is formed in the split's rotor scratch, with the block's spent
+    density holding 2/(1+t^2), and multiplies the block of values.
     """
-    _density_into(values, rho, phase)
-    phi = None
-    if params.lambda2 != 0.0:
-        phi = _apply_symbol_real(symbol, rho).reshape(-1)
-    c0 = -0.5 * dt
-    c1 = -0.5 * dt * params.lambda1
-    c2 = -0.5 * dt * params.lambda2
-    y_flat, rho_flat = values.reshape(-1), rho.reshape(-1)
-    for start, stop in lattice_blocks(values.shape):
+    y_flat = values.reshape(-1)
+    for start, stop, w, r in split.potential_blocks(values, -0.5 * split.dt):
         y = y_flat[start:stop]
-        r = rho_flat[start:stop]
-        w = phase[: y.size]
-        z = rotor[: y.size]
-        np.multiply(r, c1, out=w)
-        # rho is spent once read: it takes the trap term, then 2/(1+t^2)
-        np.multiply(potential.block(start, stop, r), c0, out=r)
-        w += r
-        if phi is not None:
-            p = phi[start:stop]
-            p *= c2
-            w += p
+        z = split.rotor[: y.size]
         # w holds theta/2
         np.tan(w, out=w)
         np.multiply(w, w, out=r)
@@ -252,13 +224,17 @@ class _Splitting:
     The step is carried on the pre-B state y = A(dt/2) psi: ``advance``
     applies B(dt) to y in place and returns the spectrum of the result,
     from which ``kinetic`` with ``half`` gives psi and with ``full`` the
-    next y.  It owns one full lattice, rho, the density the convolution
+    next y.  B(dt) and evolve's check before the first step
+    (``phase_scale``) read V + lambda1 rho + lambda2 K*rho from one block
+    sum, ``potential_blocks``.
+    The split owns one full lattice, rho, the density the convolution
     transforms; phase and rotor are block scratch, min(_BLOCK, grid.size)
-    long.  The trap V (``potential``) and the kinetic phases
-    exp(-i dt |xi|^2 / 4) (``half``) and exp(-i dt |xi|^2 / 2) (``full``)
-    are MeshBlocks of their per-axis terms and factors, formed per block
-    in mesh_sum's and mesh_product's order, or kept whole for a lattice
-    of one block; no trap, |xi|^2 or phase lattice is built.
+    long.  The trap V (``potential``, from PhysicalParams.trap_terms) and
+    the kinetic phases exp(-i dt |xi|^2 / 4) (``half``) and
+    exp(-i dt |xi|^2 / 2) (``full``) are MeshBlocks of their per-axis
+    terms and factors, formed per block in mesh_sum's and mesh_product's
+    order, or kept whole for a lattice of one block; no trap, |xi|^2 or
+    phase lattice is built.
     """
 
     def __init__(
@@ -267,14 +243,13 @@ class _Splitting:
         dt: float,
         params: PhysicalParams,
         symbol: "KernelSymbol | None",
-        trap: Sequence[np.ndarray],
     ) -> None:
         if params.lambda2 != 0.0 and symbol is None:
             raise ValueError("a kernel symbol is required when lambda2 != 0")
         self.grid = grid
         self.params = params
         self.symbol = symbol
-        self.potential = MeshBlocks(np.add, trap)
+        self.potential = MeshBlocks(np.add, params.trap_terms(grid))
         self._blocks = lattice_blocks(grid.shape)
         self.rho = np.empty(grid.shape)
         block = min(_BLOCK, grid.size)
@@ -289,12 +264,47 @@ class _Splitting:
         self.half = MeshBlocks(np.multiply, (np.exp(s * (-0.25j * dt)) for s in squares))
         self.full = MeshBlocks(np.multiply, (np.exp(s * (-0.5j * dt)) for s in squares))
 
+    def potential_blocks(
+        self, values: np.ndarray, c: float
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Yield (start, stop, w, r) per block: w = c (V + lambda1 rho + lambda2 K*rho).
+
+        rho = |values|^2 fills self.rho first, the input of the
+        convolution; each block then forms ((rho * c lambda1) + c V) +
+        (K*rho) * c lambda2 in the phase scratch, w.  r is the block of
+        rho, spent once w is formed: the caller may overwrite it, and w.
+        """
+        params = self.params
+        _density_into(values, self.rho, self.phase)
+        phi = None
+        if params.lambda2 != 0.0:
+            phi = _apply_symbol_real(self.symbol, self.rho).reshape(-1)
+        c1 = c * params.lambda1
+        c2 = c * params.lambda2
+        rho_flat = self.rho.reshape(-1)
+        for start, stop in self._blocks:
+            r = rho_flat[start:stop]
+            w = self.phase[: stop - start]
+            np.multiply(r, c1, out=w)
+            # rho is spent once read: it takes the trap term
+            np.multiply(self.potential.block(start, stop, r), c, out=r)
+            w += r
+            if phi is not None:
+                p = phi[start:stop]
+                p *= c2
+                w += p
+            yield start, stop, w, r
+
+    def phase_scale(self, values: np.ndarray) -> float:
+        """max|V + lambda1 rho + lambda2 K*rho| over the lattice, rho = |values|^2."""
+        scale = 0.0
+        for _, _, w, _ in self.potential_blocks(values, 1.0):
+            scale = max(scale, float(np.max(np.abs(w, out=w))))
+        return scale
+
     def advance(self, y: np.ndarray) -> np.ndarray:
         """B(dt) on y in place, then its forward transform (reusing y)."""
-        _nonlinear_phase(
-            y, self.dt, self.params, self.symbol, self.potential,
-            self.rho, self.phase, self.rotor,
-        )
+        _nonlinear_phase(self, y)
         return self.grid.fft(y, overwrite=True)
 
     def multiply(self, spec: np.ndarray, phase: MeshBlocks, out: np.ndarray) -> np.ndarray:
@@ -317,18 +327,12 @@ def strang_step(
     dt: float,
     params: PhysicalParams,
     symbol: "KernelSymbol | None" = None,
-    trap: "Sequence[np.ndarray] | None" = None,
 ) -> WaveField:
-    """One splitting step; dt may be negative to run backwards.
-
-    trap may pass the per-axis trap terms (PhysicalParams.trap_terms).
-    """
+    """One splitting step; dt may be negative to run backwards."""
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     grid = field.grid
-    if trap is None:
-        trap = params.trap_terms(grid)
-    split = _Splitting(grid, dt, params, symbol, trap)
+    split = _Splitting(grid, dt, params, symbol)
     y = split.kinetic(grid.fft(field.values), split.half)
     out = split.kinetic(split.advance(y), split.half)
     if not np.all(np.isfinite(out.view(float))):
@@ -405,39 +409,6 @@ class _Recorder:
             self.series.append(pending.result())
 
 
-def _warn_phase_scale(
-    field0: WaveField,
-    params: PhysicalParams,
-    symbol: "KernelSymbol | None",
-    trap: Sequence[np.ndarray],
-    dt: float,
-) -> None:
-    """Warn when dt * max|V + nonlinear potential| of field0 reaches pi.
-
-    The potential is summed a block at a time, V from its per-axis terms.
-    """
-    rho0 = density(field0).reshape(-1)
-    phi = None
-    if params.lambda2 != 0.0 and symbol is not None:
-        phi = _apply_symbol_real(symbol, rho0.reshape(field0.grid.shape)).reshape(-1)
-    potential = MeshBlocks(np.add, trap)
-    scratch = np.empty(min(_BLOCK, rho0.size))
-    phase_scale = 0.0
-    for start, stop in lattice_blocks(field0.grid.shape):
-        w = scratch[: stop - start]
-        np.add(potential.block(start, stop, w), params.lambda1 * rho0[start:stop], out=w)
-        if phi is not None:
-            w += params.lambda2 * phi[start:stop]
-        phase_scale = max(phase_scale, float(np.max(np.abs(w, out=w))))
-    if dt * phase_scale >= math.pi:
-        warnings.warn(
-            f"dt * max|V + nonlinear potential| = {dt * phase_scale:.3g} >= pi; "
-            "the nonlinear phase per step is under-resolved",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def evolve(
     field0: WaveField,
     params: PhysicalParams,
@@ -451,18 +422,24 @@ def evolve(
     warn_resolution: bool = True,
     observables: bool = True,
 ) -> tuple[ObservableSeries, "WaveField | CollapseReport"]:
-    """Propagate to time T, recording observables every monitor.stride steps.
+    """Propagate field0 by T, recording observables every monitor.stride steps.
 
     Consecutive kinetic half-steps are fused; the physical field is
     materialized only where it is needed.  At every stride sample the
     collapse monitor runs on the calling thread, from the spectrum the
     loop holds (the gradient norm, which must be finite, and the spectral
-    tail).  When sample_times is given, each entry must coincide with a
-    step time (the caller arranges divisibility) and callback fires there
-    with the materialized field; otherwise callback fires at every stride
-    sample.
+    tail).  T and sample_times count from field0.t.  When sample_times is
+    given, each entry must coincide with a step time (the caller arranges
+    divisibility) and callback fires there with the materialized field; a
+    field at sample time s has t = field0.t + s.  Otherwise callback fires
+    at every stride sample.
 
-    Each ObservableRecord, the one at t = 0 included, is taken on one
+    With warn_resolution, field0 is checked before the first step: the
+    resolution check of the state module, and a RuntimeWarning when
+    dt * max|V + lambda1 rho + lambda2 K*rho| reaches pi
+    (_Splitting.phase_scale, from the block sum the step uses).
+
+    Each ObservableRecord, the one of field0 included, is taken on one
     recorder thread while the loop steps on.  At most one record is in
     flight: the next sample waits for the previous record before it
     submits its own.  The field is materialized on the calling thread at a
@@ -482,7 +459,6 @@ def evolve(
         raise ValueError("dt must be positive")
     grid = field0.grid
     field0.validate_finite()
-    trap = params.trap_terms(grid)
 
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     last_dt = T - (n_steps - 1) * dt
@@ -500,7 +476,9 @@ def evolve(
                     f"sample time {t_req!r} does not lie on the step lattice (dt = {dt!r})"
                 )
             if k < 1 or k > n_steps:
-                raise ValueError(f"sample time {t_req!r} outside (0, T]")
+                raise ValueError(
+                    f"sample time {t_req!r} outside (0, T], counted from field0.t"
+                )
             callback_steps.add(k)
 
     sample_steps = set(range(monitor.stride, n_steps, monitor.stride))
@@ -515,12 +493,19 @@ def evolve(
         else monitor.grad_factor * max(grad0, 1e-300)
     )
 
+    split = _Splitting(grid, dt, params, symbol)
     if warn_resolution:
         check_resolution(field0, spectrum=spectrum0)
-        _warn_phase_scale(field0, params, symbol, trap, dt)
+        phase_scale = split.phase_scale(field0.values)
+        if dt * phase_scale >= math.pi:
+            warnings.warn(
+                f"dt * max|V + nonlinear potential| = {dt * phase_scale:.3g} >= pi; "
+                "the nonlinear phase per step is under-resolved",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     series = ObservableSeries()
-    split = _Splitting(grid, dt, params, symbol, trap)
     t0 = field0.t
     with _Recorder(series) as recorder:
         if observables:

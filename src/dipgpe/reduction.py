@@ -476,10 +476,13 @@ def epsilon_sweep(
     The reduced trajectory does not depend on eps, so it is computed
     once and shared.  Rows come back in input order with the pairwise
     log-log slope against the previous eps (nan on the first row).
+    max_workers caps the member threads, one per eps value when None.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ValueError("need at least one eps value")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
     _check_study(setup, T, allow_unstable)
     reduced = run_reduced_snapshots(setup, dt, T, n_samples)
 

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -265,12 +266,70 @@ def test_evolve_validates_dt_and_T():
         evolve(f0, p, dt=1e-3, T=0.0)
 
 
-def test_evolve_warns_on_coarse_phase_step():
-    g = make_grid(1, [16.0], [128])
-    p = PhysicalParams(1, (5.0,), 0.0, 0.0)
-    f0 = gaussian(g, 0.5)
-    with pytest.warns(RuntimeWarning, match="nonlinear phase"):
-        evolve(f0, p, dt=5e-3, T=0.05, monitor=MonitorSpec(stride=10))
+def coarse_phase_case(name):
+    # a trap-only 1D case, and a 3D dipolar one whose maximum sits at the
+    # centre, where lambda1 rho and lambda2 K*rho outweigh the weak trap
+    if name == "trap-1d":
+        g = make_grid(1, [16.0], [128])
+        return g, PhysicalParams(1, (5.0,), 0.0, 0.0), None, gaussian(g, 0.5)
+    g = make_grid(3, [12.0, 12.0, 14.0], [32, 30, 40])
+    f = gaussian(g, 1.0)
+    p = PhysicalParams(3, (0.1, 0.12, 0.08), 5.0, -3.0)
+    return g, p, build_symbol(g, Analytic3D()), WaveField(2.0 * f.values, g)
+
+
+@pytest.mark.parametrize("case", ["trap-1d", "dipolar-3d"])
+def test_evolve_warns_on_coarse_phase_step(case):
+    g, p, sym, f0 = coarse_phase_case(case)
+    scale = propagator_module._Splitting(g, 1e-3, p, sym).phase_scale(f0.values)
+    rho = np.abs(f0.values) ** 2
+    want = p.potential(g) + p.lambda1 * rho
+    if sym is not None:
+        dipolar = p.lambda2 * apply_kernel(sym, rho)
+        assert np.max(np.abs(dipolar)) > 0.1 * scale
+        want = want + dipolar
+    assert_close(scale, float(np.max(np.abs(want))), rel=1e-13)
+
+    def two_steps(dt, **kwargs):
+        evolve(f0, p, sym, dt=dt, T=2.0 * dt, observables=False, **kwargs)
+
+    above, below = (math.pi / scale) * (1.0 + 1e-12), (math.pi / scale) * (1.0 - 1e-12)
+    with pytest.warns(RuntimeWarning, match="nonlinear phase") as caught:
+        two_steps(above)
+    # one warning, reported at evolve's caller
+    assert len(caught) == 1 and caught[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        two_steps(below)
+        two_steps(above, warn_resolution=False)
+
+
+def test_evolve_counts_T_and_sample_times_from_the_initial_time():
+    g = make_grid(1, [16.0], [64])
+    p = PhysicalParams(1, (1.0,), 0.5, 0.0)
+    f0 = gaussian(g, 1.0)
+    late = WaveField(f0.values, g, t=0.5)
+    seen, seen0 = [], []
+    series, out = evolve(
+        late, p, dt=1e-2, T=0.2, monitor=MonitorSpec(stride=7),
+        callback=lambda f: seen.append((f.t, f.values.copy())), sample_times=[0.1, 0.2],
+    )
+    series0, out0 = evolve(
+        f0, p, dt=1e-2, T=0.2, monitor=MonitorSpec(stride=7),
+        callback=lambda f: seen0.append(f.values.copy()), sample_times=[0.1, 0.2],
+    )
+    assert [t for t, _ in seen] == pytest.approx([0.6, 0.7])
+    assert out.t == pytest.approx(0.7)
+    t = series.column("t")
+    assert t[0] == 0.5 and t[-1] == pytest.approx(0.7)
+    assert t - 0.5 == pytest.approx(series0.column("t"))
+    # the step does not read t: the late run is the same run, shifted
+    for (_, values), values0 in zip(seen, seen0):
+        assert np.array_equal(values, values0)
+    assert np.array_equal(out.values, out0.values)
+    # sample time 0 is field0 itself, which no step reaches
+    with pytest.raises(ValueError, match=r"outside \(0, T\], counted from field0.t"):
+        evolve(late, p, dt=1e-2, T=0.2, sample_times=[0.0])
 
 
 def test_evolve_stops_with_collapse_report():
@@ -569,10 +628,10 @@ def test_nonlinear_phase_rotor_matches_exp_i_theta():
     )
     p = PhysicalParams(1, (0.0,), 0.0, 0.0)
     values = np.ones(theta.shape, dtype=complex)
-    rho, phase = np.empty(theta.shape), np.empty(theta.shape)
-    rotor = np.empty(theta.shape, dtype=complex)
-    potential = grid_module.MeshBlocks(np.add, [-theta])
-    propagator_module._nonlinear_phase(values, 1.0, p, None, potential, rho, phase, rotor)
+    split = propagator_module._Splitting(make_grid(1, [1.0], [theta.size]), 1.0, p, None)
+    # the trap term is theta itself: V = -theta at dt = 1
+    split.potential = grid_module.MeshBlocks(np.add, [-theta])
+    propagator_module._nonlinear_phase(split, values)
     assert np.max(np.abs(values - np.exp(1j * theta))) <= 1e-15
     assert np.max(np.abs(np.abs(values) - 1.0)) <= 1e-15
     assert values[0].real == -1.0 and values[1].real == -1.0
@@ -677,8 +736,7 @@ def test_blocked_step_is_bit_identical(dim, extents, points, omega, lambda1, lam
     dt = 2.0**-9
     potential = p.potential(g)
     ref = UnblockedSplitting(g, dt, p, sym, potential)
-    trap = p.trap_terms(g)
-    split = propagator_module._Splitting(g, dt, p, sym, trap)
+    split = propagator_module._Splitting(g, dt, p, sym)
     for phase, table in ((split.half, ref.khalf), (split.full, ref.kfull)):
         got = split.multiply(np.ones(g.shape, dtype=complex), phase, np.empty(g.shape, dtype=complex))
         assert np.array_equal(bits(got), bits(table * (1.0 + 0.0j)))
@@ -695,7 +753,7 @@ def test_blocked_step_is_bit_identical(dim, extents, points, omega, lambda1, lam
     # one strang_step
     y_ref = ref.kinetic(scipy_fft.fftn(f0.values), ref.khalf)
     out_ref = ref.kinetic(ref.advance(y_ref), ref.khalf)
-    out = strang_step(f0, dt, p, sym, trap)
+    out = strang_step(f0, dt, p, sym)
     assert np.array_equal(bits(out.values), bits(out_ref))
 
     # a 20-step evolve, with samples on the way
@@ -722,12 +780,11 @@ def test_splitting_holds_two_full_lattices(points):
     # included, is at most a block long.
     g = make_grid(3, (10.0, 10.0, 12.0), points)
     p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
-    trap = p.trap_terms(g)
-    split = propagator_module._Splitting(g, 1e-3, p, build_symbol(g, Analytic3D()), trap)
+    split = propagator_module._Splitting(g, 1e-3, p, build_symbol(g, Analytic3D()))
 
     def owned(obj, prefix=""):
         for name, value in vars(obj).items():
-            if isinstance(value, np.ndarray) and not any(value is term for term in trap):
+            if isinstance(value, np.ndarray):
                 yield prefix + name, value
             elif isinstance(value, grid_module.MeshBlocks):
                 yield from owned(value, f"{prefix}{name}.")
@@ -750,6 +807,21 @@ def test_splitting_holds_two_full_lattices(points):
         tracemalloc.stop()
     # two kept tables at most, and numpy's iterator buffers
     assert peak <= 2 * 16 * block + 2**19
+    assert split.rho is arrays["rho"]
+
+    # the check before the first step sums in the split's rho and scratch:
+    # it allocates the convolution's half spectrum and real lattice only
+    values = chirped_dipolar_gaussian(g).values
+    half = math.prod(g.shape[:-1]) * (g.shape[-1] // 2 + 1)
+    split.symbol.half_values  # the symbol caches its half spectrum on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        split.phase_scale(values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * half + 8 * g.size + 2**16
     assert split.rho is arrays["rho"]
 
 

@@ -450,6 +450,18 @@ def test_sweep_checks_its_preconditions_before_any_tabulation(monkeypatch):
         epsilon_sweep(stable, [0.2], ref, 2e-3, 0.0)
 
 
+@pytest.mark.parametrize("epsilons", [[0.2], [0.2, 0.141]])
+@pytest.mark.parametrize("max_workers", [0, -1])
+def test_sweep_rejects_a_worker_count_below_one(monkeypatch, epsilons, max_workers):
+    def refuse(*args):
+        raise AssertionError("a symbol was built before the worker count was checked")
+
+    monkeypatch.setattr(reduction, "build_symbol", refuse)
+    s = ReductionSetup(0.2, OMEGA, 2.0, 0.3, axial_ground_state(), "1d")
+    with pytest.raises(ValueError, match="max_workers must be a positive integer"):
+        epsilon_sweep(s, epsilons, reference_grid(), 2e-3, 0.25, max_workers=max_workers)
+
+
 def test_rescaled_3d_sample_time_validation():
     u0 = axial_ground_state()
     ref = reference_grid()
