@@ -23,7 +23,21 @@ Pointwise Fourier multipliers need neither the sign lattice nor the
 volume factors (they cancel between the two directions), so operators
 elsewhere in the package run between the grid's raw transforms,
 ``grid.ifft(m * grid.fft(u))``.  Those four methods (fft, ifft, rfft,
-irfft) are the package's only calls of scipy.fft's transforms.
+irfft), of SpectralGrid and of OctantGrid, are the package's only calls
+of scipy.fft's transforms.
+
+A field is mirror-even when u[k] == u[(n - k) % n] along every axis:
+index k holds x_k and index n - k holds -x_k, while index 0 (x = -L/2)
+and index n/2 (x = 0) are their own images.  Such a field is fixed by
+its octant, indices 0..n/2 of each axis, and so is its DFT, which on the
+octant is the type-I discrete cosine transform: fftfreq puts -xi_k at
+index n - k, so the frequencies pair up the same way.  OctantGrid is
+that octant of a SpectralGrid.  Its fft, ifft, rfft and irfft are
+DCT-I transforms, which equal the full lattice's raw transforms on the
+octant; each octant index stands for its multiplicity of lattice
+points, 1 at indices 0 and n/2 and 2 in between (``weights``), so sums
+over the full lattice are weighted sums over the octant.  Parseval's
+1/N keeps the full lattice's point count, ``grid.full.size``.
 """
 
 from __future__ import annotations
@@ -152,8 +166,84 @@ class MeshBlocks:
         return out
 
 
+# Piece 1 and piece 2 of _mirror_pieces are each other's mirror image.
+_MIRROR_PIECE = (0, 2, 1)
+
+
+def _mirror_pieces(n: int) -> tuple[tuple[slice, slice], ...]:
+    """The pieces {0}, [1, n/2) and (n/2, n) of an even axis.
+
+    Each piece comes with the reversed slice that holds its mirror image:
+    index k and index n - k carry opposite coordinates and opposite
+    frequencies.  The index n/2 lies in no piece.
+    """
+    h = n // 2
+    return (
+        (slice(0, 1), slice(0, 1)),
+        (slice(1, h), slice(n - 1, h, -1)),
+        (slice(h + 1, n), slice(h - 1, 0, -1)),
+    )
+
+
+def octant_index(shape: Sequence[int]) -> tuple[slice, ...]:
+    """The octant of a lattice, indices 0..n/2 of each axis."""
+    return tuple(slice(0, n // 2 + 1) for n in shape)
+
+
+def mirror_fill(values: np.ndarray) -> np.ndarray:
+    """Fill a lattice whose octant is set from that octant, in place.
+
+    One mirrored slice copy per axis: index n - k takes index k.
+    """
+    octant = octant_index(values.shape)
+    for axis, n in enumerate(values.shape):
+        _, _, (upper, lower) = _mirror_pieces(n)
+        head = (slice(None),) * axis
+        values[head + (upper,) + octant[axis + 1 :]] = values[head + (lower,) + octant[axis + 1 :]]
+    return values
+
+
+def is_mirror_even(values: np.ndarray) -> bool:
+    """Whether values equal their mirror image bit for bit along every axis.
+
+    Per axis, the piece [1, n/2) is compared with the mirrored view of
+    (n/2, n) as raw bits, so -0.0 differs from 0.0; no copy of the
+    lattice is formed.
+    """
+    bits = values.view(np.uint64).reshape(values.shape + (-1,))
+    for axis, n in enumerate(values.shape):
+        _, (here, there), _ = _mirror_pieces(n)
+        head = (slice(None),) * axis
+        if not np.array_equal(bits[head + (here,)], bits[head + (there,)]):
+            return False
+    return True
+
+
+class _Lattice:
+    """What a lattice and its octant share: sparse meshes and the shape check.
+
+    Subclasses provide dim, shape, coords and freqs.
+    """
+
+    @cached_property
+    def coord_mesh(self) -> list[np.ndarray]:
+        """Broadcastable (sparse) coordinate meshes."""
+        return list(np.meshgrid(*self.coords, indexing="ij", sparse=True))
+
+    @cached_property
+    def freq_mesh(self) -> list[np.ndarray]:
+        """Broadcastable (sparse) frequency meshes in FFT order."""
+        return list(np.meshgrid(*self.freqs, indexing="ij", sparse=True))
+
+    def _check_shape(self, u: np.ndarray) -> None:
+        if tuple(u.shape) != self.shape:
+            raise GridError(
+                f"field shape {tuple(u.shape)} does not match grid shape {self.shape}"
+            )
+
+
 @dataclass(eq=False)
-class SpectralGrid:
+class SpectralGrid(_Lattice):
     """Tensor-product lattice with cached coordinate and frequency meshes.
 
     Instances are immutable by convention: nothing in the package mutates
@@ -164,6 +254,14 @@ class SpectralGrid:
     dim: int
     extents: tuple[float, ...]
     shape: tuple[int, ...]
+
+    # every lattice point counts once (see OctantGrid.weights)
+    weights = None
+
+    @property
+    def full(self) -> "SpectralGrid":
+        """The lattice itself; an OctantGrid's is the lattice it is the octant of."""
+        return self
 
     @property
     def steps(self) -> tuple[float, ...]:
@@ -198,15 +296,19 @@ class SpectralGrid:
             for L, n in zip(self.extents, self.shape)
         ]
 
-    @cached_property
-    def coord_mesh(self) -> list[np.ndarray]:
-        """Broadcastable (sparse) coordinate meshes."""
-        return list(np.meshgrid(*self.coords, indexing="ij", sparse=True))
+    @property
+    def bands(self) -> list[slice]:
+        """Per axis, the indices of the top octave |k| >= n // 4 (top_band)."""
+        return [top_band(n) for n in self.shape]
 
     @cached_property
-    def freq_mesh(self) -> list[np.ndarray]:
-        """Broadcastable (sparse) frequency meshes in FFT order."""
-        return list(np.meshgrid(*self.freqs, indexing="ij", sparse=True))
+    def octant(self) -> "OctantGrid":
+        """The octant of indices 0..n/2 per axis, on which mirror-even fields run."""
+        return OctantGrid(self)
+
+    def half(self, table: np.ndarray) -> np.ndarray:
+        """The part of a frequency-lattice table that rfft's layout holds."""
+        return table[..., : self.shape[-1] // 2 + 1]
 
     @cached_property
     def ksq(self) -> np.ndarray:
@@ -278,11 +380,86 @@ class SpectralGrid:
         """The real lattice of a half spectrum from rfft."""
         return _fft.irfftn(u_hat, s=self.shape, workers=FFT_WORKERS)
 
-    def _check_shape(self, u: np.ndarray) -> None:
-        if tuple(u.shape) != self.shape:
-            raise GridError(
-                f"field shape {tuple(u.shape)} does not match grid shape {self.shape}"
-            )
+
+class OctantGrid(_Lattice):
+    """The octant of a SpectralGrid, indices 0..n/2 of each axis.
+
+    A mirror-even field (see the module docstring) is held by its values
+    there, and so is its spectrum.  The coordinates and frequencies are
+    the full lattice's at those indices, so the last frequency of an axis
+    is its Nyquist frequency -pi n / L.  fft and ifft are the complex
+    DCT-I and its inverse, with axis=j along axis j alone; rfft and irfft
+    the same on real data.  Each equals the full lattice's raw transform
+    restricted to the octant.  weights holds each axis' multiplicities,
+    1, 2, ..., 2, 1: the full lattice's sum of a mirror-even lattice is
+    the octant's sum weighted by their product.  steps, cell_volume and
+    the Parseval count full.size are the full lattice's.  The full
+    lattice's sign mesh, continuum transforms and |xi|^2, |x|^2 and
+    top-octave lattices have no octant counterpart.
+    """
+
+    def __init__(self, full: SpectralGrid) -> None:
+        self.full = full
+        self.dim = full.dim
+        self.extents = full.extents
+        self.index = octant_index(full.shape)
+        self.shape = tuple(n // 2 + 1 for n in full.shape)
+        self.steps = full.steps
+        self.cell_volume = full.cell_volume
+        self.size = math.prod(self.shape)
+        self.coords = [c[s] for c, s in zip(full.coords, self.index)]
+        self.freqs = [f[s] for f, s in zip(full.freqs, self.index)]
+        self.bands = [slice(n // 4, n // 2 + 1) for n in full.shape]
+        self.weights = [np.concatenate([[1.0], np.full(m - 2, 2.0), [1.0]]) for m in self.shape]
+
+    @cached_property
+    def row_weights(self) -> np.ndarray:
+        """Per row of the (rows, last axis) view, the product of the leading axes' weights."""
+        lead = np.ones(())
+        for w in self.weights[:-1]:
+            lead = np.multiply.outer(lead, w)
+        return lead.reshape(-1)
+
+    def fold_rows(self, sums: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Row sums over the last axis with its weights, 2 sums - first - last.
+
+        sums are the plain row sums and first and last the row's values
+        at indices 0 and n/2, which count once.
+        """
+        out = 2.0 * sums
+        out -= first
+        out -= last
+        return out
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The octant of a full lattice, as a new contiguous array."""
+        return np.ascontiguousarray(values[self.index])
+
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """The full lattice of a mirror-even field from its octant, as a new array."""
+        out = np.empty(self.full.shape, dtype=values.dtype)
+        out[self.index] = values
+        return mirror_fill(out)
+
+    def half(self, table: np.ndarray) -> np.ndarray:
+        """rfft's layout on the octant is the octant: the table itself."""
+        return table
+
+    # The raw transforms, unnormalized: type-I DCTs, which scipy.fft runs
+    # on the real and imaginary parts of complex data in turn.
+    def fft(self, u: np.ndarray, axis: "int | None" = None, overwrite: bool = False) -> np.ndarray:
+        axes = None if axis is None else (axis,)
+        return _fft.dctn(u, type=1, axes=axes, workers=FFT_WORKERS, overwrite_x=overwrite)
+
+    def ifft(self, u: np.ndarray, axis: "int | None" = None, overwrite: bool = False) -> np.ndarray:
+        axes = None if axis is None else (axis,)
+        return _fft.idctn(u, type=1, axes=axes, workers=FFT_WORKERS, overwrite_x=overwrite)
+
+    def rfft(self, u: np.ndarray) -> np.ndarray:
+        return _fft.dctn(u, type=1, workers=FFT_WORKERS)
+
+    def irfft(self, u_hat: np.ndarray) -> np.ndarray:
+        return _fft.idctn(u_hat, type=1, workers=FFT_WORKERS)
 
 
 def top_band(n: int) -> slice:

@@ -24,9 +24,11 @@ scipy.linalg, scipy.optimize, scipy.sparse and scipy.spatial, about
 
 The closed-form 3D symbol is evaluated on one octant of the lattice,
 indices 0..n/2 of each axis; fftfreq gives xi[n - k] = -xi[k] bit for bit,
-so the rest of the lattice is filled by mirrored slice copies.  The
-evenness check compares mirrored views of the same pieces, {0}, [1, n/2)
-and (n/2, n) per axis, instead of gathering s(-k) into a new array.
+so the rest of the lattice is filled by mirrored slice copies
+(grid.mirror_fill).  The evenness check compares mirrored views of the
+same pieces, {0}, [1, n/2) and (n/2, n) per axis, instead of gathering
+s(-k) into a new array.  A run of mirror-even data reads the symbol on
+the octant alone (KernelSymbol.octant).
 
 Applying a symbol to a density is pointwise multiplication between an
 FFT/inverse-FFT pair; no normalization factors appear because they
@@ -47,7 +49,15 @@ import numpy as np
 from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 from scipy import special
 
-from .grid import GridError, SpectralGrid
+from .grid import (
+    _MIRROR_PIECE,
+    GridError,
+    OctantGrid,
+    SpectralGrid,
+    _mirror_pieces,
+    mirror_fill,
+    octant_index,
+)
 
 SYMBOL_MAX = 8.0 * math.pi / 3.0
 SYMBOL_MIN = -4.0 * math.pi / 3.0
@@ -299,25 +309,6 @@ def _effective1d_table(xi3: np.ndarray, omega1: float, omega2: float) -> np.ndar
     )
 
 
-# Piece 1 and piece 2 of _mirror_pieces are each other's mirror image.
-_MIRROR_PIECE = (0, 2, 1)
-
-
-def _mirror_pieces(n: int) -> tuple[tuple[slice, slice], ...]:
-    """The pieces {0}, [1, n/2) and (n/2, n) of an even FFT-ordered axis.
-
-    Each piece comes with the reversed slice that holds its mirror image:
-    index k and index n - k carry opposite frequencies.  The Nyquist
-    index n/2 lies in no piece.
-    """
-    h = n // 2
-    return (
-        (slice(0, 1), slice(0, 1)),
-        (slice(1, h), slice(n - 1, h, -1)),
-        (slice(h + 1, n), slice(h - 1, 0, -1)),
-    )
-
-
 @dataclass(eq=False)
 class KernelSymbol:
     """Real, even Fourier multiplier tabulated on a grid's frequency lattice.
@@ -326,7 +317,9 @@ class KernelSymbol:
     the real-input transform layout; the propagator and the dipolar
     energy use it to halve the cost of the nonlocal term.  Both read only
     the even part of the symbol, so half_values requires evenness; the
-    verdict is computed once and shared with validate.
+    verdict is computed once and shared with validate.  octant gives the
+    symbol on its grid's octant, where mirror-even fields run: its values
+    there, which an even symbol determines.
     """
 
     dim: int
@@ -345,8 +338,14 @@ class KernelSymbol:
                 "symbol is not even on the frequency lattice; its real-transform "
                 "application would drop the odd part"
             )
-        n_last = self.grid.shape[-1]
-        return np.ascontiguousarray(self.values[..., : n_last // 2 + 1])
+        return np.ascontiguousarray(self.grid.half(self.values))
+
+    @cached_property
+    def octant(self) -> "KernelSymbol":
+        """The symbol on grid.octant, its values at indices 0..n/2 of each axis."""
+        octant = self.grid.octant
+        values = np.ascontiguousarray(self.half_values[octant.index])
+        return KernelSymbol(dim=self.dim, values=values, provenance=self.provenance, grid=octant)
 
     def validate(self) -> None:
         """Enforce the type invariants; raises ValueError on violation."""
@@ -379,8 +378,12 @@ class KernelSymbol:
         a product of pieces is a view of the values with the mirrored
         pieces; the Nyquist planes lie in no piece.  A block and its
         mirror image make the same comparisons, so only one of each pair
-        is compared.  A NaN off the Nyquist planes fails the check.
+        is compared.  A NaN off the Nyquist planes fails the check.  A
+        table on an octant is even by construction: it stands for the
+        even symbol that takes its values there.
         """
+        if isinstance(self.grid, OctantGrid):
+            return True
         values = self.values
         pieces = [_mirror_pieces(n) for n in values.shape]
         for choice in itertools.product(range(3), repeat=values.ndim):
@@ -426,15 +429,10 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     if isinstance(provenance, Analytic3D):
         # symbol3d on indices 0..n/2 of each axis; index n - k holds -xi[k]
         # bit for bit, so the rest of each axis is a mirrored copy
-        octant = tuple(slice(0, n // 2 + 1) for n in grid.shape)
+        octant = octant_index(grid.shape)
         values = np.empty(grid.shape)
         values[octant] = symbol3d(*(f[octant] for f in grid.freq_mesh))
-        for axis, n in enumerate(grid.shape):
-            _, _, (upper, lower) = _mirror_pieces(n)
-            head = (slice(None),) * axis
-            values[head + (upper,) + octant[axis + 1 :]] = values[
-                head + (lower,) + octant[axis + 1 :]
-            ]
+        mirror_fill(values)
     elif isinstance(provenance, Effective2D):
         w3 = provenance.omega3
         if w3 <= 0.0:
@@ -501,13 +499,21 @@ def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:
     zero and Nyquist planes of the last axis count once.  The column sums
     of the weighted power over the last axis give both counts; each is a
     three-operand einsum on the real or the imaginary part, so no power
-    lattice is formed.
+    lattice is formed.  On an octant the transform is real and every
+    axis has those multiplicities (OctantGrid.weights): the row sums take
+    the last axis' weights, and each row its leading axes' weight.
     """
-    spectrum = symbol.grid.rfft(density)
+    grid = symbol.grid
+    spectrum = grid.rfft(density)
     v = spectrum.reshape(-1, spectrum.shape[-1])
     w = symbol.half_values.reshape(v.shape)
+    if grid.weights is not None:
+        rows = np.einsum("ij,ij,ij->i", v, v, w)
+        first, last = v[:, 0] * v[:, 0] * w[:, 0], v[:, -1] * v[:, -1] * w[:, -1]
+        total = float(np.einsum("i,i->", grid.fold_rows(rows, first, last), grid.row_weights))
+        return total / grid.full.size
     cols = np.einsum("ij,ij,ij->j", v.real, v.real, w) + np.einsum(
         "ij,ij,ij->j", v.imag, v.imag, w
     )
     total = 2.0 * float(np.sum(cols)) - float(cols[0]) - float(cols[-1])
-    return total / symbol.grid.size
+    return total / grid.size

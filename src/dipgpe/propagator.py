@@ -59,6 +59,20 @@ do) takes monitor-only samples and starts no thread.  _harmonic_profile
 builds the trap ground state on any set of axes, for linear_eigenstate
 and for the reduction module's transverse profile.
 
+The trap, the contact term and the kernel are all even, so a field that
+equals its mirror image along every axis (grid.is_mirror_even, bit for
+bit) stays so, and so does its spectrum.  evolve runs such a field0 on
+the grid's octant, indices 0..n/2 of each axis (grid.OctantGrid): the
+step, the check before the first step, the monitor and every record run
+the same code there, with DCT-I transforms in place of the FFTs and the
+octant's weights in every lattice sum, on (n/2 + 1)^d points instead of
+n^d.  The caller still sees full lattices: a callback's field, the final
+field and a CollapseReport's field are unfolded from the octant by
+mirrored slice copies.  Any other field runs the full lattice.  Nothing
+selects the octant but the data: it is a property of field0 that evolve
+can check, so no option turns it on or off.  strang_step and the
+standalone observables always run the full lattice.
+
 Blow-up cannot be followed on a fixed lattice.  The monitor reports
 under-resolution consistent with collapse when the gradient norm or the
 top-octave spectral fraction crosses its threshold, and the run ends
@@ -82,7 +96,9 @@ from .grid import (
     _BLOCK,
     GridError,
     MeshBlocks,
+    OctantGrid,
     SpectralGrid,
+    is_mirror_even,
     lattice_blocks,
     make_grid,
     mesh_product,
@@ -239,7 +255,7 @@ class _Splitting:
 
     def __init__(
         self,
-        grid: SpectralGrid,
+        grid: "SpectralGrid | OctantGrid",
         dt: float,
         params: PhysicalParams,
         symbol: "KernelSymbol | None",
@@ -343,7 +359,7 @@ def strang_step(
 
 
 def _materialize(
-    spectrum: FieldSpectrum, grid: SpectralGrid, t: float, step: int
+    spectrum: FieldSpectrum, grid: "SpectralGrid | OctantGrid", t: float, step: int
 ) -> WaveField:
     """The field of a spectrum, checked finite: one inverse transform in place.
 
@@ -359,7 +375,7 @@ def _materialize(
 def _record(
     psi: "WaveField | None",
     spectrum: FieldSpectrum,
-    grid: SpectralGrid,
+    grid: "SpectralGrid | OctantGrid",
     t: float,
     step: int,
     params: PhysicalParams,
@@ -450,6 +466,11 @@ def evolve(
     With observables=False no record is taken, the series comes back empty
     and the recorder thread never starts.
 
+    A field0 equal to its mirror image along every axis, bit for bit,
+    runs on the grid's octant (see the module docstring); the fields the
+    caller sees are full lattices either way, and the series agrees with
+    the full lattice's run to roundoff.
+
     Returns the series together with the final field, or with a
     CollapseReport if a threshold tripped first.
     """
@@ -470,14 +491,14 @@ def evolve(
     if sample_times is not None:
         for t_req in sample_times:
             k = int(round(t_req / dt))
+            if k < 1 or k > n_steps:
+                raise ValueError(
+                    f"sample time {t_req!r} outside (0, T], counted from field0.t"
+                )
             t_k = k * dt if k < n_steps else (n_steps - 1) * dt + last_dt
             if abs(t_k - t_req) > 1e-6 * dt + 1e-12:
                 raise ValueError(
                     f"sample time {t_req!r} does not lie on the step lattice (dt = {dt!r})"
-                )
-            if k < 1 or k > n_steps:
-                raise ValueError(
-                    f"sample time {t_req!r} outside (0, T], counted from field0.t"
                 )
             callback_steps.add(k)
 
@@ -485,18 +506,35 @@ def evolve(
     sample_steps.add(n_steps)
     sample_steps |= callback_steps
 
-    spectrum0 = field_spectrum(field0)
-    grad0 = gradient_norm_sq(field0, spectrum0)
+    # The trap, the contact term and the kernel are even, so a mirror-even
+    # field0 stays mirror-even: the run holds its octant, the caller still
+    # sees full lattices.
+    lattice = grid
+    start = field0
+    if is_mirror_even(field0.values):
+        lattice = grid.octant
+        start = WaveField(lattice.restrict(field0.values), lattice, field0.t)
+        if symbol is not None:
+            symbol = symbol.octant if params.lambda2 != 0.0 else None
+
+    def shown(psi: WaveField) -> WaveField:
+        """psi as the caller sees it, on the full lattice."""
+        if lattice is grid:
+            return psi
+        return WaveField(lattice.unfold(psi.values), grid, psi.t)
+
+    spectrum0 = field_spectrum(start)
+    grad0 = gradient_norm_sq(start, spectrum0)
     grad_threshold = (
         monitor.grad_threshold
         if monitor.grad_threshold is not None
         else monitor.grad_factor * max(grad0, 1e-300)
     )
 
-    split = _Splitting(grid, dt, params, symbol)
+    split = _Splitting(lattice, dt, params, symbol)
     if warn_resolution:
-        check_resolution(field0, spectrum=spectrum0)
-        phase_scale = split.phase_scale(field0.values)
+        check_resolution(start, spectrum=spectrum0)
+        phase_scale = split.phase_scale(start.values)
         if dt * phase_scale >= math.pi:
             warnings.warn(
                 f"dt * max|V + nonlinear potential| = {dt * phase_scale:.3g} >= pi; "
@@ -509,7 +547,7 @@ def evolve(
     t0 = field0.t
     with _Recorder(series) as recorder:
         if observables:
-            recorder.submit(_record, field0, spectrum0, grid, t0, 0, params, symbol)
+            recorder.submit(_record, start, spectrum0, lattice, t0, 0, params, symbol)
         if callback is not None and sample_times is None:
             recorder.join()
             callback(field0)
@@ -531,7 +569,7 @@ def evolve(
                 # a dt/2 kinetic phase, so advance by the difference first,
                 # with half holding the phase of that difference
                 split.set_dt(step_dt - dt)
-                y = split.kinetic(grid.fft(y, overwrite=True), split.half)
+                y = split.kinetic(lattice.fft(y, overwrite=True), split.half)
                 split.set_dt(step_dt)
             w_spec = split.advance(y)
             t_now = t0 + (step - 1) * dt + step_dt if step == n_steps else t0 + step * dt
@@ -541,31 +579,32 @@ def evolve(
                 recorder.join()
                 buffer = spare if spare is not None else np.empty_like(w_spec)
                 spare = None
-                spectrum = FieldSpectrum(split.multiply(w_spec, split.half, buffer))
-                # given a spectrum, the monitor functions read only field0's grid
-                grad_sq = gradient_norm_sq(field0, spectrum)
+                spectrum = FieldSpectrum(split.multiply(w_spec, split.half, buffer), lattice)
+                # given a spectrum, the monitor functions read only start's grid
+                grad_sq = gradient_norm_sq(start, spectrum)
                 if not math.isfinite(grad_sq):
                     raise NonFiniteStateError(
                         f"non-finite field at t = {t_now:.6g}", t_now, step
                     )
-                tail = spectral_tail_fraction(field0, spectrum)
+                tail = spectral_tail_fraction(start, spectrum)
                 tripped = grad_sq > grad_threshold or tail > monitor.spectral_tail
                 fires = callback is not None and (
                     step in callback_steps if sample_times is not None else True
                 )
                 ends = tripped or step == n_steps
-                psi = _materialize(spectrum, grid, t_now, step) if fires or ends else None
+                psi = _materialize(spectrum, lattice, t_now, step) if fires or ends else None
                 if observables:
-                    recorder.submit(_record, psi, spectrum, grid, t_now, step, params, symbol)
+                    recorder.submit(_record, psi, spectrum, lattice, t_now, step, params, symbol)
                 del spectrum
-                if psi is None:
+                out = None if psi is None else shown(psi)
+                if psi is None or out is not psi:
                     # only the record reads this psi: once it is joined, the
                     # array serves the next sample
                     spare = buffer
                 if fires or ends:
                     recorder.join()
                 if fires:
-                    callback(psi)
+                    callback(out)
                 if tripped:
                     reason = (
                         "gradient-threshold" if grad_sq > grad_threshold else "spectral-tail"
@@ -576,11 +615,11 @@ def evolve(
                         reason=reason,
                         grad_sq=grad_sq,
                         tail_fraction=tail,
-                        field=psi,
+                        field=out,
                     )
                     return series, report
                 if step == n_steps:
-                    return series, psi
+                    return series, out
             y = split.kinetic(w_spec, split.full)
 
     raise AssertionError("unreachable: loop must return at the final step")

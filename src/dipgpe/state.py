@@ -25,6 +25,15 @@ costs one forward complex transform when no spectrum is passed (none
 when the caller holds one, as evolve does), a one-axis transform there
 and back per axis and one real transform.
 
+A field may also lie on a grid's octant (grid.OctantGrid), where evolve
+runs mirror-even data.  Every observable is then the full lattice's:
+the sums take the octant's per-axis weights (1 at indices 0 and n/2, 2
+between), the marginals are unfolded to the full axes, and Parseval's
+1/N counts the full lattice.  Only the variance rate needs another form,
+because x_j is not odd at index 0 (x = -L/2 is its own image) and the
+Nyquist frequency is not odd either: _octant_rate_term takes the odd
+part of the derivative from one inverse DCT-I and adds the edge term.
+
 An evolution is summarized by an ObservableSeries, one record per
 sampling time, which serializes to CSV with the fixed header
 
@@ -50,6 +59,7 @@ from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 from .grid import (
     _BLOCK,
     GridError,
+    OctantGrid,
     SpectralGrid,
     lattice_blocks,
     mesh_sum,
@@ -138,7 +148,7 @@ class WaveField:
     """Complex field sampled on a grid at one instant."""
 
     values: np.ndarray
-    grid: SpectralGrid
+    grid: "SpectralGrid | OctantGrid"
     t: float = 0.0
 
     def __post_init__(self) -> None:
@@ -174,11 +184,14 @@ class FieldSpectrum:
     The power is never held as a lattice.  spend hands the transform
     array over once the sums are taken, for reuse in place (evolve
     materializes psi over it); the spectrum then keeps only its sums, and
-    reading its values raises.
+    reading its values raises.  grid is the lattice the values lie on,
+    by default the full lattice of their shape; on an octant the sums
+    are the full lattice's, from the octant's weights.
     """
 
-    def __init__(self, values: np.ndarray) -> None:
+    def __init__(self, values: np.ndarray, grid: "SpectralGrid | OctantGrid | None" = None) -> None:
         self._values = values
+        self._grid = grid
 
     @property
     def values(self) -> np.ndarray:
@@ -203,21 +216,33 @@ class FieldSpectrum:
         """
         shape = self.values.shape
         m = shape[-1]
+        grid = self._grid
+        bands = [top_band(n) for n in shape] if grid is None else grid.bands
         f = self.values.reshape(-1, m).view(float)
-        band = top_band(m)
+        band = bands[-1]
         row_sums = np.einsum("ij,ij->i", f, f)
-        float_cols = np.einsum("ij,ij->j", f, f)
-        marginals = _axis_marginals(row_sums, float_cols[0::2] + float_cols[1::2], shape)
+        b = f[:, 2 * band.start : 2 * band.stop]
+        band_rows = np.einsum("ij,ij->i", b, b)
+        if not _on_octant(grid):
+            float_cols = np.einsum("ij,ij->j", f, f)
+        else:
+            # the octant's weights: the last axis' in the row sums, where
+            # the band ends at index n/2, and the leading axes' per row
+            float_cols = np.einsum("ij,ij,i->j", f, f, grid.row_weights)
+            first, last = _power(f[:, :2]), _power(f[:, -2:])
+            row_sums = grid.fold_rows(row_sums, first, last)
+            band_rows = grid.fold_rows(band_rows, 0.0, last)
+            row_sums *= grid.row_weights
+            band_rows *= grid.row_weights
+        marginals = _axis_marginals(row_sums, float_cols[0::2] + float_cols[1::2], shape, grid)
         # The top octave as disjoint boxes: high on leading axis a and low
         # on the leading axes before it, then low on every leading axis and
         # high on the last.  Summed directly, never as total - low, which
         # would cancel a tail of 1e-26 away.
         rows = row_sums.reshape(shape[:-1])
-        b = f[:, 2 * band.start : 2 * band.stop]
-        band_rows = np.einsum("ij,ij->i", b, b).reshape(shape[:-1])
+        band_rows = band_rows.reshape(shape[:-1])
         top = 0.0
-        for axis, n in enumerate(shape[:-1]):
-            high = top_band(n)
+        for axis, high in enumerate(bands[:-1]):
             top += float(np.sum(rows[(slice(None),) * axis + (high,)]))
             rows = np.delete(rows, high, axis=axis)
             band_rows = np.delete(band_rows, high, axis=axis)
@@ -225,9 +250,19 @@ class FieldSpectrum:
         return marginals, float(np.sum(row_sums)), top
 
 
+def _on_octant(grid) -> bool:
+    """Whether a lattice's sums take octant weights (grid None: a full lattice)."""
+    return grid is not None and grid.weights is not None
+
+
+def _power(pairs: np.ndarray) -> np.ndarray:
+    """|z|^2 per row of a column of complex values given as (real, imaginary) float pairs."""
+    return np.einsum("ij,ij->i", pairs, pairs)
+
+
 def field_spectrum(field: "WaveField") -> FieldSpectrum:
     """The FieldSpectrum of a field: one forward complex transform."""
-    return FieldSpectrum(field.grid.fft(field.values))
+    return FieldSpectrum(field.grid.fft(field.values), field.grid)
 
 
 def density(field: WaveField) -> np.ndarray:
@@ -247,39 +282,65 @@ def _density_into(values: np.ndarray, rho: np.ndarray, scratch: np.ndarray) -> n
     return rho
 
 
-def _axis_marginals(row_sums: np.ndarray, col_sums: np.ndarray, shape) -> list[np.ndarray]:
-    """Per-axis marginals of a lattice from its sums over the last axis and over its rows."""
+def _axis_marginals(row_sums: np.ndarray, col_sums: np.ndarray, shape, grid=None) -> list[np.ndarray]:
+    """Per-axis marginals of a lattice from its sums over the last axis and over its rows.
+
+    On an octant the row sums carry every axis' weights and the column
+    sums the leading axes'; each marginal drops its own axis' weight and
+    is unfolded to the full axis, so marginals are always the full
+    lattice's, indexed like grid.full.coords.
+    """
     lead = row_sums.reshape(shape[:-1])
     axes = range(lead.ndim)
-    return [lead.sum(axis=tuple(b for b in axes if b != a)) for a in axes] + [col_sums]
+    if not _on_octant(grid):
+        return [lead.sum(axis=tuple(b for b in axes if b != a)) for a in axes] + [col_sums]
+    # the weights are 1 and 2, so dividing one out is exact
+    marginals = [
+        lead.sum(axis=tuple(b for b in axes if b != a)) / grid.weights[a] for a in axes
+    ]
+    return [_unfold_axis(m) for m in marginals + [col_sums]]
 
 
-def _marginals(lattice: np.ndarray) -> list[np.ndarray]:
+def _unfold_axis(m: np.ndarray) -> np.ndarray:
+    """A mirror-even axis from its octant: indices 0..n/2, then n/2 - 1 down to 1."""
+    return np.concatenate([m, m[-2:0:-1]])
+
+
+def _marginals(lattice: np.ndarray, grid=None) -> list[np.ndarray]:
     """Per-axis marginals of a real lattice: for each axis, the sums over the others."""
     rows = lattice.reshape(-1, lattice.shape[-1])
-    return _axis_marginals(rows.sum(axis=1), rows.sum(axis=0), lattice.shape)
+    if not _on_octant(grid):
+        return _axis_marginals(rows.sum(axis=1), rows.sum(axis=0), lattice.shape)
+    row_sums = grid.fold_rows(rows.sum(axis=1), rows[:, 0], rows[:, -1]) * grid.row_weights
+    col_sums = np.einsum("ij,i->j", rows, grid.row_weights)
+    return _axis_marginals(row_sums, col_sums, lattice.shape, grid)
 
 
-def _sum_sq(lattice: np.ndarray) -> float:
-    """Sum of lattice**2, with no squared lattice formed."""
-    flat = lattice.reshape(-1)
-    return float(np.einsum("i,i->", flat, flat))
+def _sum_sq(lattice: np.ndarray, grid=None) -> float:
+    """Sum of lattice**2 over the full lattice, with no squared lattice formed."""
+    if not _on_octant(grid):
+        flat = lattice.reshape(-1)
+        return float(np.einsum("i,i->", flat, flat))
+    rows = lattice.reshape(-1, lattice.shape[-1])
+    first, last = rows[:, 0], rows[:, -1]
+    sums = grid.fold_rows(np.einsum("ij,ij->i", rows, rows), first * first, last * last)
+    return float(np.einsum("i,i->", sums, grid.row_weights))
 
 
-def _mass(grid: SpectralGrid, marginals: list[np.ndarray]) -> float:
+def _mass(grid: "SpectralGrid | OctantGrid", marginals: list[np.ndarray]) -> float:
     return float(np.sum(marginals[0])) * grid.cell_volume
 
 
-def _moment(grid: SpectralGrid, marginals: list[np.ndarray], weights) -> float:
+def _moment(grid: "SpectralGrid | OctantGrid", marginals: list[np.ndarray], weights) -> float:
     """sum_a weights_a sum_i x_(a,i)^2 m_a(i), times the cell volume, from marginals m_a."""
     total = sum(
-        w * float(np.sum((x * x) * m)) for w, x, m in zip(weights, grid.coords, marginals)
+        w * float(np.sum((x * x) * m)) for w, x, m in zip(weights, grid.full.coords, marginals)
     )
     return total * grid.cell_volume
 
 
 def mass(field: WaveField) -> float:
-    return _mass(field.grid, _marginals(density(field)))
+    return _mass(field.grid, _marginals(density(field), field.grid))
 
 
 def max_abs(field: WaveField) -> float:
@@ -296,13 +357,13 @@ def gradient_norm_sq(field: WaveField, spectrum: "FieldSpectrum | None" = None) 
     if spectrum is None:
         spectrum = field_spectrum(field)
     marginals = spectrum._power_sums[0]
-    total = sum(float(np.sum((f * f) * m)) for f, m in zip(grid.freqs, marginals))
-    return total * grid.cell_volume / grid.size
+    total = sum(float(np.sum((f * f) * m)) for f, m in zip(grid.full.freqs, marginals))
+    return total * grid.cell_volume / grid.full.size
 
 
 def quartic_norm(field: WaveField) -> float:
     """Integral of |psi|^4 evaluated in physical space."""
-    return _sum_sq(density(field)) * field.grid.cell_volume
+    return _sum_sq(density(field), field.grid) * field.grid.cell_volume
 
 
 def quartic_norm_spectral(field: WaveField) -> float:
@@ -347,8 +408,8 @@ def _density_sums(
     grid = field.grid
     params._check_grid(grid)
     dv = grid.cell_volume
-    marginals = _marginals(rho)
-    cubic = 0.0 if params.lambda1 == 0.0 else 0.5 * params.lambda1 * _sum_sq(rho) * dv
+    marginals = _marginals(rho, grid)
+    cubic = 0.0 if params.lambda1 == 0.0 else 0.5 * params.lambda1 * _sum_sq(rho, grid) * dv
     if params.lambda2 == 0.0:
         dipolar = 0.0
     else:
@@ -384,7 +445,7 @@ def energy(
 def variance(field: WaveField) -> float:
     """Position variance y = int |x|^2 |psi|^2."""
     grid = field.grid
-    return _moment(grid, _marginals(density(field)), [1.0] * grid.dim)
+    return _moment(grid, _marginals(density(field), grid), [1.0] * grid.dim)
 
 
 def variance_and_rate(field: WaveField) -> tuple[float, float]:
@@ -402,6 +463,9 @@ def _variance_rate(field: WaveField) -> float:
     psi = field.values
     # one complex work lattice serves every axis, transformed in place
     g = np.empty_like(psi)
+    if _on_octant(grid):
+        acc = sum(_octant_rate_term(grid, psi, g, axis) for axis in range(grid.dim))
+        return 2.0 * acc * grid.cell_volume
     acc = 0.0
     for axis, (freq, coord) in enumerate(zip(grid.freq_mesh, grid.coord_mesh)):
         # g = F_j^-1(xi_j F_j psi) = -i d_j psi, so the integrand
@@ -420,6 +484,62 @@ def _variance_rate(field: WaveField) -> float:
         re += im
         acc += float(np.sum(re))
     return 2.0 * acc * grid.cell_volume
+
+
+def _octant_rate_term(grid, psi: np.ndarray, g: np.ndarray, axis: int) -> float:
+    """The full lattice's sum of x_j Re(conj(psi) F_j^-1(xi_j F_j psi)), j = axis, on an octant.
+
+    Along axis j, with n points, N = n/2 and Psi = F_j psi (a DCT-I on
+    the octant), the interior modes m and n - m carry opposite xi and the
+    Nyquist mode N is its own image, so F_j^-1(xi Psi) = g_odd + g_N with
+
+        g_odd[k] = (2i/n) sum_{m=1}^{N-1} xi_m Psi_m sin(k m pi / N),
+        g_N[k]  = (-1)^k xi_N Psi_N / n.
+
+    The g_odd term is even in k and vanishes at k = 0 and N, so its sum
+    is twice the octant's interior; the g_N term cancels in pairs but at
+    k = 0, x = -L/2, which is its own image.  The sine sum comes from one
+    inverse DCT-I through sin(kt) sin(t) = (cos((k-1)t) - cos((k+1)t))/2:
+    with c_m = xi_m Psi_m / sin(m pi / N) and P = F_j^-1 c (c_0 = c_N = 0),
+    g_odd[k] = (i/2) (P[k-1] - P[k+1]).  g is the work lattice; the
+    other axes' weights count each octant row for its images.
+    """
+    n, coord, freq = grid.full.shape[axis], grid.coords[axis], grid.freqs[axis]
+    N = n // 2
+
+    def along(a, v):
+        return v.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+
+    def at(index):
+        return (slice(None),) * axis + (index,)
+
+    def weighted_sum(lattice):
+        # the other axes' weights, in place; lattice is scratch
+        for b, w in enumerate(grid.weights):
+            if b != axis:
+                lattice *= along(b, w)
+        return float(np.sum(lattice))
+
+    np.copyto(g, psi)
+    g = grid.fft(g, axis, overwrite=True)
+    # the edge: x_0 Re(conj(psi_0) g_N[0])
+    psi0, psi_nyquist = psi[at(slice(0, 1))], g[at(slice(N, N + 1))]
+    edge = psi0.real * psi_nyquist.real + psi0.imag * psi_nyquist.imag
+    total = coord[0] * (freq[N] / n) * weighted_sum(edge)
+    factor = np.zeros(N + 1)
+    factor[1:N] = freq[1:N] / np.sin(np.arange(1, N) * (math.pi / N))
+    g *= along(axis, factor)
+    g = grid.ifft(g, axis, overwrite=True)
+    # 2 x_k Re(conj(psi_k) g_odd[k]) = x_k (Im psi_k D.re - Re psi_k D.im),
+    # D = P[k-1] - P[k+1], over the interior k = 1..N-1
+    d = g[at(slice(0, N - 1))] - g[at(slice(2, N + 1))]
+    inner = psi[at(slice(1, N))]
+    re, im = d.real, d.imag
+    np.multiply(re, inner.imag, out=re)
+    np.multiply(im, inner.real, out=im)
+    re -= im
+    re *= along(axis, coord[1:N])
+    return total + weighted_sum(re)
 
 
 def spectral_tail_fraction(
@@ -441,12 +561,12 @@ def spectral_tail_fraction(
 def field_std(field: WaveField) -> tuple[float, ...]:
     """Per-axis standard deviation of the position density, from its marginals."""
     grid = field.grid
-    marginals = _marginals(density(field))
+    marginals = _marginals(density(field), grid)
     total = float(np.sum(marginals[0]))
     if total == 0.0:
         return tuple(0.0 for _ in range(grid.dim))
     out = []
-    for x, m in zip(grid.coords, marginals):
+    for x, m in zip(grid.full.coords, marginals):
         mean = float(np.sum(x * m)) / total
         var = float(np.sum((x - mean) ** 2 * m)) / total
         out.append(math.sqrt(max(var, 0.0)))

@@ -8,12 +8,13 @@ from dipgpe import GridError, PhysicalParams, make_grid
 from dipgpe.grid import (
     _BLOCK,
     MeshBlocks,
+    is_mirror_even,
     lattice_blocks,
     mesh_product,
     mesh_sum,
     top_band,
 )
-from dipgpe.state import FieldSpectrum, _marginals
+from dipgpe.state import FieldSpectrum, _marginals, _sum_sq
 
 
 def test_spacings_1d():
@@ -299,3 +300,96 @@ def test_sign_mesh_alternates():
     assert s[1, 0] == -1.0
     assert s[0, 1] == -1.0
     assert s[3, 5] == 1.0
+
+
+OCTANT_CASES = [((16.0,), (64,)), ((12.0, 10.0), (32, 24)), ((10.0, 12.0, 14.0), (16, 8, 24))]
+
+
+def even_lattice(shape, rng, dtype=complex):
+    """A random lattice equal to its mirror image, u[k] == u[(n - k) % n] per axis."""
+    values = rng.standard_normal(shape)
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(shape)
+    for axis, n in enumerate(shape):
+        mirrored = np.take(values, (-np.arange(n)) % n, axis=axis)
+        values = 0.5 * (values + mirrored)
+    return values
+
+
+@pytest.mark.parametrize("extents, points", OCTANT_CASES)
+def test_octant_transforms_are_the_full_transforms_on_the_octant(extents, points):
+    g = make_grid(len(points), extents, points)
+    o = g.octant
+    assert o is g.octant and o.full is g and g.full is g
+    assert o.shape == tuple(n // 2 + 1 for n in points) and o.size == math.prod(o.shape)
+    rng = np.random.default_rng(7)
+    u = even_lattice(g.shape, rng)
+    assert is_mirror_even(u)
+    uo = o.restrict(u)
+    assert np.array_equal(o.unfold(uo), u)
+    scale = np.max(np.abs(scipy_fft.fftn(u)))
+    for axis in (None,) + tuple(range(g.dim)):
+        for full, octant in ((g.fft, o.fft), (g.ifft, o.ifft)):
+            want = full(u, axis)[o.index]
+            assert np.max(np.abs(octant(uo, axis) - want)) <= 1e-14 * scale
+    r = even_lattice(g.shape, rng, float)
+    rhat = o.rfft(o.restrict(r))
+    assert rhat.dtype == float and rhat.shape == o.shape
+    assert np.max(np.abs(rhat - g.fft(r)[o.index].real)) <= 1e-14 * np.max(np.abs(rhat))
+    assert np.max(np.abs(o.irfft(rhat) - o.restrict(r))) <= 1e-14 * np.max(np.abs(r))
+    # in place, as the step transforms
+    work = uo.copy()
+    assert np.shares_memory(o.fft(work, overwrite=True), work)
+
+
+@pytest.mark.parametrize("extents, points", OCTANT_CASES)
+def test_octant_layout_and_weights(extents, points):
+    g = make_grid(len(points), extents, points)
+    o = g.octant
+    assert o.steps == g.steps and o.cell_volume == g.cell_volume
+    for a, n in enumerate(points):
+        assert np.array_equal(o.coords[a], g.coords[a][: n // 2 + 1])
+        # the last frequency is the Nyquist one, -pi n / L, its own image
+        assert np.array_equal(o.freqs[a], g.freqs[a][: n // 2 + 1])
+        assert o.freqs[a][-1] < 0.0
+        w = o.weights[a]
+        assert w[0] == w[-1] == 1.0 and np.all(w[1:-1] == 2.0) and w.sum() == n
+        assert o.bands[a] == slice(n // 4, n // 2 + 1)
+    assert o.row_weights.size == math.prod(o.shape[:-1])
+    assert float(np.sum(o.row_weights)) * float(np.sum(o.weights[-1])) == g.size
+    # members that only mean something on the full lattice are not there
+    for name in ("sign_mesh", "forward_transform", "inverse_transform", "ksq", "radius_sq", "top_octave_mask"):
+        assert hasattr(g, name) and not hasattr(o, name), name
+
+
+@pytest.mark.parametrize("extents, points", OCTANT_CASES)
+def test_octant_sums_are_the_full_lattice_sums(extents, points):
+    g = make_grid(len(points), extents, points)
+    o = g.octant
+    rng = np.random.default_rng(len(points))
+    rho = np.abs(even_lattice(g.shape, rng, float))
+    v = even_lattice(g.shape, rng)
+    for got, want in zip(_marginals(o.restrict(rho), o), _marginals(rho)):
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+    marginals, total, top = FieldSpectrum(o.restrict(v), o)._power_sums
+    full_marginals, full_total, full_top = FieldSpectrum(v)._power_sums
+    for got, want in zip(marginals, full_marginals):
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+    np.testing.assert_allclose(total, full_total, rtol=1e-13)
+    np.testing.assert_allclose(top, full_top, rtol=1e-13)
+    np.testing.assert_allclose(_sum_sq(o.restrict(rho), o), _sum_sq(rho), rtol=1e-13)
+
+
+def test_mirror_evenness_is_bit_for_bit_on_every_axis():
+    rng = np.random.default_rng(3)
+    u = even_lattice((8, 10, 12), rng)
+    assert is_mirror_even(u) and is_mirror_even(u.real.copy())
+    for index in [(1, 0, 0), (0, 9, 0), (0, 0, 7), (0, 0, 0)]:
+        v = u.copy()
+        v[index] = np.nextafter(v[index].real, np.inf) + 1j * v[index].imag
+        # indices 0 and n/2 are their own images, so moving them keeps it even
+        assert is_mirror_even(v) == (index == (0, 0, 0))
+    # raw bits: -0.0 is not the image of 0.0
+    w = np.zeros((8,))
+    w[3], w[5] = 0.0, -0.0
+    assert not is_mirror_even(w)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import threading
@@ -30,6 +31,7 @@ from dipgpe import (
     kernel as kernel_module,
     linear_eigenstate,
     make_grid,
+    make_unstable_data,
     mass,
     max_abs,
     propagator as propagator_module,
@@ -42,6 +44,7 @@ from dipgpe import (
     variance_and_rate,
     write_snapshot,
 )
+from dipgpe.state import CSV_HEADER
 
 
 def gaussian(grid, sigma):
@@ -254,6 +257,9 @@ def test_evolve_rejects_off_lattice_sample_times():
         evolve(f0, p, dt=1e-2, T=0.2, sample_times=[0.3])
     with pytest.raises(ValueError):
         evolve(f0, p, dt=1e-2, T=0.2, sample_times=[0.0])
+    # a time past T is out of range, whether or not it is on the step lattice
+    with pytest.raises(ValueError, match=r"outside \(0, T\]"):
+        evolve(f0, p, dt=1e-2, T=0.2, sample_times=[0.6])
 
 
 def test_evolve_validates_dt_and_T():
@@ -407,14 +413,19 @@ def test_snapshot_rejects_foreign_file(tmp_path):
         read_snapshot(path)
 
 
-def chirped_dipolar_gaussian(grid):
-    """Off-centre anisotropic Gaussian with a quadratic phase, unit mass.
+OFF_CENTRE = (0.4, -0.3, 0.5)
+
+
+def chirped_dipolar_gaussian(grid, center=OFF_CENTRE):
+    """Anisotropic Gaussian with a quadratic phase, unit mass, off-centre by default.
 
     Its dipolar energy, variance rate and top-octave tail (about 3.5e-6 at
     32^3) are all well away from zero, so relative comparisons mean
-    something.
+    something.  Centred at the origin on a lattice whose spacings are
+    binary fractions, it equals its mirror image bit for bit, and evolve
+    runs it on the octant.
     """
-    widths, center, beta = (0.7, 0.8, 1.2), (0.4, -0.3, 0.5), 0.4
+    widths, beta = (0.7, 0.8, 1.2), 0.4
     arg = sum(
         -((x - c) ** 2) / (2.0 * w * w) + 0.5j * beta * (x - c) ** 2
         for x, c, w in zip(grid.coord_mesh, center, widths)
@@ -424,10 +435,17 @@ def chirped_dipolar_gaussian(grid):
     return WaveField(values, grid)
 
 
-def dipolar_problem():
-    g = make_grid(3, [10.0, 10.0, 12.0], [32, 32, 32])
+def dipolar_problem(centred=False, points=(32, 32, 32)):
+    g = make_grid(3, [10.0, 10.0, 12.0], points)
     p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
-    return g, p, build_symbol(g, Analytic3D()), chirped_dipolar_gaussian(g)
+    f0 = chirped_dipolar_gaussian(g, (0.0, 0.0, 0.0) if centred else OFF_CENTRE)
+    assert grid_module.is_mirror_even(f0.values) == centred
+    return g, p, build_symbol(g, Analytic3D()), f0
+
+
+# Tests that take both fields loop over them: the off-centre one runs the
+# full lattice and its centred twin the octant.
+BOTH_PATHS = (False, True)
 
 
 def assert_close(got, want, rel=1e-12):
@@ -435,73 +453,82 @@ def assert_close(got, want, rel=1e-12):
 
 
 def test_evolve_samples_match_standalone_observables():
-    g, p, sym, f0 = dipolar_problem()
-    fields = []
-    series, _ = evolve(
-        f0, p, sym, dt=1e-3, T=0.02, monitor=MonitorSpec(stride=5),
-        callback=lambda f: fields.append(f.copy()), warn_resolution=False,
-    )
-    assert len(fields) == len(series) == 5
-    for record, field in zip(series, fields):
-        e = energy(field, p, sym)
-        y, ydot = variance_and_rate(field)
-        assert record.t == field.t
-        assert_close(record.mass, mass(field))
-        assert_close(record.maxpsi, max_abs(field))
-        assert_close(record.Ekin, e.kinetic)
-        assert_close(record.Epot, e.potential)
-        assert_close(record.Ecubic, e.cubic)
-        assert_close(record.Edip, e.dipolar)
-        assert_close(record.E, e.total)
-        assert_close(record.gradsq, gradient_norm_sq(field))
-        assert_close(record.y, y)
-        assert_close(record.ydot, ydot)
+    for centred in BOTH_PATHS:
+        g, p, sym, f0 = dipolar_problem(centred)
+        fields = []
+        series, _ = evolve(
+            f0, p, sym, dt=1e-3, T=0.02, monitor=MonitorSpec(stride=5),
+            callback=lambda f: fields.append(f.copy()), warn_resolution=False,
+        )
+        assert len(fields) == len(series) == 5
+        for record, field in zip(series, fields):
+            assert field.grid is g
+            e = energy(field, p, sym)
+            y, ydot = variance_and_rate(field)
+            assert record.t == field.t
+            assert_close(record.mass, mass(field))
+            assert_close(record.maxpsi, max_abs(field))
+            assert_close(record.Ekin, e.kinetic)
+            assert_close(record.Epot, e.potential)
+            assert_close(record.Ecubic, e.cubic)
+            assert_close(record.Edip, e.dipolar)
+            assert_close(record.E, e.total)
+            assert_close(record.gradsq, gradient_norm_sq(field))
+            assert_close(record.y, y)
+            assert_close(record.ydot, ydot)
 
-    # The tail the monitor reads is the standalone one too.
-    _, report = evolve(
-        f0, p, sym, dt=1e-3, T=0.02,
-        monitor=MonitorSpec(stride=5, spectral_tail=0.0), warn_resolution=False,
-    )
-    assert isinstance(report, CollapseReport)
-    assert report.reason == "spectral-tail"
-    assert report.tail_fraction > 1e-7
-    assert_close(report.tail_fraction, spectral_tail_fraction(report.field))
+        # The tail the monitor reads is the standalone one too.
+        _, report = evolve(
+            f0, p, sym, dt=1e-3, T=0.02,
+            monitor=MonitorSpec(stride=5, spectral_tail=0.0), warn_resolution=False,
+        )
+        assert isinstance(report, CollapseReport)
+        assert report.reason == "spectral-tail"
+        assert report.tail_fraction > 1e-7
+        assert report.field.grid is g
+        assert_close(report.tail_fraction, spectral_tail_fraction(report.field))
 
 
 def test_strang_steps_match_evolve_and_keep_their_input():
-    g, p, sym, f0 = dipolar_problem()
-    n, dt = 12, 1e-3
-    field = f0
-    for _ in range(n):
-        before = field.values.copy()
-        out = strang_step(field, dt, p, sym)
-        assert np.array_equal(field.values, before)
-        field = out
-    _, final = evolve(
-        f0, p, sym, dt=dt, T=n * dt, monitor=MonitorSpec(stride=100),
-        warn_resolution=False,
-    )
-    assert final.t == pytest.approx(field.t, abs=1e-15)
-    scale = float(np.max(np.abs(final.values)))
-    assert np.max(np.abs(field.values - final.values)) <= 1e-12 * scale
+    for centred in BOTH_PATHS:
+        g, p, sym, f0 = dipolar_problem(centred)
+        n, dt = 12, 1e-3
+        field = f0
+        for _ in range(n):
+            before = field.values.copy()
+            out = strang_step(field, dt, p, sym)
+            assert np.array_equal(field.values, before)
+            field = out
+        before = f0.values.copy()
+        _, final = evolve(
+            f0, p, sym, dt=dt, T=n * dt, monitor=MonitorSpec(stride=100),
+            warn_resolution=False,
+        )
+        assert np.array_equal(f0.values, before)
+        assert final.t == pytest.approx(field.t, abs=1e-15)
+        scale = float(np.max(np.abs(final.values)))
+        assert np.max(np.abs(field.values - final.values)) <= 1e-12 * scale
 
 
 class CountingFFT:
-    """Stands in for scipy.fft and counts complex and real nD transforms.
+    """Stands in for scipy.fft and counts the package's transforms.
 
     It counts each transform and its axis passes (one per transformed
-    axis).  Like the benchmark's tracer, it spans only fftn, ifftn, rfftn
-    and irfftn, and refuses every other transform of scipy.fft, so that no
-    transform escapes the count.
+    axis): complex and real nD FFTs (fftn, ifftn, rfftn, irfftn, which
+    the benchmark's tracer spans), and the octant's type-I DCTs (dctn,
+    idctn), on complex data ("dct_c") or on real data ("dct_r").  It
+    refuses every other transform of scipy.fft, a DCT of another type
+    included, so that no transform escapes the count.
     """
 
-    KINDS = {"fftn": "c2c", "ifftn": "c2c", "rfftn": "r2c", "irfftn": "r2c"}
+    KINDS = {"fftn": "c2c", "ifftn": "c2c", "rfftn": "r2c", "irfftn": "r2c", "dctn": "dct", "idctn": "dct"}
     # the fft, fft2, hfft, dct, dst and fht families, forward and inverse
     OTHER_TRANSFORMS = ("fft", "fft2", "fftn", "dct", "dctn", "dst", "dstn", "fht")
+    ALL = ("c2c", "r2c", "dct_c", "dct_r")
 
     def __init__(self):
-        self.counts = {"c2c": 0, "r2c": 0}
-        self.passes = {"c2c": 0, "r2c": 0}
+        self.counts = dict.fromkeys(self.ALL, 0)
+        self.passes = dict.fromkeys(self.ALL, 0)
         self.workers = set()
         # evolve's recorder thread transforms beside the calling thread
         self.lock = threading.Lock()
@@ -513,26 +540,34 @@ class CountingFFT:
             if name.endswith(self.OTHER_TRANSFORMS):
                 raise AssertionError(f"scipy.fft.{name} is a transform the tracer does not span")
             return fn
+        signature = inspect.signature(fn)
 
         def counted(x, *args, **kwargs):
-            s = kwargs.get("s", args[0] if args else None)
-            axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
+            call = signature.bind(x, *args, **kwargs)
+            call.apply_defaults()
+            got = call.arguments
+            counted_kind = kind
+            if kind == "dct":
+                if got["type"] != 1:
+                    raise AssertionError(f"scipy.fft.{name} of type {got['type']} is not counted")
+                counted_kind = "dct_c" if np.iscomplexobj(x) else "dct_r"
+            axes, s = got["axes"], got["s"]
             passes = len(axes) if axes is not None else len(s) if s is not None else np.ndim(x)
             with self.lock:
-                self.counts[kind] += 1
-                self.passes[kind] += passes
-                self.workers.add(kwargs.get("workers"))
+                self.counts[counted_kind] += 1
+                self.passes[counted_kind] += passes
+                self.workers.add(got["workers"])
             return fn(x, *args, **kwargs)
 
         return counted
 
-    def take(self, passes=False):
-        """Transforms (or axis passes) since the last take, (c2c, r2c)."""
+    def take(self, passes=False, kinds=("c2c", "r2c")):
+        """Transforms (or axis passes) of the given kinds since the last take of any."""
         with self.lock:
             got = self.passes if passes else self.counts
-            out = (got["c2c"], got["r2c"])
-            self.counts = {"c2c": 0, "r2c": 0}
-            self.passes = {"c2c": 0, "r2c": 0}
+            out = tuple(got[kind] for kind in kinds)
+            self.counts = dict.fromkeys(self.ALL, 0)
+            self.passes = dict.fromkeys(self.ALL, 0)
         return out
 
 
@@ -554,19 +589,20 @@ class NoTransforms:
 def test_every_transform_goes_through_the_grid(monkeypatch):
     for module in (kernel_module, state_module, propagator_module):
         monkeypatch.setattr(module, "_fft", NoTransforms())
-    g, p, sym, f0 = dipolar_problem()
-    fields = []
-    # T is no multiple of dt, so the last step re-splits the carried half step
-    series, final = evolve(
-        f0, p, sym, dt=1e-3, T=0.0065, monitor=MonitorSpec(stride=2),
-        callback=lambda f: fields.append(f.t), warn_resolution=False,
-    )
-    assert len(series) == len(fields) == 5 and final.t == pytest.approx(0.0065)
-    strang_step(f0, 1e-3, p, sym)
-    energy(f0, p, sym)
-    quartic_norm_spectral(f0)
-    apply_kernel(sym, state_module.density(f0))
-    classify(f0, p, sym)
+    for centred in BOTH_PATHS:
+        g, p, sym, f0 = dipolar_problem(centred)
+        fields = []
+        # T is no multiple of dt, so the last step re-splits the carried half step
+        series, final = evolve(
+            f0, p, sym, dt=1e-3, T=0.0065, monitor=MonitorSpec(stride=2),
+            callback=lambda f: fields.append(f.t), warn_resolution=False,
+        )
+        assert len(series) == len(fields) == 5 and final.t == pytest.approx(0.0065)
+        strang_step(f0, 1e-3, p, sym)
+        energy(f0, p, sym)
+        quartic_norm_spectral(f0)
+        apply_kernel(sym, state_module.density(f0))
+        classify(f0, p, sym)
     u0, _ = linear_eigenstate(make_grid(1, [10.0], [24]), (1.0,))
     setup = ReductionSetup(0.2, (1.0, 1.0, 1.0), 0.5, 0.0, u0, "1d")
     ref = make_grid(3, [8.0, 8.0, 10.0], [16, 16, 24])
@@ -577,11 +613,30 @@ def test_every_transform_goes_through_the_grid(monkeypatch):
         assert not hasattr(module, "FFT_WORKERS")
 
 
-@pytest.mark.parametrize("name", ["fft", "ifft", "rfft", "irfft", "fft2", "irfft2", "hfftn", "dctn", "idst", "fht"])
+@pytest.mark.parametrize("name", ["fft", "ifft", "rfft", "irfft", "fft2", "irfft2", "hfftn", "idst", "fht"])
 def test_counting_fft_refuses_transforms_the_tracer_does_not_span(name):
     with pytest.raises(AssertionError, match="does not span"):
         getattr(CountingFFT(), name)
     assert CountingFFT().fftfreq is scipy_fft.fftfreq
+
+
+def test_counting_fft_counts_type_1_dcts_and_refuses_the_others():
+    counter = CountingFFT()
+    x = np.random.default_rng(2).standard_normal((5, 6, 7))
+    for name in ("dct", "dst", "dstn", "idstn"):
+        with pytest.raises(AssertionError, match="does not span"):
+            getattr(counter, name)
+    for name, kwargs in (("dctn", {}), ("dctn", dict(type=2)), ("idctn", dict(type=3))):
+        with pytest.raises(AssertionError, match="is not counted"):
+            getattr(counter, name)(x, **kwargs)
+    got = counter.dctn(x + 1j * x, type=1, axes=(1,), workers=1)
+    assert np.array_equal(got, scipy_fft.dctn(x + 1j * x, type=1, axes=(1,)))
+    counter.idctn(x, 1, workers=1)
+    assert counter.take(kinds=("dct_c", "dct_r")) == (1, 1)
+    counter.dctn(x + 1j * x, type=1, axes=(1,))
+    counter.idctn(x, 1)
+    counter.rfftn(x)
+    assert counter.take(passes=True, kinds=CountingFFT.ALL) == (0, 3, 1, 3)
 
 
 def test_transform_budget_per_step_and_sample(counting_fft):
@@ -616,6 +671,169 @@ def test_transform_budget_per_step_and_sample(counting_fft):
     assert counting_fft.take() == (4, 2)
     # Every transform runs on the calling thread alone.
     assert counting_fft.workers == {1}
+
+
+def test_octant_transform_budget_per_step_and_sample(counting_fft):
+    g, p, sym, f0 = dipolar_problem(centred=True)
+
+    def run(n_steps, stride, passes):
+        evolve(
+            f0, p, sym, dt=1e-3, T=n_steps * 1e-3,
+            monitor=MonitorSpec(stride=stride), warn_resolution=False,
+        )
+        return counting_fft.take(passes, kinds=CountingFFT.ALL)
+
+    # The even run takes no FFT at all.  Counted as (FFT c2c, FFT r2c,
+    # complex DCT-I, real DCT-I), in transforms and in axis passes: a step
+    # is 2 complex and 2 real 3D DCT-Is, the full lattice's (2, 2) FFTs.
+    # A record takes psi (one transform, 3 passes) and, per axis, a
+    # one-axis DCT-I there and back for the variance rate: 9 complex
+    # passes, as on the full lattice; the dipolar energy takes one real
+    # DCT-I.
+    for passes, per_step, per_record in ((False, (2, 2), (1 + 2 * 3, 1)), (True, (6, 6), (9, 3))):
+        short, long_, dense = run(3, 100, passes), run(6, 100, passes), run(6, 1, passes)
+        assert short[:2] == long_[:2] == dense[:2] == (0, 0)
+        assert (long_[2] - short[2], long_[3] - short[3]) == (3 * per_step[0], 3 * per_step[1])
+        assert (dense[2] - long_[2], dense[3] - long_[3]) == (5 * per_record[0], 5 * per_record[1])
+    # Every transform runs on the calling thread alone.
+    assert counting_fft.workers == {1}
+
+
+def nudged(field):
+    """field with one value moved by one ulp, so that it is no longer mirror-even."""
+    values = field.values.copy()
+    index = tuple(n // 4 + 1 for n in values.shape)
+    values[index] = np.nextafter(values[index].real, np.inf) + 1j * values[index].imag
+    assert not grid_module.is_mirror_even(values)
+    return WaveField(values, field.grid, field.t)
+
+
+EVEN_RUNS = {
+    1: ((16.0,), (64,), (1.0,), 1.0, 0.5, Effective1D(1.0, 1.2)),
+    2: ((12.0, 12.0), (32, 48), (1.0, 1.3), 1.0, 0.4, Effective2D(2.0)),
+    3: ((10.0, 10.0, 12.0), (32, 32, 32), (1.0, 0.9, 1.1), 1.0, 0.3, Analytic3D()),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(EVEN_RUNS))
+def test_an_even_run_matches_the_full_lattice_run(dim, counting_fft):
+    extents, points, omega, lambda1, lambda2, prov = EVEN_RUNS[dim]
+    g = make_grid(dim, extents, points)
+    p = PhysicalParams(dim, omega, lambda1, lambda2)
+    sym = build_symbol(g, prov)
+    even = chirped_gaussian(g, center=np.zeros(dim))
+    assert grid_module.is_mirror_even(even.values)
+    runs = {}
+    for name, f0 in (("even", even), ("nudged", nudged(even))):
+        fields = []
+        # T is no multiple of dt, so the last step re-splits the carried half step
+        series, final = evolve(
+            f0, p, sym, dt=1e-3, T=0.0207, monitor=MonitorSpec(stride=3),
+            callback=lambda f: fields.append(f.copy()), sample_times=[0.006, 0.0207],
+            warn_resolution=False,
+        )
+        runs[name] = series, fields, final, counting_fft.take(kinds=CountingFFT.ALL)
+    (series, fields, final, counts), (series_n, fields_n, final_n, counts_n) = (
+        runs["even"], runs["nudged"],
+    )
+    # the nudged field runs the full lattice, the even one the octant alone
+    assert counts[:2] == (0, 0) and counts[2] > 0 and counts[3] > 0
+    assert counts_n[0] > 0 and counts_n[1] > 0 and counts_n[2:] == (0, 0)
+    assert len(series) == len(series_n) == 8
+    for name in CSV_HEADER.split(","):
+        a, b = series.column(name), series_n.column(name)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+    # the caller sees full lattices
+    for a, b in zip(fields + [final], fields_n + [final_n]):
+        assert a.grid is g and a.values.shape == g.shape and a.t == b.t
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(b.values))
+        assert grid_module.is_mirror_even(a.values)
+
+
+def test_an_even_collapse_stops_like_the_full_lattice_run():
+    # criterion 6's collapse on a 32^3 lattice
+    g = make_grid(3, (15.0, 15.0, 30.0), (32, 32, 32))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
+    sym = build_symbol(g, Analytic3D())
+    phi = make_unstable_data(g, 0.5, -3.0)
+    assert grid_module.is_mirror_even(phi.values)
+    reports = []
+    for f0 in (phi, nudged(phi)):
+        # the check before the first step sees the same tail on either lattice
+        with pytest.warns(RuntimeWarning, match="marginally resolved"):
+            _, out = evolve(f0, p, sym, dt=1e-3, T=1.6, monitor=MonitorSpec(stride=5))
+        assert isinstance(out, CollapseReport)
+        reports.append(out)
+    even, full = reports
+    assert (even.step, even.reason) == (full.step, full.reason)
+    assert even.t_stop == full.t_stop
+    assert_close(even.tail_fraction, full.tail_fraction, rel=1e-10)
+    assert_close(even.grad_sq, full.grad_sq, rel=1e-10)
+    assert even.field.grid is g
+
+
+def traced_peak(fn):
+    """fn's result and the peak of traced memory it allocated."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_an_even_run_allocates_no_full_size_lattice(monkeypatch):
+    g, p, sym, f0 = dipolar_problem(centred=True, points=(64, 64, 64))
+    octant, osym = g.octant, sym.octant
+    # caches a run fills once
+    osym.half_values, octant.row_weights, octant.coord_mesh, octant.freq_mesh
+    full_real = 8 * g.size
+    one_octant = 16 * octant.size
+    assert 3 * one_octant < full_real
+
+    # A step allocates the convolution's real spectrum and real lattice.
+    split = propagator_module._Splitting(octant, 1e-3, p, osym)
+    y = octant.restrict(f0.values)
+    _, peak = traced_peak(lambda: split.kinetic(split.advance(y), split.full))
+    assert peak <= one_octant + 2**16
+
+    # A record in flight, as evolve submits it: beside psi, which takes over
+    # the spectrum's array, the density, a work lattice and the variance
+    # rate's difference lattice, all on the octant.
+    psi = WaveField(y, octant)
+    want = record_observables(psi, p, osym)
+    spectrum = state_module.field_spectrum(psi)
+    gradient_norm_sq(psi, spectrum)
+    got, peak = traced_peak(
+        lambda: propagator_module._record(None, spectrum, octant, 0.0, 1, p, osym)
+    )
+    # measured 2.42 octant lattices
+    assert peak <= 3 * one_octant
+    for name in ("mass", "E", "Edip", "y", "ydot", "maxpsi", "gradsq"):
+        assert_close(getattr(got, name), getattr(want, name))
+
+    # The whole loop, records in flight included: between one step's
+    # B substep and the next, the memory in use grows by less than one full
+    # complex lattice.  The caller's field is unfolded at the end only.
+    real_phase = propagator_module._nonlinear_phase
+    growth, last = [], []
+
+    def phase(*args):
+        current, peak = tracemalloc.get_traced_memory()
+        if last:
+            growth.append(peak - last[0])
+        tracemalloc.reset_peak()
+        last[:] = [current]
+        return real_phase(*args)
+
+    monkeypatch.setattr(propagator_module, "_nonlinear_phase", phase)
+    traced_peak(lambda: evolve(f0, p, sym, dt=1e-3, T=0.008, monitor=MonitorSpec(stride=1)))
+    assert len(growth) == 7
+    # measured 1.0-3.1 octant lattices: a step, a sample's array and a
+    # record on the recorder thread may overlap
+    assert max(growth) <= 5 * one_octant < 16 * g.size
 
 
 def test_nonlinear_phase_rotor_matches_exp_i_theta():
@@ -716,8 +934,9 @@ BLOCKED_CASES = [
 ]
 
 
-def chirped_gaussian(grid):
-    center = np.linspace(0.3, -0.2, grid.dim)
+def chirped_gaussian(grid, center=None):
+    if center is None:
+        center = np.linspace(0.3, -0.2, grid.dim)
     arg = sum(
         -((x - c) ** 2) / (0.12 * L) ** 2 + 0.3j * (x - c) ** 2
         for x, c, L in zip(grid.coord_mesh, center, grid.extents)
@@ -865,9 +1084,9 @@ def test_samples_reuse_one_array_unless_psi_is_handed_out(monkeypatch):
     real_spectrum = propagator_module.FieldSpectrum
     addresses = []
 
-    def spectrum(values):
+    def spectrum(values, *args):
         addresses.append(values.__array_interface__["data"][0])
-        return real_spectrum(values)
+        return real_spectrum(values, *args)
 
     monkeypatch.setattr(propagator_module, "FieldSpectrum", spectrum)
     kept = []
@@ -946,22 +1165,23 @@ def test_strang_step_with_phase_beyond_pi_keeps_mass_and_reverses():
 
 
 def test_monitor_only_run_gives_the_same_snapshots():
-    g, p, sym, f0 = dipolar_problem()
-    runs = {}
-    for observables in (True, False):
-        fields = []
-        series, final = evolve(
-            f0, p, sym, dt=1e-3, T=0.012, monitor=MonitorSpec(stride=4),
-            callback=lambda f: fields.append(f.copy()), warn_resolution=False,
-            observables=observables,
-        )
-        runs[observables] = (series, fields, final)
-    (series, fields, final), (empty, monitored, final_m) = runs[True], runs[False]
-    assert len(series) == 4 and len(empty) == 0
-    assert len(fields) == len(monitored) == 4
-    for a, b in zip(fields + [final], monitored + [final_m]):
-        assert a.t == b.t
-        assert np.array_equal(a.values, b.values)
+    for centred in BOTH_PATHS:
+        g, p, sym, f0 = dipolar_problem(centred)
+        runs = {}
+        for observables in (True, False):
+            fields = []
+            series, final = evolve(
+                f0, p, sym, dt=1e-3, T=0.012, monitor=MonitorSpec(stride=4),
+                callback=lambda f: fields.append(f.copy()), warn_resolution=False,
+                observables=observables,
+            )
+            runs[observables] = (series, fields, final)
+        (series, fields, final), (empty, monitored, final_m) = runs[True], runs[False]
+        assert len(series) == 4 and len(empty) == 0
+        assert len(fields) == len(monitored) == 4
+        for a, b in zip(fields + [final], monitored + [final_m]):
+            assert a.t == b.t
+            assert np.array_equal(a.values, b.values)
 
 
 def test_monitor_only_run_gives_the_same_collapse_report():
@@ -1047,31 +1267,32 @@ def test_error_in_a_record_propagates_and_leaves_no_thread(monkeypatch):
 
 
 def test_records_taken_beside_the_loop_match_their_fields():
-    g, p, sym, f0 = dipolar_problem()
-    kwargs = dict(dt=1e-3, T=0.01, monitor=MonitorSpec(stride=1), warn_resolution=False)
-    fields = []
-    held, _ = evolve(f0, p, sym, callback=lambda f: fields.append(f.copy()), **kwargs)
-    # without a callback the recorder materializes psi while the loop steps
-    # on; a short switch interval makes the two threads interleave finely
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        beside, _ = evolve(f0, p, sym, **kwargs)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(fields) == len(held) == len(beside) == 11
-    assert beside.records == held.records
-    for record, field in zip(beside, fields):
-        e = energy(field, p, sym)
-        y, ydot = variance_and_rate(field)
-        assert record.t == field.t
-        assert_close(record.mass, mass(field))
-        assert_close(record.maxpsi, max_abs(field))
-        assert_close(record.E, e.total)
-        assert_close(record.Edip, e.dipolar)
-        assert_close(record.gradsq, gradient_norm_sq(field))
-        assert_close(record.y, y)
-        assert_close(record.ydot, ydot)
+    for centred in BOTH_PATHS:
+        g, p, sym, f0 = dipolar_problem(centred)
+        kwargs = dict(dt=1e-3, T=0.01, monitor=MonitorSpec(stride=1), warn_resolution=False)
+        fields = []
+        held, _ = evolve(f0, p, sym, callback=lambda f: fields.append(f.copy()), **kwargs)
+        # without a callback the recorder materializes psi while the loop steps
+        # on; a short switch interval makes the two threads interleave finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            beside, _ = evolve(f0, p, sym, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(fields) == len(held) == len(beside) == 11
+        assert beside.records == held.records
+        for record, field in zip(beside, fields):
+            e = energy(field, p, sym)
+            y, ydot = variance_and_rate(field)
+            assert record.t == field.t
+            assert_close(record.mass, mass(field))
+            assert_close(record.maxpsi, max_abs(field))
+            assert_close(record.E, e.total)
+            assert_close(record.Edip, e.dipolar)
+            assert_close(record.gradsq, gradient_norm_sq(field))
+            assert_close(record.y, y)
+            assert_close(record.ydot, ydot)
 
 
 def test_callback_runs_on_the_calling_thread_after_its_record(monkeypatch):

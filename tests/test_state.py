@@ -568,3 +568,62 @@ def test_dipolar_energy_of_an_axisymmetric_gaussian_matches_its_closed_form():
     exact = -p.lambda2 * f_kappa / (3.0 * math.sqrt(2.0 * math.pi) * s_perp**2 * s_z)
     got = energy(f, p, build_symbol(g, Analytic3D())).dipolar
     assert abs(got - exact) <= 5e-4 * abs(exact)
+
+
+def mirror_even(values):
+    """values averaged with their mirror image along every axis, u[k] == u[(n - k) % n]."""
+    for axis, n in enumerate(values.shape):
+        values = 0.5 * (values + np.take(values, (-np.arange(n)) % n, axis=axis))
+    return values
+
+
+OCTANT_OBSERVABLE_CASES = [
+    (1, (16.0,), (64,), (0.9,), 0.3, Effective1D(1.0, 1.3)),
+    (2, (12.0, 10.0), (32, 24), (1.0, 1.4), 0.4, Effective2D(2.0)),
+    (3, (10.0, 12.0, 14.0), (16, 8, 24), (1.0, 0.8, 1.2), 0.3, Analytic3D()),
+    (3, (15.0, 15.0, 30.0), (32, 32, 32), (1.0, 1.0, 1.0), -0.7, Analytic3D()),
+]
+
+
+@pytest.mark.parametrize("dim, extents, points, omega, lambda2, prov", OCTANT_OBSERVABLE_CASES)
+def test_octant_observables_are_the_full_lattice_ones(dim, extents, points, omega, lambda2, prov):
+    # a smooth chirped field and a rough random one, whose Nyquist modes
+    # and box-edge values carry weight: the variance rate's edge term
+    # (x = -L/2) and Nyquist term show up in the second
+    g = make_grid(dim, extents, points)
+    o = g.octant
+    p = PhysicalParams(dim, omega, 1.0, lambda2)
+    sym = build_symbol(g, prov)
+    rng = np.random.default_rng(dim)
+    chirped = np.exp(sum(-(x * x) / (0.15 * L) ** 2 + 0.4j * x * x for x, L in zip(g.coord_mesh, extents)))
+    rough = mirror_even(rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    for values in (chirped, rough):
+        full = WaveField(values, g)
+        octant = WaveField(o.restrict(values), o)
+        want = record_observables(full, p, sym)
+        got = record_observables(octant, p, sym.octant)
+        for name in ("mass", "E", "Ekin", "Epot", "Ecubic", "Edip", "y", "ydot", "maxpsi", "gradsq"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 1e-12 * abs(b), (name, a, b)
+        for a, b in zip(field_std(octant), field_std(full)):
+            assert abs(a - b) <= 1e-12 * b
+        assert spectral_tail_fraction(octant) == pytest.approx(spectral_tail_fraction(full), rel=1e-12)
+        assert quartic_norm(octant) == pytest.approx(quartic_norm(full), rel=1e-12)
+
+
+def test_the_octant_symbol_is_the_even_symbol_on_the_octant():
+    g = make_grid(3, (10.0, 12.0, 14.0), (16, 8, 24))
+    sym = build_symbol(g, Analytic3D())
+    o = g.octant
+    osym = sym.octant
+    assert osym is sym.octant and osym.grid is o and osym.provenance == sym.provenance
+    assert np.array_equal(osym.values, sym.values[o.index]) and osym.values.flags.c_contiguous
+    assert osym.half_values is osym.values
+    rho = o.restrict(density(WaveField(mirror_even(np.random.default_rng(1).random(g.shape) + 0j), g)))
+    full_rho = o.unfold(rho)
+    assert _pair_symbol_real(osym, rho) == pytest.approx(_pair_symbol_real(sym, full_rho), rel=1e-12)
+    # an odd symbol has no octant
+    g1 = make_grid(1, [12.0], [32])
+    odd = KernelSymbol(1, 0.1 * g1.freqs[0], Effective1D(1.0, 1.0), g1)
+    with pytest.raises(KernelRealityError):
+        odd.octant
