@@ -2,7 +2,7 @@
 
 Everything downstream lives on a tensor-product lattice over the box
 ``prod_j [-L_j/2, L_j/2)`` with an even number of points per axis.  The
-point with index ``i`` along axis ``j`` is ``x_i = -L_j/2 + i*dx_j`` and
+point with index ``i`` along axis ``j`` is ``x_i = (i - N_j/2)*dx_j`` and
 the matching angular frequencies are ``xi_k = 2*pi*k/L_j`` for signed
 integers ``k`` in ``{-N_j/2, ..., N_j/2 - 1}``, stored in FFT order.
 
@@ -185,21 +185,22 @@ def _mirror_pieces(n: int) -> tuple[tuple[slice, slice], ...]:
     )
 
 
-def octant_index(shape: Sequence[int]) -> tuple[slice, ...]:
-    """The octant of a lattice, indices 0..n/2 of each axis."""
-    return tuple(slice(0, n // 2 + 1) for n in shape)
-
-
-def mirror_fill(values: np.ndarray) -> np.ndarray:
+def mirror_fill(values: np.ndarray, axes: "Sequence[int] | None" = None) -> np.ndarray:
     """Fill a lattice whose octant is set from that octant, in place.
 
-    One mirrored slice copy per axis: index n - k takes index k.
+    One mirrored slice copy per axis of axes (default every axis): index
+    n - k takes index k.  The octant spans indices 0..n/2 of those axes
+    and the whole of the others.
     """
-    octant = octant_index(values.shape)
-    for axis, n in enumerate(values.shape):
-        _, _, (upper, lower) = _mirror_pieces(n)
+    axes = range(values.ndim) if axes is None else axes
+    octant = [slice(None)] * values.ndim
+    for axis in axes:
+        octant[axis] = slice(0, values.shape[axis] // 2 + 1)
+    for axis in axes:
+        _, _, (upper, lower) = _mirror_pieces(values.shape[axis])
         head = (slice(None),) * axis
-        values[head + (upper,) + octant[axis + 1 :]] = values[head + (lower,) + octant[axis + 1 :]]
+        tail = tuple(octant[axis + 1 :])
+        values[head + (upper,) + tail] = values[head + (lower,) + tail]
     return values
 
 
@@ -283,10 +284,12 @@ class SpectralGrid(_Lattice):
 
     @cached_property
     def coords(self) -> list[np.ndarray]:
-        """1d coordinate arrays, x_i = -L/2 + i*dx per axis."""
-        return [
-            -L / 2.0 + (L / n) * np.arange(n) for L, n in zip(self.extents, self.shape)
-        ]
+        """1d coordinate arrays, x_i = (i - n/2) dx per axis.
+
+        Formed from the signed index, so x[n - k] == -x[k] bit for bit on
+        every lattice and a centred field is mirror-even whatever L/n is.
+        """
+        return [(np.arange(n) - n // 2) * (L / n) for L, n in zip(self.extents, self.shape)]
 
     @cached_property
     def freqs(self) -> list[np.ndarray]:
@@ -314,8 +317,8 @@ class SpectralGrid(_Lattice):
     def ksq(self) -> np.ndarray:
         """|xi|^2 on the full frequency lattice (FFT order).
 
-        Built on demand for the 2D symbol and for tests; a run forms
-        |xi|^2 block by block from the per-axis terms instead.
+        Built on demand for tests; a run forms |xi|^2 block by block from
+        the per-axis terms, and the 2D symbol on the octant.
         """
         return mesh_sum(f * f for f in self.freq_mesh)
 
@@ -402,7 +405,7 @@ class OctantGrid(_Lattice):
         self.full = full
         self.dim = full.dim
         self.extents = full.extents
-        self.index = octant_index(full.shape)
+        self.index = tuple(slice(0, n // 2 + 1) for n in full.shape)
         self.shape = tuple(n // 2 + 1 for n in full.shape)
         self.steps = full.steps
         self.cell_volume = full.cell_volume

@@ -22,13 +22,19 @@ scipy.linalg, scipy.optimize, scipy.sparse and scipy.spatial, about
 24 MB of resident memory and 0.3 s of start-up on numpy 2.4 and scipy
 1.17; no tabulation needs more than scipy.special.
 
-The closed-form 3D symbol is evaluated on one octant of the lattice,
-indices 0..n/2 of each axis; fftfreq gives xi[n - k] = -xi[k] bit for bit,
-so the rest of the lattice is filled by mirrored slice copies
-(grid.mirror_fill).  The evenness check compares mirrored views of the
-same pieces, {0}, [1, n/2) and (n/2, n) per axis, instead of gathering
-s(-k) into a new array.  A run of mirror-even data reads the symbol on
-the octant alone (KernelSymbol.octant).
+Every family is even, and build_symbol evaluates it on one octant of the
+lattice alone, indices 0..n/2 of each axis; fftfreq gives xi[n - k] =
+-xi[k] bit for bit, so the symbol is the even one that takes those
+values, and the rest of the lattice is filled by mirrored slice copies
+(grid.mirror_fill) only when a consumer asks for it.  Each consumer
+reads one layout of KernelSymbol: mirror-even runs of evolve and
+classify read the octant table itself (octant); full-lattice runs read
+the real-transform layout (half_values), mirrored from the table along
+the leading axes; apply_kernel and the kernel CSV read the full lattice
+(values), mirror-filled on first use.  A symbol constructed from
+full-lattice values checks its evenness instead, by comparing mirrored
+views of the pieces {0}, [1, n/2) and (n/2, n) per axis rather than
+gathering s(-k) into a new array.
 
 Applying a symbol to a density is pointwise multiplication between an
 FFT/inverse-FFT pair; no normalization factors appear because they
@@ -55,8 +61,8 @@ from .grid import (
     OctantGrid,
     SpectralGrid,
     _mirror_pieces,
+    mesh_sum,
     mirror_fill,
-    octant_index,
 )
 
 SYMBOL_MAX = 8.0 * math.pi / 3.0
@@ -309,46 +315,94 @@ def _effective1d_table(xi3: np.ndarray, omega1: float, omega2: float) -> np.ndar
     )
 
 
-@dataclass(eq=False)
 class KernelSymbol:
     """Real, even Fourier multiplier tabulated on a grid's frequency lattice.
 
-    values are stored in FFT order.  half_values is the slice matching
-    the real-input transform layout; the propagator and the dipolar
-    energy use it to halve the cost of the nonlocal term.  Both read only
-    the even part of the symbol, so half_values requires evenness; the
-    verdict is computed once and shared with validate.  octant gives the
-    symbol on its grid's octant, where mirror-even fields run: its values
-    there, which an even symbol determines.
+    Each consumer reads one layout.  values is the full lattice in FFT
+    order (apply_kernel, the kernel CSV); half_values is the slice that
+    the real-input transform holds (the full-lattice step and the
+    dipolar energy, which halve the cost of the nonlocal term there); and
+    octant is the symbol on its grid's octant (mirror-even runs and
+    classify on mirror-even data).  half_values and octant read only the
+    even part of the symbol, so both require evenness.
+
+    build_symbol tabulates the octant alone (_from_octant): the symbol is
+    the even one that takes those values, so it needs no evenness check,
+    and values and half_values are mirrored from the table on first use.
+    A symbol constructed from full-lattice values checks its evenness
+    once, when half_values, octant or validate first needs it.
     """
 
-    dim: int
-    values: np.ndarray
-    provenance: Provenance
-    grid: SpectralGrid
+    def __init__(
+        self, dim: int, values: np.ndarray, provenance: Provenance, grid: "SpectralGrid | OctantGrid"
+    ) -> None:
+        self.dim = dim
+        self.values = values
+        self.provenance = provenance
+        self.grid = grid
+        self._mirrored = False
+
+    @classmethod
+    def _from_octant(
+        cls, table: np.ndarray, provenance: Provenance, grid: SpectralGrid
+    ) -> "KernelSymbol":
+        """The even symbol on grid whose values on grid.octant are table."""
+        symbol = cls.__new__(cls)
+        symbol.dim, symbol.provenance, symbol.grid = grid.dim, provenance, grid
+        symbol._mirrored = True
+        symbol.octant = cls(grid.dim, table, provenance, grid.octant)
+        return symbol
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        # reached only by a symbol built from its octant; index n - k
+        # takes index k along every axis
+        return self.grid.octant.unfold(self.octant.values)
 
     @cached_property
     def _even(self) -> bool:
-        return self._is_even()
+        # a table on an octant stands for the even symbol that takes its
+        # values there
+        return isinstance(self.grid, OctantGrid) or self._is_even()
 
-    @cached_property
-    def half_values(self) -> np.ndarray:
+    def _require_even(self) -> None:
         if not self._even:
             raise KernelRealityError(
                 "symbol is not even on the frequency lattice; its real-transform "
                 "application would drop the odd part"
             )
+
+    @cached_property
+    def half_values(self) -> np.ndarray:
+        if isinstance(self.grid, OctantGrid):
+            return self.values
+        if self._mirrored:
+            # rfft's layout keeps the octant's last axis, so the table is
+            # mirrored along the leading axes only
+            table = self.octant.values
+            half = np.empty(self.grid.shape[:-1] + table.shape[-1:])
+            half[self.octant.grid.index[:-1]] = table
+            return mirror_fill(half, axes=range(self.dim - 1))
+        self._require_even()
         return np.ascontiguousarray(self.grid.half(self.values))
 
     @cached_property
     def octant(self) -> "KernelSymbol":
         """The symbol on grid.octant, its values at indices 0..n/2 of each axis."""
+        self._require_even()
         octant = self.grid.octant
-        values = np.ascontiguousarray(self.half_values[octant.index])
+        values = np.ascontiguousarray(self.values[octant.index])
         return KernelSymbol(dim=self.dim, values=values, provenance=self.provenance, grid=octant)
 
     def validate(self) -> None:
-        """Enforce the type invariants; raises ValueError on violation."""
+        """Enforce the type invariants; raises ValueError on violation.
+
+        A symbol mirrored from its octant holds the same values as that
+        table, so the table is checked.
+        """
+        if self._mirrored:
+            self.octant.validate()
+            return
         if self.values.shape != self.grid.shape:
             raise GridError(
                 f"symbol shape {self.values.shape} does not match grid {self.grid.shape}"
@@ -378,12 +432,8 @@ class KernelSymbol:
         a product of pieces is a view of the values with the mirrored
         pieces; the Nyquist planes lie in no piece.  A block and its
         mirror image make the same comparisons, so only one of each pair
-        is compared.  A NaN off the Nyquist planes fails the check.  A
-        table on an octant is even by construction: it stands for the
-        even symbol that takes its values there.
+        is compared.  A NaN off the Nyquist planes fails the check.
         """
-        if isinstance(self.grid, OctantGrid):
-            return True
         values = self.values
         pieces = [_mirror_pieces(n) for n in values.shape]
         for choice in itertools.product(range(3), repeat=values.ndim):
@@ -414,40 +464,38 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     """Tabulate a symbol on the grid's frequency lattice.
 
     The provenance selects the family and carries its trap frequencies;
-    its dimension must match the grid.  The closed-form 3D symbol runs on
-    the octant of indices 0..n/2 per axis and one mirrored slice copy per
-    axis fills the rest, bit for bit the values symbol3d gives on the
-    full lattice.  The effective 2D symbol is its closed form on
-    grid.ksq, and the effective 1D symbol its angular mean (see module
-    docstring) over the distinct |xi3|.  Nothing is cached.
+    its dimension must match the grid.  Every family is even, and every
+    family is evaluated on the octant of indices 0..n/2 per axis alone:
+    fftfreq gives xi[n - k] = -xi[k] bit for bit, so the full lattice
+    mirrored from that table (KernelSymbol.values) is bit for bit the
+    values the formula gives there.  The closed-form 3D symbol is
+    symbol3d, the effective 2D symbol its closed form in |xi|, and the
+    effective 1D symbol its angular mean (see module docstring) over the
+    distinct |xi3|.  The table is validated; nothing is cached.
     """
     if provenance.dim != grid.dim:
         raise GridError(
             f"provenance is {provenance.dim}-dimensional but grid is {grid.dim}-dimensional"
         )
 
+    octant = grid.octant
     if isinstance(provenance, Analytic3D):
-        # symbol3d on indices 0..n/2 of each axis; index n - k holds -xi[k]
-        # bit for bit, so the rest of each axis is a mirrored copy
-        octant = octant_index(grid.shape)
-        values = np.empty(grid.shape)
-        values[octant] = symbol3d(*(f[octant] for f in grid.freq_mesh))
-        mirror_fill(values)
+        table = symbol3d(*octant.freq_mesh)
     elif isinstance(provenance, Effective2D):
         w3 = provenance.omega3
         if w3 <= 0.0:
             raise ValueError("trap frequency must be positive")
-        r = np.sqrt(grid.ksq)
-        values = (8.0 / 3.0) * math.sqrt(math.pi * w3) - 2.0 * math.pi * r * special.erfcx(
+        r = np.sqrt(mesh_sum(f * f for f in octant.freq_mesh))
+        table = (8.0 / 3.0) * math.sqrt(math.pi * w3) - 2.0 * math.pi * r * special.erfcx(
             r / (2.0 * math.sqrt(w3))
         )
     elif isinstance(provenance, Effective1D):
-        magnitudes, inverse = np.unique(np.abs(grid.freqs[0]), return_inverse=True)
-        values = _effective1d_table(magnitudes, provenance.omega1, provenance.omega2)[inverse]
+        # |xi3| on the octant is 0, dxi, ..., pi n / L: distinct, ascending
+        table = _effective1d_table(np.abs(octant.freqs[0]), provenance.omega1, provenance.omega2)
     else:
         raise TypeError(f"unknown provenance {provenance!r}")
 
-    symbol = KernelSymbol(dim=grid.dim, values=values, provenance=provenance, grid=grid)
+    symbol = KernelSymbol._from_octant(table, provenance, grid)
     symbol.validate()
     return symbol
 

@@ -98,7 +98,6 @@ from .grid import (
     MeshBlocks,
     OctantGrid,
     SpectralGrid,
-    is_mirror_even,
     lattice_blocks,
     make_grid,
     mesh_product,
@@ -111,6 +110,7 @@ from .state import (
     PhysicalParams,
     WaveField,
     _density_into,
+    _run_lattice,
     field_spectrum,
     gradient_norm_sq,
     record_observables,
@@ -489,14 +489,16 @@ def evolve(
 
     callback_steps: set[int] = set()
     if sample_times is not None:
+        tol = 1e-6 * dt + 1e-12
         for t_req in sample_times:
-            k = int(round(t_req / dt))
+            # T is the last step's time, however short that step is
+            k = n_steps if abs(t_req - T) <= tol else int(round(t_req / dt))
             if k < 1 or k > n_steps:
                 raise ValueError(
                     f"sample time {t_req!r} outside (0, T], counted from field0.t"
                 )
             t_k = k * dt if k < n_steps else (n_steps - 1) * dt + last_dt
-            if abs(t_k - t_req) > 1e-6 * dt + 1e-12:
+            if abs(t_k - t_req) > tol:
                 raise ValueError(
                     f"sample time {t_req!r} does not lie on the step lattice (dt = {dt!r})"
                 )
@@ -506,16 +508,10 @@ def evolve(
     sample_steps.add(n_steps)
     sample_steps |= callback_steps
 
-    # The trap, the contact term and the kernel are even, so a mirror-even
-    # field0 stays mirror-even: the run holds its octant, the caller still
-    # sees full lattices.
-    lattice = grid
-    start = field0
-    if is_mirror_even(field0.values):
-        lattice = grid.octant
-        start = WaveField(lattice.restrict(field0.values), lattice, field0.t)
-        if symbol is not None:
-            symbol = symbol.octant if params.lambda2 != 0.0 else None
+    # a mirror-even field0 runs on its octant; the caller still sees full
+    # lattices
+    start, symbol = _run_lattice(field0, params, symbol)
+    lattice = start.grid
 
     def shown(psi: WaveField) -> WaveField:
         """psi as the caller sees it, on the full lattice."""

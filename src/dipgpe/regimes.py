@@ -14,6 +14,12 @@ The certificates are analytic: simulation only corroborates them, and a
 collapsing run is reported as under-resolution consistent with
 collapse, never as confirmed blow-up.
 
+classify evaluates its evidence on the lattice evolve would run: data
+equal to its mirror image along every axis, bit for bit, is read on the
+grid's octant with the symbol's octant (grid.OctantGrid,
+KernelSymbol.octant), so it forms no full lattice; the evidence agrees
+with the full lattice's to roundoff.
+
 A family of squeezed product Gaussians phi = eps^(alpha/2) f(x1,x2)
 g(eps x3) drives the negative-energy construction; its energy terms
 scale like powers of eps with exponents alpha-1 (kinetic), alpha-3
@@ -35,6 +41,7 @@ from .state import (
     PhysicalParams,
     WaveField,
     _density_sums,
+    _run_lattice,
     density,
     energy,
     gradient_norm_sq,
@@ -130,8 +137,11 @@ def classify(
     3. lambda2 >= 0, E > 0 and the bootstrap smallness holds
        -> ConditionallyGlobal (conditional on gn_constant).
     4. Otherwise Indeterminate.
+
+    Mirror-even phi is read on the grid's octant (module docstring).
     """
     _check_gn_constant(gn_constant)
+    phi, symbol = _run_lattice(phi, params, symbol)
     d = _density_sums(phi, density(phi), params, symbol)
     grad_sq = gradient_norm_sq(phi)
     E = d.energy(0.5 * grad_sq).total

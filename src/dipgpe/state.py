@@ -26,13 +26,14 @@ when the caller holds one, as evolve does), a one-axis transform there
 and back per axis and one real transform.
 
 A field may also lie on a grid's octant (grid.OctantGrid), where evolve
-runs mirror-even data.  Every observable is then the full lattice's:
-the sums take the octant's per-axis weights (1 at indices 0 and n/2, 2
-between), the marginals are unfolded to the full axes, and Parseval's
-1/N counts the full lattice.  Only the variance rate needs another form,
-because x_j is not odd at index 0 (x = -L/2 is its own image) and the
-Nyquist frequency is not odd either: _octant_rate_term takes the odd
-part of the derivative from one inverse DCT-I and adds the edge term.
+runs mirror-even data and classify reads it (_run_lattice).  Every
+observable is then the full lattice's: the sums take the octant's
+per-axis weights (1 at indices 0 and n/2, 2 between), the marginals are
+unfolded to the full axes, and Parseval's 1/N counts the full lattice.
+Only the variance rate needs another form, because x_j is not odd at
+index 0 (x = -L/2 is its own image) and the Nyquist frequency is not odd
+either: _octant_rate_term takes the odd part of the derivative from one
+inverse DCT-I and adds the edge term.
 
 An evolution is summarized by an ObservableSeries, one record per
 sampling time, which serializes to CSV with the fixed header
@@ -61,6 +62,7 @@ from .grid import (
     GridError,
     OctantGrid,
     SpectralGrid,
+    is_mirror_even,
     lattice_blocks,
     mesh_sum,
     top_band,
@@ -260,6 +262,24 @@ def _power(pairs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", pairs, pairs)
 
 
+def _run_lattice(
+    field: WaveField, params: PhysicalParams, symbol: "KernelSymbol | None"
+) -> tuple[WaveField, "KernelSymbol | None"]:
+    """field and symbol on the lattice a run takes for field.
+
+    The trap, the contact term and the kernel are even, so a field equal
+    to its mirror image along every axis, bit for bit (is_mirror_even),
+    stays so: it runs on the grid's octant, with the symbol's octant when
+    lambda2 is nonzero.  Any other field runs on its own grid.
+    """
+    if not is_mirror_even(field.values):
+        return field, symbol
+    octant = field.grid.octant
+    if symbol is not None:
+        symbol = symbol.octant if params.lambda2 != 0.0 else None
+    return WaveField(octant.restrict(field.values), octant, field.t), symbol
+
+
 def field_spectrum(field: "WaveField") -> FieldSpectrum:
     """The FieldSpectrum of a field: one forward complex transform."""
     return FieldSpectrum(field.grid.fft(field.values), field.grid)
@@ -415,7 +435,8 @@ def _density_sums(
     else:
         if symbol is None:
             raise ValueError("a kernel symbol is required when lambda2 != 0")
-        grid._check_shape(symbol.values)
+        if symbol.grid.shape != grid.shape:
+            raise GridError(f"symbol grid {symbol.grid.shape} does not match grid {grid.shape}")
         dipolar = 0.5 * params.lambda2 * _pair_symbol_real(symbol, rho) * dv
     return _DensitySums(
         mass=_mass(grid, marginals),

@@ -233,10 +233,17 @@ def test_built_symbol_checks_evenness_once(monkeypatch):
 
     monkeypatch.setattr(KernelSymbol, "_is_even", counted)
     g = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
+    # a built symbol is even by construction: no check at all
     sym = build_symbol(g, Analytic3D())
     sym.half_values
+    sym.octant
     sym.validate()
-    assert len(calls) == 1
+    assert len(calls) == 0
+    # one built from full-lattice values checks once, shared by both readers
+    hand = KernelSymbol(3, sym.values.copy(), Analytic3D(), g)
+    hand.half_values
+    hand.validate()
+    assert calls == [hand]
 
 
 def test_build_symbol_dim_mismatch():
@@ -328,6 +335,52 @@ def test_symbol_from_one_octant_equals_the_full_lattice_formula(extents, shape):
     full = np.ascontiguousarray(np.broadcast_to(symbol3d(*g.freq_mesh), g.shape))
     assert values.flags.c_contiguous
     assert np.array_equal(values.view(np.uint64), full.view(np.uint64))
+
+
+def _full_lattice_table(g, provenance):
+    """Each family's symbol evaluated at every point of the full lattice."""
+    if isinstance(provenance, Analytic3D):
+        return np.ascontiguousarray(np.broadcast_to(symbol3d(*g.freq_mesh), g.shape))
+    if isinstance(provenance, Effective2D):
+        w3 = provenance.omega3
+        r = np.sqrt(g.ksq)
+        return (8.0 / 3.0) * math.sqrt(math.pi * w3) - 2.0 * math.pi * r * special.erfcx(
+            r / (2.0 * math.sqrt(w3))
+        )
+    magnitudes, inverse = np.unique(np.abs(g.freqs[0]), return_inverse=True)
+    return kernel._effective1d_table(magnitudes, provenance.omega1, provenance.omega2)[inverse]
+
+
+@pytest.mark.parametrize(
+    "extents, shape, provenance",
+    [
+        ((15.0, 15.0, 30.0), (96, 96, 96), Analytic3D()),
+        # 14/24 and 14/12 are no binary fractions
+        ((10.0, 12.0, 14.0), (16, 8, 24), Analytic3D()),
+        ((18.0, 14.0), (16, 12), Effective2D(0.9)),
+        ((16.0,), (64,), Effective1D(1.3, 0.6)),
+        ((16.0,), (48,), Effective1D(1.0, 1.0)),
+    ],
+)
+def test_symbol_layouts_are_the_full_lattice_tables(extents, shape, provenance):
+    g = make_grid(len(shape), extents, shape)
+    sym = build_symbol(g, provenance)
+    o = g.octant
+    # built and checked on the octant: no full-size array until values is read
+    assert not any(
+        isinstance(v, np.ndarray) and v.size >= g.size for v in vars(sym).values()
+    )
+    assert sym.octant.grid is o and sym.octant.values.shape == o.shape
+    full = _full_lattice_table(g, provenance)
+    half = np.ascontiguousarray(g.half(full))
+    assert sym.half_values.flags.c_contiguous
+    assert np.array_equal(sym.half_values.view(np.uint64), half.view(np.uint64))
+    assert "values" not in vars(sym)
+    values = sym.values
+    assert values.flags.c_contiguous and values.shape == g.shape
+    assert np.array_equal(values.view(np.uint64), full.view(np.uint64))
+    assert np.array_equal(sym.octant.values.view(np.uint64), values[o.index].view(np.uint64))
+    assert sym.values is values and sym.octant.half_values is sym.octant.values
 
 
 def _is_even_by_gather(values):

@@ -245,6 +245,14 @@ def test_evolve_sample_times_gate_callback():
     assert seen == pytest.approx([0.1, 0.2])
     # the series still carries the stride samples
     assert np.isclose(series.column("t"), 0.07).any()
+    # T itself is a sample time when the last step is at most half a step:
+    # round(0.0205 / 1e-3) is 20, whose step ends at 0.020
+    fields = []
+    _, last = evolve(f0, p, dt=1e-3, T=0.0205, callback=fields.append, sample_times=[0.0205])
+    _, plain = evolve(f0, p, dt=1e-3, T=0.0205)
+    assert [f.t for f in fields] == pytest.approx([0.0205])
+    assert np.array_equal(last.values.view(np.uint64), plain.values.view(np.uint64))
+    assert np.array_equal(fields[0].values.view(np.uint64), plain.values.view(np.uint64))
 
 
 def test_evolve_rejects_off_lattice_sample_times():
@@ -834,6 +842,62 @@ def test_an_even_run_allocates_no_full_size_lattice(monkeypatch):
     # measured 1.0-3.1 octant lattices: a step, a sample's array and a
     # record on the recorder thread may overlap
     assert max(growth) <= 5 * one_octant < 16 * g.size
+
+
+def large_allocations(fn, nbytes):
+    """fn's result, and for each time nbytes or more were allocated at once,
+    the names of the functions on the stacks of the threads running then.
+
+    Traced memory is read at every trace event of the calling thread and of
+    the threads fn starts.  When the peak between two events rises by
+    nbytes over the memory in use at the first, at least that much was
+    allocated in between, whether it was kept or freed again.
+    """
+    found = []
+    start = [None]
+    stacks = {}
+
+    def trace(frame, event, arg):
+        current, peak = tracemalloc.get_traced_memory()
+        if start[0] is not None and peak - start[0] >= nbytes:
+            found.append(set().union(*stacks.values()))
+        tracemalloc.reset_peak()
+        start[0] = current
+        names = stacks[threading.get_ident()] = []
+        while frame is not None:
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return trace
+
+    tracemalloc.start()
+    sys.settrace(trace)
+    threading.settrace(trace)
+    try:
+        out = fn()
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+        tracemalloc.stop()
+    return out, found
+
+
+def test_symbol_classify_and_evolve_allocate_no_full_size_lattice():
+    # build_symbol, classify and evolve of centred data, as a collapse run
+    # calls them: the symbol stays on its octant, classify reads the octant
+    # and evolve runs there, so the only full lattice formed is the final
+    # field, unfolded for the caller
+    g, p, _, f0 = dipolar_problem(centred=True, points=(64, 64, 64))
+
+    def run():
+        sym = build_symbol(g, Analytic3D())
+        cert = classify(f0, p, sym)
+        return sym, cert, evolve(f0, p, sym, dt=1e-3, T=0.008, monitor=MonitorSpec(stride=1))
+
+    (sym, cert, (series, final)), found = large_allocations(run, 8 * g.size)
+    assert found and all("unfold" in stack for stack in found)
+    assert final.grid is g and final.t == pytest.approx(0.008)
+    assert len(series) == 9 and cert.evidence["M"] == pytest.approx(mass(f0), rel=1e-12)
+    assert "values" not in vars(sym)
 
 
 def test_nonlinear_phase_rotor_matches_exp_i_theta():

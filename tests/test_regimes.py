@@ -23,7 +23,8 @@ from dipgpe import (
     unstable_energy_ledger,
     virial_audit,
 )
-from dipgpe.state import energy, variance
+from dipgpe.grid import is_mirror_even
+from dipgpe.state import WaveField, energy, variance
 
 # with gn = 3 / (4 pi) and lambda1 = 0, lambda2 = 1, M = 1 the bootstrap
 # scale eps2 is exactly 1, so the caps are (3/2)^-2 = 4/9 and 4/27
@@ -138,12 +139,26 @@ def test_classify_evidence_equals_the_standalone_observables():
     sym = build_symbol(g, Analytic3D())
     phi = make_unstable_data(g, 0.1, -3.0)
     evidence = classify(phi, p, sym).evidence
-    e = energy(phi, p, sym)
-    # one density serves every term, with the same floats as each alone
+    # the data is mirror-even, so classify reads it on the octant, as
+    # evolve runs it: one density serves every term, with the same floats
+    # as each alone on that lattice
+    o = g.octant
+    assert is_mirror_even(phi.values)
+    octant = WaveField(o.restrict(phi.values), o)
+    e = energy(octant, p, sym.octant)
     assert evidence["E"] == e.total
     assert evidence["grad_sq"] == 2.0 * e.kinetic
-    assert evidence["M"] == mass(phi)
-    assert evidence["xphi_sq"] == variance(phi)
+    assert evidence["M"] == mass(octant)
+    assert evidence["xphi_sq"] == variance(octant)
+    # and the full lattice's values to roundoff
+    full = energy(phi, p, sym)
+    for key, want in (
+        ("E", full.total),
+        ("grad_sq", 2.0 * full.kinetic),
+        ("M", mass(phi)),
+        ("xphi_sq", variance(phi)),
+    ):
+        assert abs(evidence[key] - want) <= 1e-12 * abs(want), key
 
 
 def test_certificate_text_layout():
