@@ -29,7 +29,7 @@ from .config import (
     build_symbol_from_config,
     parse_config,
 )
-from .grid import make_grid
+from .grid import is_mirror_even, make_grid
 from .kernel import (
     Analytic3D,
     Effective1D,
@@ -320,6 +320,11 @@ def _cmd_selftest(args) -> int:
         assert symbol.values.max() <= 8 * math.pi / 3 + 1e-12
         assert symbol.values[0, 0, 0] == 0.0
         assert abs(symbol3d(0.0, 0.0, 1.0) - 8 * math.pi / 3) < 1e-14
+        # the three layouts are mirrored from one octant table: bit for bit
+        values = symbol.values
+        assert is_mirror_even(values), "values are not mirror-even"
+        assert symbol.half_values.tobytes() == grid.half(values).tobytes(), "half_values"
+        assert symbol.octant.values.tobytes() == values[grid.octant.index].tobytes(), "octant"
 
     def bessel():
         value = bessel_radial_check(1e4, 1e-6)

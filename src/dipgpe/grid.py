@@ -166,42 +166,37 @@ class MeshBlocks:
         return out
 
 
-# Piece 1 and piece 2 of _mirror_pieces are each other's mirror image.
-_MIRROR_PIECE = (0, 2, 1)
-
-
-def _mirror_pieces(n: int) -> tuple[tuple[slice, slice], ...]:
-    """The pieces {0}, [1, n/2) and (n/2, n) of an even axis.
+def _mirror_pieces(n: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """The pieces [1, n/2) and (n/2, n) of an even axis.
 
     Each piece comes with the reversed slice that holds its mirror image:
     index k and index n - k carry opposite coordinates and opposite
-    frequencies.  The index n/2 lies in no piece.
+    frequencies.  The indices 0 and n/2, their own images, lie in no
+    piece.
     """
     h = n // 2
-    return (
-        (slice(0, 1), slice(0, 1)),
-        (slice(1, h), slice(n - 1, h, -1)),
-        (slice(h + 1, n), slice(h - 1, 0, -1)),
-    )
+    return (slice(1, h), slice(n - 1, h, -1)), (slice(h + 1, n), slice(h - 1, 0, -1))
 
 
-def mirror_fill(values: np.ndarray, axes: "Sequence[int] | None" = None) -> np.ndarray:
-    """Fill a lattice whose octant is set from that octant, in place.
+def _unfold(table: np.ndarray, shape: Sequence[int]) -> np.ndarray:
+    """A mirror-even lattice of the given shape from its table on indices 0..n/2, as a new array.
 
-    One mirrored slice copy per axis of axes (default every axis): index
-    n - k takes index k.  The octant spans indices 0..n/2 of those axes
-    and the whole of the others.
+    Along each axis where shape is longer than the table, index n - k
+    takes index k; along the others the table's axis is taken whole.
+    Each combination of {the table, the mirrored piece (n/2, n)} over the
+    mirrored axes is one block copy from the table, so no copy of the
+    output is formed on the way.
     """
-    axes = range(values.ndim) if axes is None else axes
-    octant = [slice(None)] * values.ndim
-    for axis in axes:
-        octant[axis] = slice(0, values.shape[axis] // 2 + 1)
-    for axis in axes:
-        _, _, (upper, lower) = _mirror_pieces(values.shape[axis])
-        head = (slice(None),) * axis
-        tail = tuple(octant[axis + 1 :])
-        values[head + (upper,) + tail] = values[head + (lower,) + tail]
-    return values
+    out = np.empty(tuple(shape), dtype=table.dtype)
+    blocks = [((), ())]
+    for m, n in zip(table.shape, shape):
+        pieces = [(slice(0, m), slice(None))]
+        if n != m:
+            pieces.append(_mirror_pieces(n)[1])
+        blocks = [(o + (po,), t + (pt,)) for o, t in blocks for po, pt in pieces]
+    for o, t in blocks:
+        out[o] = table[t]
+    return out
 
 
 def is_mirror_even(values: np.ndarray) -> bool:
@@ -213,7 +208,7 @@ def is_mirror_even(values: np.ndarray) -> bool:
     """
     bits = values.view(np.uint64).reshape(values.shape + (-1,))
     for axis, n in enumerate(values.shape):
-        _, (here, there), _ = _mirror_pieces(n)
+        (here, there), _ = _mirror_pieces(n)
         head = (slice(None),) * axis
         if not np.array_equal(bits[head + (here,)], bits[head + (there,)]):
             return False
@@ -440,9 +435,7 @@ class OctantGrid(_Lattice):
 
     def unfold(self, values: np.ndarray) -> np.ndarray:
         """The full lattice of a mirror-even field from its octant, as a new array."""
-        out = np.empty(self.full.shape, dtype=values.dtype)
-        out[self.index] = values
-        return mirror_fill(out)
+        return _unfold(values, self.full.shape)
 
     def half(self, table: np.ndarray) -> np.ndarray:
         """rfft's layout on the octant is the octant: the table itself."""

@@ -22,19 +22,19 @@ scipy.linalg, scipy.optimize, scipy.sparse and scipy.spatial, about
 24 MB of resident memory and 0.3 s of start-up on numpy 2.4 and scipy
 1.17; no tabulation needs more than scipy.special.
 
-Every family is even, and build_symbol evaluates it on one octant of the
-lattice alone, indices 0..n/2 of each axis; fftfreq gives xi[n - k] =
--xi[k] bit for bit, so the symbol is the even one that takes those
-values, and the rest of the lattice is filled by mirrored slice copies
-(grid.mirror_fill) only when a consumer asks for it.  Each consumer
-reads one layout of KernelSymbol: mirror-even runs of evolve and
-classify read the octant table itself (octant); full-lattice runs read
-the real-transform layout (half_values), mirrored from the table along
-the leading axes; apply_kernel and the kernel CSV read the full lattice
-(values), mirror-filled on first use.  A symbol constructed from
-full-lattice values checks its evenness instead, by comparing mirrored
-views of the pieces {0}, [1, n/2) and (n/2, n) per axis rather than
-gathering s(-k) into a new array.
+The dipole lies along the last axis, so every family is even in each
+frequency separately.  A KernelSymbol holds one array, its table on the
+grid's octant, indices 0..n/2 of each axis; fftfreq gives xi[n - k] =
+-xi[k] bit for bit, so the symbol is the one even along every axis that
+takes those values.  build_symbol evaluates each family on the octant
+alone.  Each consumer reads one layout: mirror-even runs of evolve and
+classify read the table itself (octant); full-lattice runs read the
+real-transform layout (half_values), mirrored from the table along the
+leading axes; apply_kernel and the kernel CSV read the full lattice
+(values).  Both are mirrored from the table on first read
+(grid.OctantGrid.unfold).  A symbol constructed from full-lattice values
+is checked once, there, for evenness along every axis to 1e-12, and
+keeps only their octant.
 
 Applying a symbol to a density is pointwise multiplication between an
 FFT/inverse-FFT pair; no normalization factors appear because they
@@ -45,7 +45,6 @@ one real transform of the density.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,15 +54,7 @@ import numpy as np
 from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 from scipy import special
 
-from .grid import (
-    _MIRROR_PIECE,
-    GridError,
-    OctantGrid,
-    SpectralGrid,
-    _mirror_pieces,
-    mesh_sum,
-    mirror_fill,
-)
+from .grid import GridError, OctantGrid, SpectralGrid, _mirror_pieces, _unfold, mesh_sum
 
 SYMBOL_MAX = 8.0 * math.pi / 3.0
 SYMBOL_MIN = -4.0 * math.pi / 3.0
@@ -315,136 +306,96 @@ def _effective1d_table(xi3: np.ndarray, omega1: float, omega2: float) -> np.ndar
     )
 
 
+def _check_mirror_even(values: np.ndarray) -> None:
+    """Raise KernelRealityError unless values are even along every axis to 1e-12.
+
+    Per axis, the piece [1, n/2) is compared with the mirrored view of
+    (n/2, n), whole along the other axes (is_mirror_even's comparison,
+    with a tolerance in place of bits), so a point on a Nyquist plane is
+    compared along the other axes.  A NaN in a compared piece fails.
+    """
+    for axis, n in enumerate(values.shape):
+        (here, there), _ = _mirror_pieces(n)
+        head = (slice(None),) * axis
+        diff = values[head + (here,)] - values[head + (there,)]
+        if not (np.abs(diff, out=diff).max() <= 1e-12):
+            raise KernelRealityError(
+                f"symbol is not even along axis {axis}: it differs from its mirror "
+                "image by more than 1e-12"
+            )
+
+
 class KernelSymbol:
-    """Real, even Fourier multiplier tabulated on a grid's frequency lattice.
+    """Real Fourier multiplier, even along every axis, on a grid's frequency lattice.
 
-    Each consumer reads one layout.  values is the full lattice in FFT
-    order (apply_kernel, the kernel CSV); half_values is the slice that
-    the real-input transform holds (the full-lattice step and the
-    dipolar energy, which halve the cost of the nonlocal term there); and
-    octant is the symbol on its grid's octant (mirror-even runs and
-    classify on mirror-even data).  half_values and octant read only the
-    even part of the symbol, so both require evenness.
+    The one array it holds is its table on the grid's octant (table),
+    indices 0..n/2 of each axis.  values, given to the constructor, is
+    the table on grid or on grid.octant (their shapes differ, since
+    n >= 8).  A full-lattice table is checked for evenness along every
+    axis to 1e-12 (KernelRealityError names the axis it fails on), and
+    only its octant is kept; an octant table is even by construction.
 
-    build_symbol tabulates the octant alone (_from_octant): the symbol is
-    the even one that takes those values, so it needs no evenness check,
-    and values and half_values are mirrored from the table on first use.
-    A symbol constructed from full-lattice values checks its evenness
-    once, when half_values, octant or validate first needs it.
+    Each consumer reads one layout.  octant is the symbol on grid.octant
+    (mirror-even runs and classify on mirror-even data); half_values is
+    the slice that the real-input transform holds (the full-lattice step
+    and the dipolar energy, which halve the cost of the nonlocal term
+    there); values is the full lattice in FFT order (apply_kernel, the
+    kernel CSV).  half_values and values are mirrored from the table on
+    first read; on an octant grid every layout is the table.
     """
 
     def __init__(
         self, dim: int, values: np.ndarray, provenance: Provenance, grid: "SpectralGrid | OctantGrid"
     ) -> None:
         self.dim = dim
-        self.values = values
         self.provenance = provenance
         self.grid = grid
-        self._mirrored = False
-
-    @classmethod
-    def _from_octant(
-        cls, table: np.ndarray, provenance: Provenance, grid: SpectralGrid
-    ) -> "KernelSymbol":
-        """The even symbol on grid whose values on grid.octant are table."""
-        symbol = cls.__new__(cls)
-        symbol.dim, symbol.provenance, symbol.grid = grid.dim, provenance, grid
-        symbol._mirrored = True
-        symbol.octant = cls(grid.dim, table, provenance, grid.octant)
-        return symbol
+        octant = grid if isinstance(grid, OctantGrid) else grid.octant
+        if values.shape != octant.shape:
+            if values.shape != grid.shape:
+                raise GridError(
+                    f"symbol shape {values.shape} matches neither grid {grid.shape} "
+                    f"nor its octant {octant.shape}"
+                )
+            _check_mirror_even(values)
+            values = octant.restrict(values)
+        self.table = values
+        if octant is grid:
+            self.values = self.half_values = values
 
     @cached_property
     def values(self) -> np.ndarray:
-        # reached only by a symbol built from its octant; index n - k
-        # takes index k along every axis
-        return self.grid.octant.unfold(self.octant.values)
-
-    @cached_property
-    def _even(self) -> bool:
-        # a table on an octant stands for the even symbol that takes its
-        # values there
-        return isinstance(self.grid, OctantGrid) or self._is_even()
-
-    def _require_even(self) -> None:
-        if not self._even:
-            raise KernelRealityError(
-                "symbol is not even on the frequency lattice; its real-transform "
-                "application would drop the odd part"
-            )
+        return self.grid.octant.unfold(self.table)
 
     @cached_property
     def half_values(self) -> np.ndarray:
-        if isinstance(self.grid, OctantGrid):
-            return self.values
-        if self._mirrored:
-            # rfft's layout keeps the octant's last axis, so the table is
-            # mirrored along the leading axes only
-            table = self.octant.values
-            half = np.empty(self.grid.shape[:-1] + table.shape[-1:])
-            half[self.octant.grid.index[:-1]] = table
-            return mirror_fill(half, axes=range(self.dim - 1))
-        self._require_even()
-        return np.ascontiguousarray(self.grid.half(self.values))
+        # rfft's layout keeps the octant's last axis, so the table is
+        # mirrored along the leading axes only
+        return _unfold(self.table, self.grid.shape[:-1] + self.table.shape[-1:])
 
     @cached_property
     def octant(self) -> "KernelSymbol":
-        """The symbol on grid.octant, its values at indices 0..n/2 of each axis."""
-        self._require_even()
-        octant = self.grid.octant
-        values = np.ascontiguousarray(self.values[octant.index])
-        return KernelSymbol(dim=self.dim, values=values, provenance=self.provenance, grid=octant)
+        """The symbol on grid.octant: the table itself."""
+        return KernelSymbol(self.dim, self.table, self.provenance, self.grid.octant)
 
     def validate(self) -> None:
-        """Enforce the type invariants; raises ValueError on violation.
-
-        A symbol mirrored from its octant holds the same values as that
-        table, so the table is checked.
-        """
-        if self._mirrored:
-            self.octant.validate()
-            return
-        if self.values.shape != self.grid.shape:
-            raise GridError(
-                f"symbol shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
+        """Enforce the type invariants on the table; raises ValueError on violation."""
+        table = self.table
         # min and max propagate NaN, so they also decide finiteness
-        lo, hi = float(self.values.min()), float(self.values.max())
+        lo, hi = float(table.min()), float(table.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("symbol contains non-finite values")
         if isinstance(self.provenance, Analytic3D):
             slack = 1e-12
             if lo < SYMBOL_MIN - slack or hi > SYMBOL_MAX + slack:
                 raise ValueError("3D symbol values outside [-4pi/3, 8pi/3]")
-            origin = self.values[(0,) * self.dim]
+            origin = table[(0,) * self.dim]
             if origin != 0.0:
                 raise ValueError(f"3D symbol must vanish at the origin, got {origin}")
         else:
             bound = self._effective_bound() * (1.0 + 1e-8) + 1e-10
             if max(hi, -lo) > bound:
                 raise ValueError("effective symbol values exceed the analytic envelope")
-        if not self._even:
-            raise ValueError("symbol is not even on the frequency lattice")
-
-    def _is_even(self) -> bool:
-        """Even symmetry, |s(k) - s(-k)| <= 1e-12 on every mode off the Nyquist planes.
-
-        Each axis splits into the pieces of _mirror_pieces, so s(-k) over
-        a product of pieces is a view of the values with the mirrored
-        pieces; the Nyquist planes lie in no piece.  A block and its
-        mirror image make the same comparisons, so only one of each pair
-        is compared.  A NaN off the Nyquist planes fails the check.
-        """
-        values = self.values
-        pieces = [_mirror_pieces(n) for n in values.shape]
-        for choice in itertools.product(range(3), repeat=values.ndim):
-            if choice > tuple(_MIRROR_PIECE[c] for c in choice):
-                continue
-            here = tuple(pieces[a][c][0] for a, c in enumerate(choice))
-            there = tuple(pieces[a][c][1] for a, c in enumerate(choice))
-            diff = values[here] - values[there]
-            if not (np.abs(diff, out=diff).max() <= 1e-12):
-                return False
-        return True
 
     def _effective_bound(self) -> float:
         if isinstance(self.provenance, Effective1D):
@@ -464,11 +415,12 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     """Tabulate a symbol on the grid's frequency lattice.
 
     The provenance selects the family and carries its trap frequencies;
-    its dimension must match the grid.  Every family is even, and every
-    family is evaluated on the octant of indices 0..n/2 per axis alone:
-    fftfreq gives xi[n - k] = -xi[k] bit for bit, so the full lattice
-    mirrored from that table (KernelSymbol.values) is bit for bit the
-    values the formula gives there.  The closed-form 3D symbol is
+    its dimension must match the grid.  Every family is even along every
+    axis, and every family is evaluated on the octant of indices 0..n/2
+    per axis alone, the table KernelSymbol holds, so no evenness check
+    runs: fftfreq gives xi[n - k] = -xi[k] bit for bit, so the full
+    lattice mirrored from that table (KernelSymbol.values) is bit for bit
+    the values the formula gives there.  The closed-form 3D symbol is
     symbol3d, the effective 2D symbol its closed form in |xi|, and the
     effective 1D symbol its angular mean (see module docstring) over the
     distinct |xi3|.  The table is validated; nothing is cached.
@@ -495,7 +447,7 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     else:
         raise TypeError(f"unknown provenance {provenance!r}")
 
-    symbol = KernelSymbol._from_octant(table, provenance, grid)
+    symbol = KernelSymbol(grid.dim, table, provenance, grid)
     symbol.validate()
     return symbol
 
@@ -530,8 +482,8 @@ def apply_kernel(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
 def _apply_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
     """Real-transform fast path for the inner propagator loop.
 
-    Skips the reality check performed by apply_kernel; half_values
-    checks the symbol's even symmetry once instead.
+    Skips the reality check performed by apply_kernel: a KernelSymbol is
+    even along every axis by construction.
     """
     spectrum = symbol.grid.rfft(density)
     spectrum *= symbol.half_values

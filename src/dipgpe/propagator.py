@@ -109,6 +109,7 @@ from .state import (
     ObservableSeries,
     PhysicalParams,
     WaveField,
+    _check_symbol,
     _density_into,
     _run_lattice,
     field_spectrum,
@@ -260,8 +261,7 @@ class _Splitting:
         params: PhysicalParams,
         symbol: "KernelSymbol | None",
     ) -> None:
-        if params.lambda2 != 0.0 and symbol is None:
-            raise ValueError("a kernel symbol is required when lambda2 != 0")
+        _check_symbol(symbol, grid, params)
         self.grid = grid
         self.params = params
         self.symbol = symbol

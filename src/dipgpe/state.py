@@ -65,7 +65,6 @@ from .grid import (
     is_mirror_even,
     lattice_blocks,
     mesh_sum,
-    top_band,
 )
 from .kernel import KernelSymbol, _pair_symbol_real
 from .kernel import apply_kernel  # noqa: F401  bench/tracer.py spans state.apply_kernel
@@ -186,12 +185,12 @@ class FieldSpectrum:
     The power is never held as a lattice.  spend hands the transform
     array over once the sums are taken, for reuse in place (evolve
     materializes psi over it); the spectrum then keeps only its sums, and
-    reading its values raises.  grid is the lattice the values lie on,
-    by default the full lattice of their shape; on an octant the sums
-    are the full lattice's, from the octant's weights.
+    reading its values raises.  grid is the lattice the values lie on;
+    on an octant the sums are the full lattice's, from the octant's
+    weights.
     """
 
-    def __init__(self, values: np.ndarray, grid: "SpectralGrid | OctantGrid | None" = None) -> None:
+    def __init__(self, values: np.ndarray, grid: "SpectralGrid | OctantGrid") -> None:
         self._values = values
         self._grid = grid
 
@@ -219,9 +218,8 @@ class FieldSpectrum:
         shape = self.values.shape
         m = shape[-1]
         grid = self._grid
-        bands = [top_band(n) for n in shape] if grid is None else grid.bands
         f = self.values.reshape(-1, m).view(float)
-        band = bands[-1]
+        band = grid.bands[-1]
         row_sums = np.einsum("ij,ij->i", f, f)
         b = f[:, 2 * band.start : 2 * band.stop]
         band_rows = np.einsum("ij,ij->i", b, b)
@@ -244,7 +242,7 @@ class FieldSpectrum:
         rows = row_sums.reshape(shape[:-1])
         band_rows = band_rows.reshape(shape[:-1])
         top = 0.0
-        for axis, high in enumerate(bands[:-1]):
+        for axis, high in enumerate(grid.bands[:-1]):
             top += float(np.sum(rows[(slice(None),) * axis + (high,)]))
             rows = np.delete(rows, high, axis=axis)
             band_rows = np.delete(band_rows, high, axis=axis)
@@ -253,8 +251,8 @@ class FieldSpectrum:
 
 
 def _on_octant(grid) -> bool:
-    """Whether a lattice's sums take octant weights (grid None: a full lattice)."""
-    return grid is not None and grid.weights is not None
+    """Whether a lattice's sums take octant weights."""
+    return grid.weights is not None
 
 
 def _power(pairs: np.ndarray) -> np.ndarray:
@@ -280,6 +278,25 @@ def _run_lattice(
     return WaveField(octant.restrict(field.values), octant, field.t), symbol
 
 
+def _check_symbol(
+    symbol: "KernelSymbol | None", grid: "SpectralGrid | OctantGrid", params: PhysicalParams
+) -> None:
+    """Require a symbol tabulated on grid, its shape and its box, when lambda2 is nonzero.
+
+    A symbol of another box has the field's point count but other
+    frequencies, so it is refused (GridError) rather than read.
+    """
+    if params.lambda2 == 0.0:
+        return
+    if symbol is None:
+        raise ValueError("a kernel symbol is required when lambda2 != 0")
+    if symbol.grid.shape != grid.shape or symbol.grid.extents != grid.extents:
+        raise GridError(
+            f"symbol is tabulated on {symbol.grid.shape} points over {symbol.grid.extents}, "
+            f"the field lies on {grid.shape} points over {grid.extents}"
+        )
+
+
 def field_spectrum(field: "WaveField") -> FieldSpectrum:
     """The FieldSpectrum of a field: one forward complex transform."""
     return FieldSpectrum(field.grid.fft(field.values), field.grid)
@@ -302,7 +319,7 @@ def _density_into(values: np.ndarray, rho: np.ndarray, scratch: np.ndarray) -> n
     return rho
 
 
-def _axis_marginals(row_sums: np.ndarray, col_sums: np.ndarray, shape, grid=None) -> list[np.ndarray]:
+def _axis_marginals(row_sums: np.ndarray, col_sums: np.ndarray, shape, grid) -> list[np.ndarray]:
     """Per-axis marginals of a lattice from its sums over the last axis and over its rows.
 
     On an octant the row sums carry every axis' weights and the column
@@ -326,17 +343,17 @@ def _unfold_axis(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m, m[-2:0:-1]])
 
 
-def _marginals(lattice: np.ndarray, grid=None) -> list[np.ndarray]:
+def _marginals(lattice: np.ndarray, grid) -> list[np.ndarray]:
     """Per-axis marginals of a real lattice: for each axis, the sums over the others."""
     rows = lattice.reshape(-1, lattice.shape[-1])
     if not _on_octant(grid):
-        return _axis_marginals(rows.sum(axis=1), rows.sum(axis=0), lattice.shape)
+        return _axis_marginals(rows.sum(axis=1), rows.sum(axis=0), lattice.shape, grid)
     row_sums = grid.fold_rows(rows.sum(axis=1), rows[:, 0], rows[:, -1]) * grid.row_weights
     col_sums = np.einsum("ij,i->j", rows, grid.row_weights)
     return _axis_marginals(row_sums, col_sums, lattice.shape, grid)
 
 
-def _sum_sq(lattice: np.ndarray, grid=None) -> float:
+def _sum_sq(lattice: np.ndarray, grid) -> float:
     """Sum of lattice**2 over the full lattice, with no squared lattice formed."""
     if not _on_octant(grid):
         flat = lattice.reshape(-1)
@@ -423,20 +440,18 @@ def _density_sums(
     contact energy from an einsum of rho with itself, and the dipolar
     energy pairs rho with its convolution by Parseval, from one real
     transform (see the module docstring).  No full-lattice temporary is formed.  A
-    symbol is required whenever lambda2 is nonzero.
+    symbol on the field's lattice is required whenever lambda2 is nonzero
+    (_check_symbol).
     """
     grid = field.grid
     params._check_grid(grid)
+    _check_symbol(symbol, grid, params)
     dv = grid.cell_volume
     marginals = _marginals(rho, grid)
     cubic = 0.0 if params.lambda1 == 0.0 else 0.5 * params.lambda1 * _sum_sq(rho, grid) * dv
     if params.lambda2 == 0.0:
         dipolar = 0.0
     else:
-        if symbol is None:
-            raise ValueError("a kernel symbol is required when lambda2 != 0")
-        if symbol.grid.shape != grid.shape:
-            raise GridError(f"symbol grid {symbol.grid.shape} does not match grid {grid.shape}")
         dipolar = 0.5 * params.lambda2 * _pair_symbol_real(symbol, rho) * dv
     return _DensitySums(
         mass=_mass(grid, marginals),

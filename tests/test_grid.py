@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dipgpe import GridError, PhysicalParams, make_grid
 from dipgpe.grid import (
     _BLOCK,
     MeshBlocks,
+    SpectralGrid,
     is_mirror_even,
     lattice_blocks,
     mesh_product,
@@ -281,8 +283,10 @@ def test_axis_sums_give_marginals_and_band_rows(shape):
     rng = np.random.default_rng(len(shape))
     values = rng.random(shape)
     v = np.sqrt(values) * np.exp(2j * np.pi * rng.random(shape))
-    marginals, total, top = FieldSpectrum(v)._power_sums
-    for got in (_marginals(values), marginals):
+    # make_grid takes even counts of at least 8; these sums read only the bands
+    g = SpectralGrid(len(shape), (1.0,) * len(shape), shape)
+    marginals, total, top = FieldSpectrum(v, g)._power_sums
+    for got in (_marginals(values, g), marginals):
         for axis, marginal in enumerate(got):
             others = tuple(b for b in range(len(shape)) if b != axis)
             np.testing.assert_allclose(marginal, values.sum(axis=others), rtol=1e-13)
@@ -342,6 +346,23 @@ def test_octant_transforms_are_the_full_transforms_on_the_octant(extents, points
     assert np.shares_memory(o.fft(work, overwrite=True), work)
 
 
+def test_unfold_allocates_only_its_output():
+    # one block copy per combination of {octant, mirrored piece} per axis,
+    # read from the octant: no copy of the source on the way
+    g = make_grid(3, (15.0, 15.0, 30.0), (64, 64, 64))
+    o = g.octant
+    uo = o.restrict(even_lattice(g.shape, np.random.default_rng(5)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = o.unfold(uo)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= u.nbytes + 2**16
+    assert is_mirror_even(u) and np.array_equal(u[o.index], uo)
+
+
 @pytest.mark.parametrize("extents, points", OCTANT_CASES)
 def test_octant_layout_and_weights(extents, points):
     g = make_grid(len(points), extents, points)
@@ -369,15 +390,15 @@ def test_octant_sums_are_the_full_lattice_sums(extents, points):
     rng = np.random.default_rng(len(points))
     rho = np.abs(even_lattice(g.shape, rng, float))
     v = even_lattice(g.shape, rng)
-    for got, want in zip(_marginals(o.restrict(rho), o), _marginals(rho)):
+    for got, want in zip(_marginals(o.restrict(rho), o), _marginals(rho, g)):
         np.testing.assert_allclose(got, want, rtol=1e-13)
     marginals, total, top = FieldSpectrum(o.restrict(v), o)._power_sums
-    full_marginals, full_total, full_top = FieldSpectrum(v)._power_sums
+    full_marginals, full_total, full_top = FieldSpectrum(v, g)._power_sums
     for got, want in zip(marginals, full_marginals):
         np.testing.assert_allclose(got, want, rtol=1e-13)
     np.testing.assert_allclose(total, full_total, rtol=1e-13)
     np.testing.assert_allclose(top, full_top, rtol=1e-13)
-    np.testing.assert_allclose(_sum_sq(o.restrict(rho), o), _sum_sq(rho), rtol=1e-13)
+    np.testing.assert_allclose(_sum_sq(o.restrict(rho), o), _sum_sq(rho, g), rtol=1e-13)
 
 
 def test_mirror_evenness_is_bit_for_bit_on_every_axis():

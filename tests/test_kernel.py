@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import dipgpe
@@ -225,25 +226,30 @@ def test_effective2d_symbol_is_the_closed_form(shape, extents, omega3):
 
 def test_built_symbol_checks_evenness_once(monkeypatch):
     calls = []
-    is_even = KernelSymbol._is_even
+    check = kernel._check_mirror_even
 
-    def counted(self):
-        calls.append(self)
-        return is_even(self)
+    def counted(values):
+        calls.append(values)
+        check(values)
 
-    monkeypatch.setattr(KernelSymbol, "_is_even", counted)
+    monkeypatch.setattr(kernel, "_check_mirror_even", counted)
     g = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
     # a built symbol is even by construction: no check at all
     sym = build_symbol(g, Analytic3D())
     sym.half_values
     sym.octant
+    sym.values
     sym.validate()
     assert len(calls) == 0
-    # one built from full-lattice values checks once, shared by both readers
-    hand = KernelSymbol(3, sym.values.copy(), Analytic3D(), g)
+    # one built from full-lattice values checks once, at construction
+    full = sym.values.copy()
+    hand = KernelSymbol(3, full, Analytic3D(), g)
+    assert len(calls) == 1 and calls[0] is full
     hand.half_values
+    hand.octant
+    hand.values
     hand.validate()
-    assert calls == [hand]
+    assert len(calls) == 1
 
 
 def test_build_symbol_dim_mismatch():
@@ -299,8 +305,27 @@ def test_kernel_symbol_validate_rejects_odd_part():
     sym = build_symbol(g, Analytic3D())
     values = sym.values.copy()
     values[1, 2, 3] += 0.5  # break evenness at a non-Nyquist mode
-    with pytest.raises(ValueError):
-        KernelSymbol(3, values, Analytic3D(), g).validate()
+    # refused at construction, before validate could run
+    with pytest.raises(KernelRealityError, match="not even along axis 0"):
+        KernelSymbol(3, values, Analytic3D(), g)
+
+
+def test_tilted_dipole_table_is_refused_at_construction():
+    # a dipole along (1, 0, 1)/sqrt(2): its symbol is even under xi -> -xi
+    # off the Nyquist planes, but not along each axis, so its octant does
+    # not stand for it
+    g = make_grid(3, [12.0, 12.0, 12.0], [16, 16, 16])
+    xi1, xi2, xi3 = (np.broadcast_to(f, g.shape) for f in g.freq_mesh)
+    nsq = xi1 * xi1 + xi2 * xi2 + xi3 * xi3
+    along = 0.5 * (xi1 + xi3) ** 2
+    tilted = np.where(nsq > 0.0, 3.0 * along / np.where(nsq > 0.0, nsq, 1.0) - 1.0, 0.0)
+    tilted *= FOUR_PI_THIRD
+    diff = tilted - tilted[np.ix_(*[-np.arange(n) % n for n in g.shape])]
+    for axis, n in enumerate(g.shape):
+        diff[(slice(None),) * axis + (n // 2,)] = 0.0
+    assert np.max(np.abs(diff)) <= 1e-12
+    with pytest.raises(KernelRealityError, match="not even along axis 0"):
+        KernelSymbol(3, tilted, Analytic3D(), g)
 
 
 def test_evenness_tolerance_holds_off_the_nyquist_planes():
@@ -312,13 +337,25 @@ def test_evenness_tolerance_holds_off_the_nyquist_planes():
         values[index] += delta
         return KernelSymbol(3, values, Analytic3D(), g)
 
-    # |s(k) - s(-k)| <= 1e-12 is the rule: 2e-12 at an interior mode breaks it
-    with pytest.raises(ValueError, match="not even"):
-        perturbed((1, 2, 3), 2e-12).validate()
+    # |s(k) - s(k mirrored along one axis)| <= 1e-12 on every axis is the
+    # rule: 2e-12 at an interior mode breaks it
+    with pytest.raises(KernelRealityError, match="not even along axis 0"):
+        perturbed((1, 2, 3), 2e-12)
     perturbed((1, 2, 3), 0.5e-12).validate()
-    # the same 2e-12 on a Nyquist plane (index n // 2 = 4) is not checked
-    for index in ((4, 2, 3), (1, 4, 3), (1, 2, 4)):
+    # on a Nyquist plane (index n // 2 = 4) the same 2e-12 is found along
+    # the other axes
+    for index, axis in (((4, 2, 3), 1), ((1, 4, 3), 0), ((1, 2, 4), 0)):
+        with pytest.raises(KernelRealityError, match=f"not even along axis {axis}"):
+            perturbed(index, 2e-12)
+    # a point that is its own image along every axis is compared with nothing
+    for index in ((4, 0, 4), (4, 4, 0), (4, 4, 4)):
         perturbed(index, 2e-12).validate()
+    # a table even to within 1e-12 is held by its octant: the octant's
+    # value reaches every image, and a value off the octant is dropped
+    kept = perturbed((1, 2, 3), 0.5e-12)
+    assert kept.values[7, 6, 5] == kept.values[1, 2, 3] == sym.values[1, 2, 3] + 0.5e-12
+    dropped = perturbed((7, 6, 5), 0.5e-12)
+    assert np.array_equal(dropped.values, sym.values)
 
 
 @pytest.mark.parametrize(
@@ -383,13 +420,36 @@ def test_symbol_layouts_are_the_full_lattice_tables(extents, shape, provenance):
     assert sym.values is values and sym.octant.half_values is sym.octant.values
 
 
+def test_mirrored_layouts_allocate_only_themselves():
+    g = make_grid(3, (15.0, 15.0, 30.0), (64, 64, 64))
+    sym = build_symbol(g, Analytic3D())
+    for name in ("half_values", "values"):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            layout = getattr(sym, name)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= layout.nbytes + 2**16, name
+
+
 def _is_even_by_gather(values):
-    """The evenness rule evaluated with one np.ix_ gather of s(-k)."""
-    shape = values.shape
-    diff = values - values[np.ix_(*[-np.arange(n) % n for n in shape])]
-    for axis, n in enumerate(shape):
-        diff[(slice(None),) * axis + (n // 2,)] = 0.0
-    return bool(np.abs(diff).max() <= 1e-12)
+    """The evenness rule evaluated with one np.take gather of the mirror image per axis."""
+    for axis, n in enumerate(values.shape):
+        mirrored = np.take(values, -np.arange(n) % n, axis=axis)
+        if not (np.abs(values - mirrored).max() <= 1e-12):
+            return False
+    return True
+
+
+def _constructs(g, values, provenance):
+    """Whether KernelSymbol accepts values as a full-lattice table."""
+    try:
+        KernelSymbol(g.dim, values, provenance, g)
+    except KernelRealityError:
+        return False
+    return True
 
 
 def _even_symbol(shape):
@@ -428,7 +488,7 @@ def test_evenness_check_agrees_with_the_gather(shape):
             delta = rng.choice([0.5e-12, 2e-12, -2e-12, 1e-3])
             values[index(kind)] += delta
         expected = _is_even_by_gather(values)
-        assert KernelSymbol(g.dim, values, provenance, g)._is_even() is expected, trial
+        assert _constructs(g, values, provenance) is expected, trial
         verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -436,11 +496,16 @@ def test_evenness_check_agrees_with_the_gather(shape):
 def test_nan_off_the_nyquist_planes_fails_the_evenness_check():
     g = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
     values = build_symbol(g, Analytic3D()).values.copy()
-    values[1, 2, 3] = math.nan
+    nan_inside = values.copy()
+    nan_inside[1, 2, 3] = math.nan
     with pytest.raises(KernelRealityError):
-        KernelSymbol(3, values, Analytic3D(), g).half_values
+        KernelSymbol(3, nan_inside, Analytic3D(), g)
+    # a point that is its own image along every axis is compared with
+    # nothing, so validate finds its NaN in the table
+    nan_alone = values.copy()
+    nan_alone[4, 0, 4] = math.nan
     with pytest.raises(ValueError, match="non-finite"):
-        KernelSymbol(3, values, Analytic3D(), g).validate()
+        KernelSymbol(3, nan_alone, Analytic3D(), g).validate()
 
 
 def test_apply_kernel_zero_and_linearity():
@@ -487,9 +552,10 @@ def test_apply_kernel_output_is_real_for_even_symbol():
 
 def test_apply_kernel_flags_odd_symbol():
     g = make_grid(1, [8.0], [16])
-    xi = g.freqs[0]
-    values = 0.1 * xi  # odd multiplier produces an imaginary response
-    sym = KernelSymbol(1, values, Effective1D(1.0, 1.0), g)
+    sym = build_symbol(g, Effective1D(1.0, 1.0))
+    # an odd multiplier produces an imaginary response; the constructor
+    # refuses odd tables, so one is set in place of the full lattice
+    sym.values = 0.1 * g.freqs[0]
     rho = np.exp(-g.coords[0] ** 2)
     with pytest.raises(KernelRealityError):
         apply_kernel(sym, rho)

@@ -161,6 +161,27 @@ def test_strang_step_rejects_zero_dt_and_nonfinite():
         strang_step(f, 1e-3, p)
 
 
+def test_a_symbol_from_another_box_is_refused():
+    # the same point count over other extents: the symbol's frequencies are
+    # not the field's, so it is refused on the octant and on the full lattice
+    g = make_grid(3, [12.0, 12.0, 12.0], [16, 16, 16])
+    other = build_symbol(make_grid(3, [12.0, 12.0, 24.0], [16, 16, 16]), Analytic3D())
+    p = PhysicalParams(3, (1.0, 1.0, 0.5), 1.5, 0.3)
+    centred, _ = linear_eigenstate(g, p.omega)
+    shifted = WaveField(np.roll(centred.values, 1, axis=0), g)
+    assert grid_module.is_mirror_even(centred.values)
+    assert not grid_module.is_mirror_even(shifted.values)
+    for f in (centred, shifted):
+        with pytest.raises(GridError, match="symbol is tabulated"):
+            evolve(f, p, other, dt=1e-3, T=1e-2)
+        with pytest.raises(GridError, match="symbol is tabulated"):
+            classify(f, p, other)
+        with pytest.raises(GridError, match="symbol is tabulated"):
+            energy(f, p, other)
+        with pytest.raises(GridError, match="symbol is tabulated"):
+            strang_step(f, 1e-3, p, other)
+
+
 def test_evolve_ground_state_accumulates_only_phase():
     g = make_grid(3, [12.0, 12.0, 12.0], [32, 32, 32])
     p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 0.0)

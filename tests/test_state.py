@@ -156,15 +156,11 @@ def test_dipolar_energy_parseval_matches_convolution(shape):
 
 def test_odd_symbol_raises_from_energy_and_evolve():
     g = make_grid(1, [12.0], [32])
-    odd = KernelSymbol(1, 0.1 * g.freqs[0], Effective1D(1.0, 1.0), g)
     p = PhysicalParams(1, (1.0,), 0.0, 0.5)
     f = gaussian_field(g, 1.0)
-    with pytest.raises(KernelRealityError):
-        energy(f, p, odd)
-    with pytest.raises(KernelRealityError):
-        evolve(f, p, odd, dt=1e-3, T=1e-2)
-    with pytest.raises(KernelRealityError):
-        evolve(f, p, odd, dt=1e-3, T=1e-2, warn_resolution=False)
+    # an odd table makes no symbol, so none reaches energy or evolve
+    with pytest.raises(KernelRealityError, match="not even along axis 0"):
+        KernelSymbol(1, 0.1 * g.freqs[0], Effective1D(1.0, 1.0), g)
     # An even symbol built by hand passes the same check without validate().
     even = KernelSymbol(1, -0.1 * g.freqs[0] ** 2, Effective1D(1.0, 1.0), g)
     rho = density(f)
@@ -550,7 +546,7 @@ def test_lattice_sums_allocate_no_lattice():
     assert peak_bytes(monitor) <= sixteenth
     half_spectrum = 16 * sym.half_values.size
     assert peak_bytes(lambda: _pair_symbol_real(sym, rho)) <= half_spectrum + sixteenth
-    assert peak_bytes(lambda: _sum_sq(rho)) <= 2**16
+    assert peak_bytes(lambda: _sum_sq(rho, g)) <= 2**16
 
 
 def test_dipolar_energy_of_an_axisymmetric_gaussian_matches_its_closed_form():
@@ -622,8 +618,7 @@ def test_the_octant_symbol_is_the_even_symbol_on_the_octant():
     rho = o.restrict(density(WaveField(mirror_even(np.random.default_rng(1).random(g.shape) + 0j), g)))
     full_rho = o.unfold(rho)
     assert _pair_symbol_real(osym, rho) == pytest.approx(_pair_symbol_real(sym, full_rho), rel=1e-12)
-    # an odd symbol has no octant
+    # an odd table makes no symbol, so none reaches an octant
     g1 = make_grid(1, [12.0], [32])
-    odd = KernelSymbol(1, 0.1 * g1.freqs[0], Effective1D(1.0, 1.0), g1)
     with pytest.raises(KernelRealityError):
-        odd.octant
+        KernelSymbol(1, 0.1 * g1.freqs[0], Effective1D(1.0, 1.0), g1)
