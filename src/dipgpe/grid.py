@@ -362,7 +362,7 @@ class SpectralGrid(_Lattice):
         return self.ifft(u_hat * self.sign_mesh) / self.cell_volume
 
     # The raw transforms, unnormalized and in FFT order.  axis=j transforms
-    # along axis j alone; overwrite lets the transform reuse u.
+    # along axis j alone; overwrite lets the transform reuse its input.
     def fft(self, u: np.ndarray, axis: "int | None" = None, overwrite: bool = False) -> np.ndarray:
         axes = None if axis is None else (axis,)
         return _fft.fftn(u, axes=axes, workers=FFT_WORKERS, overwrite_x=overwrite)
@@ -374,9 +374,9 @@ class SpectralGrid(_Lattice):
     def rfft(self, u: np.ndarray) -> np.ndarray:
         return _fft.rfftn(u, workers=FFT_WORKERS)
 
-    def irfft(self, u_hat: np.ndarray) -> np.ndarray:
+    def irfft(self, u_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """The real lattice of a half spectrum from rfft."""
-        return _fft.irfftn(u_hat, s=self.shape, workers=FFT_WORKERS)
+        return _fft.irfftn(u_hat, s=self.shape, workers=FFT_WORKERS, overwrite_x=overwrite)
 
 
 class OctantGrid(_Lattice):
@@ -454,8 +454,8 @@ class OctantGrid(_Lattice):
     def rfft(self, u: np.ndarray) -> np.ndarray:
         return _fft.dctn(u, type=1, workers=FFT_WORKERS)
 
-    def irfft(self, u_hat: np.ndarray) -> np.ndarray:
-        return _fft.idctn(u_hat, type=1, workers=FFT_WORKERS)
+    def irfft(self, u_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        return _fft.idctn(u_hat, type=1, workers=FFT_WORKERS, overwrite_x=overwrite)
 
 
 def top_band(n: int) -> slice:

@@ -483,11 +483,13 @@ def _apply_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
     """Real-transform fast path for the inner propagator loop.
 
     Skips the reality check performed by apply_kernel: a KernelSymbol is
-    even along every axis by construction.
+    even along every axis by construction.  The inverse transform may
+    reuse the spectrum, so on an octant, where it is a DCT-I, the
+    potential takes over the spectrum's array.
     """
     spectrum = symbol.grid.rfft(density)
     spectrum *= symbol.half_values
-    return symbol.grid.irfft(spectrum)
+    return symbol.grid.irfft(spectrum, overwrite=True)
 
 
 def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:

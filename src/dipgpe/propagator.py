@@ -66,9 +66,12 @@ the grid's octant, indices 0..n/2 of each axis (grid.OctantGrid): the
 step, the check before the first step, the monitor and every record run
 the same code there, with DCT-I transforms in place of the FFTs and the
 octant's weights in every lattice sum, on (n/2 + 1)^d points instead of
-n^d.  The caller still sees full lattices: a callback's field, the final
-field and a CollapseReport's field are unfolded from the octant by
-mirrored slice copies.  Any other field runs the full lattice.  Nothing
+n^d.  An octant-held field0 (state.WaveField.table) runs on its table
+as it is, with no evenness pass and no copy, and the run never writes
+to it.  The caller sees fields of field0's grid, octant-held: a
+callback's field, the final field and a CollapseReport's field hold the
+octant array the run materialized, and their values are mirrored from
+it only when read.  Any other field runs the full lattice.  Nothing
 selects the octant but the data: it is a property of field0 that evolve
 can check, so no option turns it on or off.  strang_step and the
 standalone observables always run the full lattice.
@@ -83,6 +86,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import os
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -98,6 +102,7 @@ from .grid import (
     MeshBlocks,
     OctantGrid,
     SpectralGrid,
+    _unfold,
     lattice_blocks,
     make_grid,
     mesh_product,
@@ -466,10 +471,10 @@ def evolve(
     With observables=False no record is taken, the series comes back empty
     and the recorder thread never starts.
 
-    A field0 equal to its mirror image along every axis, bit for bit,
-    runs on the grid's octant (see the module docstring); the fields the
-    caller sees are full lattices either way, and the series agrees with
-    the full lattice's run to roundoff.
+    A field0 equal to its mirror image along every axis, bit for bit, or
+    octant-held, runs on the grid's octant (see the module docstring); the
+    fields the caller sees are then octant-held fields of field0's grid,
+    and the series agrees with the full lattice's run to roundoff.
 
     Returns the series together with the final field, or with a
     CollapseReport if a threshold tripped first.
@@ -508,16 +513,16 @@ def evolve(
     sample_steps.add(n_steps)
     sample_steps |= callback_steps
 
-    # a mirror-even field0 runs on its octant; the caller still sees full
-    # lattices
+    # a mirror-even field0 runs on its octant; the caller sees fields of
+    # grid, octant-held there
     start, symbol = _run_lattice(field0, params, symbol)
     lattice = start.grid
 
     def shown(psi: WaveField) -> WaveField:
-        """psi as the caller sees it, on the full lattice."""
+        """psi as the caller sees it, on grid: octant-held by psi's array on the octant."""
         if lattice is grid:
             return psi
-        return WaveField(lattice.unfold(psi.values), grid, psi.t)
+        return WaveField(psi.values, grid, psi.t)
 
     spectrum0 = field_spectrum(start)
     grad0 = gradient_norm_sq(start, spectrum0)
@@ -593,9 +598,9 @@ def evolve(
                     recorder.submit(_record, psi, spectrum, lattice, t_now, step, params, symbol)
                 del spectrum
                 out = None if psi is None else shown(psi)
-                if psi is None or out is not psi:
-                    # only the record reads this psi: once it is joined, the
-                    # array serves the next sample
+                if psi is None:
+                    # only the record reads this sample: once it is joined,
+                    # the array serves the next sample
                     spare = buffer
                 if fires or ends:
                     recorder.join()
@@ -622,7 +627,13 @@ def evolve(
 
 
 def write_snapshot(field: WaveField, path: "str | Path") -> None:
-    """Binary field snapshot; see read_snapshot for the inverse."""
+    """Binary field snapshot; see read_snapshot for the inverse.
+
+    The payload is the full lattice, little-endian complex128 in C order.
+    A full field is written straight from its array; an octant-held one
+    one axis-0 plane at a time, each plane mirrored from the table, so
+    no full lattice is formed.
+    """
     grid = field.grid
     header = " ".join(
         ["GPEF", "v1", str(grid.dim)]
@@ -630,37 +641,54 @@ def write_snapshot(field: WaveField, path: "str | Path") -> None:
         + ["%.17g" % L for L in grid.extents]
         + ["%.17g" % field.t]
     )
-    payload = np.ascontiguousarray(field.values, dtype="<c16").tobytes()
+    table = field.table
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(payload)
+        if table is None:
+            fh.write(_bytes_view(field.values))
+            return
+        n = grid.shape[0]
+        plane = (1,) + grid.shape[1:]
+        for i in range(n):
+            # index n - i holds the mirror image of index i
+            k = min(i, n - i)
+            fh.write(_bytes_view(_unfold(table[k : k + 1], plane)))
+
+
+def _bytes_view(values: np.ndarray) -> memoryview:
+    """The bytes of an array as little-endian complex128, without a copy when it is one."""
+    return memoryview(np.ascontiguousarray(values, dtype="<c16").reshape(-1).view(np.uint8))
 
 
 def read_snapshot(path: "str | Path", grid: "SpectralGrid | None" = None) -> WaveField:
     """Read a field snapshot, rebuilding its grid from the header.
 
     When a grid is supplied it must match the header exactly and is
-    reused (so symbols and meshes stay shared).
+    reused (so symbols and meshes stay shared).  The payload is read
+    into the field's array directly.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
-        payload = fh.read()
-    if len(header) < 4 or header[0] != "GPEF" or header[1] != "v1":
-        raise ValueError(f"not a field snapshot: {path}")
-    dim = int(header[2])
-    tokens = header[3:]
-    if len(tokens) != 2 * dim + 1:
-        raise ValueError(f"malformed snapshot header in {path}")
-    shape = tuple(int(v) for v in tokens[:dim])
-    extents = tuple(float(v) for v in tokens[dim : 2 * dim])
-    t = float(tokens[2 * dim])
-    if grid is None:
-        grid = make_grid(dim, extents, shape)
-    elif grid.dim != dim or grid.shape != shape or grid.extents != extents:
-        raise GridError(f"snapshot geometry does not match the supplied grid")
-    values = np.frombuffer(payload, dtype="<c16")
-    if values.size != grid.size:
-        raise ValueError(
-            f"snapshot payload has {values.size} values, expected {grid.size}"
-        )
-    return WaveField(values=values.reshape(grid.shape).copy(), grid=grid, t=t)
+        if len(header) < 4 or header[0] != "GPEF" or header[1] != "v1":
+            raise ValueError(f"not a field snapshot: {path}")
+        dim = int(header[2])
+        tokens = header[3:]
+        if len(tokens) != 2 * dim + 1:
+            raise ValueError(f"malformed snapshot header in {path}")
+        shape = tuple(int(v) for v in tokens[:dim])
+        extents = tuple(float(v) for v in tokens[dim : 2 * dim])
+        t = float(tokens[2 * dim])
+        if grid is None:
+            grid = make_grid(dim, extents, shape)
+        elif grid.dim != dim or grid.shape != shape or grid.extents != extents:
+            raise GridError(f"snapshot geometry does not match the supplied grid")
+        values = np.empty(grid.shape, dtype="<c16")
+        nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if nbytes != values.nbytes:
+            raise ValueError(
+                f"snapshot payload has {nbytes} bytes, expected {values.nbytes} "
+                f"({grid.size} values)"
+            )
+        if fh.readinto(values.reshape(-1).view(np.uint8)) != nbytes:
+            raise ValueError(f"snapshot payload of {path} ended early")
+    return WaveField(values=values, grid=grid, t=t)

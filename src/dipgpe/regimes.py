@@ -15,7 +15,8 @@ collapsing run is reported as under-resolution consistent with
 collapse, never as confirmed blow-up.
 
 classify evaluates its evidence on the lattice evolve would run: data
-equal to its mirror image along every axis, bit for bit, is read on the
+equal to its mirror image along every axis, bit for bit, or held by its
+octant (make_unstable_data's, state.WaveField.table), is read on the
 grid's octant with the symbol's octant (grid.OctantGrid,
 KernelSymbol.octant), so it forms no full lattice; the evidence agrees
 with the full lattice's to roundoff.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralGrid, mesh_product
+from .grid import SpectralGrid, is_mirror_even, mesh_product
 from .kernel import KernelSymbol
 from .state import (
     ObservableSeries,
@@ -212,7 +213,15 @@ def make_unstable_data(
     alpha < -2 the interaction term dominates as eps -> 0 and the
     energy turns negative, seeding certified-collapse runs.  The box
     must contain the eps-stretched axial support: the relative boundary
-    amplitude is a warning above 1e-10 and an error above 1e-4.
+    amplitude, read from the full per-axis factors, is a warning above
+    1e-10 and an error above 1e-4.
+
+    The field is the mesh_product of its per-axis factors.  When each
+    factor equals its mirror image bit for bit (grid.is_mirror_even, as
+    the grid's centred coordinates give), that product is formed on the
+    octant alone and the field is octant-held (WaveField), so no full
+    lattice is built: values, when read, is mirrored from the table and
+    equals the full lattice's product bit for bit.
     """
     if grid.dim != 3:
         raise ValueError("unstable data construction is three-dimensional")
@@ -257,6 +266,10 @@ def make_unstable_data(
             RuntimeWarning,
             stacklevel=2,
         )
+    if all(is_mirror_even(f.reshape(-1)) for f in factors):
+        # the field is fixed by its octant: the product there is its table
+        index = grid.octant.index
+        factors = [f[index] for f in factors]
     # a complex last factor writes the complex lattice in one pass
     factors[-1] = factors[-1].astype(complex)
     return WaveField(values=mesh_product(factors), grid=grid, t=0.0)

@@ -26,8 +26,13 @@ when the caller holds one, as evolve does), a one-axis transform there
 and back per axis and one real transform.
 
 A field may also lie on a grid's octant (grid.OctantGrid), where evolve
-runs mirror-even data and classify reads it (_run_lattice).  Every
-observable is then the full lattice's: the sums take the octant's
+runs mirror-even data and classify reads it (_run_lattice).  A
+mirror-even field of a full lattice may be held by its octant table
+alone (WaveField.table, octant-held): make_unstable_data builds one,
+evolve hands them out, and a run takes the table as it is.  Its values
+are mirrored from the table on first read, so the public observables,
+which read values, sum the full lattice.  On the octant every
+observable is the full lattice's: the sums take the octant's
 per-axis weights (1 at indices 0 and n/2, 2 between), the marginals are
 unfolded to the full axes, and Parseval's 1/N counts the full lattice.
 Only the variance rate needs another form, because x_j is not odd at
@@ -144,24 +149,49 @@ class PhysicalParams:
         return mesh_sum(self.trap_terms(grid))
 
 
-@dataclass(eq=False)
 class WaveField:
-    """Complex field sampled on a grid at one instant."""
+    """Complex field sampled on a grid at one instant.
 
-    values: np.ndarray
-    grid: "SpectralGrid | OctantGrid"
-    t: float = 0.0
+    values, given to the constructor, is the field on grid, or on a full
+    lattice's octant (grid.octant, indices 0..n/2 of each axis) for a
+    mirror-even field.  Such a field is octant-held: the table on the
+    octant (table) is the one array it holds, and values is mirrored
+    from it on first read (OctantGrid.unfold).  From then on values is
+    the field, so a write to it is a write to the field, and table is
+    None.  validate_finite and copy read the table alone; mirror-even
+    runs read it as it is and never write to it.
+    """
 
-    def __post_init__(self) -> None:
-        self.values = np.ascontiguousarray(self.values, dtype=complex)
-        self.grid._check_shape(self.values)
+    def __init__(
+        self, values: np.ndarray, grid: "SpectralGrid | OctantGrid", t: float = 0.0
+    ) -> None:
+        values = np.ascontiguousarray(values, dtype=complex)
+        self.grid = grid
+        self.t = t
+        self.table = None
+        self._values = values
+        if values.shape != grid.shape and grid.full is grid and values.shape == grid.octant.shape:
+            self.table, self._values = values, None
+        else:
+            grid._check_shape(values)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = self.grid.octant.unfold(self.table)
+            self.table = None
+        return self._values
+
+    def _held(self) -> np.ndarray:
+        """The array the field holds: its octant table, or its values."""
+        return self.values if self.table is None else self.table
 
     def validate_finite(self) -> None:
-        if not np.all(np.isfinite(self.values.view(float))):
+        if not np.all(np.isfinite(self._held().view(float))):
             raise ValueError("field contains non-finite values")
 
     def copy(self) -> "WaveField":
-        return WaveField(values=self.values.copy(), grid=self.grid, t=self.t)
+        return WaveField(values=self._held().copy(), grid=self.grid, t=self.t)
 
 
 @dataclass(frozen=True)
@@ -268,14 +298,20 @@ def _run_lattice(
     The trap, the contact term and the kernel are even, so a field equal
     to its mirror image along every axis, bit for bit (is_mirror_even),
     stays so: it runs on the grid's octant, with the symbol's octant when
-    lambda2 is nonzero.  Any other field runs on its own grid.
+    lambda2 is nonzero.  An octant-held field runs on its table as it is,
+    shared and never written; a full one that passes the check runs on a
+    copy of its octant.  Any other field runs on its own grid.
     """
-    if not is_mirror_even(field.values):
+    if field.table is not None:
+        table = field.table
+    elif is_mirror_even(field.values):
+        table = field.grid.octant.restrict(field.values)
+    else:
         return field, symbol
     octant = field.grid.octant
     if symbol is not None:
         symbol = symbol.octant if params.lambda2 != 0.0 else None
-    return WaveField(octant.restrict(field.values), octant, field.t), symbol
+    return WaveField(table, octant, field.t), symbol
 
 
 def _check_symbol(

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import math
 import os
 import re
@@ -569,6 +570,44 @@ monitor.stride = 5
     assert "collapse" in stdout
     assert (out_dir / "collapse.gpef").exists()
     assert not (out_dir / "final.gpef").exists()
+
+
+def test_cli_simulate_of_criterion_6_writes_frozen_outputs(tmp_path, capsys):
+    # criterion 6's collapse at 96^3: the initial field is octant-held from
+    # make_unstable_data, the run stays on the octant and the collapse
+    # field comes back octant-held, and every output keeps the bytes it
+    # had when the whole run held full lattices
+    path = _write(
+        tmp_path,
+        "collapse96.cfg",
+        """
+grid.dim = 3
+grid.extents = 15.0,15.0,30.0
+grid.points = 96,96,96
+params.omega = 1.0,1.0,1.0
+params.lambda1 = 0.0
+params.lambda2 = 1.0
+init.kind = unstable
+init.epsilon = 0.5
+init.alpha = -3.0
+dt = 0.001
+T = 1.6
+monitor.stride = 5
+""",
+    )
+    out_dir = tmp_path / "run"
+    code = run_command(["simulate", "--config", path, "--out", str(out_dir)])
+    assert code == 0
+    assert "at t = 0.105 (step 105, spectral-tail" in capsys.readouterr().out
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("series.csv", "initial.gpef", "collapse.gpef")
+    }
+    assert digests == {
+        "series.csv": "449f4167934df7b9e7896bbe817a18c162f62a5fe5bac987d0359e844507ac82",
+        "initial.gpef": "abc00fa91629c29460efddbaec5702a35ee891908759534190d5111d0fe09fc6",
+        "collapse.gpef": "880a284345408200e7c4bd7bad5f827f495432fcdac26b819a473da7c4cf77fa",
+    }
 
 
 def test_cli_kernel_dim3_csv(tmp_path):

@@ -162,6 +162,20 @@ def test_raw_transforms_are_the_scipy_calls_bit_for_bit(extents, points):
     assert back.shape == g.shape
     want = scipy_fft.irfftn(spectrum, s=g.shape, workers=1)
     assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+    back = g.irfft(spectrum.copy(), overwrite=True)
+    assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+    # the octant's real pair is the type-I DCT pair; its inverse runs in place
+    o = g.octant
+    table = o.rfft(o.restrict(x))
+    assert np.array_equal(
+        table.view(np.uint64), scipy_fft.dctn(o.restrict(x), type=1, workers=1).view(np.uint64)
+    )
+    want = scipy_fft.idctn(table, type=1, workers=1)
+    assert np.array_equal(o.irfft(table).view(np.uint64), want.view(np.uint64))
+    work = table.copy()
+    back = o.irfft(work, overwrite=True)
+    assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+    assert np.shares_memory(back, work)
 
 
 def test_transform_rejects_wrong_shape():

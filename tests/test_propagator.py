@@ -845,7 +845,7 @@ def test_an_even_run_allocates_no_full_size_lattice(monkeypatch):
 
     # The whole loop, records in flight included: between one step's
     # B substep and the next, the memory in use grows by less than one full
-    # complex lattice.  The caller's field is unfolded at the end only.
+    # complex lattice.
     real_phase = propagator_module._nonlinear_phase
     growth, last = [], []
 
@@ -863,6 +863,40 @@ def test_an_even_run_allocates_no_full_size_lattice(monkeypatch):
     # measured 1.0-3.1 octant lattices: a step, a sample's array and a
     # record on the recorder thread may overlap
     assert max(growth) <= 5 * one_octant < 16 * g.size
+
+
+def test_an_octant_step_forms_one_real_octant_lattice():
+    g, p, sym, f0 = dipolar_problem(centred=True, points=(64, 64, 64))
+    octant, osym = g.octant, sym.octant
+    osym.half_values, octant.coord_mesh, octant.freq_mesh
+    split = propagator_module._Splitting(octant, 1e-3, p, osym)
+    y = octant.restrict(f0.values)
+    # the convolution's spectrum, transformed back in place, becomes the
+    # potential: one real octant lattice, and block scratch
+    _, peak = traced_peak(lambda: split.kinetic(split.advance(y), split.full))
+    assert peak <= 8 * octant.size + 2**16
+
+
+def test_snapshots_form_no_full_lattice_copy(tmp_path):
+    g = make_grid(3, (15.0, 15.0, 30.0), (64, 64, 64))
+    held = make_unstable_data(g, 0.5, -3.0)
+    full = WaveField(g.octant.unfold(held.table), g, held.t)
+    lattice = 16 * g.size
+    held_path, full_path = tmp_path / "held.gpef", tmp_path / "full.gpef"
+    # an octant-held field is written a plane at a time, a full one from
+    # its own array
+    _, peak = traced_peak(lambda: write_snapshot(held, held_path))
+    assert peak < lattice and held.table is not None
+    _, peak = traced_peak(lambda: write_snapshot(full, full_path))
+    assert peak <= 2**16
+    # both write the bytes tobytes gives the full lattice
+    payload = full.values.astype("<c16").tobytes()
+    assert held_path.read_bytes() == full_path.read_bytes()
+    assert full_path.read_bytes().endswith(b"\n" + payload)
+    # reading fills the field's one array
+    back, peak = traced_peak(lambda: read_snapshot(held_path, grid=g))
+    assert lattice <= peak <= lattice + 2**16
+    assert back.grid is g and back.values.tobytes() == payload
 
 
 def large_allocations(fn, nbytes):
@@ -905,8 +939,8 @@ def large_allocations(fn, nbytes):
 def test_symbol_classify_and_evolve_allocate_no_full_size_lattice():
     # build_symbol, classify and evolve of centred data, as a collapse run
     # calls them: the symbol stays on its octant, classify reads the octant
-    # and evolve runs there, so the only full lattice formed is the final
-    # field, unfolded for the caller
+    # and evolve runs there, and the final field is octant-held, so no full
+    # lattice is formed at all
     g, p, _, f0 = dipolar_problem(centred=True, points=(64, 64, 64))
 
     def run():
@@ -915,10 +949,39 @@ def test_symbol_classify_and_evolve_allocate_no_full_size_lattice():
         return sym, cert, evolve(f0, p, sym, dt=1e-3, T=0.008, monitor=MonitorSpec(stride=1))
 
     (sym, cert, (series, final)), found = large_allocations(run, 8 * g.size)
-    assert found and all("unfold" in stack for stack in found)
+    assert found == []
     assert final.grid is g and final.t == pytest.approx(0.008)
+    assert final.table is not None
     assert len(series) == 9 and cert.evidence["M"] == pytest.approx(mass(f0), rel=1e-12)
     assert "values" not in vars(sym)
+
+
+def test_a_collapse_run_forms_no_full_lattice_until_its_field_is_read():
+    # criterion 6's set-up at 64^3, as a collapse run calls it: the data is
+    # built on its octant, the symbol stays there, classify and evolve run
+    # there and the report's field is octant-held
+    g = make_grid(3, (15.0, 15.0, 30.0), (64, 64, 64))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
+
+    def run():
+        phi = make_unstable_data(g, 0.5, -3.0)
+        sym = build_symbol(g, Analytic3D())
+        cert = classify(phi, p, sym)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            series, report = evolve(phi, p, sym, dt=1e-3, T=1.6, monitor=MonitorSpec(stride=5))
+        return cert, report
+
+    (cert, report), found = large_allocations(run, 8 * g.size)
+    assert found == []
+    assert cert.verdict == "BlowupCertified" and isinstance(report, CollapseReport)
+    field = report.field
+    assert field.grid is g and field.table is not None
+    # the first read of its values forms the one full complex lattice
+    values, peak = traced_peak(lambda: field.values)
+    assert 16 * g.size <= peak <= 16 * g.size + 2**16
+    again, peak = traced_peak(lambda: field.values)
+    assert again is values and peak == 0
 
 
 def test_nonlinear_phase_rotor_matches_exp_i_theta():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dipgpe import (
     unstable_energy_ledger,
     virial_audit,
 )
-from dipgpe.grid import is_mirror_even
+from dipgpe.grid import is_mirror_even, mesh_product
 from dipgpe.state import WaveField, energy, variance
 
 # with gn = 3 / (4 pi) and lambda1 = 0, lambda2 = 1, M = 1 the bootstrap
@@ -216,6 +217,69 @@ def test_unstable_data_is_the_reference_gaussian(eps, fw, gw):
         -(x1 * x1 + x2 * x2) / (2.0 * fw * fw) - (eps * eps * x3 * x3) / (2.0 * gw * gw)
     )
     assert np.max(np.abs(values - gaussian)) <= 1e-15 * np.max(gaussian)
+
+
+def full_unstable_factors(g, eps, alpha=-3.0, fw=1.0, gw=1.0):
+    """make_unstable_data's per-axis factors on the full lattice."""
+    x1, x2, x3 = g.coord_mesh
+    return [
+        np.exp(-(x1 * x1) / (2.0 * fw * fw)),
+        np.exp(-(x2 * x2) / (2.0 * fw * fw)),
+        eps ** (alpha / 2.0) * np.exp(-(eps * eps * x3 * x3) / (2.0 * gw * gw)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "extents, points, eps",
+    [
+        ((15.0, 15.0, 30.0), (96, 96, 96), 0.5),
+        ((10.0, 12.0, 14.0), (16, 8, 24), 1.0),
+        ((15.0, 15.0, 30.0), (32, 32, 32), 0.5),
+    ],
+)
+def test_unstable_data_layouts_are_the_full_products_bit_for_bit(extents, points, eps):
+    # the field is held by its octant, and its values are the full
+    # lattice's mesh_product of the full per-axis factors, bit for bit
+    g = make_grid(3, extents, points)
+    factors = full_unstable_factors(g, eps)
+    factors[-1] = factors[-1].astype(complex)
+    want = mesh_product(factors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        phi = make_unstable_data(g, eps, -3.0)
+    assert phi.table is not None and phi.table.shape == g.octant.shape
+    assert np.array_equal(phi.table.view(np.uint64), want[g.octant.index].view(np.uint64))
+    values = phi.values
+    assert phi.table is None and values.flags.c_contiguous
+    assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "extents, points", [((15.0, 15.0, 30.0), (32, 32, 32)), ((10.0, 12.0, 14.0), (16, 8, 24))]
+)
+def test_unstable_data_boundary_guards_fire_at_the_same_eps(extents, points):
+    # the relative boundary amplitude, read from the full lattice's
+    # boundary planes, decides the warning (above 1e-10) and the error
+    # (above 1e-4) at every eps
+    g = make_grid(3, extents, points)
+    for eps in np.geomspace(0.2, 1.2, 41):
+        field = mesh_product(full_unstable_factors(g, eps))
+        edge = max(
+            float(np.max(np.take(field, index, axis=axis)))
+            for axis in range(3)
+            for index in (0, -1)
+        )
+        rel = edge / float(np.max(field))
+        if rel > 1e-4:
+            with pytest.raises(ValueError, match="boundary amplitude"):
+                make_unstable_data(g, eps, -3.0)
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            make_unstable_data(g, eps, -3.0)
+        assert [str(w.message).startswith("boundary amplitude") for w in caught] == (
+            [True] if rel > 1e-10 else []
+        ), eps
 
 
 def test_unstable_data_validation():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dipgpe import (
     GridError,
     KernelRealityError,
     KernelSymbol,
+    MonitorSpec,
     ObservableRecord,
     ObservableSeries,
     PhysicalParams,
@@ -20,6 +22,7 @@ from dipgpe import (
     apply_kernel,
     build_symbol,
     check_resolution,
+    classify,
     density,
     energy,
     evolve,
@@ -27,6 +30,7 @@ from dipgpe import (
     gradient_norm_sq,
     linear_eigenstate,
     make_grid,
+    make_unstable_data,
     mass,
     max_abs,
     quartic_norm,
@@ -87,6 +91,60 @@ def test_wavefield_shape_check():
     f.values[3] = np.nan
     with pytest.raises(ValueError):
         f.validate_finite()
+
+
+def test_octant_held_fields_write_through_once_read():
+    g = make_grid(3, (18.0, 18.0, 36.0), (16, 16, 16))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
+    sym = build_symbol(g, Analytic3D())
+    # a monitor that never trips: the lattice is too coarse to follow collapse
+    monitor = MonitorSpec(stride=2, grad_factor=1e300, spectral_tail=1.0)
+    run = dict(dt=1e-3, T=0.004, monitor=monitor, warn_resolution=False)
+
+    def made():
+        return make_unstable_data(g, 0.5, -3.0)
+
+    def evolved():
+        _, final = evolve(made(), p, sym, **run)
+        return final
+
+    # a run reads an octant-held field0's table and leaves it as it was
+    f0 = made()
+    before = f0.table.copy()
+    classify(f0, p, sym)
+    evolve(f0, p, sym, **run)
+    assert f0.table is not None
+    assert np.array_equal(f0.table.view(np.uint64), before.view(np.uint64))
+
+    for make in (made, evolved):
+        f = make()
+        table = f.table
+        assert f.grid is g and table.shape == g.octant.shape
+        # copy copies the table alone
+        c = f.copy()
+        assert c.table is not None and not np.shares_memory(c.table, table)
+        assert np.array_equal(c.table, table) and (c.grid, c.t) == (f.grid, f.t)
+        # the first read mirrors the table; from then on values is the field
+        values = f.values
+        assert f.table is None and f.values is values and values.shape == g.shape
+        assert np.array_equal(values[g.octant.index], table)
+        assert f.copy().table is None
+        f.values[3, 4, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            f.validate_finite()
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve(f, p, sym, **run)
+        # classify raises nothing on a NaN: its evidence carries it
+        evidence = classify(f, p, sym).evidence
+        assert math.isnan(evidence["E"]) and math.isnan(evidence["M"])
+
+    # an array of neither the lattice's shape nor its octant's is refused
+    for shape in ((9, 9, 8), (16, 16, 9), (8, 8, 8)):
+        with pytest.raises(GridError):
+            WaveField(np.zeros(shape, dtype=complex), g)
+    # on the octant itself, the octant's shape is the field's
+    on_octant = WaveField(np.zeros(g.octant.shape), g.octant)
+    assert on_octant.table is None and on_octant.values.shape == g.octant.shape
 
 
 def test_mass_of_normalized_gaussian():
