@@ -1,4 +1,4 @@
-"""Uniform periodic lattices and the discrete Fourier transform contract.
+"""Uniform lattices, each axis periodic or even, and the discrete Fourier transform contract.
 
 Everything downstream lives on a tensor-product lattice over the box
 ``prod_j [-L_j/2, L_j/2)`` with an even number of points per axis.  The
@@ -23,27 +23,26 @@ Pointwise Fourier multipliers need neither the sign lattice nor the
 volume factors (they cancel between the two directions), so operators
 elsewhere in the package run between the grid's raw transforms,
 ``grid.ifft(m * grid.fft(u))``.  Those four methods (fft, ifft, rfft,
-irfft), of SpectralGrid and of OctantGrid, are the package's only calls
-of scipy.fft's transforms.
+irfft) of SpectralGrid are the package's only calls of scipy.fft's
+transforms.
 
-A field is mirror-even when u[k] == u[(n - k) % n] along every axis:
+A field is mirror-even along an axis when u[k] == u[(n - k) % n] there:
 index k holds x_k and index n - k holds -x_k, while index 0 (x = -L/2)
 and index n/2 (x = 0) are their own images.  Such a field is fixed by
-its octant, indices 0..n/2 of each axis, and so is its DFT, which on the
-octant is the type-I discrete cosine transform: fftfreq puts -xi_k at
-index n - k, so the frequencies pair up the same way.  OctantGrid is
-that octant of a SpectralGrid.  Its fft, ifft, rfft and irfft are
-DCT-I transforms, which equal the full lattice's raw transforms on the
-octant; each octant index stands for its multiplicity of lattice
-points, 1 at indices 0 and n/2 and 2 in between (``weights``), so sums
-over the full lattice are weighted sums over the octant.  Parseval's
-1/N keeps the full lattice's point count, ``grid.full.size``.
+indices 0..n/2 of that axis, and so is its DFT, which along that axis is
+the type-I discrete cosine transform: fftfreq puts -xi_k at index n - k,
+so the frequencies pair up the same way.  So each axis of a SpectralGrid
+is periodic (all n points, FFT) or even (indices 0..n/2, DCT-I), where
+each index stands for its multiplicity of full-lattice points, 1 at
+indices 0 and n/2 and 2 in between (``weights``): sums over the full
+lattice are sums over the held points with one weight per axis, and
+Parseval's 1/N keeps the full lattice's count, ``grid.full.size``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import cached_property
 from typing import Sequence
 
@@ -167,7 +166,7 @@ class MeshBlocks:
 
 
 def _mirror_pieces(n: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-    """The pieces [1, n/2) and (n/2, n) of an even axis.
+    """The pieces [1, n/2) and (n/2, n) of an axis of even length n.
 
     Each piece comes with the reversed slice that holds its mirror image:
     index k and index n - k carry opposite coordinates and opposite
@@ -179,14 +178,17 @@ def _mirror_pieces(n: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
 
 
 def _unfold(table: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """A mirror-even lattice of the given shape from its table on indices 0..n/2, as a new array.
+    """A lattice of the given shape, mirror-even where it is longer than the table.
 
-    Along each axis where shape is longer than the table, index n - k
-    takes index k; along the others the table's axis is taken whole.
-    Each combination of {the table, the mirrored piece (n/2, n)} over the
-    mirrored axes is one block copy from the table, so no copy of the
-    output is formed on the way.
+    Along each axis where shape is longer than the table, which holds
+    indices 0..n/2 there, index n - k takes index k; along the others the
+    table's axis is taken whole.  Each combination of {the table, the
+    mirrored piece (n/2, n)} over the mirrored axes is one block copy
+    from the table, so no copy of the output is formed on the way.  With
+    no axis to mirror, the table itself is returned.
     """
+    if table.shape == tuple(shape):
+        return table
     out = np.empty(tuple(shape), dtype=table.dtype)
     blocks = [((), ())]
     for m, n in zip(table.shape, shape):
@@ -199,27 +201,159 @@ def _unfold(table: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     return out
 
 
-def is_mirror_even(values: np.ndarray) -> bool:
-    """Whether values equal their mirror image bit for bit along every axis.
+def mirror_even_axes(values: np.ndarray, axes: "Sequence[int] | None" = None) -> tuple[int, ...]:
+    """The axes (of axes, or of all) along which values equal their mirror image bit for bit.
 
     Per axis, the piece [1, n/2) is compared with the mirrored view of
     (n/2, n) as raw bits, so -0.0 differs from 0.0; no copy of the
     lattice is formed.
     """
     bits = values.view(np.uint64).reshape(values.shape + (-1,))
-    for axis, n in enumerate(values.shape):
-        (here, there), _ = _mirror_pieces(n)
+    even = []
+    for axis in range(values.ndim) if axes is None else axes:
+        (here, there), _ = _mirror_pieces(values.shape[axis])
         head = (slice(None),) * axis
-        if not np.array_equal(bits[head + (here,)], bits[head + (there,)]):
-            return False
-    return True
+        if np.array_equal(bits[head + (here,)], bits[head + (there,)]):
+            even.append(axis)
+    return tuple(even)
 
 
-class _Lattice:
-    """What a lattice and its octant share: sparse meshes and the shape check.
+def is_mirror_even(values: np.ndarray) -> bool:
+    """Whether values equal their mirror image bit for bit along every axis."""
+    return len(mirror_even_axes(values)) == values.ndim
 
-    Subclasses provide dim, shape, coords and freqs.
+
+def _even_weights(n: int) -> np.ndarray:
+    """The multiplicities 1, 2, ..., 2, 1 of indices 0..n/2 of an n-point even axis."""
+    return np.concatenate([[1.0], np.full(n // 2 - 1, 2.0), [1.0]])
+
+
+def _row_weights(weights: list, shape: Sequence[int]) -> "np.ndarray | None":
+    """Per row of the (rows, last axis) view, the leading axes' weights (None: all 1)."""
+    if all(w is None for w in weights[:-1]):
+        return None
+    lead = (np.ones(m) if w is None else w for w, m in zip(weights[:-1], shape[:-1]))
+    return _accumulate(np.multiply.outer, lead).reshape(-1)
+
+
+def fold_rows(sums: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Row sums over an even last axis with its weights, 2 sums - first - last.
+
+    sums are the plain row sums and first and last the row's values at
+    indices 0 and n/2, which count once.
     """
+    out = 2.0 * sums
+    out -= first
+    out -= last
+    return out
+
+
+class SpectralGrid:
+    """A tensor-product lattice of the box whose axes are each periodic or even.
+
+    shape, given, is the box's point count per axis and even, ascending,
+    the even axes; make_grid's lattice is periodic along every axis
+    (full).  sublattice(axes) is the one
+    even along axes as well and octant the one even along every axis; an
+    even axis holds indices 0..n/2 (index) and weighs 1, 2, ..., 2, 1, a
+    periodic one weighs None (module docstring).  coords, freqs, steps
+    and cell_volume are the full lattice's at the held indices.  rfft
+    halves the last periodic axis (half_shape).  Instances are immutable
+    by convention, their constants computed once on first use and their
+    cached meshes shared freely across threads.
+    """
+
+    def __init__(
+        self,
+        dim: int,
+        extents: Sequence[float],
+        shape: Sequence[int],
+        even: Sequence[int] = (),
+        full: "SpectralGrid | None" = None,
+    ) -> None:
+        self.dim = dim
+        self.extents = tuple(extents)
+        self.even = tuple(even)
+        # None on a full lattice: a reference to itself would keep it, and
+        # all it caches, alive until the cycle collector runs
+        self._full = full
+        points = tuple(shape)
+        self.shape = points
+        if self.even:
+            self.shape = tuple(n // 2 + 1 if a in self.even else n for a, n in enumerate(points))
+        self.size = math.prod(self.shape)
+        self.steps = tuple(map(operator.truediv, self.extents, points))
+        self.cell_volume = math.prod(self.steps)
+
+    @cached_property
+    def index(self) -> tuple[slice, ...]:
+        """The held indices of the full lattice, 0..n/2 along an even axis."""
+        return tuple(slice(0, m) for m in self.shape)
+
+    @property
+    def full(self) -> "SpectralGrid":
+        """The lattice periodic along every axis; a full lattice's is itself."""
+        return self if self._full is None else self._full
+
+    @cached_property
+    def periodic(self) -> tuple[int, ...]:
+        return tuple(a for a in range(self.dim) if a not in self.even)
+
+    @cached_property
+    def weights(self) -> list:
+        return [_even_weights(n) if a in self.even else None for a, n in enumerate(self.full.shape)]
+
+    @cached_property
+    def bands(self) -> list[slice]:
+        """Per axis, the held indices of the top octave |k| >= n // 4 (top_band)."""
+        return [
+            slice(n // 4, n // 2 + 1) if a in self.even else top_band(n)
+            for a, n in enumerate(self.full.shape)
+        ]
+
+    @cached_property
+    def half_shape(self) -> tuple[int, ...]:
+        """The shape of rfft's layout, which halves the last periodic axis."""
+        halved = self.periodic[-1:]
+        return tuple(m // 2 + 1 if a in halved else m for a, m in enumerate(self.shape))
+
+    @cached_property
+    def _kinds(self) -> tuple:
+        """(DCT-I axes, FFT axes) of a transform over the lattice.
+
+        None takes every axis: scipy.fft's explicit axes cost more on small
+        lattices, so a lattice of one kind makes the one call with None.
+        """
+        even, periodic = self.even, self.periodic
+        return (even if periodic else None), (periodic if even else None)
+
+    @property
+    def freq_steps(self) -> tuple[float, ...]:
+        """Frequency spacing per axis, 2*pi / L_j."""
+        return tuple(2.0 * math.pi / L for L in self.extents)
+
+    @cached_property
+    def coords(self) -> list[np.ndarray]:
+        """1d coordinate arrays at the held indices, x_i = (i - n/2) dx per axis.
+
+        Formed from the signed index, so x[n - k] == -x[k] bit for bit on
+        every lattice and a centred field is mirror-even whatever L/n is.
+        """
+        return [
+            (np.arange(m) - n // 2) * (L / n)
+            for L, n, m in zip(self.extents, self.full.shape, self.shape)
+        ]
+
+    @cached_property
+    def freqs(self) -> list[np.ndarray]:
+        """1d angular-frequency arrays in FFT order at the held indices.
+
+        On an even axis the last one is the Nyquist frequency -pi n / L.
+        """
+        return [
+            2.0 * np.pi * _fft.fftfreq(n, d=L / n)[:m]
+            for L, n, m in zip(self.extents, self.full.shape, self.shape)
+        ]
 
     @cached_property
     def coord_mesh(self) -> list[np.ndarray]:
@@ -231,124 +365,66 @@ class _Lattice:
         """Broadcastable (sparse) frequency meshes in FFT order."""
         return list(np.meshgrid(*self.freqs, indexing="ij", sparse=True))
 
+    @cached_property
+    def row_weights(self) -> "np.ndarray | None":
+        return _row_weights(self.weights, self.shape)
+
+    @cached_property
+    def half_row_weights(self) -> "np.ndarray | None":
+        """row_weights of rfft's layout, where the halved axis weighs 1, 2, ..., 2, 1."""
+        weights = list(self.weights)
+        for a in self.periodic[-1:]:
+            weights[a] = _even_weights(self.full.shape[a])
+        return _row_weights(weights, self.half_shape)
+
+    @cached_property
+    def octant(self) -> "SpectralGrid":
+        """The lattice even along every axis, on which fully mirror-even fields run."""
+        return self.sublattice(range(self.dim))
+
+    def sublattice(self, axes: Sequence[int]) -> "SpectralGrid":
+        """The lattice of full even along axes and this lattice's even axes (one per set)."""
+        even = tuple(sorted(set(self.even).union(axes)))
+        lattices = self.full.__dict__.setdefault("_sublattices", {(): self.full})
+        if even not in lattices:
+            lattices[even] = SpectralGrid(self.dim, self.extents, self.full.shape, even, self.full)
+        return lattices[even]
+
+    def lattice_for(self, shape: Sequence[int]) -> "SpectralGrid":
+        """The sublattice whose held shape is shape; GridError when there is none."""
+        even = [a for a, (m, n) in enumerate(zip(shape, self.full.shape)) if m != n]
+        lattice = self.sublattice(even)
+        if lattice.shape != tuple(shape):
+            raise GridError(f"field shape {tuple(shape)} does not match grid shape {self.shape}")
+        return lattice
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The held indices of a lattice of this box's family, as a new contiguous array."""
+        return np.ascontiguousarray(values[self.index])
+
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """The full lattice of a field mirror-even along the even axes, from its held values."""
+        return _unfold(values, self.full.shape)
+
     def _check_shape(self, u: np.ndarray) -> None:
         if tuple(u.shape) != self.shape:
-            raise GridError(
-                f"field shape {tuple(u.shape)} does not match grid shape {self.shape}"
-            )
-
-
-@dataclass(eq=False)
-class SpectralGrid(_Lattice):
-    """Tensor-product lattice with cached coordinate and frequency meshes.
-
-    Instances are immutable by convention: nothing in the package mutates
-    a grid after ``make_grid`` returns it, and cached meshes are shared
-    freely across threads.
-    """
-
-    dim: int
-    extents: tuple[float, ...]
-    shape: tuple[int, ...]
-
-    # every lattice point counts once (see OctantGrid.weights)
-    weights = None
-
-    @property
-    def full(self) -> "SpectralGrid":
-        """The lattice itself; an OctantGrid's is the lattice it is the octant of."""
-        return self
-
-    @property
-    def steps(self) -> tuple[float, ...]:
-        """Lattice spacing per axis, dx_j = L_j / N_j."""
-        return tuple(L / n for L, n in zip(self.extents, self.shape))
-
-    @property
-    def freq_steps(self) -> tuple[float, ...]:
-        """Frequency spacing per axis, 2*pi / L_j."""
-        return tuple(2.0 * math.pi / L for L in self.extents)
-
-    @property
-    def cell_volume(self) -> float:
-        return math.prod(self.steps)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-    @cached_property
-    def coords(self) -> list[np.ndarray]:
-        """1d coordinate arrays, x_i = (i - n/2) dx per axis.
-
-        Formed from the signed index, so x[n - k] == -x[k] bit for bit on
-        every lattice and a centred field is mirror-even whatever L/n is.
-        """
-        return [(np.arange(n) - n // 2) * (L / n) for L, n in zip(self.extents, self.shape)]
-
-    @cached_property
-    def freqs(self) -> list[np.ndarray]:
-        """1d angular-frequency arrays in FFT order."""
-        return [
-            2.0 * np.pi * _fft.fftfreq(n, d=L / n)
-            for L, n in zip(self.extents, self.shape)
-        ]
-
-    @property
-    def bands(self) -> list[slice]:
-        """Per axis, the indices of the top octave |k| >= n // 4 (top_band)."""
-        return [top_band(n) for n in self.shape]
-
-    @cached_property
-    def octant(self) -> "OctantGrid":
-        """The octant of indices 0..n/2 per axis, on which mirror-even fields run."""
-        return OctantGrid(self)
-
-    def half(self, table: np.ndarray) -> np.ndarray:
-        """The part of a frequency-lattice table that rfft's layout holds."""
-        return table[..., : self.shape[-1] // 2 + 1]
-
-    @cached_property
-    def ksq(self) -> np.ndarray:
-        """|xi|^2 on the full frequency lattice (FFT order).
-
-        Built on demand for tests; a run forms |xi|^2 block by block from
-        the per-axis terms, and the 2D symbol on the octant.
-        """
-        return mesh_sum(f * f for f in self.freq_mesh)
-
-    @cached_property
-    def radius_sq(self) -> np.ndarray:
-        """|x|^2 on the full coordinate lattice (on demand; no run builds it)."""
-        return mesh_sum(c * c for c in self.coord_mesh)
+            raise GridError(f"field shape {tuple(u.shape)} does not match grid shape {self.shape}")
 
     @cached_property
     def sign_mesh(self) -> np.ndarray:
-        """Centre-shift signs (-1)^(i_1 + ... + i_d) on the full lattice."""
+        """Centre-shift signs (-1)^(i_1 + ... + i_d) on a periodic lattice."""
+        if self.even:
+            raise GridError("the sign mesh and continuum transforms need a periodic lattice")
         out = np.ones(self.shape)
         for axis, n in enumerate(self.shape):
             s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
             out = out * s.reshape([-1 if a == axis else 1 for a in range(self.dim)])
         return out
 
-    @cached_property
-    def top_octave_mask(self) -> np.ndarray:
-        """Modes with |k_j| >= N_j // 4 on at least one axis (FFT order).
-
-        The complement is the "safe" band; spectral mass migrating into
-        this mask is the collapse / under-resolution indicator.  Built on
-        demand for tests: spectral_tail_fraction sums the same modes from
-        per-axis bands without a mask.
-        """
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis, n in enumerate(self.shape):
-            mask[(slice(None),) * axis + (top_band(n),)] = True
-        return mask
-
     # -- transforms ---------------------------------------------------
 
     def forward_transform(self, u: np.ndarray) -> np.ndarray:
-        """Continuum-normalized forward transform on the frequency lattice.
+        """Continuum-normalized forward transform on a periodic frequency lattice.
 
         Returns u_hat with u_hat[k] ~ integral u(x) exp(-i x.xi_k) dx,
         in FFT order.
@@ -361,101 +437,42 @@ class SpectralGrid(_Lattice):
         self._check_shape(u_hat)
         return self.ifft(u_hat * self.sign_mesh) / self.cell_volume
 
-    # The raw transforms, unnormalized and in FFT order.  axis=j transforms
-    # along axis j alone; overwrite lets the transform reuse its input.
+    # The raw transforms, unnormalized and in FFT order: the DCT-I along
+    # the even axes, which scipy.fft runs on the real and imaginary parts
+    # of complex data in turn, then the FFT along the periodic ones.  Each
+    # equals the full lattice's transform at the held indices.  axis=j
+    # transforms along axis j alone; overwrite lets the transform reuse
+    # its input.
+    def _transform(self, u, axis, overwrite, dct: str, fft: str) -> np.ndarray:
+        if axis is None:
+            dct_axes, fft_axes = self._kinds
+        else:
+            dct_axes, fft_axes = ((axis,), ()) if axis in self.even else ((), (axis,))
+        if dct_axes != ():
+            transform = getattr(_fft, dct)
+            u = transform(u, type=1, axes=dct_axes, workers=FFT_WORKERS, overwrite_x=overwrite)
+            overwrite = True
+        if fft_axes != ():
+            transform = getattr(_fft, fft)
+            u = transform(u, axes=fft_axes, workers=FFT_WORKERS, overwrite_x=overwrite)
+        return u
+
     def fft(self, u: np.ndarray, axis: "int | None" = None, overwrite: bool = False) -> np.ndarray:
-        axes = None if axis is None else (axis,)
-        return _fft.fftn(u, axes=axes, workers=FFT_WORKERS, overwrite_x=overwrite)
+        return self._transform(u, axis, overwrite, "dctn", "fftn")
 
     def ifft(self, u: np.ndarray, axis: "int | None" = None, overwrite: bool = False) -> np.ndarray:
-        axes = None if axis is None else (axis,)
-        return _fft.ifftn(u, axes=axes, workers=FFT_WORKERS, overwrite_x=overwrite)
+        return self._transform(u, axis, overwrite, "idctn", "ifftn")
 
     def rfft(self, u: np.ndarray) -> np.ndarray:
-        return _fft.rfftn(u, workers=FFT_WORKERS)
+        """The half spectrum of a real lattice, on rfft's layout (half_shape)."""
+        return self._transform(u, None, False, "dctn", "rfftn")
 
     def irfft(self, u_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """The real lattice of a half spectrum from rfft."""
-        return _fft.irfftn(u_hat, s=self.shape, workers=FFT_WORKERS, overwrite_x=overwrite)
+        """The real lattice of a half spectrum from rfft.
 
-
-class OctantGrid(_Lattice):
-    """The octant of a SpectralGrid, indices 0..n/2 of each axis.
-
-    A mirror-even field (see the module docstring) is held by its values
-    there, and so is its spectrum.  The coordinates and frequencies are
-    the full lattice's at those indices, so the last frequency of an axis
-    is its Nyquist frequency -pi n / L.  fft and ifft are the complex
-    DCT-I and its inverse, with axis=j along axis j alone; rfft and irfft
-    the same on real data.  Each equals the full lattice's raw transform
-    restricted to the octant.  weights holds each axis' multiplicities,
-    1, 2, ..., 2, 1: the full lattice's sum of a mirror-even lattice is
-    the octant's sum weighted by their product.  steps, cell_volume and
-    the Parseval count full.size are the full lattice's.  The full
-    lattice's sign mesh, continuum transforms and |xi|^2, |x|^2 and
-    top-octave lattices have no octant counterpart.
-    """
-
-    def __init__(self, full: SpectralGrid) -> None:
-        self.full = full
-        self.dim = full.dim
-        self.extents = full.extents
-        self.index = tuple(slice(0, n // 2 + 1) for n in full.shape)
-        self.shape = tuple(n // 2 + 1 for n in full.shape)
-        self.steps = full.steps
-        self.cell_volume = full.cell_volume
-        self.size = math.prod(self.shape)
-        self.coords = [c[s] for c, s in zip(full.coords, self.index)]
-        self.freqs = [f[s] for f, s in zip(full.freqs, self.index)]
-        self.bands = [slice(n // 4, n // 2 + 1) for n in full.shape]
-        self.weights = [np.concatenate([[1.0], np.full(m - 2, 2.0), [1.0]]) for m in self.shape]
-
-    @cached_property
-    def row_weights(self) -> np.ndarray:
-        """Per row of the (rows, last axis) view, the product of the leading axes' weights."""
-        lead = np.ones(())
-        for w in self.weights[:-1]:
-            lead = np.multiply.outer(lead, w)
-        return lead.reshape(-1)
-
-    def fold_rows(self, sums: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """Row sums over the last axis with its weights, 2 sums - first - last.
-
-        sums are the plain row sums and first and last the row's values
-        at indices 0 and n/2, which count once.
+        Point counts are even, so irfftn's length 2 (m - 1) is the count n.
         """
-        out = 2.0 * sums
-        out -= first
-        out -= last
-        return out
-
-    def restrict(self, values: np.ndarray) -> np.ndarray:
-        """The octant of a full lattice, as a new contiguous array."""
-        return np.ascontiguousarray(values[self.index])
-
-    def unfold(self, values: np.ndarray) -> np.ndarray:
-        """The full lattice of a mirror-even field from its octant, as a new array."""
-        return _unfold(values, self.full.shape)
-
-    def half(self, table: np.ndarray) -> np.ndarray:
-        """rfft's layout on the octant is the octant: the table itself."""
-        return table
-
-    # The raw transforms, unnormalized: type-I DCTs, which scipy.fft runs
-    # on the real and imaginary parts of complex data in turn.
-    def fft(self, u: np.ndarray, axis: "int | None" = None, overwrite: bool = False) -> np.ndarray:
-        axes = None if axis is None else (axis,)
-        return _fft.dctn(u, type=1, axes=axes, workers=FFT_WORKERS, overwrite_x=overwrite)
-
-    def ifft(self, u: np.ndarray, axis: "int | None" = None, overwrite: bool = False) -> np.ndarray:
-        axes = None if axis is None else (axis,)
-        return _fft.idctn(u, type=1, axes=axes, workers=FFT_WORKERS, overwrite_x=overwrite)
-
-    def rfft(self, u: np.ndarray) -> np.ndarray:
-        return _fft.dctn(u, type=1, workers=FFT_WORKERS)
-
-    def irfft(self, u_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        return _fft.idctn(u_hat, type=1, workers=FFT_WORKERS, overwrite_x=overwrite)
+        return self._transform(u_hat, None, overwrite, "idctn", "irfftn")
 
 
 def top_band(n: int) -> slice:
@@ -503,4 +520,4 @@ def make_grid(
             f"extents {extents} are too small for {points} points: "
             "the lattice frequencies overflow"
         )
-    return SpectralGrid(dim=dim, extents=extents, shape=points)
+    return SpectralGrid(dim, extents, points)

@@ -26,15 +26,9 @@ The dipole lies along the last axis, so every family is even in each
 frequency separately.  A KernelSymbol holds one array, its table on the
 grid's octant, indices 0..n/2 of each axis; fftfreq gives xi[n - k] =
 -xi[k] bit for bit, so the symbol is the one even along every axis that
-takes those values.  build_symbol evaluates each family on the octant
-alone.  Each consumer reads one layout: mirror-even runs of evolve and
-classify read the table itself (octant); full-lattice runs read the
-real-transform layout (half_values), mirrored from the table along the
-leading axes; apply_kernel and the kernel CSV read the full lattice
-(values).  Both are mirrored from the table on first read
-(grid.OctantGrid.unfold).  A symbol constructed from full-lattice values
-is checked once, there, for evenness along every axis to 1e-12, and
-keeps only their octant.
+takes those values, and build_symbol evaluates each family there alone.
+Every other layout is mirrored from the table along the periodic axes
+of the symbol's lattice (KernelSymbol).
 
 Applying a symbol to a density is pointwise multiplication between an
 FFT/inverse-FFT pair; no normalization factors appear because they
@@ -54,7 +48,15 @@ import numpy as np
 from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 from scipy import special
 
-from .grid import GridError, OctantGrid, SpectralGrid, _mirror_pieces, _unfold, mesh_sum
+from .grid import (
+    GridError,
+    SpectralGrid,
+    _accumulate,
+    _mirror_pieces,
+    _unfold,
+    fold_rows,
+    mesh_sum,
+)
 
 SYMBOL_MAX = 8.0 * math.pi / 3.0
 SYMBOL_MIN = -4.0 * math.pi / 3.0
@@ -310,7 +312,7 @@ def _check_mirror_even(values: np.ndarray) -> None:
     """Raise KernelRealityError unless values are even along every axis to 1e-12.
 
     Per axis, the piece [1, n/2) is compared with the mirrored view of
-    (n/2, n), whole along the other axes (is_mirror_even's comparison,
+    (n/2, n), whole along the other axes (mirror_even_axes' comparison,
     with a tolerance in place of bits), so a point on a Nyquist plane is
     compared along the other axes.  A NaN in a compared piece fails.
     """
@@ -328,55 +330,50 @@ def _check_mirror_even(values: np.ndarray) -> None:
 class KernelSymbol:
     """Real Fourier multiplier, even along every axis, on a grid's frequency lattice.
 
-    The one array it holds is its table on the grid's octant (table),
-    indices 0..n/2 of each axis.  values, given to the constructor, is
-    the table on grid or on grid.octant (their shapes differ, since
-    n >= 8).  A full-lattice table is checked for evenness along every
-    axis to 1e-12 (KernelRealityError names the axis it fails on), and
-    only its octant is kept; an octant table is even by construction.
-
-    Each consumer reads one layout.  octant is the symbol on grid.octant
-    (mirror-even runs and classify on mirror-even data); half_values is
-    the slice that the real-input transform holds (the full-lattice step
-    and the dipolar energy, which halve the cost of the nonlocal term
-    there); values is the full lattice in FFT order (apply_kernel, the
-    kernel CSV).  half_values and values are mirrored from the table on
-    first read; on an octant grid every layout is the table.
+    The one array it holds is its table on the grid's octant (table).
+    values, given to the constructor, is the table on grid or on
+    grid.octant; one on grid is checked, mirrored to the full lattice,
+    for evenness along every axis to 1e-12 (KernelRealityError names the
+    axis), and only its octant is kept.  half_values (rfft's layout, for
+    a run's step and the dipolar energy) and values (apply_kernel, the
+    kernel CSV) are mirrored from the table along grid's periodic axes
+    on first read.  on_sublattice(axes) is the symbol on
+    grid.sublattice(axes), octant the one on grid.octant.
     """
 
     def __init__(
-        self, dim: int, values: np.ndarray, provenance: Provenance, grid: "SpectralGrid | OctantGrid"
+        self, dim: int, values: np.ndarray, provenance: Provenance, grid: SpectralGrid
     ) -> None:
         self.dim = dim
         self.provenance = provenance
         self.grid = grid
-        octant = grid if isinstance(grid, OctantGrid) else grid.octant
+        octant = grid.octant
         if values.shape != octant.shape:
             if values.shape != grid.shape:
                 raise GridError(
                     f"symbol shape {values.shape} matches neither grid {grid.shape} "
                     f"nor its octant {octant.shape}"
                 )
-            _check_mirror_even(values)
+            _check_mirror_even(grid.unfold(values))
             values = octant.restrict(values)
         self.table = values
-        if octant is grid:
-            self.values = self.half_values = values
 
     @cached_property
     def values(self) -> np.ndarray:
-        return self.grid.octant.unfold(self.table)
+        return _unfold(self.table, self.grid.shape)
 
     @cached_property
     def half_values(self) -> np.ndarray:
-        # rfft's layout keeps the octant's last axis, so the table is
-        # mirrored along the leading axes only
-        return _unfold(self.table, self.grid.shape[:-1] + self.table.shape[-1:])
+        return _unfold(self.table, self.grid.half_shape)
+
+    def on_sublattice(self, axes) -> "KernelSymbol":
+        """The symbol on grid.sublattice(axes): the table itself."""
+        return KernelSymbol(self.dim, self.table, self.provenance, self.grid.sublattice(axes))
 
     @cached_property
     def octant(self) -> "KernelSymbol":
-        """The symbol on grid.octant: the table itself."""
-        return KernelSymbol(self.dim, self.table, self.provenance, self.grid.octant)
+        """The symbol on grid.octant."""
+        return self.on_sublattice(range(self.dim))
 
     def validate(self) -> None:
         """Enforce the type invariants on the table; raises ValueError on violation."""
@@ -484,7 +481,7 @@ def _apply_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> np.ndarray:
 
     Skips the reality check performed by apply_kernel: a KernelSymbol is
     even along every axis by construction.  The inverse transform may
-    reuse the spectrum, so on an octant, where it is a DCT-I, the
+    reuse the spectrum, so on the octant, where it is a DCT-I, the
     potential takes over the spectrum's array.
     """
     spectrum = symbol.grid.rfft(density)
@@ -496,26 +493,27 @@ def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:
     """Lattice sum of density * (K * density) from one real transform.
 
     By Parseval this is (1/N) sum_k symbol_k |rho_hat_k|^2 over the full
-    lattice.  The real-transform layout holds each interior mode of the
-    last axis for itself and its mirror image, so those count twice; the
-    zero and Nyquist planes of the last axis count once.  The column sums
-    of the weighted power over the last axis give both counts; each is a
-    three-operand einsum on the real or the imaginary part, so no power
-    lattice is formed.  On an octant the transform is real and every
-    axis has those multiplicities (OctantGrid.weights): the row sums take
-    the last axis' weights, and each row its leading axes' weight.
+    lattice.  On rfft's layout the halved axis and every even axis weigh
+    1, 2, ..., 2, 1, so the last axis always does: the weighted power is
+    summed over the rows (when the last axis is the halved one) or over
+    each row by einsums of the real and imaginary parts, so no power
+    lattice is formed, then folded along the last axis (fold_rows) and
+    weighted by the leading axes (half_row_weights).
     """
     grid = symbol.grid
     spectrum = grid.rfft(density)
     v = spectrum.reshape(-1, spectrum.shape[-1])
     w = symbol.half_values.reshape(v.shape)
-    if grid.weights is not None:
-        rows = np.einsum("ij,ij,ij->i", v, v, w)
-        first, last = v[:, 0] * v[:, 0] * w[:, 0], v[:, -1] * v[:, -1] * w[:, -1]
-        total = float(np.einsum("i,i->", grid.fold_rows(rows, first, last), grid.row_weights))
-        return total / grid.full.size
-    cols = np.einsum("ij,ij,ij->j", v.real, v.real, w) + np.einsum(
-        "ij,ij,ij->j", v.imag, v.imag, w
-    )
-    total = 2.0 * float(np.sum(cols)) - float(cols[0]) - float(cols[-1])
-    return total / grid.size
+    rw = grid.half_row_weights
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    if grid.weights[-1] is None:
+        spec, lead = ("ij,ij,ij->j", ()) if rw is None else ("ij,ij,ij,i->j", (rw,))
+        cols = _accumulate(np.add, (np.einsum(spec, p, p, w, *lead) for p in parts))
+        total = 2.0 * float(np.sum(cols)) - float(cols[0]) - float(cols[-1])
+    else:
+        rows = _accumulate(np.add, (np.einsum("ij,ij,ij->i", p, p, w) for p in parts))
+        first = _accumulate(np.add, (p[:, 0] * p[:, 0] * w[:, 0] for p in parts))
+        last = _accumulate(np.add, (p[:, -1] * p[:, -1] * w[:, -1] for p in parts))
+        folded = fold_rows(rows, first, last)
+        total = float(np.sum(folded) if rw is None else np.einsum("i,i->", folded, rw))
+    return total / grid.full.size

@@ -11,70 +11,40 @@ so mass is conserved to roundoff and the step is time-symmetric.
 Across consecutive steps the two adjacent kinetic half-steps fuse into
 one full step, so the integrator carries the pre-B state y and only
 materializes the physical field at sampling times.  strang_step and
-evolve share one step routine (_Splitting), the only owner of B(dt).
-Its one block sum, _Splitting.potential_blocks, forms
-c (V + lambda1 rho + lambda2 K*rho) for a given c: B(dt) takes the half
-angle (c = -dt/2), turns it into the rotor exp(i theta) through one
-tangent (the half-angle formulas, see _nonlinear_phase) and multiplies y
-in place; evolve's check before the first step takes c = 1 and the
-maximum modulus (_Splitting.phase_scale).  The forward transform of the
-result and the kinetic multiply reuse the same array.  A step costs two
-complex and two real transforms.
+evolve share one step routine (_Splitting), the only owner of B(dt); its
+one block sum, _Splitting.potential_blocks, forms
+c (V + lambda1 rho + lambda2 K*rho) for B(dt) (c = -dt/2, turned into a
+rotor by one tangent, _nonlinear_phase) and for evolve's check before
+the first step (c = 1, _Splitting.phase_scale).  A step costs two
+complex and two real transforms and holds one full lattice, the
+density: its pointwise passes run over the blocks of
+grid.lattice_blocks, and the trap and the kinetic phases are formed per
+block from per-axis terms (grid.MeshBlocks), bit for bit the
+full-lattice tables.
 
-The pointwise passes of a step run over the blocks of grid.lattice_blocks,
-at most _BLOCK elements each, so each block's work stays in cache.
-The block sum makes two block loops, one for the density, which the
-convolution needs whole, and one for the sum; B(dt) forms the rotor and
-multiplies in the second.  The trap V and the kinetic phases are never
-built as lattices: V is a sum of per-axis terms and exp(-i dt |xi|^2 / 4)
-and exp(-i dt |xi|^2 / 2) are products of per-axis factors, formed per
-block by grid.MeshBlocks in mesh_sum's and mesh_product's order (a
-lattice of one block keeps them as tables), and set_dt costs
-O(sum_j N_j).  The step holds one full lattice, the density, and block
-scratch; every element goes through the same operations as in
-full-lattice passes over those tables, so the results are the same to
-the last bit.
+At a sample, the spectrum the loop holds, times the half-step phase,
+gives psi_hat in a sample array.  The collapse monitor reads the
+gradient norm and the spectral tail from its power sums, with no
+transform; psi is then materialized in place over psi_hat
+(FieldSpectrum.spend) for the ObservableRecord, which evolve takes on
+one recorder thread beside the loop (see evolve), or for no record
+with observables=False, as the reduction module's snapshot runs take.
+_harmonic_profile builds the trap ground state on any set of axes, for
+linear_eigenstate and the reduction module.
 
-At a sample, the spectrum the loop already holds, times the half-step
-phase, gives psi_hat in a sample array, apart from the loop's.  The
-collapse monitor runs on the calling thread: the gradient norm and the
-spectral tail come from per-axis sums of the power of psi_hat, taken
-with no transform and kept on the spectrum.  psi is then materialized in place over psi_hat
-(FieldSpectrum.spend), so no code reads the spent spectrum, and the
-ObservableRecord reads the spectrum's sums and psi (see the state
-module): a 3D record takes one inverse transform for psi, one-axis
-transforms there and back along each axis for the variance rate (nine
-complex axis passes in all) and one real transform for the dipolar
-energy, and holds psi and one work lattice.  Once that record is
-joined, the next sample's psi_hat reuses the array, unless psi went to
-a callback or the caller.  evolve takes each record
-on one recorder thread while the loop steps on.  At most one record is
-in flight: a sample first joins the previous record, so records reach
-the series in order.  psi is materialized on the calling thread only
-where a callback, the final step or a tripped monitor needs it, and by
-the record otherwise; the pending record is joined before a callback
-fires and before evolve returns.  A caller that discards the series
-(evolve with observables=False, as the reduction module's snapshot runs
-do) takes monitor-only samples and starts no thread.  _harmonic_profile
-builds the trap ground state on any set of axes, for linear_eigenstate
-and for the reduction module's transverse profile.
-
-The trap, the contact term and the kernel are all even, so a field that
-equals its mirror image along every axis (grid.is_mirror_even, bit for
-bit) stays so, and so does its spectrum.  evolve runs such a field0 on
-the grid's octant, indices 0..n/2 of each axis (grid.OctantGrid): the
-step, the check before the first step, the monitor and every record run
-the same code there, with DCT-I transforms in place of the FFTs and the
-octant's weights in every lattice sum, on (n/2 + 1)^d points instead of
-n^d.  An octant-held field0 (state.WaveField.table) runs on its table
-as it is, with no evenness pass and no copy, and the run never writes
-to it.  The caller sees fields of field0's grid, octant-held: a
-callback's field, the final field and a CollapseReport's field hold the
-octant array the run materialized, and their values are mirrored from
-it only when read.  Any other field runs the full lattice.  Nothing
-selects the octant but the data: it is a property of field0 that evolve
-can check, so no option turns it on or off.  strang_step and the
-standalone observables always run the full lattice.
+The trap, the contact term and the kernel are all even in each
+coordinate separately, so a field that equals its mirror image along
+some axes (grid.mirror_even_axes, bit for bit) stays so, and so does its
+spectrum.  evolve runs such a field0 on the lattice that holds indices
+0..n/2 along those axes (grid.SpectralGrid.sublattice), with a DCT-I in
+place of the FFT along each even axis and its weights in every lattice
+sum: the octant's (n/2 + 1)^d points instead of n^d for a field even
+along every axis, 17 * 17 * 32 of a 32^3 lattice for one centred in x
+and y but displaced along z.  A held field0 (state.WaveField.table)
+runs on its table as it is, never written.  The caller sees fields of
+field0's grid, held by the arrays the run materialized.  Nothing selects
+the lattice but the data, so no option turns it on or off.  strang_step
+and the standalone observables run the field's own grid.
 
 Blow-up cannot be followed on a fixed lattice.  The monitor reports
 under-resolution consistent with collapse when the gradient norm or the
@@ -100,7 +70,6 @@ from .grid import (
     _BLOCK,
     GridError,
     MeshBlocks,
-    OctantGrid,
     SpectralGrid,
     _unfold,
     lattice_blocks,
@@ -261,7 +230,7 @@ class _Splitting:
 
     def __init__(
         self,
-        grid: "SpectralGrid | OctantGrid",
+        grid: SpectralGrid,
         dt: float,
         params: PhysicalParams,
         symbol: "KernelSymbol | None",
@@ -364,7 +333,7 @@ def strang_step(
 
 
 def _materialize(
-    spectrum: FieldSpectrum, grid: "SpectralGrid | OctantGrid", t: float, step: int
+    spectrum: FieldSpectrum, grid: SpectralGrid, t: float, step: int
 ) -> WaveField:
     """The field of a spectrum, checked finite: one inverse transform in place.
 
@@ -380,7 +349,7 @@ def _materialize(
 def _record(
     psi: "WaveField | None",
     spectrum: FieldSpectrum,
-    grid: "SpectralGrid | OctantGrid",
+    grid: SpectralGrid,
     t: float,
     step: int,
     params: PhysicalParams,
@@ -471,10 +440,10 @@ def evolve(
     With observables=False no record is taken, the series comes back empty
     and the recorder thread never starts.
 
-    A field0 equal to its mirror image along every axis, bit for bit, or
-    octant-held, runs on the grid's octant (see the module docstring); the
-    fields the caller sees are then octant-held fields of field0's grid,
-    and the series agrees with the full lattice's run to roundoff.
+    A field0 mirror-even along some axes, bit for bit, or held, runs on
+    the lattice even along them (module docstring); the caller sees held
+    fields of field0's grid, and the series is the full lattice's to
+    roundoff.
 
     Returns the series together with the final field, or with a
     CollapseReport if a threshold tripped first.
@@ -513,17 +482,10 @@ def evolve(
     sample_steps.add(n_steps)
     sample_steps |= callback_steps
 
-    # a mirror-even field0 runs on its octant; the caller sees fields of
-    # grid, octant-held there
+    # field0 runs on the lattice even along its mirror-even axes; the
+    # caller sees fields of grid, held by the run's arrays
     start, symbol = _run_lattice(field0, params, symbol)
     lattice = start.grid
-
-    def shown(psi: WaveField) -> WaveField:
-        """psi as the caller sees it, on grid: octant-held by psi's array on the octant."""
-        if lattice is grid:
-            return psi
-        return WaveField(psi.values, grid, psi.t)
-
     spectrum0 = field_spectrum(start)
     grad0 = gradient_norm_sq(start, spectrum0)
     grad_threshold = (
@@ -597,7 +559,7 @@ def evolve(
                 if observables:
                     recorder.submit(_record, psi, spectrum, lattice, t_now, step, params, symbol)
                 del spectrum
-                out = None if psi is None else shown(psi)
+                out = None if psi is None else WaveField(psi.values, grid, psi.t)
                 if psi is None:
                     # only the record reads this sample: once it is joined,
                     # the array serves the next sample
@@ -630,9 +592,9 @@ def write_snapshot(field: WaveField, path: "str | Path") -> None:
     """Binary field snapshot; see read_snapshot for the inverse.
 
     The payload is the full lattice, little-endian complex128 in C order.
-    A full field is written straight from its array; an octant-held one
-    one axis-0 plane at a time, each plane mirrored from the table, so
-    no full lattice is formed.
+    A full field is written straight from its array; a held one an
+    axis-0 plane at a time, each plane mirrored from the table, so no
+    full lattice is formed.
     """
     grid = field.grid
     header = " ".join(
@@ -650,8 +612,8 @@ def write_snapshot(field: WaveField, path: "str | Path") -> None:
         n = grid.shape[0]
         plane = (1,) + grid.shape[1:]
         for i in range(n):
-            # index n - i holds the mirror image of index i
-            k = min(i, n - i)
+            # along an even axis 0, index n - i holds the mirror image of index i
+            k = i if table.shape[0] == n else min(i, n - i)
             fh.write(_bytes_view(_unfold(table[k : k + 1], plane)))
 
 

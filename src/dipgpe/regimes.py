@@ -14,12 +14,11 @@ The certificates are analytic: simulation only corroborates them, and a
 collapsing run is reported as under-resolution consistent with
 collapse, never as confirmed blow-up.
 
-classify evaluates its evidence on the lattice evolve would run: data
-equal to its mirror image along every axis, bit for bit, or held by its
-octant (make_unstable_data's, state.WaveField.table), is read on the
-grid's octant with the symbol's octant (grid.OctantGrid,
-KernelSymbol.octant), so it forms no full lattice; the evidence agrees
-with the full lattice's to roundoff.
+classify refuses non-finite data, as evolve does, and evaluates its
+evidence on the lattice evolve would run (state._run_lattice): data
+mirror-even along some axes, or held there (make_unstable_data's), is
+read on the sublattice even along them, so fully even data forms no
+full lattice; the evidence agrees with the full lattice's to roundoff.
 
 A family of squeezed product Gaussians phi = eps^(alpha/2) f(x1,x2)
 g(eps x3) drives the negative-energy construction; its energy terms
@@ -139,9 +138,11 @@ def classify(
        -> ConditionallyGlobal (conditional on gn_constant).
     4. Otherwise Indeterminate.
 
-    Mirror-even phi is read on the grid's octant (module docstring).
+    phi must be finite (ValueError otherwise); it is read on the lattice
+    evolve would run (module docstring).
     """
     _check_gn_constant(gn_constant)
+    phi.validate_finite()
     phi, symbol = _run_lattice(phi, params, symbol)
     d = _density_sums(phi, density(phi), params, symbol)
     grad_sq = gradient_norm_sq(phi)
@@ -216,11 +217,10 @@ def make_unstable_data(
     amplitude, read from the full per-axis factors, is a warning above
     1e-10 and an error above 1e-4.
 
-    The field is the mesh_product of its per-axis factors.  When each
-    factor equals its mirror image bit for bit (grid.is_mirror_even, as
-    the grid's centred coordinates give), that product is formed on the
-    octant alone and the field is octant-held (WaveField), so no full
-    lattice is built: values, when read, is mirrored from the table and
+    The field is the mesh_product of its per-axis factors, formed on
+    indices 0..n/2 alone along each axis whose factor equals its mirror
+    image bit for bit (as the grid's centred coordinates give) and held
+    by that table (WaveField): values, when read, is mirrored from it and
     equals the full lattice's product bit for bit.
     """
     if grid.dim != 3:
@@ -266,10 +266,9 @@ def make_unstable_data(
             RuntimeWarning,
             stacklevel=2,
         )
-    if all(is_mirror_even(f.reshape(-1)) for f in factors):
-        # the field is fixed by its octant: the product there is its table
-        index = grid.octant.index
-        factors = [f[index] for f in factors]
+    # along its even axes the field is fixed by indices 0..n/2
+    index = grid.sublattice([a for a, f in enumerate(factors) if is_mirror_even(f)]).index
+    factors = [f[index] for f in factors]
     # a complex last factor writes the complex lattice in one pass
     factors[-1] = factors[-1].astype(complex)
     return WaveField(values=mesh_product(factors), grid=grid, t=0.0)

@@ -5,40 +5,29 @@ density and its growth rate, plus spectral diagnostics.  All derivatives
 are spectral so that what the propagator conserves exactly is what these
 functions measure.
 
-Every moment a sample takes comes from 1D per-axis sums, and every sum
-is a numpy reduction (an axis sum or an einsum without optimize, which
-calls no BLAS) over the (rows, last axis) view of a lattice, so no sum
-forms a full-lattice temporary.  Mass, trap energy and the variance y
-are sum_a w_a sum_i x_(a,i)^2 m_a(i) over the marginals m_a of the
-density (weights 1/2 omega_a^2 or 1), and field_std reads the same
-marginals.  The spectral observables share one FieldSpectrum, the raw
-transform psi_hat = grid.fft(psi): the per-axis marginals M_a of its power
-|psi_hat|^2, summed once and kept, give the gradient norm
-sum_a sum_k xi_(a,k)^2 M_a(k), and the same sums give the top-octave
-mass as a sum of disjoint boxes; once they are taken, the spectrum can
-hand its array over (FieldSpectrum.spend), and evolve materializes psi
-in place over it.  The variance rate takes d_j psi = F_j^-1(i xi_j F_j psi)
-from psi by one-axis transforms along axis j, in one reused work
-lattice.  The dipolar energy pairs the density with its convolution by
-Parseval, from one real transform of the density.  A sample therefore
-costs one forward complex transform when no spectrum is passed (none
-when the caller holds one, as evolve does), a one-axis transform there
-and back per axis and one real transform.
+Every moment a sample takes comes from 1D per-axis sums, each a numpy
+reduction (an axis sum or an einsum without optimize, which calls no
+BLAS) over the (rows, last axis) view of a lattice, so no sum forms a
+full-lattice temporary.  Mass, trap energy, y and field_std read the
+per-axis marginals of the density.  The spectral observables share one
+FieldSpectrum, the raw transform psi_hat = grid.fft(psi), whose power
+marginals, summed once, give the gradient norm and the top-octave mass;
+once they are taken the spectrum can hand its array over
+(FieldSpectrum.spend).  The variance rate takes d_j psi from one-axis
+transforms of psi there and back, and the dipolar energy pairs the
+density with its convolution by Parseval, from one real transform.
 
-A field may also lie on a grid's octant (grid.OctantGrid), where evolve
-runs mirror-even data and classify reads it (_run_lattice).  A
-mirror-even field of a full lattice may be held by its octant table
-alone (WaveField.table, octant-held): make_unstable_data builds one,
-evolve hands them out, and a run takes the table as it is.  Its values
-are mirrored from the table on first read, so the public observables,
-which read values, sum the full lattice.  On the octant every
-observable is the full lattice's: the sums take the octant's
-per-axis weights (1 at indices 0 and n/2, 2 between), the marginals are
-unfolded to the full axes, and Parseval's 1/N counts the full lattice.
-Only the variance rate needs another form, because x_j is not odd at
-index 0 (x = -L/2 is its own image) and the Nyquist frequency is not odd
-either: _octant_rate_term takes the odd part of the derivative from one
-inverse DCT-I and adds the edge term.
+A field may lie on a lattice with even axes (grid.SpectralGrid), where
+evolve runs data mirror-even along them and classify reads it
+(_run_lattice); a field of a full lattice may be held by its table
+there alone (WaveField.table), and its values are mirrored from the
+table on first read.  On any lattice every observable is the full
+lattice's: each sum takes the even axes' weights (1 at indices 0 and
+n/2, 2 between) as per-axis factors, the marginals are unfolded to the
+full axes, and Parseval's 1/N counts the full lattice.  Only the
+variance rate's term along an even axis takes another form
+(_rate_term): x = -L/2 at index 0 and the Nyquist frequency are their
+own mirror images, so neither is odd.
 
 An evolution is summarized by an ObservableSeries, one record per
 sampling time, which serializes to CSV with the fixed header
@@ -65,11 +54,11 @@ from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 from .grid import (
     _BLOCK,
     GridError,
-    OctantGrid,
     SpectralGrid,
-    is_mirror_even,
+    _unfold,
+    fold_rows,
     lattice_blocks,
-    mesh_sum,
+    mirror_even_axes,
 )
 from .kernel import KernelSymbol, _pair_symbol_real
 from .kernel import apply_kernel  # noqa: F401  bench/tracer.py spans state.apply_kernel
@@ -140,50 +129,38 @@ class PhysicalParams:
         self._check_grid(grid)
         return [(0.5 * w * w) * (c * c) for w, c in zip(self.omega, grid.coord_mesh)]
 
-    def potential(self, grid: SpectralGrid) -> np.ndarray:
-        """Harmonic trap 0.5 * sum_j omega_j^2 x_j^2 on the full lattice.
-
-        Built on demand for tests and callers; a run forms the trap block
-        by block from trap_terms, bit for bit these values.
-        """
-        return mesh_sum(self.trap_terms(grid))
-
 
 class WaveField:
     """Complex field sampled on a grid at one instant.
 
-    values, given to the constructor, is the field on grid, or on a full
-    lattice's octant (grid.octant, indices 0..n/2 of each axis) for a
-    mirror-even field.  Such a field is octant-held: the table on the
-    octant (table) is the one array it holds, and values is mirrored
-    from it on first read (OctantGrid.unfold).  From then on values is
-    the field, so a write to it is a write to the field, and table is
-    None.  validate_finite and copy read the table alone; mirror-even
-    runs read it as it is and never write to it.
+    values, given to the constructor, is the field on grid, or its table
+    on a sublattice of grid (grid.lattice_for) for a field mirror-even
+    along that lattice's even axes.  Such a field is held: table is the
+    one array it holds, and values, mirrored from it on first read, is
+    from then on the field (a write to it is a write to the field) and
+    table None.  validate_finite and copy read the table alone; runs
+    read it as it is and never write to it.
     """
 
-    def __init__(
-        self, values: np.ndarray, grid: "SpectralGrid | OctantGrid", t: float = 0.0
-    ) -> None:
+    def __init__(self, values: np.ndarray, grid: SpectralGrid, t: float = 0.0) -> None:
         values = np.ascontiguousarray(values, dtype=complex)
         self.grid = grid
         self.t = t
         self.table = None
         self._values = values
-        if values.shape != grid.shape and grid.full is grid and values.shape == grid.octant.shape:
+        if values.shape != grid.shape:
+            grid.lattice_for(values.shape)
             self.table, self._values = values, None
-        else:
-            grid._check_shape(values)
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = self.grid.octant.unfold(self.table)
+            self._values = _unfold(self.table, self.grid.shape)
             self.table = None
         return self._values
 
     def _held(self) -> np.ndarray:
-        """The array the field holds: its octant table, or its values."""
+        """The array the field holds: its table, or its values."""
         return self.values if self.table is None else self.table
 
     def validate_finite(self) -> None:
@@ -215,12 +192,11 @@ class FieldSpectrum:
     The power is never held as a lattice.  spend hands the transform
     array over once the sums are taken, for reuse in place (evolve
     materializes psi over it); the spectrum then keeps only its sums, and
-    reading its values raises.  grid is the lattice the values lie on;
-    on an octant the sums are the full lattice's, from the octant's
-    weights.
+    reading its values raises.  grid is the lattice the values lie on,
+    whose even axes' weights make the sums the full lattice's.
     """
 
-    def __init__(self, values: np.ndarray, grid: "SpectralGrid | OctantGrid") -> None:
+    def __init__(self, values: np.ndarray, grid: SpectralGrid) -> None:
         self._values = values
         self._grid = grid
 
@@ -248,22 +224,25 @@ class FieldSpectrum:
         shape = self.values.shape
         m = shape[-1]
         grid = self._grid
+        rw = grid.row_weights
         f = self.values.reshape(-1, m).view(float)
         band = grid.bands[-1]
         row_sums = np.einsum("ij,ij->i", f, f)
         b = f[:, 2 * band.start : 2 * band.stop]
         band_rows = np.einsum("ij,ij->i", b, b)
-        if not _on_octant(grid):
+        if rw is None:
             float_cols = np.einsum("ij,ij->j", f, f)
         else:
-            # the octant's weights: the last axis' in the row sums, where
-            # the band ends at index n/2, and the leading axes' per row
-            float_cols = np.einsum("ij,ij,i->j", f, f, grid.row_weights)
-            first, last = _power(f[:, :2]), _power(f[:, -2:])
-            row_sums = grid.fold_rows(row_sums, first, last)
-            band_rows = grid.fold_rows(band_rows, 0.0, last)
-            row_sums *= grid.row_weights
-            band_rows *= grid.row_weights
+            float_cols = np.einsum("ij,ij,i->j", f, f, rw)
+        if grid.weights[-1] is not None:
+            # an even last axis' weights, in the row sums; the band ends
+            # at its index n/2
+            last = _power(f[:, -2:])
+            row_sums = fold_rows(row_sums, _power(f[:, :2]), last)
+            band_rows = fold_rows(band_rows, 0.0, last)
+        if rw is not None:
+            row_sums *= rw
+            band_rows *= rw
         marginals = _axis_marginals(row_sums, float_cols[0::2] + float_cols[1::2], shape, grid)
         # The top octave as disjoint boxes: high on leading axis a and low
         # on the leading axes before it, then low on every leading axis and
@@ -280,11 +259,6 @@ class FieldSpectrum:
         return marginals, float(np.sum(row_sums)), top
 
 
-def _on_octant(grid) -> bool:
-    """Whether a lattice's sums take octant weights."""
-    return grid.weights is not None
-
-
 def _power(pairs: np.ndarray) -> np.ndarray:
     """|z|^2 per row of a column of complex values given as (real, imaginary) float pairs."""
     return np.einsum("ij,ij->i", pairs, pairs)
@@ -295,27 +269,30 @@ def _run_lattice(
 ) -> tuple[WaveField, "KernelSymbol | None"]:
     """field and symbol on the lattice a run takes for field.
 
-    The trap, the contact term and the kernel are even, so a field equal
-    to its mirror image along every axis, bit for bit (is_mirror_even),
-    stays so: it runs on the grid's octant, with the symbol's octant when
-    lambda2 is nonzero.  An octant-held field runs on its table as it is,
-    shared and never written; a full one that passes the check runs on a
-    copy of its octant.  Any other field runs on its own grid.
+    The trap, the contact term and the kernel are even in each coordinate
+    separately, so a field equal to its mirror image along some axes, bit
+    for bit (mirror_even_axes), stays so: it runs on the sublattice even
+    along them, with the symbol there when lambda2 is nonzero.  A held
+    field runs on its table as it is, shared and never written, another
+    on a copy of its held indices, and one even along no axis on its grid.
     """
+    grid = field.grid
     if field.table is not None:
         table = field.table
-    elif is_mirror_even(field.values):
-        table = field.grid.octant.restrict(field.values)
+        lattice = grid.lattice_for(table.shape)
     else:
-        return field, symbol
-    octant = field.grid.octant
+        even = mirror_even_axes(field.values, grid.periodic)
+        if not even:
+            return field, symbol
+        lattice = grid.sublattice(even)
+        table = lattice.restrict(field.values)
     if symbol is not None:
-        symbol = symbol.octant if params.lambda2 != 0.0 else None
-    return WaveField(table, octant, field.t), symbol
+        symbol = symbol.on_sublattice(lattice.even) if params.lambda2 != 0.0 else None
+    return WaveField(table, lattice, field.t), symbol
 
 
 def _check_symbol(
-    symbol: "KernelSymbol | None", grid: "SpectralGrid | OctantGrid", params: PhysicalParams
+    symbol: "KernelSymbol | None", grid: SpectralGrid, params: PhysicalParams
 ) -> None:
     """Require a symbol tabulated on grid, its shape and its box, when lambda2 is nonzero.
 
@@ -355,56 +332,61 @@ def _density_into(values: np.ndarray, rho: np.ndarray, scratch: np.ndarray) -> n
     return rho
 
 
-def _axis_marginals(row_sums: np.ndarray, col_sums: np.ndarray, shape, grid) -> list[np.ndarray]:
+def _axis_marginals(
+    row_sums: np.ndarray, col_sums: np.ndarray, shape, grid: SpectralGrid
+) -> list[np.ndarray]:
     """Per-axis marginals of a lattice from its sums over the last axis and over its rows.
 
-    On an octant the row sums carry every axis' weights and the column
-    sums the leading axes'; each marginal drops its own axis' weight and
-    is unfolded to the full axis, so marginals are always the full
-    lattice's, indexed like grid.full.coords.
+    The row sums carry every even axis' weights and the column sums the
+    leading ones'; along an even axis the marginal drops its own weight
+    and is unfolded, so marginals are the full lattice's (grid.full.coords).
     """
     lead = row_sums.reshape(shape[:-1])
     axes = range(lead.ndim)
-    if not _on_octant(grid):
-        return [lead.sum(axis=tuple(b for b in axes if b != a)) for a in axes] + [col_sums]
-    # the weights are 1 and 2, so dividing one out is exact
-    marginals = [
-        lead.sum(axis=tuple(b for b in axes if b != a)) / grid.weights[a] for a in axes
-    ]
-    return [_unfold_axis(m) for m in marginals + [col_sums]]
+    marginals = [lead.sum(axis=tuple(b for b in axes if b != a)) for a in axes] + [col_sums]
+    for a, w in enumerate(grid.weights):
+        if w is not None:
+            # the weights are 1 and 2, so dividing one out is exact
+            m = marginals[a] / w if a < lead.ndim else marginals[a]
+            # indices 0..n/2, then n/2 - 1 down to 1
+            marginals[a] = np.concatenate([m, m[-2:0:-1]])
+    return marginals
 
 
-def _unfold_axis(m: np.ndarray) -> np.ndarray:
-    """A mirror-even axis from its octant: indices 0..n/2, then n/2 - 1 down to 1."""
-    return np.concatenate([m, m[-2:0:-1]])
-
-
-def _marginals(lattice: np.ndarray, grid) -> list[np.ndarray]:
+def _marginals(lattice: np.ndarray, grid: SpectralGrid) -> list[np.ndarray]:
     """Per-axis marginals of a real lattice: for each axis, the sums over the others."""
     rows = lattice.reshape(-1, lattice.shape[-1])
-    if not _on_octant(grid):
-        return _axis_marginals(rows.sum(axis=1), rows.sum(axis=0), lattice.shape, grid)
-    row_sums = grid.fold_rows(rows.sum(axis=1), rows[:, 0], rows[:, -1]) * grid.row_weights
-    col_sums = np.einsum("ij,i->j", rows, grid.row_weights)
+    rw = grid.row_weights
+    row_sums = rows.sum(axis=1)
+    if grid.weights[-1] is not None:
+        row_sums = fold_rows(row_sums, rows[:, 0], rows[:, -1])
+    if rw is None:
+        col_sums = rows.sum(axis=0)
+    else:
+        row_sums *= rw
+        col_sums = np.einsum("ij,i->j", rows, rw)
     return _axis_marginals(row_sums, col_sums, lattice.shape, grid)
 
 
-def _sum_sq(lattice: np.ndarray, grid) -> float:
+def _sum_sq(lattice: np.ndarray, grid: SpectralGrid) -> float:
     """Sum of lattice**2 over the full lattice, with no squared lattice formed."""
-    if not _on_octant(grid):
+    rw = grid.row_weights
+    if grid.weights[-1] is None and rw is None:
         flat = lattice.reshape(-1)
         return float(np.einsum("i,i->", flat, flat))
     rows = lattice.reshape(-1, lattice.shape[-1])
-    first, last = rows[:, 0], rows[:, -1]
-    sums = grid.fold_rows(np.einsum("ij,ij->i", rows, rows), first * first, last * last)
-    return float(np.einsum("i,i->", sums, grid.row_weights))
+    sums = np.einsum("ij,ij->i", rows, rows)
+    if grid.weights[-1] is not None:
+        first, last = rows[:, 0], rows[:, -1]
+        sums = fold_rows(sums, first * first, last * last)
+    return float(np.sum(sums) if rw is None else np.einsum("i,i->", sums, rw))
 
 
-def _mass(grid: "SpectralGrid | OctantGrid", marginals: list[np.ndarray]) -> float:
+def _mass(grid: SpectralGrid, marginals: list[np.ndarray]) -> float:
     return float(np.sum(marginals[0])) * grid.cell_volume
 
 
-def _moment(grid: "SpectralGrid | OctantGrid", marginals: list[np.ndarray], weights) -> float:
+def _moment(grid: SpectralGrid, marginals: list[np.ndarray], weights) -> float:
     """sum_a weights_a sum_i x_(a,i)^2 m_a(i), times the cell volume, from marginals m_a."""
     total = sum(
         w * float(np.sum((x * x) * m)) for w, x, m in zip(weights, grid.full.coords, marginals)
@@ -442,12 +424,13 @@ def quartic_norm(field: WaveField) -> float:
 def quartic_norm_spectral(field: WaveField) -> float:
     """Integral of |psi|^4 via the squared spectrum of the density.
 
-    Equals quartic_norm by the discrete Plancherel identity; kept as an
-    independent route for cross-checks.
+    Equals quartic_norm by the discrete Plancherel identity, a sum over
+    the full lattice with the even axes' weights (the marginals' total);
+    kept as an independent route for cross-checks.
     """
     grid = field.grid
-    rho_spec = grid.fft(density(field))
-    return float(np.sum(np.abs(rho_spec) ** 2)) * grid.cell_volume / grid.size
+    power = np.abs(grid.fft(density(field))) ** 2
+    return _mass(grid, _marginals(power, grid)) / grid.full.size
 
 
 @dataclass(frozen=True)
@@ -535,49 +518,36 @@ def _variance_rate(field: WaveField) -> float:
     psi = field.values
     # one complex work lattice serves every axis, transformed in place
     g = np.empty_like(psi)
-    if _on_octant(grid):
-        acc = sum(_octant_rate_term(grid, psi, g, axis) for axis in range(grid.dim))
-        return 2.0 * acc * grid.cell_volume
-    acc = 0.0
-    for axis, (freq, coord) in enumerate(zip(grid.freq_mesh, grid.coord_mesh)):
-        # g = F_j^-1(xi_j F_j psi) = -i d_j psi, so the integrand
-        # Im(conj(psi) x_j d_j psi) is Re(conj(psi) x_j g).  It is summed
-        # without BLAS: a BLAS dot leaves its threads spinning, which
-        # starves the other members of a sweep.
-        np.copyto(g, psi)
-        g = grid.fft(g, axis, overwrite=True)
-        g *= freq
-        g = grid.ifft(g, axis, overwrite=True)
-        g *= coord
-        # each half of g is spent once read, so it takes its own product
-        re, im = g.real, g.imag
-        np.multiply(psi.real, re, out=re)
-        np.multiply(psi.imag, im, out=im)
-        re += im
-        acc += float(np.sum(re))
+    acc = sum(_rate_term(grid, psi, g, axis) for axis in range(grid.dim))
     return 2.0 * acc * grid.cell_volume
 
 
-def _octant_rate_term(grid, psi: np.ndarray, g: np.ndarray, axis: int) -> float:
-    """The full lattice's sum of x_j Re(conj(psi) F_j^-1(xi_j F_j psi)), j = axis, on an octant.
+def _rate_term(grid: SpectralGrid, psi: np.ndarray, g: np.ndarray, axis: int) -> float:
+    """The full lattice's sum of x_j Re(conj(psi) F_j^-1(xi_j F_j psi)), j = axis.
 
-    Along axis j, with n points, N = n/2 and Psi = F_j psi (a DCT-I on
-    the octant), the interior modes m and n - m carry opposite xi and the
+    g is the work lattice.  Along a periodic axis, g = F_j^-1(xi_j F_j
+    psi) = -i d_j psi, so the integrand Im(conj(psi) x_j d_j psi) is
+    Re(conj(psi) x_j g).  It is summed without BLAS: a BLAS dot leaves
+    its threads spinning, which starves the other members of a sweep.
+
+    Along an even axis, with n points, N = n/2 and Psi = F_j psi (a
+    DCT-I), the interior modes m and n - m carry opposite xi and the
     Nyquist mode N is its own image, so F_j^-1(xi Psi) = g_odd + g_N with
 
         g_odd[k] = (2i/n) sum_{m=1}^{N-1} xi_m Psi_m sin(k m pi / N),
         g_N[k]  = (-1)^k xi_N Psi_N / n.
 
     The g_odd term is even in k and vanishes at k = 0 and N, so its sum
-    is twice the octant's interior; the g_N term cancels in pairs but at
+    is twice the held interior; the g_N term cancels in pairs but at
     k = 0, x = -L/2, which is its own image.  The sine sum comes from one
     inverse DCT-I through sin(kt) sin(t) = (cos((k-1)t) - cos((k+1)t))/2:
     with c_m = xi_m Psi_m / sin(m pi / N) and P = F_j^-1 c (c_0 = c_N = 0),
-    g_odd[k] = (i/2) (P[k-1] - P[k+1]).  g is the work lattice; the
-    other axes' weights count each octant row for its images.
+    g_odd[k] = (i/2) (P[k-1] - P[k+1]).
+
+    Either way the other even axes' weights count each held row for its
+    images.
     """
-    n, coord, freq = grid.full.shape[axis], grid.coords[axis], grid.freqs[axis]
-    N = n // 2
+    coord, freq = grid.coords[axis], grid.freqs[axis]
 
     def along(a, v):
         return v.reshape([-1 if b == a else 1 for b in range(grid.dim)])
@@ -588,16 +558,28 @@ def _octant_rate_term(grid, psi: np.ndarray, g: np.ndarray, axis: int) -> float:
     def weighted_sum(lattice):
         # the other axes' weights, in place; lattice is scratch
         for b, w in enumerate(grid.weights):
-            if b != axis:
+            if b != axis and w is not None:
                 lattice *= along(b, w)
         return float(np.sum(lattice))
 
     np.copyto(g, psi)
     g = grid.fft(g, axis, overwrite=True)
+    if grid.weights[axis] is None:
+        g *= grid.freq_mesh[axis]
+        g = grid.ifft(g, axis, overwrite=True)
+        g *= grid.coord_mesh[axis]
+        # each half of g is spent once read, so it takes its own product
+        re, im = g.real, g.imag
+        np.multiply(psi.real, re, out=re)
+        np.multiply(psi.imag, im, out=im)
+        re += im
+        return weighted_sum(re)
+    n = grid.full.shape[axis]
+    N = n // 2
     # the edge: x_0 Re(conj(psi_0) g_N[0])
     psi0, psi_nyquist = psi[at(slice(0, 1))], g[at(slice(N, N + 1))]
     edge = psi0.real * psi_nyquist.real + psi0.imag * psi_nyquist.imag
-    total = coord[0] * (freq[N] / n) * weighted_sum(edge)
+    total = float(coord[0] * (freq[N] / n)) * weighted_sum(edge)
     factor = np.zeros(N + 1)
     factor[1:N] = freq[1:N] / np.sin(np.arange(1, N) * (math.pi / N))
     g *= along(axis, factor)
@@ -619,8 +601,8 @@ def spectral_tail_fraction(
 ) -> float:
     """Fraction of spectral mass in the top frequency octave.
 
-    The modes with |k_j| >= N_j // 4 on at least one axis (the grid's
-    top_octave_mask), summed from the spectrum's power sums.
+    The modes with |k_j| >= N_j // 4 on at least one axis (grid.bands),
+    summed from the spectrum's power sums.
     """
     if spectrum is None:
         spectrum = field_spectrum(field)

@@ -517,6 +517,32 @@ init.alpha = -3.0
     assert lines[1].startswith("t_bound = 1.57079632679")
 
 
+def test_cli_classify_refuses_a_snapshot_holding_a_nan(tmp_path, capsys):
+    grid = make_grid(3, (18.0, 18.0, 36.0), (16, 16, 16))
+    field = make_unstable_data(grid, 0.5, -3.0)
+    field.values[3, 4, 5] = np.nan
+    seed_path = tmp_path / "nan.gpef"
+    write_snapshot(field, seed_path)
+    path = _write(
+        tmp_path,
+        "nan.cfg",
+        f"""
+grid.dim = 3
+grid.extents = 18, 18, 36
+grid.points = 16, 16, 16
+params.omega = 1, 1, 1
+params.lambda1 = 0.0
+params.lambda2 = 1.0
+init.kind = file
+init.file = {seed_path}
+""",
+    )
+    assert run_command(["classify", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
     path = _write(
         tmp_path,

@@ -12,11 +12,14 @@ from dipgpe.grid import (
     SpectralGrid,
     is_mirror_even,
     lattice_blocks,
+    mirror_even_axes,
     mesh_product,
     mesh_sum,
     top_band,
 )
 from dipgpe.state import FieldSpectrum, _marginals, _sum_sq
+
+import lattice_tables as tables
 
 
 def test_spacings_1d():
@@ -52,7 +55,7 @@ def test_rejects_extents_whose_frequencies_overflow():
     with pytest.raises(GridError, match="overflow"):
         make_grid(2, [1e-300, 1.0], [8, 8])
     # the largest |xi|^2 is still finite here
-    assert np.isfinite(np.max(make_grid(1, [1e-150], [8]).ksq))
+    assert np.isfinite(np.max(tables.ksq(make_grid(1, [1e-150], [8]))))
 
 
 def test_coordinates_cover_half_open_box():
@@ -189,7 +192,7 @@ def test_transform_rejects_wrong_shape():
 def test_ksq_is_sum_of_squares():
     g = make_grid(3, [8.0, 10.0, 12.0], [16, 16, 16])
     xi1, xi2, xi3 = np.meshgrid(*g.freqs, indexing="ij")
-    assert np.allclose(g.ksq, xi1**2 + xi2**2 + xi3**2, atol=1e-12)
+    assert np.allclose(tables.ksq(g), xi1**2 + xi2**2 + xi3**2, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -203,15 +206,15 @@ def test_lattice_tables_equal_the_accumulation_from_zeros(dim):
             out = out + term
         return out
 
-    tables = [
-        (g.ksq, accumulated(f * f for f in g.freq_mesh)),
-        (g.radius_sq, accumulated(c * c for c in g.coord_mesh)),
+    cases = [
+        (tables.ksq(g), accumulated(f * f for f in g.freq_mesh)),
+        (tables.radius_sq(g), accumulated(c * c for c in g.coord_mesh)),
         (
-            PhysicalParams(dim, omega, 0.0, 0.0).potential(g),
+            tables.potential(PhysicalParams(dim, omega, 0.0, 0.0), g),
             accumulated((0.5 * w * w) * (c * c) for w, c in zip(omega, g.coord_mesh)),
         ),
     ]
-    for table, expected in tables:
+    for table, expected in cases:
         assert table.shape == g.shape and table.flags.c_contiguous
         assert not any(np.shares_memory(table, m) for m in g.freq_mesh + g.coord_mesh)
         assert table.tobytes() == expected.tobytes()
@@ -235,10 +238,10 @@ def test_mesh_product_equals_the_accumulation_from_ones(dim):
 def test_top_octave_mask_counts():
     g = make_grid(1, [8.0], [16])
     # indices with |k| >= 4 out of k in -8..7: k = -8..-4 and 4..7
-    assert int(g.top_octave_mask.sum()) == 9
+    assert int(tables.top_octave_mask(g).sum()) == 9
     g2 = make_grid(2, [8.0, 8.0], [8, 8])
     # per axis |k| >= 2 leaves a 3x3 block of False
-    assert int((~g2.top_octave_mask).sum()) == 9
+    assert int((~tables.top_octave_mask(g2)).sum()) == 9
 
 
 @pytest.mark.parametrize("n", [8, 10, 16, 96, 130])
@@ -390,11 +393,18 @@ def test_octant_layout_and_weights(extents, points):
         w = o.weights[a]
         assert w[0] == w[-1] == 1.0 and np.all(w[1:-1] == 2.0) and w.sum() == n
         assert o.bands[a] == slice(n // 4, n // 2 + 1)
-    assert o.row_weights.size == math.prod(o.shape[:-1])
-    assert float(np.sum(o.row_weights)) * float(np.sum(o.weights[-1])) == g.size
-    # members that only mean something on the full lattice are not there
-    for name in ("sign_mesh", "forward_transform", "inverse_transform", "ksq", "radius_sq", "top_octave_mask"):
-        assert hasattr(g, name) and not hasattr(o, name), name
+    # a lattice whose leading axes all weigh 1 (none, in 1D) has no row weights
+    rw = o.row_weights
+    assert (rw is None) == (g.dim == 1) and g.row_weights is None
+    assert rw is None or rw.size == math.prod(o.shape[:-1])
+    assert (1.0 if rw is None else float(np.sum(rw))) * float(np.sum(o.weights[-1])) == g.size
+    # one lattice class; the full-lattice tables no run builds are test
+    # helpers, and the continuum transforms refuse an even axis
+    assert type(o) is type(g) and (o.even, g.even) == (tuple(range(g.dim)), ())
+    with pytest.raises(GridError, match="periodic lattice"):
+        o.forward_transform(np.zeros(o.shape, dtype=complex))
+    for name in ("ksq", "radius_sq", "top_octave_mask"):
+        assert not hasattr(g, name) and not hasattr(o, name), name
 
 
 @pytest.mark.parametrize("extents, points", OCTANT_CASES)
@@ -413,6 +423,69 @@ def test_octant_sums_are_the_full_lattice_sums(extents, points):
     np.testing.assert_allclose(total, full_total, rtol=1e-13)
     np.testing.assert_allclose(top, full_top, rtol=1e-13)
     np.testing.assert_allclose(_sum_sq(o.restrict(rho), o), _sum_sq(rho, g), rtol=1e-13)
+
+
+MIXED_CASES = [
+    ((12.0, 10.0), (32, 24), (0,)),
+    ((12.0, 10.0), (32, 24), (1,)),
+    ((10.0, 12.0, 14.0), (16, 8, 24), (0, 1)),
+    ((10.0, 12.0, 14.0), (16, 8, 24), (1, 2)),
+    ((10.0, 12.0, 14.0), (16, 8, 24), (1,)),
+]
+
+
+def mixed_lattice(shape, even, rng, dtype=complex):
+    """A random lattice equal to its mirror image along the even axes only."""
+    values = rng.standard_normal(shape)
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(shape)
+    for axis in even:
+        n = shape[axis]
+        values = 0.5 * (values + np.take(values, (-np.arange(n)) % n, axis=axis))
+    return values
+
+
+@pytest.mark.parametrize("extents, points, even", MIXED_CASES)
+def test_mixed_lattices_are_the_full_lattice_at_their_held_indices(extents, points, even):
+    g = make_grid(len(points), extents, points)
+    m = g.sublattice(even)
+    assert m is g.sublattice(even[::-1]) and m.full is g and m.even == even
+    assert m.sublattice(range(g.dim)) is g.octant and g.lattice_for(m.shape) is m
+    assert m.shape == tuple(n // 2 + 1 if a in even else n for a, n in enumerate(points))
+    # the real transform halves the last periodic axis
+    halved = max(a for a in range(g.dim) if a not in even)
+    assert m.half_shape == tuple(
+        n // 2 + 1 if a in even or a == halved else n for a, n in enumerate(points)
+    )
+    for a, w in enumerate(m.weights):
+        assert (w is None) == (a not in even)
+    rng = np.random.default_rng(len(even) + 3 * g.dim)
+    u = mixed_lattice(g.shape, even, rng)
+    assert mirror_even_axes(u) == even
+    um = m.restrict(u)
+    assert np.array_equal(m.unfold(um), u)
+    scale = np.max(np.abs(scipy_fft.fftn(u)))
+    for axis in (None,) + tuple(range(g.dim)):
+        for full, mixed in ((g.fft, m.fft), (g.ifft, m.ifft)):
+            want = full(u, axis)[m.index]
+            assert np.max(np.abs(mixed(um, axis) - want)) <= 1e-14 * scale
+    r = mixed_lattice(g.shape, even, rng, float)
+    rhat = m.rfft(m.restrict(r))
+    assert rhat.shape == m.half_shape
+    half = tuple(slice(0, k) for k in m.half_shape)
+    assert np.max(np.abs(rhat - g.fft(r)[half])) <= 1e-14 * np.max(np.abs(rhat))
+    assert np.max(np.abs(m.irfft(rhat) - m.restrict(r))) <= 1e-14 * np.max(np.abs(r))
+    # the sums are the full lattice's
+    rho = np.abs(r)
+    for got, want in zip(_marginals(m.restrict(rho), m), _marginals(rho, g)):
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+    marginals, total, top = FieldSpectrum(um, m)._power_sums
+    full_marginals, full_total, full_top = FieldSpectrum(u, g)._power_sums
+    for got, want in zip(marginals, full_marginals):
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+    np.testing.assert_allclose(total, full_total, rtol=1e-13)
+    np.testing.assert_allclose(top, full_top, rtol=1e-13)
+    np.testing.assert_allclose(_sum_sq(m.restrict(rho), m), _sum_sq(rho, g), rtol=1e-13)
 
 
 def test_mirror_evenness_is_bit_for_bit_on_every_axis():

@@ -31,6 +31,8 @@ from dipgpe import (
 from dipgpe import kernel
 from dipgpe.cli import run_command
 
+import lattice_tables as tables
+
 FOUR_PI_THIRD = 4.0 * math.pi / 3.0
 
 
@@ -217,7 +219,7 @@ def test_build_symbol_2d_values_match_pointwise():
 def test_effective2d_symbol_is_the_closed_form(shape, extents, omega3):
     g = make_grid(2, extents, shape)
     values = build_symbol(g, Effective2D(omega3)).values
-    magnitudes, inverse = np.unique(np.sqrt(g.ksq), return_inverse=True)
+    magnitudes, inverse = np.unique(np.sqrt(tables.ksq(g)), return_inverse=True)
     reference = np.array([symbol2d_effective(r, 0.0, omega3) for r in magnitudes])
     assert np.max(np.abs(values - reference[inverse].reshape(shape))) <= 1e-13
     mirrored = values[np.ix_(*[-np.arange(n) % n for n in shape])]
@@ -380,7 +382,7 @@ def _full_lattice_table(g, provenance):
         return np.ascontiguousarray(np.broadcast_to(symbol3d(*g.freq_mesh), g.shape))
     if isinstance(provenance, Effective2D):
         w3 = provenance.omega3
-        r = np.sqrt(g.ksq)
+        r = np.sqrt(tables.ksq(g))
         return (8.0 / 3.0) * math.sqrt(math.pi * w3) - 2.0 * math.pi * r * special.erfcx(
             r / (2.0 * math.sqrt(w3))
         )
@@ -409,7 +411,7 @@ def test_symbol_layouts_are_the_full_lattice_tables(extents, shape, provenance):
     )
     assert sym.octant.grid is o and sym.octant.values.shape == o.shape
     full = _full_lattice_table(g, provenance)
-    half = np.ascontiguousarray(g.half(full))
+    half = np.ascontiguousarray(full[tuple(slice(0, m) for m in g.half_shape)])
     assert sym.half_values.flags.c_contiguous
     assert np.array_equal(sym.half_values.view(np.uint64), half.view(np.uint64))
     assert "values" not in vars(sym)
@@ -456,7 +458,7 @@ def _even_symbol(shape):
     extents = tuple(3.0 + n for n in shape)
     g = make_grid(len(shape), extents, shape)
     # a function of |xi|^2 is even bit for bit on the lattice
-    values = np.cos(g.ksq)
+    values = np.cos(tables.ksq(g))
     provenance = {1: Effective1D(1.0, 1.0), 2: Effective2D(1.0), 3: Analytic3D()}[g.dim]
     return g, values, provenance
 
@@ -534,7 +536,7 @@ def test_apply_kernel_rejects_a_non_finite_density(bad):
     # residue > 1e-8 * scale is false when both sides are NaN
     g = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
     sym = build_symbol(g, Analytic3D())
-    rho = np.exp(-(g.radius_sq))
+    rho = np.exp(-(tables.radius_sq(g)))
     rho[1, 2, 3] = bad
     with pytest.raises(ValueError, match="non-finite"):
         apply_kernel(sym, rho)

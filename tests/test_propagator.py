@@ -46,6 +46,8 @@ from dipgpe import (
 )
 from dipgpe.state import CSV_HEADER
 
+import lattice_tables as tables
+
 
 def gaussian(grid, sigma):
     r2 = sum(c**2 for c in grid.coord_mesh)
@@ -318,7 +320,7 @@ def test_evolve_warns_on_coarse_phase_step(case):
     g, p, sym, f0 = coarse_phase_case(case)
     scale = propagator_module._Splitting(g, 1e-3, p, sym).phase_scale(f0.values)
     rho = np.abs(f0.values) ** 2
-    want = p.potential(g) + p.lambda1 * rho
+    want = tables.potential(p, g) + p.lambda1 * rho
     if sym is not None:
         dipolar = p.lambda2 * apply_kernel(sym, rho)
         assert np.max(np.abs(dipolar)) > 0.1 * scale
@@ -464,17 +466,25 @@ def chirped_dipolar_gaussian(grid, center=OFF_CENTRE):
     return WaveField(values, grid)
 
 
-def dipolar_problem(centred=False, points=(32, 32, 32)):
+CENTRED = (0.0, 0.0, 0.0)
+
+
+def dipolar_problem(center=OFF_CENTRE, points=(32, 32, 32)):
+    """The chirped dipolar Gaussian at center; it is mirror-even along the axes where center is 0."""
     g = make_grid(3, [10.0, 10.0, 12.0], points)
     p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
-    f0 = chirped_dipolar_gaussian(g, (0.0, 0.0, 0.0) if centred else OFF_CENTRE)
-    assert grid_module.is_mirror_even(f0.values) == centred
+    f0 = chirped_dipolar_gaussian(g, center)
+    even = tuple(a for a, c in enumerate(center) if c == 0.0)
+    assert grid_module.mirror_even_axes(f0.values) == even
     return g, p, build_symbol(g, Analytic3D()), f0
 
 
-# Tests that take both fields loop over them: the off-centre one runs the
-# full lattice and its centred twin the octant.
-BOTH_PATHS = (False, True)
+# Tests that take every layout loop over these centres: the off-centre field
+# runs the full lattice, its centred twin the octant, the one displaced
+# along z alone the lattice even along x and y (the last axis periodic), and
+# the one displaced along x alone the lattice even along y and z, where the
+# real transform halves a leading axis.
+LAYOUTS = (OFF_CENTRE, CENTRED, (0.0, 0.0, 0.5), (0.4, 0.0, 0.0))
 
 
 def assert_close(got, want, rel=1e-12):
@@ -482,8 +492,8 @@ def assert_close(got, want, rel=1e-12):
 
 
 def test_evolve_samples_match_standalone_observables():
-    for centred in BOTH_PATHS:
-        g, p, sym, f0 = dipolar_problem(centred)
+    for center in LAYOUTS:
+        g, p, sym, f0 = dipolar_problem(center)
         fields = []
         series, _ = evolve(
             f0, p, sym, dt=1e-3, T=0.02, monitor=MonitorSpec(stride=5),
@@ -519,8 +529,8 @@ def test_evolve_samples_match_standalone_observables():
 
 
 def test_strang_steps_match_evolve_and_keep_their_input():
-    for centred in BOTH_PATHS:
-        g, p, sym, f0 = dipolar_problem(centred)
+    for center in LAYOUTS:
+        g, p, sym, f0 = dipolar_problem(center)
         n, dt = 12, 1e-3
         field = f0
         for _ in range(n):
@@ -558,6 +568,8 @@ class CountingFFT:
     def __init__(self):
         self.counts = dict.fromkeys(self.ALL, 0)
         self.passes = dict.fromkeys(self.ALL, 0)
+        # the (kind, axes) of each transform since the last take
+        self.calls = []
         self.workers = set()
         # evolve's recorder thread transforms beside the calling thread
         self.lock = threading.Lock()
@@ -585,6 +597,7 @@ class CountingFFT:
             with self.lock:
                 self.counts[counted_kind] += 1
                 self.passes[counted_kind] += passes
+                self.calls.append((counted_kind, axes))
                 self.workers.add(got["workers"])
             return fn(x, *args, **kwargs)
 
@@ -597,6 +610,7 @@ class CountingFFT:
             out = tuple(got[kind] for kind in kinds)
             self.counts = dict.fromkeys(self.ALL, 0)
             self.passes = dict.fromkeys(self.ALL, 0)
+            self.calls = []
         return out
 
 
@@ -618,8 +632,8 @@ class NoTransforms:
 def test_every_transform_goes_through_the_grid(monkeypatch):
     for module in (kernel_module, state_module, propagator_module):
         monkeypatch.setattr(module, "_fft", NoTransforms())
-    for centred in BOTH_PATHS:
-        g, p, sym, f0 = dipolar_problem(centred)
+    for center in LAYOUTS:
+        g, p, sym, f0 = dipolar_problem(center)
         fields = []
         # T is no multiple of dt, so the last step re-splits the carried half step
         series, final = evolve(
@@ -703,7 +717,7 @@ def test_transform_budget_per_step_and_sample(counting_fft):
 
 
 def test_octant_transform_budget_per_step_and_sample(counting_fft):
-    g, p, sym, f0 = dipolar_problem(centred=True)
+    g, p, sym, f0 = dipolar_problem(CENTRED)
 
     def run(n_steps, stride, passes):
         evolve(
@@ -726,6 +740,54 @@ def test_octant_transform_budget_per_step_and_sample(counting_fft):
         assert (dense[2] - long_[2], dense[3] - long_[3]) == (5 * per_record[0], 5 * per_record[1])
     # Every transform runs on the calling thread alone.
     assert counting_fft.workers == {1}
+
+
+@pytest.mark.parametrize("center, displaced", [((0.0, 0.0, 0.5), 2), ((0.4, 0.0, 0.0), 0)])
+def test_mixed_transform_budget_per_step_and_sample(counting_fft, center, displaced):
+    g, p, sym, f0 = dipolar_problem(center)
+
+    def run(n_steps, stride):
+        evolve(
+            f0, p, sym, dt=1e-3, T=n_steps * 1e-3,
+            monitor=MonitorSpec(stride=stride), warn_resolution=False,
+        )
+        return counting_fft.take(True, kinds=CountingFFT.ALL)
+
+    # Counted in axis passes as (FFT c2c, FFT r2c, complex DCT-I, real
+    # DCT-I): each 3D transform is an FFT along the displaced axis and a
+    # DCT-I along the two others, the real one's inverse on the complex
+    # half spectrum.  A step is 2 complex and 2 real transforms.  A record
+    # takes psi (one transform), one-axis transforms there and back along
+    # each axis for the variance rate (an FFT along the displaced axis, a
+    # DCT-I along the others) and one real transform.
+    per_step, per_record = (2, 2, 4 + 2, 2), (1 + 2, 1, 2 + 4, 2)
+    short, long_, dense = run(3, 100), run(6, 100), run(6, 1)
+    assert tuple(b - a for a, b in zip(short, long_)) == tuple(3 * k for k in per_step)
+    assert tuple(b - a for a, b in zip(long_, dense)) == tuple(5 * k for k in per_record)
+    # the FFT runs along the displaced axis alone, the DCT-I along the others
+    evolve(f0, p, sym, dt=1e-3, T=2e-3, monitor=MonitorSpec(stride=1), warn_resolution=False)
+    calls = counting_fft.calls
+    even = tuple(a for a in range(3) if a != displaced)
+    assert {axes for kind, axes in calls if kind in ("c2c", "r2c")} == {(displaced,)}
+    assert {axes for kind, axes in calls if kind.startswith("dct")} == {even} | {(a,) for a in even}
+
+
+def test_mixed_fields_write_and_classify_as_their_full_fields(tmp_path):
+    for center in LAYOUTS[2:]:
+        g, p, sym, f0 = dipolar_problem(center)
+        _, final = evolve(f0, p, sym, dt=1e-3, T=0.004, warn_resolution=False)
+        # the final field is held on its mixed lattice
+        even = tuple(a for a, c in enumerate(center) if c == 0.0)
+        assert final.grid is g and final.table.shape == g.sublattice(even).shape
+        held_path, full_path = tmp_path / "held.gpef", tmp_path / "full.gpef"
+        write_snapshot(final, held_path)
+        assert final.table is not None
+        write_snapshot(WaveField(final.values, g, final.t), full_path)
+        assert held_path.read_bytes() == full_path.read_bytes()
+        # classify reads the mixed lattice; the nudged field the full one
+        got, want = classify(f0, p, sym).evidence, classify(nudged(f0), p, sym).evidence
+        for key in ("E", "M", "grad_sq", "xphi_sq"):
+            assert_close(got[key], want[key])
 
 
 def nudged(field):
@@ -814,7 +876,7 @@ def traced_peak(fn):
 
 
 def test_an_even_run_allocates_no_full_size_lattice(monkeypatch):
-    g, p, sym, f0 = dipolar_problem(centred=True, points=(64, 64, 64))
+    g, p, sym, f0 = dipolar_problem(CENTRED, points=(64, 64, 64))
     octant, osym = g.octant, sym.octant
     # caches a run fills once
     osym.half_values, octant.row_weights, octant.coord_mesh, octant.freq_mesh
@@ -866,7 +928,7 @@ def test_an_even_run_allocates_no_full_size_lattice(monkeypatch):
 
 
 def test_an_octant_step_forms_one_real_octant_lattice():
-    g, p, sym, f0 = dipolar_problem(centred=True, points=(64, 64, 64))
+    g, p, sym, f0 = dipolar_problem(CENTRED, points=(64, 64, 64))
     octant, osym = g.octant, sym.octant
     osym.half_values, octant.coord_mesh, octant.freq_mesh
     split = propagator_module._Splitting(octant, 1e-3, p, osym)
@@ -941,7 +1003,7 @@ def test_symbol_classify_and_evolve_allocate_no_full_size_lattice():
     # calls them: the symbol stays on its octant, classify reads the octant
     # and evolve runs there, and the final field is octant-held, so no full
     # lattice is formed at all
-    g, p, _, f0 = dipolar_problem(centred=True, points=(64, 64, 64))
+    g, p, _, f0 = dipolar_problem(CENTRED, points=(64, 64, 64))
 
     def run():
         sym = build_symbol(g, Analytic3D())
@@ -1101,7 +1163,7 @@ def test_blocked_step_is_bit_identical(dim, extents, points, omega, lambda1, lam
     sym = build_symbol(g, prov) if prov is not None else None
     f0 = chirped_gaussian(g)
     dt = 2.0**-9
-    potential = p.potential(g)
+    potential = tables.potential(p, g)
     ref = UnblockedSplitting(g, dt, p, sym, potential)
     split = propagator_module._Splitting(g, dt, p, sym)
     for phase, table in ((split.half, ref.khalf), (split.full, ref.kfull)):
@@ -1259,10 +1321,8 @@ def test_a_3d_classify_and_evolve_build_no_trap_or_grid_lattice(monkeypatch):
     sym = build_symbol(g, Analytic3D())
     f0, _ = linear_eigenstate(g, (1.2, 1.0, 0.8))
 
-    def no_potential_lattice(self, grid):
-        raise AssertionError("a run built the trap on the full lattice")
-
-    monkeypatch.setattr(PhysicalParams, "potential", no_potential_lattice)
+    # the package has no full-lattice trap builder; the test helper builds it
+    assert not hasattr(PhysicalParams, "potential")
     classify(f0, p, sym)
     # T is no multiple of dt, so the last step re-splits the carried half step
     series, final = evolve(f0, p, sym, dt=1e-3, T=0.0125, monitor=MonitorSpec(stride=4))
@@ -1299,7 +1359,7 @@ def test_strang_step_with_phase_beyond_pi_keeps_mass_and_reverses():
     g = make_grid(2, [12.0, 12.0], [32, 32])
     p = PhysicalParams(2, (1.0, 1.0), 1.0, 0.0)
     dt = 0.1
-    assert dt * np.max(p.potential(g)) > math.pi
+    assert dt * np.max(tables.potential(p, g)) > math.pi
     f0 = gaussian(g, 1.2)
     m0 = mass(f0)
     fwd = f0
@@ -1313,8 +1373,8 @@ def test_strang_step_with_phase_beyond_pi_keeps_mass_and_reverses():
 
 
 def test_monitor_only_run_gives_the_same_snapshots():
-    for centred in BOTH_PATHS:
-        g, p, sym, f0 = dipolar_problem(centred)
+    for center in LAYOUTS:
+        g, p, sym, f0 = dipolar_problem(center)
         runs = {}
         for observables in (True, False):
             fields = []
@@ -1415,8 +1475,8 @@ def test_error_in_a_record_propagates_and_leaves_no_thread(monkeypatch):
 
 
 def test_records_taken_beside_the_loop_match_their_fields():
-    for centred in BOTH_PATHS:
-        g, p, sym, f0 = dipolar_problem(centred)
+    for center in LAYOUTS:
+        g, p, sym, f0 = dipolar_problem(center)
         kwargs = dict(dt=1e-3, T=0.01, monitor=MonitorSpec(stride=1), warn_resolution=False)
         fields = []
         held, _ = evolve(f0, p, sym, callback=lambda f: fields.append(f.copy()), **kwargs)

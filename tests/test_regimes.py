@@ -121,6 +121,24 @@ def test_classify_indeterminate_fallthrough():
     assert cert.evidence["E"] > 0.0
 
 
+def test_classify_refuses_non_finite_data_as_evolve_does():
+    # a NaN in the table of a held field, or in a full field's values, is
+    # refused before any evidence is summed; the held field is read as it is
+    g = make_grid(3, (18.0, 18.0, 36.0), (16, 16, 16))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
+    sym = build_symbol(g, Analytic3D())
+    held = make_unstable_data(g, 0.5, -3.0)
+    held.table[2, 3, 4] = np.nan
+    full = WaveField(make_unstable_data(g, 0.5, -3.0).values, g)
+    full.values[5, 6, 7] = np.inf
+    for phi in (held, full):
+        with pytest.raises(ValueError, match="non-finite"):
+            classify(phi, p, sym)
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve(phi, p, sym, dt=1e-3, T=2e-3, warn_resolution=False)
+    assert held.table is not None
+
+
 def test_classify_evidence_refinement_invariance():
     p = PhysicalParams(3, (1.0, 1.0, 1.0), -5.0, 0.0)
     values = {}

@@ -41,7 +41,9 @@ from dipgpe import (
 )
 from dipgpe.grid import _BLOCK
 from dipgpe.kernel import _pair_symbol_real
-from dipgpe.state import _sum_sq, field_spectrum, variance
+from dipgpe.state import CSV_HEADER, _sum_sq, field_spectrum, variance
+
+import lattice_tables as tables
 
 
 def gaussian_field(grid, sigma, center=None):
@@ -75,11 +77,11 @@ def test_stable_regime_predicate():
 def test_potential_mesh():
     g = make_grid(2, [8.0, 8.0], [16, 16])
     p = PhysicalParams(2, (1.0, 2.0), 0.0, 0.0)
-    v = p.potential(g)
+    v = tables.potential(p, g)
     x1, x2 = g.coord_mesh
     assert np.allclose(v, 0.5 * (x1**2 + 4.0 * x2**2), atol=1e-14)
     with pytest.raises(GridError):
-        PhysicalParams(3, (1, 1, 1), 0.0, 0.0).potential(g)
+        tables.potential(PhysicalParams(3, (1, 1, 1), 0.0, 0.0), g)
 
 
 def test_wavefield_shape_check():
@@ -134,14 +136,16 @@ def test_octant_held_fields_write_through_once_read():
             f.validate_finite()
         with pytest.raises(ValueError, match="non-finite"):
             evolve(f, p, sym, **run)
-        # classify raises nothing on a NaN: its evidence carries it
-        evidence = classify(f, p, sym).evidence
-        assert math.isnan(evidence["E"]) and math.isnan(evidence["M"])
+        with pytest.raises(ValueError, match="non-finite"):
+            classify(f, p, sym)
 
-    # an array of neither the lattice's shape nor its octant's is refused
-    for shape in ((9, 9, 8), (16, 16, 9), (8, 8, 8)):
+    # an array of neither the lattice's shape nor a sublattice's is refused
+    for shape in ((9, 9, 8), (16, 16, 10), (8, 8, 8), (16, 16)):
         with pytest.raises(GridError):
             WaveField(np.zeros(shape, dtype=complex), g)
+    # one even along z alone is held there
+    mixed = WaveField(np.zeros((16, 16, 9)), g)
+    assert mixed.table is not None and mixed.values.shape == g.shape
     # on the octant itself, the octant's shape is the field's
     on_octant = WaveField(np.zeros(g.octant.shape), g.octant)
     assert on_octant.table is None and on_octant.values.shape == g.octant.shape
@@ -494,12 +498,12 @@ def reference_sums(f, p, sym):
     dipolar = 0.0 if sym is None else np.sum(rho * apply_kernel(sym, rho))
     return {
         "mass": np.sum(rho) * dv,
-        "Epot": np.sum(p.potential(g) * rho) * dv,
+        "Epot": np.sum(tables.potential(p, g) * rho) * dv,
         "Ecubic": 0.5 * p.lambda1 * np.sum(rho * rho) * dv,
         "Edip": 0.5 * p.lambda2 * dipolar * dv,
-        "y": np.sum(g.radius_sq * rho) * dv,
-        "gradsq": np.sum(g.ksq * power) * dv / g.size,
-        "tail": np.sum(power[g.top_octave_mask]) / np.sum(power),
+        "y": np.sum(tables.radius_sq(g) * rho) * dv,
+        "gradsq": np.sum(tables.ksq(g) * power) * dv / g.size,
+        "tail": np.sum(power[tables.top_octave_mask(g)]) / np.sum(power),
         "std": tuple(stds),
     }
 
@@ -551,7 +555,7 @@ def test_a_tail_far_below_roundoff_is_summed_not_subtracted():
         g,
     )
     power = np.abs(scipy_fft.fftn(f.values)) ** 2
-    want = np.sum(power[g.top_octave_mask]) / np.sum(power)
+    want = np.sum(power[tables.top_octave_mask(g)]) / np.sum(power)
     assert 0.0 < want < 1e-20
     assert spectral_tail_fraction(f) == pytest.approx(want, rel=1e-13)
 
@@ -680,3 +684,29 @@ def test_the_octant_symbol_is_the_even_symbol_on_the_octant():
     g1 = make_grid(1, [12.0], [32])
     with pytest.raises(KernelRealityError):
         KernelSymbol(1, 0.1 * g1.freqs[0], Effective1D(1.0, 1.0), g1)
+
+
+def test_observables_are_python_floats_and_the_quartic_norms_agree_on_every_lattice():
+    # a field centred in x and y and displaced along z, held on the full
+    # lattice, on the lattice even along x and y, and its centred twin on
+    # the octant; the spectral quartic norm is the weighted Parseval sum
+    g = make_grid(3, (10.0, 10.0, 12.0), (16, 16, 16))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    sym = build_symbol(g, Analytic3D())
+    x, y, z = g.coord_mesh
+    for center, even in ((0.7, (0, 1)), (0.0, (0, 1, 2))):
+        values = np.exp(-(x * x + y * y) / 2.0 - (z - center) ** 2 / 2.0 + 0.3j * z * z)
+        lattice = g.sublattice(even)
+        held = WaveField(lattice.restrict(values), lattice)
+        for field, s in ((WaveField(values, g), sym), (held, sym.on_sublattice(even))):
+            assert abs(quartic_norm_spectral(field) - quartic_norm(field)) <= 1e-13 * quartic_norm(field)
+            e = energy(field, p, s)
+            rec = record_observables(field, p, s)
+            got = [
+                mass(field), max_abs(field), gradient_norm_sq(field), quartic_norm(field),
+                quartic_norm_spectral(field), spectral_tail_fraction(field),
+                *variance_and_rate(field), *field_std(field),
+                e.kinetic, e.potential, e.cubic, e.dipolar, e.total,
+                *(getattr(rec, name) for name in CSV_HEADER.split(",")),
+            ]
+            assert all(type(v) is float for v in got), [type(v) for v in got]
