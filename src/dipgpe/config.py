@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, is_dataclass
+from functools import cached_property
 from typing import Callable, Optional, get_type_hints
 
 from .grid import GridError, SpectralGrid, make_grid, mesh_product
@@ -45,6 +46,11 @@ class GridSpec:
     points: tuple[int, ...]
 
     def build(self) -> SpectralGrid:
+        """The spec's lattice, built once: grids are immutable and shared."""
+        return self._grid
+
+    @cached_property
+    def _grid(self) -> SpectralGrid:
         return make_grid(self.dim, self.extents, self.points)
 
 

@@ -22,12 +22,23 @@ two grids.  Both runs of a comparison, the reduced one and the 3D one,
 go through one snapshot routine: the collapse monitor alone samples
 them, psi goes to a consumer at each comparison time, and a run the
 monitor stops raises RuntimeError naming the run.  The reduced run's
-consumer keeps its samples, which every eps shares; the 3D run's
-consumer compares each sample as it lands and keeps only the running
-results, so no eps member holds a list of 3D fields.  chi0 is the trap
-ground state of the propagator module, taken on the tight axes only.
-The projection onto it is an einsum, not a BLAS contraction: BLAS
-threads spin beside the eps members that share the cores.
+consumer keeps its samples whole, and every eps shares them; the 3D
+run's consumer compares each sample as it lands and keeps only the
+running results, so no eps member holds a list of 3D fields.  chi0 is
+the trap ground state of the propagator module, taken on the tight
+axes only.
+
+The 3D data chi0 u0 is mirror-even along each axis where its factor
+is, and evolve runs it on the lattice even along those axes (the
+propagator module), so the companion run forms it on that lattice's
+held indices alone, and its samples are handed on held by their table
+(state.WaveField), relabeled onto the reference grid.  The modulation
+error, the projection and the excitation are sums over the table with
+each even axis' weights, of the tight and slow parts of the factors
+at the held indices, so no eps member forms a full 3D lattice.  They
+are einsums without optimize and numpy reductions, never a BLAS
+contraction: BLAS threads spin beside the eps members that share the
+cores.
 
 The stiff transverse phase rotates at mu0 / eps^2, so the 3D time step
 is clamped to eps^2 / (20 mu0) to keep at least 20 samples per cycle.
@@ -44,10 +55,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridError, SpectralGrid, make_grid
+from .grid import GridError, SpectralGrid, make_grid, mirror_even_axes
 from .kernel import Analytic3D, Effective1D, Effective2D, KernelSymbol, build_symbol
 from .propagator import CollapseReport, MonitorSpec, _harmonic_profile, evolve
-from .state import ObservableSeries, PhysicalParams, WaveField, csv_table, in_stable_cone
+from .state import (
+    ObservableSeries,
+    PhysicalParams,
+    WaveField,
+    _sum_sq,
+    csv_table,
+    in_stable_cone,
+)
 
 SWEEP_HEADER = "epsilon,T,sup_err,slope_partner,excitation_sq"
 
@@ -191,18 +209,44 @@ def _factorized(chi: np.ndarray, u: np.ndarray, tight_axes: Sequence[int]) -> np
     return chi * np.expand_dims(u, tuple(tight_axes))
 
 
-def well_prepared_data(setup: ReductionSetup, ref_grid3d: SpectralGrid) -> np.ndarray:
-    """Stretched-frame array chi0 (tight axes) times u0 (slow axes)."""
+def _held(field: WaveField) -> tuple[np.ndarray, SpectralGrid]:
+    """The array a field holds, its table or its values, and the lattice it lies on."""
+    table = field._held()
+    return table, field.grid.lattice_for(table.shape)
+
+
+def _slow_part(u: np.ndarray, lattice: SpectralGrid, tight_axes: Sequence[int]) -> np.ndarray:
+    """The slow-axes array u at the held indices of the 3D lattice's slow axes."""
+    return u[tuple(lattice.index[a] for a in _slow_axes(tight_axes))]
+
+
+def _well_prepared_table(setup: ReductionSetup, ref_grid3d: SpectralGrid) -> np.ndarray:
+    """chi0 (tight axes) times u0 (slow axes) at the held indices of its lattice.
+
+    The field is even along a tight axis where chi0's factor is, and
+    along a slow axis where u0 is, bit for bit (mirror_even_axes on the
+    factors, not the product), and the product is formed on the held
+    indices of the sublattice even along those axes.
+    """
     if ref_grid3d.dim != 3:
         raise GridError("the reference grid must be three-dimensional")
-    sub = slow_grid(ref_grid3d, setup.tight_axes)
+    tight, slow = setup.tight_axes, setup.slow_axes
+    sub = slow_grid(ref_grid3d, tight)
     u_grid = setup.u0.grid
     if sub.shape != u_grid.shape or not all(
         math.isclose(a, b) for a, b in zip(sub.extents, u_grid.extents)
     ):
         raise GridError("reference grid's slow axes must match u0's grid")
-    chi = _harmonic_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
-    return _factorized(chi, setup.u0.values, setup.tight_axes)
+    chi = _harmonic_profile(ref_grid3d, tight, setup.transverse_omegas)
+    u = setup.u0.values
+    even = mirror_even_axes(chi, tight) + tuple(slow[a] for a in mirror_even_axes(u))
+    lattice = ref_grid3d.sublattice(even)
+    return _factorized(chi[lattice.index], _slow_part(u, lattice, tight), tight)
+
+
+def well_prepared_data(setup: ReductionSetup, ref_grid3d: SpectralGrid) -> np.ndarray:
+    """Stretched-frame array chi0 (tight axes) times u0 (slow axes), on the full lattice."""
+    return WaveField(_well_prepared_table(setup, ref_grid3d), ref_grid3d).values
 
 
 def _run_geometry(
@@ -255,15 +299,16 @@ def _snapshot_run(
 ) -> None:
     """evolve(field0, *args, **kwargs), handing psi to consume at its sample times.
 
-    Each sample reaches consume labeled with grid.  Its array is the one
-    evolve materialized for the callback, which the loop never touches
-    again, so it is passed on without a copy.  The series is not read,
-    so only the collapse monitor samples the run; a run it stops raises
+    Each sample reaches consume labeled with grid, held by the table it
+    holds when the run took a sublattice.  Its array is the one evolve
+    materialized for the callback, which the loop never touches again,
+    so it is passed on without a copy.  The series is not read, so only
+    the collapse monitor samples the run; a run it stops raises
     RuntimeError naming the run.
     """
 
     def relabel(field: WaveField) -> None:
-        consume(WaveField(field.values, grid, field.t))
+        consume(WaveField(field._held(), grid, field.t))
 
     _, outcome = evolve(field0, *args, callback=relabel, observables=False, **kwargs)
     if isinstance(outcome, CollapseReport):
@@ -289,8 +334,8 @@ def _companion_run(
     times = _check_sample_times(sample_times, T)
     grid, params = _run_geometry(setup, ref_grid3d)
     symbol = build_symbol(grid, Analytic3D()) if setup.lambda2 != 0.0 else None
-    values = well_prepared_data(setup, ref_grid3d)
-    field0 = WaveField(values=values, grid=grid, t=0.0)
+    # evolve runs a held table as it is
+    field0 = WaveField(values=_well_prepared_table(setup, ref_grid3d), grid=grid, t=0.0)
 
     dt_clamp = min(dt, setup.epsilon**2 / (20.0 * setup.mu0))
     dt_eff = _snap_step(dt_clamp, T, len(times))
@@ -310,7 +355,8 @@ def evolve_rescaled_3d(
 ) -> list[tuple[float, WaveField]]:
     """Run the companion 3D problem; return stretched-frame snapshots.
 
-    The samples of _companion_run, kept as (t, field) pairs.
+    The samples of _companion_run, kept as (t, field) pairs; a sample is
+    held by its table when the run took a sublattice.
     """
     snapshots: list[WaveField] = []
     _companion_run(setup, ref_grid3d, dt, T, sample_times, snapshots.append)
@@ -325,7 +371,8 @@ def ground_state_projection(
     The number of tight frequencies selects the target's tight axes
     (TIGHT_AXES): two integrate out the first two axes and return the
     axial modulation, one integrates out the third axis and returns the
-    planar modulation.
+    planar modulation.  A held field is read on its table, and the
+    modulation comes back held along the field's even slow axes.
     """
     omegas = tuple(float(w) for w in transverse_omegas)
     grid = field3d.grid
@@ -334,11 +381,34 @@ def ground_state_projection(
     tight = {len(axes): axes for axes in TIGHT_AXES.values()}.get(len(omegas))
     if tight is None:
         raise ValueError(f"expected 1 or 2 transverse frequencies, got {len(omegas)}")
-    chi = _harmonic_profile(grid, tight, omegas).reshape([grid.shape[a] for a in tight])
-    # einsum without optimize never calls BLAS (see the module docstring)
-    values = np.einsum(chi, list(tight), field3d.values, [0, 1, 2], list(_slow_axes(tight)))
-    values = values * math.prod(grid.steps[a] for a in tight)
+    table, lattice = _held(field3d)
+    chi = _harmonic_profile(lattice, tight, omegas)
+    values = _project(table, lattice, chi, tight)
     return WaveField(values=values, grid=slow_grid(grid, tight), t=field3d.t)
+
+
+def _project(
+    table: np.ndarray, lattice: SpectralGrid, chi: np.ndarray, tight_axes: Sequence[int]
+) -> np.ndarray:
+    """The integral of chi times table over the tight axes, at the held slow indices.
+
+    chi is the tight profile at the lattice's held indices; each even
+    tight axis' weights make the sum the full lattice's.
+    """
+    for a in tight_axes:
+        w = lattice.weights[a]
+        if w is not None:
+            chi = chi * np.expand_dims(w, tuple(b for b in range(3) if b != a))
+    chi = chi.reshape([lattice.shape[a] for a in tight_axes])
+    # einsum without optimize never calls BLAS (see the module docstring)
+    values = np.einsum(chi, list(tight_axes), table, [0, 1, 2], list(_slow_axes(tight_axes)))
+    return values * math.prod(lattice.steps[a] for a in tight_axes)
+
+
+def _distance_sq(table: np.ndarray, model: np.ndarray, lattice: SpectralGrid) -> float:
+    """||table - model||^2 over the full lattice; model, a fresh array, is overwritten."""
+    np.subtract(table, model, out=model)
+    return _sum_sq(model, lattice) * lattice.cell_volume
 
 
 def _excitation_sq(
@@ -350,12 +420,20 @@ def _excitation_sq(
     of two numbers near the unit mass, so it is never negative and keeps
     its relative accuracy at the splitting noise floor.
     """
-    chi = _harmonic_profile(field3d.grid, tight_axes, transverse_omegas)
-    projected = ground_state_projection(field3d, transverse_omegas)
-    rest = field3d.values - _factorized(chi, projected.values, tight_axes)
-    return float(np.sum(rest.real * rest.real + rest.imag * rest.imag)) * (
-        field3d.grid.cell_volume
-    )
+    table, lattice = _held(field3d)
+    chi = _harmonic_profile(lattice, tight_axes, transverse_omegas)
+    projected = _project(table, lattice, chi, tight_axes)
+    return _distance_sq(table, _factorized(chi, projected, tight_axes), lattice)
+
+
+def _modulation_error(psi_eps: WaveField, u_t: WaveField, setup: ReductionSetup) -> float:
+    """||psi_eps - exp(-i mu0 t / eps^2) chi0 u_t||, psi_eps on the reference grid."""
+    table, lattice = _held(psi_eps)
+    tight = setup.tight_axes
+    phase = np.exp(-1j * setup.mu0 * psi_eps.t / setup.epsilon**2)
+    chi = _harmonic_profile(lattice, tight, setup.transverse_omegas)
+    model = _factorized(phase * chi, _slow_part(u_t.values, lattice, tight), tight)
+    return math.sqrt(_distance_sq(table, model, lattice))
 
 
 @dataclass(frozen=True)
@@ -395,8 +473,6 @@ def _study(
     if reduced_snapshots is None:
         reduced_snapshots = run_reduced_snapshots(setup, dt, T, n_samples)
 
-    chi = _harmonic_profile(ref_grid3d, setup.tight_axes, setup.transverse_omegas)
-    dv = ref_grid3d.cell_volume
     samples = []
     excitation = 0.0
 
@@ -406,10 +482,7 @@ def _study(
         tr, u_t = reduced_snapshots[len(samples)]
         if abs(t3 - tr) > 1e-9 * max(T, 1.0):
             raise AssertionError("sample times of the two runs diverged")
-        phase = np.exp(-1j * setup.mu0 * t3 / setup.epsilon**2)
-        model = _factorized(phase * chi, u_t.values, setup.tight_axes)
-        err = math.sqrt(float(np.sum(np.abs(psi_eps.values - model) ** 2)) * dv)
-        samples.append((t3, err))
+        samples.append((t3, _modulation_error(psi_eps, u_t, setup)))
         excitation = max(
             excitation,
             _excitation_sq(psi_eps, setup.tight_axes, setup.transverse_omegas),
@@ -431,11 +504,19 @@ def run_reduced_snapshots(
     T: float,
     n_samples: int,
 ) -> list[tuple[float, WaveField]]:
-    """Reduced-model trajectory sampled at j*T/n_samples."""
+    """Reduced-model trajectory sampled at j*T/n_samples.
+
+    The samples are kept whole: an epsilon_sweep's member threads share
+    them, and a held one would be mirrored on first read.
+    """
     times = [j * T / n_samples for j in range(1, n_samples + 1)]
     snapshots: list[WaveField] = []
+
+    def keep(field: WaveField) -> None:
+        snapshots.append(WaveField(field.values, field.grid, field.t))
+
     _snapshot_run(
-        "reduced run", setup.u0.grid, snapshots.append, setup.u0, reduced_params(setup),
+        "reduced run", setup.u0.grid, keep, setup.u0, reduced_params(setup),
         reduced_symbol(setup), dt=_snap_step(dt, T, n_samples), T=T, sample_times=times,
     )
     return [(field.t, field) for field in snapshots]

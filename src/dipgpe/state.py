@@ -369,16 +369,20 @@ def _marginals(lattice: np.ndarray, grid: SpectralGrid) -> list[np.ndarray]:
 
 
 def _sum_sq(lattice: np.ndarray, grid: SpectralGrid) -> float:
-    """Sum of lattice**2 over the full lattice, with no squared lattice formed."""
+    """Sum of |lattice|^2 over the full lattice, with no squared lattice formed.
+
+    A complex lattice is summed through its float view, each value's real
+    and imaginary parts side by side.
+    """
     rw = grid.row_weights
     if grid.weights[-1] is None and rw is None:
-        flat = lattice.reshape(-1)
+        flat = lattice.reshape(-1).view(float)
         return float(np.einsum("i,i->", flat, flat))
-    rows = lattice.reshape(-1, lattice.shape[-1])
+    rows = lattice.reshape(-1, lattice.shape[-1]).view(float)
     sums = np.einsum("ij,ij->i", rows, rows)
     if grid.weights[-1] is not None:
-        first, last = rows[:, 0], rows[:, -1]
-        sums = fold_rows(sums, first * first, last * last)
+        k = rows.shape[1] // lattice.shape[-1]
+        sums = fold_rows(sums, _power(rows[:, :k]), _power(rows[:, -k:]))
     return float(np.sum(sums) if rw is None else np.einsum("i,i->", sums, rw))
 
 

@@ -275,6 +275,26 @@ def test_serialize_omits_defaults():
     assert canon.startswith("grid.dim = 2\n")
 
 
+def test_a_parsed_config_builds_its_lattice_once(monkeypatch):
+    # _validate builds the lattice to check it, and build() hands out that
+    # same instance: grids are immutable and shared
+    full = []
+    init = dipgpe.SpectralGrid.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if not self.even:
+            full.append(self)
+
+    monkeypatch.setattr(dipgpe.SpectralGrid, "__init__", counted)
+    cfg = parse_config(MINIMAL)
+    grid = cfg.grid.build()
+    assert len(full) == 1 and full[0] is grid
+    assert cfg.grid.build() is grid
+    assert (grid.shape, grid.extents) == ((32, 32), (12.0, 12.0))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_initial_field_ground_state():
     cfg = parse_config(MINIMAL)
     grid = cfg.grid.build()

@@ -36,7 +36,10 @@ from dipgpe import (
     well_prepared_data,
 )
 from dipgpe import reduction
+from dipgpe.grid import mirror_even_axes
 from dipgpe.reduction import _excitation_sq, run_reduced_snapshots
+
+from allocations import large_allocations
 
 OMEGA = (1.0, 1.0, 1.0)
 
@@ -620,17 +623,146 @@ def test_sweep_compares_each_3d_sample_as_it_lands():
     reduced = run_reduced_snapshots(s, dt, T, n)
     snaps3 = evolve_rescaled_3d(s, ref, dt, T, times)
     assert [t for t, _ in snaps3] == [t for t, _ in reduced]
+    # summed on the held lattice the sweep compares on, then on the full one
+    errs = [reduction._modulation_error(psi, u_t, s) for (_, psi), (_, u_t) in zip(snaps3, reduced)]
+    excitation = max(_excitation_sq(psi, s.tight_axes, s.transverse_omegas) for _, psi in snaps3)
     chi = reduction._harmonic_profile(ref, s.tight_axes, s.transverse_omegas)
-    errs = []
+    full_errs = []
     for (t, psi), (_, u_t) in zip(snaps3, reduced):
         model = reduction._factorized(
             np.exp(-1j * s.mu0 * t / s.epsilon**2) * chi, u_t.values, s.tight_axes
         )
-        errs.append(math.sqrt(float(np.sum(np.abs(psi.values - model) ** 2)) * ref.cell_volume))
-    excitation = max(_excitation_sq(psi, s.tight_axes, s.transverse_omegas) for _, psi in snaps3)
+        full_errs.append(
+            math.sqrt(float(np.sum(np.abs(psi.values - model) ** 2)) * ref.cell_volume)
+        )
     (row,) = rows
     assert row["sup_err"] == max(errs)
+    assert row["sup_err"] == pytest.approx(max(full_errs), rel=1e-13, abs=0.0)
     assert row["excitation_sq"] == pytest.approx(excitation, rel=1e-12, abs=0.0)
+
+
+def slow_gaussian(grid, centre):
+    """A unit-width chirped Gaussian of the slow axes, displaced to centre."""
+    r2 = sum((c - x0) ** 2 for c, x0 in zip(grid.coord_mesh, centre))
+    return WaveField(np.exp((-0.5 + 0.3j) * r2), grid)
+
+
+# (target, transverse omegas, u0's centre, the axes the 3D field is even along)
+HELD_LAYOUTS = [
+    ("1d", (1.0, 1.0), (0.0,), (0, 1, 2)),
+    ("1d", (1.07, 0.95), (0.7,), (0, 1)),
+    ("2d", (1.3,), (0.0, 0.0), (0, 1, 2)),
+    ("2d", (1.3,), (0.6, 0.0), (1, 2)),
+]
+
+
+def held_layout(target, omegas, centre):
+    """A reduction set-up with u0 at centre and its 3D reference lattice."""
+    if target == "1d":
+        ref = make_grid(3, [8.0, 8.0, 10.0], [16, 16, 32])
+        omega = omegas + (1.0,)
+    else:
+        ref = make_grid(3, [10.0, 10.0, 8.0], [16, 16, 24])
+        omega = (1.0, 1.0) + omegas
+    u0 = slow_gaussian(reduction.slow_grid(ref, reduction.TIGHT_AXES[target]), centre)
+    return ReductionSetup(0.2, omega, 0.5, 0.1, u0, target), ref
+
+
+@pytest.mark.parametrize("target, omegas, centre, even", HELD_LAYOUTS)
+def test_well_prepared_data_is_the_direct_product_bit_for_bit(target, omegas, centre, even):
+    s, ref = held_layout(target, omegas, centre)
+    chi = reduction._harmonic_profile(ref, s.tight_axes, s.transverse_omegas)
+    direct = chi * np.expand_dims(s.u0.values, s.tight_axes)
+    values = well_prepared_data(s, ref)
+    assert values.shape == ref.shape
+    assert np.array_equal(values.view(np.uint64), direct.view(np.uint64))
+    table = reduction._well_prepared_table(s, ref)
+    assert ref.lattice_for(table.shape).even == even
+    assert mirror_even_axes(direct) == even
+
+
+@pytest.mark.parametrize("target, omegas, centre, even", HELD_LAYOUTS)
+def test_comparisons_on_held_fields_are_the_full_lattice_sums(target, omegas, centre, even):
+    # psi: chi0 u0 plus an even excited tight mode times another slow
+    # profile, so both the projection and the excitation are nontrivial
+    s, ref = held_layout(target, omegas, centre)
+    tight = s.tight_axes
+    chi = reduction._harmonic_profile(ref, tight, s.transverse_omegas)
+    x = ref.coord_mesh[tight[0]]
+    v = 0.2 * s.u0.values * np.exp(0.1j)
+    values = well_prepared_data(s, ref) + reduction._factorized(chi * (2.0 * x * x - 1.0), v, tight)
+    assert mirror_even_axes(values) == even
+    lattice = ref.sublattice(even)
+    full = WaveField(values, ref, t=0.3)
+    held = WaveField(lattice.restrict(values), ref, t=0.3)
+    assert held.table is not None
+    u_t = WaveField(0.9 * s.u0.values, s.u0.grid)
+
+    proj_full = ground_state_projection(full, s.transverse_omegas)
+    proj_held = ground_state_projection(held, s.transverse_omegas)
+    assert proj_held.grid.shape == proj_full.grid.shape
+    scale = np.max(np.abs(proj_full.values))
+    assert np.max(np.abs(proj_held.values - proj_full.values)) <= 1e-13 * scale
+
+    exc_full = _excitation_sq(full, tight, s.transverse_omegas)
+    exc_held = _excitation_sq(held, tight, s.transverse_omegas)
+    assert exc_held == pytest.approx(exc_full, rel=1e-13, abs=0.0)
+
+    err_full = reduction._modulation_error(full, u_t, s)
+    err_held = reduction._modulation_error(held, u_t, s)
+    assert err_held == pytest.approx(err_full, rel=1e-13, abs=0.0)
+    # and the plain full-lattice formulas
+    model = np.exp(-1j * s.mu0 * 0.3 / s.epsilon**2) * chi * np.expand_dims(u_t.values, tight)
+    direct = math.sqrt(float(np.sum(np.abs(values - model) ** 2)) * ref.cell_volume)
+    assert err_held == pytest.approx(direct, rel=1e-13, abs=0.0)
+    rest = values - chi * np.expand_dims(proj_full.values, tight)
+    assert exc_held == pytest.approx(
+        float(np.sum(np.abs(rest) ** 2)) * ref.cell_volume, rel=1e-12, abs=0.0
+    )
+
+
+def test_rescaled_3d_samples_are_held_and_equal_a_run_of_the_full_data():
+    s, ref = small_sweep_setup()
+    dt, T, n = 2e-3, 0.25, 4
+    times = [j * T / n for j in range(1, n + 1)]
+    snaps3 = evolve_rescaled_3d(s, ref, dt, T, times)
+    # the former path: the full well-prepared lattice, handed to evolve
+    grid, params = reduction._run_geometry(s, ref)
+    dt_eff = reduction._snap_step(min(dt, s.epsilon**2 / (20.0 * s.mu0)), T, n)
+    expected = []
+    evolve(
+        WaveField(well_prepared_data(s, ref), grid), params, build_symbol(grid, Analytic3D()),
+        dt=dt_eff, T=T, sample_times=times, warn_resolution=False, observables=False,
+        callback=lambda f: expected.append((f.t, f.values)),
+    )
+    assert [t for t, _ in snaps3] == [t for t, _ in expected]
+    for (_, psi), (_, values) in zip(snaps3, expected):
+        assert psi.grid is ref and psi.table is not None
+        assert psi.table.shape == ref.octant.shape
+        assert np.array_equal(psi.values, values)
+
+
+@pytest.mark.parametrize(
+    "shape, itemsize",
+    # every lattice a sweep's members formed was complex; at 16x16x32 the
+    # octant is 17 % of the lattice, and numpy's two broadcast buffers
+    # around a complex octant product (the kinetic phase table evolve
+    # forms) already reach one real lattice, so the real bound is taken
+    # at the benchmark sweep's 24x24x64
+    [((16, 16, 32), 16), ((24, 24, 64), 8)],
+)
+def test_a_pooled_sweep_forms_no_full_lattice(shape, itemsize):
+    u0, _ = linear_eigenstate(make_grid(1, [10.0], [shape[2]]), (1.0,))
+    ref = make_grid(3, [8.0, 8.0, 10.0], shape)
+    s = ReductionSetup(0.2, OMEGA, 0.5, 0.1, u0, "1d")
+
+    def sweep():
+        return epsilon_sweep(s, [0.2, 0.141], ref, 2e-3, 0.25, n_samples=2, max_workers=2)
+
+    rows, found = large_allocations(sweep, itemsize * ref.size)
+    assert found == []
+    assert [r["epsilon"] for r in rows] == [0.2, 0.141]
+    assert all(math.isfinite(r["sup_err"]) for r in rows)
 
 
 def test_fitted_slope_exact_powers():
