@@ -318,6 +318,8 @@ def _validate(config: RunConfig) -> list[str]:
     red = config.reduction
     if any(e <= 0.0 for e in red.epsilons):
         errors.append("reduction.epsilons must be positive")
+    if len(set(red.epsilons)) != len(red.epsilons):
+        errors.append("reduction.epsilons must be distinct")
     if red.T <= 0.0:
         errors.append("reduction.T must be positive")
     if red.samples < 1:

@@ -228,12 +228,10 @@ def _even_weights(n: int) -> np.ndarray:
     return np.concatenate([[1.0], np.full(n // 2 - 1, 2.0), [1.0]])
 
 
-def _row_weights(weights: list, shape: Sequence[int]) -> "np.ndarray | None":
-    """Per row of the (rows, last axis) view, the leading axes' weights (None: all 1)."""
-    if all(w is None for w in weights[:-1]):
-        return None
+def _row_weights(weights: list, shape: Sequence[int]) -> np.ndarray:
+    """Per row of the (rows, last axis) view, the leading axes' weights, 1 along a periodic one."""
     lead = (np.ones(m) if w is None else w for w, m in zip(weights[:-1], shape[:-1]))
-    return _accumulate(np.multiply.outer, lead).reshape(-1)
+    return _accumulate(np.multiply.outer, [np.ones(1), *lead]).reshape(-1)
 
 
 def fold_rows(sums: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -253,14 +251,15 @@ class SpectralGrid:
 
     shape, given, is the box's point count per axis and even, ascending,
     the even axes; make_grid's lattice is periodic along every axis
-    (full).  sublattice(axes) is the one
-    even along axes as well and octant the one even along every axis; an
-    even axis holds indices 0..n/2 (index) and weighs 1, 2, ..., 2, 1, a
-    periodic one weighs None (module docstring).  coords, freqs, steps
-    and cell_volume are the full lattice's at the held indices.  rfft
-    halves the last periodic axis (half_shape).  Instances are immutable
-    by convention, their constants computed once on first use and their
-    cached meshes shared freely across threads.
+    (full).  sublattice(axes) is the one even along axes as well and
+    octant the one even along every axis; an even axis holds indices
+    0..n/2 (index) and weighs 1, 2, ..., 2, 1, a periodic one weighs None
+    (module docstring), and row_weights are all ones where no leading
+    axis is even.  coords, freqs, steps and cell_volume are the full
+    lattice's at the held indices.  rfft halves the last periodic axis
+    (half_shape).  Instances are immutable by convention, their constants
+    computed once on first use and their cached meshes shared freely
+    across threads.
     """
 
     def __init__(
@@ -366,11 +365,11 @@ class SpectralGrid:
         return list(np.meshgrid(*self.freqs, indexing="ij", sparse=True))
 
     @cached_property
-    def row_weights(self) -> "np.ndarray | None":
+    def row_weights(self) -> np.ndarray:
         return _row_weights(self.weights, self.shape)
 
     @cached_property
-    def half_row_weights(self) -> "np.ndarray | None":
+    def half_row_weights(self) -> np.ndarray:
         """row_weights of rfft's layout, where the halved axis weighs 1, 2, ..., 2, 1."""
         weights = list(self.weights)
         for a in self.periodic[-1:]:

@@ -495,25 +495,18 @@ def _pair_symbol_real(symbol: KernelSymbol, density: np.ndarray) -> float:
     By Parseval this is (1/N) sum_k symbol_k |rho_hat_k|^2 over the full
     lattice.  On rfft's layout the halved axis and every even axis weigh
     1, 2, ..., 2, 1, so the last axis always does: the weighted power is
-    summed over the rows (when the last axis is the halved one) or over
-    each row by einsums of the real and imaginary parts, so no power
-    lattice is formed, then folded along the last axis (fold_rows) and
-    weighted by the leading axes (half_row_weights).
+    summed over each row by einsums of the real and imaginary parts, so
+    no power lattice is formed, then folded along the last axis
+    (fold_rows) and weighted by the leading axes (half_row_weights, all
+    ones where none is even).
     """
     grid = symbol.grid
     spectrum = grid.rfft(density)
     v = spectrum.reshape(-1, spectrum.shape[-1])
     w = symbol.half_values.reshape(v.shape)
-    rw = grid.half_row_weights
     parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    if grid.weights[-1] is None:
-        spec, lead = ("ij,ij,ij->j", ()) if rw is None else ("ij,ij,ij,i->j", (rw,))
-        cols = _accumulate(np.add, (np.einsum(spec, p, p, w, *lead) for p in parts))
-        total = 2.0 * float(np.sum(cols)) - float(cols[0]) - float(cols[-1])
-    else:
-        rows = _accumulate(np.add, (np.einsum("ij,ij,ij->i", p, p, w) for p in parts))
-        first = _accumulate(np.add, (p[:, 0] * p[:, 0] * w[:, 0] for p in parts))
-        last = _accumulate(np.add, (p[:, -1] * p[:, -1] * w[:, -1] for p in parts))
-        folded = fold_rows(rows, first, last)
-        total = float(np.sum(folded) if rw is None else np.einsum("i,i->", folded, rw))
-    return total / grid.full.size
+    rows = _accumulate(np.add, (np.einsum("ij,ij,ij->i", p, p, w) for p in parts))
+    first = _accumulate(np.add, (p[:, 0] * p[:, 0] * w[:, 0] for p in parts))
+    last = _accumulate(np.add, (p[:, -1] * p[:, -1] * w[:, -1] for p in parts))
+    folded = fold_rows(rows, first, last)
+    return float(np.einsum("i,i->", folded, grid.half_row_weights)) / grid.full.size

@@ -319,8 +319,8 @@ def strang_step(
     symbol: "KernelSymbol | None" = None,
 ) -> WaveField:
     """One splitting step; dt may be negative to run backwards."""
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
+    if dt == 0.0 or not math.isfinite(dt):
+        raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
     grid = field.grid
     split = _Splitting(grid, dt, params, symbol)
     y = split.kinetic(grid.fft(field.values), split.half)
@@ -448,10 +448,10 @@ def evolve(
     Returns the series together with the final field, or with a
     CollapseReport if a threshold tripped first.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     grid = field0.grid
     field0.validate_finite()
 
@@ -591,10 +591,10 @@ def evolve(
 def write_snapshot(field: WaveField, path: "str | Path") -> None:
     """Binary field snapshot; see read_snapshot for the inverse.
 
-    The payload is the full lattice, little-endian complex128 in C order.
-    A full field is written straight from its array; a held one an
-    axis-0 plane at a time, each plane mirrored from the table, so no
-    full lattice is formed.
+    The payload is the full lattice, little-endian complex128 in C order,
+    written an axis-0 plane at a time from the array the field holds,
+    each plane of a held field mirrored from its table, so no full
+    lattice is formed.
     """
     grid = field.grid
     header = " ".join(
@@ -603,18 +603,15 @@ def write_snapshot(field: WaveField, path: "str | Path") -> None:
         + ["%.17g" % L for L in grid.extents]
         + ["%.17g" % field.t]
     )
-    table = field.table
+    held = field._held()
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        if table is None:
-            fh.write(_bytes_view(field.values))
-            return
         n = grid.shape[0]
         plane = (1,) + grid.shape[1:]
         for i in range(n):
             # along an even axis 0, index n - i holds the mirror image of index i
-            k = i if table.shape[0] == n else min(i, n - i)
-            fh.write(_bytes_view(_unfold(table[k : k + 1], plane)))
+            k = i if held.shape[0] == n else min(i, n - i)
+            fh.write(_bytes_view(_unfold(held[k : k + 1], plane)))
 
 
 def _bytes_view(values: np.ndarray) -> memoryview:

@@ -562,6 +562,8 @@ def epsilon_sweep(
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ValueError("need at least one eps value")
+    if len(set(epsilons)) != len(epsilons):
+        raise ValueError(f"eps values must be distinct, got {epsilons}")
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
     _check_study(setup, T, allow_unstable)

@@ -24,8 +24,9 @@ there alone (WaveField.table), and its values are mirrored from the
 table on first read.  On any lattice every observable is the full
 lattice's: each sum takes the even axes' weights (1 at indices 0 and
 n/2, 2 between) as per-axis factors, the marginals are unfolded to the
-full axes, and Parseval's 1/N counts the full lattice.  Only the
-variance rate's term along an even axis takes another form
+full axes, and Parseval's 1/N counts the full lattice.  A full
+lattice's row weights are ones, so a sum has one path on every lattice.
+Only the variance rate's term along an even axis takes another form
 (_rate_term): x = -L/2 at index 0 and the Nyquist frequency are their
 own mirror images, so neither is odd.
 
@@ -230,19 +231,15 @@ class FieldSpectrum:
         row_sums = np.einsum("ij,ij->i", f, f)
         b = f[:, 2 * band.start : 2 * band.stop]
         band_rows = np.einsum("ij,ij->i", b, b)
-        if rw is None:
-            float_cols = np.einsum("ij,ij->j", f, f)
-        else:
-            float_cols = np.einsum("ij,ij,i->j", f, f, rw)
+        float_cols = np.einsum("ij,ij,i->j", f, f, rw)
         if grid.weights[-1] is not None:
             # an even last axis' weights, in the row sums; the band ends
             # at its index n/2
             last = _power(f[:, -2:])
             row_sums = fold_rows(row_sums, _power(f[:, :2]), last)
             band_rows = fold_rows(band_rows, 0.0, last)
-        if rw is not None:
-            row_sums *= rw
-            band_rows *= rw
+        row_sums *= rw
+        band_rows *= rw
         marginals = _axis_marginals(row_sums, float_cols[0::2] + float_cols[1::2], shape, grid)
         # The top octave as disjoint boxes: high on leading axis a and low
         # on the leading axes before it, then low on every leading axis and
@@ -360,11 +357,8 @@ def _marginals(lattice: np.ndarray, grid: SpectralGrid) -> list[np.ndarray]:
     row_sums = rows.sum(axis=1)
     if grid.weights[-1] is not None:
         row_sums = fold_rows(row_sums, rows[:, 0], rows[:, -1])
-    if rw is None:
-        col_sums = rows.sum(axis=0)
-    else:
-        row_sums *= rw
-        col_sums = np.einsum("ij,i->j", rows, rw)
+    row_sums *= rw
+    col_sums = np.einsum("ij,i->j", rows, rw)
     return _axis_marginals(row_sums, col_sums, lattice.shape, grid)
 
 
@@ -374,16 +368,12 @@ def _sum_sq(lattice: np.ndarray, grid: SpectralGrid) -> float:
     A complex lattice is summed through its float view, each value's real
     and imaginary parts side by side.
     """
-    rw = grid.row_weights
-    if grid.weights[-1] is None and rw is None:
-        flat = lattice.reshape(-1).view(float)
-        return float(np.einsum("i,i->", flat, flat))
     rows = lattice.reshape(-1, lattice.shape[-1]).view(float)
     sums = np.einsum("ij,ij->i", rows, rows)
     if grid.weights[-1] is not None:
         k = rows.shape[1] // lattice.shape[-1]
         sums = fold_rows(sums, _power(rows[:, :k]), _power(rows[:, -k:]))
-    return float(np.sum(sums) if rw is None else np.einsum("i,i->", sums, rw))
+    return float(np.einsum("i,i->", sums, grid.row_weights))
 
 
 def _mass(grid: SpectralGrid, marginals: list[np.ndarray]) -> float:

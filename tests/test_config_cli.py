@@ -798,6 +798,33 @@ reduction.samples = 2
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_reduce_refuses_a_repeated_eps_before_any_run(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a symbol was built before the config was checked")
+
+    monkeypatch.setattr(reduction, "build_symbol", refuse)
+    path = _write(
+        tmp_path,
+        "repeated.cfg",
+        """
+grid.dim = 3
+grid.extents = 8, 8, 10
+grid.points = 24, 24, 24
+params.omega = 1, 1, 1
+params.lambda1 = 2.0
+params.lambda2 = 0.3
+dt = 2e-3
+reduction.epsilons = 0.2, 0.2
+reduction.T = 0.05
+reduction.samples = 2
+""",
+    )
+    code = run_command(["reduce", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "reduction.epsilons must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.filterwarnings("ignore:spectral tail fraction:RuntimeWarning")
 def test_cli_reduce_exits_2_when_a_run_trips_the_monitor(tmp_path, capsys):
     # u0 far narrower than the axial step trips the monitor at its first sample

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import fft as scipy_fft
 
-from dipgpe import GridError, PhysicalParams, make_grid
+from dipgpe import Analytic3D, Effective2D, GridError, PhysicalParams, build_symbol, make_grid
 from dipgpe.grid import (
     _BLOCK,
     MeshBlocks,
@@ -17,6 +17,7 @@ from dipgpe.grid import (
     mesh_sum,
     top_band,
 )
+from dipgpe.kernel import _pair_symbol_real
 from dipgpe.state import FieldSpectrum, _marginals, _sum_sq
 
 import lattice_tables as tables
@@ -393,11 +394,15 @@ def test_octant_layout_and_weights(extents, points):
         w = o.weights[a]
         assert w[0] == w[-1] == 1.0 and np.all(w[1:-1] == 2.0) and w.sum() == n
         assert o.bands[a] == slice(n // 4, n // 2 + 1)
-    # a lattice whose leading axes all weigh 1 (none, in 1D) has no row weights
-    rw = o.row_weights
-    assert (rw is None) == (g.dim == 1) and g.row_weights is None
-    assert rw is None or rw.size == math.prod(o.shape[:-1])
-    assert (1.0 if rw is None else float(np.sum(rw))) * float(np.sum(o.weights[-1])) == g.size
+    # row weights are an array on every lattice, all ones where no leading
+    # axis is even (one row, [1.], in 1D), and count the full lattice
+    for lattice in (o, g):
+        rw = lattice.row_weights
+        assert rw.shape == (math.prod(lattice.shape[:-1]),)
+        w = lattice.weights[-1]
+        last = lattice.shape[-1] if w is None else float(np.sum(w))
+        assert float(np.sum(rw)) * last == g.size
+    assert np.all(g.row_weights == 1.0) and np.all(g.half_row_weights == 1.0)
     # one lattice class; the full-lattice tables no run builds are test
     # helpers, and the continuum transforms refuse an even axis
     assert type(o) is type(g) and (o.even, g.even) == (tuple(range(g.dim)), ())
@@ -486,6 +491,12 @@ def test_mixed_lattices_are_the_full_lattice_at_their_held_indices(extents, poin
     np.testing.assert_allclose(total, full_total, rtol=1e-13)
     np.testing.assert_allclose(top, full_top, rtol=1e-13)
     np.testing.assert_allclose(_sum_sq(m.restrict(rho), m), _sum_sq(rho, g), rtol=1e-13)
+    sym = build_symbol(g, Analytic3D() if g.dim == 3 else Effective2D(2.0))
+    np.testing.assert_allclose(
+        _pair_symbol_real(sym.on_sublattice(even), m.restrict(rho)),
+        _pair_symbol_real(sym, rho),
+        rtol=1e-13,
+    )
 
 
 def test_mirror_evenness_is_bit_for_bit_on_every_axis():

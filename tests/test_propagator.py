@@ -164,6 +164,20 @@ def test_strang_step_rejects_zero_dt_and_nonfinite():
         strang_step(f, 1e-3, p)
 
 
+@pytest.mark.parametrize("name", ["dt", "T"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_evolve_and_strang_step_refuse_a_non_finite_dt_or_T(name, bad):
+    g = make_grid(1, [12.0], [32])
+    p = PhysicalParams(1, (1.0,), 0.0, 0.0)
+    f = gaussian(g, 1.0)
+    times = {"dt": 1e-3, "T": 0.01, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        evolve(f, p, **times)
+    if name == "dt":
+        with pytest.raises(ValueError, match="^dt must be finite and nonzero"):
+            strang_step(f, bad, p)
+
+
 def test_a_symbol_from_another_box_is_refused():
     # the same point count over other extents: the symbol's frequencies are
     # not the field's, so it is refused on the octant and on the full lattice

@@ -453,6 +453,19 @@ def test_sweep_checks_its_preconditions_before_any_tabulation(monkeypatch):
         epsilon_sweep(stable, [0.2], ref, 2e-3, 0.0)
 
 
+@pytest.mark.parametrize("epsilons", [[0.2, 0.2], [0.2, 0.141, 0.2]])
+def test_sweep_rejects_a_repeated_eps_before_any_run(monkeypatch, epsilons):
+    # a repeated eps would run every member, then take a slope over log(1) = 0
+    def refuse(*args):
+        raise AssertionError("a member ran before the eps values were checked")
+
+    monkeypatch.setattr(reduction, "build_symbol", refuse)
+    monkeypatch.setattr(reduction, "run_reduced_snapshots", refuse)
+    s = ReductionSetup(0.2, OMEGA, 2.0, 0.3, axial_ground_state(), "1d")
+    with pytest.raises(ValueError, match="eps values must be distinct"):
+        epsilon_sweep(s, epsilons, reference_grid(), 2e-3, 0.05, n_samples=2)
+
+
 @pytest.mark.parametrize("epsilons", [[0.2], [0.2, 0.141]])
 @pytest.mark.parametrize("max_workers", [0, -1])
 def test_sweep_rejects_a_worker_count_below_one(monkeypatch, epsilons, max_workers):
