@@ -31,9 +31,9 @@ from .config import (
 )
 from .grid import is_mirror_even, make_grid
 from .kernel import (
+    _FAMILIES,
+    _FAMILY_OF_DIM,
     Analytic3D,
-    Effective1D,
-    Effective2D,
     bessel_radial_check,
     build_symbol,
     symbol3d,
@@ -194,15 +194,12 @@ def _cmd_kernel(args) -> int:
     else:
         dim = args.dim if args.dim is not None else 3
         grid = make_grid(dim, (args.extent,) * dim, (args.points,) * dim)
-        if dim == 3:
-            provenance = Analytic3D()
-        else:
-            # the 1D symbol averages out two transverse axes, the 2D symbol one
-            omegas = (1.0,) * (3 - dim) if args.omega is None else _floats(args.omega)
-            if len(omegas) != 3 - dim:
-                raise ConfigError([f"--omega needs {3 - dim} value(s) for the {dim}D symbol"])
-            provenance = (Effective1D if dim == 1 else Effective2D)(*omegas)
-        symbol = build_symbol(grid, provenance)
+        family, count = _FAMILIES[_FAMILY_OF_DIM[dim]]
+        # the 1D symbol averages out two transverse axes, the 2D one; 3D ignores --omega
+        omegas = (1.0,) * count if args.omega is None or not count else _floats(args.omega)
+        if len(omegas) != count:
+            raise ConfigError([f"--omega needs {count} value(s) for the {dim}D symbol"])
+        symbol = build_symbol(grid, family(*omegas))
     text = _kernel_rows(grid, symbol)
     if args.out is None:
         sys.stdout.write(text)

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Callable, Optional, get_type_hints
 
 from .grid import GridError, SpectralGrid, make_grid, mesh_product
-from .kernel import Analytic3D, Effective1D, Effective2D, KernelSymbol, build_symbol
+from .kernel import _FAMILIES, _FAMILY_OF_DIM, KernelSymbol, build_symbol
 from .propagator import MonitorSpec, linear_eigenstate, read_snapshot
 from .regimes import make_unstable_data
 from .state import PhysicalParams, WaveField
@@ -178,12 +178,7 @@ _SCHEMA: tuple[tuple[str, Optional[str], str, Callable[[str], object]], ...] = (
     ("monitor.grad_factor", "monitor", "grad_factor", _float),
     ("monitor.grad_threshold", "monitor", "grad_threshold", _float),
     ("monitor.spectral_tail", "monitor", "spectral_tail", _float),
-    (
-        "kernel.kind",
-        "kernel",
-        "kind",
-        _enum("auto", "analytic3d", "effective1d", "effective2d", "none"),
-    ),
+    ("kernel.kind", "kernel", "kind", _enum("auto", *_FAMILIES, "none")),
     ("kernel.transverse_omega", "kernel", "transverse_omega", _floats),
     ("reduction.target", "reduction", "target", _enum("1d", "2d")),
     ("reduction.epsilons", "reduction", "epsilons", _floats),
@@ -330,6 +325,8 @@ def _validate(config: RunConfig) -> list[str]:
     led = config.ledger
     if any(e <= 0.0 for e in led.epsilons):
         errors.append("ledger.epsilons must be positive")
+    if len(set(led.epsilons)) != len(led.epsilons):
+        errors.append("ledger.epsilons must be distinct")
     if led.alpha >= -2.0:
         errors.append("ledger.alpha must be below -2")
     if led.f_width <= 0.0 or led.g_width <= 0.0:
@@ -403,20 +400,12 @@ def build_symbol_from_config(
     if kind == "auto":
         if config.params.lambda2 == 0.0:
             return None
-        kind = {3: "analytic3d", 2: "effective2d", 1: "effective1d"}[grid.dim]
-    if kind == "analytic3d":
-        return build_symbol(grid, Analytic3D())
-    trans = config.kernel.transverse_omega
-    if kind == "effective1d":
-        if trans is None or len(trans) != 2:
-            raise ConfigError(
-                ["kernel.kind = effective1d requires kernel.transverse_omega with 2 entries"]
-            )
-        return build_symbol(grid, Effective1D(trans[0], trans[1]))
-    if kind == "effective2d":
-        if trans is None or len(trans) != 1:
-            raise ConfigError(
-                ["kernel.kind = effective2d requires kernel.transverse_omega with 1 entry"]
-            )
-        return build_symbol(grid, Effective2D(trans[0]))
-    raise ConfigError([f"unknown kernel.kind {kind!r}"])
+        kind = _FAMILY_OF_DIM[grid.dim]
+    if kind not in _FAMILIES:
+        raise ConfigError([f"unknown kernel.kind {kind!r}"])
+    family, count = _FAMILIES[kind]
+    trans = config.kernel.transverse_omega if count else ()
+    if trans is None or len(trans) != count:
+        entries = "1 entry" if count == 1 else f"{count} entries"
+        raise ConfigError([f"kernel.kind = {kind} requires kernel.transverse_omega with {entries}"])
+    return build_symbol(grid, family(*trans))

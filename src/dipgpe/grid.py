@@ -72,6 +72,21 @@ def _accumulate(op, terms) -> np.ndarray:
     return total
 
 
+def _by_rows(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op(a, b) broadcast, formed one row of the last axis at a time.
+
+    Bit for bit the broadcast op, and it allocates no more than its
+    output: numpy's broadcast op of sparse mesh terms keeps buffers of
+    up to twice the output's size beside it.
+    """
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = np.empty(shape, np.result_type(a, b))
+    a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+    for row in np.ndindex(shape[:-1]):
+        op(a[row], b[row], out=out[row])
+    return out
+
+
 def mesh_sum(terms) -> np.ndarray:
     """Left-to-right sum of per-axis sparse mesh terms on the full lattice.
 
@@ -129,7 +144,8 @@ class MeshBlocks:
     one block of lattice_blocks, each its row's partial result op the
     last axis' term, bit for bit what mesh_sum or mesh_product gives
     there.  A lattice of at most one block, or of one axis, is kept
-    whole as that table, and its blocks are views of it.
+    whole as that table (formed by _by_rows), and its blocks are views
+    of it.
     """
 
     def __init__(self, op, terms) -> None:
@@ -137,10 +153,13 @@ class MeshBlocks:
         self.op = op
         self.last = terms[-1].reshape(-1)
         self.lead = self.table = None
-        if len(terms) == 1 or math.prod(t.size for t in terms) <= _BLOCK:
-            self.table = _accumulate(op, terms).reshape(-1)
+        lead = _accumulate(op, terms[:-1])
+        if lead is None:
+            self.table = self.last
+        elif math.prod(t.size for t in terms) <= _BLOCK:
+            self.table = _by_rows(op, lead, terms[-1]).reshape(-1)
         else:
-            self.lead = _accumulate(op, terms[:-1]).reshape(-1)
+            self.lead = lead.reshape(-1)
 
     def block(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """The lattice elements [start, stop) of one block of lattice_blocks.

@@ -2,7 +2,9 @@
 
 The physical kernel (1 - 3 cos^2 theta)/|x|^3 with dipole axis (0,0,1)
 enters only through its Fourier symbol.  Three symbol families are
-provided:
+provided, each one provenance class, which alone tabulates its symbol on
+a grid's octant (table) and checks its range (check), and one entry of
+_FAMILIES, which names it for the config, the CLI and the reduction:
 
 * the closed-form 3D symbol,
 * an effective 1D symbol for tightly confined transverse directions,
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Protocol
 
 import numpy as np
 from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
@@ -68,39 +70,6 @@ class QuadratureError(ArithmeticError):
 
 class KernelRealityError(ArithmeticError):
     """Kernel application produced a non-negligible imaginary part."""
-
-
-@dataclass(frozen=True)
-class Analytic3D:
-    """Closed-form 3D symbol provenance."""
-
-    dim = 3
-
-
-@dataclass(frozen=True)
-class Effective1D:
-    """Transverse-averaged symbol for a wire-like geometry.
-
-    omega1, omega2 are the tight transverse trap frequencies.
-    """
-
-    omega1: float
-    omega2: float
-    dim = 1
-
-
-@dataclass(frozen=True)
-class Effective2D:
-    """Axially averaged symbol for a pancake geometry.
-
-    omega3 is the tight trap frequency along the dipole axis.
-    """
-
-    omega3: float
-    dim = 2
-
-
-Provenance = Union[Analytic3D, Effective1D, Effective2D]
 
 
 def symbol3d(xi1, xi2, xi3):
@@ -308,6 +277,88 @@ def _effective1d_table(xi3: np.ndarray, omega1: float, omega2: float) -> np.ndar
     )
 
 
+class Provenance(Protocol):
+    """A symbol family with its parameters; build_symbol reads only these."""
+
+    dim: int
+    def table(self, octant: SpectralGrid) -> np.ndarray: ...  # values on the octant
+    def check(self, table: np.ndarray) -> None: ...  # ValueError off the family's range
+
+
+@dataclass(frozen=True)
+class Analytic3D:
+    """Closed-form 3D symbol provenance."""
+
+    dim = 3
+
+    def table(self, octant: SpectralGrid) -> np.ndarray:
+        return symbol3d(*octant.freq_mesh)
+
+    def check(self, table: np.ndarray) -> None:
+        if table.min() < SYMBOL_MIN - 1e-12 or table.max() > SYMBOL_MAX + 1e-12:
+            raise ValueError("3D symbol values outside [-4pi/3, 8pi/3]")
+        if table.flat[0] != 0.0:
+            raise ValueError(f"3D symbol must vanish at the origin, got {table.flat[0]}")
+
+
+def _check_envelope(table: np.ndarray, envelope: float) -> None:
+    if max(table.max(), -table.min()) > envelope * (1.0 + 1e-8) + 1e-10:
+        raise ValueError("effective symbol values exceed the analytic envelope")
+
+
+@dataclass(frozen=True)
+class Effective1D:
+    """Transverse-averaged symbol for a wire-like geometry.
+
+    omega1, omega2 are the tight transverse trap frequencies.
+    """
+
+    omega1: float
+    omega2: float
+    dim = 1
+
+    def table(self, octant: SpectralGrid) -> np.ndarray:
+        # |xi3| on the octant is 0, dxi, ..., pi n / L: distinct, ascending
+        return _effective1d_table(np.abs(octant.freqs[0]), self.omega1, self.omega2)
+
+    def check(self, table: np.ndarray) -> None:
+        _check_envelope(table, (8.0 / 3.0) * math.sqrt(self.omega1 * self.omega2))
+
+
+@dataclass(frozen=True)
+class Effective2D:
+    """Axially averaged symbol for a pancake geometry.
+
+    omega3 is the tight trap frequency along the dipole axis.
+    """
+
+    omega3: float
+    dim = 2
+
+    def table(self, octant: SpectralGrid) -> np.ndarray:
+        if self.omega3 <= 0.0:
+            raise ValueError("trap frequency must be positive")
+        r = np.sqrt(mesh_sum(f * f for f in octant.freq_mesh))
+        return (8.0 / 3.0) * math.sqrt(math.pi * self.omega3) - 2.0 * math.pi * r * special.erfcx(
+            r / (2.0 * math.sqrt(self.omega3))
+        )
+
+    def check(self, table: np.ndarray) -> None:
+        _check_envelope(table, (8.0 / 3.0) * math.sqrt(math.pi * self.omega3))
+
+
+# Every symbol family by its kernel.kind, in the config enum's order, with
+# the number of transverse trap frequencies its provenance takes.  The first
+# family of each dimension is its own: kernel.kind = auto, the kernel
+# command's flags and the reduced models take it (_FAMILY_OF_DIM).
+_FAMILIES = {
+    "analytic3d": (Analytic3D, 0),
+    "effective1d": (Effective1D, 2),
+    "effective2d": (Effective2D, 1),
+}
+_FAMILY_OF_DIM = {family.dim: kind for kind, (family, _) in reversed(_FAMILIES.items())}
+
+
 def _check_mirror_even(values: np.ndarray) -> None:
     """Raise KernelRealityError unless values are even along every axis to 1e-12.
 
@@ -379,27 +430,9 @@ class KernelSymbol:
         """Enforce the type invariants on the table; raises ValueError on violation."""
         table = self.table
         # min and max propagate NaN, so they also decide finiteness
-        lo, hi = float(table.min()), float(table.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        if not (math.isfinite(table.min()) and math.isfinite(table.max())):
             raise ValueError("symbol contains non-finite values")
-        if isinstance(self.provenance, Analytic3D):
-            slack = 1e-12
-            if lo < SYMBOL_MIN - slack or hi > SYMBOL_MAX + slack:
-                raise ValueError("3D symbol values outside [-4pi/3, 8pi/3]")
-            origin = table[(0,) * self.dim]
-            if origin != 0.0:
-                raise ValueError(f"3D symbol must vanish at the origin, got {origin}")
-        else:
-            bound = self._effective_bound() * (1.0 + 1e-8) + 1e-10
-            if max(hi, -lo) > bound:
-                raise ValueError("effective symbol values exceed the analytic envelope")
-
-    def _effective_bound(self) -> float:
-        if isinstance(self.provenance, Effective1D):
-            return (8.0 / 3.0) * math.sqrt(self.provenance.omega1 * self.provenance.omega2)
-        if isinstance(self.provenance, Effective2D):
-            return (8.0 / 3.0) * math.sqrt(math.pi * self.provenance.omega3)
-        raise TypeError(f"unknown provenance {self.provenance!r}")
+        self.provenance.check(table)
 
 
 def _read_cache(*args) -> None:
@@ -414,11 +447,11 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     The provenance selects the family and carries its trap frequencies;
     its dimension must match the grid.  Every family is even along every
     axis, and every family is evaluated on the octant of indices 0..n/2
-    per axis alone, the table KernelSymbol holds, so no evenness check
-    runs: fftfreq gives xi[n - k] = -xi[k] bit for bit, so the full
-    lattice mirrored from that table (KernelSymbol.values) is bit for bit
-    the values the formula gives there.  The closed-form 3D symbol is
-    symbol3d, the effective 2D symbol its closed form in |xi|, and the
+    per axis alone (provenance.table), the table KernelSymbol holds, so no
+    evenness check runs: fftfreq gives xi[n - k] = -xi[k] bit for bit, so
+    the full lattice mirrored from that table (KernelSymbol.values) is bit
+    for bit the values the formula gives there.  The closed-form 3D symbol
+    is symbol3d, the effective 2D symbol its closed form in |xi|, and the
     effective 1D symbol its angular mean (see module docstring) over the
     distinct |xi3|.  The table is validated; nothing is cached.
     """
@@ -426,25 +459,7 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
         raise GridError(
             f"provenance is {provenance.dim}-dimensional but grid is {grid.dim}-dimensional"
         )
-
-    octant = grid.octant
-    if isinstance(provenance, Analytic3D):
-        table = symbol3d(*octant.freq_mesh)
-    elif isinstance(provenance, Effective2D):
-        w3 = provenance.omega3
-        if w3 <= 0.0:
-            raise ValueError("trap frequency must be positive")
-        r = np.sqrt(mesh_sum(f * f for f in octant.freq_mesh))
-        table = (8.0 / 3.0) * math.sqrt(math.pi * w3) - 2.0 * math.pi * r * special.erfcx(
-            r / (2.0 * math.sqrt(w3))
-        )
-    elif isinstance(provenance, Effective1D):
-        # |xi3| on the octant is 0, dxi, ..., pi n / L: distinct, ascending
-        table = _effective1d_table(np.abs(octant.freqs[0]), provenance.omega1, provenance.omega2)
-    else:
-        raise TypeError(f"unknown provenance {provenance!r}")
-
-    symbol = KernelSymbol(grid.dim, table, provenance, grid)
+    symbol = KernelSymbol(grid.dim, provenance.table(grid.octant), provenance, grid)
     symbol.validate()
     return symbol
 

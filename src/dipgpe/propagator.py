@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -118,7 +119,7 @@ class MonitorSpec:
     spectral_tail: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.stride < 1:
+        if not isinstance(self.stride, numbers.Integral) or self.stride < 1:
             raise ValueError("stride must be a positive integer")
         # a NaN threshold never trips and a nonpositive gradient threshold
         # trips at the first sample; the comparisons are false for NaN

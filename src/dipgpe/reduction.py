@@ -55,8 +55,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridError, SpectralGrid, make_grid, mirror_even_axes
-from .kernel import Analytic3D, Effective1D, Effective2D, KernelSymbol, build_symbol
+from .grid import GridError, SpectralGrid, _by_rows, make_grid, mirror_even_axes
+from .kernel import _FAMILIES, _FAMILY_OF_DIM, Analytic3D, KernelSymbol, build_symbol
 from .propagator import CollapseReport, MonitorSpec, _harmonic_profile, evolve
 from .state import (
     ObservableSeries,
@@ -115,8 +115,8 @@ class ReductionSetup:
         if self.target not in TIGHT_AXES:
             raise ValueError(f"target must be '1d' or '2d', got {self.target!r}")
         self.tight_axes = TIGHT_AXES[self.target]
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         self.omega = tuple(float(w) for w in self.omega)
         if len(self.omega) != 3:
             raise ValueError("omega must have three components")
@@ -164,7 +164,7 @@ def reduced_params(setup: ReductionSetup) -> PhysicalParams:
 def reduced_symbol(setup: ReductionSetup) -> "KernelSymbol | None":
     if setup.lambda2 == 0.0:
         return None
-    family = Effective1D if setup.target == "1d" else Effective2D
+    family, _ = _FAMILIES[_FAMILY_OF_DIM[setup.u0.grid.dim]]
     return build_symbol(setup.u0.grid, family(*setup.transverse_omegas))
 
 
@@ -205,8 +205,8 @@ def slow_grid(grid3d: SpectralGrid, tight_axes: Sequence[int]) -> SpectralGrid:
 
 
 def _factorized(chi: np.ndarray, u: np.ndarray, tight_axes: Sequence[int]) -> np.ndarray:
-    """chi (tight axes) times the slow-axes array u, on the 3D lattice."""
-    return chi * np.expand_dims(u, tuple(tight_axes))
+    """chi (tight axes) times the slow-axes array u, on the 3D lattice (grid._by_rows)."""
+    return _by_rows(np.multiply, chi, np.expand_dims(u, tuple(tight_axes)))
 
 
 def _held(field: WaveField) -> tuple[np.ndarray, SpectralGrid]:
@@ -447,9 +447,11 @@ class ReductionStudy:
     excitation_sq: float
 
 
-def _check_study(setup: ReductionSetup, T: float, allow_unstable: bool) -> None:
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+def _check_study(setup: ReductionSetup, dt: float, T: float, allow_unstable: bool) -> None:
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not setup.in_stable_regime() and not allow_unstable:
         raise ValueError(
             "reduction study outside the stable regime; the O(eps) statement "
@@ -467,7 +469,7 @@ def _study(
     allow_unstable: bool = False,
     reduced_snapshots: "list[tuple[float, WaveField]] | None" = None,
 ) -> ReductionStudy:
-    _check_study(setup, T, allow_unstable)
+    _check_study(setup, dt, T, allow_unstable)
     times = [j * T / n_samples for j in range(1, n_samples + 1)]
 
     if reduced_snapshots is None:
@@ -566,7 +568,7 @@ def epsilon_sweep(
         raise ValueError(f"eps values must be distinct, got {epsilons}")
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
-    _check_study(setup, T, allow_unstable)
+    _check_study(setup, dt, T, allow_unstable)
     reduced = run_reduced_snapshots(setup, dt, T, n_samples)
 
     def member(eps: float) -> ReductionStudy:

@@ -225,12 +225,13 @@ def make_unstable_data(
     """
     if grid.dim != 3:
         raise ValueError("unstable data construction is three-dimensional")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if alpha >= -2.0:
-        raise ValueError("alpha must be below -2 for the interaction term to dominate")
-    if f_width <= 0.0 or g_width <= 0.0:
-        raise ValueError("widths must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not -math.inf < alpha < -2.0:
+        raise ValueError(f"alpha must be finite and below -2, got {alpha!r}")
+    for name, width in (("f_width", f_width), ("g_width", g_width)):
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {width!r}")
 
     x1, x2, x3 = grid.coord_mesh
     factors = [
@@ -292,6 +293,8 @@ def unstable_energy_ledger(
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 2:
         raise ValueError("need at least two eps values to fit slopes")
+    if len(set(epsilons)) != len(epsilons):
+        raise ValueError(f"eps values must be distinct, got {epsilons}")
     rows = []
     for eps in epsilons:
         phi = make_unstable_data(grid, eps, alpha, f_width, g_width)

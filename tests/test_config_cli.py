@@ -877,6 +877,27 @@ params.lambda2 = 1.0
     assert len(lines) == 4
 
 
+def test_cli_unstable_data_refuses_a_repeated_eps(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "repeated.cfg",
+        """
+grid.dim = 3
+grid.extents = 15, 15, 30
+grid.points = 32, 32, 32
+params.omega = 1, 1, 1
+params.lambda1 = 0.0
+params.lambda2 = 1.0
+ledger.epsilons = 0.5, 0.5
+""",
+    )
+    out_dir = tmp_path / "ledger"
+    code = run_command(["unstable-data", "--config", path, "--out", str(out_dir)])
+    assert code == 1
+    assert "ledger.epsilons must be distinct" in capsys.readouterr().err
+    assert not (out_dir / "ledger.csv").exists()
+
+
 def test_cli_selftest(capsys):
     code = run_command(["selftest"])
     out = capsys.readouterr().out

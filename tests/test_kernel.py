@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import dipgpe
@@ -14,6 +15,7 @@ from scipy import integrate, special
 
 from dipgpe import (
     Analytic3D,
+    ConfigError,
     Effective1D,
     Effective2D,
     GridError,
@@ -23,12 +25,14 @@ from dipgpe import (
     apply_kernel,
     bessel_radial_check,
     build_symbol,
+    build_symbol_from_config,
     make_grid,
+    parse_config,
     symbol1d_effective,
     symbol2d_effective,
     symbol3d,
 )
-from dipgpe import kernel
+from dipgpe import cli, kernel
 from dipgpe.cli import run_command
 
 import lattice_tables as tables
@@ -261,6 +265,121 @@ def test_build_symbol_dim_mismatch():
     g3 = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
     with pytest.raises(GridError):
         build_symbol(g3, Effective1D(1.0, 1.0))
+
+
+def _closed_form(octant, kind, omegas):
+    """Each family's table on an octant, written out from its formula."""
+    if kind == "analytic3d":
+        return symbol3d(*octant.freq_mesh)
+    if kind == "effective1d":
+        return kernel._effective1d_table(np.abs(octant.freqs[0]), *omegas)
+    (w3,) = omegas
+    xi1, xi2 = octant.freq_mesh
+    r = np.sqrt(xi1 * xi1 + xi2 * xi2)
+    return (8.0 / 3.0) * math.sqrt(math.pi * w3) - 2.0 * math.pi * r * special.erfcx(
+        r / (2.0 * math.sqrt(w3))
+    )
+
+
+FAMILY_GRIDS = {
+    "analytic3d": "grid.dim = 3\ngrid.extents = 12, 12, 16\ngrid.points = 24, 24, 32\n"
+    "params.omega = 1, 1, 1\n",
+    "effective1d": "grid.dim = 1\ngrid.extents = 20\ngrid.points = 64\nparams.omega = 1\n"
+    "kernel.transverse_omega = 0.7, 3\n",
+    "effective2d": "grid.dim = 2\ngrid.extents = 12, 14\ngrid.points = 32, 48\n"
+    "params.omega = 1, 1\nkernel.transverse_omega = 2.5\n",
+}
+
+
+@pytest.mark.parametrize("kind", ["analytic3d", "effective1d", "effective2d"])
+@pytest.mark.parametrize("named", [True, False], ids=["kind", "auto"])
+def test_each_kernel_kind_is_its_closed_form_bit_for_bit(kind, named):
+    text = FAMILY_GRIDS[kind] + "params.lambda1 = 1.0\nparams.lambda2 = 0.5\n"
+    if named:
+        text += f"kernel.kind = {kind}\n"
+    config = parse_config(text)
+    grid = config.grid.build()
+    symbol = build_symbol_from_config(config, grid)
+    omegas = config.kernel.transverse_omega or ()
+    assert type(symbol.provenance) is kernel._FAMILIES[kind][0]
+    assert symbol.table.tobytes() == _closed_form(grid.octant, kind, omegas).tobytes()
+
+
+@pytest.mark.parametrize("dim, kind", [(1, "effective1d"), (2, "effective2d"), (3, "analytic3d")])
+def test_kernel_flag_mode_tabulates_its_dimension_s_family(monkeypatch, dim, kind):
+    built = []
+
+    def recorded(grid, provenance):
+        built.append(dipgpe.build_symbol(grid, provenance))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_symbol", recorded)
+    assert run_command(["kernel", "--dim", str(dim), "--points", "8", "--out", os.devnull]) == 0
+    (symbol,) = built
+    omegas = (1.0,) * kernel._FAMILIES[kind][1]
+    assert symbol.table.tobytes() == _closed_form(symbol.grid.octant, kind, omegas).tobytes()
+
+
+def test_kernel_kinds_keep_their_order_and_transverse_count_messages(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config(FAMILY_GRIDS["analytic3d"] + "params.lambda1 = 1\nparams.lambda2 = 0\n"
+                     "kernel.kind = radial\n")
+    assert err.value.errors == [
+        "line 7: key 'kernel.kind': expected one of auto, analytic3d, effective1d, "
+        "effective2d, none; got 'radial'"
+    ]
+    # (kind, the grid's transverse_omega, a wrong one, the count the message names)
+    wrong = [
+        ("effective1d", "0.7, 3", "0.7", "2 entries"),
+        ("effective2d", "2.5", "2.5, 1", "1 entry"),
+    ]
+    for kind, right, bad, count in wrong:
+        for named in ("", f"kernel.kind = {kind}\n"):
+            text = FAMILY_GRIDS[kind].replace(f"omega = {right}", f"omega = {bad}")
+            text += "params.lambda1 = 1\nparams.lambda2 = 0.5\n" + named
+            config = parse_config(text)
+            message = f"kernel.kind = {kind} requires kernel.transverse_omega with {count}"
+            with pytest.raises(ConfigError) as err:
+                build_symbol_from_config(config, config.grid.build())
+            assert err.value.errors == [message]
+            path = tmp_path / f"{kind}.cfg"
+            path.write_text(text)
+            assert run_command(["kernel", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+    for dim, omegas, count in ((1, "1", 2), (2, "1,1", 1)):
+        assert run_command(["kernel", "--dim", str(dim), "--omega", omegas]) == 1
+        needs = f"--omega needs {count} value(s) for the {dim}D symbol"
+        assert capsys.readouterr().err == f"error: {needs}\n"
+
+
+@dataclass(frozen=True)
+class _Flat:
+    """A stand-in family: the constant symbol, with its own range rule."""
+
+    level: float
+    dim = 2
+
+    def table(self, octant):
+        return np.full(octant.shape, self.level)
+
+    def check(self, table):
+        if np.any(table != self.level):
+            raise ValueError("flat symbol is not flat")
+
+
+def test_a_stand_in_provenance_builds_and_validates_through_build_symbol(monkeypatch):
+    g = make_grid(2, [8.0, 10.0], [8, 12])
+    symbol = build_symbol(g, _Flat(0.25))
+    assert symbol.table.shape == g.octant.shape
+    assert np.array_equal(symbol.values, np.full(g.shape, 0.25))
+    assert np.array_equal(symbol.half_values, np.full(g.half_shape, 0.25))
+    symbol.octant.validate()
+    # validate refuses a non-finite table itself, then leaves the range to check
+    with pytest.raises(ValueError, match="non-finite"):
+        build_symbol(g, _Flat(math.nan))
+    monkeypatch.setattr(_Flat, "table", lambda self, octant: np.eye(*octant.shape))
+    with pytest.raises(ValueError, match="flat symbol is not flat"):
+        build_symbol(g, _Flat(1.0))
 
 
 @pytest.mark.parametrize("omega1, omega2", [(1.0, 1.0), (1.3, 0.6)])

@@ -27,6 +27,7 @@ from dipgpe import (
     ground_state_projection,
     linear_eigenstate,
     make_grid,
+    make_unstable_data,
     mass,
     reduced_params,
     record_observables,
@@ -35,7 +36,7 @@ from dipgpe import (
     sweep_to_csv,
     well_prepared_data,
 )
-from dipgpe import reduction
+from dipgpe import reduction, regimes
 from dipgpe.grid import mirror_even_axes
 from dipgpe.reduction import _excitation_sq, run_reduced_snapshots
 
@@ -466,6 +467,57 @@ def test_sweep_rejects_a_repeated_eps_before_any_run(monkeypatch, epsilons):
         epsilon_sweep(s, epsilons, reference_grid(), 2e-3, 0.05, n_samples=2)
 
 
+def _unstable(**changed):
+    args = dict(eps=0.5, alpha=-3.0, f_width=1.0, g_width=1.0) | changed
+    return make_unstable_data(make_grid(3, [15.0, 15.0, 30.0], [8, 8, 8]), **args)
+
+
+def _stable_setup(epsilon=0.2):
+    return ReductionSetup(epsilon, OMEGA, 2.0, 0.3, axial_ground_state(), "1d")
+
+
+def _sweep(dt=2e-3, T=0.05):
+    return epsilon_sweep(_stable_setup(), [0.2], reference_grid(), dt, T, n_samples=2)
+
+
+def _error(dt=2e-3, T=0.05):
+    return reduction_error(_stable_setup(), reference_grid(), dt, T, n_samples=2)
+
+
+_REFUSED = {
+    "unstable-eps": ("eps", lambda bad: _unstable(eps=bad)),
+    "unstable-alpha": ("alpha", lambda bad: _unstable(alpha=bad)),
+    "unstable-f_width": ("f_width", lambda bad: _unstable(f_width=bad)),
+    "unstable-g_width": ("g_width", lambda bad: _unstable(g_width=bad)),
+    "setup-epsilon": ("epsilon", _stable_setup),
+    "sweep-T": ("T", lambda bad: _sweep(T=bad)),
+    "sweep-dt": ("dt", lambda bad: _sweep(dt=bad)),
+    "error-T": ("T", lambda bad: _error(T=bad)),
+    "error-dt": ("dt", lambda bad: _error(dt=bad)),
+    "monitor-stride": ("stride", lambda bad: MonitorSpec(stride=bad)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, call, bad",
+    [
+        pytest.param(*_REFUSED[case], bad, id=f"{case}-{bad}")
+        for case in _REFUSED
+        for bad in (math.nan, math.inf, -math.inf)
+    ]
+    + [pytest.param(*_REFUSED["monitor-stride"], 2.5, id="monitor-stride-2.5")],
+)
+def test_non_finite_or_non_integral_arguments_are_refused_up_front(monkeypatch, name, call, bad):
+    def refuse(*args):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(reduction, "build_symbol", refuse)
+    monkeypatch.setattr(reduction, "run_reduced_snapshots", refuse)
+    monkeypatch.setattr(regimes, "mesh_product", refuse)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(bad)
+
+
 @pytest.mark.parametrize("epsilons", [[0.2], [0.2, 0.141]])
 @pytest.mark.parametrize("max_workers", [0, -1])
 def test_sweep_rejects_a_worker_count_below_one(monkeypatch, epsilons, max_workers):
@@ -758,10 +810,8 @@ def test_rescaled_3d_samples_are_held_and_equal_a_run_of_the_full_data():
 @pytest.mark.parametrize(
     "shape, itemsize",
     # every lattice a sweep's members formed was complex; at 16x16x32 the
-    # octant is 17 % of the lattice, and numpy's two broadcast buffers
-    # around a complex octant product (the kinetic phase table evolve
-    # forms) already reach one real lattice, so the real bound is taken
-    # at the benchmark sweep's 24x24x64
+    # octant is 17 % of the lattice, so the real bound is taken at the
+    # benchmark sweep's 24x24x64
     [((16, 16, 32), 16), ((24, 24, 64), 8)],
 )
 def test_a_pooled_sweep_forms_no_full_lattice(shape, itemsize):

@@ -24,6 +24,7 @@ from dipgpe import (
     unstable_energy_ledger,
     virial_audit,
 )
+from dipgpe import regimes
 from dipgpe.grid import is_mirror_even, mesh_product
 from dipgpe.state import WaveField, energy, variance
 
@@ -337,6 +338,19 @@ def test_unstable_energy_ledger_slopes():
     assert abs(slopes["interaction"] - (-7.0)) <= 0.3
     with pytest.raises(ValueError):
         unstable_energy_ledger(g, p, sym, [0.1], -3.0)
+
+
+@pytest.mark.parametrize("epsilons", [[0.5, 0.5], [0.2, 0.1, 0.2]])
+def test_ledger_refuses_a_repeated_eps_before_any_field(monkeypatch, epsilons):
+    # a repeated eps fits a slope through coinciding log eps
+    def refuse(*args):
+        raise AssertionError("a field was built before the eps values were checked")
+
+    monkeypatch.setattr(regimes, "make_unstable_data", refuse)
+    g = make_grid(3, [15.0, 15.0, 30.0], [32, 32, 32])
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
+    with pytest.raises(ValueError, match="eps values must be distinct"):
+        unstable_energy_ledger(g, p, None, epsilons, -3.0)
 
 
 def _stationary_series():

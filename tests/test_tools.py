@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -7,10 +8,18 @@ import pytest
 
 from dipgpe.state import csv_table
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "csv_drift.py"
-_spec = importlib.util.spec_from_file_location("csv_drift", _PATH)
-csv_drift = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(csv_drift)
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+csv_drift = _load("csv_drift")
+bench_pairs = _load("bench_pairs")
 
 
 def _write(path, rows, header="epsilon,sup_err,slope_partner"):
@@ -47,3 +56,79 @@ def test_csv_drift_refuses_tables_of_another_shape(tmp_path, capsys):
     assert csv_drift.main([str(a), str(c)]) == 1
     assert csv_drift.main([str(a)]) == 1
     assert "header or row count" in capsys.readouterr().err
+
+
+METRICS = [
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "steps_per_s", "better": "higher", "bound": 0.25},
+]
+
+
+def _bench_stdout(wall_s, steps_per_s, failed=0):
+    """What bench/run.py --trace 0 prints: metric lines, the detail line, the result line."""
+    detail = {"machine": {}, "units": [{"sha256": "ab"}, {"sha256": "cd"}]}
+    result = {
+        "correct": failed == 0, "attempted": 2, "failed": failed,
+        "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                    "steps_per_s": {"value": steps_per_s, "unit": "1/s"}},
+    }
+    return f"w wall_s = {wall_s} s\n{json.dumps(detail)}\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_summarizes_interleaved_result_lines(tmp_path, monkeypatch, capsys):
+    # pair i: the parent's wall_s is 2 + i / 10; the change is faster in all but pair 4
+    walls = {p: (2.0 + p / 10, 2.0 + p / 10 + (0.3 if p == 4 else -0.05)) for p in range(1, 6)}
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "parent" if checkout.name == "parent" else "change"
+        calls.append((side, seed, seconds))
+        wall = walls[seed - 100 + 1][side == "change"]
+        return _bench_stdout(wall, 100.0 / wall, failed=int(side == "change" and seed == 102))
+
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    spec = {"run_seconds": 25, "end_to_end": METRICS}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+            "--pairs", "5", "--seed", "100", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+
+    # parent first in odd pairs, one seed per pair, the run seconds of BENCHMARK.json
+    sides = [side for side, _, _ in calls]
+    assert sides == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+    assert [seed for _, seed, _ in calls] == [100, 100, 101, 101, 102, 102, 103, 103, 104, 104]
+    assert {seconds for _, _, seconds in calls} == {25}
+
+    written = json.loads(out.read_text())
+    assert set(written["machine"]) == {"nproc", "python", "numpy", "scipy"}
+    assert len(written["runs"]) == 10 and written["runs"][0]["sha256"] == ["ab", "cd"]
+    wall = written["summary"]["wall_s"]
+    assert wall["change_better_pairs"] == 4 and wall["pairs"] == 5
+    assert wall["parent_q1_median_q3"] == pytest.approx([2.2, 2.3, 2.4])
+    assert wall["change_q1_median_q3"] == pytest.approx([2.15, 2.25, 2.45])
+    assert wall["parent_quartile_distance"] == pytest.approx(0.2)
+    assert wall["relative_worsening_of_median"] == pytest.approx(-0.05 / 2.3)
+    assert wall["within_bound"]
+    # higher is better: the change wins the same pairs, and its worsening is negative
+    rate = written["summary"]["steps_per_s"]
+    assert rate["change_better_pairs"] == 4 and rate["relative_worsening_of_median"] < 0.0
+    assert written["summary"]["failed"] == {"parent": 0, "change": 1}
+
+    printed = capsys.readouterr().out
+    assert "wall_s       2.3 -> 2.25 (4 of 5; 0.2;" in printed
+    assert "failed units: parent 0, change 1" in printed
+
+
+def test_bench_pairs_flags_a_metric_past_its_bound():
+    runs = [
+        {"pair": p, "side": side, "wall_s": 1.0 if side == "parent" else 1.3, "failed": 0}
+        for p in (1, 2, 3) for side in ("parent", "change")
+    ]
+    summary = bench_pairs.summarize(runs, METRICS[:1])
+    assert summary["wall_s"]["change_better_pairs"] == 0
+    assert summary["wall_s"]["relative_worsening_of_median"] == pytest.approx(0.3)
+    assert not summary["wall_s"]["within_bound"]
+    assert "OUTSIDE BOUND" in bench_pairs.report("w", summary)
