@@ -73,16 +73,16 @@ def _accumulate(op, terms) -> np.ndarray:
 
 
 def _by_rows(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """op(a, b) broadcast, formed one row of the last axis at a time.
+    """op(a, b) broadcast, formed one row (index of the first axis) at a time.
 
-    Bit for bit the broadcast op, and it allocates no more than its
-    output: numpy's broadcast op of sparse mesh terms keeps buffers of
-    up to twice the output's size beside it.
+    Bit for bit the broadcast op.  numpy's buffered broadcast op keeps
+    buffers of up to 2 * np.getbufsize() elements beside its output
+    (256 KiB for complex); on one row they are at most twice its size.
     """
     shape = np.broadcast_shapes(a.shape, b.shape)
     out = np.empty(shape, np.result_type(a, b))
     a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
-    for row in np.ndindex(shape[:-1]):
+    for row in range(shape[0]):
         op(a[row], b[row], out=out[row])
     return out
 

@@ -809,9 +809,11 @@ def test_rescaled_3d_samples_are_held_and_equal_a_run_of_the_full_data():
 
 @pytest.mark.parametrize(
     "shape, itemsize",
-    # every lattice a sweep's members formed was complex; at 16x16x32 the
-    # octant is 17 % of the lattice, so the real bound is taken at the
-    # benchmark sweep's 24x24x64
+    # every lattice a sweep's members formed was complex.  The trace reads
+    # one process-wide peak, so the two member threads' allocations add up
+    # when they fall in one interval; at 16x16x32 one member's largest is
+    # already over half a real lattice, so the complex bound is kept there
+    # and the real bound is taken at the benchmark sweep's 24x24x64
     [((16, 16, 32), 16), ((24, 24, 64), 8)],
 )
 def test_a_pooled_sweep_forms_no_full_lattice(shape, itemsize):

@@ -111,7 +111,7 @@ def test_bench_pairs_summarizes_interleaved_result_lines(tmp_path, monkeypatch, 
     assert wall["change_q1_median_q3"] == pytest.approx([2.15, 2.25, 2.45])
     assert wall["parent_quartile_distance"] == pytest.approx(0.2)
     assert wall["relative_worsening_of_median"] == pytest.approx(-0.05 / 2.3)
-    assert wall["within_bound"]
+    assert wall["verdict"] == "within_bound"
     # higher is better: the change wins the same pairs, and its worsening is negative
     rate = written["summary"]["steps_per_s"]
     assert rate["change_better_pairs"] == 4 and rate["relative_worsening_of_median"] < 0.0
@@ -123,12 +123,24 @@ def test_bench_pairs_summarizes_interleaved_result_lines(tmp_path, monkeypatch, 
 
 
 def test_bench_pairs_flags_a_metric_past_its_bound():
-    runs = [
-        {"pair": p, "side": side, "wall_s": 1.0 if side == "parent" else 1.3, "failed": 0}
-        for p in (1, 2, 3) for side in ("parent", "change")
-    ]
-    summary = bench_pairs.summarize(runs, METRICS[:1])
+    def runs(parent, change):
+        return [
+            {"pair": p, "side": side, "wall_s": value, "failed": 0}
+            for p, pair in enumerate(zip(parent, change), 1)
+            for side, value in zip(("parent", "change"), pair)
+        ]
+
+    summary = bench_pairs.summarize(runs([1.0] * 3, [1.3] * 3), METRICS[:1])
     assert summary["wall_s"]["change_better_pairs"] == 0
     assert summary["wall_s"]["relative_worsening_of_median"] == pytest.approx(0.3)
-    assert not summary["wall_s"]["within_bound"]
+    assert summary["wall_s"]["verdict"] == "outside_bound"
     assert "OUTSIDE BOUND" in bench_pairs.report("w", summary)
+    # the parent's quartile distance is 1.0 against a median of 2.0, 50 % > 25 %:
+    # a 10 % worsening is unresolved, not within the bound
+    summary = bench_pairs.summarize(runs([1.0, 2.0, 3.0], [2.1, 2.2, 2.3]), METRICS[:1])
+    assert summary["wall_s"]["relative_worsening_of_median"] == pytest.approx(0.1)
+    assert summary["wall_s"]["verdict"] == "unresolved"
+    assert "UNRESOLVED" in bench_pairs.report("w", summary)
+    # unless every change run beats every parent run
+    summary = bench_pairs.summarize(runs([1.0, 2.0, 3.0], [0.5, 0.6, 0.7]), METRICS[:1])
+    assert summary["wall_s"]["verdict"] == "within_bound"

@@ -7,13 +7,16 @@ Pair i (from 1) runs ``python3 bench/run.py --workload W --seed S+i-1
 --seconds T --trace 0`` once from each checkout, each in its own
 process, the parent first in odd pairs and the change first in even
 ones, so drift of the machine over the session falls on both sides
-alike.  T is --seconds, by default the run_seconds of CHANGE_DIR's
-BENCHMARK.json, which also names the end-to-end metrics, the direction
-in which each is better and its bound.
+alike.  T is the run_seconds of CHANGE_DIR's BENCHMARK.json, which also
+names the end-to-end metrics, the direction in which each is better and
+its bound.
 
 For each metric it prints the parent's and the change's median, the
-number of pairs the change won and the parent's quartile distance (q3 -
-q1), and it writes one JSON file: the machine (nproc, python, numpy and
+number of pairs the change won, the parent's quartile distance (q3 -
+q1) and a verdict: within or outside the bound, or unresolved when the
+parent's quartile distance, relative to its median, is wider than the
+bound and not every change run beats every parent run.  It writes one
+JSON file: the machine (nproc, python, numpy and
 scipy versions), the order of the runs, that summary per metric and
 every run's metrics, failure count and per-unit output digests.  It
 reads bench/ from the two checkouts and changes nothing there.
@@ -54,7 +57,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
     A pair is won when the change's value is better than the parent's in
     the metric's direction.  The worsening is the change's median against
-    the parent's, relative to the parent's, positive when worse.
+    the parent's, relative to the parent's, positive when worse.  The
+    verdict is "unresolved" when the parent's quartile distance over its
+    median exceeds the bound, unless every change run beats every parent
+    run; else "within_bound" or "outside_bound" by the worsening.
     """
     pairs = sorted({r["pair"] for r in runs})
     side = {(r["pair"], r["side"]): r for r in runs}
@@ -68,6 +74,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         worse = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
         worse = worse if lower else -worse
+        spread = (pq[2] - pq[0]) / abs(pq[1]) if pq[1] else 0.0
+        beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+        if spread > m["bound"] and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "within_bound" if worse <= m["bound"] else "outside_bound"
         summary[name] = {
             "parent_q1_median_q3": pq.tolist(),
             "change_q1_median_q3": cq.tolist(),
@@ -76,7 +88,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "parent_quartile_distance": float(pq[2] - pq[0]),
             "relative_worsening_of_median": float(worse),
             "bound": m["bound"],
-            "within_bound": bool(worse <= m["bound"]),
+            "verdict": verdict,
         }
     summary["failed"] = {s: sum(r["failed"] for r in runs if r["side"] == s)
                          for s in ("parent", "change")}
@@ -89,7 +101,8 @@ def report(workload: str, summary: dict) -> str:
         if name == "failed":
             continue
         p, c = s["parent_q1_median_q3"][1], s["change_q1_median_q3"][1]
-        verdict = "" if s["within_bound"] else "  OUTSIDE BOUND"
+        verdict = {"within_bound": "", "outside_bound": "  OUTSIDE BOUND",
+                   "unresolved": "  UNRESOLVED: parent spread past the bound"}[s["verdict"]]
         lines.append(
             f"  {name:<12} {p:.6g} -> {c:.6g} ({s['change_better_pairs']} of {s['pairs']}; "
             f"{s['parent_quartile_distance']:.3g}; {s['relative_worsening_of_median']:+.1%} "
@@ -114,12 +127,11 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     runs = []
     for pair in range(1, args.pairs + 1):
         seed = args.seed + pair - 1
