@@ -516,6 +516,9 @@ def make_grid(
     if dim not in (1, 2, 3):
         raise GridError(f"dim must be 1, 2 or 3, got {dim}")
     extents = tuple(float(L) for L in extents)
+    for n in points:
+        if not float(n).is_integer():
+            raise GridError(f"point counts must be integers, got {n}")
     points = tuple(int(n) for n in points)
     if len(extents) != dim or len(points) != dim:
         raise GridError(

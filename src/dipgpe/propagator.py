@@ -41,10 +41,12 @@ place of the FFT along each even axis and its weights in every lattice
 sum: the octant's (n/2 + 1)^d points instead of n^d for a field even
 along every axis, 17 * 17 * 32 of a 32^3 lattice for one centred in x
 and y but displaced along z.  A held field0 (state.WaveField.table)
-runs on its table as it is, never written.  The caller sees fields of
-field0's grid, held by the arrays the run materialized.  Nothing selects
-the lattice but the data, so no option turns it on or off.  strang_step
-and the standalone observables run the field's own grid.
+runs on its table as it is, never written; every held field is read
+through WaveField.held(), the array the field holds and the lattice it
+lies on.  The caller sees fields of field0's grid, held by the arrays
+the run materialized.  Nothing selects the lattice but the data, so no
+option turns it on or off.  strang_step and the standalone observables
+run the field's own grid.
 
 Blow-up cannot be followed on a fixed lattice.  The monitor reports
 under-resolution consistent with collapse when the gradient norm or the
@@ -172,7 +174,7 @@ def linear_eigenstate(grid: SpectralGrid, omega: Sequence[float]) -> tuple[WaveF
         raise GridError(
             f"expected {grid.dim} trap frequencies, got {len(omega)}"
         )
-    if any(w <= 0.0 for w in omega):
+    if not all(0.0 < w < math.inf for w in omega):
         raise ValueError("linear eigenstate requires all trap frequencies positive")
     values = _harmonic_profile(grid, range(grid.dim), omega)
     # times the reciprocal, not a division: the frozen outputs hold a * (1/c)
@@ -453,6 +455,8 @@ def evolve(
         raise ValueError(f"T must be positive and finite, got {T!r}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not math.isfinite(field0.t):
+        raise ValueError(f"field0.t must be finite, got {field0.t!r}")
     grid = field0.grid
     field0.validate_finite()
 
@@ -604,14 +608,12 @@ def write_snapshot(field: WaveField, path: "str | Path") -> None:
         + ["%.17g" % L for L in grid.extents]
         + ["%.17g" % field.t]
     )
-    held = field._held()
+    held, _ = field.held()
+    plane = (1,) + grid.shape[1:]
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        n = grid.shape[0]
-        plane = (1,) + grid.shape[1:]
-        for i in range(n):
-            # along an even axis 0, index n - i holds the mirror image of index i
-            k = i if held.shape[0] == n else min(i, n - i)
+        # the held index of each full axis-0 index
+        for k in _unfold(np.arange(held.shape[0]), grid.shape[:1]):
             fh.write(_bytes_view(_unfold(held[k : k + 1], plane)))
 
 
@@ -638,6 +640,8 @@ def read_snapshot(path: "str | Path", grid: "SpectralGrid | None" = None) -> Wav
         shape = tuple(int(v) for v in tokens[:dim])
         extents = tuple(float(v) for v in tokens[dim : 2 * dim])
         t = float(tokens[2 * dim])
+        if not math.isfinite(t):
+            raise ValueError(f"snapshot time must be finite, got {t!r} in {path}")
         if grid is None:
             grid = make_grid(dim, extents, shape)
         elif grid.dim != dim or grid.shape != shape or grid.extents != extents:

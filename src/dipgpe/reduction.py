@@ -47,6 +47,7 @@ is clamped to eps^2 / (20 mu0) to keep at least 20 samples per cycle.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -83,7 +84,7 @@ def effective_coupling(lambda1: float, transverse_omegas: Sequence[float]) -> fl
     quartic integral of the normalized Gaussian ground state.
     """
     omegas = tuple(float(w) for w in transverse_omegas)
-    if any(w <= 0.0 for w in omegas):
+    if not all(0.0 < w < math.inf for w in omegas):
         raise ValueError("transverse trap frequencies must be positive")
     if len(omegas) == 2:
         return lambda1 * math.sqrt(omegas[0] * omegas[1]) / (2.0 * math.pi)
@@ -120,7 +121,7 @@ class ReductionSetup:
         self.omega = tuple(float(w) for w in self.omega)
         if len(self.omega) != 3:
             raise ValueError("omega must have three components")
-        if any(w <= 0.0 for w in self.transverse_omegas):
+        if not all(0.0 < w < math.inf for w in self.transverse_omegas):
             raise ValueError("transverse trap frequencies must be positive")
         if self.u0.grid.dim != len(self.slow_axes):
             raise GridError(
@@ -207,12 +208,6 @@ def slow_grid(grid3d: SpectralGrid, tight_axes: Sequence[int]) -> SpectralGrid:
 def _factorized(chi: np.ndarray, u: np.ndarray, tight_axes: Sequence[int]) -> np.ndarray:
     """chi (tight axes) times the slow-axes array u, on the 3D lattice (grid._by_rows)."""
     return _by_rows(np.multiply, chi, np.expand_dims(u, tuple(tight_axes)))
-
-
-def _held(field: WaveField) -> tuple[np.ndarray, SpectralGrid]:
-    """The array a field holds, its table or its values, and the lattice it lies on."""
-    table = field._held()
-    return table, field.grid.lattice_for(table.shape)
 
 
 def _slow_part(u: np.ndarray, lattice: SpectralGrid, tight_axes: Sequence[int]) -> np.ndarray:
@@ -308,7 +303,7 @@ def _snapshot_run(
     """
 
     def relabel(field: WaveField) -> None:
-        consume(WaveField(field._held(), grid, field.t))
+        consume(WaveField(field.held()[0], grid, field.t))
 
     _, outcome = evolve(field0, *args, callback=relabel, observables=False, **kwargs)
     if isinstance(outcome, CollapseReport):
@@ -381,7 +376,7 @@ def ground_state_projection(
     tight = {len(axes): axes for axes in TIGHT_AXES.values()}.get(len(omegas))
     if tight is None:
         raise ValueError(f"expected 1 or 2 transverse frequencies, got {len(omegas)}")
-    table, lattice = _held(field3d)
+    table, lattice = field3d.held()
     chi = _harmonic_profile(lattice, tight, omegas)
     values = _project(table, lattice, chi, tight)
     return WaveField(values=values, grid=slow_grid(grid, tight), t=field3d.t)
@@ -420,7 +415,7 @@ def _excitation_sq(
     of two numbers near the unit mass, so it is never negative and keeps
     its relative accuracy at the splitting noise floor.
     """
-    table, lattice = _held(field3d)
+    table, lattice = field3d.held()
     chi = _harmonic_profile(lattice, tight_axes, transverse_omegas)
     projected = _project(table, lattice, chi, tight_axes)
     return _distance_sq(table, _factorized(chi, projected, tight_axes), lattice)
@@ -428,7 +423,7 @@ def _excitation_sq(
 
 def _modulation_error(psi_eps: WaveField, u_t: WaveField, setup: ReductionSetup) -> float:
     """||psi_eps - exp(-i mu0 t / eps^2) chi0 u_t||, psi_eps on the reference grid."""
-    table, lattice = _held(psi_eps)
+    table, lattice = psi_eps.held()
     tight = setup.tight_axes
     phase = np.exp(-1j * setup.mu0 * psi_eps.t / setup.epsilon**2)
     chi = _harmonic_profile(lattice, tight, setup.transverse_omegas)
@@ -447,11 +442,15 @@ class ReductionStudy:
     excitation_sq: float
 
 
-def _check_study(setup: ReductionSetup, dt: float, T: float, allow_unstable: bool) -> None:
+def _check_study(
+    setup: ReductionSetup, dt: float, T: float, n_samples: int, allow_unstable: bool
+) -> None:
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T!r}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     if not setup.in_stable_regime() and not allow_unstable:
         raise ValueError(
             "reduction study outside the stable regime; the O(eps) statement "
@@ -469,7 +468,7 @@ def _study(
     allow_unstable: bool = False,
     reduced_snapshots: "list[tuple[float, WaveField]] | None" = None,
 ) -> ReductionStudy:
-    _check_study(setup, dt, T, allow_unstable)
+    _check_study(setup, dt, T, n_samples, allow_unstable)
     times = [j * T / n_samples for j in range(1, n_samples + 1)]
 
     if reduced_snapshots is None:
@@ -568,7 +567,7 @@ def epsilon_sweep(
         raise ValueError(f"eps values must be distinct, got {epsilons}")
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
-    _check_study(setup, dt, T, allow_unstable)
+    _check_study(setup, dt, T, n_samples, allow_unstable)
     reduced = run_reduced_snapshots(setup, dt, T, n_samples)
 
     def member(eps: float) -> ReductionStudy:

@@ -21,7 +21,9 @@ A field may lie on a lattice with even axes (grid.SpectralGrid), where
 evolve runs data mirror-even along them and classify reads it
 (_run_lattice); a field of a full lattice may be held by its table
 there alone (WaveField.table), and its values are mirrored from the
-table on first read.  On any lattice every observable is the full
+table on first read.  WaveField.held() is the one way to read a held
+field: the array it holds, its table or its values, and the lattice
+that array lies on.  On any lattice every observable is the full
 lattice's: each sum takes the even axes' weights (1 at indices 0 and
 n/2, 2 between) as per-axis factors, the marginals are unfolded to the
 full axes, and Parseval's 1/N counts the full lattice.  A full
@@ -111,6 +113,9 @@ class PhysicalParams:
                 raise ValueError(f"trap frequencies must be nonnegative, got {w}")
         self.lambda1 = float(self.lambda1)
         self.lambda2 = float(self.lambda2)
+        for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @cached_property
     def omega_min(self) -> float:
@@ -139,8 +144,9 @@ class WaveField:
     along that lattice's even axes.  Such a field is held: table is the
     one array it holds, and values, mirrored from it on first read, is
     from then on the field (a write to it is a write to the field) and
-    table None.  validate_finite and copy read the table alone; runs
-    read it as it is and never write to it.
+    table None.  held() gives the array the field holds and its
+    lattice; validate_finite, copy and runs read the field through it,
+    and never write to a table.
     """
 
     def __init__(self, values: np.ndarray, grid: SpectralGrid, t: float = 0.0) -> None:
@@ -160,16 +166,17 @@ class WaveField:
             self.table = None
         return self._values
 
-    def _held(self) -> np.ndarray:
-        """The array the field holds: its table, or its values."""
-        return self.values if self.table is None else self.table
+    def held(self) -> tuple[np.ndarray, SpectralGrid]:
+        """The array the field holds, its table or its values, and the lattice it lies on."""
+        array = self.values if self.table is None else self.table
+        return array, self.grid.lattice_for(array.shape)
 
     def validate_finite(self) -> None:
-        if not np.all(np.isfinite(self._held().view(float))):
+        if not np.all(np.isfinite(self.held()[0].view(float))):
             raise ValueError("field contains non-finite values")
 
     def copy(self) -> "WaveField":
-        return WaveField(values=self._held().copy(), grid=self.grid, t=self.t)
+        return WaveField(values=self.held()[0].copy(), grid=self.grid, t=self.t)
 
 
 @dataclass(frozen=True)
@@ -273,16 +280,13 @@ def _run_lattice(
     field runs on its table as it is, shared and never written, another
     on a copy of its held indices, and one even along no axis on its grid.
     """
-    grid = field.grid
-    if field.table is not None:
-        table = field.table
-        lattice = grid.lattice_for(table.shape)
-    else:
-        even = mirror_even_axes(field.values, grid.periodic)
+    table, lattice = field.held()
+    if field.table is None:
+        even = mirror_even_axes(table, lattice.periodic)
         if not even:
             return field, symbol
-        lattice = grid.sublattice(even)
-        table = lattice.restrict(field.values)
+        lattice = lattice.sublattice(even)
+        table = lattice.restrict(table)
     if symbol is not None:
         symbol = symbol.on_sublattice(lattice.even) if params.lambda2 != 0.0 else None
     return WaveField(table, lattice, field.t), symbol
@@ -345,8 +349,7 @@ def _axis_marginals(
         if w is not None:
             # the weights are 1 and 2, so dividing one out is exact
             m = marginals[a] / w if a < lead.ndim else marginals[a]
-            # indices 0..n/2, then n/2 - 1 down to 1
-            marginals[a] = np.concatenate([m, m[-2:0:-1]])
+            marginals[a] = _unfold(m, grid.full.shape[a : a + 1])
     return marginals
 
 

@@ -929,6 +929,21 @@ def test_cli_init_file_naming_a_directory_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_simulate_refuses_a_snapshot_with_a_non_finite_time(tmp_path, capsys):
+    seed, _ = linear_eigenstate(make_grid(2, [12.0, 12.0], [32, 32]), (1.0, 1.0))
+    seed_path = tmp_path / "seed.gpef"
+    write_snapshot(seed, seed_path)
+    header, payload = seed_path.read_bytes().split(b"\n", 1)
+    seed_path.write_bytes(header.rsplit(b" ", 1)[0] + b" nan\n" + payload)
+    path = _write(tmp_path, "nan.cfg", MINIMAL + f"init.kind = file\ninit.file = {seed_path}\n")
+    out_dir = tmp_path / "o"
+    assert run_command(["simulate", "--config", path, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "snapshot time must be finite" in err
+    assert not (out_dir / "series.csv").exists()
+
+
 def test_cli_out_naming_an_existing_file_exits_1(tmp_path, capsys):
     path = _write(tmp_path, "run.cfg", MINIMAL + "T = 0.01\n")
     taken = tmp_path / "taken"

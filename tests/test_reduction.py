@@ -476,12 +476,18 @@ def _stable_setup(epsilon=0.2):
     return ReductionSetup(epsilon, OMEGA, 2.0, 0.3, axial_ground_state(), "1d")
 
 
-def _sweep(dt=2e-3, T=0.05):
-    return epsilon_sweep(_stable_setup(), [0.2], reference_grid(), dt, T, n_samples=2)
+def _sweep(dt=2e-3, T=0.05, n_samples=2):
+    return epsilon_sweep(_stable_setup(), [0.2], reference_grid(), dt, T, n_samples=n_samples)
 
 
-def _error(dt=2e-3, T=0.05):
-    return reduction_error(_stable_setup(), reference_grid(), dt, T, n_samples=2)
+def _error(dt=2e-3, T=0.05, n_samples=2):
+    return reduction_error(_stable_setup(), reference_grid(), dt, T, n_samples=n_samples)
+
+
+def _evolve_from(t):
+    u0 = axial_ground_state()
+    u0.t = t
+    return evolve(u0, PhysicalParams(1, (1.0,), 0.0, 0.0), dt=1e-3, T=0.01)
 
 
 _REFUSED = {
@@ -495,6 +501,12 @@ _REFUSED = {
     "error-T": ("T", lambda bad: _error(T=bad)),
     "error-dt": ("dt", lambda bad: _error(dt=bad)),
     "monitor-stride": ("stride", lambda bad: MonitorSpec(stride=bad)),
+    "sweep-n_samples": ("n_samples", lambda bad: _sweep(n_samples=bad)),
+    "error-n_samples": ("n_samples", lambda bad: _error(n_samples=bad)),
+    "params-lambda1": ("lambda1", lambda bad: PhysicalParams(3, (1.0, 1.0, 1.0), bad, 0.0)),
+    "params-lambda2": ("lambda2", lambda bad: PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, bad)),
+    "grid-points": ("point counts", lambda bad: make_grid(1, [10.0], [bad])),
+    "evolve-t": ("field0.t", _evolve_from),
 }
 
 
@@ -505,7 +517,17 @@ _REFUSED = {
         for case in _REFUSED
         for bad in (math.nan, math.inf, -math.inf)
     ]
-    + [pytest.param(*_REFUSED["monitor-stride"], 2.5, id="monitor-stride-2.5")],
+    + [
+        pytest.param(*_REFUSED[case], bad, id=f"{case}-{bad}")
+        for case, bad in [
+            ("monitor-stride", 2.5),
+            ("sweep-n_samples", 0),
+            ("sweep-n_samples", 2.5),
+            ("error-n_samples", 0),
+            ("error-n_samples", 2.5),
+            ("grid-points", 8.7),
+        ]
+    ],
 )
 def test_non_finite_or_non_integral_arguments_are_refused_up_front(monkeypatch, name, call, bad):
     def refuse(*args):
@@ -515,6 +537,32 @@ def test_non_finite_or_non_integral_arguments_are_refused_up_front(monkeypatch, 
     monkeypatch.setattr(reduction, "run_reduced_snapshots", refuse)
     monkeypatch.setattr(regimes, "mesh_product", refuse)
     with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "message, call",
+    [
+        pytest.param(
+            "linear eigenstate requires all trap frequencies positive",
+            lambda bad: linear_eigenstate(axial_grid(), (bad,)),
+            id="linear_eigenstate",
+        ),
+        pytest.param(
+            "transverse trap frequencies must be positive",
+            lambda bad: effective_coupling(1.0, (bad, 1.0)),
+            id="effective_coupling",
+        ),
+        pytest.param(
+            "transverse trap frequencies must be positive",
+            lambda bad: ReductionSetup(0.2, (bad, 1.0, 1.0), 2.0, 0.3, axial_ground_state(), "1d"),
+            id="ReductionSetup",
+        ),
+    ],
+)
+def test_non_finite_trap_frequencies_are_refused(message, call, bad):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call(bad)
 
 
