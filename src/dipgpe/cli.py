@@ -29,7 +29,7 @@ from .config import (
     build_symbol_from_config,
     parse_config,
 )
-from .grid import is_mirror_even, make_grid
+from .grid import make_grid, mirror_even_axes
 from .kernel import (
     _FAMILIES,
     _FAMILY_OF_DIM,
@@ -319,7 +319,7 @@ def _cmd_selftest(args) -> int:
         assert abs(symbol3d(0.0, 0.0, 1.0) - 8 * math.pi / 3) < 1e-14
         # the three layouts are mirrored from one octant table: bit for bit
         values = symbol.values
-        assert is_mirror_even(values), "values are not mirror-even"
+        assert mirror_even_axes(values) == (0, 1, 2), "values are not mirror-even"
         half = tuple(slice(0, m) for m in grid.half_shape)
         assert symbol.half_values.tobytes() == values[half].tobytes(), "half_values"
         assert symbol.octant.values.tobytes() == values[grid.octant.index].tobytes(), "octant"

@@ -22,11 +22,11 @@ from dataclasses import MISSING, dataclass, is_dataclass
 from functools import cached_property
 from typing import Callable, Optional, get_type_hints
 
-from .grid import GridError, SpectralGrid, make_grid, mesh_product
+from .grid import GridError, SpectralGrid, make_grid
 from .kernel import _FAMILIES, _FAMILY_OF_DIM, KernelSymbol, build_symbol
 from .propagator import MonitorSpec, linear_eigenstate, read_snapshot
 from .regimes import make_unstable_data
-from .state import PhysicalParams, WaveField
+from .state import PhysicalParams, WaveField, separable_field
 
 import numpy as np
 
@@ -369,16 +369,14 @@ def build_initial_field(config: RunConfig, grid: SpectralGrid) -> WaveField:
         if len(center) != grid.dim:
             raise ConfigError([f"init.center needs {grid.dim} entries"])
         shifted = [(coord - c0) ** 2 for c0, coord in zip(center, grid.coord_mesh)]
-        values = mesh_product(np.exp(-s / (2.0 * w * w)) for s, w in zip(shifted, widths))
-        # times the reciprocal, not a division: the frozen outputs hold a * (1/c)
-        values *= 1.0 / math.sqrt(float(np.sum(values * values)) * grid.cell_volume)
+        factors = [np.exp(-s / (2.0 * w * w)) for s, w in zip(shifted, widths)]
+        field = separable_field(grid, factors, unit_mass=True)
         if init.beta != 0.0:
-            # the chirp exp(i beta |x - c|^2 / 2) as a product of per-axis factors
-            chirp = mesh_product(np.exp(0.5j * init.beta * s) for s in shifted)
-            values = np.multiply(chirp, values, out=chirp)
-        else:
-            values = values.astype(complex)
-        return WaveField(values=values, grid=grid, t=0.0)
+            # the chirp exp(i beta |x - c|^2 / 2), the held product of its
+            # per-axis factors on the field's lattice
+            table, lattice = field.held()
+            table *= lattice.held_product([np.exp(0.5j * init.beta * s) for s in shifted])
+        return field
     if init.kind == "unstable":
         widths = init.widths or (1.0,)
         f_width = widths[0]

@@ -237,11 +237,6 @@ def mirror_even_axes(values: np.ndarray, axes: "Sequence[int] | None" = None) ->
     return tuple(even)
 
 
-def is_mirror_even(values: np.ndarray) -> bool:
-    """Whether values equal their mirror image bit for bit along every axis."""
-    return len(mirror_even_axes(values)) == values.ndim
-
-
 def _even_weights(n: int) -> np.ndarray:
     """The multiplicities 1, 2, ..., 2, 1 of indices 0..n/2 of an n-point even axis."""
     return np.concatenate([[1.0], np.full(n // 2 - 1, 2.0), [1.0]])
@@ -415,6 +410,21 @@ class SpectralGrid:
         if lattice.shape != tuple(shape):
             raise GridError(f"field shape {tuple(shape)} does not match grid shape {self.shape}")
         return lattice
+
+    def held_product(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """The left-to-right product of factors at the held indices, as a new array.
+
+        Each factor broadcasts against the full lattice and spans each of
+        its axes whole or at the held indices, and together they span
+        every axis.  The leading factors' product stays broadcast, as
+        mesh_product's partial products do, and the last multiplication
+        fills the held lattice a first-axis row at a time (_by_rows): bit
+        for bit mesh_product's lattice at the held indices.
+        """
+        factors = [f[self.index] for f in factors]
+        if len(factors) == 1:
+            return factors[0].copy()
+        return _by_rows(np.multiply, _accumulate(np.multiply, factors[:-1]), factors[-1])
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """The held indices of a lattice of this box's family, as a new contiguous array."""

@@ -381,25 +381,33 @@ def _check_mirror_even(values: np.ndarray) -> None:
 class KernelSymbol:
     """Real Fourier multiplier, even along every axis, on a grid's frequency lattice.
 
-    The one array it holds is its table on the grid's octant (table).
-    values, given to the constructor, is the table on grid or on
-    grid.octant; one on grid is checked, mirrored to the full lattice,
-    for evenness along every axis to 1e-12 (KernelRealityError names the
-    axis), and only its octant is kept.  half_values (rfft's layout, for
-    a run's step and the dipolar energy) and values (apply_kernel, the
-    kernel CSV) are mirrored from the table along grid's periodic axes
-    on first read.  on_sublattice(axes) is the symbol on
-    grid.sublattice(axes), octant the one on grid.octant.
+    Its dimension is its grid's, and a provenance of another dimension
+    is refused (GridError) before anything is tabulated.  The one array
+    it holds is its table on the grid's octant (table).  values, given
+    to the constructor, is the table on grid or on grid.octant, or None
+    for the family's own (provenance.table), as build_symbol takes it;
+    one on grid is checked, mirrored to the full lattice, for evenness
+    along every axis to 1e-12 (KernelRealityError names the axis), and
+    only its octant is kept.  half_values (rfft's layout, for a run's
+    step and the dipolar energy) and values (apply_kernel, the kernel
+    CSV) are mirrored from the table along grid's periodic axes on first
+    read.  on_sublattice(axes) is the symbol on grid.sublattice(axes),
+    octant the one on grid.octant.
     """
 
     def __init__(
-        self, dim: int, values: np.ndarray, provenance: Provenance, grid: SpectralGrid
+        self, values: "np.ndarray | None", provenance: Provenance, grid: SpectralGrid
     ) -> None:
-        self.dim = dim
+        if provenance.dim != grid.dim:
+            raise GridError(
+                f"provenance is {provenance.dim}-dimensional but grid is {grid.dim}-dimensional"
+            )
         self.provenance = provenance
         self.grid = grid
         octant = grid.octant
-        if values.shape != octant.shape:
+        if values is None:
+            values = provenance.table(octant)
+        elif values.shape != octant.shape:
             if values.shape != grid.shape:
                 raise GridError(
                     f"symbol shape {values.shape} matches neither grid {grid.shape} "
@@ -419,12 +427,12 @@ class KernelSymbol:
 
     def on_sublattice(self, axes) -> "KernelSymbol":
         """The symbol on grid.sublattice(axes): the table itself."""
-        return KernelSymbol(self.dim, self.table, self.provenance, self.grid.sublattice(axes))
+        return KernelSymbol(self.table, self.provenance, self.grid.sublattice(axes))
 
     @cached_property
     def octant(self) -> "KernelSymbol":
         """The symbol on grid.octant."""
-        return self.on_sublattice(range(self.dim))
+        return self.on_sublattice(range(self.grid.dim))
 
     def validate(self) -> None:
         """Enforce the type invariants on the table; raises ValueError on violation."""
@@ -445,7 +453,7 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     """Tabulate a symbol on the grid's frequency lattice.
 
     The provenance selects the family and carries its trap frequencies;
-    its dimension must match the grid.  Every family is even along every
+    its dimension must match the grid (KernelSymbol).  Every family is even along every
     axis, and every family is evaluated on the octant of indices 0..n/2
     per axis alone (provenance.table), the table KernelSymbol holds, so no
     evenness check runs: fftfreq gives xi[n - k] = -xi[k] bit for bit, so
@@ -455,11 +463,7 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     effective 1D symbol its angular mean (see module docstring) over the
     distinct |xi3|.  The table is validated; nothing is cached.
     """
-    if provenance.dim != grid.dim:
-        raise GridError(
-            f"provenance is {provenance.dim}-dimensional but grid is {grid.dim}-dimensional"
-        )
-    symbol = KernelSymbol(grid.dim, provenance.table(grid.octant), provenance, grid)
+    symbol = KernelSymbol(None, provenance, grid)
     symbol.validate()
     return symbol
 

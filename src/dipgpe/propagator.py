@@ -29,8 +29,10 @@ transform; psi is then materialized in place over psi_hat
 (FieldSpectrum.spend) for the ObservableRecord, which evolve takes on
 one recorder thread beside the loop (see evolve), or for no record
 with observables=False, as the reduction module's snapshot runs take.
-_harmonic_profile builds the trap ground state on any set of axes, for
-linear_eigenstate and the reduction module.
+_harmonic_factors gives the trap ground state's per-axis factors:
+linear_eigenstate forms their product with state.separable_field, held
+on the octant of two or three axes, and the reduction module takes it
+on the tight axes (_harmonic_profile).
 
 The trap, the contact term and the kernel are all even in each
 coordinate separately, so a field that equals its mirror image along
@@ -92,6 +94,7 @@ from .state import (
     field_spectrum,
     gradient_norm_sq,
     record_observables,
+    separable_field,
     spectral_tail_fraction,
     check_resolution,
 )
@@ -152,35 +155,31 @@ class CollapseReport:
         )
 
 
-def _harmonic_profile(
-    grid: SpectralGrid, axes: Sequence[int], omegas: Sequence[float]
-) -> np.ndarray:
-    """Product of (w/pi)^(1/4) exp(-w x^2 / 2) over axes; length one on the others."""
-    mesh = grid.coord_mesh
-    return mesh_product(
-        (w / math.pi) ** 0.25 * np.exp(-0.5 * w * mesh[axis] * mesh[axis])
-        for axis, w in zip(axes, omegas)
-    )
+def _harmonic_factors(grid: SpectralGrid, axes: Sequence[int], omegas: Sequence[float]) -> list:
+    """Per axis of axes, (w/pi)^(1/4) exp(-w x^2 / 2) as a sparse mesh."""
+    x = grid.coord_mesh
+    return [(w / math.pi) ** 0.25 * np.exp(-0.5 * w * x[a] * x[a]) for a, w in zip(axes, omegas)]
+
+
+def _harmonic_profile(grid: SpectralGrid, axes: Sequence[int], omegas: Sequence[float]):
+    """Product of the harmonic factors over axes; length one on the others."""
+    return mesh_product(_harmonic_factors(grid, axes, omegas))
 
 
 def linear_eigenstate(grid: SpectralGrid, omega: Sequence[float]) -> tuple[WaveField, float]:
     """Ground state of the linear trapped problem and its frequency.
 
     Product Gaussian with per-axis width 1/sqrt(omega_j), renormalized
-    to unit lattice mass; the frequency is sum(omega_j) / 2.
+    to unit lattice mass and, on two or three axes, held on the octant
+    (state.separable_field); the frequency is sum(omega_j) / 2.
     """
     omega = tuple(float(w) for w in omega)
     if len(omega) != grid.dim:
-        raise GridError(
-            f"expected {grid.dim} trap frequencies, got {len(omega)}"
-        )
+        raise GridError(f"expected {grid.dim} trap frequencies, got {len(omega)}")
     if not all(0.0 < w < math.inf for w in omega):
         raise ValueError("linear eigenstate requires all trap frequencies positive")
-    values = _harmonic_profile(grid, range(grid.dim), omega)
-    # times the reciprocal, not a division: the frozen outputs hold a * (1/c)
-    values *= 1.0 / math.sqrt(float(np.sum(values * values)) * grid.cell_volume)
-    mu = 0.5 * sum(omega)
-    return WaveField(values=values.astype(complex), grid=grid, t=0.0), mu
+    factors = _harmonic_factors(grid, range(grid.dim), omega)
+    return separable_field(grid, factors, unit_mass=True), 0.5 * sum(omega)
 
 
 def _nonlinear_phase(split: "_Splitting", values: np.ndarray) -> None:
@@ -599,8 +598,11 @@ def write_snapshot(field: WaveField, path: "str | Path") -> None:
     The payload is the full lattice, little-endian complex128 in C order,
     written an axis-0 plane at a time from the array the field holds,
     each plane of a held field mirrored from its table, so no full
-    lattice is formed.
+    lattice is formed.  A non-finite time is refused before the file is
+    opened, as read_snapshot would refuse the file.
     """
+    if not math.isfinite(field.t):
+        raise ValueError(f"snapshot time must be finite, got {field.t!r}")
     grid = field.grid
     header = " ".join(
         ["GPEF", "v1", str(grid.dim)]

@@ -31,11 +31,14 @@ axes only.
 The 3D data chi0 u0 is mirror-even along each axis where its factor
 is, and evolve runs it on the lattice even along those axes (the
 propagator module), so the companion run forms it on that lattice's
-held indices alone, and its samples are handed on held by their table
-(state.WaveField), relabeled onto the reference grid.  The modulation
-error, the projection and the excitation are sums over the table with
-each even axis' weights, of the tight and slow parts of the factors
-at the held indices, so no eps member forms a full 3D lattice.  They
+held indices alone, with state.separable_field, the package's one
+constructor of separable data.  u0 is read through WaveField.held(),
+never mirrored in place, so the eps members share it.  The samples are
+handed on held by their table (state.WaveField), relabeled onto the
+reference grid.  The modulation error, the projection and the
+excitation are sums over the table with each even axis' weights, their
+models the held product of the tight and slow parts
+(SpectralGrid.held_product), so no eps member forms a full 3D lattice.  They
 are einsums without optimize and numpy reductions, never a BLAS
 contraction: BLAS threads spin beside the eps members that share the
 cores.
@@ -56,7 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridError, SpectralGrid, _by_rows, make_grid, mirror_even_axes
+from .grid import GridError, SpectralGrid, make_grid
 from .kernel import _FAMILIES, _FAMILY_OF_DIM, Analytic3D, KernelSymbol, build_symbol
 from .propagator import CollapseReport, MonitorSpec, _harmonic_profile, evolve
 from .state import (
@@ -66,6 +69,7 @@ from .state import (
     _sum_sq,
     csv_table,
     in_stable_cone,
+    separable_field,
 )
 
 SWEEP_HEADER = "epsilon,T,sup_err,slope_partner,excitation_sq"
@@ -111,6 +115,7 @@ class ReductionSetup:
     u0: WaveField
     target: str = "1d"
     tight_axes: tuple[int, ...] = field(init=False, repr=False)
+    kappa: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.target not in TIGHT_AXES:
@@ -121,8 +126,11 @@ class ReductionSetup:
         self.omega = tuple(float(w) for w in self.omega)
         if len(self.omega) != 3:
             raise ValueError("omega must have three components")
-        if not all(0.0 < w < math.inf for w in self.transverse_omegas):
-            raise ValueError("transverse trap frequencies must be positive")
+        # effective_coupling refuses a nonpositive or non-finite transverse
+        # frequency, and the 3D problem's parameters a non-finite coupling
+        # and a negative or non-finite slow-axis frequency
+        self.kappa = effective_coupling(self.lambda1, self.transverse_omegas)
+        PhysicalParams(3, self.omega, self.lambda1, self.lambda2)
         if self.u0.grid.dim != len(self.slow_axes):
             raise GridError(
                 f"u0 must be {len(self.slow_axes)}-dimensional for target {self.target!r}"
@@ -144,10 +152,6 @@ class ReductionSetup:
     def mu0(self) -> float:
         """Transverse ground-state frequency: sum of tight omega halves."""
         return 0.5 * sum(self.transverse_omegas)
-
-    @cached_property
-    def kappa(self) -> float:
-        return effective_coupling(self.lambda1, self.transverse_omegas)
 
     def in_stable_regime(self) -> bool:
         return in_stable_cone(self.lambda1, self.lambda2)
@@ -205,27 +209,17 @@ def slow_grid(grid3d: SpectralGrid, tight_axes: Sequence[int]) -> SpectralGrid:
     )
 
 
-def _factorized(chi: np.ndarray, u: np.ndarray, tight_axes: Sequence[int]) -> np.ndarray:
-    """chi (tight axes) times the slow-axes array u, on the 3D lattice (grid._by_rows)."""
-    return _by_rows(np.multiply, chi, np.expand_dims(u, tuple(tight_axes)))
-
-
-def _slow_part(u: np.ndarray, lattice: SpectralGrid, tight_axes: Sequence[int]) -> np.ndarray:
-    """The slow-axes array u at the held indices of the 3D lattice's slow axes."""
-    return u[tuple(lattice.index[a] for a in _slow_axes(tight_axes))]
-
-
 def _well_prepared_table(setup: ReductionSetup, ref_grid3d: SpectralGrid) -> np.ndarray:
     """chi0 (tight axes) times u0 (slow axes) at the held indices of its lattice.
 
-    The field is even along a tight axis where chi0's factor is, and
-    along a slow axis where u0 is, bit for bit (mirror_even_axes on the
-    factors, not the product), and the product is formed on the held
-    indices of the sublattice even along those axes.
+    The field is state.separable_field's of the two factors: even along
+    a tight axis where chi0's factor is and along a slow axis where u0
+    is, bit for bit.  u0 is read through WaveField.held() and never
+    mirrored in place, so the eps members may share a held u0.
     """
     if ref_grid3d.dim != 3:
         raise GridError("the reference grid must be three-dimensional")
-    tight, slow = setup.tight_axes, setup.slow_axes
+    tight = setup.tight_axes
     sub = slow_grid(ref_grid3d, tight)
     u_grid = setup.u0.grid
     if sub.shape != u_grid.shape or not all(
@@ -233,10 +227,8 @@ def _well_prepared_table(setup: ReductionSetup, ref_grid3d: SpectralGrid) -> np.
     ):
         raise GridError("reference grid's slow axes must match u0's grid")
     chi = _harmonic_profile(ref_grid3d, tight, setup.transverse_omegas)
-    u = setup.u0.values
-    even = mirror_even_axes(chi, tight) + tuple(slow[a] for a in mirror_even_axes(u))
-    lattice = ref_grid3d.sublattice(even)
-    return _factorized(chi[lattice.index], _slow_part(u, lattice, tight), tight)
+    u = np.expand_dims(u_grid.unfold(setup.u0.held()[0]), tight)
+    return separable_field(ref_grid3d, [chi, u]).held()[0]
 
 
 def well_prepared_data(setup: ReductionSetup, ref_grid3d: SpectralGrid) -> np.ndarray:
@@ -417,8 +409,8 @@ def _excitation_sq(
     """
     table, lattice = field3d.held()
     chi = _harmonic_profile(lattice, tight_axes, transverse_omegas)
-    projected = _project(table, lattice, chi, tight_axes)
-    return _distance_sq(table, _factorized(chi, projected, tight_axes), lattice)
+    projected = np.expand_dims(_project(table, lattice, chi, tight_axes), tuple(tight_axes))
+    return _distance_sq(table, lattice.held_product([chi, projected]), lattice)
 
 
 def _modulation_error(psi_eps: WaveField, u_t: WaveField, setup: ReductionSetup) -> float:
@@ -427,7 +419,7 @@ def _modulation_error(psi_eps: WaveField, u_t: WaveField, setup: ReductionSetup)
     tight = setup.tight_axes
     phase = np.exp(-1j * setup.mu0 * psi_eps.t / setup.epsilon**2)
     chi = _harmonic_profile(lattice, tight, setup.transverse_omegas)
-    model = _factorized(phase * chi, _slow_part(u_t.values, lattice, tight), tight)
+    model = lattice.held_product([phase * chi, np.expand_dims(u_t.values, tight)])
     return math.sqrt(_distance_sq(table, model, lattice))
 
 

@@ -21,9 +21,11 @@ read on the sublattice even along them, so fully even data forms no
 full lattice; the evidence agrees with the full lattice's to roundoff.
 
 A family of squeezed product Gaussians phi = eps^(alpha/2) f(x1,x2)
-g(eps x3) drives the negative-energy construction; its energy terms
-scale like powers of eps with exponents alpha-1 (kinetic), alpha-3
-(trap) and 2 alpha - 1 (interaction), which the ledger here measures.
+g(eps x3), formed from its per-axis factors and held on the octant by
+state.separable_field, drives the negative-energy construction; its
+energy terms scale like powers of eps with exponents alpha-1
+(kinetic), alpha-3 (trap) and 2 alpha - 1 (interaction), which the
+ledger here measures.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralGrid, is_mirror_even, mesh_product
+from .grid import SpectralGrid
 from .kernel import KernelSymbol
 from .state import (
     ObservableSeries,
@@ -45,6 +47,7 @@ from .state import (
     density,
     energy,
     gradient_norm_sq,
+    separable_field,
 )
 
 VERDICT_GLOBAL = "GlobalStable"
@@ -217,11 +220,11 @@ def make_unstable_data(
     amplitude, read from the full per-axis factors, is a warning above
     1e-10 and an error above 1e-4.
 
-    The field is the mesh_product of its per-axis factors, formed on
-    indices 0..n/2 alone along each axis whose factor equals its mirror
-    image bit for bit (as the grid's centred coordinates give) and held
-    by that table (WaveField): values, when read, is mirrored from it and
-    equals the full lattice's product bit for bit.
+    The field is the product of its per-axis factors, formed and held
+    by state.separable_field on indices 0..n/2 alone along each axis
+    whose factor equals its mirror image bit for bit (as the grid's
+    centred coordinates give): values, when read, is mirrored from the
+    table and equals the full lattice's product bit for bit.
     """
     if grid.dim != 3:
         raise ValueError("unstable data construction is three-dimensional")
@@ -267,12 +270,9 @@ def make_unstable_data(
             RuntimeWarning,
             stacklevel=2,
         )
-    # along its even axes the field is fixed by indices 0..n/2
-    index = grid.sublattice([a for a, f in enumerate(factors) if is_mirror_even(f)]).index
-    factors = [f[index] for f in factors]
     # a complex last factor writes the complex lattice in one pass
     factors[-1] = factors[-1].astype(complex)
-    return WaveField(values=mesh_product(factors), grid=grid, t=0.0)
+    return separable_field(grid, factors)
 
 
 def unstable_energy_ledger(

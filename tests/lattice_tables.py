@@ -2,12 +2,13 @@
 
 A run forms |xi|^2, |x|^2 and the trap per block from their per-axis
 terms and sums the top octave from per-axis bands; these build the same
-tables whole, on make_grid's full lattice.
+tables whole, on make_grid's full lattice.  is_mirror_even reads a full
+lattice's evenness along every axis at once.
 """
 
 import numpy as np
 
-from dipgpe.grid import mesh_sum, top_band
+from dipgpe.grid import mesh_sum, mirror_even_axes, top_band
 
 
 def ksq(grid):
@@ -31,3 +32,8 @@ def top_octave_mask(grid):
 def potential(params, grid):
     """Harmonic trap 0.5 * sum_j omega_j^2 x_j^2 on the full lattice, from params.trap_terms."""
     return mesh_sum(params.trap_terms(grid))
+
+
+def is_mirror_even(values):
+    """Whether values equal their mirror image bit for bit along every axis."""
+    return len(mirror_even_axes(values)) == values.ndim

@@ -31,6 +31,8 @@ from dipgpe import cli, reduction
 from dipgpe.cli import run_command
 from dipgpe.config import _SCHEMA
 
+from allocations import large_allocations
+
 MINIMAL = """
 grid.dim = 2
 grid.extents = 12, 12
@@ -359,6 +361,39 @@ def test_initial_gaussian_is_the_accumulated_product_bit_for_bit(extra, widths, 
     expected = _gaussian_accumulated(grid, widths, center, beta)
     assert field.values.dtype == complex and field.values.flags.c_contiguous
     assert np.array_equal(field.values.view(np.uint64), expected.view(np.uint64))
+
+
+def _ground_state_accumulated(grid, omega):
+    # the former construction of linear_eigenstate's data, on the full lattice
+    values = np.ones(grid.shape, dtype=complex)
+    for w, coord in zip(omega, grid.coord_mesh):
+        values = values * ((w / math.pi) ** 0.25 * np.exp(-0.5 * w * coord * coord))
+    values /= math.sqrt(float(np.sum(values.real**2 + values.imag**2)) * grid.cell_volume)
+    return values
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        ("init.kind = ground_state\n", lambda g: _ground_state_accumulated(g, (1.0, 1.0, 1.0))),
+        (
+            "init.kind = gaussian\ninit.widths = 0.9, 1.1, 1.05\ninit.beta = 0.13\n",
+            lambda g: _gaussian_accumulated(g, (0.9, 1.1, 1.05), (0.0, 0.0, 0.0), 0.13),
+        ),
+    ],
+    ids=["ground_state", "chirped_gaussian"],
+)
+def test_centred_initial_data_is_held_and_forms_no_full_lattice(extra, expected):
+    cfg = parse_config(
+        "grid.dim = 3\ngrid.extents = 16, 16, 16\ngrid.points = 48, 48, 48\n"
+        "params.omega = 1, 1, 1\nparams.lambda1 = 1\nparams.lambda2 = 0.3\n" + extra
+    )
+    grid = cfg.grid.build()
+    field, found = large_allocations(lambda: build_initial_field(cfg, grid), 8 * grid.size)
+    assert found == []
+    assert field.table is not None and field.table.shape == grid.octant.shape
+    # mirrored on this first read: today's full-lattice product, bit for bit
+    assert np.array_equal(field.values.view(np.uint64), expected(grid).view(np.uint64))
 
 
 @pytest.mark.parametrize("beta", [0.13, -0.4, 1.0])

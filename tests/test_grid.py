@@ -10,7 +10,6 @@ from dipgpe.grid import (
     _BLOCK,
     MeshBlocks,
     SpectralGrid,
-    is_mirror_even,
     lattice_blocks,
     mirror_even_axes,
     mesh_product,
@@ -346,7 +345,7 @@ def test_octant_transforms_are_the_full_transforms_on_the_octant(extents, points
     assert o.shape == tuple(n // 2 + 1 for n in points) and o.size == math.prod(o.shape)
     rng = np.random.default_rng(7)
     u = even_lattice(g.shape, rng)
-    assert is_mirror_even(u)
+    assert tables.is_mirror_even(u)
     uo = o.restrict(u)
     assert np.array_equal(o.unfold(uo), u)
     scale = np.max(np.abs(scipy_fft.fftn(u)))
@@ -378,7 +377,7 @@ def test_unfold_allocates_only_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= u.nbytes + 2**16
-    assert is_mirror_even(u) and np.array_equal(u[o.index], uo)
+    assert tables.is_mirror_even(u) and np.array_equal(u[o.index], uo)
 
 
 @pytest.mark.parametrize("extents, points", OCTANT_CASES)
@@ -502,13 +501,13 @@ def test_mixed_lattices_are_the_full_lattice_at_their_held_indices(extents, poin
 def test_mirror_evenness_is_bit_for_bit_on_every_axis():
     rng = np.random.default_rng(3)
     u = even_lattice((8, 10, 12), rng)
-    assert is_mirror_even(u) and is_mirror_even(u.real.copy())
+    assert tables.is_mirror_even(u) and tables.is_mirror_even(u.real.copy())
     for index in [(1, 0, 0), (0, 9, 0), (0, 0, 7), (0, 0, 0)]:
         v = u.copy()
         v[index] = np.nextafter(v[index].real, np.inf) + 1j * v[index].imag
         # indices 0 and n/2 are their own images, so moving them keeps it even
-        assert is_mirror_even(v) == (index == (0, 0, 0))
+        assert tables.is_mirror_even(v) == (index == (0, 0, 0))
     # raw bits: -0.0 is not the image of 0.0
     w = np.zeros((8,))
     w[3], w[5] = 0.0, -0.0
-    assert not is_mirror_even(w)
+    assert not tables.is_mirror_even(w)

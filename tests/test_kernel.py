@@ -249,7 +249,7 @@ def test_built_symbol_checks_evenness_once(monkeypatch):
     assert len(calls) == 0
     # one built from full-lattice values checks once, at construction
     full = sym.values.copy()
-    hand = KernelSymbol(3, full, Analytic3D(), g)
+    hand = KernelSymbol(full, Analytic3D(), g)
     assert len(calls) == 1 and calls[0] is full
     hand.half_values
     hand.octant
@@ -265,6 +265,19 @@ def test_build_symbol_dim_mismatch():
     g3 = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
     with pytest.raises(GridError):
         build_symbol(g3, Effective1D(1.0, 1.0))
+
+
+def test_symbol_takes_its_dimension_from_its_grid():
+    g3 = make_grid(3, [8.0, 8.0, 8.0], [8, 8, 8])
+    table = build_symbol(g3, Analytic3D()).table
+    symbol = KernelSymbol(table, Analytic3D(), g3)
+    assert symbol.octant.grid is g3.octant and symbol.octant.grid.even == (0, 1, 2)
+    # a provenance of another dimension is refused before any table is read
+    with pytest.raises(GridError, match="provenance is 1-dimensional but grid is 3-dimensional"):
+        KernelSymbol(table, Effective1D(1.0, 1.0), g3)
+    g1 = make_grid(1, [20.0], [32])
+    with pytest.raises(GridError, match="provenance is 3-dimensional but grid is 1-dimensional"):
+        KernelSymbol(None, Analytic3D(), g1)
 
 
 def _closed_form(octant, kind, omegas):
@@ -418,7 +431,7 @@ def test_kernel_symbol_validate_rejects_out_of_range():
     g = make_grid(1, [16.0], [16])
     bad = np.full(g.shape, 100.0)
     with pytest.raises(ValueError):
-        KernelSymbol(1, bad, Effective1D(1.0, 1.0), g).validate()
+        KernelSymbol(bad, Effective1D(1.0, 1.0), g).validate()
 
 
 def test_kernel_symbol_validate_rejects_odd_part():
@@ -428,7 +441,7 @@ def test_kernel_symbol_validate_rejects_odd_part():
     values[1, 2, 3] += 0.5  # break evenness at a non-Nyquist mode
     # refused at construction, before validate could run
     with pytest.raises(KernelRealityError, match="not even along axis 0"):
-        KernelSymbol(3, values, Analytic3D(), g)
+        KernelSymbol(values, Analytic3D(), g)
 
 
 def test_tilted_dipole_table_is_refused_at_construction():
@@ -446,7 +459,7 @@ def test_tilted_dipole_table_is_refused_at_construction():
         diff[(slice(None),) * axis + (n // 2,)] = 0.0
     assert np.max(np.abs(diff)) <= 1e-12
     with pytest.raises(KernelRealityError, match="not even along axis 0"):
-        KernelSymbol(3, tilted, Analytic3D(), g)
+        KernelSymbol(tilted, Analytic3D(), g)
 
 
 def test_evenness_tolerance_holds_off_the_nyquist_planes():
@@ -456,7 +469,7 @@ def test_evenness_tolerance_holds_off_the_nyquist_planes():
     def perturbed(index, delta):
         values = sym.values.copy()
         values[index] += delta
-        return KernelSymbol(3, values, Analytic3D(), g)
+        return KernelSymbol(values, Analytic3D(), g)
 
     # |s(k) - s(k mirrored along one axis)| <= 1e-12 on every axis is the
     # rule: 2e-12 at an interior mode breaks it
@@ -567,7 +580,7 @@ def _is_even_by_gather(values):
 def _constructs(g, values, provenance):
     """Whether KernelSymbol accepts values as a full-lattice table."""
     try:
-        KernelSymbol(g.dim, values, provenance, g)
+        KernelSymbol(values, provenance, g)
     except KernelRealityError:
         return False
     return True
@@ -620,13 +633,13 @@ def test_nan_off_the_nyquist_planes_fails_the_evenness_check():
     nan_inside = values.copy()
     nan_inside[1, 2, 3] = math.nan
     with pytest.raises(KernelRealityError):
-        KernelSymbol(3, nan_inside, Analytic3D(), g)
+        KernelSymbol(nan_inside, Analytic3D(), g)
     # a point that is its own image along every axis is compared with
     # nothing, so validate finds its NaN in the table
     nan_alone = values.copy()
     nan_alone[4, 0, 4] = math.nan
     with pytest.raises(ValueError, match="non-finite"):
-        KernelSymbol(3, nan_alone, Analytic3D(), g).validate()
+        KernelSymbol(nan_alone, Analytic3D(), g).validate()
 
 
 def test_apply_kernel_zero_and_linearity():

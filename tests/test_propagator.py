@@ -186,8 +186,8 @@ def test_a_symbol_from_another_box_is_refused():
     p = PhysicalParams(3, (1.0, 1.0, 0.5), 1.5, 0.3)
     centred, _ = linear_eigenstate(g, p.omega)
     shifted = WaveField(np.roll(centred.values, 1, axis=0), g)
-    assert grid_module.is_mirror_even(centred.values)
-    assert not grid_module.is_mirror_even(shifted.values)
+    assert tables.is_mirror_even(centred.values)
+    assert not tables.is_mirror_even(shifted.values)
     for f in (centred, shifted):
         with pytest.raises(GridError, match="symbol is tabulated"):
             evolve(f, p, other, dt=1e-3, T=1e-2)
@@ -450,6 +450,15 @@ def test_snapshot_grid_check(tmp_path):
     other = make_grid(1, [12.0], [64])
     with pytest.raises(GridError):
         read_snapshot(path, grid=other)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_snapshot_of_a_non_finite_time_leaves_no_file(tmp_path, t):
+    g = make_grid(1, [16.0], [64])
+    path = tmp_path / "state.gpef"
+    with pytest.raises(ValueError, match="^snapshot time must be finite"):
+        write_snapshot(WaveField(gaussian(g, 1.0).values, g, t), path)
+    assert not path.exists()
 
 
 def test_snapshot_rejects_foreign_file(tmp_path):
@@ -810,7 +819,7 @@ def nudged(field):
     values = field.values.copy()
     index = tuple(n // 4 + 1 for n in values.shape)
     values[index] = np.nextafter(values[index].real, np.inf) + 1j * values[index].imag
-    assert not grid_module.is_mirror_even(values)
+    assert not tables.is_mirror_even(values)
     return WaveField(values, field.grid, field.t)
 
 
@@ -828,7 +837,7 @@ def test_an_even_run_matches_the_full_lattice_run(dim, counting_fft):
     p = PhysicalParams(dim, omega, lambda1, lambda2)
     sym = build_symbol(g, prov)
     even = chirped_gaussian(g, center=np.zeros(dim))
-    assert grid_module.is_mirror_even(even.values)
+    assert tables.is_mirror_even(even.values)
     runs = {}
     for name, f0 in (("even", even), ("nudged", nudged(even))):
         fields = []
@@ -853,7 +862,7 @@ def test_an_even_run_matches_the_full_lattice_run(dim, counting_fft):
     for a, b in zip(fields + [final], fields_n + [final_n]):
         assert a.grid is g and a.values.shape == g.shape and a.t == b.t
         assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(b.values))
-        assert grid_module.is_mirror_even(a.values)
+        assert tables.is_mirror_even(a.values)
 
 
 def test_an_even_collapse_stops_like_the_full_lattice_run():
@@ -862,7 +871,7 @@ def test_an_even_collapse_stops_like_the_full_lattice_run():
     p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
     sym = build_symbol(g, Analytic3D())
     phi = make_unstable_data(g, 0.5, -3.0)
-    assert grid_module.is_mirror_even(phi.values)
+    assert tables.is_mirror_even(phi.values)
     reports = []
     for f0 in (phi, nudged(phi)):
         # the check before the first step sees the same tail on either lattice

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -395,7 +396,7 @@ def test_eps_weighted_multiplier_tracks_3d_run():
         -2.0 * w / 3.0,
         -2.0 * w / 3.0 + (eps * xi) ** 2 * np.exp(z) * special.exp1(z),
     )
-    weighted = KernelSymbol(1, values, Effective1D(w, w), u0.grid)
+    weighted = KernelSymbol(values, Effective1D(w, w), u0.grid)
     weighted.validate()
     collected = []
     evolve(
@@ -476,6 +477,13 @@ def _stable_setup(epsilon=0.2):
     return ReductionSetup(epsilon, OMEGA, 2.0, 0.3, axial_ground_state(), "1d")
 
 
+def _setup(lambda1=2.0, lambda2=0.3, omega=OMEGA, target="1d"):
+    """A set-up of the target with one argument changed; u0 is the slow-axes ground state."""
+    d = 3 - len(reduction.TIGHT_AXES[target])
+    u0, _ = linear_eigenstate(make_grid(d, [12.0] * d, [16] * d), (1.0,) * d)
+    return ReductionSetup(0.2, omega, lambda1, lambda2, u0, target)
+
+
 def _sweep(dt=2e-3, T=0.05, n_samples=2):
     return epsilon_sweep(_stable_setup(), [0.2], reference_grid(), dt, T, n_samples=n_samples)
 
@@ -496,6 +504,10 @@ _REFUSED = {
     "unstable-f_width": ("f_width", lambda bad: _unstable(f_width=bad)),
     "unstable-g_width": ("g_width", lambda bad: _unstable(g_width=bad)),
     "setup-epsilon": ("epsilon", _stable_setup),
+    "setup-lambda1": ("lambda1", lambda bad: _setup(lambda1=bad)),
+    "setup-lambda2": ("lambda2", lambda bad: _setup(lambda2=bad)),
+    "setup-omega-1d": ("trap frequencies", lambda bad: _setup(omega=(1.0, 1.0, bad))),
+    "setup-omega-2d": ("trap frequencies", lambda bad: _setup(omega=(bad, 1.0, 1.0), target="2d")),
     "sweep-T": ("T", lambda bad: _sweep(T=bad)),
     "sweep-dt": ("dt", lambda bad: _sweep(dt=bad)),
     "error-T": ("T", lambda bad: _error(T=bad)),
@@ -526,6 +538,8 @@ _REFUSED = {
             ("error-n_samples", 0),
             ("error-n_samples", 2.5),
             ("grid-points", 8.7),
+            ("setup-omega-1d", -1.0),
+            ("setup-omega-2d", -1.0),
         ]
     ],
 )
@@ -535,7 +549,7 @@ def test_non_finite_or_non_integral_arguments_are_refused_up_front(monkeypatch, 
 
     monkeypatch.setattr(reduction, "build_symbol", refuse)
     monkeypatch.setattr(reduction, "run_reduced_snapshots", refuse)
-    monkeypatch.setattr(regimes, "mesh_product", refuse)
+    monkeypatch.setattr(regimes, "separable_field", refuse)
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(bad)
 
@@ -742,8 +756,8 @@ def test_sweep_compares_each_3d_sample_as_it_lands():
     chi = reduction._harmonic_profile(ref, s.tight_axes, s.transverse_omegas)
     full_errs = []
     for (t, psi), (_, u_t) in zip(snaps3, reduced):
-        model = reduction._factorized(
-            np.exp(-1j * s.mu0 * t / s.epsilon**2) * chi, u_t.values, s.tight_axes
+        model = ref.held_product(
+            [np.exp(-1j * s.mu0 * t / s.epsilon**2) * chi, np.expand_dims(u_t.values, s.tight_axes)]
         )
         full_errs.append(
             math.sqrt(float(np.sum(np.abs(psi.values - model) ** 2)) * ref.cell_volume)
@@ -803,7 +817,9 @@ def test_comparisons_on_held_fields_are_the_full_lattice_sums(target, omegas, ce
     chi = reduction._harmonic_profile(ref, tight, s.transverse_omegas)
     x = ref.coord_mesh[tight[0]]
     v = 0.2 * s.u0.values * np.exp(0.1j)
-    values = well_prepared_data(s, ref) + reduction._factorized(chi * (2.0 * x * x - 1.0), v, tight)
+    values = well_prepared_data(s, ref) + ref.held_product(
+        [chi * (2.0 * x * x - 1.0), np.expand_dims(v, tight)]
+    )
     assert mirror_even_axes(values) == even
     lattice = ref.sublattice(even)
     full = WaveField(values, ref, t=0.3)
@@ -876,6 +892,35 @@ def test_a_pooled_sweep_forms_no_full_lattice(shape, itemsize):
     assert found == []
     assert [r["epsilon"] for r in rows] == [0.2, 0.141]
     assert all(math.isfinite(r["sup_err"]) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "target, extents, shape",
+    [("1d", (8.0, 8.0, 10.0), (16, 16, 32)), ("2d", (8.0, 8.0, 8.0), (24, 24, 16))],
+)
+def test_a_pooled_sweep_reads_a_held_u0_without_mirroring_it(target, extents, shape):
+    # the member threads share u0: each reads its table, and none mirrors it
+    ref = make_grid(3, extents, shape)
+    grid = reduction.slow_grid(ref, reduction.TIGHT_AXES[target])
+    values = linear_eigenstate(grid, (1.0,) * grid.dim)[0].values
+    held = WaveField(grid.octant.restrict(values), grid)
+    s = ReductionSetup(0.2, OMEGA, 0.5, 0.1, held, target)
+
+    def rows(u0):
+        out = epsilon_sweep(
+            replace(s, u0=u0), [0.2, 0.141, 0.1], ref, 2e-3, 0.25, n_samples=2, max_workers=3
+        )
+        return np.array([[r[name] for name in sorted(r)] for r in out])
+
+    got = rows(held)
+    assert held.table is not None and held.table.shape == grid.octant.shape
+    np.testing.assert_array_equal(got, rows(WaveField(values, grid)))
+    if target == "2d":
+        # linear_eigenstate holds a u0 of two axes, and it stays held
+        u0, _ = linear_eigenstate(grid, (1.0, 1.0))
+        assert u0.table is not None
+        np.testing.assert_array_equal(rows(u0), got)
+        assert u0.table is not None
 
 
 def test_fitted_slope_exact_powers():

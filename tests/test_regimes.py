@@ -25,8 +25,10 @@ from dipgpe import (
     virial_audit,
 )
 from dipgpe import regimes
-from dipgpe.grid import is_mirror_even, mesh_product
+from dipgpe.grid import mesh_product
 from dipgpe.state import WaveField, energy, variance
+
+from lattice_tables import is_mirror_even
 
 # with gn = 3 / (4 pi) and lambda1 = 0, lambda2 = 1, M = 1 the bootstrap
 # scale eps2 is exactly 1, so the caps are (3/2)^-2 = 4/9 and 4/27

@@ -222,9 +222,9 @@ def test_odd_symbol_raises_from_energy_and_evolve():
     f = gaussian_field(g, 1.0)
     # an odd table makes no symbol, so none reaches energy or evolve
     with pytest.raises(KernelRealityError, match="not even along axis 0"):
-        KernelSymbol(1, 0.1 * g.freqs[0], Effective1D(1.0, 1.0), g)
+        KernelSymbol(0.1 * g.freqs[0], Effective1D(1.0, 1.0), g)
     # An even symbol built by hand passes the same check without validate().
-    even = KernelSymbol(1, -0.1 * g.freqs[0] ** 2, Effective1D(1.0, 1.0), g)
+    even = KernelSymbol(-0.1 * g.freqs[0] ** 2, Effective1D(1.0, 1.0), g)
     rho = density(f)
     direct = 0.5 * p.lambda2 * float(np.sum(rho * apply_kernel(even, rho))) * g.cell_volume
     assert energy(f, p, even).dipolar == pytest.approx(direct, rel=1e-12)
@@ -683,7 +683,7 @@ def test_the_octant_symbol_is_the_even_symbol_on_the_octant():
     # an odd table makes no symbol, so none reaches an octant
     g1 = make_grid(1, [12.0], [32])
     with pytest.raises(KernelRealityError):
-        KernelSymbol(1, 0.1 * g1.freqs[0], Effective1D(1.0, 1.0), g1)
+        KernelSymbol(0.1 * g1.freqs[0], Effective1D(1.0, 1.0), g1)
 
 
 def test_observables_are_python_floats_and_the_quartic_norms_agree_on_every_lattice():

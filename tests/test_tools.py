@@ -20,6 +20,7 @@ def _load(name):
 
 csv_drift = _load("csv_drift")
 bench_pairs = _load("bench_pairs")
+code_lines = _load("code_lines")
 
 
 def _write(path, rows, header="epsilon,sup_err,slope_partner"):
@@ -144,3 +145,44 @@ def test_bench_pairs_flags_a_metric_past_its_bound():
     # unless every change run beats every parent run
     summary = bench_pairs.summarize(runs([1.0, 2.0, 3.0], [0.5, 0.6, 0.7]), METRICS[:1])
     assert summary["wall_s"]["verdict"] == "within_bound"
+
+
+_MODULE = '''"""A module docstring,
+over two lines."""
+
+import math  # a trailing comment counts as code
+
+
+# a comment line
+def area(r):
+    """A function docstring."""
+    text = """a string
+that is not a docstring"""
+    total = math.pi * \\
+        r * r
+    return (total +
+            len(text))
+
+
+class Shape:
+    "A one-line class docstring."
+
+    sides = 0
+'''
+
+
+def test_code_lines_counts_lines_that_hold_code(tmp_path, capsys):
+    # docstrings, comment lines and blank lines are not counted; every
+    # line of a multi-line string that is not a docstring and every
+    # continuation line are
+    assert code_lines.code_lines(_MODULE) == 10
+    assert code_lines.code_lines("") == 0
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text(_MODULE)
+    (package / "sub" / "tail.py").write_text("# only a comment\nx = 1\n")
+    assert code_lines.main([str(package)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = [["__init__.py", "10"], ["sub/tail.py", "1"], ["total", "11"]]
+    assert [line.split() for line in out] == rows
+    assert code_lines.main([str(package / "missing")]) == 1
