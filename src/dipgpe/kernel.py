@@ -453,12 +453,13 @@ def build_symbol(grid: SpectralGrid, provenance: Provenance) -> KernelSymbol:
     """Tabulate a symbol on the grid's frequency lattice.
 
     The provenance selects the family and carries its trap frequencies;
-    its dimension must match the grid (KernelSymbol).  Every family is even along every
-    axis, and every family is evaluated on the octant of indices 0..n/2
-    per axis alone (provenance.table), the table KernelSymbol holds, so no
-    evenness check runs: fftfreq gives xi[n - k] = -xi[k] bit for bit, so
-    the full lattice mirrored from that table (KernelSymbol.values) is bit
-    for bit the values the formula gives there.  The closed-form 3D symbol
+    its dimension must match the grid (KernelSymbol checks it).  Every
+    family is even along every axis, and every family is evaluated on
+    the octant of indices 0..n/2 per axis alone (provenance.table), the
+    table KernelSymbol holds, so no evenness check runs: fftfreq gives
+    xi[n - k] = -xi[k] bit for bit, so the full lattice mirrored from
+    that table (KernelSymbol.values) is bit for bit the values the
+    formula gives there.  The closed-form 3D symbol
     is symbol3d, the effective 2D symbol its closed form in |xi|, and the
     effective 1D symbol its angular mean (see module docstring) over the
     distinct |xi3|.  The table is validated; nothing is cached.

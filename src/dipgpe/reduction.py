@@ -38,8 +38,8 @@ handed on held by their table (state.WaveField), relabeled onto the
 reference grid.  The modulation error, the projection and the
 excitation are sums over the table with each even axis' weights, their
 models the held product of the tight and slow parts
-(SpectralGrid.held_product), so no eps member forms a full 3D lattice.  They
-are einsums without optimize and numpy reductions, never a BLAS
+(SpectralGrid.held_product), so no eps member forms a full 3D lattice.
+They are einsums without optimize and numpy reductions, never a BLAS
 contraction: BLAS threads spin beside the eps members that share the
 cores.
 

@@ -195,12 +195,12 @@ def separable_field(grid: SpectralGrid, factors: Sequence, unit_mass: bool = Fal
     (mirror_even_axes), never the product; the product is formed at the
     held indices of the sublattice even along every axis where all the
     factors are (SpectralGrid.held_product), and the field is held by
-    that table; a lattice of one axis is formed whole.  With unit_mass
-    the product, real, is scaled to unit mass
-    by its sum of squares over the held lattice before it is made
-    complex: the weighted sum _sum_sq on a lattice with even axes, and on
-    the full lattice np.sum, the sum every normalized field took before
-    any was held, so data even along no axis keeps its bits.
+    that table.  A lattice of one axis is formed whole.  With unit_mass
+    the product, real, is scaled to unit mass by its sum of squares over
+    its lattice before it is made complex: the weighted sum _sum_sq on a
+    lattice with even axes, and np.sum on the full lattice, the sum every
+    normalized field took before any was held, so data even along no
+    axis keeps its bits.
     """
     lattice = grid
     if grid.dim > 1:
