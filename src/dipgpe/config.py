@@ -370,13 +370,9 @@ def build_initial_field(config: RunConfig, grid: SpectralGrid) -> WaveField:
             raise ConfigError([f"init.center needs {grid.dim} entries"])
         shifted = [(coord - c0) ** 2 for c0, coord in zip(center, grid.coord_mesh)]
         factors = [np.exp(-s / (2.0 * w * w)) for s, w in zip(shifted, widths)]
-        field = separable_field(grid, factors, unit_mass=True)
-        if init.beta != 0.0:
-            # the chirp exp(i beta |x - c|^2 / 2), the held product of its
-            # per-axis factors on the field's lattice
-            table, lattice = field.held()
-            table *= lattice.held_product([np.exp(0.5j * init.beta * s) for s in shifted])
-        return field
+        # the chirp exp(i beta |x - c|^2 / 2) as a product of per-axis factors
+        chirp = [np.exp(0.5j * init.beta * s) for s in shifted] if init.beta != 0.0 else []
+        return separable_field(grid, factors, unit_mass=True, phase=chirp)
     if init.kind == "unstable":
         widths = init.widths or (1.0,)
         f_width = widths[0]

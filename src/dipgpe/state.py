@@ -34,8 +34,8 @@ own mirror images, so neither is odd.
 
 Separable data, a product of factors each spanning some axes, is formed
 in one place, separable_field: the trap ground state and the gaussian
-initial data (normalised there), the squeezed family of the regimes
-module and the reduction's well-prepared data.  It reads each factor's
+initial data (normalised and chirped there), the squeezed family of the
+regimes module and the reduction's well-prepared data.  It reads each factor's
 evenness, never the product's, and forms the product on the held
 indices alone (SpectralGrid.held_product), so centred data is held from
 the start.
@@ -187,31 +187,36 @@ class WaveField:
         return WaveField(values=self.held()[0].copy(), grid=self.grid, t=self.t)
 
 
-def separable_field(grid: SpectralGrid, factors: Sequence, unit_mass: bool = False) -> WaveField:
-    """The field of grid that is the left-to-right product of factors, held.
+def separable_field(
+    grid: SpectralGrid, factors: Sequence, unit_mass: bool = False, phase: Sequence = ()
+) -> WaveField:
+    """The field of grid that is the left-to-right product of factors, then of phase, held.
 
     Each factor broadcasts against grid's full lattice and spans its own
-    axes whole.  Each is checked for mirror evenness bit for bit
-    (mirror_even_axes), never the product; the product is formed at the
-    held indices of the sublattice even along every axis where all the
-    factors are (SpectralGrid.held_product), and the field is held by
-    that table.  A lattice of one axis is formed whole.  With unit_mass
-    the product, real, is scaled to unit mass by its sum of squares over
-    its lattice before it is made complex: the weighted sum _sum_sq on a
-    lattice with even axes, and np.sum on the full lattice, the sum every
-    normalized field took before any was held, so data even along no
-    axis keeps its bits.
+    axes whole.  Each factor of factors and of phase is checked for
+    mirror evenness bit for bit (mirror_even_axes), never the product;
+    the product is formed at the held indices of the sublattice even
+    along every axis where all of them are (SpectralGrid.held_product),
+    and the field is held by that table.  A lattice of one axis is
+    formed whole.  With unit_mass the product of factors, real, is
+    scaled to unit mass by its sum of squares over its lattice before it
+    is made complex: the weighted sum _sum_sq on a lattice with even
+    axes, and np.sum on the full lattice, the sum every normalized field
+    took before any was held, so data even along no axis keeps its
+    bits.  The product of phase, a chirp of unit modulus, multiplies
+    the scaled product after it.
     """
-    lattice = grid
-    if grid.dim > 1:
-        # a lattice of one axis is formed whole, as MeshBlocks keeps it:
-        # its table saves n/2 - 1 points and the set-up costs more
-        lattice = grid.sublattice(set(range(grid.dim)).intersection(*map(mirror_even_axes, factors)))
+    # a lattice of one axis is formed whole, as MeshBlocks keeps it: its
+    # table saves n/2 - 1 points and the set-up costs more
+    axes = range(grid.dim) if grid.dim > 1 else ()
+    even = set(axes).intersection(*(mirror_even_axes(f, axes) for f in [*factors, *phase]))
+    lattice = grid.sublattice(even)
     table = lattice.held_product(factors)
     if unit_mass:
         total = _sum_sq(table, lattice) if lattice.even else float(np.sum(table * table))
         # times the reciprocal, not a division: the frozen outputs hold a * (1/c)
         table *= 1.0 / math.sqrt(total * grid.cell_volume)
+    table = lattice.held_product(phase) * table if phase else table
     return WaveField(table, grid)
 
 

@@ -411,6 +411,23 @@ def test_initial_chirp_matches_the_full_lattice_exp(beta):
     assert np.max(np.abs(field.values - full)) <= 1e-14 * np.max(np.abs(full))
 
 
+def test_an_off_centre_chirp_is_not_held_along_an_axis_its_gaussian_is_even_on():
+    # a width of 1e9 makes axis 0's Gaussian factor 1.0 everywhere, mirror
+    # even bit for bit, while the chirp about x = 1 is not even along it
+    text = (
+        "grid.dim = 3\ngrid.extents = 16, 16, 16\ngrid.points = 48, 48, 48\n"
+        "params.omega = 1, 1, 1\nparams.lambda1 = 1\nparams.lambda2 = 0.3\n"
+        "init.kind = gaussian\ninit.widths = 1e9, 1, 1\ninit.center = 1, 0, 0\n"
+    )
+    grid = parse_config(text).grid.build()
+    real = build_initial_field(parse_config(text), grid)
+    field = build_initial_field(parse_config(text + "init.beta = 0.5\n"), grid)
+    assert real.held()[1].even == (0, 1, 2) and field.held()[1].even == (1, 2)
+    shifted_sq = sum((x - c) ** 2 for x, c in zip(grid.coord_mesh, (1.0, 0.0, 0.0)))
+    full = real.values * np.exp(0.25j * shifted_sq)
+    assert np.max(np.abs(field.values - full)) <= 1e-14 * np.max(np.abs(full))
+
+
 def test_initial_field_gaussian_bad_lengths():
     cfg = parse_config(MINIMAL + "init.kind = gaussian\ninit.widths = 1, 1, 1\n")
     grid = cfg.grid.build()
