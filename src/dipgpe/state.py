@@ -206,11 +206,12 @@ def separable_field(
     bits.  The product of phase, a chirp of unit modulus, multiplies
     the scaled product after it.
     """
-    # a lattice of one axis is formed whole, as MeshBlocks keeps it: its
-    # table saves n/2 - 1 points and the set-up costs more
-    axes = range(grid.dim) if grid.dim > 1 else ()
-    even = set(axes).intersection(*(mirror_even_axes(f, axes) for f in [*factors, *phase]))
-    lattice = grid.sublattice(even)
+    lattice = grid
+    if grid.dim > 1:
+        # a lattice of one axis is formed whole, as MeshBlocks keeps it:
+        # its table saves n/2 - 1 points and the set-up costs more
+        even = map(mirror_even_axes, [*factors, *phase])
+        lattice = grid.sublattice(set(range(grid.dim)).intersection(*even))
     table = lattice.held_product(factors)
     if unit_mass:
         total = _sum_sq(table, lattice) if lattice.even else float(np.sum(table * table))
