@@ -43,12 +43,13 @@ place of the FFT along each even axis and its weights in every lattice
 sum: the octant's (n/2 + 1)^d points instead of n^d for a field even
 along every axis, 17 * 17 * 32 of a 32^3 lattice for one centred in x
 and y but displaced along z.  A held field0 (state.WaveField.table)
-runs on its table as it is, never written; every held field is read
-through WaveField.held(), the array the field holds and the lattice it
-lies on.  The caller sees fields of field0's grid, held by the arrays
-the run materialized.  Nothing selects the lattice but the data, so no
-option turns it on or off.  strang_step and the standalone observables
-run the field's own grid.
+runs on its table as it is, never written.  Every field is read
+through WaveField.held(), the library's one read of a field: the array
+the field holds and the lattice it lies on.  evolve builds its fields
+on field0's grid, held by the arrays the run materialized, and hands
+them on as built; strang_step steps the lattice its field holds and
+returns a field of the same grid, held if its field was.  Nothing
+selects the lattice but the data, so no option turns it on or off.
 
 Blow-up cannot be followed on a fixed lattice.  The monitor reports
 under-resolution consistent with collapse when the gradient norm or the
@@ -88,9 +89,9 @@ from .state import (
     ObservableSeries,
     PhysicalParams,
     WaveField,
-    _check_symbol,
     _density_into,
     _run_lattice,
+    _symbol_on,
     field_spectrum,
     gradient_norm_sq,
     record_observables,
@@ -237,10 +238,9 @@ class _Splitting:
         params: PhysicalParams,
         symbol: "KernelSymbol | None",
     ) -> None:
-        _check_symbol(symbol, grid, params)
         self.grid = grid
         self.params = params
-        self.symbol = symbol
+        self.symbol = _symbol_on(symbol, grid, params)
         self.potential = MeshBlocks(np.add, params.trap_terms(grid))
         self._blocks = lattice_blocks(grid.shape)
         self.rho = np.empty(grid.shape)
@@ -320,29 +320,34 @@ def strang_step(
     params: PhysicalParams,
     symbol: "KernelSymbol | None" = None,
 ) -> WaveField:
-    """One splitting step; dt may be negative to run backwards."""
+    """One splitting step; dt may be negative to run backwards.
+
+    The step runs on the lattice the field holds (WaveField.held()), and
+    the field it returns lies on the same grid, held if field was.
+    """
     if dt == 0.0 or not math.isfinite(dt):
         raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
-    grid = field.grid
-    split = _Splitting(grid, dt, params, symbol)
-    y = split.kinetic(grid.fft(field.values), split.half)
+    values, lattice = field.held()
+    split = _Splitting(lattice, dt, params, symbol)
+    y = split.kinetic(lattice.fft(values), split.half)
     out = split.kinetic(split.advance(y), split.half)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteStateError(
             f"non-finite field after step at t = {field.t:.6g}", field.t, -1
         )
-    return WaveField(values=out, grid=grid, t=field.t + dt)
+    return WaveField(values=out, grid=field.grid, t=field.t + dt)
 
 
 def _materialize(
     spectrum: FieldSpectrum, grid: SpectralGrid, t: float, step: int
 ) -> WaveField:
-    """The field of a spectrum, checked finite: one inverse transform in place.
+    """The field of a spectrum, of grid and checked finite: one inverse transform in place.
 
     The field takes over the spectrum's array (FieldSpectrum.spend), so
-    the spectrum keeps only its power sums.
+    the spectrum keeps only its power sums; it is held by that array
+    when the spectrum lies on a sublattice of grid.
     """
-    values = grid.ifft(spectrum.spend(), overwrite=True)
+    values = spectrum.lattice.ifft(spectrum.spend(), overwrite=True)
     if not np.all(np.isfinite(values.view(float))):
         raise NonFiniteStateError(f"non-finite field at t = {t:.6g}", t, step)
     return WaveField(values=values, grid=grid, t=t)
@@ -359,10 +364,10 @@ def _record(
 ) -> ObservableRecord:
     """One of evolve's records, from psi and the power sums of its spectrum.
 
-    Without psi, psi is materialized in place over the spectrum, so a
-    record in flight holds psi and one work lattice.  It runs on the
-    recorder thread; _materialize, record_observables and the transforms
-    under them resolve through the module globals.
+    Without psi, psi is materialized in place over the spectrum as a
+    field of grid, so a record in flight holds psi and one work lattice.
+    It runs on the recorder thread; _materialize, record_observables and
+    the transforms under them resolve through the module globals.
     """
     if psi is None:
         psi = _materialize(spectrum, grid, t, step)
@@ -443,9 +448,9 @@ def evolve(
     and the recorder thread never starts.
 
     A field0 mirror-even along some axes, bit for bit, or held, runs on
-    the lattice even along them (module docstring); the caller sees held
-    fields of field0's grid, and the series is the full lattice's to
-    roundoff.
+    the lattice even along them (module docstring); every field evolve
+    builds is of field0's grid, held there, and the series is the full
+    lattice's to roundoff.
 
     Returns the series together with the final field, or with a
     CollapseReport if a threshold tripped first.
@@ -486,10 +491,10 @@ def evolve(
     sample_steps.add(n_steps)
     sample_steps |= callback_steps
 
-    # field0 runs on the lattice even along its mirror-even axes; the
-    # caller sees fields of grid, held by the run's arrays
-    start, symbol = _run_lattice(field0, params, symbol)
-    lattice = start.grid
+    # field0 runs held on the lattice even along its mirror-even axes, and
+    # every field the run builds is of grid, held by the run's arrays
+    start = _run_lattice(field0)
+    values0, lattice = start.held()
     spectrum0 = field_spectrum(start)
     grad0 = gradient_norm_sq(start, spectrum0)
     grad_threshold = (
@@ -499,9 +504,11 @@ def evolve(
     )
 
     split = _Splitting(lattice, dt, params, symbol)
+    # the records read the split's symbol, already on the lattice
+    symbol = split.symbol
     if warn_resolution:
         check_resolution(start, spectrum=spectrum0)
-        phase_scale = split.phase_scale(start.values)
+        phase_scale = split.phase_scale(values0)
         if dt * phase_scale >= math.pi:
             warnings.warn(
                 f"dt * max|V + nonlinear potential| = {dt * phase_scale:.3g} >= pi; "
@@ -514,7 +521,7 @@ def evolve(
     t0 = field0.t
     with _Recorder(series) as recorder:
         if observables:
-            recorder.submit(_record, start, spectrum0, lattice, t0, 0, params, symbol)
+            recorder.submit(_record, start, spectrum0, grid, t0, 0, params, symbol)
         if callback is not None and sample_times is None:
             recorder.join()
             callback(field0)
@@ -559,11 +566,10 @@ def evolve(
                     step in callback_steps if sample_times is not None else True
                 )
                 ends = tripped or step == n_steps
-                psi = _materialize(spectrum, lattice, t_now, step) if fires or ends else None
+                psi = _materialize(spectrum, grid, t_now, step) if fires or ends else None
                 if observables:
-                    recorder.submit(_record, psi, spectrum, lattice, t_now, step, params, symbol)
+                    recorder.submit(_record, psi, spectrum, grid, t_now, step, params, symbol)
                 del spectrum
-                out = None if psi is None else WaveField(psi.values, grid, psi.t)
                 if psi is None:
                     # only the record reads this sample: once it is joined,
                     # the array serves the next sample
@@ -571,7 +577,7 @@ def evolve(
                 if fires or ends:
                     recorder.join()
                 if fires:
-                    callback(out)
+                    callback(psi)
                 if tripped:
                     reason = (
                         "gradient-threshold" if grad_sq > grad_threshold else "spectral-tail"
@@ -582,11 +588,11 @@ def evolve(
                         reason=reason,
                         grad_sq=grad_sq,
                         tail_fraction=tail,
-                        field=out,
+                        field=psi,
                     )
                     return series, report
                 if step == n_steps:
-                    return series, out
+                    return series, psi
             y = split.kinetic(w_spec, split.full)
 
     raise AssertionError("unreachable: loop must return at the final step")
@@ -628,8 +634,9 @@ def read_snapshot(path: "str | Path", grid: "SpectralGrid | None" = None) -> Wav
     """Read a field snapshot, rebuilding its grid from the header.
 
     When a grid is supplied it must match the header exactly and is
-    reused (so symbols and meshes stay shared).  The payload is read
-    into the field's array directly.
+    reused (so symbols and meshes stay shared).  The payload's byte count
+    is checked against the header's point count before the field's array
+    is allocated, and the payload is read into that array directly.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
@@ -648,13 +655,13 @@ def read_snapshot(path: "str | Path", grid: "SpectralGrid | None" = None) -> Wav
             grid = make_grid(dim, extents, shape)
         elif grid.dim != dim or grid.shape != shape or grid.extents != extents:
             raise GridError(f"snapshot geometry does not match the supplied grid")
-        values = np.empty(grid.shape, dtype="<c16")
         nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
-        if nbytes != values.nbytes:
+        if nbytes != 16 * grid.size:
             raise ValueError(
-                f"snapshot payload has {nbytes} bytes, expected {values.nbytes} "
+                f"snapshot payload has {nbytes} bytes, expected {16 * grid.size} "
                 f"({grid.size} values)"
             )
+        values = np.empty(grid.shape, dtype="<c16")
         if fh.readinto(values.reshape(-1).view(np.uint8)) != nbytes:
             raise ValueError(f"snapshot payload of {path} ended early")
     return WaveField(values=values, grid=grid, t=t)

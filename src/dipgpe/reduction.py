@@ -20,11 +20,12 @@ resampling-free: matching point counts on boxes scaled by eps make the
 stretched-frame field and the original-frame field the same array under
 two grids.  Both runs of a comparison, the reduced one and the 3D one,
 go through one snapshot routine: the collapse monitor alone samples
-them, psi goes to a consumer at each comparison time, and a run the
-monitor stops raises RuntimeError naming the run.  The reduced run's
-consumer keeps its samples whole, and every eps shares them; the 3D
-run's consumer compares each sample as it lands and keeps only the
-running results, so no eps member holds a list of 3D fields.  chi0 is
+them, psi goes to a consumer at each comparison time as evolve hands
+it, and a run the monitor stops raises RuntimeError naming the run.
+The reduced run keeps its samples, held when u0 is even, and every eps
+shares them; the 3D run's consumer compares each sample as it lands
+and keeps only the running results, so no eps member holds a list of
+3D fields.  chi0 is
 the trap ground state of the propagator module, taken on the tight
 axes only.
 
@@ -32,10 +33,11 @@ The 3D data chi0 u0 is mirror-even along each axis where its factor
 is, and evolve runs it on the lattice even along those axes (the
 propagator module), so the companion run forms it on that lattice's
 held indices alone, with state.separable_field, the package's one
-constructor of separable data.  u0 is read through WaveField.held(),
-never mirrored in place, so the eps members share it.  The samples are
-handed on held by their table (state.WaveField), relabeled onto the
-reference grid.  The modulation error, the projection and the
+constructor of separable data.  u0 and the reduced samples are read
+through WaveField.held(), the library's one read of a field, and never
+mirrored in place, so the eps members share them.  The 3D samples are
+handed on held by their table (state.WaveField), labeled with the
+reference grid by the frame change.  The modulation error, the projection and the
 excitation are sums over the table with each even axis' weights, their
 models the held product of the tight and slow parts
 (SpectralGrid.held_product), so no eps member forms a full 3D lattice.
@@ -278,7 +280,6 @@ def _check_sample_times(sample_times: Sequence[float], T: float) -> list[float]:
 
 def _snapshot_run(
     run: str,
-    grid: SpectralGrid,
     consume: Callable[[WaveField], None],
     field0: WaveField,
     *args,
@@ -286,18 +287,14 @@ def _snapshot_run(
 ) -> None:
     """evolve(field0, *args, **kwargs), handing psi to consume at its sample times.
 
-    Each sample reaches consume labeled with grid, held by the table it
-    holds when the run took a sublattice.  Its array is the one evolve
-    materialized for the callback, which the loop never touches again,
-    so it is passed on without a copy.  The series is not read, so only
-    the collapse monitor samples the run; a run it stops raises
-    RuntimeError naming the run.
+    Each sample reaches consume as evolve hands it: a field of field0's
+    grid, held by its table when the run took a sublattice.  Its array
+    is the one evolve materialized for the callback, which the loop
+    never touches again, so it is passed on without a copy.  The series
+    is not read, so only the collapse monitor samples the run; a run it
+    stops raises RuntimeError naming the run.
     """
-
-    def relabel(field: WaveField) -> None:
-        consume(WaveField(field.held()[0], grid, field.t))
-
-    _, outcome = evolve(field0, *args, callback=relabel, observables=False, **kwargs)
+    _, outcome = evolve(field0, *args, callback=consume, observables=False, **kwargs)
     if isinstance(outcome, CollapseReport):
         raise RuntimeError(f"{run} tripped the collapse monitor: " + outcome.describe())
 
@@ -327,8 +324,13 @@ def _companion_run(
     dt_clamp = min(dt, setup.epsilon**2 / (20.0 * setup.mu0))
     dt_eff = _snap_step(dt_clamp, T, len(times))
     monitor = MonitorSpec(stride=max(1, round(T / dt_eff) // 200))
+
+    def stretch(field: WaveField) -> None:
+        # the frame change: the same array, labeled with the reference grid
+        consume(WaveField(field.held()[0], ref_grid3d, field.t))
+
     _snapshot_run(
-        "companion 3D run", ref_grid3d, consume, field0, params, symbol, dt=dt_eff, T=T,
+        "companion 3D run", stretch, field0, params, symbol, dt=dt_eff, T=T,
         monitor=monitor, sample_times=times, warn_resolution=False,
     )
 
@@ -419,7 +421,9 @@ def _modulation_error(psi_eps: WaveField, u_t: WaveField, setup: ReductionSetup)
     tight = setup.tight_axes
     phase = np.exp(-1j * setup.mu0 * psi_eps.t / setup.epsilon**2)
     chi = _harmonic_profile(lattice, tight, setup.transverse_omegas)
-    model = lattice.held_product([phase * chi, np.expand_dims(u_t.values, tight)])
+    # u_t mirrored along its slow axes alone, which held_product cuts to lattice
+    u = u_t.grid.unfold(u_t.held()[0])
+    model = lattice.held_product([phase * chi, np.expand_dims(u, tight)])
     return math.sqrt(_distance_sq(table, model, lattice))
 
 
@@ -499,17 +503,14 @@ def run_reduced_snapshots(
 ) -> list[tuple[float, WaveField]]:
     """Reduced-model trajectory sampled at j*T/n_samples.
 
-    The samples are kept whole: an epsilon_sweep's member threads share
-    them, and a held one would be mirrored on first read.
+    The samples are kept as evolve hands them, held when u0 is even:
+    an epsilon_sweep's member threads share them, and read them through
+    WaveField.held() alone.
     """
     times = [j * T / n_samples for j in range(1, n_samples + 1)]
     snapshots: list[WaveField] = []
-
-    def keep(field: WaveField) -> None:
-        snapshots.append(WaveField(field.values, field.grid, field.t))
-
     _snapshot_run(
-        "reduced run", setup.u0.grid, keep, setup.u0, reduced_params(setup),
+        "reduced run", snapshots.append, setup.u0, reduced_params(setup),
         reduced_symbol(setup), dt=_snap_step(dt, T, n_samples), T=T, sample_times=times,
     )
     return [(field.t, field) for field in snapshots]
@@ -557,7 +558,9 @@ def epsilon_sweep(
         raise ValueError("need at least one eps value")
     if len(set(epsilons)) != len(epsilons):
         raise ValueError(f"eps values must be distinct, got {epsilons}")
-    if max_workers is not None and max_workers < 1:
+    if max_workers is not None and (
+        not isinstance(max_workers, numbers.Integral) or max_workers < 1
+    ):
         raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
     _check_study(setup, dt, T, n_samples, allow_unstable)
     reduced = run_reduced_snapshots(setup, dt, T, n_samples)

@@ -17,8 +17,9 @@ collapse, never as confirmed blow-up.
 classify refuses non-finite data, as evolve does, and evaluates its
 evidence on the lattice evolve would run (state._run_lattice): data
 mirror-even along some axes, or held there (make_unstable_data's), is
-read on the sublattice even along them, so fully even data forms no
-full lattice; the evidence agrees with the full lattice's to roundoff.
+read held on the sublattice even along them (WaveField.held()), so
+fully even data forms no full lattice and a held field stays held; the
+evidence agrees with the full lattice's to roundoff.
 
 A family of squeezed product Gaussians phi = eps^(alpha/2) f(x1,x2)
 g(eps x3), formed from its per-axis factors and held on the octant by
@@ -146,8 +147,8 @@ def classify(
     """
     _check_gn_constant(gn_constant)
     phi.validate_finite()
-    phi, symbol = _run_lattice(phi, params, symbol)
-    d = _density_sums(phi, density(phi), params, symbol)
+    phi = _run_lattice(phi)
+    d = _density_sums(density(phi), phi.held()[1], params, symbol)
     grad_sq = gradient_norm_sq(phi)
     E = d.energy(0.5 * grad_sq).total
     M = d.mass

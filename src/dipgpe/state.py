@@ -17,13 +17,17 @@ once they are taken the spectrum can hand its array over
 transforms of psi there and back, and the dipolar energy pairs the
 density with its convolution by Parseval, from one real transform.
 
-A field may lie on a lattice with even axes (grid.SpectralGrid), where
-evolve runs data mirror-even along them and classify reads it
-(_run_lattice); a field of a full lattice may be held by its table
-there alone (WaveField.table), and its values are mirrored from the
-table on first read.  WaveField.held() is the one way to read a held
-field: the array it holds, its table or its values, and the lattice
-that array lies on.  On any lattice every observable is the full
+Every field the package builds lies on its box's full grid.  One
+mirror-even along some axes may be held by its table on the sublattice
+even along them alone (grid.SpectralGrid, WaveField.table), and its
+values are mirrored from the table only when a caller reads them.
+WaveField.held() is the library's one read of a field: the array it
+holds, its table or its values, and the lattice that array lies on.
+Every observable, classify and strang_step read the field there, and
+evolve runs data mirror-even along some axes held on that sublattice
+(_run_lattice), so no library call mirrors a held field.  A symbol is
+put on the lattice a field is read on by its octant table (_symbol_on).
+On any lattice every observable is the full
 lattice's: each sum takes the even axes' weights (1 at indices 0 and
 n/2, 2 between) as per-axis factors, the marginals are unfolded to the
 full axes, and Parseval's 1/N counts the full lattice.  A full
@@ -153,8 +157,9 @@ class WaveField:
     one array it holds, and values, mirrored from it on first read, is
     from then on the field (a write to it is a write to the field) and
     table None.  held() gives the array the field holds and its
-    lattice; validate_finite, copy and runs read the field through it,
-    and never write to a table.
+    lattice, and is the library's one read of a field: the observables,
+    classify, strang_step, evolve, validate_finite and copy read the
+    field through it, never through values, and never write to a table.
     """
 
     def __init__(self, values: np.ndarray, grid: SpectralGrid, t: float = 0.0) -> None:
@@ -242,13 +247,13 @@ class FieldSpectrum:
     The power is never held as a lattice.  spend hands the transform
     array over once the sums are taken, for reuse in place (evolve
     materializes psi over it); the spectrum then keeps only its sums, and
-    reading its values raises.  grid is the lattice the values lie on,
+    reading its values raises.  lattice is the one the values lie on,
     whose even axes' weights make the sums the full lattice's.
     """
 
-    def __init__(self, values: np.ndarray, grid: SpectralGrid) -> None:
+    def __init__(self, values: np.ndarray, lattice: SpectralGrid) -> None:
         self._values = values
-        self._grid = grid
+        self.lattice = lattice
 
     @property
     def values(self) -> np.ndarray:
@@ -273,7 +278,7 @@ class FieldSpectrum:
         """
         shape = self.values.shape
         m = shape[-1]
-        grid = self._grid
+        grid = self.lattice
         rw = grid.row_weights
         f = self.values.reshape(-1, m).view(float)
         band = grid.bands[-1]
@@ -310,57 +315,60 @@ def _power(pairs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", pairs, pairs)
 
 
-def _run_lattice(
-    field: WaveField, params: PhysicalParams, symbol: "KernelSymbol | None"
-) -> tuple[WaveField, "KernelSymbol | None"]:
-    """field and symbol on the lattice a run takes for field.
+def _run_lattice(field: WaveField) -> WaveField:
+    """field held on the lattice a run takes for it, on the same grid.
 
     The trap, the contact term and the kernel are even in each coordinate
     separately, so a field equal to its mirror image along some axes, bit
-    for bit (mirror_even_axes), stays so: it runs on the sublattice even
-    along them, with the symbol there when lambda2 is nonzero.  A held
-    field runs on its table as it is, shared and never written, another
-    on a copy of its held indices, and one even along no axis on its grid.
+    for bit (mirror_even_axes), stays so: it runs held on the sublattice
+    even along them, by a copy of its held indices.  A held field runs on
+    its table as it is, shared and never written, and one even along no
+    axis on its grid: both come back as they are.
     """
-    table, lattice = field.held()
     if field.table is None:
-        even = mirror_even_axes(table, lattice.periodic)
-        if not even:
-            return field, symbol
-        lattice = lattice.sublattice(even)
-        table = lattice.restrict(table)
-    if symbol is not None:
-        symbol = symbol.on_sublattice(lattice.even) if params.lambda2 != 0.0 else None
-    return WaveField(table, lattice, field.t), symbol
+        values, lattice = field.held()
+        even = mirror_even_axes(values, lattice.periodic)
+        if even:
+            return WaveField(lattice.sublattice(even).restrict(values), field.grid, field.t)
+    return field
 
 
-def _check_symbol(
-    symbol: "KernelSymbol | None", grid: SpectralGrid, params: PhysicalParams
-) -> None:
-    """Require a symbol tabulated on grid, its shape and its box, when lambda2 is nonzero.
+def _symbol_on(
+    symbol: "KernelSymbol | None", lattice: SpectralGrid, params: PhysicalParams
+) -> "KernelSymbol | None":
+    """The symbol on lattice, None when lambda2 is zero.
 
-    A symbol of another box has the field's point count but other
-    frequencies, so it is refused (GridError) rather than read.
+    A symbol is required when lambda2 is nonzero, and one tabulated on
+    the lattice's box, its point count and its extents: a symbol of
+    another box has the field's point count but other frequencies, so it
+    is refused (GridError) rather than read.  Every KernelSymbol holds
+    its octant table, so one of the box on any of its lattices is put on
+    lattice by that table; one already on lattice is returned as it is.
     """
     if params.lambda2 == 0.0:
-        return
+        return None
     if symbol is None:
         raise ValueError("a kernel symbol is required when lambda2 != 0")
-    if symbol.grid.shape != grid.shape or symbol.grid.extents != grid.extents:
+    tabulated, grid = symbol.grid.full, lattice.full
+    if tabulated.shape != grid.shape or tabulated.extents != grid.extents:
         raise GridError(
-            f"symbol is tabulated on {symbol.grid.shape} points over {symbol.grid.extents}, "
+            f"symbol is tabulated on {tabulated.shape} points over {tabulated.extents}, "
             f"the field lies on {grid.shape} points over {grid.extents}"
         )
+    if symbol.grid is lattice:
+        return symbol
+    return KernelSymbol(symbol.table, symbol.provenance, lattice)
 
 
 def field_spectrum(field: "WaveField") -> FieldSpectrum:
-    """The FieldSpectrum of a field: one forward complex transform."""
-    return FieldSpectrum(field.grid.fft(field.values), field.grid)
+    """The FieldSpectrum of a field: one forward complex transform of the array it holds."""
+    values, lattice = field.held()
+    return FieldSpectrum(lattice.fft(values), lattice)
 
 
 def density(field: WaveField) -> np.ndarray:
-    """|psi|^2 as one new lattice."""
-    values = field.values
+    """|psi|^2 on the lattice the field holds (WaveField.held()), as one new array."""
+    values = field.held()[0]
     return _density_into(values, np.empty(values.shape), np.empty(min(_BLOCK, values.size)))
 
 
@@ -434,7 +442,8 @@ def _moment(grid: SpectralGrid, marginals: list[np.ndarray], weights) -> float:
 
 
 def mass(field: WaveField) -> float:
-    return _mass(field.grid, _marginals(density(field), field.grid))
+    lattice = field.held()[1]
+    return _mass(lattice, _marginals(density(field), lattice))
 
 
 def max_abs(field: WaveField) -> float:
@@ -457,7 +466,8 @@ def gradient_norm_sq(field: WaveField, spectrum: "FieldSpectrum | None" = None) 
 
 def quartic_norm(field: WaveField) -> float:
     """Integral of |psi|^4 evaluated in physical space."""
-    return _sum_sq(density(field), field.grid) * field.grid.cell_volume
+    lattice = field.held()[1]
+    return _sum_sq(density(field), lattice) * lattice.cell_volume
 
 
 def quartic_norm_spectral(field: WaveField) -> float:
@@ -467,9 +477,9 @@ def quartic_norm_spectral(field: WaveField) -> float:
     the full lattice with the even axes' weights (the marginals' total);
     kept as an independent route for cross-checks.
     """
-    grid = field.grid
-    power = np.abs(grid.fft(density(field))) ** 2
-    return _mass(grid, _marginals(power, grid)) / grid.full.size
+    lattice = field.held()[1]
+    power = np.abs(lattice.fft(density(field))) ** 2
+    return _mass(lattice, _marginals(power, lattice)) / lattice.full.size
 
 
 @dataclass(frozen=True)
@@ -487,23 +497,22 @@ class _DensitySums:
 
 
 def _density_sums(
-    field: WaveField,
     rho: np.ndarray,
+    grid: SpectralGrid,
     params: PhysicalParams,
     symbol: "KernelSymbol | None",
 ) -> _DensitySums:
-    """Mass, y and the trap, contact and dipolar energies of a density.
+    """Mass, y and the trap, contact and dipolar energies of a density on a lattice.
 
     Mass, trap energy and y come from the per-axis marginals of rho, the
     contact energy from an einsum of rho with itself, and the dipolar
     energy pairs rho with its convolution by Parseval, from one real
     transform (see the module docstring).  No full-lattice temporary is formed.  A
-    symbol on the field's lattice is required whenever lambda2 is nonzero
-    (_check_symbol).
+    symbol of the lattice's box is required whenever lambda2 is nonzero,
+    and is read on the lattice (_symbol_on).
     """
-    grid = field.grid
     params._check_grid(grid)
-    _check_symbol(symbol, grid, params)
+    symbol = _symbol_on(symbol, grid, params)
     dv = grid.cell_volume
     marginals = _marginals(rho, grid)
     cubic = 0.0 if params.lambda1 == 0.0 else 0.5 * params.lambda1 * _sum_sq(rho, grid) * dv
@@ -532,14 +541,14 @@ def energy(
     potential (by Parseval, see the module docstring).  A symbol is
     required whenever lambda2 is nonzero.
     """
-    d = _density_sums(field, density(field), params, symbol)
+    d = _density_sums(density(field), field.held()[1], params, symbol)
     return d.energy(0.5 * gradient_norm_sq(field))
 
 
 def variance(field: WaveField) -> float:
     """Position variance y = int |x|^2 |psi|^2."""
-    grid = field.grid
-    return _moment(grid, _marginals(density(field), grid), [1.0] * grid.dim)
+    lattice = field.held()[1]
+    return _moment(lattice, _marginals(density(field), lattice), [1.0] * lattice.dim)
 
 
 def variance_and_rate(field: WaveField) -> tuple[float, float]:
@@ -553,8 +562,7 @@ def variance_and_rate(field: WaveField) -> tuple[float, float]:
 
 def _variance_rate(field: WaveField) -> float:
     """dy/dt, with d_j psi from one-axis transforms of psi along axis j."""
-    grid = field.grid
-    psi = field.values
+    psi, grid = field.held()
     # one complex work lattice serves every axis, transformed in place
     g = np.empty_like(psi)
     acc = sum(_rate_term(grid, psi, g, axis) for axis in range(grid.dim))
@@ -653,7 +661,7 @@ def spectral_tail_fraction(
 
 def field_std(field: WaveField) -> tuple[float, ...]:
     """Per-axis standard deviation of the position density, from its marginals."""
-    grid = field.grid
+    grid = field.held()[1]
     marginals = _marginals(density(field), grid)
     total = float(np.sum(marginals[0]))
     if total == 0.0:
@@ -732,7 +740,7 @@ def record_observables(
     if spectrum is None:
         spectrum = field_spectrum(field)
     rho = density(field)
-    d = _density_sums(field, rho, params, symbol)
+    d = _density_sums(rho, field.held()[1], params, symbol)
     maxpsi = float(np.sqrt(rho.max()))
     del rho
     e = d.energy(0.5 * gradient_norm_sq(field, spectrum))

@@ -981,6 +981,22 @@ def test_cli_init_file_naming_a_directory_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_classify_refuses_a_snapshot_shorter_than_its_header(tmp_path, capsys):
+    n = 2**21
+    seed_path = tmp_path / "huge.gpef"
+    seed_path.write_bytes(f"GPEF v1 3 {n} {n} {n} 1 1 1 0\n".encode("ascii") + bytes(64))
+    config = (
+        f"grid.dim = 3\ngrid.extents = 1, 1, 1\ngrid.points = {n}, {n}, {n}\n"
+        "params.omega = 1, 1, 1\nparams.lambda1 = 1.0\nparams.lambda2 = 0.0\n"
+        f"init.kind = file\ninit.file = {seed_path}\n"
+    )
+    path = _write(tmp_path, "huge.cfg", config)
+    assert run_command(["classify", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: snapshot payload has 64 bytes, expected ")
+    assert "Traceback" not in err
+
+
 def test_cli_simulate_refuses_a_snapshot_with_a_non_finite_time(tmp_path, capsys):
     seed, _ = linear_eigenstate(make_grid(2, [12.0, 12.0], [32, 32]), (1.0, 1.0))
     seed_path = tmp_path / "seed.gpef"

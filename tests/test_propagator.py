@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -465,6 +466,17 @@ def test_snapshot_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.gpef"
     path.write_bytes(b"HELLO v9 nonsense\n\x00\x01")
     with pytest.raises(ValueError):
+        read_snapshot(path)
+
+
+def test_snapshot_payload_is_checked_against_its_header_before_any_array(tmp_path):
+    # a header of 2^21 points per axis over 64 bytes: the count is refused
+    # before an array of 2^63 values is asked for
+    path = tmp_path / "huge.gpef"
+    n = 2**21
+    path.write_bytes(f"GPEF v1 3 {n} {n} {n} 1 1 1 0\n".encode("ascii") + bytes(64))
+    want = f"snapshot payload has 64 bytes, expected {16 * n**3} ({n**3} values)"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         read_snapshot(path)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -484,8 +485,11 @@ def _setup(lambda1=2.0, lambda2=0.3, omega=OMEGA, target="1d"):
     return ReductionSetup(0.2, omega, lambda1, lambda2, u0, target)
 
 
-def _sweep(dt=2e-3, T=0.05, n_samples=2):
-    return epsilon_sweep(_stable_setup(), [0.2], reference_grid(), dt, T, n_samples=n_samples)
+def _sweep(dt=2e-3, T=0.05, n_samples=2, max_workers=None):
+    return epsilon_sweep(
+        _stable_setup(), [0.2], reference_grid(), dt, T, n_samples=n_samples,
+        max_workers=max_workers,
+    )
 
 
 def _error(dt=2e-3, T=0.05, n_samples=2):
@@ -514,6 +518,7 @@ _REFUSED = {
     "error-dt": ("dt", lambda bad: _error(dt=bad)),
     "monitor-stride": ("stride", lambda bad: MonitorSpec(stride=bad)),
     "sweep-n_samples": ("n_samples", lambda bad: _sweep(n_samples=bad)),
+    "sweep-max_workers": ("max_workers", lambda bad: _sweep(max_workers=bad)),
     "error-n_samples": ("n_samples", lambda bad: _error(n_samples=bad)),
     "params-lambda1": ("lambda1", lambda bad: PhysicalParams(3, (1.0, 1.0, 1.0), bad, 0.0)),
     "params-lambda2": ("lambda2", lambda bad: PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, bad)),
@@ -537,6 +542,8 @@ _REFUSED = {
             ("sweep-n_samples", 2.5),
             ("error-n_samples", 0),
             ("error-n_samples", 2.5),
+            ("sweep-max_workers", 0),
+            ("sweep-max_workers", 2.5),
             ("grid-points", 8.7),
             ("setup-omega-1d", -1.0),
             ("setup-omega-2d", -1.0),
@@ -928,3 +935,32 @@ def test_fitted_slope_exact_powers():
     ys = [x**2 for x in xs]
     assert fitted_slope(xs, ys) == pytest.approx(2.0, abs=1e-12)
     assert fitted_slope([0.2, 0.1], [0.04, 0.01]) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_a_pooled_sweep_shares_held_reduced_samples(monkeypatch):
+    # the reduced run's samples reach the members as evolve hands them,
+    # held on the octant, and the members leave them held; the rows are
+    # those of the same samples given whole
+    ref = make_grid(3, (8.0, 8.0, 10.0), (16, 16, 32))
+    s = ReductionSetup(0.2, OMEGA, 0.5, 0.1, axial_ground_state(reduction.slow_grid(ref, (0, 1))))
+    epsilons, dt, T, n = [0.2, 0.141, 0.1], 2e-3, 0.25, 2
+    kept = []
+
+    def keep(*args):
+        kept.extend(run_reduced_snapshots(*args))
+        return kept
+
+    monkeypatch.setattr(reduction, "run_reduced_snapshots", keep)
+    # three members on fewer cores, switching often, read the shared samples
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rows = epsilon_sweep(s, epsilons, ref, dt, T, n_samples=n, max_workers=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(kept) == n
+    assert all(u.table is not None and u.table.shape == u.grid.octant.shape for _, u in kept)
+    whole = [(t, WaveField(u.grid.unfold(u.table), u.grid, t)) for t, u in kept]
+    for eps, row in zip(epsilons, rows):
+        study = reduction._study(replace(s, epsilon=eps), ref, dt, T, n, reduced_snapshots=whole)
+        assert (row["sup_err"], row["excitation_sq"]) == (study.sup_err, study.excitation_sq)

@@ -342,6 +342,29 @@ def test_unstable_energy_ledger_slopes():
         unstable_energy_ledger(g, p, sym, [0.1], -3.0)
 
 
+def test_the_ledger_reads_each_squeezed_field_where_it_is_held(monkeypatch):
+    # every row is the energy of its field, held on the octant from set-up
+    # to the last read, and equals the energy of the whole field
+    g = make_grid(3, [16.0, 16.0, 60.0], [16, 16, 32])
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.5, 1.0)
+    sym = build_symbol(g, Analytic3D())
+    made = []
+
+    def keep(*args):
+        made.append(make_unstable_data(*args))
+        return made[-1]
+
+    monkeypatch.setattr(regimes, "make_unstable_data", keep)
+    rows, _ = unstable_energy_ledger(g, p, sym, [0.5, 0.35], -3.0)
+    assert [f.table is not None and f.table.shape == g.octant.shape for f in made] == [True] * 2
+    for row, field in zip(rows, made):
+        e = energy(WaveField(field.values, g), p, sym)
+        want = {"kinetic": e.kinetic, "potential": e.potential,
+                "interaction": e.cubic + e.dipolar, "total": e.total}
+        for key, b in want.items():
+            assert abs(row[key] - b) <= 1e-12 * abs(b), (key, row[key], b)
+
+
 @pytest.mark.parametrize("epsilons", [[0.5, 0.5], [0.2, 0.1, 0.2]])
 def test_ledger_refuses_a_repeated_eps_before_any_field(monkeypatch, epsilons):
     # a repeated eps fits a slope through coinciding log eps

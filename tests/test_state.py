@@ -37,13 +37,15 @@ from dipgpe import (
     quartic_norm_spectral,
     record_observables,
     spectral_tail_fraction,
+    strang_step,
     variance_and_rate,
 )
-from dipgpe.grid import _BLOCK
+from dipgpe.grid import _BLOCK, mirror_even_axes
 from dipgpe.kernel import _pair_symbol_real
 from dipgpe.state import CSV_HEADER, _sum_sq, field_spectrum, variance
 
 import lattice_tables as tables
+from allocations import large_allocations
 
 
 def gaussian_field(grid, sigma, center=None):
@@ -710,3 +712,88 @@ def test_observables_are_python_floats_and_the_quartic_norms_agree_on_every_latt
                 *(getattr(rec, name) for name in CSV_HEADER.split(",")),
             ]
             assert all(type(v) is float for v in got), [type(v) for v in got]
+
+
+def held_twins(grid, even):
+    """A chirped Gaussian of grid, mirror-even along even alone: held there, and whole."""
+    x, y, z = grid.coord_mesh
+    center = 0.0 if 2 in even else 0.7
+    values = np.exp(-(x * x + y * y) / 2.0 - (z - center) ** 2 / 2.0 + 0.3j * z * z)
+    assert mirror_even_axes(values) == tuple(even)
+    return WaveField(grid.sublattice(even).restrict(values), grid), WaveField(values, grid)
+
+
+def _observables(field, p, sym):
+    """Every standalone observable of a field, as floats and arrays, and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        check_resolution(field)
+    e = energy(field, p, sym)
+    rec = record_observables(field, p, sym)
+    floats = {
+        "mass": mass(field), "max_abs": max_abs(field), "variance": variance(field),
+        "quartic_norm": quartic_norm(field), "quartic_norm_spectral": quartic_norm_spectral(field),
+        "gradient_norm_sq": gradient_norm_sq(field),
+        "spectral_tail_fraction": spectral_tail_fraction(field),
+        **dict(zip(("y", "ydot"), variance_and_rate(field))),
+        **{f"std{a}": s for a, s in enumerate(field_std(field))},
+        **{f"E.{k}": getattr(e, k) for k in ("kinetic", "potential", "cubic", "dipolar", "total")},
+        **{f"record.{k}": getattr(rec, k) for k in CSV_HEADER.split(",")},
+    }
+    arrays = {"density": density(field), "spectrum": field_spectrum(field).values}
+    return floats, arrays, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("even", [(0, 1, 2), (0, 1)])
+def test_observables_classify_and_strang_step_read_a_held_field_where_it_is_held(even):
+    # on the octant and on the lattice even along x and y alone: each read
+    # leaves the field held, and gives the whole field's value
+    g = make_grid(3, (10.0, 10.0, 12.0), (16, 16, 32))
+    lattice = g.sublattice(even)
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    sym = build_symbol(g, Analytic3D())
+    held, full = held_twins(g, even)
+    got, got_arrays, got_warnings = _observables(held, p, sym)
+    assert held.table is not None and held.table.shape == lattice.shape
+    want, want_arrays, want_warnings = _observables(full, p, sym)
+    for name, b in want.items():
+        assert abs(got[name] - b) <= 1e-12 * abs(b), (name, got[name], b)
+    assert got_warnings == want_warnings
+    assert np.array_equal(lattice.unfold(got_arrays["density"]), want_arrays["density"])
+    spectrum = want_arrays["spectrum"][lattice.index]
+    assert np.max(np.abs(got_arrays["spectrum"] - spectrum)) <= 1e-12 * np.max(np.abs(spectrum))
+
+    cert, cert_full = classify(held, p, sym), classify(full, p, sym)
+    assert held.table is not None and cert.verdict == cert_full.verdict
+    for key, b in cert_full.evidence.items():
+        assert cert.evidence[key] == pytest.approx(b, rel=1e-12, abs=0.0), key
+
+    step = strang_step(held, 1e-3, p, sym)
+    assert held.table is not None
+    assert step.grid is g and step.t == held.t + 1e-3
+    assert step.table is not None and step.table.shape == lattice.shape
+    want_step = strang_step(full, 1e-3, p, sym).values
+    assert np.max(np.abs(step.values - want_step)) <= 1e-12 * np.max(np.abs(want_step))
+
+
+def test_observables_of_a_held_field_allocate_no_full_lattice():
+    g = make_grid(3, (10.0, 10.0, 12.0), (64, 64, 64))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 1.0, 0.3)
+    sym = build_symbol(g, Analytic3D())
+    for even in ((0, 1, 2), (0, 1)):
+        held, _ = held_twins(g, even)
+        _, found = large_allocations(lambda: _observables(held, p, sym), 8 * g.size)
+        assert found == [], even
+        assert held.table is not None
+
+
+def test_a_full_field_reads_a_symbol_of_its_box_from_any_of_its_lattices():
+    # the symbol is put on the field's lattice by its octant table, so the
+    # octant's symbol and a mixed lattice's give the full symbol's bits
+    g = make_grid(3, (10.0, 12.0, 14.0), (16, 8, 24))
+    p = PhysicalParams(3, (1.0, 0.8, 1.2), 1.0, 0.3)
+    sym = build_symbol(g, Analytic3D())
+    f = off_centre_chirped(g, chirp=0.05)
+    for other in (sym.octant, sym.on_sublattice((1,))):
+        assert energy(f, p, other) == energy(f, p, sym)
+        assert record_observables(f, p, other) == record_observables(f, p, sym)

@@ -147,6 +147,43 @@ def test_bench_pairs_flags_a_metric_past_its_bound():
     assert summary["wall_s"]["verdict"] == "within_bound"
 
 
+def test_bench_pairs_counts_the_units_whose_digests_differ_within_a_pair():
+    # unit i of each side of a pair ran the same seed and configuration;
+    # units one side ran beyond the other's count are not compared
+    def run(pair, side, digests):
+        return {"pair": pair, "side": side, "sha256": digests}
+
+    runs = [
+        run(1, "parent", ["a", "b", "a"]), run(1, "change", ["a", "b"]),
+        run(2, "change", ["a", "x", "a", "y"]), run(2, "parent", ["a", "b", "c", "b"]),
+        run(3, "parent", ["a"]), run(3, "change", ["a", "b", "a"]),
+    ]
+    assert bench_pairs.differing_units(runs) == 3
+    assert bench_pairs.differing_units(runs[:2] + runs[4:]) == 0
+    # the same digests in another pair's other side do not make a match
+    assert bench_pairs.differing_units([run(1, "parent", ["a"]), run(1, "change", ["b"]),
+                                        run(2, "parent", ["b"]), run(2, "change", ["a"])]) == 2
+
+
+def test_bench_pairs_prints_and_writes_the_differing_units(tmp_path, monkeypatch, capsys):
+    # the change's second unit differs in every pair
+    def fake_run(checkout, workload, seed, seconds):
+        stdout = _bench_stdout(2.0, 50.0)
+        return stdout if checkout.name == "parent" else stdout.replace('"cd"', '"ef"')
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    spec = {"run_seconds": 25, "end_to_end": METRICS}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+            "--pairs", "3", "--seed", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert json.loads(out.read_text())["differing_units"] == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "  differing unit digests: 3"
+
+
 _MODULE = '''"""A module docstring,
 over two lines."""
 

@@ -15,9 +15,11 @@ For each metric it prints the parent's and the change's median, the
 number of pairs the change won, the parent's quartile distance (q3 -
 q1) and a verdict: within or outside the bound, or unresolved when the
 parent's quartile distance, relative to its median, is wider than the
-bound and not every change run beats every parent run.  It writes one
-JSON file: the machine (nproc, python, numpy and
-scipy versions), the order of the runs, that summary per metric and
+bound and not every change run beats every parent run.  Under that
+summary it prints the number of units whose output digests differ
+between the two sides of a pair (differing_units).  It writes one JSON
+file: the machine (nproc, python, numpy and scipy versions), the order
+of the runs, that summary per metric, the number of differing units and
 every run's metrics, failure count and per-unit output digests.  It
 reads bench/ from the two checkouts and changes nothing there.
 """
@@ -95,6 +97,20 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def differing_units(runs: list[dict]) -> int:
+    """The units whose digests differ between the parent and the change of a pair.
+
+    Both sides of a pair run one seed, and bench/run.py repeats the same
+    cycle of units, so unit i of each side ran the same configuration;
+    the units one side ran beyond the other's count are not compared.
+    """
+    digests = {(r["pair"], r["side"]): r["sha256"] for r in runs}
+    pairs = sorted({r["pair"] for r in runs})
+    return sum(
+        a != b for p in pairs for a, b in zip(digests[p, "parent"], digests[p, "change"])
+    )
+
+
 def report(workload: str, summary: dict) -> str:
     lines = [f"{workload}: median parent -> change (pairs the change won; parent q3 - q1)"]
     for name, s in summary.items():
@@ -141,7 +157,9 @@ def main(argv: "list[str] | None" = None) -> int:
             runs.append(record(pair, side, seed, stdout))
             print(f"pair {pair} {side} seed {seed} done", file=sys.stderr)
     summary = summarize(runs, spec["end_to_end"])
+    differing = differing_units(runs)
     print(report(args.workload, summary))
+    print(f"  differing unit digests: {differing}")
     out = {
         "command": f"python3 bench/run.py --workload {args.workload} --seed N "
                    f"--seconds {seconds:g} --trace 0",
@@ -151,6 +169,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "order": f"{args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
                  "parent first in odd pairs",
         "summary": summary,
+        "differing_units": differing,
         "runs": runs,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
