@@ -51,6 +51,7 @@ from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 from scipy import special
 
 from .grid import (
+    _BLOCK,
     GridError,
     SpectralGrid,
     _accumulate,
@@ -72,23 +73,72 @@ class KernelRealityError(ArithmeticError):
     """Kernel application produced a non-negligible imaginary part."""
 
 
+# Elements per block of symbol3d: the three real blocks it works on (the
+# output's, |xi|^2 and one term) take 128 KiB each and stay in cache, and
+# its scratch is smaller than the table of a 64^3 grid's octant.
+_SYMBOL_BLOCK = _BLOCK // 4
+
+
+def _row_blocks(shape: tuple, size: int) -> list[tuple]:
+    """Index tuples of blocks of at most size elements tiling a C-order array.
+
+    Each block is a run of whole rows of the first axis, or, when one
+    such row holds more than size elements, a block of that row's own
+    tiling, so every block is a contiguous piece of the array.
+    """
+    inner = math.prod(shape[1:])
+    if inner > size:
+        return [(i,) + block for i in range(shape[0]) for block in _row_blocks(shape[1:], size)]
+    step = size // inner
+    return [(slice(i, i + step),) for i in range(0, shape[0], step)]
+
+
 def symbol3d(xi1, xi2, xi3):
     """Dipolar symbol (4*pi/3) * (2 xi3^2 - xi1^2 - xi2^2) / |xi|^2.
 
-    Vectorized; defined as 0 at the origin, where the formula has no
-    directional limit but the kernel's vanishing spherical average
-    singles out zero.
+    Vectorized over broadcastable arguments; defined as 0 at the origin,
+    where the formula has no directional limit but the kernel's vanishing
+    spherical average singles out zero.  A NaN component gives NaN.
+
+    The result is one array, written a block of rows at a time
+    (_row_blocks, at most _SYMBOL_BLOCK elements), with one block of
+    scratch for |xi|^2 and one for the term being added.  The squares
+    are taken on the arguments' own shapes (per axis for a sparse mesh)
+    and copied into a block before the arithmetic, because a numpy
+    operation on broadcast operands allocates its own buffers.  Each
+    element is ((xi1^2 + xi2^2) + xi3^2), ((2 xi3^2 - xi1^2) - xi2^2)
+    and (4 pi/3) (num / |xi|^2), in that order, and 0 where |xi|^2 = 0.
     """
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    xi3 = np.asarray(xi3, dtype=float)
-    nsq = xi1 * xi1 + xi2 * xi2 + xi3 * xi3
-    num = 2.0 * xi3 * xi3 - xi1 * xi1 - xi2 * xi2
+    xi = [np.asarray(x, dtype=float) for x in (xi1, xi2, xi3)]
+    shape = np.broadcast_shapes(*(x.shape for x in xi))
+    out = np.empty(shape or (1,))
+    if out.size == 0:
+        return out
+    sq1, sq2, sq3, twice3 = (
+        np.broadcast_to(t, out.shape) for t in (*(x * x for x in xi), 2.0 * xi[2] * xi[2])
+    )
+    blocks = _row_blocks(out.shape, _SYMBOL_BLOCK)
+    n = out[blocks[0]].size
+    nsq = np.empty(n)
+    term = np.empty(n)
+    origin = np.empty(n, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = (4.0 * math.pi / 3.0) * np.where(nsq > 0.0, num / np.where(nsq > 0.0, nsq, 1.0), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        for block in blocks:
+            o = out[block]
+            s, t, zero = (a[: o.size].reshape(o.shape) for a in (nsq, term, origin))
+            np.copyto(s, sq1[block])
+            np.copyto(o, twice3[block])
+            o -= s
+            np.copyto(t, sq2[block])
+            s += t
+            o -= t
+            np.copyto(t, sq3[block])
+            s += t
+            np.equal(s, 0.0, out=zero)
+            o /= s
+            np.copyto(o, 0.0, where=zero)
+            o *= 4.0 * math.pi / 3.0
+    return out if shape else float(out[0])
 
 
 def bessel_radial_check(r_max: float, tol: float) -> float:

@@ -36,6 +36,7 @@ from dipgpe import cli, kernel
 from dipgpe.cli import run_command
 
 import lattice_tables as tables
+from allocations import large_allocations
 
 FOUR_PI_THIRD = 4.0 * math.pi / 3.0
 
@@ -65,6 +66,82 @@ def test_symbol3d_homogeneity_and_evenness():
 def test_symbol3d_scalar_returns_float():
     out = symbol3d(0.3, 0.1, 0.2)
     assert isinstance(out, float)
+
+
+def _symbol3d_by_where(xi1, xi2, xi3):
+    """The 3D symbol as whole-array expressions with np.where: the bit-for-bit reference."""
+    xi1, xi2, xi3 = (np.asarray(x, dtype=float) for x in (xi1, xi2, xi3))
+    nsq = xi1 * xi1 + xi2 * xi2 + xi3 * xi3
+    num = 2.0 * xi3 * xi3 - xi1 * xi1 - xi2 * xi2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = FOUR_PI_THIRD * np.where(nsq > 0.0, num / np.where(nsq > 0.0, nsq, 1.0), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize(
+    "shape, axes",
+    [
+        ((64, 64, 64), ()),
+        ((64, 64, 64), (0, 1, 2)),
+        ((64, 64, 64), (1,)),
+        ((16, 20, 30), ()),
+        ((16, 20, 30), (0, 1, 2)),
+        # a first-axis row of 90000 elements is tiled in blocks of its own rows
+        ((8, 300, 300), ()),
+    ],
+)
+def test_symbol3d_on_frequency_meshes_is_the_where_expression_bit_for_bit(shape, axes):
+    g = make_grid(3, (15.0, 15.0, 30.0), shape).sublattice(axes)
+    got = symbol3d(*g.freq_mesh)
+    want = _symbol3d_by_where(*g.freq_mesh)
+    assert got.shape == want.shape == g.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_symbol3d_on_arrays_and_scalars_is_the_where_expression_bit_for_bit():
+    # 1d arrays over several blocks, with zero and signed-zero triples away
+    # from index 0 and a component whose square underflows to zero
+    rng = np.random.default_rng(5)
+    xi = rng.normal(scale=3.0, size=(3, 100_000))
+    xi[:, 7::13] = 0.0
+    xi[0, 7::26] = -0.0
+    xi[2, 11::29] = 1.2e-162
+    xi[:2, 11::29] = 0.0
+    got, want = symbol3d(*xi), _symbol3d_by_where(*xi)
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(got == 0.0) > 100_000 // 13
+    for triple in [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.0, 0.0, 1.2e-162), (1.7, 0.0, 0.0),
+                   (0.0, 0.0, 2.5), (1.0, 1.0, 1.0), (0.3, -0.1, 0.2)]:
+        got, want = symbol3d(*triple), _symbol3d_by_where(*triple)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), triple
+
+
+def test_symbol3d_propagates_nan_so_validate_refuses_it():
+    assert math.isnan(symbol3d(math.nan, 0.0, 0.0))
+    assert math.isnan(symbol3d(0.0, 0.0, math.nan))
+    got = symbol3d([math.nan, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert math.isnan(got[0]) and got[1] == -FOUR_PI_THIRD and got[2] == 0.0
+    g = make_grid(3, (8.0, 8.0, 8.0), (8, 8, 8))
+    xi = [f.copy() for f in g.octant.freq_mesh]
+    xi[1][0, 2, 0] = math.nan
+    table = symbol3d(*xi)
+    assert np.isnan(table[:, 2, :]).all() and np.isfinite(np.delete(table, 2, axis=1)).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        KernelSymbol(table, Analytic3D(), g).validate()
+
+
+def test_the_3d_table_is_the_one_octant_sized_allocation_of_a_build():
+    # symbol3d writes its one table in blocks, with block-sized scratch and
+    # the squares of the per-axis meshes, so a build of a 64^3 grid's
+    # symbol allocates an octant-sized array once: the table
+    octant_size = 33**3
+    sym, found = large_allocations(
+        lambda: build_symbol(make_grid(3, (15.0, 15.0, 30.0), (64, 64, 64)), Analytic3D()),
+        8 * octant_size,
+    )
+    assert sym.table.size == octant_size
+    assert len(found) == 1 and "symbol3d" in found[0]
 
 
 def test_bessel_radial_identity_tight():

@@ -123,28 +123,93 @@ def test_bench_pairs_summarizes_interleaved_result_lines(tmp_path, monkeypatch, 
     assert "failed units: parent 0, change 1" in printed
 
 
-def test_bench_pairs_flags_a_metric_past_its_bound():
-    def runs(parent, change):
-        return [
-            {"pair": p, "side": side, "wall_s": value, "failed": 0}
-            for p, pair in enumerate(zip(parent, change), 1)
-            for side, value in zip(("parent", "change"), pair)
-        ]
+def _pair_runs(metric, parent, change):
+    """Synthetic run records: pair i has the parent's and the change's i-th value."""
+    return [
+        {"pair": p, "side": side, metric: value, "failed": 0}
+        for p, pair in enumerate(zip(parent, change), 1)
+        for side, value in zip(("parent", "change"), pair)
+    ]
 
-    summary = bench_pairs.summarize(runs([1.0] * 3, [1.3] * 3), METRICS[:1])
+
+def test_bench_pairs_flags_a_metric_past_its_bound():
+    def summarize(parent, change):
+        return bench_pairs.summarize(_pair_runs("wall_s", parent, change), METRICS[:1])
+
+    summary = summarize([1.0] * 3, [1.3] * 3)
     assert summary["wall_s"]["change_better_pairs"] == 0
     assert summary["wall_s"]["relative_worsening_of_median"] == pytest.approx(0.3)
     assert summary["wall_s"]["verdict"] == "outside_bound"
     assert "OUTSIDE BOUND" in bench_pairs.report("w", summary)
     # the parent's quartile distance is 1.0 against a median of 2.0, 50 % > 25 %:
     # a 10 % worsening is unresolved, not within the bound
-    summary = bench_pairs.summarize(runs([1.0, 2.0, 3.0], [2.1, 2.2, 2.3]), METRICS[:1])
+    summary = summarize([1.0, 2.0, 3.0], [2.1, 2.2, 2.3])
     assert summary["wall_s"]["relative_worsening_of_median"] == pytest.approx(0.1)
     assert summary["wall_s"]["verdict"] == "unresolved"
     assert "UNRESOLVED" in bench_pairs.report("w", summary)
     # unless every change run beats every parent run
-    summary = bench_pairs.summarize(runs([1.0, 2.0, 3.0], [0.5, 0.6, 0.7]), METRICS[:1])
+    summary = summarize([1.0, 2.0, 3.0], [0.5, 0.6, 0.7])
     assert summary["wall_s"]["verdict"] == "within_bound"
+
+
+def _claim(metric, parent, change):
+    spec = next(m for m in METRICS if m["name"] == metric)
+    summary = bench_pairs.summarize(_pair_runs(metric, parent, change), [spec])
+    return bench_pairs.claim(summary, spec)
+
+
+def test_bench_pairs_claim_needs_nine_tenths_of_the_pairs_and_a_median_past_the_spread():
+    parent = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]
+    # every pair won, the median 0.5 lower against a quartile distance of 0.45
+    c = _claim("wall_s", parent, [p - 0.5 for p in parent])
+    assert c == {"metric": "wall_s", "pairs_won": 10, "median_change": pytest.approx(-0.5),
+                 "parent_quartile_distance": pytest.approx(0.45), "met": True}
+    assert bench_pairs.claim_line(c, 10).startswith("claim met: wall_s won 10 of 10 pairs")
+    # every pair won, but by less than the parent's quartile distance
+    c = _claim("wall_s", parent, [p - 0.4 for p in parent])
+    assert c["pairs_won"] == 10 and not c["met"]
+    assert bench_pairs.claim_line(c, 10).startswith("claim not met")
+    # a tie counts for neither side: nine wins and a tie meet the rule,
+    # eight wins and two ties do not
+    change = [p - 1.0 for p in parent]
+    c = _claim("wall_s", parent, change[:9] + parent[9:])
+    assert c["pairs_won"] == 9 and c["met"]
+    c = _claim("wall_s", parent, change[:8] + parent[8:])
+    assert c["pairs_won"] == 8 and not c["met"]
+    # one lost pair of ten still meets it, two do not
+    assert _claim("wall_s", parent, change[:9] + [3.5])["met"]
+    assert not _claim("wall_s", parent, change[:8] + [3.5, 3.5])["met"]
+    # higher is better: the gain is the change's median above the parent's
+    c = _claim("steps_per_s", parent, [p + 0.5 for p in parent])
+    assert c["median_change"] == pytest.approx(0.5) and c["met"]
+    assert not _claim("steps_per_s", parent, [p - 0.5 for p in parent])["met"]
+
+
+def test_bench_pairs_writes_the_claim_it_was_asked_for(tmp_path, monkeypatch, capsys):
+    # the change is 0.5 s faster in every pair, on a parent spread of 0.2 s
+    def fake_run(checkout, workload, seed, seconds):
+        wall = 2.0 + (seed % 5) / 10 - (0.5 if checkout.name == "change" else 0.0)
+        return _bench_stdout(wall, 100.0 / wall)
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    spec = {"run_seconds": 25, "end_to_end": METRICS}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+            "--pairs", "5", "--seed", "10", "--out", str(out)]
+    assert bench_pairs.main(argv + ["--claim", "wall_s"]) == 0
+    claimed = json.loads(out.read_text())["claim"]
+    assert claimed["metric"] == "wall_s" and claimed["pairs_won"] == 5 and claimed["met"]
+    assert claimed["median_change"] == pytest.approx(-0.5)
+    assert capsys.readouterr().out.splitlines()[-1].startswith("claim met: wall_s won 5 of 5")
+    # without --claim no claim is written; an unknown metric is refused
+    assert bench_pairs.main(argv) == 0
+    assert "claim" not in json.loads(out.read_text())
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv + ["--claim", "nonsense"])
+    assert "not an end-to-end metric" in capsys.readouterr().err
 
 
 def test_bench_pairs_counts_the_units_whose_digests_differ_within_a_pair():

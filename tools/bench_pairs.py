@@ -1,7 +1,7 @@
 """Compare two source checkouts on one benchmark workload in interleaved pairs.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs 10 --seed S \
-        --out BENCH_x.json
+        --out BENCH_x.json [--claim METRIC]
 
 Pair i (from 1) runs ``python3 bench/run.py --workload W --seed S+i-1
 --seconds T --trace 0`` once from each checkout, each in its own
@@ -22,6 +22,12 @@ file: the machine (nproc, python, numpy and scipy versions), the order
 of the runs, that summary per metric, the number of differing units and
 every run's metrics, failure count and per-unit output digests.  It
 reads bench/ from the two checkouts and changes nothing there.
+
+With --claim METRIC it also applies the claim rule to that end-to-end
+metric: the change is better in at least nine tenths of the pairs, a tie
+counting for neither side, and its median is better than the parent's by
+more than the parent's quartile distance.  It prints "claim met" or
+"claim not met" and writes the rule's figures to the JSON as claim.
 """
 
 from __future__ import annotations
@@ -97,6 +103,35 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def claim(summary: dict, metric: dict) -> dict:
+    """The claim rule on one end-to-end metric of summarize's summary.
+
+    pairs_won counts the pairs the change won (summarize counts a tie for
+    neither side); median_change is the change's median less the
+    parent's, in the metric's unit.  The claim is met when the change won
+    at least nine tenths of the pairs and its median is better than the
+    parent's by more than the parent's quartile distance.
+    """
+    s = summary[metric["name"]]
+    change = s["change_q1_median_q3"][1] - s["parent_q1_median_q3"][1]
+    gain = -change if metric["better"] == "lower" else change
+    won = s["change_better_pairs"]
+    return {
+        "metric": metric["name"],
+        "pairs_won": won,
+        "median_change": change,
+        "parent_quartile_distance": s["parent_quartile_distance"],
+        "met": bool(10 * won >= 9 * s["pairs"] and gain > s["parent_quartile_distance"]),
+    }
+
+
+def claim_line(c: dict, pairs: int) -> str:
+    verdict = "claim met" if c["met"] else "claim not met"
+    return (f"{verdict}: {c['metric']} won {c['pairs_won']} of {pairs} pairs, median change "
+            f"{c['median_change']:+.3g} against the parent's q3 - q1 "
+            f"{c['parent_quartile_distance']:.3g}")
+
+
 def differing_units(runs: list[dict]) -> int:
     """The units whose digests differ between the parent and the change of a pair.
 
@@ -144,10 +179,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--claim", metavar="METRIC")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    if args.claim is not None and args.claim not in metrics:
+        parser.error(f"--claim {args.claim} is not an end-to-end metric: {', '.join(metrics)}")
     runs = []
     for pair in range(1, args.pairs + 1):
         seed = args.seed + pair - 1
@@ -160,6 +199,9 @@ def main(argv: "list[str] | None" = None) -> int:
     differing = differing_units(runs)
     print(report(args.workload, summary))
     print(f"  differing unit digests: {differing}")
+    claimed = None if args.claim is None else claim(summary, metrics[args.claim])
+    if claimed is not None:
+        print(claim_line(claimed, args.pairs))
     out = {
         "command": f"python3 bench/run.py --workload {args.workload} --seed N "
                    f"--seconds {seconds:g} --trace 0",
@@ -172,6 +214,8 @@ def main(argv: "list[str] | None" = None) -> int:
         "differing_units": differing,
         "runs": runs,
     }
+    if claimed is not None:
+        out["claim"] = claimed
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
