@@ -79,20 +79,6 @@ class KernelRealityError(ArithmeticError):
 _SYMBOL_BLOCK = _BLOCK // 4
 
 
-def _row_blocks(shape: tuple, size: int) -> list[tuple]:
-    """Index tuples of blocks of at most size elements tiling a C-order array.
-
-    Each block is a run of whole rows of the first axis, or, when one
-    such row holds more than size elements, a block of that row's own
-    tiling, so every block is a contiguous piece of the array.
-    """
-    inner = math.prod(shape[1:])
-    if inner > size:
-        return [(i,) + block for i in range(shape[0]) for block in _row_blocks(shape[1:], size)]
-    step = size // inner
-    return [(slice(i, i + step),) for i in range(0, shape[0], step)]
-
-
 def symbol3d(xi1, xi2, xi3):
     """Dipolar symbol (4*pi/3) * (2 xi3^2 - xi1^2 - xi2^2) / |xi|^2.
 
@@ -100,30 +86,41 @@ def symbol3d(xi1, xi2, xi3):
     where the formula has no directional limit but the kernel's vanishing
     spherical average singles out zero.  A NaN component gives NaN.
 
-    The result is one array, written a block of rows at a time
-    (_row_blocks, at most _SYMBOL_BLOCK elements), with one block of
-    scratch for |xi|^2 and one for the term being added.  The squares
-    are taken on the arguments' own shapes (per axis for a sparse mesh)
-    and copied into a block before the arithmetic, because a numpy
-    operation on broadcast operands allocates its own buffers.  Each
-    element is ((xi1^2 + xi2^2) + xi3^2), ((2 xi3^2 - xi1^2) - xi2^2)
-    and (4 pi/3) (num / |xi|^2), in that order, and 0 where |xi|^2 = 0.
+    An array result is one array, written a block of whole first-axis
+    rows at a time (at most _SYMBOL_BLOCK elements, or one row where a
+    row holds more), with one block of scratch for |xi|^2 and one for the
+    term being added.  The arguments are broadcast views, which slice
+    only along their axes, so the blocks are runs of rows rather than the
+    flat ranges of grid.lattice_blocks.  The squares are taken on the
+    arguments' own shapes (per axis for a sparse mesh) and copied into a
+    block before the arithmetic, because a numpy operation on broadcast
+    operands allocates its own buffers.  Each element is ((xi1^2 + xi2^2)
+    + xi3^2), ((2 xi3^2 - xi1^2) - xi2^2) and (4 pi/3) (num / |xi|^2), in
+    that order, and 0 where |xi|^2 = 0.
     """
     xi = [np.asarray(x, dtype=float) for x in (xi1, xi2, xi3)]
     shape = np.broadcast_shapes(*(x.shape for x in xi))
-    out = np.empty(shape or (1,))
+    if not shape:
+        # the same operations on Python floats, for the quadratures' many calls
+        x1, x2, x3 = (float(x) for x in xi)
+        nsq = x1 * x1 + x2 * x2 + x3 * x3
+        num = 2.0 * x3 * x3 - x1 * x1 - x2 * x2
+        return 0.0 if nsq == 0.0 else (4.0 * math.pi / 3.0) * (num / nsq)
+    out = np.empty(shape)
     if out.size == 0:
         return out
     sq1, sq2, sq3, twice3 = (
         np.broadcast_to(t, out.shape) for t in (*(x * x for x in xi), 2.0 * xi[2] * xi[2])
     )
-    blocks = _row_blocks(out.shape, _SYMBOL_BLOCK)
-    n = out[blocks[0]].size
+    inner = out.size // len(out)
+    rows = max(1, _SYMBOL_BLOCK // inner)
+    n = min(rows, len(out)) * inner
     nsq = np.empty(n)
     term = np.empty(n)
     origin = np.empty(n, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for block in blocks:
+        for start in range(0, len(out), rows):
+            block = slice(start, start + rows)
             o = out[block]
             s, t, zero = (a[: o.size].reshape(o.shape) for a in (nsq, term, origin))
             np.copyto(s, sq1[block])
@@ -138,7 +135,7 @@ def symbol3d(xi1, xi2, xi3):
             o /= s
             np.copyto(o, 0.0, where=zero)
             o *= 4.0 * math.pi / 3.0
-    return out if shape else float(out[0])
+    return out
 
 
 def bessel_radial_check(r_max: float, tol: float) -> float:

@@ -86,7 +86,7 @@ def _symbol3d_by_where(xi1, xi2, xi3):
         ((64, 64, 64), (1,)),
         ((16, 20, 30), ()),
         ((16, 20, 30), (0, 1, 2)),
-        # a first-axis row of 90000 elements is tiled in blocks of its own rows
+        # a first-axis row of 90000 elements, more than a block, is a block alone
         ((8, 300, 300), ()),
     ],
 )
