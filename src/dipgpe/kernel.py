@@ -91,12 +91,14 @@ def symbol3d(xi1, xi2, xi3):
     row holds more), with one block of scratch for |xi|^2 and one for the
     term being added.  The arguments are broadcast views, which slice
     only along their axes, so the blocks are runs of rows rather than the
-    flat ranges of grid.lattice_blocks.  The squares are taken on the
-    arguments' own shapes (per axis for a sparse mesh) and copied into a
-    block before the arithmetic, because a numpy operation on broadcast
-    operands allocates its own buffers.  Each element is ((xi1^2 + xi2^2)
-    + xi3^2), ((2 xi3^2 - xi1^2) - xi2^2) and (4 pi/3) (num / |xi|^2), in
-    that order, and 0 where |xi|^2 = 0.
+    flat ranges of grid.lattice_blocks.  The squares and the first
+    operation of each sum, xi1^2 + xi2^2 and 2 xi3^2 - xi1^2, are formed
+    on the arguments' own broadcast shapes (a plane of a sparse mesh) and
+    copied into a block before the rest of the arithmetic, because a
+    numpy operation on broadcast operands allocates its own buffers.
+    Each element is ((xi1^2 + xi2^2) + xi3^2), ((2 xi3^2 - xi1^2) -
+    xi2^2) and (4 pi/3) (num / |xi|^2), in that order, and 0 where
+    |xi|^2 = 0.
     """
     xi = [np.asarray(x, dtype=float) for x in (xi1, xi2, xi3)]
     shape = np.broadcast_shapes(*(x.shape for x in xi))
@@ -109,26 +111,24 @@ def symbol3d(xi1, xi2, xi3):
     out = np.empty(shape)
     if out.size == 0:
         return out
-    sq1, sq2, sq3, twice3 = (
-        np.broadcast_to(t, out.shape) for t in (*(x * x for x in xi), 2.0 * xi[2] * xi[2])
-    )
+    sq1, sq2, sq3 = (x * x for x in xi)
+    nsq12, num31 = sq1 + sq2, 2.0 * xi[2] * xi[2] - sq1
+    nsq12, num31, sq2, sq3 = (np.broadcast_to(a, shape) for a in (nsq12, num31, sq2, sq3))
     inner = out.size // len(out)
     rows = max(1, _SYMBOL_BLOCK // inner)
     n = min(rows, len(out)) * inner
-    nsq = np.empty(n)
-    term = np.empty(n)
-    origin = np.empty(n, dtype=bool)
+    nsq_buf = np.empty(n)
+    term_buf = np.empty(n)
+    zero_buf = np.empty(n, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for start in range(0, len(out), rows):
             block = slice(start, start + rows)
             o = out[block]
-            s, t, zero = (a[: o.size].reshape(o.shape) for a in (nsq, term, origin))
-            np.copyto(s, sq1[block])
-            np.copyto(o, twice3[block])
-            o -= s
+            s, t, zero = (a[: o.size].reshape(o.shape) for a in (nsq_buf, term_buf, zero_buf))
+            np.copyto(o, num31[block])
             np.copyto(t, sq2[block])
-            s += t
             o -= t
+            np.copyto(s, nsq12[block])
             np.copyto(t, sq3[block])
             s += t
             np.equal(s, 0.0, out=zero)

@@ -133,7 +133,7 @@ def test_symbol3d_propagates_nan_so_validate_refuses_it():
 
 def test_the_3d_table_is_the_one_octant_sized_allocation_of_a_build():
     # symbol3d writes its one table in blocks, with block-sized scratch and
-    # the squares of the per-axis meshes, so a build of a 64^3 grid's
+    # partial sums on the meshes' planes, so a build of a 64^3 grid's
     # symbol allocates an octant-sized array once: the table
     octant_size = 33**3
     sym, found = large_allocations(
