@@ -133,22 +133,22 @@ def _pair_runs(metric, parent, change):
 
 
 def test_bench_pairs_flags_a_metric_past_its_bound():
-    def summarize(parent, change):
-        return bench_pairs.summarize(_pair_runs("wall_s", parent, change), METRICS[:1])
+    def runs(parent, change):
+        return _pair_runs("wall_s", parent, change)
 
-    summary = summarize([1.0] * 3, [1.3] * 3)
+    summary = bench_pairs.summarize(runs([1.0] * 3, [1.3] * 3), METRICS[:1])
     assert summary["wall_s"]["change_better_pairs"] == 0
     assert summary["wall_s"]["relative_worsening_of_median"] == pytest.approx(0.3)
     assert summary["wall_s"]["verdict"] == "outside_bound"
     assert "OUTSIDE BOUND" in bench_pairs.report("w", summary)
     # the parent's quartile distance is 1.0 against a median of 2.0, 50 % > 25 %:
     # a 10 % worsening is unresolved, not within the bound
-    summary = summarize([1.0, 2.0, 3.0], [2.1, 2.2, 2.3])
+    summary = bench_pairs.summarize(runs([1.0, 2.0, 3.0], [2.1, 2.2, 2.3]), METRICS[:1])
     assert summary["wall_s"]["relative_worsening_of_median"] == pytest.approx(0.1)
     assert summary["wall_s"]["verdict"] == "unresolved"
     assert "UNRESOLVED" in bench_pairs.report("w", summary)
     # unless every change run beats every parent run
-    summary = summarize([1.0, 2.0, 3.0], [0.5, 0.6, 0.7])
+    summary = bench_pairs.summarize(runs([1.0, 2.0, 3.0], [0.5, 0.6, 0.7]), METRICS[:1])
     assert summary["wall_s"]["verdict"] == "within_bound"
 
 

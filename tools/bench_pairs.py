@@ -199,8 +199,8 @@ def main(argv: "list[str] | None" = None) -> int:
     differing = differing_units(runs)
     print(report(args.workload, summary))
     print(f"  differing unit digests: {differing}")
-    claimed = None if args.claim is None else claim(summary, metrics[args.claim])
-    if claimed is not None:
+    if args.claim is not None:
+        claimed = claim(summary, metrics[args.claim])
         print(claim_line(claimed, args.pairs))
     out = {
         "command": f"python3 bench/run.py --workload {args.workload} --seed N "
@@ -214,7 +214,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "differing_units": differing,
         "runs": runs,
     }
-    if claimed is not None:
+    if args.claim is not None:
         out["claim"] = claimed
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
