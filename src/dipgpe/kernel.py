@@ -85,57 +85,57 @@ def symbol3d(xi1, xi2, xi3):
     Vectorized over broadcastable arguments; defined as 0 at the origin,
     where the formula has no directional limit but the kernel's vanishing
     spherical average singles out zero.  A NaN component gives NaN.
+    Scalar arguments give a float, taken from a one-element result.
 
     An array result is one array, written a block of whole first-axis
     rows at a time (at most _SYMBOL_BLOCK elements, or one row where a
     row holds more), with one block of scratch for |xi|^2 and one for the
-    term being added.  The arguments are broadcast views, which slice
-    only along their axes, so the blocks are runs of rows rather than the
-    flat ranges of grid.lattice_blocks.  The squares and the first
-    operation of each sum, xi1^2 + xi2^2 and 2 xi3^2 - xi1^2, are formed
-    on the arguments' own broadcast shapes (a plane of a sparse mesh) and
-    copied into a block before the rest of the arithmetic, because a
-    numpy operation on broadcast operands allocates its own buffers.
+    term being added.  The arguments are broadcast into each block, an
+    argument without the first axis whole and one with it by the block's
+    rows, so the blocks are runs of rows rather than the flat ranges of
+    grid.lattice_blocks.  The squares and the first operation of each
+    sum, xi1^2 + xi2^2 and 2 xi3^2 - xi1^2, are formed on the arguments'
+    own broadcast shapes (a plane of a sparse mesh) and copied into a
+    block before the rest of the arithmetic, because a numpy operation on
+    broadcast operands allocates its own buffers.
     Each element is ((xi1^2 + xi2^2) + xi3^2), ((2 xi3^2 - xi1^2) -
     xi2^2) and (4 pi/3) (num / |xi|^2), in that order, and 0 where
     |xi|^2 = 0.
     """
     xi = [np.asarray(x, dtype=float) for x in (xi1, xi2, xi3)]
     shape = np.broadcast_shapes(*(x.shape for x in xi))
-    if not shape:
-        # the same operations on Python floats, for the quadratures' many calls
-        x1, x2, x3 = (float(x) for x in xi)
-        nsq = x1 * x1 + x2 * x2 + x3 * x3
-        num = 2.0 * x3 * x3 - x1 * x1 - x2 * x2
-        return 0.0 if nsq == 0.0 else (4.0 * math.pi / 3.0) * (num / nsq)
-    out = np.empty(shape)
+    out = np.empty(shape or (1,))
     if out.size == 0:
         return out
     sq1, sq2, sq3 = (x * x for x in xi)
     nsq12, num31 = sq1 + sq2, 2.0 * xi[2] * xi[2] - sq1
-    nsq12, num31, sq2, sq3 = (np.broadcast_to(a, shape) for a in (nsq12, num31, sq2, sq3))
+
+    def rows(a, block):
+        # a's part of out[block]: a broadcasts whole where out's first axis is broadcast in it
+        return a[block] if a.ndim == out.ndim and len(a) > 1 else a
+
     inner = out.size // len(out)
-    rows = max(1, _SYMBOL_BLOCK // inner)
-    n = min(rows, len(out)) * inner
+    rows_per_block = max(1, _SYMBOL_BLOCK // inner)
+    n = min(rows_per_block, len(out)) * inner
     nsq_buf = np.empty(n)
     term_buf = np.empty(n)
     zero_buf = np.empty(n, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for start in range(0, len(out), rows):
-            block = slice(start, start + rows)
+        for start in range(0, len(out), rows_per_block):
+            block = slice(start, start + rows_per_block)
             o = out[block]
             s, t, zero = (a[: o.size].reshape(o.shape) for a in (nsq_buf, term_buf, zero_buf))
-            np.copyto(o, num31[block])
-            np.copyto(t, sq2[block])
+            np.copyto(o, rows(num31, block))
+            np.copyto(t, rows(sq2, block))
             o -= t
-            np.copyto(s, nsq12[block])
-            np.copyto(t, sq3[block])
+            np.copyto(s, rows(nsq12, block))
+            np.copyto(t, rows(sq3, block))
             s += t
             np.equal(s, 0.0, out=zero)
             o /= s
             np.copyto(o, 0.0, where=zero)
             o *= 4.0 * math.pi / 3.0
-    return out
+    return out if shape else float(out[0])
 
 
 def bessel_radial_check(r_max: float, tol: float) -> float:

@@ -183,6 +183,14 @@ def test_bench_pairs_claim_needs_nine_tenths_of_the_pairs_and_a_median_past_the_
     c = _claim("steps_per_s", parent, [p + 0.5 for p in parent])
     assert c["median_change"] == pytest.approx(0.5) and c["met"]
     assert not _claim("steps_per_s", parent, [p - 0.5 for p in parent])["met"]
+    # a change that fails more units than the parent meets no claim,
+    # one that fails as many does
+    runs = _pair_runs("wall_s", parent, [p - 0.5 for p in parent])
+    spec = METRICS[0]
+    runs[1]["failed"] = 1
+    assert not bench_pairs.claim(bench_pairs.summarize(runs, [spec]), spec)["met"]
+    runs[0]["failed"] = 1
+    assert bench_pairs.claim(bench_pairs.summarize(runs, [spec]), spec)["met"]
 
 
 def test_bench_pairs_writes_the_claim_it_was_asked_for(tmp_path, monkeypatch, capsys):

@@ -26,7 +26,8 @@ reads bench/ from the two checkouts and changes nothing there.
 With --claim METRIC it also applies the claim rule to that end-to-end
 metric: the change is better in at least nine tenths of the pairs, a tie
 counting for neither side, and its median is better than the parent's by
-more than the parent's quartile distance.  It prints "claim met" or
+more than the parent's quartile distance, and it fails no more units than
+the parent.  It prints "claim met" or
 "claim not met" and writes the rule's figures to the JSON as claim.
 """
 
@@ -109,19 +110,22 @@ def claim(summary: dict, metric: dict) -> dict:
     pairs_won counts the pairs the change won (summarize counts a tie for
     neither side); median_change is the change's median less the
     parent's, in the metric's unit.  The claim is met when the change won
-    at least nine tenths of the pairs and its median is better than the
-    parent's by more than the parent's quartile distance.
+    at least nine tenths of the pairs, its median is better than the
+    parent's by more than the parent's quartile distance, and it failed no
+    more units than the parent.
     """
     s = summary[metric["name"]]
     change = s["change_q1_median_q3"][1] - s["parent_q1_median_q3"][1]
     gain = -change if metric["better"] == "lower" else change
     won = s["change_better_pairs"]
+    failed = summary["failed"]
     return {
         "metric": metric["name"],
         "pairs_won": won,
         "median_change": change,
         "parent_quartile_distance": s["parent_quartile_distance"],
-        "met": bool(10 * won >= 9 * s["pairs"] and gain > s["parent_quartile_distance"]),
+        "met": bool(10 * won >= 9 * s["pairs"] and gain > s["parent_quartile_distance"]
+                    and failed["change"] <= failed["parent"]),
     }
 
 
