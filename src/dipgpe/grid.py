@@ -112,8 +112,12 @@ def mesh_product(factors) -> np.ndarray:
 
 # Elements per block of the package's blocked pointwise passes, which need
 # scratch; lattice sums are numpy reductions and take no blocks.  A block's
-# real scratch is 512 KiB and its complex scratch 1 MiB, so the work on one
-# block runs in cache; a lattice no larger than one block is one block.
+# real scratch is 512 KiB and its complex scratch 1 MiB; a lattice no larger
+# than one block is one block.  The nonlinear phase's working set on one
+# block (values and rotor 1 MiB each, phase, density and trap 512 KiB each)
+# is larger than the 2 MiB L2 of the 2-vCPU guest the package is measured
+# on, and smaller blocks do not run faster there: 2^13 to 2^16 elements gave
+# 12.6-13.6 ms per 96^3 octant step, with no trend past the host's spread.
 _BLOCK = 1 << 16
 
 

@@ -329,7 +329,8 @@ class Provenance(Protocol):
 
     dim: int
     def table(self, octant: SpectralGrid) -> np.ndarray: ...  # values on the octant
-    def check(self, table: np.ndarray) -> None: ...  # ValueError off the family's range
+    # ValueError off the family's range; lo and hi are the table's min and max
+    def check(self, table: np.ndarray, lo: float, hi: float) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -341,15 +342,15 @@ class Analytic3D:
     def table(self, octant: SpectralGrid) -> np.ndarray:
         return symbol3d(*octant.freq_mesh)
 
-    def check(self, table: np.ndarray) -> None:
-        if table.min() < SYMBOL_MIN - 1e-12 or table.max() > SYMBOL_MAX + 1e-12:
+    def check(self, table: np.ndarray, lo: float, hi: float) -> None:
+        if lo < SYMBOL_MIN - 1e-12 or hi > SYMBOL_MAX + 1e-12:
             raise ValueError("3D symbol values outside [-4pi/3, 8pi/3]")
         if table.flat[0] != 0.0:
             raise ValueError(f"3D symbol must vanish at the origin, got {table.flat[0]}")
 
 
-def _check_envelope(table: np.ndarray, envelope: float) -> None:
-    if max(table.max(), -table.min()) > envelope * (1.0 + 1e-8) + 1e-10:
+def _check_envelope(lo: float, hi: float, envelope: float) -> None:
+    if max(hi, -lo) > envelope * (1.0 + 1e-8) + 1e-10:
         raise ValueError("effective symbol values exceed the analytic envelope")
 
 
@@ -368,8 +369,8 @@ class Effective1D:
         # |xi3| on the octant is 0, dxi, ..., pi n / L: distinct, ascending
         return _effective1d_table(np.abs(octant.freqs[0]), self.omega1, self.omega2)
 
-    def check(self, table: np.ndarray) -> None:
-        _check_envelope(table, (8.0 / 3.0) * math.sqrt(self.omega1 * self.omega2))
+    def check(self, table: np.ndarray, lo: float, hi: float) -> None:
+        _check_envelope(lo, hi, (8.0 / 3.0) * math.sqrt(self.omega1 * self.omega2))
 
 
 @dataclass(frozen=True)
@@ -390,8 +391,8 @@ class Effective2D:
             r / (2.0 * math.sqrt(self.omega3))
         )
 
-    def check(self, table: np.ndarray) -> None:
-        _check_envelope(table, (8.0 / 3.0) * math.sqrt(math.pi * self.omega3))
+    def check(self, table: np.ndarray, lo: float, hi: float) -> None:
+        _check_envelope(lo, hi, (8.0 / 3.0) * math.sqrt(math.pi * self.omega3))
 
 
 # Every symbol family by its kernel.kind, in the config enum's order, with
@@ -484,10 +485,12 @@ class KernelSymbol:
     def validate(self) -> None:
         """Enforce the type invariants on the table; raises ValueError on violation."""
         table = self.table
-        # min and max propagate NaN, so they also decide finiteness
-        if not (math.isfinite(table.min()) and math.isfinite(table.max())):
+        # min and max propagate NaN, so they also decide finiteness; they are
+        # read once, here, and the family's range check takes them
+        lo, hi = float(table.min()), float(table.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("symbol contains non-finite values")
-        self.provenance.check(table)
+        self.provenance.check(table, lo, hi)
 
 
 def _read_cache(*args) -> None:

@@ -563,8 +563,9 @@ def variance_and_rate(field: WaveField) -> tuple[float, float]:
 def _variance_rate(field: WaveField) -> float:
     """dy/dt, with d_j psi from one-axis transforms of psi along axis j."""
     psi, grid = field.held()
-    # one complex work lattice serves every axis, transformed in place
-    g = np.empty_like(psi)
+    # one complex work lattice serves every axis, transformed in place; C
+    # order, so that _interior_difference can lay D over its start
+    g = np.empty(psi.shape, psi.dtype)
     acc = sum(_rate_term(grid, psi, g, axis) for axis in range(grid.dim))
     return 2.0 * acc * grid.cell_volume
 
@@ -589,7 +590,9 @@ def _rate_term(grid: SpectralGrid, psi: np.ndarray, g: np.ndarray, axis: int) ->
     k = 0, x = -L/2, which is its own image.  The sine sum comes from one
     inverse DCT-I through sin(kt) sin(t) = (cos((k-1)t) - cos((k+1)t))/2:
     with c_m = xi_m Psi_m / sin(m pi / N) and P = F_j^-1 c (c_0 = c_N = 0),
-    g_odd[k] = (i/2) (P[k-1] - P[k+1]).
+    g_odd[k] = (i/2) (P[k-1] - P[k+1]).  P is formed in g, and D = P[k-1] -
+    P[k+1] is written over the start of g's own buffer
+    (_interior_difference), so a record holds psi and g alone.
 
     Either way the other even axes' weights count each held row for its
     images.
@@ -633,7 +636,7 @@ def _rate_term(grid: SpectralGrid, psi: np.ndarray, g: np.ndarray, axis: int) ->
     g = grid.ifft(g, axis, overwrite=True)
     # 2 x_k Re(conj(psi_k) g_odd[k]) = x_k (Im psi_k D.re - Re psi_k D.im),
     # D = P[k-1] - P[k+1], over the interior k = 1..N-1
-    d = g[at(slice(0, N - 1))] - g[at(slice(2, N + 1))]
+    d = _interior_difference(g, axis)
     inner = psi[at(slice(1, N))]
     re, im = d.real, d.imag
     np.multiply(re, inner.imag, out=re)
@@ -641,6 +644,36 @@ def _rate_term(grid: SpectralGrid, psi: np.ndarray, g: np.ndarray, axis: int) ->
     re -= im
     re *= along(axis, coord[1:N])
     return total + weighted_sum(re)
+
+
+def _interior_difference(p: np.ndarray, axis: int) -> np.ndarray:
+    """D[k - 1] = p[k - 1] - p[k + 1] along axis, k = 1..m - 2, over p's buffer.
+
+    p is a C-contiguous lattice with m points along axis, and is spent.
+    D has p's shape with m - 2 points along axis, C order, and lies at the
+    start of p's buffer, so it is bit for bit the fresh difference of the
+    two slices and no lattice is allocated.  The chunks run in order and
+    none reads a row an earlier chunk wrote.  Along axis 0, D[k] lies
+    exactly on p[k] and also reads p[k + 2]: two planes at a time, the
+    output is its first input and the second one lies past it.  Along any
+    other axis, a leading index i's D[i] ends no later than p[i] does:
+    one leading index at a time, where numpy copies the part of p[i] that
+    D[i] overlaps, at most one slab.
+    """
+    shape = list(p.shape)
+    n = shape[axis] - 2
+    shape[axis] = n
+    d = p.reshape(-1)[: math.prod(shape)].reshape(shape)
+    if axis == 0:
+        for k in range(0, n, 2):
+            j = min(k + 2, n)
+            np.subtract(p[k:j], p[k + 2 : j + 2], out=d[k:j])
+        return d
+    lo = (slice(None),) * (axis - 1) + (slice(0, n),)
+    hi = (slice(None),) * (axis - 1) + (slice(2, n + 2),)
+    for i in range(shape[0]):
+        np.subtract(p[i][lo], p[i][hi], out=d[i])
+    return d
 
 
 def spectral_tail_fraction(
@@ -734,8 +767,9 @@ def record_observables(
 
     The spectrum is read only for its power sums.  The density's terms
     are summed first and the density is released before the variance rate
-    takes its work lattice, so a record given its spectrum holds about one
-    complex lattice beside its inputs.
+    takes its work lattice, so a record given its spectrum holds one complex
+    lattice beside its inputs: every axis' term of the rate, the even axes'
+    differences D included (_rate_term), is formed in that work lattice.
     """
     if spectrum is None:
         spectrum = field_spectrum(field)

@@ -452,7 +452,7 @@ class _Flat:
     def table(self, octant):
         return np.full(octant.shape, self.level)
 
-    def check(self, table):
+    def check(self, table, lo, hi):
         if np.any(table != self.level):
             raise ValueError("flat symbol is not flat")
 
@@ -509,6 +509,37 @@ def test_kernel_symbol_validate_rejects_out_of_range():
     bad = np.full(g.shape, 100.0)
     with pytest.raises(ValueError):
         KernelSymbol(bad, Effective1D(1.0, 1.0), g).validate()
+
+
+def _octant_table(provenance, grid, edits):
+    """The family's own table on grid's octant, with edits {index: value} written in."""
+    table = provenance.table(grid.octant).copy()
+    for index, value in edits.items():
+        table[index] = value
+    return KernelSymbol(table, provenance, grid)
+
+
+@pytest.mark.parametrize(
+    "dim, provenance, edits, message",
+    [
+        (3, Analytic3D(), {(1, 2, 3): math.nan}, "symbol contains non-finite values"),
+        # finiteness is decided first, then the range, then the origin
+        (3, Analytic3D(), {(1, 2, 3): math.inf, (0, 0, 0): 1.0}, "symbol contains non-finite values"),
+        (3, Analytic3D(), {(1, 2, 3): 8.5}, r"3D symbol values outside \[-4pi/3, 8pi/3\]"),
+        (3, Analytic3D(), {(1, 2, 3): -4.2}, r"3D symbol values outside \[-4pi/3, 8pi/3\]"),
+        (3, Analytic3D(), {(2, 1, 0): -4.5, (0, 0, 0): 1.0}, r"3D symbol values outside \[-4pi/3, 8pi/3\]"),
+        (3, Analytic3D(), {(0, 0, 0): 0.5}, "3D symbol must vanish at the origin, got 0.5"),
+        (1, Effective1D(1.0, 4.0), {(3,): 5.4}, "effective symbol values exceed the analytic envelope"),
+        (1, Effective1D(1.0, 4.0), {(3,): -5.4}, "effective symbol values exceed the analytic envelope"),
+        (2, Effective2D(1.0), {(1, 2): math.nan}, "symbol contains non-finite values"),
+        (2, Effective2D(1.0), {(1, 2): 4.8}, "effective symbol values exceed the analytic envelope"),
+    ],
+)
+def test_validate_refuses_each_table_off_its_family_with_its_message(dim, provenance, edits, message):
+    g = make_grid(dim, (8.0,) * dim, (8,) * dim)
+    _octant_table(provenance, g, {}).validate()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _octant_table(provenance, g, edits).validate()
 
 
 def test_kernel_symbol_validate_rejects_odd_part():

@@ -42,6 +42,7 @@ from dipgpe import (
 )
 from dipgpe.grid import _BLOCK, mirror_even_axes
 from dipgpe.kernel import _pair_symbol_real
+from dipgpe import state as state_module
 from dipgpe.state import CSV_HEADER, _sum_sq, field_spectrum, variance
 
 import lattice_tables as tables
@@ -580,6 +581,89 @@ def test_record_with_its_spectrum_allocates_about_one_complex_lattice():
     # energy or the gradient buffer, plus block scratch
     assert peak <= 16 * g.size + 2**21
     assert not {"ksq", "radius_sq", "top_octave_mask"} & vars(g).keys()
+
+
+def rate_term_with_a_fresh_difference(grid, psi, g, axis):
+    """_rate_term as it was with D = P[k-1] - P[k+1] formed as a new lattice."""
+    coord, freq = grid.coords[axis], grid.freqs[axis]
+
+    def along(a, v):
+        return v.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+
+    def at(index):
+        return (slice(None),) * axis + (index,)
+
+    def weighted_sum(lattice):
+        for b, w in enumerate(grid.weights):
+            if b != axis and w is not None:
+                lattice *= along(b, w)
+        return float(np.sum(lattice))
+
+    np.copyto(g, psi)
+    g = grid.fft(g, axis, overwrite=True)
+    if grid.weights[axis] is None:
+        g *= grid.freq_mesh[axis]
+        g = grid.ifft(g, axis, overwrite=True)
+        g *= grid.coord_mesh[axis]
+        re, im = g.real, g.imag
+        np.multiply(psi.real, re, out=re)
+        np.multiply(psi.imag, im, out=im)
+        re += im
+        return weighted_sum(re)
+    n = grid.full.shape[axis]
+    N = n // 2
+    psi0, psi_nyquist = psi[at(slice(0, 1))], g[at(slice(N, N + 1))]
+    edge = psi0.real * psi_nyquist.real + psi0.imag * psi_nyquist.imag
+    total = float(coord[0] * (freq[N] / n)) * weighted_sum(edge)
+    factor = np.zeros(N + 1)
+    factor[1:N] = freq[1:N] / np.sin(np.arange(1, N) * (math.pi / N))
+    g *= along(axis, factor)
+    g = grid.ifft(g, axis, overwrite=True)
+    d = g[at(slice(0, N - 1))] - g[at(slice(2, N + 1))]
+    inner = psi[at(slice(1, N))]
+    re, im = d.real, d.imag
+    np.multiply(re, inner.imag, out=re)
+    np.multiply(im, inner.real, out=im)
+    re -= im
+    re *= along(axis, coord[1:N])
+    return total + weighted_sum(re)
+
+
+@pytest.mark.parametrize(
+    "dim, points",
+    # N - 1 points of D along an even axis: 7, 8 and 6, then 8, 7 and 5
+    [(1, (16,)), (1, (18,)), (3, (16, 18, 14)), (3, (18, 16, 12))],
+)
+def test_rate_term_over_its_work_lattice_is_the_fresh_difference_bit_for_bit(dim, points):
+    g = make_grid(dim, (10.0, 11.0, 12.0)[:dim], points)
+    lattices = [g, g.octant] + [g.sublattice((a,)) for a in range(dim) if dim > 1]
+    rng = np.random.default_rng(35)
+    for lattice in lattices:
+        psi = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+        for axis in range(dim):
+            got = state_module._rate_term(lattice, psi, np.empty_like(psi), axis)
+            want = rate_term_with_a_fresh_difference(lattice, psi, np.empty_like(psi), axis)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (lattice.shape, axis)
+
+
+def test_a_record_of_held_data_given_its_spectrum_forms_the_work_lattice_alone():
+    # criterion 6's data at 64^3, held by its octant table: a record given
+    # its spectrum allocates one complex lattice's bytes at once twice, the
+    # density with its block scratch (the octant is less than one block)
+    # and the variance rate's work lattice; each axis' D = P[k-1] - P[k+1]
+    # lies in the work lattice
+    g = make_grid(3, (15.0, 15.0, 30.0), (64, 64, 64))
+    p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
+    sym = build_symbol(g, Analytic3D())
+    field = make_unstable_data(g, 0.5, -3.0)
+    lattice = field.held()[1]
+    assert field.table is not None and lattice.shape == g.octant.shape
+    spectrum = field_spectrum(field)
+    want = record_observables(field, p, sym, spectrum)
+    got, found = large_allocations(lambda: record_observables(field, p, sym, spectrum), 16 * lattice.size)
+    assert got == want
+    names = {"density", "_variance_rate", "_rate_term"}
+    assert [sorted(names & stacks) for stacks in found] == [["density"], ["_variance_rate"]]
 
 
 def peak_bytes(fn) -> int:

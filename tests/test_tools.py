@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ def _load(name):
 csv_drift = _load("csv_drift")
 bench_pairs = _load("bench_pairs")
 code_lines = _load("code_lines")
+peak_lattices = _load("peak_lattices")
 
 
 def _write(path, rows, header="epsilon,sup_err,slope_partner"):
@@ -296,3 +298,32 @@ def test_code_lines_counts_lines_that_hold_code(tmp_path, capsys):
     rows = [["__init__.py", "10"], ["sub/tail.py", "1"], ["total", "11"]]
     assert [line.split() for line in out] == rows
     assert code_lines.main([str(package / "missing")]) == 1
+
+
+def test_peak_lattices_lists_the_arrays_live_at_a_collapse_runs_peak(tmp_path, capsys):
+    # criterion 6's collapse at 32^3 runs on the 17^3 octant; at one complex
+    # octant lattice the listing holds lattices of the run alone
+    config = tmp_path / "collapse32.cfg"
+    config.write_text(
+        "grid.dim = 3\ngrid.extents = 15.0,15.0,30.0\ngrid.points = 32,32,32\n"
+        "params.omega = 1.0,1.0,1.0\nparams.lambda1 = 0.0\nparams.lambda2 = 1.0\n"
+        "init.kind = unstable\ninit.epsilon = 0.5\ninit.alpha = -3.0\n"
+        "dt = 0.001\nT = 1.6\nmonitor.stride = 5\n"
+    )
+    lattice = 16 * 17**3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert peak_lattices.main([str(config), "--min-bytes", str(lattice)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    peak = int(out[0].split()[2])
+    live, count = (int(word) for word in out[1].split()[5:8:2])
+    assert out[0] == f"traced peak: {peak} bytes ({peak / 1e6:.2f} MB)"
+    assert out[2].split() == ["bytes", "thread", "frame"]
+    rows = [line.split(maxsplit=2) for line in out[3:]]
+    assert len(rows) == count >= 1
+    sizes = [int(size) for size, _, _ in rows]
+    assert sizes == sorted(sizes, reverse=True) and min(sizes) >= lattice
+    assert sum(sizes) <= live <= peak < 20 * lattice
+    assert all(frame.startswith("dipgpe/") for _, _, frame in rows)
+    # the run's own lattices are made on the main thread
+    assert any(thread == "main" and size == str(lattice) for size, thread, _ in rows)
