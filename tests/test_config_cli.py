@@ -708,6 +708,36 @@ monitor.stride = 5
     }
 
 
+def test_cli_reduce_of_criterion_8_writes_a_frozen_sweep(tmp_path, capsys):
+    # criterion 8's eps sweep on the 24 x 24 x 64 reference grid: the
+    # reduced 1D run, the three 3D members and their comparisons keep
+    # the sweep's bytes
+    path = _write(
+        tmp_path,
+        "sweep1d.cfg",
+        """
+grid.dim = 3
+grid.extents = 12.0,12.0,16.0
+grid.points = 24,24,64
+params.omega = 1.0,1.0,1.0
+params.lambda1 = 1.0
+params.lambda2 = 0.1
+dt = 0.0005
+reduction.target = 1d
+reduction.epsilons = 0.2,0.141,0.1
+reduction.T = 1.0
+reduction.samples = 8
+reduction.u0_kind = gaussian
+reduction.u0_width = 1.0
+""",
+    )
+    out_dir = tmp_path / "run"
+    assert run_command(["reduce", "--config", path, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out_dir / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "144991255646e0f04777d5374df6fa853801adfc887926b456b6360e17dc4bda"
+
+
 def test_cli_kernel_dim3_csv(tmp_path):
     out = tmp_path / "k3.csv"
     code = run_command(
