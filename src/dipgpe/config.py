@@ -8,8 +8,13 @@ invariant violation) with line numbers before failing, so a config can
 be fixed in one pass.
 
 Every key is one row of _SCHEMA, which names the RunConfig section and
-field it sets and its value parser.  Defaults live only in the spec
-dataclasses: the grid and params blocks have none and are required.
+field it sets and its value parser.  The rows are built from the fields
+of RunConfig and its section dataclasses, MonitorSpec included, in field
+order: a field is keyed section.field, a top-level one by its name
+(output_dir by output.dir), and its parser follows its type, X | None
+read as X, but for the four enum keys (_ENUMS).  Defaults live only in
+the spec dataclasses: the grid and params blocks have none and are
+required.
 serialize_config renders a parsed config back to canonical text, and
 the two functions are mutually idempotent, which is what makes configs
 usable as experiment provenance.
@@ -18,9 +23,9 @@ usable as experiment provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property
-from typing import Callable, Optional, get_type_hints
+from typing import Callable, Iterator, Optional, get_args, get_type_hints
 
 from .grid import GridError, SpectralGrid, make_grid
 from .kernel import _FAMILIES, _FAMILY_OF_DIM, KernelSymbol, build_symbol
@@ -126,22 +131,17 @@ def _int(text: str) -> int:
     return int(text, 10)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(_float(p) for p in parts)
+def _list(item: Callable[[str], object], what: str) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        parts = [p.strip() for p in text.split(",") if p.strip() != ""]
+        if not parts:
+            raise ValueError(f"expected a comma-separated list of {what}")
+        return tuple(item(p) for p in parts)
+
+    return parse
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(_int(p) for p in parts)
-
-
-def _string(text: str) -> str:
-    return text
+_floats, _ints = _list(_float, "numbers"), _list(_int, "integers")
 
 
 def _enum(*allowed: str) -> Callable[[str], str]:
@@ -153,57 +153,55 @@ def _enum(*allowed: str) -> Callable[[str], str]:
     return parse
 
 
+# The parsers of the enum keys; every other key's parser follows its
+# field's type (_PARSERS), with X | None read as X.
+_ENUMS = {
+    "init.kind": _enum("ground_state", "gaussian", "unstable", "file"),
+    "kernel.kind": _enum("auto", *_FAMILIES, "none"),
+    "reduction.target": _enum("1d", "2d"),
+    "reduction.u0_kind": _enum("ground_state", "gaussian"),
+}
+_PARSERS = {int: _int, float: _float, str: str, tuple[float, ...]: _floats, tuple[int, ...]: _ints}
+
+
+def _keys(spec: type, section: Optional[str] = None) -> Iterator[tuple]:
+    """(key, RunConfig section, field, type) of each key of spec, in field order.
+
+    A section's field is keyed section.field, a top-level one by its
+    name, but output_dir by output.dir.
+    """
+    hints = get_type_hints(spec)
+    for f in fields(spec):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            yield from _keys(hint, f.name)
+        else:
+            key = f.name if section is None else f"{section}.{f.name}"
+            yield {"output_dir": "output.dir"}.get(key, key), section, f, hint
+
+
+def _parser(key: str, hint: object) -> Callable[[str], object]:
+    if key in _ENUMS:
+        return _ENUMS[key]
+    args = get_args(hint)
+    if type(None) in args:
+        (hint,) = (a for a in args if a is not type(None))
+    return _PARSERS[hint]
+
+
 # One row per key, in canonical order: key, RunConfig section (None for
 # a top-level field), field name, value parser.  Defaults and required
-# keys come from the dataclasses; a None value is written by omitting
-# the key.
-_SCHEMA: tuple[tuple[str, Optional[str], str, Callable[[str], object]], ...] = (
-    ("grid.dim", "grid", "dim", _int),
-    ("grid.extents", "grid", "extents", _floats),
-    ("grid.points", "grid", "points", _ints),
-    ("params.omega", "params", "omega", _floats),
-    ("params.lambda1", "params", "lambda1", _float),
-    ("params.lambda2", "params", "lambda2", _float),
-    ("init.kind", "init", "kind", _enum("ground_state", "gaussian", "unstable", "file")),
-    ("init.widths", "init", "widths", _floats),
-    ("init.center", "init", "center", _floats),
-    ("init.beta", "init", "beta", _float),
-    ("init.epsilon", "init", "epsilon", _float),
-    ("init.alpha", "init", "alpha", _float),
-    ("init.file", "init", "file", _string),
-    ("dt", None, "dt", _float),
-    ("T", None, "T", _float),
-    ("output.dir", None, "output_dir", _string),
-    ("monitor.stride", "monitor", "stride", _int),
-    ("monitor.grad_factor", "monitor", "grad_factor", _float),
-    ("monitor.grad_threshold", "monitor", "grad_threshold", _float),
-    ("monitor.spectral_tail", "monitor", "spectral_tail", _float),
-    ("kernel.kind", "kernel", "kind", _enum("auto", *_FAMILIES, "none")),
-    ("kernel.transverse_omega", "kernel", "transverse_omega", _floats),
-    ("reduction.target", "reduction", "target", _enum("1d", "2d")),
-    ("reduction.epsilons", "reduction", "epsilons", _floats),
-    ("reduction.T", "reduction", "T", _float),
-    ("reduction.samples", "reduction", "samples", _int),
-    ("reduction.u0_kind", "reduction", "u0_kind", _enum("ground_state", "gaussian")),
-    ("reduction.u0_width", "reduction", "u0_width", _float),
-    ("ledger.epsilons", "ledger", "epsilons", _floats),
-    ("ledger.alpha", "ledger", "alpha", _float),
-    ("ledger.f_width", "ledger", "f_width", _float),
-    ("ledger.g_width", "ledger", "g_width", _float),
+# keys come from the fields; a None value is written by omitting the key.
+_SCHEMA: tuple[tuple[str, Optional[str], str, Callable[[str], object]], ...] = tuple(
+    (key, section, f.name, _parser(key, hint)) for key, section, f, hint in _keys(RunConfig)
 )
-
 _SECTION_TYPES = {
     name: hint for name, hint in get_type_hints(RunConfig).items() if is_dataclass(hint)
 }
 _BY_KEY = {key: (section, name, parser) for key, section, name, parser in _SCHEMA}
 # MISSING marks a required key; it equals no value, so serialize_config
 # always writes one
-_DEFAULTS = {
-    key: (RunConfig if section is None else _SECTION_TYPES[section])
-    .__dataclass_fields__[name]
-    .default
-    for key, section, name, _ in _SCHEMA
-}
+_DEFAULTS = {key: f.default for key, _, f, _ in _keys(RunConfig)}
 _REQUIRED_KEYS = tuple(key for key, default in _DEFAULTS.items() if default is MISSING)
 
 

@@ -30,7 +30,8 @@ grid's octant, indices 0..n/2 of each axis; fftfreq gives xi[n - k] =
 -xi[k] bit for bit, so the symbol is the one even along every axis that
 takes those values, and build_symbol evaluates each family there alone.
 Every other layout is mirrored from the table along the periodic axes
-of the symbol's lattice (KernelSymbol).
+of the symbol's lattice (KernelSymbol), and KernelSymbol.on is the one
+placement of a symbol on another lattice of its box.
 
 Applying a symbol to a density is pointwise multiplication between an
 FFT/inverse-FFT pair; no normalization factors appear because they
@@ -439,8 +440,8 @@ class KernelSymbol:
     only its octant is kept.  half_values (rfft's layout, for a run's
     step and the dipolar energy) and values (apply_kernel, the kernel
     CSV) are mirrored from the table along grid's periodic axes on first
-    read.  on_sublattice(axes) is the symbol on grid.sublattice(axes),
-    octant the one on grid.octant.
+    read.  on(lattice) is the symbol on any lattice of grid's box, put
+    there by its table, and octant the one on grid.octant.
     """
 
     def __init__(
@@ -473,14 +474,24 @@ class KernelSymbol:
     def half_values(self) -> np.ndarray:
         return _unfold(self.table, self.grid.half_shape)
 
-    def on_sublattice(self, axes) -> "KernelSymbol":
-        """The symbol on grid.sublattice(axes): the table itself."""
-        return KernelSymbol(self.table, self.provenance, self.grid.sublattice(axes))
+    def on(self, lattice: SpectralGrid) -> "KernelSymbol":
+        """The symbol on lattice, any lattice of its box: itself when it lies there.
+
+        A lattice of another box, even one of the same point count, has
+        other frequencies, so it is refused (GridError) rather than read.
+        """
+        tabulated, grid = self.grid.full, lattice.full
+        if tabulated.shape != grid.shape or tabulated.extents != grid.extents:
+            raise GridError(
+                f"symbol is tabulated on {tabulated.shape} points over {tabulated.extents}, "
+                f"the field lies on {grid.shape} points over {grid.extents}"
+            )
+        return self if self.grid is lattice else KernelSymbol(self.table, self.provenance, lattice)
 
     @cached_property
     def octant(self) -> "KernelSymbol":
         """The symbol on grid.octant."""
-        return self.on_sublattice(range(self.grid.dim))
+        return self.on(self.grid.octant)
 
     def validate(self) -> None:
         """Enforce the type invariants on the table; raises ValueError on violation."""

@@ -23,12 +23,13 @@ block from per-axis terms (grid.MeshBlocks), bit for bit the
 full-lattice tables.
 
 At a sample, the spectrum the loop holds, times the half-step phase,
-gives psi_hat in a sample array.  The collapse monitor reads the
-gradient norm and the spectral tail from its power sums, with no
-transform; psi is then materialized in place over psi_hat
-(FieldSpectrum.spend) for the ObservableRecord, which evolve takes on
-one recorder thread beside the loop (see evolve), or for no record
-with observables=False, as the reduction module's snapshot runs take.
+gives psi_hat in a sample array, which evolve owns; its FieldSpectrum
+keeps only the power sums.  The collapse monitor reads the gradient
+norm and the spectral tail from them, with no transform; psi is then
+materialized in place over the sample array (_materialize) for the
+ObservableRecord, which evolve takes on one recorder thread beside the
+loop (see evolve), or for no record with observables=False, as the
+reduction module's snapshot runs take.
 _harmonic_factors gives the trap ground state's per-axis factors:
 linear_eigenstate forms their product with state.separable_field, held
 on the octant of two or three axes, and the reduction module takes it
@@ -92,7 +93,6 @@ from .state import (
     _density_into,
     _run_lattice,
     _symbol_on,
-    field_spectrum,
     gradient_norm_sq,
     record_observables,
     separable_field,
@@ -339,15 +339,14 @@ def strang_step(
 
 
 def _materialize(
-    spectrum: FieldSpectrum, grid: SpectralGrid, t: float, step: int
+    array: np.ndarray, lattice: SpectralGrid, grid: SpectralGrid, t: float, step: int
 ) -> WaveField:
-    """The field of a spectrum, of grid and checked finite: one inverse transform in place.
+    """The field of grid whose transform on lattice is array, checked finite.
 
-    The field takes over the spectrum's array (FieldSpectrum.spend), so
-    the spectrum keeps only its power sums; it is held by that array
-    when the spectrum lies on a sublattice of grid.
+    One inverse transform in place: the field takes over array, and is
+    held by it when lattice is a sublattice of grid.
     """
-    values = spectrum.lattice.ifft(spectrum.spend(), overwrite=True)
+    values = lattice.ifft(array, overwrite=True)
     if not np.all(np.isfinite(values.view(float))):
         raise NonFiniteStateError(f"non-finite field at t = {t:.6g}", t, step)
     return WaveField(values=values, grid=grid, t=t)
@@ -355,6 +354,7 @@ def _materialize(
 
 def _record(
     psi: "WaveField | None",
+    array: "np.ndarray | None",
     spectrum: FieldSpectrum,
     grid: SpectralGrid,
     t: float,
@@ -364,13 +364,14 @@ def _record(
 ) -> ObservableRecord:
     """One of evolve's records, from psi and the power sums of its spectrum.
 
-    Without psi, psi is materialized in place over the spectrum as a
-    field of grid, so a record in flight holds psi and one work lattice.
-    It runs on the recorder thread; _materialize, record_observables and
-    the transforms under them resolve through the module globals.
+    Without psi, psi is materialized in place over array, the transform
+    the spectrum summed, as a field of grid, so a record in flight holds
+    psi and one work lattice.  It runs on the recorder thread;
+    _materialize, record_observables and the transforms under them
+    resolve through the module globals.
     """
     if psi is None:
-        psi = _materialize(spectrum, grid, t, step)
+        psi = _materialize(array, spectrum.lattice, grid, t, step)
     return record_observables(psi, params, symbol, spectrum=spectrum)
 
 
@@ -495,7 +496,9 @@ def evolve(
     # every field the run builds is of grid, held by the run's arrays
     start = _run_lattice(field0)
     values0, lattice = start.held()
-    spectrum0 = field_spectrum(start)
+    # the transform of field0, summed for t = 0 and kept for the first half step
+    y = lattice.fft(values0)
+    spectrum0 = FieldSpectrum(y, lattice)
     grad0 = gradient_norm_sq(start, spectrum0)
     grad_threshold = (
         monitor.grad_threshold
@@ -521,15 +524,14 @@ def evolve(
     t0 = field0.t
     with _Recorder(series) as recorder:
         if observables:
-            recorder.submit(_record, start, spectrum0, grid, t0, 0, params, symbol)
+            recorder.submit(_record, start, None, spectrum0, grid, t0, 0, params, symbol)
         if callback is not None and sample_times is None:
             recorder.join()
             callback(field0)
 
-        # pre-B state: the initial half kinetic step, in place over spectrum0's
-        # array; the record at t = 0 reads only its power sums
-        y = split.kinetic(spectrum0.spend(), split.half)
-        del spectrum0
+        # pre-B state: the initial half kinetic step, in place over field0's
+        # transform; the record at t = 0 reads only spectrum0's power sums
+        y = split.kinetic(y, split.half)
         # A sample's array holds psi_hat, then psi; the next sample reuses it
         # unless psi went to a callback or the caller.  A lattice freed per
         # sample let glibc's malloc hand heap pages back to the system, and
@@ -566,10 +568,11 @@ def evolve(
                     step in callback_steps if sample_times is not None else True
                 )
                 ends = tripped or step == n_steps
-                psi = _materialize(spectrum, grid, t_now, step) if fires or ends else None
+                psi = _materialize(buffer, lattice, grid, t_now, step) if fires or ends else None
                 if observables:
-                    recorder.submit(_record, psi, spectrum, grid, t_now, step, params, symbol)
-                del spectrum
+                    recorder.submit(
+                        _record, psi, buffer, spectrum, grid, t_now, step, params, symbol
+                    )
                 if psi is None:
                     # only the record reads this sample: once it is joined,
                     # the array serves the next sample

@@ -51,6 +51,7 @@ is clamped to eps^2 / (20 mu0) to keep at least 20 samples per cycle.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -551,7 +552,8 @@ def epsilon_sweep(
     The reduced trajectory does not depend on eps, so it is computed
     once and shared.  Rows come back in input order with the pairwise
     log-log slope against the previous eps (nan on the first row).
-    max_workers caps the member threads, one per eps value when None.
+    Every member runs on the pool, in a copy of the caller's context;
+    max_workers caps its threads, one per eps value when None.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
@@ -576,11 +578,11 @@ def epsilon_sweep(
             reduced_snapshots=reduced,
         )
 
-    if len(epsilons) == 1 or max_workers == 1:
-        studies = [member(e) for e in epsilons]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers or len(epsilons)) as pool:
-            studies = list(pool.map(member, epsilons))
+    # each member runs in a copy of the caller's context, so numpy's error
+    # state (np.errstate) holds there as on the calling thread
+    with ThreadPoolExecutor(max_workers=max_workers or len(epsilons)) as pool:
+        runs = [pool.submit(contextvars.copy_context().run, member, e) for e in epsilons]
+        studies = [run.result() for run in runs]
 
     rows = []
     for i, study in enumerate(studies):

@@ -9,13 +9,15 @@ Every moment a sample takes comes from 1D per-axis sums, each a numpy
 reduction (an axis sum or an einsum without optimize, which calls no
 BLAS) over the (rows, last axis) view of a lattice, so no sum forms a
 full-lattice temporary.  Mass, trap energy, y and field_std read the
-per-axis marginals of the density.  The spectral observables share one
-FieldSpectrum, the raw transform psi_hat = grid.fft(psi), whose power
-marginals, summed once, give the gradient norm and the top-octave mass;
-once they are taken the spectrum can hand its array over
-(FieldSpectrum.spend).  The variance rate takes d_j psi from one-axis
-transforms of psi there and back, and the dipolar energy pairs the
-density with its convolution by Parseval, from one real transform.
+per-axis marginals of the density, which density() forms as its one
+lattice, beside 32 KiB of scratch.  The spectral observables share one
+FieldSpectrum, the power sums of the raw transform psi_hat =
+grid.fft(psi), taken when the spectrum is made: the power marginals give
+the gradient norm and the top-octave mass, and the spectrum keeps no
+array, so its maker may reuse psi_hat at once.  The variance rate
+takes d_j psi from one-axis transforms of psi there and back, and the
+dipolar energy pairs the density with its convolution by Parseval, from
+one real transform.
 
 Every field the package builds lies on its box's full grid.  One
 mirror-even along some axes may be held by its table on the sublattice
@@ -26,7 +28,8 @@ holds, its table or its values, and the lattice that array lies on.
 Every observable, classify and strang_step read the field there, and
 evolve runs data mirror-even along some axes held on that sublattice
 (_run_lattice), so no library call mirrors a held field.  A symbol is
-put on the lattice a field is read on by its octant table (_symbol_on).
+put on the lattice a field is read on by its octant table
+(KernelSymbol.on); _symbol_on adds only that lambda2 = 0 takes none.
 On any lattice every observable is the full
 lattice's: each sum takes the even axes' weights (1 at indices 0 and
 n/2, 2 between) as per-axis factors, the marginals are unfolded to the
@@ -67,12 +70,10 @@ import numpy as np
 from scipy import fft as _fft  # noqa: F401  read only by bench/tracer.py
 
 from .grid import (
-    _BLOCK,
     GridError,
     SpectralGrid,
     _unfold,
     fold_rows,
-    lattice_blocks,
     mirror_even_axes,
 )
 from .kernel import KernelSymbol, _pair_symbol_real
@@ -239,48 +240,27 @@ class EnergyBreakdown:
 
 
 class FieldSpectrum:
-    """Raw transform grid.fft(psi) of a field (FFT order, unnormalized).
+    """The power sums of a raw transform grid.fft(psi) (FFT order, unnormalized).
 
     The per-axis marginals of the power |psi_hat|^2, its total and its
-    top-octave mass are summed once, on first use, and shared by every
-    observable that reads them: the gradient norm and the spectral tail.
-    The power is never held as a lattice.  spend hands the transform
-    array over once the sums are taken, for reuse in place (evolve
-    materializes psi over it); the spectrum then keeps only its sums, and
-    reading its values raises.  lattice is the one the values lie on,
-    whose even axes' weights make the sums the full lattice's.
+    top-octave mass are summed when the spectrum is made, and shared by
+    every observable that reads them: the gradient norm and the spectral
+    tail.  The spectrum keeps them and lattice alone, never the
+    transform, so its caller may reuse the array at once (evolve
+    materializes psi over it).  lattice is the one the transform lies
+    on, whose even axes' weights make the sums the full lattice's.
+
+    Row, column and top-band row sums of the (rows, last axis) view are
+    each one einsum of its contiguous float view (real and imaginary
+    parts side by side) with itself, so no power lattice is formed; the
+    last axis' marginal pairs adjacent float columns.
     """
 
     def __init__(self, values: np.ndarray, lattice: SpectralGrid) -> None:
-        self._values = values
-        self.lattice = lattice
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            raise RuntimeError("the spectrum's array was handed over by spend")
-        return self._values
-
-    def spend(self) -> np.ndarray:
-        """The transform array, handed over after the power sums are taken."""
-        self._power_sums
-        values, self._values = self.values, None
-        return values
-
-    @cached_property
-    def _power_sums(self) -> tuple[list[np.ndarray], float, float]:
-        """Marginals of |psi_hat|^2, its total and its top-octave mass.
-
-        Row, column and top-band row sums of the (rows, last axis) view,
-        each one einsum of its contiguous float view (real and imaginary
-        parts side by side) with itself, so no power lattice is formed;
-        the last axis' marginal pairs adjacent float columns.
-        """
-        shape = self.values.shape
-        m = shape[-1]
-        grid = self.lattice
+        self.lattice = grid = lattice
+        shape = values.shape
         rw = grid.row_weights
-        f = self.values.reshape(-1, m).view(float)
+        f = values.reshape(-1, shape[-1]).view(float)
         band = grid.bands[-1]
         row_sums = np.einsum("ij,ij->i", f, f)
         b = f[:, 2 * band.start : 2 * band.stop]
@@ -307,7 +287,8 @@ class FieldSpectrum:
             rows = np.delete(rows, high, axis=axis)
             band_rows = np.delete(band_rows, high, axis=axis)
         top += float(np.sum(band_rows))
-        return marginals, float(np.sum(row_sums)), top
+        # marginals of |psi_hat|^2, its total and its top-octave mass
+        self._power_sums = marginals, float(np.sum(row_sums)), top
 
 
 def _power(pairs: np.ndarray) -> np.ndarray:
@@ -336,47 +317,39 @@ def _run_lattice(field: WaveField) -> WaveField:
 def _symbol_on(
     symbol: "KernelSymbol | None", lattice: SpectralGrid, params: PhysicalParams
 ) -> "KernelSymbol | None":
-    """The symbol on lattice, None when lambda2 is zero.
+    """The symbol on lattice (KernelSymbol.on), None when lambda2 is zero.
 
-    A symbol is required when lambda2 is nonzero, and one tabulated on
-    the lattice's box, its point count and its extents: a symbol of
-    another box has the field's point count but other frequencies, so it
-    is refused (GridError) rather than read.  Every KernelSymbol holds
-    its octant table, so one of the box on any of its lattices is put on
-    lattice by that table; one already on lattice is returned as it is.
+    A symbol is required when lambda2 is nonzero.
     """
     if params.lambda2 == 0.0:
         return None
     if symbol is None:
         raise ValueError("a kernel symbol is required when lambda2 != 0")
-    tabulated, grid = symbol.grid.full, lattice.full
-    if tabulated.shape != grid.shape or tabulated.extents != grid.extents:
-        raise GridError(
-            f"symbol is tabulated on {tabulated.shape} points over {tabulated.extents}, "
-            f"the field lies on {grid.shape} points over {grid.extents}"
-        )
-    if symbol.grid is lattice:
-        return symbol
-    return KernelSymbol(symbol.table, symbol.provenance, lattice)
+    return symbol.on(lattice)
 
 
 def field_spectrum(field: "WaveField") -> FieldSpectrum:
-    """The FieldSpectrum of a field: one forward complex transform of the array it holds."""
+    """The FieldSpectrum of a field, from one forward complex transform of the array it holds."""
     values, lattice = field.held()
     return FieldSpectrum(lattice.fft(values), lattice)
 
 
 def density(field: WaveField) -> np.ndarray:
-    """|psi|^2 on the lattice the field holds (WaveField.held()), as one new array."""
+    """|psi|^2 on the lattice the field holds (WaveField.held()), as one new array.
+
+    Its scratch is 32 KiB at most, so the density is the one lattice it allocates.
+    """
     values = field.held()[0]
-    return _density_into(values, np.empty(values.shape), np.empty(min(_BLOCK, values.size)))
+    return _density_into(values, np.empty(values.shape), np.empty(min(4096, values.size)))
 
 
 def _density_into(values: np.ndarray, rho: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """rho = |values|^2 a block at a time: re^2, plus im^2 formed in block scratch."""
+    """rho = |values|^2 in chunks of scratch's length: re^2, plus im^2 formed in scratch."""
     v, flat = values.reshape(-1), rho.reshape(-1)
-    for start, stop in lattice_blocks(values.shape):
-        y, r, w = v[start:stop], flat[start:stop], scratch[: stop - start]
+    n = scratch.size
+    for start in range(0, v.size, n):
+        y, r = v[start : start + n], flat[start : start + n]
+        w = scratch[: r.size]
         np.multiply(y.real, y.real, out=r)
         np.multiply(y.imag, y.imag, out=w)
         r += w

@@ -492,7 +492,7 @@ def test_mixed_lattices_are_the_full_lattice_at_their_held_indices(extents, poin
     np.testing.assert_allclose(_sum_sq(m.restrict(rho), m), _sum_sq(rho, g), rtol=1e-13)
     sym = build_symbol(g, Analytic3D() if g.dim == 3 else Effective2D(2.0))
     np.testing.assert_allclose(
-        _pair_symbol_real(sym.on_sublattice(even), m.restrict(rho)),
+        _pair_symbol_real(sym.on(m), m.restrict(rho)),
         _pair_symbol_real(sym, rho),
         rtol=1e-13,
     )

@@ -927,14 +927,14 @@ def test_an_even_run_allocates_no_full_size_lattice(monkeypatch):
     assert peak <= one_octant + 2**16
 
     # A record in flight, as evolve submits it: beside psi, which takes over
-    # the spectrum's array, the density, a work lattice and the variance
-    # rate's difference lattice, all on the octant.
+    # the transform's array, the density and a work lattice, all on the
+    # octant.
     psi = WaveField(y, octant)
     want = record_observables(psi, p, osym)
-    spectrum = state_module.field_spectrum(psi)
-    gradient_norm_sq(psi, spectrum)
+    array = octant.fft(y)
+    spectrum = state_module.FieldSpectrum(array, octant)
     got, peak = traced_peak(
-        lambda: propagator_module._record(None, spectrum, octant, 0.0, 1, p, osym)
+        lambda: propagator_module._record(None, array, spectrum, octant, 0.0, 1, p, osym)
     )
     # measured 2.42 octant lattices
     assert peak <= 3 * one_octant
@@ -1261,25 +1261,23 @@ def test_a_record_in_flight_holds_psi_and_one_work_lattice():
     want = record_observables(f, p, sym)
     sym.half_values, g.coords, g.freqs, g.coord_mesh, g.freq_mesh
 
-    # psi is materialized in place: it takes over the spectrum's array
-    spectrum = state_module.field_spectrum(f)
-    array = spectrum.values
-    psi = propagator_module._materialize(spectrum, g, 0.0, 0)
+    # a spectrum keeps its power sums and its lattice alone, and psi is
+    # materialized in place: it takes over the transform's array
+    array = g.fft(f.values)
+    spectrum = state_module.FieldSpectrum(array, g)
+    assert vars(spectrum).keys() == {"lattice", "_power_sums"}
+    psi = propagator_module._materialize(array, g, g, 0.0, 0)
     assert np.shares_memory(psi.values, array)
-    with pytest.raises(RuntimeError, match="spend"):
-        spectrum.values
-    assert spectrum._power_sums is not None
 
-    # a record as evolve submits it, from a spectrum whose sums the
-    # monitor took: beside the spectrum's array, which becomes psi, one
-    # complex work lattice (the density and the half spectrum of the
-    # dipolar energy, or the variance rate's) and block scratch
-    spectrum = state_module.field_spectrum(f)
-    gradient_norm_sq(f, spectrum)
+    # a record as evolve submits it: beside the transform's array, which
+    # becomes psi, one complex work lattice (the density and the half
+    # spectrum of the dipolar energy, or the variance rate's) and scratch
+    array = g.fft(f.values)
+    spectrum = state_module.FieldSpectrum(array, g)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        got = propagator_module._record(None, spectrum, g, f.t, 1, p, sym)
+        got = propagator_module._record(None, array, spectrum, g, f.t, 1, p, sym)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1304,10 +1302,12 @@ def test_samples_reuse_one_array_unless_psi_is_handed_out(monkeypatch):
         callback=lambda f: kept.append((f, f.values.copy())), sample_times=[6e-3],
         warn_resolution=False,
     )
-    # samples at steps 2, 4, 6 (the callback's), 8, 10 and 12 (the end): the
-    # callback keeps the array of step 6, so step 8 takes a new one
-    a, b = addresses[0], addresses[3]
-    assert addresses == [a, a, a, b, b, b] and a != b
+    # the spectrum at t = 0 sums field0's transform, which the loop keeps;
+    # then samples at steps 2, 4, 6 (the callback's), 8, 10 and 12 (the
+    # end): the callback keeps the array of step 6, so step 8 takes a new one
+    first, *samples = addresses
+    a, b = samples[0], samples[3]
+    assert samples == [a, a, a, b, b, b] and len({first, a, b}) == 3
     (field, values), = kept
     assert field.values.__array_interface__["data"][0] == a
     assert np.array_equal(field.values, values)

@@ -680,6 +680,30 @@ def test_epsilon_sweep_rows_and_determinism(tmp_path):
     assert a.read_text().splitlines()[0] == "epsilon,T,sup_err,slope_partner,excitation_sq"
 
 
+def test_every_sweep_member_runs_under_the_callers_numpy_error_state(monkeypatch):
+    # pooled or on one worker, each member runs in a copy of the caller's
+    # context, so np.errstate reaches it, and the rows do not change
+    seen = []
+    real_study = reduction._study
+
+    def spy(*args, **kwargs):
+        seen.append(np.geterr()["divide"])
+        return real_study(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_study", spy)
+    u0, _ = linear_eigenstate(make_grid(1, [10.0], [24]), (1.0,))
+    ref = make_grid(3, [8.0, 8.0, 10.0], [16, 16, 24])
+    s = ReductionSetup(0.2, OMEGA, 0.5, 0.0, u0, "1d")
+    rows = {}
+    with np.errstate(divide="ignore"):
+        for workers in (None, 1):
+            rows[workers] = epsilon_sweep(
+                s, [0.2, 0.141], ref, 2e-3, 0.05, n_samples=2, max_workers=workers
+            )
+    assert seen == ["ignore"] * 4
+    assert rows[None] == rows[1]
+
+
 def small_sweep_setup():
     u0, _ = linear_eigenstate(make_grid(1, [10.0], [32]), (1.0,))
     ref = make_grid(3, [8.0, 8.0, 10.0], [16, 16, 32])

@@ -648,10 +648,10 @@ def test_rate_term_over_its_work_lattice_is_the_fresh_difference_bit_for_bit(dim
 
 def test_a_record_of_held_data_given_its_spectrum_forms_the_work_lattice_alone():
     # criterion 6's data at 64^3, held by its octant table: a record given
-    # its spectrum allocates one complex lattice's bytes at once twice, the
-    # density with its block scratch (the octant is less than one block)
-    # and the variance rate's work lattice; each axis' D = P[k-1] - P[k+1]
-    # lies in the work lattice
+    # its spectrum allocates one complex lattice's bytes at once, the
+    # variance rate's work lattice; the density, a real lattice, comes with
+    # 32 KiB of scratch, and each axis' D = P[k-1] - P[k+1] lies in the
+    # work lattice
     g = make_grid(3, (15.0, 15.0, 30.0), (64, 64, 64))
     p = PhysicalParams(3, (1.0, 1.0, 1.0), 0.0, 1.0)
     sym = build_symbol(g, Analytic3D())
@@ -663,7 +663,7 @@ def test_a_record_of_held_data_given_its_spectrum_forms_the_work_lattice_alone()
     got, found = large_allocations(lambda: record_observables(field, p, sym, spectrum), 16 * lattice.size)
     assert got == want
     names = {"density", "_variance_rate", "_rate_term"}
-    assert [sorted(names & stacks) for stacks in found] == [["density"], ["_variance_rate"]]
+    assert [sorted(names & stacks) for stacks in found] == [["_variance_rate"]]
 
 
 def peak_bytes(fn) -> int:
@@ -784,7 +784,7 @@ def test_observables_are_python_floats_and_the_quartic_norms_agree_on_every_latt
         values = np.exp(-(x * x + y * y) / 2.0 - (z - center) ** 2 / 2.0 + 0.3j * z * z)
         lattice = g.sublattice(even)
         held = WaveField(lattice.restrict(values), lattice)
-        for field, s in ((WaveField(values, g), sym), (held, sym.on_sublattice(even))):
+        for field, s in ((WaveField(values, g), sym), (held, sym.on(lattice))):
             assert abs(quartic_norm_spectral(field) - quartic_norm(field)) <= 1e-13 * quartic_norm(field)
             e = energy(field, p, s)
             rec = record_observables(field, p, s)
@@ -824,7 +824,8 @@ def _observables(field, p, sym):
         **{f"E.{k}": getattr(e, k) for k in ("kinetic", "potential", "cubic", "dipolar", "total")},
         **{f"record.{k}": getattr(rec, k) for k in CSV_HEADER.split(",")},
     }
-    arrays = {"density": density(field), "spectrum": field_spectrum(field).values}
+    values, lattice = field.held()
+    arrays = {"density": density(field), "spectrum": lattice.fft(values)}
     return floats, arrays, [str(w.message) for w in caught]
 
 
@@ -878,6 +879,6 @@ def test_a_full_field_reads_a_symbol_of_its_box_from_any_of_its_lattices():
     p = PhysicalParams(3, (1.0, 0.8, 1.2), 1.0, 0.3)
     sym = build_symbol(g, Analytic3D())
     f = off_centre_chirped(g, chirp=0.05)
-    for other in (sym.octant, sym.on_sublattice((1,))):
+    for other in (sym.octant, sym.on(g.sublattice((1,)))):
         assert energy(f, p, other) == energy(f, p, sym)
         assert record_observables(f, p, other) == record_observables(f, p, sym)
